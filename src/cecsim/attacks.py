@@ -22,7 +22,7 @@ log = logging.getLogger(__name__)
 ARM_TARGETED_MARKER = parse_frame("cc:cc:cc:cc")
 ARM_BROADCAST_MARKER = parse_frame("dd:dd:dd:dd")
 
-# Columns of the census report, in render order.
+# Columns of the census report, in render order; ScanEntry.row follows it.
 REPORT_FIELDS = ("P. Addr", "Active", "Vendor", "OSD Str", "CEC Ver", "Pow Status", "Language")
 
 _POWER_RENDER = {0x00: "ON", 0x01: "Standby", 0x02: "To-On", 0x03: "To-Standby"}
@@ -40,15 +40,10 @@ class ScanEntry:
     language: str = "Unk"
 
     def row(self) -> dict[str, str]:
-        return {
-            "P. Addr": self.physical,
-            "Active": "Yes" if self.active else "No",
-            "Vendor": self.vendor,
-            "OSD Str": self.osd,
-            "CEC Ver": self.cec_version,
-            "Pow Status": self.power,
-            "Language": self.language,
-        }
+        active = "Yes" if self.active else "No"
+        values = (self.physical, active, self.vendor, self.osd, self.cec_version, self.power,
+                  self.language)
+        return dict(zip(REPORT_FIELDS, values))
 
 
 @dataclass
@@ -85,13 +80,10 @@ class ScanWalk(Actor):
     own row comes from local state since nobody answers a self-poll.
     """
 
-    QUERIES = fr.QUERY_OPCODES
-
     def __init__(self, actor_id: str, on_complete=None):
         self.actor_id = actor_id
         self.on_complete = on_complete
         self.phase = "idle"
-        self.report: ScanReport | None = None
         self._own: int | None = None
         self._poll_next = 0
         self._acked: list[int] = []
@@ -106,9 +98,6 @@ class ScanWalk(Actor):
         self.phase = "poll"
         self._poll_next = 0
 
-    def done(self) -> bool:
-        return self.phase == "done"
-
     def on_tick(self, sim: Simulator, tick: int):
         if self.phase == "poll":
             if self._poll_next <= 14:
@@ -120,7 +109,7 @@ class ScanWalk(Actor):
                 self._plan = [
                     CecFrame(self._own, addr, opcode)
                     for addr in self._acked
-                    for opcode in self.QUERIES
+                    for opcode in fr.QUERY_OPCODES
                     if self._own is not None and addr != self._own
                 ]
                 self.phase = "query"
@@ -183,7 +172,7 @@ class ScanWalk(Actor):
         if self._active_claimant is None and state.active_source and self._own is not None:
             self._active_claimant = self._own
         for addr in sorted(addresses):
-            entry = ScanEntry(address=addr)
+            entry = ScanEntry(address=addr, **self._collected.get(addr, {}))
             if addr == self._own:
                 node = sim.topology.nodes[self.actor_id]
                 entry.physical = sim.physical[self.actor_id].text
@@ -192,17 +181,8 @@ class ScanWalk(Actor):
                 entry.cec_version = node.cec_version
                 entry.power = "ON" if state.power is PowerState.ON else "Standby"
                 entry.language = node.menu_language if node.menu_language else "Unk"
-            else:
-                data = self._collected.get(addr, {})
-                entry.physical = data.get("physical", "Unk")
-                entry.osd = data.get("osd", "Unk")
-                entry.vendor = data.get("vendor", "Unk")
-                entry.cec_version = data.get("cec_version", "Unk")
-                entry.power = data.get("power", "Unk")
-                entry.language = data.get("language", "Unk")
             entry.active = addr == self._active_claimant
             report.entries[addr] = entry
-        self.report = report
         self.phase = "done"
         sim.artifacts.scan_reports.append(report)
         log.info("%s census finished with %d entries", self.actor_id, len(report.entries))
@@ -210,25 +190,20 @@ class ScanWalk(Actor):
             self.on_complete(sim, report)
 
 
+def check_target(value) -> int:
+    """A targeted standby's target: an integer logical address 0..15."""
+    if type(value) is not int or not 0 <= value <= fr.BROADCAST:
+        raise ValueError("standby target must be a logical address 0..15, got %r" % (value,))
+    return value
+
+
 class TargetedDos(Actor):
     """Sniff for wake-up chatter and put the target straight back into
     standby.  Stays armed and re-fires every time."""
 
-    def __init__(
-        self,
-        listener_id: str,
-        target_address: int = 0,
-        trigger_opcodes=(
-            fr.OP_REPORT_PHYSICAL_ADDRESS,
-            fr.OP_DEVICE_VENDOR_ID,
-            fr.OP_ROUTING_CHANGE,
-        ),
-        trigger_suffixes: tuple[str, ...] = (),
-    ):
+    def __init__(self, listener_id: str, target_address: int = 0):
         self.listener_id = listener_id
         self.target_address = target_address
-        self.trigger_opcodes = tuple(trigger_opcodes)
-        self.trigger_suffixes = tuple(trigger_suffixes)
         self.status = "idle"
         self.fired = 0
         self.evidence: list[BusEvent] = []
@@ -240,19 +215,12 @@ class TargetedDos(Actor):
     def disarm(self):
         self.status = "idle"
 
-    def _matches(self, frame: CecFrame) -> bool:
-        if frame.is_polling:
-            return False
-        if self.trigger_suffixes:
-            return any(fr.matches_suffix(frame, s) for s in self.trigger_suffixes)
-        return frame.opcode in self.trigger_opcodes
-
     def on_event(self, sim: Simulator, event: BusEvent):
         if self.status == "idle" or self.listener_id not in event.observers:
             return
         if event.origin == self.listener_id:
             return
-        if not self._matches(event.frame):
+        if event.frame.opcode not in fr.ANNOUNCE_OPCODES:
             return
         own = sim.logical.get(self.listener_id)
         if own is None:
@@ -277,10 +245,9 @@ class BroadcastDos(Actor):
         self.listener_id = listener_id
         self.display_address = display_address
         self.active = False
-        self.started_tick: int | None = None
         self._index = 0
 
-    def activate(self, sim: Simulator | None = None):
+    def activate(self):
         if not self.active:
             self.active = True
             log.info("%s input-churn loop armed", self.listener_id)
@@ -303,8 +270,6 @@ class BroadcastDos(Actor):
         own = sim.logical.get(self.listener_id)
         if own is None:
             return
-        if self.started_tick is None:
-            self.started_tick = tick
         cycle = self._cycle(own)
         sim.transmit_at(tick, self.listener_id, cycle[self._index])
         self._index = (self._index + 1) % len(cycle)
@@ -325,7 +290,6 @@ class AttackController(Actor):
         self.store = store
         self.targeted = TargetedDos(listener_id, target_address=targeted_target)
         self.broadcast = BroadcastDos(listener_id, display_address=display_address)
-        self.scans: list[ScanWalk] = []
 
     def register(self, sim: Simulator):
         sim.add_actor(self.targeted)
@@ -338,7 +302,7 @@ class AttackController(Actor):
         if event.frame == ARM_TARGETED_MARKER:
             self.targeted.arm()
         elif event.frame == ARM_BROADCAST_MARKER:
-            self.broadcast.activate(sim)
+            self.broadcast.activate()
 
     def start_scan(self, sim: Simulator, on_complete=None) -> ScanWalk:
         def finish(inner_sim, report):
@@ -347,7 +311,6 @@ class AttackController(Actor):
                 on_complete(inner_sim, report)
 
         walk = ScanWalk(self.listener_id, on_complete=finish)
-        self.scans.append(walk)
         sim.add_actor(walk)
         walk.start(sim)
         return walk

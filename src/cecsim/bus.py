@@ -143,10 +143,8 @@ class Call:
 
 
 class Simulator:
-    def __init__(self, topology: Topology, *, seed: int = 0, ticks_per_second: int = 10):
+    def __init__(self, topology: Topology):
         self.topology = topology
-        self.seed = seed
-        self.ticks_per_second = ticks_per_second
         self.clock = 0
         self.trace = Trace()
         self.artifacts = Artifacts()
@@ -246,7 +244,6 @@ class Simulator:
             node=self.topology.nodes[device_id],
             logical=self.logical.get(device_id),
             physical=self.physical[device_id],
-            tick=self.clock,
         )
 
     def settings_menu_accessible(self, device_id: str, tick: int | None = None) -> bool:

@@ -123,7 +123,6 @@ def _cmd_scan(args) -> int:
     if actor not in topology.nodes:
         raise TopologyError("scan actor %r is not in the topology" % actor)
     sim = Simulator(topology)
-    sim.start()
     walk = ScanWalk(actor)
     sim.add_actor(walk)
     walk.start(sim)

@@ -49,7 +49,6 @@ class DeviceCtx:
     node: DeviceNode
     logical: int | None
     physical: PhysicalAddress
-    tick: int
 
 
 @dataclass
@@ -156,24 +155,6 @@ def _derived_input_port(ctx: DeviceCtx, state: DeviceState, claimed: PhysicalAdd
     return port
 
 
-# Frames that only ever answer an earlier request or announce state.  No
-# device reacts to these; the interested party (a scan, a covert session)
-# picks them off the shared wire.  Opcode 0x00 stays here on purpose: it is
-# both Feature Abort and the covert data opcode, and aborting it back would
-# loop or corrupt a transfer.
-RESPONSE_OPCODES = frozenset(
-    {
-        fr.OP_FEATURE_ABORT,
-        fr.OP_SET_MENU_LANGUAGE,
-        fr.OP_SET_OSD_NAME,
-        fr.OP_REPORT_PHYSICAL_ADDRESS,
-        fr.OP_DEVICE_VENDOR_ID,
-        fr.OP_REPORT_POWER_STATUS,
-        fr.OP_CEC_VERSION,
-    }
-)
-
-
 def react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
     """Device reaction to a frame it observed on its bus segment.
 
@@ -246,7 +227,7 @@ def react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
             )
         return Reaction(state)
 
-    if op in RESPONSE_OPCODES:
+    if op in fr.RESPONSE_OPCODES:
         return Reaction(state)
 
     if addressed and state.cec_info_reporting_enabled and ctx.logical is not None:

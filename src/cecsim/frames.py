@@ -1,9 +1,9 @@
-"""CEC frame model, the colon-hex text codec, and the opcode registry.
+"""CEC frame model, the colon-hex text codec, and the opcode sets.
 
-A frame is a header byte (initiator nibble, destination nibble) followed by
-an optional opcode byte and up to 14 operand bytes.  The text form is the
-usual lowercase colon-separated hex, e.g. "20:36" or "1f:82:30:00".  A frame
-with no opcode is a polling message.
+A frame is a header byte (initiator nibble, destination nibble), an optional
+opcode byte and up to 14 operand bytes, as lowercase colon hex ("1f:82:30:00");
+a frame with no opcode is a polling message.  Each opcode class that devices,
+attacks and detector rules key on is defined once, in the sets below.
 """
 
 import enum
@@ -222,40 +222,9 @@ def encode_frame(frame: CecFrame) -> str:
     return ":".join("%02x" % b for b in octets)
 
 
-def parse_suffix(text: str) -> tuple[int, tuple[int, ...]]:
-    """Parse a headerless opcode:operand text like "84:00:00:00"."""
-    octets = []
-    for i, part in enumerate(text.strip().split(":")):
-        try:
-            octets.append(int(part, 16))
-        except ValueError:
-            raise FrameError("octet %d is not hex: %r" % (i, part)) from None
-    if not octets:
-        raise FrameError("empty suffix text")
-    return octets[0], tuple(octets[1:])
-
-
-def matches_suffix(frame: CecFrame, suffix: str) -> bool:
-    """True when the frame's opcode and operands equal the headerless text."""
-    if frame.is_polling:
-        return False
-    opcode, operands = parse_suffix(suffix)
-    return frame.opcode == opcode and frame.operands == operands
-
-
 # ---------------------------------------------------------------------------
-# Opcode registry
+# Opcodes and the opcode sets that attacks and detector rules key on
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OpcodeInfo:
-    code: int
-    name: str
-    min_operands: int
-    max_operands: int
-    broadcast_ok: bool
-    directed_ok: bool
-
 
 OP_FEATURE_ABORT = 0x00
 OP_IMAGE_VIEW_ON = 0x04
@@ -276,40 +245,6 @@ OP_GET_MENU_LANGUAGE = 0x91
 OP_CEC_VERSION = 0x9E
 OP_GET_CEC_VERSION = 0x9F
 
-_REGISTRY = {
-    info.code: info
-    for info in (
-        OpcodeInfo(OP_FEATURE_ABORT, "Feature Abort", 2, 2, False, True),
-        OpcodeInfo(OP_IMAGE_VIEW_ON, "Image View On", 0, 0, False, True),
-        OpcodeInfo(OP_SET_MENU_LANGUAGE, "Set Menu Language", 3, 3, True, False),
-        OpcodeInfo(OP_STANDBY, "Standby", 0, 0, True, True),
-        OpcodeInfo(OP_GIVE_OSD_NAME, "Give OSD Name", 0, 0, False, True),
-        OpcodeInfo(OP_SET_OSD_NAME, "Set OSD Name", 1, 14, False, True),
-        OpcodeInfo(OP_ROUTING_CHANGE, "Routing Change", 4, 4, True, False),
-        OpcodeInfo(OP_ACTIVE_SOURCE, "Active Source", 2, 2, True, False),
-        OpcodeInfo(OP_GIVE_PHYSICAL_ADDRESS, "Give Physical Address", 0, 0, False, True),
-        OpcodeInfo(OP_REPORT_PHYSICAL_ADDRESS, "Report Physical Address", 3, 3, True, False),
-        OpcodeInfo(OP_REQUEST_ACTIVE_SOURCE, "Request Active Source", 0, 0, True, False),
-        OpcodeInfo(OP_DEVICE_VENDOR_ID, "Device Vendor ID", 3, 3, True, False),
-        OpcodeInfo(OP_GIVE_VENDOR_ID, "Give Device Vendor ID", 0, 0, False, True),
-        OpcodeInfo(OP_GIVE_POWER_STATUS, "Give Device Power Status", 0, 0, False, True),
-        OpcodeInfo(OP_REPORT_POWER_STATUS, "Report Power Status", 1, 1, False, True),
-        OpcodeInfo(OP_GET_MENU_LANGUAGE, "Get Menu Language", 0, 0, False, True),
-        OpcodeInfo(OP_CEC_VERSION, "CEC Version", 1, 1, False, True),
-        OpcodeInfo(OP_GET_CEC_VERSION, "Get CEC Version", 0, 0, False, True),
-    )
-}
-
-
-def opcode_lookup(code: int) -> OpcodeInfo:
-    """Registry entry for an opcode.  Total: unknown opcodes come back as a
-    permissive "Unknown" entry rather than an error."""
-    info = _REGISTRY.get(code)
-    if info is None:
-        return OpcodeInfo(code, "Unknown", 0, MAX_OPERANDS, True, True)
-    return info
-
-
 # Queries a scan sends to each discovered address, and the responses they
 # should produce.
 QUERY_OPCODES = (
@@ -327,6 +262,36 @@ CONTROL_OPCODES = (
     OP_STANDBY,
     OP_ROUTING_CHANGE,
     OP_ACTIVE_SOURCE,
+)
+
+# Broadcasts a device makes as it wakes up; they trigger targeted standby.
+ANNOUNCE_OPCODES = (
+    OP_REPORT_PHYSICAL_ADDRESS,
+    OP_DEVICE_VENDOR_ID,
+    OP_ROUTING_CHANGE,
+)
+
+# Claims that switch a display's input; a burst of them is input churn.
+CHURN_OPCODES = (
+    OP_IMAGE_VIEW_ON,
+    OP_ACTIVE_SOURCE,
+)
+
+# Frames that only ever answer an earlier request or announce state.  No
+# device reacts to these; the interested party (a scan, a covert session)
+# picks them off the shared wire.  Opcode 0x00 stays here on purpose: it is
+# both Feature Abort and the covert data opcode, and aborting it back would
+# loop or corrupt a transfer.
+RESPONSE_OPCODES = frozenset(
+    {
+        OP_FEATURE_ABORT,
+        OP_SET_MENU_LANGUAGE,
+        OP_SET_OSD_NAME,
+        OP_REPORT_PHYSICAL_ADDRESS,
+        OP_DEVICE_VENDOR_ID,
+        OP_REPORT_POWER_STATUS,
+        OP_CEC_VERSION,
+    }
 )
 
 

@@ -6,6 +6,7 @@ same prefix would.  Alerts serialise as JSON lines citing the frames that
 tripped each rule.
 """
 
+import copy
 import json
 import logging
 from collections import deque
@@ -14,6 +15,7 @@ from dataclasses import dataclass, fields
 from cecsim import frames as fr
 from cecsim.bus import BusEvent
 from cecsim.topology import Edge, Topology, TopologyError
+from cecsim.transfer import END_MARKER, MIC_MARKER, REQUEST_MARKER
 
 log = logging.getLogger(__name__)
 
@@ -23,13 +25,8 @@ RULE_TARGETED_STANDBY = "TargetedStandby"
 RULE_COVERT_MARKER = "CovertMarker"
 RULE_COVERT_STREAM = "CovertStream"
 
-MARKER_TEXTS = frozenset({"aa:aa:aa:aa", "bb:bb:bb:bb", "ee:ee:ee:ee"})
-
-_ANNOUNCE_OPCODES = frozenset(
-    {fr.OP_REPORT_PHYSICAL_ADDRESS, fr.OP_DEVICE_VENDOR_ID, fr.OP_ROUTING_CHANGE}
-)
-_CHURN_OPCODES = frozenset({fr.OP_ACTIVE_SOURCE, fr.OP_IMAGE_VIEW_ON})
-_SCAN_QUERY_OPCODES = frozenset(fr.QUERY_OPCODES)
+# Covert-channel marker frames; each sighting raises a CovertMarker alert.
+_MARKERS = frozenset((REQUEST_MARKER, MIC_MARKER, END_MARKER))
 
 
 @dataclass(frozen=True)
@@ -109,11 +106,6 @@ class Detector:
         self.alerts.extend(new)
         return new
 
-    def feed_many(self, events) -> list[Alert]:
-        for event in events:
-            self.feed(event)
-        return self.alerts
-
     # ------------------------------------------------------------------
 
     def _once(self, rule: str, subject: str) -> bool:
@@ -125,7 +117,7 @@ class Detector:
 
     def _check_markers(self, event: BusEvent, new: list[Alert]):
         frame = event.frame
-        if not frame.is_polling and frame.text in MARKER_TEXTS:
+        if frame in _MARKERS:
             new.append(
                 Alert(RULE_COVERT_MARKER, (event.tick, event.tick), event.origin, (frame.text,))
             )
@@ -149,7 +141,7 @@ class Detector:
 
     def _check_scan(self, event: BusEvent, new: list[Alert]):
         frame = event.frame
-        probing = frame.is_polling or frame.opcode in _SCAN_QUERY_OPCODES
+        probing = frame.is_polling or frame.opcode in fr.QUERY_OPCODES
         if not probing:
             return
         window = self._scan.setdefault(event.origin, deque())
@@ -171,7 +163,7 @@ class Detector:
 
     def _check_churn(self, event: BusEvent, new: list[Alert]):
         frame = event.frame
-        if frame.is_polling or frame.opcode not in _CHURN_OPCODES:
+        if frame.is_polling or frame.opcode not in fr.CHURN_OPCODES:
             return
         window = self._churn.setdefault(event.origin, deque())
         window.append((event.tick, frame.text))
@@ -192,7 +184,7 @@ class Detector:
         if frame.is_polling:
             return
         tick = event.tick
-        if frame.opcode in _ANNOUNCE_OPCODES and frame.is_broadcast:
+        if frame.opcode in fr.ANNOUNCE_OPCODES and frame.is_broadcast:
             self._announcements.append((tick, event.origin, frame.initiator, frame.text))
         while self._announcements and self._announcements[0][0] < tick - self.config.standby_gap:
             self._announcements.popleft()
@@ -208,9 +200,7 @@ class Detector:
             if len(pairs) >= self.config.standby_repeat and self._once(
                 RULE_TARGETED_STANDBY, event.origin
             ):
-                evidence = []
-                for pair in pairs:
-                    evidence.extend([pair[2], pair[3]])
+                evidence = [text for pair in pairs for text in pair[2:]]
                 new.append(
                     Alert(
                         RULE_TARGETED_STANDBY,
@@ -225,7 +215,8 @@ class Detector:
 def detect(events, config: RuleConfig | None = None, tap: str | None = None) -> list[Alert]:
     """Offline pass: identical to streaming the same events in order."""
     detector = Detector(config, tap)
-    detector.feed_many(events)
+    for event in events:
+        detector.feed(event)
     return detector.alerts
 
 
@@ -260,7 +251,7 @@ Mitigation = StripEdge | DisableControl | DisableCecEndToEnd
 
 def apply_mitigation(topology: Topology, mitigation: Mitigation) -> Topology:
     """Return a copy of the topology with the mitigation applied."""
-    topo = topology.clone()
+    topo = copy.deepcopy(topology)
     if isinstance(mitigation, StripEdge):
         for i, edge in enumerate(topo.edges):
             if edge.parent == mitigation.parent and edge.child == mitigation.child:

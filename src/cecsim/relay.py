@@ -15,6 +15,7 @@ import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from cecsim.attacks import check_target
 from cecsim.bus import Actor, Simulator
 from cecsim.transfer import payload_digest
 
@@ -22,8 +23,6 @@ log = logging.getLogger(__name__)
 
 LISTENER_PATH = "/cec/listener"
 WEBCLIENT_PATH = "/cec/webclient"
-
-KNOWN_COMMANDS = ("DOS1", "SCAN", "TDOS", "CANCEL", "GETFILE")
 
 
 class RelayUnreachable(Exception):
@@ -201,32 +200,43 @@ class RelayPoller(Actor):
         except (json.JSONDecodeError, TypeError, KeyError):
             log.warning("ignoring malformed relay envelope %r", value)
             return
-        if command == "DOS1":
-            self.controller.broadcast.activate(sim)
-        elif command == "TDOS":
-            target = envelope.get("target", self.controller.targeted.target_address)
-            self.controller.targeted.target_address = int(target)
-            self.controller.targeted.arm()
-        elif command == "SCAN":
-            self.controller.start_scan(
-                sim, on_complete=lambda _sim, report: self.publish(report.to_json())
-            )
-        elif command == "CANCEL":
-            self.controller.cancel_all()
-        elif command == "GETFILE":
-            payload = self.controller.store.current()
-            self.publish(
-                json.dumps(
-                    {
-                        "bytes": len(payload),
-                        "sha256": payload_digest(payload),
-                        "data_hex": payload.hex(),
-                    }
-                )
-            )
-        else:
+        handler = self._HANDLERS.get(command) if isinstance(command, str) else None
+        if handler is None:
             log.warning("unknown relay command %r acknowledged, not executed", command)
             self.unknown.append(str(command))
             return
-        self.executed.append(str(command))
+        try:
+            handler(self, sim, envelope)
+        except ValueError as exc:
+            log.warning("ignoring relay command %s: %s", command, exc)
+            return
+        self.executed.append(command)
         log.info("relay command %s executed", command)
+
+    def _dos1(self, sim: Simulator, envelope: dict):
+        self.controller.broadcast.activate()
+
+    def _tdos(self, sim: Simulator, envelope: dict):
+        targeted = self.controller.targeted
+        target = envelope.get("target", targeted.target_address)
+        targeted.target_address = check_target(target)
+        targeted.arm()
+
+    def _scan(self, sim: Simulator, envelope: dict):
+        self.controller.start_scan(sim, on_complete=lambda _, rep: self.publish(rep.to_json()))
+
+    def _cancel(self, sim: Simulator, envelope: dict):
+        self.controller.cancel_all()
+
+    def _getfile(self, sim: Simulator, envelope: dict):
+        data = self.controller.store.current()
+        summary = {"bytes": len(data), "sha256": payload_digest(data), "data_hex": data.hex()}
+        self.publish(json.dumps(summary))
+
+    # Each relay command name and the method that runs it.
+    _HANDLERS = {
+        "DOS1": _dos1, "SCAN": _scan, "TDOS": _tdos, "CANCEL": _cancel, "GETFILE": _getfile,
+    }
+
+
+KNOWN_COMMANDS = tuple(RelayPoller._HANDLERS)

@@ -12,13 +12,13 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field
-from functools import partial
 from random import Random
 
+from cecsim import frames as fr
 from cecsim import ids as ids_mod
 from cecsim import relay as relay_mod
-from cecsim.attacks import AttackController, ScanWalk
-from cecsim.bus import Call, Simulator, Trace, Transmit, User
+from cecsim.attacks import AttackController, ScanWalk, check_target
+from cecsim.bus import Call, Simulator, Trace, User
 from cecsim.devices import UserAction
 from cecsim.frames import FrameError, parse_frame
 from cecsim.testbed import EXPECTED_TESTBED_SCAN, TESTBED_NAME, TESTBED_TOPOLOGY
@@ -27,22 +27,7 @@ from cecsim.transfer import FileReceiver, FileSender, PayloadStore, write_transf
 
 log = logging.getLogger(__name__)
 
-_USER_ACTIONS = {
-    "power_on": UserAction.POWER_ON,
-    "power_off": UserAction.POWER_OFF,
-    "select_input": UserAction.SELECT_INPUT,
-    "open_settings": UserAction.OPEN_SETTINGS,
-    "disable_cec": UserAction.DISABLE_CEC,
-}
-
-_SERVICE_ACTIONS = (
-    "send_frame",
-    "scan",
-    "request_file",
-    "arm_targeted_dos",
-    "start_broadcast_dos",
-    "cancel_attacks",
-)
+_USER_ACTIONS = {action.value: action for action in UserAction}
 
 
 class ScenarioError(ValueError):
@@ -60,12 +45,12 @@ class ScenarioAction:
 @dataclass
 class Scenario:
     name: str
-    topology_config: dict
+    # Built and mitigated once by load_scenario; runs read it, never change it.
+    topology: Topology
     duration: int
     seed: int = 0
     ticks_per_second: int = 10
     actions: list[ScenarioAction] = field(default_factory=list)
-    mitigations: list = field(default_factory=list)
     relay: dict | None = None
     listener_options: dict = field(default_factory=dict)
     ids_options: dict = field(default_factory=dict)
@@ -104,30 +89,31 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
 
     config = _resolve_topology(document["topology"], base_dir)
     overrides = document.get("overrides") or {}
-    if overrides:
-        by_id = {n.get("id"): n for n in config.get("nodes", [])}
-        for node_id, patch in overrides.items():
-            if node_id not in by_id:
-                raise ScenarioError("override targets unknown node %r" % node_id)
-            by_id[node_id].update(patch)
+    if not isinstance(overrides, dict) or not all(isinstance(p, dict) for p in overrides.values()):
+        raise ScenarioError("overrides must map node ids to objects")
+    try:
+        by_id = {n["id"]: n for n in config["nodes"]} if overrides else {}
+    except (KeyError, TypeError):
+        raise ScenarioError("overrides need a topology whose nodes all have ids") from None
+    for node_id, patch in overrides.items():
+        if node_id not in by_id:
+            raise ScenarioError("override targets unknown node %r" % node_id)
+        by_id[node_id].update(patch)
 
     try:
         topology = build_topology(config)
     except TopologyError as exc:
         raise ScenarioError("scenario %r topology invalid: %s" % (name, exc)) from None
 
-    mitigations = []
-    for raw in document.get("mitigations", []):
+    for raw in _objects(document.get("mitigations"), "mitigations"):
         try:
-            mitigation = ids_mod.parse_mitigation(raw)
-            ids_mod.apply_mitigation(topology, mitigation)
-        except (TopologyError, KeyError) as exc:
+            topology = ids_mod.apply_mitigation(topology, ids_mod.parse_mitigation(raw))
+        except (TopologyError, KeyError, TypeError) as exc:
             raise ScenarioError("scenario %r mitigation invalid: %s" % (name, exc)) from None
-        mitigations.append(mitigation)
 
     listeners = topology.listeners()
     actions = []
-    for raw in document.get("actions", []):
+    for raw in _objects(document.get("actions"), "actions"):
         tick, actor, action = raw.get("tick"), raw.get("actor"), raw.get("action")
         if not isinstance(tick, int) or tick < 0:
             raise ScenarioError("action %r needs a tick >= 0" % raw)
@@ -136,6 +122,8 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
         if action not in _USER_ACTIONS and action not in _SERVICE_ACTIONS:
             raise ScenarioError("unknown action %r at tick %d" % (action, tick))
         args = raw.get("args") or {}
+        if not isinstance(args, dict):
+            raise ScenarioError("%s at tick %d args must be an object" % (action, tick))
         if action == "send_frame":
             try:
                 parse_frame(args.get("frame", ""))
@@ -147,11 +135,18 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
             peer = args.get("peer")
             if isinstance(peer, str) and peer not in topology.nodes:
                 raise ScenarioError("request_file at tick %d names unknown peer %r" % (tick, peer))
+            if actor in listeners or not topology.nodes[actor].cec_addressed:
+                raise ScenarioError("request_file at tick %d cannot run on %r" % (tick, actor))
         if action in ("arm_targeted_dos", "start_broadcast_dos", "cancel_attacks"):
             if actor not in listeners:
                 raise ScenarioError(
                     "%s at tick %d must run on a listener device, not %r" % (action, tick, actor)
                 )
+        if action == "arm_targeted_dos" and "target" in args:
+            try:
+                check_target(args["target"])
+            except ValueError as exc:
+                raise ScenarioError("arm_targeted_dos at tick %d: %s" % (tick, exc)) from None
         actions.append(ScenarioAction(tick, actor, action, args))
     actions.sort(key=lambda a: a.tick)
 
@@ -161,11 +156,13 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
             raise ScenarioError("relay section must be an object")
         if relay_cfg.get("enabled") and not listeners:
             raise ScenarioError("relay needs an attacker listener in the topology")
-        for cmd in relay_cfg.get("commands", []):
+        for cmd in _objects(relay_cfg.get("commands"), "relay commands"):
             if not isinstance(cmd.get("tick"), int) or not isinstance(cmd.get("command"), str):
                 raise ScenarioError("relay commands need a tick and a command string")
 
     ids_options = document.get("ids") or {}
+    if not isinstance(ids_options, dict):
+        raise ScenarioError("ids section must be an object")
     if ids_options.get("config"):
         try:
             ids_mod.RuleConfig.from_dict(ids_options["config"])
@@ -174,17 +171,23 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
 
     return Scenario(
         name=name,
-        topology_config=config,
+        topology=topology,
         duration=duration,
         seed=int(document.get("seed", 0)),
         ticks_per_second=int(document.get("ticks_per_second", 10)),
         actions=actions,
-        mitigations=mitigations,
         relay=relay_cfg,
         listener_options=document.get("listener_options") or {},
         ids_options=ids_options,
-        checks=list(document.get("checks", [])),
+        checks=_objects(document.get("checks"), "checks"),
     )
+
+
+def _objects(value, section: str) -> list:
+    """A scenario section that must be a list of JSON objects, or absent."""
+    if value is None or isinstance(value, list) and all(isinstance(i, dict) for i in value):
+        return list(value or [])
+    raise ScenarioError("%s must be a list of objects" % section)
 
 
 def load_scenario_file(path: str) -> Scenario:
@@ -216,7 +219,6 @@ class RunResult:
     controllers: dict[str, AttackController]
     receivers: dict[str, FileReceiver]
     poller: relay_mod.RelayPoller | None = None
-    relay_client: object | None = None
     relay_posts: list = field(default_factory=list)
     checks: list[CheckResult] = field(default_factory=list)
 
@@ -238,12 +240,9 @@ def run_scenario(
     ticks_per_second: int | None = None,
 ) -> RunResult:
     """Build the simulator, wire services, replay actions, detect."""
-    topology = build_topology(scenario.topology_config)
-    for mitigation in scenario.mitigations:
-        topology = ids_mod.apply_mitigation(topology, mitigation)
-
+    topology = scenario.topology
     tps = ticks_per_second or scenario.ticks_per_second
-    sim = Simulator(topology, seed=scenario.seed, ticks_per_second=tps)
+    sim = Simulator(topology)
 
     options = scenario.listener_options
     controllers: dict[str, AttackController] = {}
@@ -289,15 +288,13 @@ def run_scenario(
         poller = relay_mod.RelayPoller(client, next(iter(controllers.values())), interval)
         sim.add_actor(poller)
         result.poller = poller
-        result.relay_client = client
-        for cmd in relay_cfg.get("commands", []):
+        for cmd in relay_cfg.get("commands") or []:
             envelope = {k: v for k, v in cmd.items() if k != "tick"}
             envelope.setdefault("issued_at", cmd["tick"])
 
             def post(inner_sim, tick, env=envelope):
-                text = json.dumps(env)
                 try:
-                    client.post(relay_mod.LISTENER_PATH, text)
+                    client.post(relay_mod.LISTENER_PATH, json.dumps(env))
                     result.relay_posts.append((tick, env.get("command")))
                 except relay_mod.RelayUnreachable as exc:
                     log.warning("scenario post failed: %s", exc)
@@ -306,7 +303,7 @@ def run_scenario(
 
     sim.start()
     for action in scenario.actions:
-        _schedule_action(sim, action, controllers, receivers)
+        _schedule_action(sim, action, result)
     sim.run(scenario.duration)
 
     tap = ids_tap or scenario.ids_options.get("tap") or topology.root
@@ -317,59 +314,61 @@ def run_scenario(
     return result
 
 
-def _schedule_action(sim, action: ScenarioAction, controllers, receivers):
-    if action.action in _USER_ACTIONS:
-        sim.schedule(
-            action.tick,
-            User(action.actor, _USER_ACTIONS[action.action], action.args.get("port")),
-        )
+def _schedule_action(sim: Simulator, action: ScenarioAction, result: RunResult):
+    user_action = _USER_ACTIONS.get(action.action)
+    if user_action is not None:
+        sim.schedule(action.tick, User(action.actor, user_action, action.args.get("port")))
         return
-    if action.action == "send_frame":
-        sim.schedule(action.tick, Transmit(action.actor, parse_frame(action.args["frame"])))
-        return
-    if action.action == "scan":
-        def start_scan(inner_sim, tick, actor=action.actor):
-            controller = controllers.get(actor)
-            if controller is not None:
-                controller.start_scan(inner_sim)
-            else:
-                walk = ScanWalk(actor)
-                inner_sim.add_actor(walk)
-                walk.start(inner_sim)
+    service = _SERVICE_ACTIONS[action.action]
+    sim.schedule(action.tick, Call(lambda inner_sim, tick: service(inner_sim, action, result)))
 
-        sim.schedule(action.tick, Call(start_scan))
-        return
-    if action.action == "request_file":
-        def request(inner_sim, tick, actor=action.actor, peer=action.args.get("peer")):
-            address = peer
-            if isinstance(peer, str):
-                address = inner_sim.logical.get(peer)
-            receivers[actor].request_file(inner_sim, address)
 
-        sim.schedule(action.tick, Call(request))
-        return
-    if action.action == "arm_targeted_dos":
-        def arm(inner_sim, tick, actor=action.actor, args=action.args):
-            controller = controllers[actor]
-            if "target" in args:
-                controller.targeted.target_address = int(args["target"])
-            controller.targeted.arm()
+def _send_frame(sim: Simulator, action: ScenarioAction, result: RunResult):
+    sim.deliver(action.actor, parse_frame(action.args["frame"]))
 
-        sim.schedule(action.tick, Call(arm))
-        return
-    if action.action == "start_broadcast_dos":
-        sim.schedule(
-            action.tick,
-            Call(lambda inner_sim, tick, actor=action.actor: controllers[actor].broadcast.activate(inner_sim)),
-        )
-        return
-    if action.action == "cancel_attacks":
-        sim.schedule(
-            action.tick,
-            Call(lambda inner_sim, tick, actor=action.actor: controllers[actor].cancel_all()),
-        )
-        return
-    raise ScenarioError("unhandled action %r" % action.action)
+
+def _scan(sim: Simulator, action: ScenarioAction, result: RunResult):
+    controller = result.controllers.get(action.actor)
+    if controller is not None:
+        controller.start_scan(sim)
+    else:
+        walk = ScanWalk(action.actor)
+        sim.add_actor(walk)
+        walk.start(sim)
+
+
+def _request_file(sim: Simulator, action: ScenarioAction, result: RunResult):
+    peer = action.args.get("peer")
+    if isinstance(peer, str):
+        peer = sim.logical.get(peer)
+    result.receivers[action.actor].request_file(sim, peer)
+
+
+def _arm_targeted_dos(sim: Simulator, action: ScenarioAction, result: RunResult):
+    targeted = result.controllers[action.actor].targeted
+    if "target" in action.args:
+        targeted.target_address = action.args["target"]
+    targeted.arm()
+
+
+def _start_broadcast_dos(sim: Simulator, action: ScenarioAction, result: RunResult):
+    result.controllers[action.actor].broadcast.activate()
+
+
+def _cancel_attacks(sim: Simulator, action: ScenarioAction, result: RunResult):
+    result.controllers[action.actor].cancel_all()
+
+
+# Each scenario action that drives an attack service, and what it runs at
+# its tick.  Device user actions go through _USER_ACTIONS instead.
+_SERVICE_ACTIONS = {
+    "send_frame": _send_frame,
+    "scan": _scan,
+    "request_file": _request_file,
+    "arm_targeted_dos": _arm_targeted_dos,
+    "start_broadcast_dos": _start_broadcast_dos,
+    "cancel_attacks": _cancel_attacks,
+}
 
 
 def write_artifacts(result: RunResult, out_dir: str) -> list[str]:
@@ -411,11 +410,6 @@ def write_artifacts(result: RunResult, out_dir: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # Post-run checks
 # ---------------------------------------------------------------------------
-
-_CHURN_SET = frozenset((0x04, 0x82))
-_CONTROL_SET = frozenset((0x04, 0x36, 0x80, 0x82))
-_ANNOUNCE_SET = frozenset((0x84, 0x87, 0x80))
-
 
 def _power_timeline(result: RunResult, device: str) -> list[str]:
     """Per-tick power value for a device across the whole run."""
@@ -569,13 +563,13 @@ def _check_standby_follows_announcement(result: RunResult, args: dict) -> CheckR
     address = result.sim.logical.get(device)
     announced = [
         e.tick for e in result.trace.events
-        if e.origin == device and e.frame.opcode in _ANNOUNCE_SET and e.tick >= start
+        if e.origin == device and e.frame.opcode in fr.ANNOUNCE_OPCODES and e.tick >= start
     ]
     if not announced:
         return CheckResult("standby_follows_announcement", False, "%s never announced" % device)
     standbys = [
         e.tick for e in result.trace.events
-        if e.frame.opcode == 0x36 and e.frame.destination == address and e.origin != device
+        if e.frame.opcode == fr.OP_STANDBY and e.frame.destination == address and e.origin != device
     ]
     misses = [t for t in announced if not any(t < s <= t + within for s in standbys)]
     ok = not misses
@@ -623,7 +617,7 @@ def _check_no_control_frames_reach(result: RunResult, args: dict) -> CheckResult
     device, origin = args["device"], args["from_origin"]
     hits = [
         e.tick for e in result.trace.events
-        if e.origin == origin and e.frame.opcode in _CONTROL_SET and device in e.observers
+        if e.origin == origin and e.frame.opcode in fr.CONTROL_OPCODES and device in e.observers
     ]
     if not hits:
         return CheckResult(
@@ -647,7 +641,7 @@ def _check_relay_latency(result: RunResult, args: dict) -> CheckResult:
     first = next(
         (
             e.tick for e in result.trace.events
-            if e.tick > post and e.origin in listeners and e.frame.opcode in _CHURN_SET
+            if e.tick > post and e.origin in listeners and e.frame.opcode in fr.CHURN_OPCODES
         ),
         None,
     )

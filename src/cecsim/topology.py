@@ -9,7 +9,6 @@ stays unregistered at f.f.f.f; an intermediate without its own EDID hop
 so everything behind it sees the same port address.
 """
 
-import copy
 import enum
 import json
 from dataclasses import dataclass, field
@@ -105,20 +104,11 @@ class Topology:
     def children_of(self, node_id: str) -> list[Edge]:
         return [e for e in self.edges if e.parent == node_id]
 
-    def parent_edge(self, node_id: str) -> Edge | None:
-        for e in self.edges:
-            if e.child == node_id:
-                return e
-        return None
-
     def node_order(self) -> list[str]:
         return list(self.nodes)
 
     def listeners(self) -> list[str]:
         return [n.id for n in self.nodes.values() if n.kind is DeviceKind.ATTACKER_LISTENER]
-
-    def clone(self) -> "Topology":
-        return copy.deepcopy(self)
 
 
 def _require(condition: bool, message: str):
@@ -140,7 +130,9 @@ def _parse_node(raw: dict) -> DeviceNode:
     )
     device_type = _TYPE_ALIASES[type_text]
 
-    osd = raw.get("osd_name", node_id)[:MAX_OSD_LEN]
+    osd = raw.get("osd_name", node_id)
+    _require(isinstance(osd, str), "node %r osd_name must be a string" % node_id)
+    osd = osd[:MAX_OSD_LEN]
     try:
         vendor = parse_vendor_id(raw.get("vendor_id", 0))
     except FrameError as exc:

@@ -11,10 +11,10 @@ for the open session is dismissed.
 import hashlib
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 from random import Random
 
-from cecsim import frames as fr
 from cecsim.bus import Actor, BusEvent, Simulator, TransferRecord
 from cecsim.frames import CecFrame, parse_frame
 
@@ -58,7 +58,7 @@ class PayloadStore:
 
     def __init__(self, seed: int = 0, mic_bytes: int = 1024, capture: bytes | None = None):
         self.mic_armed = False
-        self._mic_blob = Random(seed ^ 0x6D6963).randbytes(mic_bytes)
+        self.mic_blob = Random(seed ^ 0x6D6963).randbytes(mic_bytes)
         self.capture = capture
         self.scan_report: bytes | None = None
 
@@ -69,13 +69,9 @@ class PayloadStore:
         self.mic_armed = True
         return True
 
-    @property
-    def mic_blob(self) -> bytes:
-        return self._mic_blob
-
     def current(self) -> bytes:
         if self.mic_armed:
-            return self._mic_blob
+            return self.mic_blob
         if self.capture is not None:
             return self.capture
         if self.scan_report is not None:
@@ -86,10 +82,8 @@ class PayloadStore:
 @dataclass
 class SendSession:
     session_id: str
-    peer_address: int
     pending: list[CecFrame]
     status: str = "streaming"
-    sent_data: int = 0
     unacked: int = 0
 
 
@@ -147,9 +141,7 @@ class FileSender(Actor):
             CecFrame(own, peer, DATA_OPCODE, chunk) for chunk in serialize_payload(payload)
         ]
         pending.append(END_MARKER)
-        self.session = SendSession(
-            session_id=sim.next_session_id(), peer_address=peer, pending=pending
-        )
+        self.session = SendSession(session_id=sim.next_session_id(), pending=pending)
         log.info(
             "%s streaming %d bytes to address %d as %s",
             self.device_id, len(payload), peer, self.session.session_id,
@@ -158,10 +150,7 @@ class FileSender(Actor):
     def on_tick(self, sim: Simulator, tick: int):
         if self.session is None or self.session.status != "streaming":
             return
-        frame = self.session.pending.pop(0)
-        sim.transmit_at(tick, self.device_id, frame)
-        if frame.opcode == DATA_OPCODE and not frame.is_polling and frame != END_MARKER:
-            self.session.sent_data += 1
+        sim.transmit_at(tick, self.device_id, self.session.pending.pop(0))
         if not self.session.pending:
             self.session.status = "complete"
             self.finished.append(self.session)
@@ -258,8 +247,6 @@ class FileReceiver(Actor):
 def write_transfer_artifacts(records, out_dir) -> list[str]:
     """Persist recovered payloads as <session-id>.bin plus a manifest of
     sizes and digests.  Returns the file names written."""
-    import os
-
     written = []
     manifest_lines = []
     for record in records:

@@ -117,7 +117,7 @@ def test_acceptance_transfers_lossless_at_scale():
 def test_acceptance_targeted_standby_timing():
     rng = Random(41)
     for round_number in range(20):
-        sim = Simulator(build_testbed(), seed=round_number)
+        sim = Simulator(build_testbed())
         dos = TargetedDos("listener", target_address=0)
         dos.arm()
         sim.add_actor(dos)

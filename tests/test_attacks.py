@@ -29,7 +29,7 @@ def scanned(sim, actor):
     sim.add_actor(walk)
     walk.start(sim)
     sim.run(until=sim.clock + 130)
-    assert walk.done
+    assert walk.phase == "done"
     return sim.artifacts.scan_reports[-1]
 
 
@@ -164,18 +164,6 @@ class TestTargetedDos:
         testbed_sim.run(until=12)
         assert dos.fired == 0
         assert testbed_sim.device_states["tv"].power.value == "on"
-
-    def test_suffix_triggers(self, testbed_sim):
-        dos = TargetedDos(
-            "listener",
-            trigger_suffixes=("84:00:00:00", "87:1f:00:08", "80:00:00:30:00"),
-        )
-        dos.arm()
-        testbed_sim.add_actor(dos)
-        testbed_sim.schedule(3, User("tv", UserAction.POWER_OFF))
-        testbed_sim.schedule(6, User("tv", UserAction.POWER_ON))
-        testbed_sim.run(until=14)
-        assert dos.fired == 3
 
     def test_ignores_own_frames(self, testbed_sim):
         dos = TargetedDos("listener")
@@ -338,7 +326,7 @@ class TestTriggerEquivalence:
         else:
             from cecsim.bus import Call
 
-            sim.schedule(5, Call(lambda s, t: controller.broadcast.activate(s)))
+            sim.schedule(5, Call(lambda s, t: controller.broadcast.activate()))
         sim.run(until=40)
         frames = [
             (e.tick, e.frame.text)

@@ -240,7 +240,7 @@ class TestTiming:
         def run_once():
             from cecsim.testbed import build_testbed
 
-            sim = Simulator(build_testbed(), seed=7)
+            sim = Simulator(build_testbed())
             sim.start()
             rng = Random(99)
             for _ in range(30):

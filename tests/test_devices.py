@@ -10,7 +10,6 @@ from cecsim.bus import Simulator, Transmit, User
 from cecsim.devices import (
     ABORT_UNRECOGNIZED,
     DeviceState,
-    RESPONSE_OPCODES,
     UserAction,
     announcement_frames,
     apply_user_action,
@@ -27,6 +26,7 @@ from cecsim.frames import (
     OP_STANDBY,
     PowerState,
     QUERY_OPCODES,
+    RESPONSE_OPCODES,
 )
 from cecsim.testbed import build_testbed
 

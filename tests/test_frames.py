@@ -11,10 +11,7 @@ from cecsim.frames import (
     PhysicalAddress,
     encode_frame,
     logical_candidates,
-    matches_suffix,
-    opcode_lookup,
     parse_frame,
-    parse_suffix,
     parse_vendor_id,
     vendor_id_bytes,
     vendor_name,
@@ -129,23 +126,6 @@ class TestEncode:
 
 
 # ---------------------------------------------------------------------------
-# Suffix matching
-# ---------------------------------------------------------------------------
-
-class TestSuffix:
-    def test_parse_suffix(self):
-        assert parse_suffix("84:00:00:00") == (0x84, (0x00, 0x00, 0x00))
-
-    def test_match_ignores_header(self):
-        frame = parse_frame("0f:84:00:00:00")
-        assert matches_suffix(frame, "84:00:00:00")
-        assert not matches_suffix(frame, "84:10:00:00")
-
-    def test_polling_never_matches(self):
-        assert not matches_suffix(parse_frame("11"), "84:00:00:00")
-
-
-# ---------------------------------------------------------------------------
 # Logical address table
 # ---------------------------------------------------------------------------
 
@@ -173,12 +153,6 @@ class TestLogicalCandidates:
                 assert addr not in seen, "address %d claimed by two types" % addr
                 seen[addr] = device_type
         assert 15 not in seen
-
-    def test_opcode_lookup_total(self):
-        for code in range(256):
-            info = opcode_lookup(code)
-            assert 0 <= info.min_operands <= info.max_operands <= 14
-            assert info.name
 
 
 # ---------------------------------------------------------------------------

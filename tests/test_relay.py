@@ -17,6 +17,7 @@ from cecsim.relay import (
     RelayUnreachable,
     WEBCLIENT_PATH,
 )
+from cecsim.scenarios import load_scenario, run_scenario
 from cecsim.testbed import EXPECTED_TESTBED_SCAN, build_testbed
 from cecsim.transfer import PayloadStore, payload_digest
 
@@ -167,6 +168,41 @@ class TestPoller:
         sim.start()
         sim.run(until=6)
         assert poller.executed == []
+
+    @pytest.mark.parametrize("target", ["x", "4", 99, -1, None, True, [4]])
+    def test_bad_target_ignored_and_run_finishes(self, target):
+        scenario = load_scenario(
+            {
+                "name": "bad-target",
+                "topology": "testbed",
+                "duration": 50,
+                "relay": {
+                    "enabled": True,
+                    "interval_ticks": 5,
+                    "commands": [
+                        {"tick": 3, "command": "TDOS", "target": target},
+                        {"tick": 12, "command": "CANCEL"},
+                    ],
+                },
+            }
+        )
+        result = run_scenario(scenario, relay_client=LoopbackRelayClient())
+        assert result.sim.clock == 50
+        assert result.poller.executed == ["CANCEL"]
+        assert result.controllers["listener"].targeted.status == "idle"
+
+    def test_target_sets_standby_destination(self):
+        sim, controller, _ = wired_sim()
+        client = LoopbackRelayClient()
+        poller = RelayPoller(client, controller, interval_ticks=2)
+        sim.add_actor(poller)
+        client.post(LISTENER_PATH, json.dumps({"command": "TDOS", "target": 4}))
+        sim.run(until=4)
+        assert poller.executed == ["TDOS"]
+        assert controller.targeted.target_address == 4
+
+    def test_command_table_names_every_command(self):
+        assert set(KNOWN_COMMANDS) == {"DOS1", "SCAN", "TDOS", "CANCEL", "GETFILE"}
 
     def test_outage_queues_results_until_recovery(self):
         sim, controller, _ = wired_sim()

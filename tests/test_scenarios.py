@@ -68,6 +68,24 @@ class TestValidation:
              "mitigation"),
             ({"relay": {"enabled": True, "commands": [{"command": "DOS1"}]}}, "tick"),
             ({"ids": {"config": {"nonsense": 1}}}, "detector config"),
+            ({"actions": [1]}, "actions"),
+            (
+                {"actions": [{"tick": 1, "actor": "tv", "action": "power_on", "args": [1]}]},
+                "args",
+            ),
+            ({"relay": {"commands": [3]}}, "relay commands"),
+            ({"mitigations": [5]}, "mitigations"),
+            ({"overrides": {"tv": 5}}, "overrides"),
+            ({"overrides": {"tv": {"osd_name": 5}}}, "osd_name"),
+            (
+                {"actions": [{"tick": 1, "actor": "listener", "action": "arm_targeted_dos",
+                              "args": {"target": "x"}}]},
+                "arm_targeted_dos",
+            ),
+            (
+                {"actions": [{"tick": 1, "actor": "listener", "action": "request_file"}]},
+                "request_file",
+            ),
         ],
     )
     def test_rejections_name_the_problem(self, patch, fragment):
@@ -251,6 +269,13 @@ class TestCli:
         path.write_text(json.dumps(document))
         assert cli.main(["run", "--scenario", str(path)]) == 0
         capsys.readouterr()
+
+    def test_run_malformed_document_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc(actions=[{"tick": 1, "actor": "tv",
+                                                 "action": "power_on", "args": [1]}])))
+        assert cli.main(["run", "--scenario", str(path)]) == 2
+        assert "args must be an object" in capsys.readouterr().err
 
     def test_run_unknown_scenario_exits_two(self, capsys):
         assert cli.main(["run", "--scenario", "no-such"]) == 2

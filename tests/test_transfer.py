@@ -42,7 +42,7 @@ def channel_topology():
 
 
 def wired_sim(payload: bytes, seed=0):
-    sim = Simulator(channel_topology(), seed=seed)
+    sim = Simulator(channel_topology())
     store = PayloadStore(seed=seed, capture=payload)
     sender = FileSender("spy", store)
     receiver = FileReceiver("pc")
