@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from cecsim import frames as fr
 from cecsim.bus import Actor, BusEvent, Simulator
 from cecsim.frames import CecFrame, PhysicalAddress, PowerState, parse_frame, vendor_name
-from cecsim.transfer import PayloadStore
+from cecsim.transfer import FileSender, PayloadStore
 
 log = logging.getLogger(__name__)
 
@@ -80,8 +80,8 @@ class ScanWalk(Actor):
     own row comes from local state since nobody answers a self-poll.
     """
 
-    def __init__(self, actor_id: str, on_complete=None):
-        self.actor_id = actor_id
+    def __init__(self, device: str, on_complete=None):
+        super().__init__(device)
         self.on_complete = on_complete
         self.phase = "idle"
         self._own: int | None = None
@@ -94,7 +94,7 @@ class ScanWalk(Actor):
 
     def start(self, sim: Simulator):
         sim.start()
-        self._own = sim.logical.get(self.actor_id)
+        self._own = sim.logical.get(self.device)
         self.phase = "poll"
         self._poll_next = 0
 
@@ -104,7 +104,7 @@ class ScanWalk(Actor):
                 target = self._poll_next
                 self._poll_next += 1
                 initiator = self._own if self._own is not None else target
-                sim.transmit_at(tick, self.actor_id, CecFrame(initiator, target))
+                sim.transmit_at(tick, self.device, CecFrame(initiator, target))
             else:
                 self._plan = [
                     CecFrame(self._own, addr, opcode)
@@ -115,11 +115,11 @@ class ScanWalk(Actor):
                 self.phase = "query"
         elif self.phase == "query":
             if self._plan:
-                sim.transmit_at(tick, self.actor_id, self._plan.pop(0))
+                sim.transmit_at(tick, self.device, self._plan.pop(0))
             elif self._own is not None:
                 sim.transmit_at(
                     tick,
-                    self.actor_id,
+                    self.device,
                     CecFrame(self._own, fr.BROADCAST, fr.OP_REQUEST_ACTIVE_SOURCE),
                 )
                 self._settle_until = tick + 3
@@ -131,10 +131,10 @@ class ScanWalk(Actor):
             self._finalize(sim)
 
     def on_event(self, sim: Simulator, event: BusEvent):
-        if self.phase == "idle" or self.actor_id not in event.observers:
+        if self.phase == "idle":
             return
         frame = event.frame
-        if event.origin == self.actor_id:
+        if event.origin == self.device:
             if frame.is_polling and self.phase == "poll":
                 if event.acknowledged and frame.destination not in self._acked:
                     self._acked.append(frame.destination)
@@ -164,18 +164,18 @@ class ScanWalk(Actor):
             pass
 
     def _finalize(self, sim: Simulator):
-        report = ScanReport(actor=self.actor_id)
+        report = ScanReport(actor=self.device)
         addresses = list(self._acked)
         if self._own is not None and self._own not in addresses:
             addresses.append(self._own)
-        state = sim.device_states[self.actor_id]
+        state = sim.device_states[self.device]
         if self._active_claimant is None and state.active_source and self._own is not None:
             self._active_claimant = self._own
         for addr in sorted(addresses):
             entry = ScanEntry(address=addr, **self._collected.get(addr, {}))
             if addr == self._own:
-                node = sim.topology.nodes[self.actor_id]
-                entry.physical = sim.physical[self.actor_id].text
+                node = sim.topology.nodes[self.device]
+                entry.physical = sim.physical[self.device].text
                 entry.osd = node.osd_name
                 entry.vendor = vendor_name(node.vendor_id, sim.topology.vendor_names)
                 entry.cec_version = node.cec_version
@@ -185,7 +185,7 @@ class ScanWalk(Actor):
             report.entries[addr] = entry
         self.phase = "done"
         sim.artifacts.scan_reports.append(report)
-        log.info("%s census finished with %d entries", self.actor_id, len(report.entries))
+        log.info("%s census finished with %d entries", self.device, len(report.entries))
         if self.on_complete is not None:
             self.on_complete(sim, report)
 
@@ -201,8 +201,8 @@ class TargetedDos(Actor):
     """Sniff for wake-up chatter and put the target straight back into
     standby.  Stays armed and re-fires every time."""
 
-    def __init__(self, listener_id: str, target_address: int = 0):
-        self.listener_id = listener_id
+    def __init__(self, device: str, target_address: int = 0):
+        super().__init__(device)
         self.target_address = target_address
         self.status = "idle"
         self.fired = 0
@@ -216,13 +216,11 @@ class TargetedDos(Actor):
         self.status = "idle"
 
     def on_event(self, sim: Simulator, event: BusEvent):
-        if self.status == "idle" or self.listener_id not in event.observers:
-            return
-        if event.origin == self.listener_id:
+        if self.status == "idle" or event.origin == self.device:
             return
         if event.frame.opcode not in fr.ANNOUNCE_OPCODES:
             return
-        own = sim.logical.get(self.listener_id)
+        own = sim.logical.get(self.device)
         if own is None:
             return
         self.status = "active"
@@ -230,7 +228,7 @@ class TargetedDos(Actor):
         self.evidence.append(event)
         sim.transmit_at(
             sim.clock + 1,
-            self.listener_id,
+            self.device,
             CecFrame(own, self.target_address, fr.OP_STANDBY),
         )
 
@@ -241,8 +239,8 @@ class BroadcastDos(Actor):
 
     CLAIMED_PORTS = (1, 2, 3, 4)
 
-    def __init__(self, listener_id: str, display_address: int = 0):
-        self.listener_id = listener_id
+    def __init__(self, device: str, display_address: int = 0):
+        super().__init__(device)
         self.display_address = display_address
         self.active = False
         self._index = 0
@@ -250,7 +248,7 @@ class BroadcastDos(Actor):
     def activate(self):
         if not self.active:
             self.active = True
-            log.info("%s input-churn loop armed", self.listener_id)
+            log.info("%s input-churn loop armed", self.device)
 
     def deactivate(self):
         self.active = False
@@ -267,37 +265,39 @@ class BroadcastDos(Actor):
     def on_tick(self, sim: Simulator, tick: int):
         if not self.active:
             return
-        own = sim.logical.get(self.listener_id)
+        own = sim.logical.get(self.device)
         if own is None:
             return
         cycle = self._cycle(own)
-        sim.transmit_at(tick, self.listener_id, cycle[self._index])
+        sim.transmit_at(tick, self.device, cycle[self._index])
         self._index = (self._index + 1) % len(cycle)
 
 
 class AttackController(Actor):
     """Glue on the hidden listener: watches for arming markers, launches
-    census walks, and hands the relay something to drive."""
+    census walks, serves its store over the covert channel, and hands the
+    relay something to drive."""
 
     def __init__(
         self,
-        listener_id: str,
+        device: str,
         store: PayloadStore,
         targeted_target: int = 0,
         display_address: int = 0,
     ):
-        self.listener_id = listener_id
+        super().__init__(device)
         self.store = store
-        self.targeted = TargetedDos(listener_id, target_address=targeted_target)
-        self.broadcast = BroadcastDos(listener_id, display_address=display_address)
+        self.targeted = TargetedDos(device, target_address=targeted_target)
+        self.broadcast = BroadcastDos(device, display_address=display_address)
+        self.sender = FileSender(device, store)
 
     def register(self, sim: Simulator):
-        sim.add_actor(self.targeted)
-        sim.add_actor(self.broadcast)
-        sim.add_actor(self)
+        """Add every service of the listener to the simulator."""
+        for actor in (self.targeted, self.broadcast, self, self.sender):
+            sim.add_actor(actor)
 
     def on_event(self, sim: Simulator, event: BusEvent):
-        if self.listener_id not in event.observers or event.origin == self.listener_id:
+        if event.origin == self.device:
             return
         if event.frame == ARM_TARGETED_MARKER:
             self.targeted.arm()
@@ -310,7 +310,7 @@ class AttackController(Actor):
             if on_complete is not None:
                 on_complete(inner_sim, report)
 
-        walk = ScanWalk(self.listener_id, on_complete=finish)
+        walk = ScanWalk(self.device, on_complete=finish)
         sim.add_actor(walk)
         walk.start(sim)
         return walk

@@ -1,8 +1,11 @@
 """Discrete-tick simulation of the shared CEC wire.
 
-One frame transmission occupies one tick and a device answers on the tick
-after it heard the request.  Actions queue as (tick, insertion-order)
-pairs, so identical inputs always replay to byte-identical traces.  The
+A tick is a scheduling slot, not a frame time.  Work queues as calls keyed
+by (tick, insertion order), and frames that share a tick go on the wire in
+that order, so identical inputs always replay to byte-identical traces.  A
+device's i-th response to a frame lands i+1 ticks after that frame, and a
+user action's i-th emission lands i ticks after the action.  No
+arbitration is modelled: any number of frames may share a tick.  The
 control wire is shared: every device reachable from the transmitter over
 propagating cables observes every frame, whoever it is addressed to.
 """
@@ -114,32 +117,22 @@ class Artifacts:
 
 
 class Actor:
-    """Anything that watches the wire or acts on a schedule: attack
-    sessions, covert file endpoints, relay pollers, streaming detectors."""
+    """Anything that runs on a device and watches the wire or acts on a
+    schedule: attack sessions, covert file endpoints, relay pollers.
+
+    Every actor gets `on_tick` on every tick.  It hears what its device
+    hears: the simulator calls `on_event` only for frames whose observers
+    include `device`, its own transmissions among them.
+    """
+
+    def __init__(self, device: str):
+        self.device = device
 
     def on_tick(self, sim: "Simulator", tick: int):
         pass
 
     def on_event(self, sim: "Simulator", event: BusEvent):
         pass
-
-
-@dataclass(frozen=True)
-class Transmit:
-    origin: str
-    frame: CecFrame
-
-
-@dataclass(frozen=True)
-class User:
-    device: str
-    action: dv.UserAction
-    argument: int | None = None
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: object
 
 
 class Simulator:
@@ -206,16 +199,17 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
 
-    def schedule(self, tick: int, action):
+    def schedule(self, tick: int, fn, *args):
+        """Call `fn(*args)` at `tick`, after everything already queued for it."""
         if tick < self.clock:
             raise ValueError(
                 "cannot schedule at tick %d, clock is already at %d" % (tick, self.clock)
             )
-        heapq.heappush(self._queue, (tick, self._seq, action))
+        heapq.heappush(self._queue, (tick, self._seq, fn, args))
         self._seq += 1
 
     def transmit_at(self, tick: int, origin: str, frame: CecFrame):
-        self.schedule(tick, Transmit(origin, frame))
+        self.schedule(tick, self.deliver, origin, frame)
 
     def add_actor(self, actor: Actor):
         self.actors.append(actor)
@@ -301,7 +295,8 @@ class Simulator:
                 self.transmit_at(self.clock + 1 + i, node_id, response)
 
         for actor in list(self.actors):
-            actor.on_event(self, event)
+            if actor.device in observers:
+                actor.on_event(self, event)
         return event
 
     def _apply_state(self, node_id: str, old: dv.DeviceState, new: dv.DeviceState):
@@ -312,22 +307,22 @@ class Simulator:
                 value = after.value if isinstance(after, PowerState) else str(after)
                 self.trace.changes.append(StateChange(self.clock, node_id, name, value))
 
-    def _apply_user_action(self, record: User):
-        device_id = record.device
-        state = self.device_states[device_id]
-        accessible = self.settings_menu_accessible(device_id)
+    def user_action(self, device: str, action: dv.UserAction, argument: int | None = None):
+        """Someone works the device's own buttons or menu right now."""
+        state = self.device_states[device]
+        accessible = self.settings_menu_accessible(device)
         result = dv.apply_user_action(
-            self.device_ctx(device_id), state, record.action, record.argument, accessible
+            self.device_ctx(device), state, action, argument, accessible
         )
         self.artifacts.user_actions.append(
-            UserActionRecord(self.clock, device_id, record.action.value, result.ok, result.reason)
+            UserActionRecord(self.clock, device, action.value, result.ok, result.reason)
         )
         if not result.ok:
-            log.info("t=%d %s %s rejected: %s", self.clock, device_id, record.action.value, result.reason)
+            log.info("t=%d %s %s rejected: %s", self.clock, device, action.value, result.reason)
         if result.state is not state:
-            self._apply_state(device_id, state, result.state)
+            self._apply_state(device, state, result.state)
         for i, emission in enumerate(result.emissions):
-            self.transmit_at(self.clock + i, device_id, emission)
+            self.transmit_at(self.clock + i, device, emission)
 
     # ------------------------------------------------------------------
     # Main loop
@@ -341,14 +336,7 @@ class Simulator:
             for actor in list(self.actors):
                 actor.on_tick(self, tick)
             while self._queue and self._queue[0][0] == tick:
-                _, _, action = heapq.heappop(self._queue)
-                if isinstance(action, Transmit):
-                    self.deliver(action.origin, action.frame)
-                elif isinstance(action, User):
-                    self._apply_user_action(action)
-                elif isinstance(action, Call):
-                    action.fn(self, tick)
-                else:
-                    raise TypeError("unknown action %r" % (action,))
+                _, _, fn, args = heapq.heappop(self._queue)
+                fn(*args)
             self.clock = tick + 1
         return self.trace

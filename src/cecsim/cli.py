@@ -6,6 +6,7 @@ scenarios.  Exit codes: 0 success, 2 bad input, 3 a requested check failed.
 """
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -79,17 +80,17 @@ def _cmd_run(args) -> int:
     scenario = scen.resolve_scenario(args.scenario)
     if args.seed is not None:
         scenario.seed = args.seed
-    ids_config = _load_ids_config(args.ids_config)
-    relay_client = None
-    if args.relay_url:
-        relay_client = relay_mod.HttpRelayClient(args.relay_url)
-    result = scen.run_scenario(
-        scenario,
-        relay_client=relay_client,
-        ids_config=ids_config,
-        ids_tap=args.ids_tap,
-        ticks_per_second=args.ticks_per_second,
-    )
+    if args.ticks_per_second is not None:
+        if args.ticks_per_second < 1:
+            raise scen.ScenarioError("--ticks-per-second must be a positive integer")
+        scenario.ticks_per_second = args.ticks_per_second
+    if args.ids_tap:
+        scenario.ids_options["tap"] = args.ids_tap
+    config = _load_ids_config(args.ids_config)
+    if config is not None:
+        scenario.ids_options["config"] = dataclasses.asdict(config)
+    relay_client = relay_mod.HttpRelayClient(args.relay_url) if args.relay_url else None
+    result = scen.run_scenario(scenario, relay_client=relay_client)
     outcomes = scen.evaluate_checks(result)
     if args.out:
         written = scen.write_artifacts(result, args.out)

@@ -50,6 +50,8 @@ class RuleConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RuleConfig":
+        if not isinstance(raw, dict):
+            raise ValueError("detector settings must be an object, got %r" % (raw,))
         known = {item.name for item in fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -126,16 +128,18 @@ class Detector:
         frame = event.frame
         if frame.is_polling or frame.opcode != 0x00 or len(frame.operands) <= 1:
             return
+        # The alert cites the first three data frames; later ones add nothing.
         bucket = self._streams.setdefault(event.origin, [])
+        if len(bucket) >= 3:
+            return
         bucket.append((event.tick, frame.text))
-        if len(bucket) >= 3 and self._once(RULE_COVERT_STREAM, event.origin):
-            evidence = bucket[:3]
+        if len(bucket) == 3 and self._once(RULE_COVERT_STREAM, event.origin):
             new.append(
                 Alert(
                     RULE_COVERT_STREAM,
-                    (evidence[0][0], evidence[-1][0]),
+                    (bucket[0][0], bucket[-1][0]),
                     event.origin,
-                    tuple(text for _, text in evidence),
+                    tuple(text for _, text in bucket),
                 )
             )
 
@@ -195,9 +199,12 @@ class Detector:
                 continue
             if not frame.is_broadcast and frame.destination != ann_initiator:
                 continue
+            # The alert cites the first standby_repeat pairs; later ones add nothing.
             pairs = self._standby_pairs.setdefault(event.origin, [])
+            if len(pairs) >= self.config.standby_repeat:
+                break
             pairs.append((ann_tick, tick, ann_text, frame.text))
-            if len(pairs) >= self.config.standby_repeat and self._once(
+            if len(pairs) == self.config.standby_repeat and self._once(
                 RULE_TARGETED_STANDBY, event.origin
             ):
                 evidence = [text for pair in pairs for text in pair[2:]]

@@ -17,12 +17,16 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from cecsim.attacks import check_target
 from cecsim.bus import Actor, Simulator
-from cecsim.transfer import payload_digest
+from cecsim.transfer import MAX_PAYLOAD, payload_digest
 
 log = logging.getLogger(__name__)
 
 LISTENER_PATH = "/cec/listener"
 WEBCLIENT_PATH = "/cec/webclient"
+
+# The largest legal request body: a GETFILE summary of a MAX_PAYLOAD payload
+# is twice that in hex digits, and the rest of both JSON layers fits in 4 KiB.
+MAX_BODY_BYTES = 2 * MAX_PAYLOAD + 4096
 
 
 class RelayUnreachable(Exception):
@@ -59,9 +63,15 @@ class _RelayRequestHandler(BaseHTTPRequestHandler):
     server_version = "cecsim-relay/1.0"
 
     def _respond(self, method: str):
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
-        status, payload = self.server.state.handle(method, self.path, body)
+        length = self.headers.get("Content-Length") or "0"
+        if not length.isdecimal():
+            self._send(400, {"error": "Content-Length must be a non-negative integer"})
+        elif int(length) > MAX_BODY_BYTES:
+            self._send(413, {"error": "body larger than %d bytes" % MAX_BODY_BYTES})
+        else:
+            self._send(*self.server.state.handle(method, self.path, self.rfile.read(int(length))))
+
+    def _send(self, status: int, payload: dict):
         data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -159,6 +169,7 @@ class RelayPoller(Actor):
     def __init__(self, client, controller, interval_ticks: int):
         if interval_ticks < 1:
             raise ValueError("poll interval must be at least one tick")
+        super().__init__(controller.device)
         self.client = client
         self.controller = controller
         self.interval_ticks = interval_ticks

@@ -18,12 +18,12 @@ from cecsim import frames as fr
 from cecsim import ids as ids_mod
 from cecsim import relay as relay_mod
 from cecsim.attacks import AttackController, ScanWalk, check_target
-from cecsim.bus import Call, Simulator, Trace, User
+from cecsim.bus import Simulator, Trace
 from cecsim.devices import UserAction
 from cecsim.frames import FrameError, parse_frame
 from cecsim.testbed import EXPECTED_TESTBED_SCAN, TESTBED_NAME, TESTBED_TOPOLOGY
-from cecsim.topology import DeviceKind, Topology, TopologyError, build_topology
-from cecsim.transfer import FileReceiver, FileSender, PayloadStore, write_transfer_artifacts
+from cecsim.topology import Topology, TopologyError, build_topology
+from cecsim.transfer import MAX_PAYLOAD, FileReceiver, PayloadStore, write_transfer_artifacts
 
 log = logging.getLogger(__name__)
 
@@ -160,6 +160,21 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
             if not isinstance(cmd.get("tick"), int) or not isinstance(cmd.get("command"), str):
                 raise ScenarioError("relay commands need a tick and a command string")
 
+    seed = document.get("seed", 0)
+    if type(seed) is not int:
+        raise ScenarioError("scenario %r seed must be an integer" % name)
+    tps = document.get("ticks_per_second", 10)
+    if type(tps) is not int or tps < 1:
+        raise ScenarioError("scenario %r ticks_per_second must be a positive integer" % name)
+    listener_options = document.get("listener_options") or {}
+    if not isinstance(listener_options, dict):
+        raise ScenarioError("listener_options must be an object")
+    for key, top in (("mic_bytes", MAX_PAYLOAD), ("capture_bytes", MAX_PAYLOAD),
+                     ("targeted_target", fr.BROADCAST), ("display_address", fr.BROADCAST)):
+        value = listener_options.get(key, 0)
+        if type(value) is not int or not 0 <= value <= top:
+            raise ScenarioError("listener_options %s must be an integer 0..%d" % (key, top))
+
     ids_options = document.get("ids") or {}
     if not isinstance(ids_options, dict):
         raise ScenarioError("ids section must be an object")
@@ -173,11 +188,11 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
         name=name,
         topology=topology,
         duration=duration,
-        seed=int(document.get("seed", 0)),
-        ticks_per_second=int(document.get("ticks_per_second", 10)),
+        seed=seed,
+        ticks_per_second=tps,
         actions=actions,
         relay=relay_cfg,
-        listener_options=document.get("listener_options") or {},
+        listener_options=listener_options,
         ids_options=ids_options,
         checks=_objects(document.get("checks"), "checks"),
     )
@@ -214,13 +229,17 @@ class CheckResult:
 class RunResult:
     scenario: Scenario
     sim: Simulator
-    trace: Trace
-    alerts: list
     controllers: dict[str, AttackController]
-    receivers: dict[str, FileReceiver]
+    # A device's receiver, created by its first request_file action.
+    receivers: dict[str, FileReceiver] = field(default_factory=dict)
+    alerts: list = field(default_factory=list)
     poller: relay_mod.RelayPoller | None = None
     relay_posts: list = field(default_factory=list)
     checks: list[CheckResult] = field(default_factory=list)
+
+    @property
+    def trace(self) -> Trace:
+        return self.sim.trace
 
     @property
     def reports(self):
@@ -231,96 +250,65 @@ class RunResult:
         return self.sim.artifacts.transfers
 
 
-def run_scenario(
-    scenario: Scenario,
-    *,
-    relay_client=None,
-    ids_config: ids_mod.RuleConfig | None = None,
-    ids_tap: str | None = None,
-    ticks_per_second: int | None = None,
-) -> RunResult:
-    """Build the simulator, wire services, replay actions, detect."""
+def run_scenario(scenario: Scenario, *, relay_client=None) -> RunResult:
+    """Build the simulator, wire services, replay actions, detect.
+
+    `relay_client` picks the relay transport; without one, an enabled
+    relay runs over an in-process loopback."""
     topology = scenario.topology
-    tps = ticks_per_second or scenario.ticks_per_second
     sim = Simulator(topology)
 
     options = scenario.listener_options
+    capture_bytes = options.get("capture_bytes")
     controllers: dict[str, AttackController] = {}
-    for listener_id in topology.listeners():
-        capture = None
-        if options.get("capture_bytes"):
-            capture = Random(scenario.seed ^ 0x636170).randbytes(int(options["capture_bytes"]))
-        store = PayloadStore(
-            seed=scenario.seed, mic_bytes=int(options.get("mic_bytes", 1024)), capture=capture
-        )
-        controller = AttackController(
-            listener_id,
-            store,
-            targeted_target=int(options.get("targeted_target", 0)),
-            display_address=int(options.get("display_address", 0)),
+    for listener in topology.listeners():
+        rng = Random(scenario.seed ^ 0x636170)
+        capture = rng.randbytes(capture_bytes) if capture_bytes else None
+        store = PayloadStore(scenario.seed, options.get("mic_bytes", 1024), capture)
+        controller = controllers[listener] = AttackController(
+            listener, store, options.get("targeted_target", 0), options.get("display_address", 0)
         )
         controller.register(sim)
-        sim.add_actor(FileSender(listener_id, store))
-        controllers[listener_id] = controller
-
-    receivers: dict[str, FileReceiver] = {}
-    for node_id, node in topology.nodes.items():
-        if node.cec_addressed and node.kind is not DeviceKind.ATTACKER_LISTENER:
-            receiver = FileReceiver(node_id)
-            sim.add_actor(receiver)
-            receivers[node_id] = receiver
-
-    result = RunResult(
-        scenario=scenario,
-        sim=sim,
-        trace=sim.trace,
-        alerts=[],
-        controllers=controllers,
-        receivers=receivers,
-    )
+    result = RunResult(scenario, sim, controllers)
 
     relay_cfg = scenario.relay or {}
     if relay_cfg.get("enabled") or relay_client is not None:
         if not controllers:
             raise ScenarioError("relay needs an attacker listener in the topology")
         client = relay_client if relay_client is not None else relay_mod.LoopbackRelayClient()
-        interval = int(relay_cfg.get("interval_ticks", 2 * tps))
+        interval = int(relay_cfg.get("interval_ticks", 2 * scenario.ticks_per_second))
         poller = relay_mod.RelayPoller(client, next(iter(controllers.values())), interval)
         sim.add_actor(poller)
         result.poller = poller
         for cmd in relay_cfg.get("commands") or []:
             envelope = {k: v for k, v in cmd.items() if k != "tick"}
             envelope.setdefault("issued_at", cmd["tick"])
-
-            def post(inner_sim, tick, env=envelope):
-                try:
-                    client.post(relay_mod.LISTENER_PATH, json.dumps(env))
-                    result.relay_posts.append((tick, env.get("command")))
-                except relay_mod.RelayUnreachable as exc:
-                    log.warning("scenario post failed: %s", exc)
-
-            sim.schedule(cmd["tick"], Call(post))
+            sim.schedule(cmd["tick"], _post_command, sim, client, envelope, result)
 
     sim.start()
     for action in scenario.actions:
-        _schedule_action(sim, action, result)
+        user_action = _USER_ACTIONS.get(action.action)
+        if user_action is not None:
+            sim.schedule(
+                action.tick, sim.user_action, action.actor, user_action, action.args.get("port")
+            )
+        else:
+            sim.schedule(action.tick, _SERVICE_ACTIONS[action.action], sim, action, result)
     sim.run(scenario.duration)
 
-    tap = ids_tap or scenario.ids_options.get("tap") or topology.root
-    config = ids_config
-    if config is None and scenario.ids_options.get("config"):
-        config = ids_mod.RuleConfig.from_dict(scenario.ids_options["config"])
+    config = ids_mod.RuleConfig.from_dict(scenario.ids_options.get("config") or {})
+    tap = scenario.ids_options.get("tap") or topology.root
     result.alerts = ids_mod.detect(sim.trace.events, config, tap)
     return result
 
 
-def _schedule_action(sim: Simulator, action: ScenarioAction, result: RunResult):
-    user_action = _USER_ACTIONS.get(action.action)
-    if user_action is not None:
-        sim.schedule(action.tick, User(action.actor, user_action, action.args.get("port")))
-        return
-    service = _SERVICE_ACTIONS[action.action]
-    sim.schedule(action.tick, Call(lambda inner_sim, tick: service(inner_sim, action, result)))
+def _post_command(sim: Simulator, client, envelope: dict, result: RunResult):
+    """The operator drops a command into the relay's listener slot."""
+    try:
+        client.post(relay_mod.LISTENER_PATH, json.dumps(envelope))
+        result.relay_posts.append((sim.clock, envelope.get("command")))
+    except relay_mod.RelayUnreachable as exc:
+        log.warning("scenario post failed: %s", exc)
 
 
 def _send_frame(sim: Simulator, action: ScenarioAction, result: RunResult):
@@ -341,7 +329,11 @@ def _request_file(sim: Simulator, action: ScenarioAction, result: RunResult):
     peer = action.args.get("peer")
     if isinstance(peer, str):
         peer = sim.logical.get(peer)
-    result.receivers[action.actor].request_file(sim, peer)
+    receiver = result.receivers.get(action.actor)
+    if receiver is None:
+        receiver = result.receivers[action.actor] = FileReceiver(action.actor)
+        sim.add_actor(receiver)
+    receiver.request_file(sim, peer)
 
 
 def _arm_targeted_dos(sim: Simulator, action: ScenarioAction, result: RunResult):
@@ -686,6 +678,8 @@ def evaluate_checks(result: RunResult, extra: list[dict] | None = None) -> list[
             outcomes.append(fn(result, entry))
         except KeyError as exc:
             outcomes.append(CheckResult(str(kind), False, "check is missing field %s" % exc))
+        except (TypeError, ValueError) as exc:
+            outcomes.append(CheckResult(str(kind), False, "check has a bad field: %s" % exc))
     result.checks = outcomes
     return outcomes
 

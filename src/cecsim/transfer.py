@@ -90,17 +90,15 @@ class SendSession:
 class FileSender(Actor):
     """Listener-side endpoint: watches for markers, streams on request."""
 
-    def __init__(self, device_id: str, store: PayloadStore):
-        self.device_id = device_id
+    def __init__(self, device: str, store: PayloadStore):
+        super().__init__(device)
         self.store = store
         self.session: SendSession | None = None
         self.finished: list[SendSession] = []
 
     def on_event(self, sim: Simulator, event: BusEvent):
-        if self.device_id not in event.observers:
-            return
         frame = event.frame
-        if event.origin == self.device_id:
+        if event.origin == self.device:
             if (
                 self.session is not None
                 and self.session.status == "streaming"
@@ -112,7 +110,7 @@ class FileSender(Actor):
                 if self.session.unacked >= MAX_UNACKED:
                     log.info(
                         "%s aborting %s after %d unacknowledged frames",
-                        self.device_id, self.session.session_id, self.session.unacked,
+                        self.device, self.session.session_id, self.session.unacked,
                     )
                     self.session.status = "aborted"
                     self.session.pending.clear()
@@ -122,19 +120,19 @@ class FileSender(Actor):
 
         if frame == MIC_MARKER:
             if self.store.arm_mic():
-                log.info("%s mic payload armed", self.device_id)
+                log.info("%s mic payload armed", self.device)
             return
         if frame == REQUEST_MARKER:
             self._start_session(sim, event)
 
     def _start_session(self, sim: Simulator, event: BusEvent):
         if self.session is not None:
-            log.info("%s busy, ignoring transfer request from %s", self.device_id, event.origin)
+            log.info("%s busy, ignoring transfer request from %s", self.device, event.origin)
             return
-        own = sim.logical.get(self.device_id)
+        own = sim.logical.get(self.device)
         peer = sim.logical.get(event.origin)
         if own is None or peer is None:
-            log.warning("%s cannot stream without logical addresses", self.device_id)
+            log.warning("%s cannot stream without logical addresses", self.device)
             return
         payload = self.store.current()
         pending = [
@@ -144,13 +142,13 @@ class FileSender(Actor):
         self.session = SendSession(session_id=sim.next_session_id(), pending=pending)
         log.info(
             "%s streaming %d bytes to address %d as %s",
-            self.device_id, len(payload), peer, self.session.session_id,
+            self.device, len(payload), peer, self.session.session_id,
         )
 
     def on_tick(self, sim: Simulator, tick: int):
         if self.session is None or self.session.status != "streaming":
             return
-        sim.transmit_at(tick, self.device_id, self.session.pending.pop(0))
+        sim.transmit_at(tick, self.device, self.session.pending.pop(0))
         if not self.session.pending:
             self.session.status = "complete"
             self.finished.append(self.session)
@@ -170,8 +168,8 @@ class FileReceiver(Actor):
     """Client-side endpoint: sends the request marker, reassembles data
     frames, and closes on the end marker or after a quiet timeout."""
 
-    def __init__(self, device_id: str):
-        self.device_id = device_id
+    def __init__(self, device: str):
+        super().__init__(device)
         self.session: ReceiveSession | None = None
         self.rejected_requests = 0
 
@@ -180,7 +178,7 @@ class FileReceiver(Actor):
         time; a second request is rejected until the first closes."""
         if self.session is not None:
             self.rejected_requests += 1
-            log.info("%s already has an open transfer, request rejected", self.device_id)
+            log.info("%s already has an open transfer, request rejected", self.device)
             return False
         if peer_address is None:
             peer_address = -1  # accept the first responder
@@ -189,7 +187,7 @@ class FileReceiver(Actor):
             peer_address=peer_address,
             last_activity=sim.clock,
         )
-        sim.transmit_at(sim.clock, self.device_id, REQUEST_MARKER)
+        sim.transmit_at(sim.clock, self.device, REQUEST_MARKER)
         return True
 
     def _peer_matches(self, sim: Simulator, origin: str) -> bool:
@@ -201,9 +199,7 @@ class FileReceiver(Actor):
         return origin_addr == self.session.peer_address
 
     def on_event(self, sim: Simulator, event: BusEvent):
-        if self.session is None or self.device_id not in event.observers:
-            return
-        if event.origin == self.device_id:
+        if self.session is None or event.origin == self.device:
             return
         frame = event.frame
         if frame == END_MARKER:
@@ -212,7 +208,7 @@ class FileReceiver(Actor):
             return
         if frame.is_polling or frame.opcode != DATA_OPCODE or not frame.operands:
             return
-        own = sim.logical.get(self.device_id)
+        own = sim.logical.get(self.device)
         if own is None or frame.destination != own:
             return
         if not self._peer_matches(sim, event.origin):
@@ -225,7 +221,7 @@ class FileReceiver(Actor):
         if self.session is None:
             return
         if tick - self.session.last_activity > INACTIVITY_TIMEOUT:
-            log.info("%s transfer %s timed out", self.device_id, self.session.session_id)
+            log.info("%s transfer %s timed out", self.device, self.session.session_id)
             self._close(sim, "aborted")
 
     def _close(self, sim: Simulator, status: str):
@@ -234,7 +230,7 @@ class FileReceiver(Actor):
         sim.artifacts.transfers.append(
             TransferRecord(
                 session_id=session.session_id,
-                receiver=self.device_id,
+                receiver=self.device,
                 peer="address-%d" % session.peer_address,
                 status=status,
                 payload=payload,

@@ -10,7 +10,7 @@ from random import Random
 
 from cecsim import scenarios as scen
 from cecsim.attacks import AttackController, ScanWalk, TargetedDos
-from cecsim.bus import Call, Simulator, Transmit, User
+from cecsim.bus import Simulator
 from cecsim.devices import UserAction
 from cecsim.frames import CecFrame, encode_frame, parse_frame
 from cecsim.relay import LISTENER_PATH, WEBCLIENT_PATH, HttpRelayClient, LoopbackRelayClient, RelayPoller, RelayServer
@@ -95,7 +95,7 @@ def test_acceptance_transfers_lossless_at_scale():
     for index, size in enumerate(sizes):
         payload = Random(index).randbytes(size)
         sim, sender, receiver, _ = transfer_sim(payload, seed=index)
-        sim.schedule(1, Call(lambda s, t: receiver.request_file(s)))
+        sim.schedule(1, lambda: receiver.request_file(sim))
         sim.run(until=segment_count(size) + 25)
         record = sim.artifacts.transfers[-1]
         if record.status != "complete" or record.payload != payload:
@@ -122,10 +122,10 @@ def test_acceptance_targeted_standby_timing():
         dos.arm()
         sim.add_actor(dos)
         sim.start()
-        sim.schedule(3, User("tv", UserAction.POWER_OFF))
+        sim.schedule(3, sim.user_action, "tv", UserAction.POWER_OFF)
         presses = sorted(rng.sample(range(6, 100), rng.randrange(2, 5)))
         for tick in presses:
-            sim.schedule(tick, User("tv", UserAction.POWER_ON))
+            sim.schedule(tick, sim.user_action, "tv", UserAction.POWER_ON)
         sim.run(until=110)
 
         address = sim.logical["tv"]
@@ -221,7 +221,7 @@ def _relay_roundtrip(client) -> tuple[bool, str]:
     envelope = json.dumps({"command": "TDOS", "issued_at": 1})
     client.post(LISTENER_PATH, envelope)
     sim.start()
-    sim.schedule(12, Call(lambda s, t: client.post(LISTENER_PATH, envelope)))
+    sim.schedule(12, lambda: client.post(LISTENER_PATH, envelope))
     sim.run(until=30)
     if poller.executed != ["TDOS"]:
         return False, "duplicate envelope re-executed: %r" % poller.executed
@@ -298,8 +298,8 @@ def test_acceptance_mitigations_change_outcomes():
     patched = apply_mitigation(build_testbed(), DisableControl("tv"))
     sim = Simulator(patched)
     sim.start()
-    sim.schedule(2, Transmit("listener", CecFrame(1, 0, 0x36)))
-    sim.schedule(4, Transmit("chromecast", CecFrame(4, 15, 0x82, (0x30, 0x00))))
+    sim.transmit_at(2, "listener", CecFrame(1, 0, 0x36))
+    sim.transmit_at(4, "chromecast", CecFrame(4, 15, 0x82, (0x30, 0x00)))
     sim.run(until=8)
     if sim.device_states["tv"].power.value != "on":
         problems.append("standby frame still powers the display down")

@@ -15,7 +15,7 @@ from cecsim.attacks import (
     ScanWalk,
     TargetedDos,
 )
-from cecsim.bus import Simulator, Transmit, User
+from cecsim.bus import Simulator
 from cecsim.devices import UserAction
 from cecsim.frames import CecFrame
 from cecsim.testbed import EXPECTED_TESTBED_SCAN, build_testbed
@@ -144,8 +144,8 @@ class TestTargetedDos:
         dos = TargetedDos("listener", target_address=0)
         dos.arm()
         testbed_sim.add_actor(dos)
-        testbed_sim.schedule(4, User("tv", UserAction.POWER_OFF))
-        testbed_sim.schedule(8, User("tv", UserAction.POWER_ON))
+        testbed_sim.schedule(4, testbed_sim.user_action, "tv", UserAction.POWER_OFF)
+        testbed_sim.schedule(8, testbed_sim.user_action, "tv", UserAction.POWER_ON)
         testbed_sim.run(until=16)
         standbys = [
             e for e in testbed_sim.trace.events
@@ -159,8 +159,8 @@ class TestTargetedDos:
     def test_idle_until_armed(self, testbed_sim):
         dos = TargetedDos("listener")
         testbed_sim.add_actor(dos)
-        testbed_sim.schedule(3, User("tv", UserAction.POWER_OFF))
-        testbed_sim.schedule(5, User("tv", UserAction.POWER_ON))
+        testbed_sim.schedule(3, testbed_sim.user_action, "tv", UserAction.POWER_OFF)
+        testbed_sim.schedule(5, testbed_sim.user_action, "tv", UserAction.POWER_ON)
         testbed_sim.run(until=12)
         assert dos.fired == 0
         assert testbed_sim.device_states["tv"].power.value == "on"
@@ -169,9 +169,7 @@ class TestTargetedDos:
         dos = TargetedDos("listener")
         dos.arm()
         testbed_sim.add_actor(dos)
-        testbed_sim.schedule(
-            3, Transmit("listener", CecFrame(1, 15, 0x84, (0xF0, 0xF0, 0x01)))
-        )
+        testbed_sim.transmit_at(3, "listener", CecFrame(1, 15, 0x84, (0xF0, 0xF0, 0x01)))
         testbed_sim.run(until=8)
         assert dos.fired == 0
 
@@ -179,9 +177,9 @@ class TestTargetedDos:
         dos = TargetedDos("listener", target_address=0)
         dos.arm()
         testbed_sim.add_actor(dos)
-        testbed_sim.schedule(4, User("tv", UserAction.POWER_OFF))
+        testbed_sim.schedule(4, testbed_sim.user_action, "tv", UserAction.POWER_OFF)
         for tick in (8, 20, 32):
-            testbed_sim.schedule(tick, User("tv", UserAction.POWER_ON))
+            testbed_sim.schedule(tick, testbed_sim.user_action, "tv", UserAction.POWER_ON)
         testbed_sim.run(until=45)
         timeline = []
         power = "on"
@@ -275,13 +273,13 @@ class TestAttackController:
     def test_marker_arms_targeted(self, testbed_sim):
         controller, _ = self.wired(testbed_sim)
         assert controller.targeted.status == "idle"
-        testbed_sim.schedule(3, Transmit("client", ARM_TARGETED_MARKER))
+        testbed_sim.transmit_at(3, "client", ARM_TARGETED_MARKER)
         testbed_sim.run(until=5)
         assert controller.targeted.status == "armed"
 
     def test_marker_activates_broadcast(self, testbed_sim):
         controller, _ = self.wired(testbed_sim)
-        testbed_sim.schedule(3, Transmit("client", ARM_BROADCAST_MARKER))
+        testbed_sim.transmit_at(3, "client", ARM_BROADCAST_MARKER)
         testbed_sim.run(until=10)
         assert controller.broadcast.active
         assert any(e.origin == "listener" and e.frame.opcode == 0x04
@@ -289,7 +287,7 @@ class TestAttackController:
 
     def test_own_marker_does_not_arm(self, testbed_sim):
         controller, _ = self.wired(testbed_sim)
-        testbed_sim.schedule(3, Transmit("listener", ARM_TARGETED_MARKER))
+        testbed_sim.transmit_at(3, "listener", ARM_TARGETED_MARKER)
         testbed_sim.run(until=5)
         assert controller.targeted.status == "idle"
 
@@ -299,6 +297,14 @@ class TestAttackController:
         testbed_sim.run(until=130)
         assert store.scan_report is not None
         assert json.loads(store.scan_report.decode("utf-8")) == EXPECTED_TESTBED_SCAN
+
+    def test_register_adds_sender(self, testbed_sim):
+        controller, store = self.wired(testbed_sim)
+        assert controller.sender.store is store
+        assert controller.sender.device == "listener"
+        assert testbed_sim.actors == [
+            controller.targeted, controller.broadcast, controller, controller.sender
+        ]
 
     def test_cancel_all(self, testbed_sim):
         controller, _ = self.wired(testbed_sim)
@@ -322,11 +328,9 @@ class TestTriggerEquivalence:
         controller.register(sim)
         sim.start()
         if via_marker:
-            sim.schedule(5, Transmit("client", ARM_BROADCAST_MARKER))
+            sim.transmit_at(5, "client", ARM_BROADCAST_MARKER)
         else:
-            from cecsim.bus import Call
-
-            sim.schedule(5, Call(lambda s, t: controller.broadcast.activate()))
+            sim.schedule(5, lambda: controller.broadcast.activate())
         sim.run(until=40)
         frames = [
             (e.tick, e.frame.text)

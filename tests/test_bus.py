@@ -5,7 +5,7 @@ from random import Random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cecsim.bus import Simulator, Transmit, User, parse_trace_line
+from cecsim.bus import Actor, Simulator, parse_trace_line
 from cecsim.devices import UserAction
 from cecsim.frames import CecFrame, OP_GIVE_POWER_STATUS
 from cecsim.topology import build_topology
@@ -203,7 +203,7 @@ class TestDelivery:
 
 class TestTiming:
     def test_query_answered_next_tick(self, testbed_sim):
-        testbed_sim.schedule(3, Transmit("client", CecFrame(2, 0, OP_GIVE_POWER_STATUS)))
+        testbed_sim.transmit_at(3, "client", CecFrame(2, 0, OP_GIVE_POWER_STATUS))
         testbed_sim.run(until=6)
         replies = [
             e for e in testbed_sim.trace.events
@@ -215,8 +215,8 @@ class TestTiming:
     def test_power_on_announcements_consecutive(self, pair_topology):
         sim = Simulator(pair_topology)
         sim.start()
-        sim.schedule(2, User("tv", UserAction.POWER_OFF))
-        sim.schedule(5, User("tv", UserAction.POWER_ON))
+        sim.schedule(2, sim.user_action, "tv", UserAction.POWER_OFF)
+        sim.schedule(5, sim.user_action, "tv", UserAction.POWER_ON)
         sim.run(until=10)
         announced = [
             (e.tick, e.frame.opcode) for e in sim.trace.events if e.origin == "tv" and e.tick >= 5
@@ -226,11 +226,19 @@ class TestTiming:
     def test_same_tick_insertion_order(self, testbed_sim):
         first = CecFrame(2, 0, 0x8F)
         second = CecFrame(4, 0, 0x8F)
-        testbed_sim.schedule(2, Transmit("client", first))
-        testbed_sim.schedule(2, Transmit("chromecast", second))
+        testbed_sim.transmit_at(2, "client", first)
+        testbed_sim.transmit_at(2, "chromecast", second)
         testbed_sim.run(until=3)
         at_two = [e.frame for e in testbed_sim.trace.events if e.tick == 2]
         assert at_two == [first, second]
+
+    def test_same_tick_calls_run_in_queue_order(self, testbed_sim):
+        ran = []
+        testbed_sim.schedule(4, ran.append, "first")
+        testbed_sim.schedule(3, ran.append, "earlier tick")
+        testbed_sim.schedule(4, ran.append, "second")
+        testbed_sim.run(until=5)
+        assert ran == ["earlier tick", "first", "second"]
 
     def test_clock_advances_without_work(self, testbed_sim):
         testbed_sim.run(until=25)
@@ -247,11 +255,40 @@ class TestTiming:
                 tick = rng.randrange(1, 40)
                 origin = rng.choice(list(sim.topology.nodes))
                 frame = CecFrame(rng.randrange(16), rng.randrange(16), rng.randrange(256))
-                sim.schedule(tick, Transmit(origin, frame))
+                sim.transmit_at(tick, origin, frame)
             sim.run(until=45)
             return sim.trace.render_log()
 
         assert run_once() == run_once()
+
+
+class _Listener(Actor):
+    def __init__(self, device):
+        super().__init__(device)
+        self.heard = []
+
+    def on_event(self, sim, event):
+        self.heard.append(event)
+
+
+class TestHearing:
+    def test_actor_hears_only_what_its_device_observes(self):
+        from cecsim.scenarios import builtin_scenario
+
+        # the podium's control link is stripped, so client is alone on its wire
+        sim = Simulator(builtin_scenario("podium-strip-scan").topology)
+        actor = _Listener("client")
+        sim.add_actor(actor)
+        sim.start()
+        own = CecFrame(sim.logical["client"], 15, 0x85)
+        sim.transmit_at(2, "tv", CecFrame(0, 15, 0x85))
+        sim.transmit_at(3, "client", own)
+        sim.transmit_at(4, "chromecast", CecFrame(4, 0, OP_GIVE_POWER_STATUS))
+        sim.run(until=8)
+        assert actor.heard == [e for e in sim.trace.events if "client" in e.observers]
+        assert any(e.origin == "tv" for e in sim.trace.events)
+        assert {e.origin for e in actor.heard} == {"client"}
+        assert any(e.frame == own for e in actor.heard)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +302,7 @@ class TestTraceFormat:
         assert line.startswith("t=%d | tv | 0f:85 | ack=1 | obs=" % event.tick)
 
     def test_round_trip(self, testbed_sim):
-        testbed_sim.schedule(1, Transmit("client", CecFrame(2, 0, OP_GIVE_POWER_STATUS)))
+        testbed_sim.transmit_at(1, "client", CecFrame(2, 0, OP_GIVE_POWER_STATUS))
         testbed_sim.run(until=4)
         for event in testbed_sim.trace.events:
             again = parse_trace_line(event.render())
@@ -278,7 +315,7 @@ class TestTraceFormat:
     def test_state_log_lines(self, pair_topology):
         sim = Simulator(pair_topology)
         sim.start()
-        sim.schedule(2, User("tv", UserAction.POWER_OFF))
+        sim.schedule(2, sim.user_action, "tv", UserAction.POWER_OFF)
         sim.run(until=4)
         text = sim.trace.render_state_log()
         assert "t=2 | tv | power=standby" in text

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cecsim.bus import Simulator, Transmit, User
+from cecsim.bus import Simulator
 from cecsim.devices import (
     ABORT_UNRECOGNIZED,
     DeviceState,
@@ -266,26 +266,26 @@ class TestUserActions:
 
 class TestMenuPressure:
     def test_menu_open_under_light_traffic(self, sim):
-        sim.schedule(5, Transmit("client", CecFrame(2, 0, OP_STANDBY)))
+        sim.transmit_at(5, "client", CecFrame(2, 0, OP_STANDBY))
         sim.run(until=20)
         assert sim.settings_menu_accessible("tv", 20)
 
     def test_menu_blocked_under_sustained_control(self, sim):
         for tick in range(5, 12):
-            sim.schedule(tick, Transmit("client", CecFrame(2, 0, OP_IMAGE_VIEW_ON)))
+            sim.transmit_at(tick, "client", CecFrame(2, 0, OP_IMAGE_VIEW_ON))
         sim.run(until=13)
         assert not sim.settings_menu_accessible("tv", 13)
 
     def test_menu_recovers_after_quiet_window(self, sim):
         for tick in range(5, 12):
-            sim.schedule(tick, Transmit("client", CecFrame(2, 0, OP_IMAGE_VIEW_ON)))
+            sim.transmit_at(tick, "client", CecFrame(2, 0, OP_IMAGE_VIEW_ON))
         sim.run(until=40)
         assert sim.settings_menu_accessible("tv", 40)
 
     def test_blocked_menu_rejects_user_action(self, sim):
         for tick in range(5, 12):
-            sim.schedule(tick, Transmit("client", CecFrame(2, 0, OP_IMAGE_VIEW_ON)))
-        sim.schedule(12, User("tv", UserAction.DISABLE_CEC))
+            sim.transmit_at(tick, "client", CecFrame(2, 0, OP_IMAGE_VIEW_ON))
+        sim.schedule(12, sim.user_action, "tv", UserAction.DISABLE_CEC)
         sim.run(until=14)
         record = sim.artifacts.user_actions[-1]
         assert record.action == "disable_cec"

@@ -116,6 +116,14 @@ class TestTargetedStandby:
             events.append(ev(tick + 1, "tv", "00:36"))
         assert detect(events) == []
 
+    def test_standby_pairs_bounded(self):
+        detector = Detector()
+        for event in self._wake_then_kill(50):
+            detector.feed(event)
+        assert [a.rule for a in detector.alerts] == [RULE_TARGETED_STANDBY]
+        assert detector.alerts[0].window == (0, 11)
+        assert len(detector._standby_pairs["spy"]) == detector.config.standby_repeat
+
     def test_broadcast_standby_counts(self):
         events = []
         for tick in (0, 10):
@@ -152,6 +160,14 @@ class TestCovertRules:
     def test_stream_fires_once(self):
         events = [ev(t, "spy", "12:00:01:02:03") for t in range(30)]
         assert len(detect(events)) == 1
+
+    def test_stream_bucket_bounded(self):
+        detector = Detector()
+        for t in range(10_000):
+            detector.feed(ev(t, "spy", "12:00:01:02:03"))
+        assert [a.rule for a in detector.alerts] == [RULE_COVERT_STREAM]
+        assert detector.alerts[0].window == (0, 2)
+        assert len(detector._streams["spy"]) <= 3
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +220,11 @@ class TestDetectorPlumbing:
             RuleConfig(scan_window=0)
         with pytest.raises(ValueError):
             RuleConfig.from_dict({"bogus_knob": 3})
+
+    @pytest.mark.parametrize("raw", [[1], 5, "churn_count", None])
+    def test_config_must_be_an_object(self, raw):
+        with pytest.raises(ValueError, match="object"):
+            RuleConfig.from_dict(raw)
 
     def test_config_from_dict(self):
         config = RuleConfig.from_dict({"churn_count": 9})
@@ -289,8 +310,6 @@ class TestMitigations:
         patched = apply_mitigation(build_testbed(), DisableControl("tv"))
         sim = Simulator(patched)
         sim.start()
-        from cecsim.bus import Transmit
-
-        sim.schedule(2, Transmit("listener", CecFrame(1, 0, 0x36)))
+        sim.transmit_at(2, "listener", CecFrame(1, 0, 0x36))
         sim.run(until=5)
         assert sim.device_states["tv"].power.value == "on"

@@ -1,6 +1,7 @@
 """Command relay: mailbox protocol, HTTP server, polling loop."""
 
 import json
+import socket
 
 import pytest
 
@@ -10,6 +11,7 @@ from cecsim.relay import (
     HttpRelayClient,
     KNOWN_COMMANDS,
     LISTENER_PATH,
+    MAX_BODY_BYTES,
     LoopbackRelayClient,
     RelayPoller,
     RelayServer,
@@ -19,7 +21,7 @@ from cecsim.relay import (
 )
 from cecsim.scenarios import load_scenario, run_scenario
 from cecsim.testbed import EXPECTED_TESTBED_SCAN, build_testbed
-from cecsim.transfer import PayloadStore, payload_digest
+from cecsim.transfer import MAX_PAYLOAD, PayloadStore, payload_digest
 
 
 @pytest.fixture(params=["loopback", "http"])
@@ -279,3 +281,42 @@ class TestHttpTransport:
         finally:
             server.shutdown()
             server.server_close()
+
+
+def _raw_request(server, head: bytes) -> bytes:
+    """Send raw request bytes and return the status line of the answer."""
+    with socket.create_connection(server.server_address[:2], timeout=5) as conn:
+        conn.sendall(head)
+        return conn.makefile("rb").readline()
+
+
+class TestContentLength:
+    @pytest.mark.parametrize(
+        "length, status",
+        [("abc", b" 400 "), ("-5", b" 400 "), (str(MAX_BODY_BYTES + 1), b" 413 ")],
+    )
+    def test_bad_length_answered_and_server_keeps_serving(self, length, status):
+        server = RelayServer(("127.0.0.1", 0))
+        server.start_background()
+        try:
+            head = "POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %s\r\n\r\n" % (
+                LISTENER_PATH, length
+            )
+            assert status in _raw_request(server, head.encode("ascii"))
+            get = "GET %s HTTP/1.1\r\nHost: x\r\n\r\n" % WEBCLIENT_PATH
+            assert b" 200 " in _raw_request(server, get.encode("ascii"))
+            assert HttpRelayClient(server.url).get(WEBCLIENT_PATH) is None
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_limit_fits_a_getfile_of_the_largest_payload(self):
+        # A GETFILE body grows by two hex digits per payload byte; measure
+        # the rest on a small payload and scale it to MAX_PAYLOAD.
+        sim, controller, _ = wired_sim()
+        poller = RelayPoller(LoopbackRelayClient(), controller, interval_ticks=1)
+        controller.store.capture = bytes(1024)
+        poller._getfile(sim, {})
+        body = json.dumps({"value": poller.client.get(WEBCLIENT_PATH)})
+        overhead = len(body) - 2 * 1024 + len(str(MAX_PAYLOAD)) - len("1024")
+        assert 2 * MAX_PAYLOAD + overhead <= MAX_BODY_BYTES

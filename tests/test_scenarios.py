@@ -86,6 +86,16 @@ class TestValidation:
                 {"actions": [{"tick": 1, "actor": "listener", "action": "request_file"}]},
                 "request_file",
             ),
+            ({"listener_options": [1]}, "listener_options"),
+            ({"listener_options": {"mic_bytes": "abc"}}, "mic_bytes"),
+            ({"listener_options": {"capture_bytes": -1}}, "capture_bytes"),
+            ({"listener_options": {"capture_bytes": 2**24 + 1}}, "capture_bytes"),
+            ({"listener_options": {"targeted_target": 16}}, "targeted_target"),
+            ({"listener_options": {"display_address": "0"}}, "display_address"),
+            ({"seed": None}, "seed"),
+            ({"seed": "7"}, "seed"),
+            ({"ticks_per_second": 0}, "ticks_per_second"),
+            ({"ticks_per_second": 2.5}, "ticks_per_second"),
         ],
     )
     def test_rejections_name_the_problem(self, patch, fragment):
@@ -215,6 +225,20 @@ class TestArtifacts:
         assert not outcomes[0].ok
         assert "unknown check" in outcomes[0].detail
 
+    @pytest.mark.parametrize(
+        "check",
+        [
+            {"type": "min_input_cycles", "device": "tv", "count": None},
+            {"type": "powered_on_by", "device": "tv", "tick": "soon"},
+        ],
+    )
+    def test_bad_check_field_fails_gracefully(self, check):
+        scenario = builtin_scenario("benign-status-query")
+        scenario.checks = [check]
+        outcomes = evaluate_checks(run_scenario(scenario))
+        assert [(o.label, o.ok) for o in outcomes] == [(check["type"], False)]
+        assert "bad field" in outcomes[0].detail
+
     def test_deterministic_trace(self):
         first = run_scenario(builtin_scenario("attack2-mic-exfil")).trace.render_log()
         second = run_scenario(builtin_scenario("attack2-mic-exfil")).trace.render_log()
@@ -224,6 +248,37 @@ class TestArtifacts:
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
+
+class TestWiring:
+    def test_receiver_only_where_requested(self):
+        result = run_scenario(builtin_scenario("attack1-device-walk"))
+        assert list(result.receivers) == ["client"]
+        assert result.receivers["client"].device == "client"
+
+    def test_no_receiver_without_request_file(self):
+        from cecsim.transfer import FileReceiver
+
+        result = run_scenario(builtin_scenario("attack5-input-churn"))
+        assert result.receivers == {}
+        assert not any(isinstance(a, FileReceiver) for a in result.sim.actors)
+
+    def test_one_sender_per_listener(self):
+        from cecsim.transfer import FileSender
+
+        result = run_scenario(builtin_scenario("attack3-file-theft"))
+        senders = [a for a in result.sim.actors if isinstance(a, FileSender)]
+        assert senders == [result.controllers["listener"].sender]
+
+    def test_run_settings_come_from_the_scenario(self):
+        scenario = builtin_scenario("attack5-remote-churn")
+        scenario.ticks_per_second = 1
+        assert run_scenario(scenario).poller.interval_ticks == 2
+        # client's link is stripped: only its own tap sees its census walk
+        scenario = builtin_scenario("podium-strip-scan")
+        assert run_scenario(scenario).alerts == []
+        scenario.ids_options["tap"] = "client"
+        assert [a.subject for a in run_scenario(scenario).alerts] == ["client"]
+
 
 class TestCli:
     def test_list_scenarios(self, capsys):
@@ -335,6 +390,39 @@ class TestCli:
         path.write_text("this is not a trace\n")
         assert cli.main(["ids", "analyze", str(path)]) == 2
         capsys.readouterr()
+
+    def test_run_bad_listener_options_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "options.json"
+        path.write_text(json.dumps(doc(listener_options=[1])))
+        assert cli.main(["run", "--scenario", str(path)]) == 2
+        assert "listener_options" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["[1]", "5"])
+    def test_ids_config_not_an_object_exits_two(self, tmp_path, capsys, raw):
+        config_path = tmp_path / "ids.json"
+        config_path.write_text(raw)
+        run_out = tmp_path / "run"
+        assert cli.main(["run", "--scenario", "benign-status-query", "--out", str(run_out),
+                         "--ids-config", str(config_path)]) == 2
+        assert "object" in capsys.readouterr().err
+        assert cli.main(["run", "--scenario", "benign-status-query", "--out", str(run_out)]) == 0
+        assert cli.main(["ids", "analyze", str(run_out / "trace.log"),
+                         "--ids-config", str(config_path)]) == 2
+        capsys.readouterr()
+
+    def test_ticks_per_second_flag_sets_poll_interval(self, capsys):
+        assert cli.main(["run", "--scenario", "attack5-remote-churn",
+                         "--ticks-per-second", "1"]) == 0
+        assert "(budget 4)" in capsys.readouterr().out
+        assert cli.main(["run", "--scenario", "attack5-remote-churn",
+                         "--ticks-per-second", "0"]) == 2
+        assert "ticks-per-second" in capsys.readouterr().err
+
+    def test_ids_tap_flag_moves_the_detector(self, capsys):
+        assert cli.main(["run", "--scenario", "podium-strip-scan"]) == 0
+        assert ", 0 alerts," in capsys.readouterr().out
+        assert cli.main(["run", "--scenario", "podium-strip-scan", "--ids-tap", "client"]) == 0
+        assert ", 1 alerts," in capsys.readouterr().out
 
     def test_ids_config_file(self, tmp_path, capsys):
         config_path = tmp_path / "ids.json"

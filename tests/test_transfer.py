@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cecsim.bus import Call, Simulator, Transmit
+from cecsim.bus import Simulator
 from cecsim.frames import CecFrame
 from cecsim.topology import build_topology
 from cecsim.transfer import (
@@ -117,7 +117,7 @@ class TestTransfer:
     def test_lossless_roundtrip(self, size):
         payload = Random(size).randbytes(size)
         sim, sender, receiver, _ = wired_sim(payload)
-        sim.schedule(2, Call(lambda s, t: receiver.request_file(s)))
+        sim.schedule(2, lambda: receiver.request_file(sim))
         sim.run(until=segment_count(size) + 30)
         record = sim.artifacts.transfers[-1]
         assert record.status == "complete"
@@ -128,7 +128,7 @@ class TestTransfer:
         size = 100
         payload = bytes(size)
         sim, sender, receiver, _ = wired_sim(payload)
-        sim.schedule(2, Call(lambda s, t: receiver.request_file(s)))
+        sim.schedule(2, lambda: receiver.request_file(sim))
         sim.run(until=60)
         data_frames = [
             e for e in sim.trace.events if e.origin == "spy" and e.frame.opcode == DATA_OPCODE
@@ -139,7 +139,7 @@ class TestTransfer:
 
     def test_one_data_frame_per_tick(self):
         sim, sender, receiver, _ = wired_sim(bytes(70))
-        sim.schedule(2, Call(lambda s, t: receiver.request_file(s)))
+        sim.schedule(2, lambda: receiver.request_file(sim))
         sim.run(until=40)
         ticks = [
             e.tick for e in sim.trace.events if e.origin == "spy" and e.frame.opcode == DATA_OPCODE
@@ -151,7 +151,7 @@ class TestTransfer:
     @settings(deadline=None, max_examples=25)
     def test_roundtrip_property(self, payload, seed):
         sim, sender, receiver, _ = wired_sim(payload, seed=seed)
-        sim.schedule(1, Call(lambda s, t: receiver.request_file(s)))
+        sim.schedule(1, lambda: receiver.request_file(sim))
         sim.run(until=segment_count(len(payload)) + 25)
         record = sim.artifacts.transfers[-1]
         assert record.status == "complete"
@@ -161,13 +161,13 @@ class TestTransfer:
         payload = Random(5).randbytes(80)
         sim, sender, receiver, _ = wired_sim(payload)
         sim.schedule(
-            2, Call(lambda s, t: receiver.request_file(s, peer_address=s.logical["spy"]))
+            2, lambda: receiver.request_file(sim, peer_address=sim.logical["spy"])
         )
         # the display keeps talking while the stream runs, including
         # data-opcode frames that do not come from the sender
         for tick in range(3, 20):
-            sim.schedule(tick, Transmit("tv", CecFrame(0, 15, 0x85)))
-            sim.schedule(tick, Transmit("tv", CecFrame(0, 2, DATA_OPCODE, (0x99, 0x98))))
+            sim.transmit_at(tick, "tv", CecFrame(0, 15, 0x85))
+            sim.transmit_at(tick, "tv", CecFrame(0, 2, DATA_OPCODE, (0x99, 0x98)))
         sim.run(until=50)
         record = sim.artifacts.transfers[-1]
         assert record.status == "complete"
@@ -177,21 +177,21 @@ class TestTransfer:
         # without a pinned peer the receiver locks onto whoever answers
         # first, so a chatty display can capture the channel
         sim, sender, receiver, _ = wired_sim(bytes(40))
-        sim.schedule(2, Call(lambda s, t: receiver.request_file(s)))
-        sim.schedule(3, Transmit("tv", CecFrame(0, 2, DATA_OPCODE, (0x99,))))
+        sim.schedule(2, lambda: receiver.request_file(sim))
+        sim.transmit_at(3, "tv", CecFrame(0, 2, DATA_OPCODE, (0x99,)))
         sim.run(until=8)
         assert receiver.session.peer_address == sim.logical["tv"]
 
     def test_second_request_rejected_while_open(self):
         sim, sender, receiver, _ = wired_sim(bytes(400))
-        sim.schedule(2, Call(lambda s, t: receiver.request_file(s)))
-        sim.schedule(5, Call(lambda s, t: receiver.request_file(s)))
+        sim.schedule(2, lambda: receiver.request_file(sim))
+        sim.schedule(5, lambda: receiver.request_file(sim))
         sim.run(until=10)
         assert receiver.rejected_requests == 1
 
     def test_transfer_records_peer_addresses(self):
         sim, sender, receiver, _ = wired_sim(b"x")
-        sim.schedule(2, Call(lambda s, t: receiver.request_file(s)))
+        sim.schedule(2, lambda: receiver.request_file(sim))
         sim.run(until=20)
         record = sim.artifacts.transfers[-1]
         assert record.receiver == "pc"
@@ -208,7 +208,7 @@ class TestFailures:
         receiver = FileReceiver("pc")
         sim.add_actor(receiver)
         sim.start()
-        sim.schedule(2, Call(lambda s, t: receiver.request_file(s)))
+        sim.schedule(2, lambda: receiver.request_file(sim))
         sim.run(until=INACTIVITY_TIMEOUT + 10)
         record = sim.artifacts.transfers[-1]
         assert record.status == "aborted"
@@ -216,7 +216,7 @@ class TestFailures:
 
     def test_sender_gives_up_after_unacked_frames(self):
         sim, sender, receiver, _ = wired_sim(bytes(300))
-        sim.schedule(2, Call(lambda s, t: receiver.request_file(s)))
+        sim.schedule(2, lambda: receiver.request_file(sim))
 
         def mute_receiver(s, tick):
             import dataclasses
@@ -225,7 +225,7 @@ class TestFailures:
                 s.device_states["pc"], cec_info_reporting_enabled=False
             )
 
-        sim.schedule(6, Call(mute_receiver))
+        sim.schedule(6, mute_receiver, sim, 6)
         sim.run(until=60)
         assert sender.session is None
         assert sender.finished[-1].status == "aborted"
