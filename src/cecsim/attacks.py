@@ -8,6 +8,7 @@ attacks are armed either by marker frames from an accomplice on the bus or
 through the command relay.
 """
 
+import functools
 import json
 import logging
 from dataclasses import dataclass, field
@@ -233,11 +234,23 @@ class TargetedDos(Actor):
         )
 
 
+CLAIMED_PORTS = (1, 2, 3, 4)
+
+
+@functools.cache
+def _churn_cycle(own: int, display: int) -> tuple[CecFrame, ...]:
+    """The input-churn loop's frames, built once per pair of addresses (at
+    most 16 x 16).  Frames are immutable, so every run shares them."""
+    frames = [CecFrame(own, display, fr.OP_IMAGE_VIEW_ON)]
+    for port in CLAIMED_PORTS:
+        claim = PhysicalAddress((port, 0, 0, 0))
+        frames.append(CecFrame(own, fr.BROADCAST, fr.OP_ACTIVE_SOURCE, claim.to_bytes()))
+    return tuple(frames)
+
+
 class BroadcastDos(Actor):
     """Five-frame input-churn loop: wake the display, then walk its inputs
     with forged active-source claims, one frame per tick, forever."""
-
-    CLAIMED_PORTS = (1, 2, 3, 4)
 
     def __init__(self, device: str, display_address: int = 0):
         super().__init__(device)
@@ -253,22 +266,13 @@ class BroadcastDos(Actor):
     def deactivate(self):
         self.active = False
 
-    def _cycle(self, own: int) -> list[CecFrame]:
-        frames = [CecFrame(own, self.display_address, fr.OP_IMAGE_VIEW_ON)]
-        for port in self.CLAIMED_PORTS:
-            claim = PhysicalAddress((port, 0, 0, 0))
-            frames.append(
-                CecFrame(own, fr.BROADCAST, fr.OP_ACTIVE_SOURCE, claim.to_bytes())
-            )
-        return frames
-
     def on_tick(self, sim: Simulator, tick: int):
         if not self.active:
             return
         own = sim.logical.get(self.device)
         if own is None:
             return
-        cycle = self._cycle(own)
+        cycle = _churn_cycle(own, self.display_address)
         sim.transmit_at(tick, self.device, cycle[self._index])
         self._index = (self._index + 1) % len(cycle)
 

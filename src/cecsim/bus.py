@@ -8,6 +8,14 @@ user action's i-th emission lands i ticks after the action.  No
 arbitration is modelled: any number of frames may share a tick.  The
 control wire is shared: every device reachable from the transmitter over
 propagating cables observes every frame, whoever it is addressed to.
+
+Observing is not acting.  `devices.react` runs only where a frame can
+land: for a broadcast, on every CEC-addressed observer; for a directed
+frame, on the observers holding its destination address (several may hold
+one when the first never acknowledged the later claimants' polls), in
+declaration order; for a polling frame, on no one.  The transmitter never
+reacts to its own frame.  Actors still hear every frame their device
+observes.
 """
 
 import bisect
@@ -135,6 +143,20 @@ class Actor:
         pass
 
 
+class _Domain:
+    """One propagation domain: who observes a frame put on it, and who can
+    act on one."""
+
+    def __init__(self, members: tuple[str, ...], nodes):
+        self.members = members
+        # Member -> index in `members`; also the membership test.
+        self.position = {n: i for i, n in enumerate(members)}
+        # The members that react to a broadcast.
+        self.addressed = tuple(n for n in members if nodes[n].cec_addressed)
+        # Logical address -> the members that claimed it, in `members` order.
+        self.holders: dict[int, list[str]] = {}
+
+
 class Simulator:
     def __init__(self, topology: Topology):
         self.topology = topology
@@ -145,7 +167,8 @@ class Simulator:
         self.logical: dict[str, int | None] = {}
         self.device_states: dict[str, dv.DeviceState] = {}
         self.actors: list[Actor] = []
-        self._domains: dict[str, tuple[str, ...]] = {}
+        self._domains: dict[str, _Domain] = {}
+        self._ctx: dict[str, dv.DeviceCtx] = {}
         self._pressure: dict[str, list[int]] = {}
         self._queue: list = []
         self._seq = 0
@@ -163,14 +186,22 @@ class Simulator:
         if self._started:
             return
         self._started = True
+        nodes = self.topology.nodes
         self.physical = assign_physical_addresses(self.topology)
-        self._domains = propagation_domains(self.topology)
-        for node_id, node in self.topology.nodes.items():
+        # A domain is keyed by its first member, so each is built once.
+        by_first: dict[str, _Domain] = {}
+        for node_id, members in propagation_domains(self.topology).items():
+            domain = by_first.get(members[0])
+            if domain is None:
+                domain = by_first[members[0]] = _Domain(members, nodes)
+            self._domains[node_id] = domain
+        for node_id, node in nodes.items():
             self.device_states[node_id] = dv.DeviceState.initial(node)
             self._pressure[node_id] = []
             self.logical[node_id] = None
-        for node_id in self.topology.nodes:
-            if self.topology.nodes[node_id].cec_addressed:
+            self._ctx[node_id] = dv.DeviceCtx(node, None, self.physical[node_id])
+        for node_id, node in nodes.items():
+            if node.cec_addressed:
                 self.allocate_logical_address(node_id)
 
     def allocate_logical_address(self, device_id: str) -> int:
@@ -189,11 +220,25 @@ class Simulator:
         for candidate in candidates:
             event = self.deliver(device_id, CecFrame(candidate, candidate))
             if not event.acknowledged:
-                self.logical[device_id] = candidate
-                return candidate
+                return self._claim(device_id, candidate)
         log.warning("%s found no free logical address", device_id)
-        self.logical[device_id] = UNREGISTERED
-        return UNREGISTERED
+        return self._claim(device_id, UNREGISTERED)
+
+    def _claim(self, device_id: str, address: int) -> int:
+        """Record the claim in `logical`, the domain's holder index and the
+        device's context."""
+        domain = self._domains[device_id]
+        previous = self.logical[device_id]
+        if previous is not None:
+            domain.holders[previous].remove(device_id)
+        bisect.insort(
+            domain.holders.setdefault(address, []), device_id, key=domain.position.__getitem__
+        )
+        self.logical[device_id] = address
+        self._ctx[device_id] = dv.DeviceCtx(
+            self.topology.nodes[device_id], address, self.physical[device_id]
+        )
+        return address
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -225,20 +270,10 @@ class Simulator:
     def domain_of(self, device_id: str) -> tuple[str, ...]:
         if not self._started:
             self.start()
-        return self._domains[device_id]
-
-    def holder_of(self, address: int, domain: tuple[str, ...]) -> str | None:
-        for node_id in domain:
-            if self.logical.get(node_id) == address:
-                return node_id
-        return None
+        return self._domains[device_id].members
 
     def device_ctx(self, device_id: str) -> dv.DeviceCtx:
-        return dv.DeviceCtx(
-            node=self.topology.nodes[device_id],
-            logical=self.logical.get(device_id),
-            physical=self.physical[device_id],
-        )
+        return self._ctx[device_id]
 
     def settings_menu_accessible(self, device_id: str, tick: int | None = None) -> bool:
         """False while the device is too busy acting on other people's
@@ -257,36 +292,39 @@ class Simulator:
         """Put a frame on the wire right now and let the bus settle.
 
         Observers are everyone in the origin's propagation domain.  A
-        directed frame is acknowledged when some other device holds the
-        destination address and still talks CEC; a broadcast when anyone
-        else on the segment does.
+        directed frame is acknowledged when its first holder in the domain
+        is another device that still reports information; a broadcast when
+        any other device on the segment talks CEC.  Reactions follow the
+        rule in the module docstring.
         """
-        if origin not in self.topology.nodes:
+        nodes = self.topology.nodes
+        if origin not in nodes:
             raise TopologyError("unknown transmitter %r" % origin)
-        observers = self._domains[origin]
-        acknowledged = False
+        domain = self._domains[origin]
         if frame.destination == fr.BROADCAST:
-            acknowledged = any(
-                n != origin and self.topology.nodes[n].cec_addressed for n in observers
-            )
+            receivers = domain.addressed
+            acknowledged = len(receivers) > nodes[origin].cec_addressed
         else:
-            holder = self.holder_of(frame.destination, observers)
-            if holder is not None and holder != origin:
-                acknowledged = self.device_states[holder].cec_info_reporting_enabled
+            receivers = domain.holders.get(frame.destination, ())
+            acknowledged = bool(receivers) and receivers[0] != origin and (
+                self.device_states[receivers[0]].cec_info_reporting_enabled
+            )
+        if frame.is_polling:
+            receivers = ()
         event = BusEvent(
             tick=self.clock,
             origin=origin,
             frame=frame,
-            observers=observers,
+            observers=domain.members,
             acknowledged=acknowledged,
         )
         self.trace.events.append(event)
 
-        for node_id in observers:
-            if node_id == origin or not self.topology.nodes[node_id].cec_addressed:
+        for node_id in receivers:
+            if node_id == origin or not nodes[node_id].cec_addressed:
                 continue
             state = self.device_states[node_id]
-            reaction = dv.react(self.device_ctx(node_id), state, frame)
+            reaction = dv.react(self._ctx[node_id], state, frame)
             if reaction.control_pressure:
                 self._pressure[node_id].append(self.clock)
             if reaction.state is not state:
@@ -295,7 +333,7 @@ class Simulator:
                 self.transmit_at(self.clock + 1 + i, node_id, response)
 
         for actor in list(self.actors):
-            if actor.device in observers:
+            if actor.device in domain.position:
                 actor.on_event(self, event)
         return event
 

@@ -160,7 +160,9 @@ def react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
 
     The caller filters out the device's own transmissions; everything here
     is traffic from someone else.  Polling messages are acknowledged at the
-    bus layer and ignored here.
+    bus layer and ignored here.  The simulator only calls this for frames
+    that can land on the device (see `cecsim.bus`); polls and frames
+    addressed elsewhere still return the state unchanged.
     """
     if frame.is_polling:
         return Reaction(state)

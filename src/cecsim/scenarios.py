@@ -159,6 +159,9 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
         for cmd in _objects(relay_cfg.get("commands"), "relay commands"):
             if not isinstance(cmd.get("tick"), int) or not isinstance(cmd.get("command"), str):
                 raise ScenarioError("relay commands need a tick and a command string")
+        interval = relay_cfg.get("interval_ticks")
+        if "interval_ticks" in relay_cfg and (type(interval) is not int or interval < 1):
+            raise ScenarioError("relay interval_ticks must be a positive integer")
 
     seed = document.get("seed", 0)
     if type(seed) is not int:
@@ -183,6 +186,7 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
             ids_mod.RuleConfig.from_dict(ids_options["config"])
         except (ValueError, TypeError) as exc:
             raise ScenarioError("detector config invalid: %s" % exc) from None
+    _check_tap(ids_options.get("tap"), topology)
 
     return Scenario(
         name=name,
@@ -196,6 +200,12 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
         ids_options=ids_options,
         checks=_objects(document.get("checks"), "checks"),
     )
+
+
+def _check_tap(tap, topology: Topology):
+    """A detector tap is absent or names a device of the topology."""
+    if tap is not None and (type(tap) is not str or tap not in topology.nodes):
+        raise ScenarioError("detector tap %r names no device" % (tap,))
 
 
 def _objects(value, section: str) -> list:
@@ -256,6 +266,8 @@ def run_scenario(scenario: Scenario, *, relay_client=None) -> RunResult:
     `relay_client` picks the relay transport; without one, an enabled
     relay runs over an in-process loopback."""
     topology = scenario.topology
+    # Checked again here: `cecsim run --ids-tap` sets the tap after loading.
+    _check_tap(scenario.ids_options.get("tap"), topology)
     sim = Simulator(topology)
 
     options = scenario.listener_options
@@ -276,7 +288,7 @@ def run_scenario(scenario: Scenario, *, relay_client=None) -> RunResult:
         if not controllers:
             raise ScenarioError("relay needs an attacker listener in the topology")
         client = relay_client if relay_client is not None else relay_mod.LoopbackRelayClient()
-        interval = int(relay_cfg.get("interval_ticks", 2 * scenario.ticks_per_second))
+        interval = relay_cfg.get("interval_ticks", 2 * scenario.ticks_per_second)
         poller = relay_mod.RelayPoller(client, next(iter(controllers.values())), interval)
         sim.add_actor(poller)
         result.poller = poller

@@ -11,6 +11,7 @@ so everything behind it sees the same port address.
 
 import enum
 import json
+from collections import deque
 from dataclasses import dataclass, field
 
 from cecsim.frames import DeviceType, FrameError, PhysicalAddress, PowerState, parse_vendor_id
@@ -101,14 +102,20 @@ class Topology:
                 return node_id
         raise TopologyError("topology has no root")
 
-    def children_of(self, node_id: str) -> list[Edge]:
-        return [e for e in self.edges if e.parent == node_id]
-
     def node_order(self) -> list[str]:
         return list(self.nodes)
 
     def listeners(self) -> list[str]:
         return [n.id for n in self.nodes.values() if n.kind is DeviceKind.ATTACKER_LISTENER]
+
+
+def _children_by_parent(edges: list[Edge]) -> dict[str, list[Edge]]:
+    """Each parent's edges, in edge order.  Built per walk, never kept:
+    mitigations replace entries of `Topology.edges` in place."""
+    children: dict[str, list[Edge]] = {}
+    for edge in edges:
+        children.setdefault(edge.parent, []).append(edge)
+    return children
 
 
 def _require(condition: bool, message: str):
@@ -235,12 +242,12 @@ def build_topology(config: dict) -> Topology:
 
     # Walk down from the root; anything unreached is an orphan or part of a
     # cycle among non-root nodes.
+    children = _children_by_parent(edges)
     reached = {root}
     frontier = [root]
     while frontier:
-        current = frontier.pop()
-        for edge in edges:
-            if edge.parent == current and edge.child not in reached:
+        for edge in children.get(frontier.pop(), ()):
+            if edge.child not in reached:
                 reached.add(edge.child)
                 frontier.append(edge.child)
     unreached = [n for n in nodes if n not in reached]
@@ -273,11 +280,12 @@ def assign_physical_addresses(topology: Topology) -> dict[str, PhysicalAddress]:
     inherit the slot unchanged instead of consuming another nibble.
     """
     root = topology.root
+    children = _children_by_parent(topology.edges)
     slots = {root: PhysicalAddress.root()}
     result: dict[str, PhysicalAddress] = {}
-    order = [root]
+    order = deque([root])
     while order:
-        node_id = order.pop(0)
+        node_id = order.popleft()
         node = topology.nodes[node_id]
         slot = slots[node_id]
         result[node_id] = slot if node.edid_address_available else PhysicalAddress.unregistered()
@@ -285,7 +293,7 @@ def assign_physical_addresses(topology: Topology) -> dict[str, PhysicalAddress]:
             DeviceKind.SWITCH,
             DeviceKind.HUB_SPLITTER,
         )
-        for edge in topology.children_of(node_id):
+        for edge in children.get(node_id, ()):
             if passthrough:
                 slots[edge.child] = slot
             else:
@@ -316,6 +324,7 @@ def propagation_domains(topology: Topology) -> dict[str, tuple[str, ...]]:
     domains: dict[str, tuple[str, ...]] = {}
     seen: set[str] = set()
     order = topology.node_order()
+    position = {n: i for i, n in enumerate(order)}
     for node_id in order:
         if node_id in seen:
             continue
@@ -326,7 +335,7 @@ def propagation_domains(topology: Topology) -> dict[str, tuple[str, ...]]:
                 if other not in component:
                     component.add(other)
                     frontier.append(other)
-        ordered = tuple(n for n in order if n in component)
+        ordered = tuple(sorted(component, key=position.__getitem__))
         for member in component:
             domains[member] = ordered
         seen |= component

@@ -2,12 +2,15 @@
 
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cecsim import devices as dv
+from cecsim import frames as fr
 from cecsim.bus import Actor, Simulator, parse_trace_line
 from cecsim.devices import UserAction
-from cecsim.frames import CecFrame, OP_GIVE_POWER_STATUS
+from cecsim.frames import CecFrame, OP_GIVE_OSD_NAME, OP_GIVE_POWER_STATUS, OP_STANDBY
 from cecsim.topology import build_topology
 
 from conftest import make_chain
@@ -195,6 +198,156 @@ class TestDelivery:
     def test_broadcast_acked_with_peers(self, testbed_sim):
         event = testbed_sim.deliver("tv", CecFrame(0, 15, 0x85))
         assert event.acknowledged
+
+
+# ---------------------------------------------------------------------------
+# Who reacts: the holder index
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def react_calls(monkeypatch):
+    """Ids of the devices `devices.react` runs for, in call order."""
+    calls = []
+    real = dv.react
+
+    def counting(ctx, state, frame):
+        calls.append(ctx.node.id)
+        return real(ctx, state, frame)
+
+    monkeypatch.setattr(dv, "react", counting)
+    return calls
+
+
+_KNOWN_OPCODES = set(
+    fr.QUERY_OPCODES + fr.CONTROL_OPCODES + fr.ANNOUNCE_OPCODES + fr.CHURN_OPCODES
+) | fr.RESPONSE_OPCODES
+
+
+def _playback_tree(count):
+    """A 15-ary tree: a display at the root, dumb switches inside, playback
+    sources at the leaves; node i hangs off node (i - 1) // 15."""
+    internal = (count - 2) // 15 + 1
+    nodes = [{"id": "n0", "kind": "display", "device_type": "television", "osd_name": "N0"}]
+    edges = []
+    for i in range(1, count):
+        kind = "switch" if i < internal else "source"
+        nodes.append({"id": "n%d" % i, "kind": kind, "device_type": "playback",
+                      "osd_name": "N%d" % i})
+        edges.append({"parent": "n%d" % ((i - 1) // 15), "child": "n%d" % i,
+                      "port": (i - 1) % 15 + 1})
+    return build_topology({"nodes": nodes, "edges": edges}), count - internal
+
+
+# Frames devices act on, and others, to any destination.
+_frames = st.builds(
+    CecFrame,
+    st.just(1),
+    st.one_of(st.just(fr.BROADCAST), st.integers(0, 15)),
+    st.one_of(st.sampled_from(sorted(_KNOWN_OPCODES)), st.integers(0, 255)),
+    st.lists(st.integers(0, 255), max_size=4).map(tuple),
+)
+
+# Recorded with the simulator that called `react` on every observer.
+_SHADOW_TRACE = """\
+t=0 | tv | 00 | ack=0 | obs=tv,mute,box
+t=0 | mute | 44 | ack=0 | obs=tv,mute,box
+t=0 | box | 44 | ack=0 | obs=tv,mute,box
+t=0 | tv | 04:46 | ack=0 | obs=tv,mute,box
+t=1 | box | 40:47:42:6f:78 | ack=1 | obs=tv,mute,box
+t=3 | tv | 04:36 | ack=0 | obs=tv,mute,box
+t=5 | box | 44 | ack=0 | obs=tv,mute,box
+t=6 | mute | 44 | ack=0 | obs=tv,mute,box
+t=7 | box | 40:46 | ack=1 | obs=tv,mute,box
+t=8 | tv | 04:47:54:56 | ack=0 | obs=tv,mute,box
+"""
+
+
+class TestReactionIndex:
+    def test_start_reacts_nowhere(self, testbed_topology, react_calls):
+        sim = Simulator(testbed_topology)
+        sim.start()
+        assert len(sim.trace.events) == 6
+        assert react_calls == []
+
+    def test_start_polls_scale_linearly(self, react_calls):
+        for count in (400, 1600):
+            topology, sources = _playback_tree(count)
+            sim = Simulator(topology)
+            sim.start()
+            # one poll for the display; the k-th of the first five sources
+            # claims its k-th playback address, the rest try all five
+            assert len(sim.trace.events) == 1 + 15 + 5 * (sources - 5)
+            assert react_calls == []
+
+    def test_shadowed_address_reaches_every_holder(self):
+        topology = build_topology(
+            {
+                "nodes": [
+                    {"id": "tv", "kind": "display", "device_type": "television",
+                     "osd_name": "TV"},
+                    {"id": "mute", "kind": "source", "device_type": "playback",
+                     "osd_name": "Mute", "cec_info_reporting_enabled": False},
+                    {"id": "box", "kind": "source", "device_type": "playback",
+                     "osd_name": "Box"},
+                ],
+                "edges": [
+                    {"parent": "tv", "child": "mute", "port": 1},
+                    {"parent": "tv", "child": "box", "port": 2},
+                ],
+            }
+        )
+        sim = Simulator(topology)
+        sim.start()
+        # mute never acks its poll, so box claims the same address
+        assert sim.logical == {"tv": 0, "mute": 4, "box": 4}
+        sim.transmit_at(0, "tv", CecFrame(0, 4, OP_GIVE_OSD_NAME))
+        sim.transmit_at(3, "tv", CecFrame(0, 4, OP_STANDBY))
+        sim.transmit_at(5, "box", CecFrame(4, 4))
+        sim.transmit_at(6, "mute", CecFrame(4, 4))
+        sim.transmit_at(7, "box", CecFrame(4, 0, OP_GIVE_OSD_NAME))
+        sim.run(10)
+        # both holders obey the standby; the ack follows mute, the first
+        assert sim.trace.render_log() == _SHADOW_TRACE
+        assert sim.trace.render_state_log() == (
+            "t=3 | mute | power=standby\nt=3 | box | power=standby\n"
+        )
+
+    def test_reclaim_moves_the_holder(self, pair_topology, react_calls):
+        sim = Simulator(pair_topology)
+        sim.start()
+        assert sim.allocate_logical_address("box") == 4
+        react_calls.clear()
+        sim.deliver("tv", CecFrame(0, 4, OP_GIVE_OSD_NAME))
+        assert react_calls == ["box"]
+
+    @given(tree_topologies(), st.lists(_frames, min_size=1, max_size=6))
+    @settings(deadline=None, max_examples=60)
+    def test_skipped_devices_would_not_have_acted(self, topology, frames):
+        sim = Simulator(topology)
+        sim.start()
+        reacted = set()
+        real = dv.react
+
+        def counting(ctx, state, frame):
+            reacted.add(ctx.node.id)
+            return real(ctx, state, frame)
+
+        dv.react = counting
+        try:
+            # a standby broadcast first: every device starts on, so all act
+            for frame in [CecFrame(1, fr.BROADCAST, OP_STANDBY)] + frames:
+                for origin in topology.node_order():
+                    reacted.clear()
+                    event = sim.deliver(origin, frame)
+                    # every addressed observer but the origin may react
+                    addressed = {o for o in event.observers if topology.nodes[o].cec_addressed}
+                    for node_id in addressed - reacted - {origin}:
+                        state = sim.device_states[node_id]
+                        reaction = real(sim.device_ctx(node_id), state, frame)
+                        assert reaction.state is state
+                        assert not reaction.responses and not reaction.control_pressure
+        finally:
+            dv.react = real
 
 
 # ---------------------------------------------------------------------------

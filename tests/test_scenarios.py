@@ -96,6 +96,13 @@ class TestValidation:
             ({"seed": "7"}, "seed"),
             ({"ticks_per_second": 0}, "ticks_per_second"),
             ({"ticks_per_second": 2.5}, "ticks_per_second"),
+            ({"relay": {"enabled": True, "interval_ticks": 0}}, "interval_ticks"),
+            ({"relay": {"enabled": True, "interval_ticks": 2.7}}, "interval_ticks"),
+            ({"relay": {"enabled": True, "interval_ticks": True}}, "interval_ticks"),
+            ({"relay": {"enabled": True, "interval_ticks": "3"}}, "interval_ticks"),
+            ({"relay": {"enabled": True, "interval_ticks": None}}, "interval_ticks"),
+            ({"ids": {"tap": "ghost"}}, "'ghost'"),
+            ({"ids": {"tap": ["tv"]}}, "tap"),
         ],
     )
     def test_rejections_name_the_problem(self, patch, fragment):
@@ -423,6 +430,17 @@ class TestCli:
         assert ", 0 alerts," in capsys.readouterr().out
         assert cli.main(["run", "--scenario", "podium-strip-scan", "--ids-tap", "client"]) == 0
         assert ", 1 alerts," in capsys.readouterr().out
+
+    def test_ids_tap_naming_no_device_exits_two(self, capsys):
+        assert cli.main(["run", "--scenario", "attack1-device-walk", "--ids-tap", "ghost"]) == 2
+        err = capsys.readouterr().err
+        assert "'ghost'" in err and "tap" in err
+
+    def test_run_rejects_a_tap_set_after_loading(self):
+        scenario = builtin_scenario("attack1-device-walk")
+        scenario.ids_options["tap"] = "ghost"
+        with pytest.raises(ScenarioError, match="ghost"):
+            run_scenario(scenario)
 
     def test_ids_config_file(self, tmp_path, capsys):
         config_path = tmp_path / "ids.json"

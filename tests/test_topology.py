@@ -2,8 +2,10 @@
 
 import pytest
 
+from cecsim.ids import StripEdge, apply_mitigation
 from cecsim.topology import (
     DeviceKind,
+    Edge,
     TopologyError,
     assign_physical_addresses,
     build_topology,
@@ -44,6 +46,19 @@ class TestBuild:
             "client": "4.0.0.0",
             "hub": "f.f.f.f",
         }
+
+    def test_addresses_unchanged_after_edge_strip(self, testbed_topology):
+        before = assign_physical_addresses(testbed_topology)
+        stripped = apply_mitigation(testbed_topology, StripEdge("tv", "switch"))
+        assert assign_physical_addresses(stripped) == before
+
+    def test_addresses_follow_edges_replaced_in_place(self, testbed_topology):
+        # nothing about the edges is cached between walks
+        assign_physical_addresses(testbed_topology)
+        edges = testbed_topology.edges
+        i = next(i for i, e in enumerate(edges) if e.child == "chromecast")
+        edges[i] = Edge("tv", "chromecast", 2)
+        assert assign_physical_addresses(testbed_topology)["chromecast"].text == "2.0.0.0"
 
     def test_addressed_switch_extends_path(self):
         # A switch that does answer the address handshake: devices behind it
