@@ -77,59 +77,47 @@ class ScanReport:
 class ScanWalk(Actor):
     """Census of the bus: poll 0..14, then question every responder.
 
-    Runs one frame per tick.  The walker itself is part of the report; its
-    own row comes from local state since nobody answers a self-poll.
+    Each tick sends the next frame of `_walk`, or nothing.  The walker
+    itself is part of the report; its own row comes from local state since
+    nobody answers a self-poll.
     """
 
     def __init__(self, device: str, on_complete=None):
         super().__init__(device)
         self.on_complete = on_complete
         self.phase = "idle"
-        self._own: int | None = None
-        self._poll_next = 0
+        self._steps = iter(())
         self._acked: list[int] = []
-        self._plan: list[CecFrame] = []
         self._collected: dict[int, dict] = {}
         self._active_claimant: int | None = None
-        self._settle_until = 0
 
     def start(self, sim: Simulator):
         sim.start()
-        self._own = sim.logical.get(self.device)
+        self._steps = self._walk(sim, sim.logical.get(self.device))
         self.phase = "poll"
-        self._poll_next = 0
+
+    def _walk(self, sim: Simulator, own: int | None):
+        """One item per tick: a frame to send, or None for a quiet tick."""
+        for target in range(15):
+            yield CecFrame(target if own is None else own, target)
+        # Every poll has been answered by now; no more acks are counted.
+        self.phase = "query"
+        yield None
+        if own is not None:
+            for addr in self._acked:
+                if addr != own:
+                    for opcode in fr.QUERY_OPCODES:
+                        yield CecFrame(own, addr, opcode)
+            yield CecFrame(own, fr.BROADCAST, fr.OP_REQUEST_ACTIVE_SOURCE)
+            # This tick and the next stay quiet while the active source answers.
+            yield None
+        yield None
+        self._finalize(sim, own)
 
     def on_tick(self, sim: Simulator, tick: int):
-        if self.phase == "poll":
-            if self._poll_next <= 14:
-                target = self._poll_next
-                self._poll_next += 1
-                initiator = self._own if self._own is not None else target
-                sim.transmit_at(tick, self.device, CecFrame(initiator, target))
-            else:
-                self._plan = [
-                    CecFrame(self._own, addr, opcode)
-                    for addr in self._acked
-                    for opcode in fr.QUERY_OPCODES
-                    if self._own is not None and addr != self._own
-                ]
-                self.phase = "query"
-        elif self.phase == "query":
-            if self._plan:
-                sim.transmit_at(tick, self.device, self._plan.pop(0))
-            elif self._own is not None:
-                sim.transmit_at(
-                    tick,
-                    self.device,
-                    CecFrame(self._own, fr.BROADCAST, fr.OP_REQUEST_ACTIVE_SOURCE),
-                )
-                self._settle_until = tick + 3
-                self.phase = "settle"
-            else:
-                self._settle_until = tick + 1
-                self.phase = "settle"
-        elif self.phase == "settle" and tick >= self._settle_until:
-            self._finalize(sim)
+        frame = next(self._steps, None)
+        if frame is not None:
+            sim.transmit_at(tick, self.device, frame)
 
     def on_event(self, sim: Simulator, event: BusEvent):
         if self.phase == "idle":
@@ -164,17 +152,17 @@ class ScanWalk(Actor):
             # The peer refused one of our questions; the field stays Unk.
             pass
 
-    def _finalize(self, sim: Simulator):
+    def _finalize(self, sim: Simulator, own: int | None):
         report = ScanReport(actor=self.device)
         addresses = list(self._acked)
-        if self._own is not None and self._own not in addresses:
-            addresses.append(self._own)
+        if own is not None and own not in addresses:
+            addresses.append(own)
         state = sim.device_states[self.device]
-        if self._active_claimant is None and state.active_source and self._own is not None:
-            self._active_claimant = self._own
+        if self._active_claimant is None and state.active_source and own is not None:
+            self._active_claimant = own
         for addr in sorted(addresses):
             entry = ScanEntry(address=addr, **self._collected.get(addr, {}))
-            if addr == self._own:
+            if addr == own:
                 node = sim.topology.nodes[self.device]
                 entry.physical = sim.physical[self.device].text
                 entry.osd = node.osd_name

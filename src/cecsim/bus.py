@@ -22,7 +22,9 @@ import bisect
 import heapq
 import logging
 import re
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from functools import partial
 
 from cecsim import devices as dv
 from cecsim import frames as fr
@@ -169,7 +171,11 @@ class Simulator:
         self.actors: list[Actor] = []
         self._domains: dict[str, _Domain] = {}
         self._ctx: dict[str, dv.DeviceCtx] = {}
-        self._pressure: dict[str, list[int]] = {}
+        # Each device's last MENU_PRESSURE_LIMIT control-pressure ticks, made
+        # on first use: most devices never feel any.
+        self._pressure: dict[str, deque[int]] = defaultdict(
+            partial(deque, maxlen=dv.MENU_PRESSURE_LIMIT)
+        )
         self._queue: list = []
         self._seq = 0
         self._session_counter = 0
@@ -197,7 +203,6 @@ class Simulator:
             self._domains[node_id] = domain
         for node_id, node in nodes.items():
             self.device_states[node_id] = dv.DeviceState.initial(node)
-            self._pressure[node_id] = []
             self.logical[node_id] = None
             self._ctx[node_id] = dv.DeviceCtx(node, None, self.physical[node_id])
         for node_id, node in nodes.items():
@@ -275,14 +280,12 @@ class Simulator:
     def device_ctx(self, device_id: str) -> dv.DeviceCtx:
         return self._ctx[device_id]
 
-    def settings_menu_accessible(self, device_id: str, tick: int | None = None) -> bool:
+    def settings_menu_accessible(self, device_id: str) -> bool:
         """False while the device is too busy acting on other people's
-        control frames to serve its own menu."""
-        t = self.clock if tick is None else tick
+        control frames to serve its own menu: the last MENU_PRESSURE_LIMIT
+        of them all fell within the window."""
         ticks = self._pressure[device_id]
-        lo = bisect.bisect_right(ticks, t - dv.MENU_PRESSURE_WINDOW)
-        hi = bisect.bisect_right(ticks, t)
-        return (hi - lo) < dv.MENU_PRESSURE_LIMIT
+        return len(ticks) < ticks.maxlen or ticks[0] <= self.clock - dv.MENU_PRESSURE_WINDOW
 
     # ------------------------------------------------------------------
     # Delivery

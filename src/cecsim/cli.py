@@ -7,7 +7,6 @@ scenarios.  Exit codes: 0 success, 2 bad input, 3 a requested check failed.
 
 import argparse
 import dataclasses
-import json
 import logging
 import sys
 
@@ -71,9 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_ids_config(path: str | None) -> ids_mod.RuleConfig | None:
     if path is None:
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return ids_mod.RuleConfig.from_dict(raw)
+    return ids_mod.RuleConfig.from_dict(scen.read_json_file(path, "detector config"))
 
 
 def _cmd_run(args) -> int:
@@ -167,8 +164,11 @@ def _cmd_ids_analyze(args) -> int:
             except (ValueError, FrameError) as exc:
                 print("%s:%d: %s" % (args.trace, number, exc), file=sys.stderr)
                 return EXIT_BAD_INPUT
+    tap = args.ids_tap
+    if tap is not None and events and not any(tap in e.observers for e in events):
+        raise ValueError("detector tap %r observes none of the %d frames" % (tap, len(events)))
     config = _load_ids_config(args.ids_config)
-    alerts = ids_mod.detect(events, config, args.ids_tap)
+    alerts = ids_mod.detect(events, config, tap)
     for alert in alerts:
         print(alert.to_json())
     print("%d alerts from %d frames" % (len(alerts), len(events)), file=sys.stderr)

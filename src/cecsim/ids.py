@@ -45,7 +45,7 @@ class RuleConfig:
     def __post_init__(self):
         for item in fields(self):
             value = getattr(self, item.name)
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise ValueError("%s must be a positive integer, got %r" % (item.name, value))
 
     @classmethod

@@ -49,7 +49,7 @@ class RelayState:
         if method == "POST":
             try:
                 document = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
                 return 400, {"error": "body must be JSON"}
             if not isinstance(document, dict) or not isinstance(document.get("value"), str):
                 return 400, {"error": 'body must be {"value": "<string>"}'}
@@ -208,13 +208,15 @@ class RelayPoller(Actor):
         try:
             envelope = json.loads(value)
             command = envelope["command"]
-        except (json.JSONDecodeError, TypeError, KeyError):
+        except (json.JSONDecodeError, RecursionError, TypeError, KeyError):
+            command = None
+        if not isinstance(command, str):
             log.warning("ignoring malformed relay envelope %r", value)
             return
-        handler = self._HANDLERS.get(command) if isinstance(command, str) else None
+        handler = self._HANDLERS.get(command)
         if handler is None:
             log.warning("unknown relay command %r acknowledged, not executed", command)
-            self.unknown.append(str(command))
+            self.unknown.append(command)
             return
         try:
             handler(self, sim, envelope)

@@ -22,7 +22,7 @@ from cecsim.bus import Simulator, Trace
 from cecsim.devices import UserAction
 from cecsim.frames import FrameError, parse_frame
 from cecsim.testbed import EXPECTED_TESTBED_SCAN, TESTBED_NAME, TESTBED_TOPOLOGY
-from cecsim.topology import Topology, TopologyError, build_topology
+from cecsim.topology import MAX_NESTING, Topology, TopologyError, build_topology, nesting
 from cecsim.transfer import MAX_PAYLOAD, FileReceiver, PayloadStore, write_transfer_artifacts
 
 log = logging.getLogger(__name__)
@@ -64,13 +64,9 @@ def _resolve_topology(raw, base_dir: str | None) -> dict:
         return copy.deepcopy(TESTBED_TOPOLOGY)
     if isinstance(raw, str):
         path = raw if os.path.isabs(raw) or base_dir is None else os.path.join(base_dir, raw)
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
             raise ScenarioError("topology %r is neither builtin nor a file" % raw)
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                return json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ScenarioError("topology file %s is not JSON: %s" % (path, exc)) from None
+        return read_json_file(path, "topology")
     raise ScenarioError("scenario topology must be a name, path, or object")
 
 
@@ -84,7 +80,7 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
     if "topology" not in document:
         raise ScenarioError("scenario %r is missing its topology" % name)
     duration = document.get("duration")
-    if not isinstance(duration, int) or duration < 1:
+    if type(duration) is not int or duration < 1:
         raise ScenarioError("scenario %r duration must be a positive tick count" % name)
 
     config = _resolve_topology(document["topology"], base_dir)
@@ -115,11 +111,11 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
     actions = []
     for raw in _objects(document.get("actions"), "actions"):
         tick, actor, action = raw.get("tick"), raw.get("actor"), raw.get("action")
-        if not isinstance(tick, int) or tick < 0:
+        if type(tick) is not int or tick < 0:
             raise ScenarioError("action %r needs a tick >= 0" % raw)
-        if actor not in topology.nodes:
+        if type(actor) is not str or actor not in topology.nodes:
             raise ScenarioError("action at tick %d names unknown actor %r" % (tick, actor))
-        if action not in _USER_ACTIONS and action not in _SERVICE_ACTIONS:
+        if type(action) is not str or not (action in _USER_ACTIONS or action in _SERVICE_ACTIONS):
             raise ScenarioError("unknown action %r at tick %d" % (action, tick))
         args = raw.get("args") or {}
         if not isinstance(args, dict):
@@ -129,11 +125,15 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
                 parse_frame(args.get("frame", ""))
             except FrameError as exc:
                 raise ScenarioError("send_frame at tick %d: %s" % (tick, exc)) from None
-        if action == "select_input" and not isinstance(args.get("port"), int):
+        if action == "select_input" and type(args.get("port")) is not int:
             raise ScenarioError("select_input at tick %d needs an integer port" % tick)
         if action == "request_file":
             peer = args.get("peer")
-            if isinstance(peer, str) and peer not in topology.nodes:
+            if isinstance(peer, str):
+                known = peer in topology.nodes
+            else:
+                known = peer is None or type(peer) is int and 0 <= peer <= fr.BROADCAST
+            if not known:
                 raise ScenarioError("request_file at tick %d names unknown peer %r" % (tick, peer))
             if actor in listeners or not topology.nodes[actor].cec_addressed:
                 raise ScenarioError("request_file at tick %d cannot run on %r" % (tick, actor))
@@ -157,8 +157,9 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
         if relay_cfg.get("enabled") and not listeners:
             raise ScenarioError("relay needs an attacker listener in the topology")
         for cmd in _objects(relay_cfg.get("commands"), "relay commands"):
-            if not isinstance(cmd.get("tick"), int) or not isinstance(cmd.get("command"), str):
-                raise ScenarioError("relay commands need a tick and a command string")
+            tick = cmd.get("tick")
+            if type(tick) is not int or tick < 0 or not isinstance(cmd.get("command"), str):
+                raise ScenarioError("relay commands need a tick >= 0 and a command string")
         interval = relay_cfg.get("interval_ticks")
         if "interval_ticks" in relay_cfg and (type(interval) is not int or interval < 1):
             raise ScenarioError("relay interval_ticks must be a positive integer")
@@ -215,12 +216,21 @@ def _objects(value, section: str) -> list:
     raise ScenarioError("%s must be a list of objects" % section)
 
 
-def load_scenario_file(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+def read_json_file(path: str, what: str):
+    """A JSON file's document.  An unreadable file, text that is not JSON
+    and nesting too deep to handle all raise ScenarioError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             document = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError("scenario file %s is not JSON: %s" % (path, exc)) from None
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ScenarioError("%s file %s is not readable JSON: %s" % (what, path, exc)) from None
+    if nesting(document) > MAX_NESTING:
+        raise ScenarioError("%s file %s nests deeper than %d levels" % (what, path, MAX_NESTING))
+    return document
+
+
+def load_scenario_file(path: str) -> Scenario:
+    document = read_json_file(path, "scenario")
     return load_scenario(document, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -444,6 +454,8 @@ def _check_scan_report_equals(result: RunResult, args: dict) -> CheckResult:
     expected = args.get("expected")
     if expected == TESTBED_NAME:
         expected = EXPECTED_TESTBED_SCAN
+    if not isinstance(expected, dict):
+        raise TypeError("expected must be %r or an object of rows" % TESTBED_NAME)
     if not result.reports:
         return CheckResult("scan_report_equals", False, "no scan report was produced")
     got = result.reports[-1].to_dict()
@@ -682,7 +694,7 @@ def evaluate_checks(result: RunResult, extra: list[dict] | None = None) -> list[
     outcomes = []
     for entry in list(result.scenario.checks) + list(extra or []):
         kind = entry.get("type")
-        fn = _CHECKS.get(kind)
+        fn = _CHECKS.get(kind) if isinstance(kind, str) else None
         if fn is None:
             outcomes.append(CheckResult(str(kind), False, "unknown check type"))
             continue

@@ -54,6 +54,10 @@ _TYPE_ALIASES = {
 MAX_PORTS = 15
 MAX_DEPTH = 4
 MAX_OSD_LEN = 14
+# Deepest nesting of lists and objects an input file may use.  Real
+# documents need about six levels; far deeper ones overflow the recursion
+# limit wherever a value is copied, printed or encoded.
+MAX_NESTING = 32
 
 
 @dataclass
@@ -118,6 +122,20 @@ def _children_by_parent(edges: list[Edge]) -> dict[str, list[Edge]]:
     return children
 
 
+def nesting(value) -> int:
+    """How deep lists and objects nest in a JSON value, found without recursion."""
+    deepest, stack = 0, [(value, 0)]
+    while stack:
+        value, depth = stack.pop()
+        if isinstance(value, dict):
+            value = value.values()
+        elif not isinstance(value, list):
+            continue
+        deepest = max(deepest, depth + 1)
+        stack.extend((item, depth + 1) for item in value)
+    return deepest
+
+
 def _require(condition: bool, message: str):
     if not condition:
         raise TopologyError(message)
@@ -155,7 +173,7 @@ def _parse_node(raw: dict) -> DeviceNode:
     logical = raw.get("logical_address")
     if logical is not None:
         _require(
-            isinstance(logical, int) and 0 <= logical <= 14,
+            type(logical) is int and 0 <= logical <= 14,
             "node %r logical_address must be 0..14" % node_id,
         )
 
@@ -164,14 +182,14 @@ def _parse_node(raw: dict) -> DeviceNode:
 
     input_count = raw.get("input_count", 4)
     _require(
-        isinstance(input_count, int) and 1 <= input_count <= MAX_PORTS,
+        type(input_count) is int and 1 <= input_count <= MAX_PORTS,
         "node %r input_count must be 1..%d" % (node_id, MAX_PORTS),
     )
 
     active_port = raw.get("active_input_port")
     if active_port is not None:
         _require(
-            isinstance(active_port, int) and 1 <= active_port <= input_count,
+            type(active_port) is int and 1 <= active_port <= input_count,
             "node %r active_input_port must be 1..%d" % (node_id, input_count),
         )
 
@@ -213,18 +231,22 @@ def build_topology(config: dict) -> Topology:
         _require(node.id not in nodes, "duplicate node id %r" % node.id)
         nodes[node.id] = node
 
+    raw_edges = config.get("edges", [])
+    _require(isinstance(raw_edges, list), "topology edges must be a list")
     edges: list[Edge] = []
     seen_child: set[str] = set()
     ports_used: dict[str, set[int]] = {}
-    for raw in config.get("edges", []):
+    for raw in raw_edges:
         _require(isinstance(raw, dict), "edge entries must be objects")
         parent, child = raw.get("parent"), raw.get("child")
-        _require(parent in nodes, "edge references unknown parent %r" % parent)
-        _require(child in nodes, "edge references unknown child %r" % child)
+        for end, name in (("parent", parent), ("child", child)):
+            _require(
+                type(name) is str and name in nodes, "edge references unknown %s %r" % (end, name)
+            )
         _require(parent != child, "node %r cannot be its own parent" % parent)
         port = raw.get("port")
         _require(
-            isinstance(port, int) and 1 <= port <= MAX_PORTS,
+            type(port) is int and 1 <= port <= MAX_PORTS,
             "edge %r->%r port must be 1..%d" % (parent, child, MAX_PORTS),
         )
         _require(
@@ -238,28 +260,22 @@ def build_topology(config: dict) -> Topology:
 
     roots = [n for n in nodes if n not in seen_child]
     _require(len(roots) == 1, "topology must have exactly one root, found %r" % roots)
-    root = roots[0]
 
-    # Walk down from the root; anything unreached is an orphan or part of a
-    # cycle among non-root nodes.
-    children = _children_by_parent(edges)
-    reached = {root}
-    frontier = [root]
-    while frontier:
-        for edge in children.get(frontier.pop(), ()):
-            if edge.child not in reached:
-                reached.add(edge.child)
-                frontier.append(edge.child)
-    unreached = [n for n in nodes if n not in reached]
-    _require(not unreached, "nodes unreachable from root %r: %r" % (root, unreached))
-
+    raw_names = config.get("vendor_names", {})
+    _require(isinstance(raw_names, dict), "topology vendor_names must be an object")
     vendor_names = {}
-    for key, name in (config.get("vendor_names") or {}).items():
-        vendor_names[parse_vendor_id(key)] = str(name)
+    for key, name in raw_names.items():
+        try:
+            vendor_names[parse_vendor_id(key)] = str(name)
+        except FrameError as exc:
+            raise TopologyError("vendor_names: %s" % exc) from None
 
     topo = Topology(nodes=nodes, edges=edges, vendor_names=vendor_names)
-    # Re-uses the assignment walk purely for depth validation.
-    assign_physical_addresses(topo)
+    # The addressing walk checks depth and reaches everything below the root;
+    # anything it misses is an orphan or part of a cycle among non-root nodes.
+    reached = assign_physical_addresses(topo)
+    unreached = [n for n in nodes if n not in reached]
+    _require(not unreached, "nodes unreachable from root %r: %r" % (roots[0], unreached))
     return topo
 
 
@@ -267,8 +283,12 @@ def load_topology(path: str) -> Topology:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             config = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise TopologyError("topology file %s is not valid JSON: %s" % (path, exc)) from None
+    _require(
+        nesting(config) <= MAX_NESTING,
+        "topology file %s nests deeper than %d levels" % (path, MAX_NESTING),
+    )
     return build_topology(config)
 
 

@@ -9,9 +9,11 @@ for the open session is dismissed.
 """
 
 import hashlib
+import itertools
 import logging
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from random import Random
 
@@ -34,13 +36,12 @@ INACTIVITY_TIMEOUT = 20
 MAX_UNACKED = 3
 
 
-def serialize_payload(data: bytes) -> list[tuple[int, ...]]:
-    """Split a payload into data-frame operand tuples of up to 14 bytes."""
+def serialize_payload(data: bytes) -> Iterator[tuple[int, ...]]:
+    """Split a payload into data-frame operand tuples of up to 14 bytes,
+    yielded one at a time.  An oversized payload raises at the call."""
     if len(data) > MAX_PAYLOAD:
         raise ValueError("payload too large: %d bytes" % len(data))
-    return [
-        tuple(data[i : i + SEGMENT_BYTES]) for i in range(0, len(data), SEGMENT_BYTES)
-    ]
+    return (tuple(data[i : i + SEGMENT_BYTES]) for i in range(0, len(data), SEGMENT_BYTES))
 
 
 def segment_count(size: int) -> int:
@@ -82,18 +83,21 @@ class PayloadStore:
 @dataclass
 class SendSession:
     session_id: str
-    pending: list[CecFrame]
     status: str = "streaming"
     unacked: int = 0
 
 
 class FileSender(Actor):
-    """Listener-side endpoint: watches for markers, streams on request."""
+    """Listener-side endpoint: watches for markers, streams on request.
+
+    While a session is open, each tick sends the next of `_frames`: the
+    payload's data frames, then the end marker, which closes it."""
 
     def __init__(self, device: str, store: PayloadStore):
         super().__init__(device)
         self.store = store
         self.session: SendSession | None = None
+        self._frames: Iterator[CecFrame] = iter(())
         self.finished: list[SendSession] = []
 
     def on_event(self, sim: Simulator, event: BusEvent):
@@ -101,7 +105,6 @@ class FileSender(Actor):
         if event.origin == self.device:
             if (
                 self.session is not None
-                and self.session.status == "streaming"
                 and not frame.is_polling
                 and frame.opcode == DATA_OPCODE
                 and not event.acknowledged
@@ -112,10 +115,7 @@ class FileSender(Actor):
                         "%s aborting %s after %d unacknowledged frames",
                         self.device, self.session.session_id, self.session.unacked,
                     )
-                    self.session.status = "aborted"
-                    self.session.pending.clear()
-                    self.finished.append(self.session)
-                    self.session = None
+                    self._close("aborted")
             return
 
         if frame == MIC_MARKER:
@@ -135,31 +135,34 @@ class FileSender(Actor):
             log.warning("%s cannot stream without logical addresses", self.device)
             return
         payload = self.store.current()
-        pending = [
-            CecFrame(own, peer, DATA_OPCODE, chunk) for chunk in serialize_payload(payload)
-        ]
-        pending.append(END_MARKER)
-        self.session = SendSession(session_id=sim.next_session_id(), pending=pending)
+        chunks = serialize_payload(payload)
+        self._frames = itertools.chain(
+            (CecFrame(own, peer, DATA_OPCODE, chunk) for chunk in chunks), (END_MARKER,)
+        )
+        self.session = SendSession(session_id=sim.next_session_id())
         log.info(
             "%s streaming %d bytes to address %d as %s",
             self.device, len(payload), peer, self.session.session_id,
         )
 
     def on_tick(self, sim: Simulator, tick: int):
-        if self.session is None or self.session.status != "streaming":
+        if self.session is None:
             return
-        sim.transmit_at(tick, self.device, self.session.pending.pop(0))
-        if not self.session.pending:
-            self.session.status = "complete"
-            self.finished.append(self.session)
-            self.session = None
+        frame = next(self._frames)
+        sim.transmit_at(tick, self.device, frame)
+        if frame is END_MARKER:
+            self._close("complete")
+
+    def _close(self, status: str):
+        self.session.status = status
+        self.finished.append(self.session)
+        self.session = None
 
 
 @dataclass
 class ReceiveSession:
     session_id: str
     peer_address: int
-    status: str = "requested"
     chunks: list[bytes] = field(default_factory=list)
     last_activity: int = 0
 
@@ -214,7 +217,6 @@ class FileReceiver(Actor):
         if not self._peer_matches(sim, event.origin):
             return
         self.session.chunks.append(bytes(frame.operands))
-        self.session.status = "streaming"
         self.session.last_activity = event.tick
 
     def on_tick(self, sim: Simulator, tick: int):

@@ -268,19 +268,19 @@ class TestMenuPressure:
     def test_menu_open_under_light_traffic(self, sim):
         sim.transmit_at(5, "client", CecFrame(2, 0, OP_STANDBY))
         sim.run(until=20)
-        assert sim.settings_menu_accessible("tv", 20)
+        assert sim.settings_menu_accessible("tv")
 
     def test_menu_blocked_under_sustained_control(self, sim):
         for tick in range(5, 12):
             sim.transmit_at(tick, "client", CecFrame(2, 0, OP_IMAGE_VIEW_ON))
         sim.run(until=13)
-        assert not sim.settings_menu_accessible("tv", 13)
+        assert not sim.settings_menu_accessible("tv")
 
     def test_menu_recovers_after_quiet_window(self, sim):
         for tick in range(5, 12):
             sim.transmit_at(tick, "client", CecFrame(2, 0, OP_IMAGE_VIEW_ON))
         sim.run(until=40)
-        assert sim.settings_menu_accessible("tv", 40)
+        assert sim.settings_menu_accessible("tv")
 
     def test_blocked_menu_rejects_user_action(self, sim):
         for tick in range(5, 12):

@@ -93,6 +93,10 @@ class TestProtocolEdges:
         assert state.handle("POST", LISTENER_PATH, b'{"value": 3}')[0] == 400
         assert state.handle("POST", LISTENER_PATH, b'{"value": "ok"}')[0] == 200
 
+    def test_deeply_nested_body_400(self):
+        state = RelayState()
+        assert state.handle("POST", LISTENER_PATH, b"[" * 100_000)[0] == 400
+
     def test_other_methods_405(self):
         state = RelayState()
         assert state.handle("PUT", LISTENER_PATH, b"")[0] == 405
@@ -170,6 +174,19 @@ class TestPoller:
         sim.start()
         sim.run(until=6)
         assert poller.executed == []
+
+    @pytest.mark.parametrize(
+        "envelope", ["[" * 100_000, '{"command": %s}' % ("[" * 900 + "]" * 900)]
+    )
+    def test_deeply_nested_envelope_ignored(self, envelope):
+        sim, controller, _ = wired_sim()
+        client = LoopbackRelayClient()
+        poller = RelayPoller(client, controller, interval_ticks=2)
+        sim.add_actor(poller)
+        client.post(LISTENER_PATH, envelope)
+        sim.run(until=6)
+        assert poller.executed == [] and poller.unknown == []
+        assert sim.clock == 6
 
     @pytest.mark.parametrize("target", ["x", "4", 99, -1, None, True, [4]])
     def test_bad_target_ignored_and_run_finishes(self, target):

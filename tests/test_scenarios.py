@@ -16,6 +16,15 @@ from cecsim.scenarios import (
     run_scenario,
     write_artifacts,
 )
+from cecsim.testbed import TESTBED_TOPOLOGY
+
+# Far deeper than the parser's recursion limit, far below any size limit.
+DEEP_JSON = "[" * 100_000
+# Parses, but copying or printing it would overflow the recursion limit.
+NESTED_SCENARIO = (
+    '{"name": "nested", "topology": "testbed", "duration": 5, '
+    '"checks": [{"type": "zero_alerts", "note": %s}]}' % ("[" * 600 + "]" * 600)
+)
 
 
 def doc(**overrides):
@@ -103,6 +112,24 @@ class TestValidation:
             ({"relay": {"enabled": True, "interval_ticks": None}}, "interval_ticks"),
             ({"ids": {"tap": "ghost"}}, "'ghost'"),
             ({"ids": {"tap": ["tv"]}}, "tap"),
+            ({"duration": True}, "duration"),
+            ({"actions": [{"tick": True, "actor": "tv", "action": "power_on"}]}, "tick"),
+            ({"actions": [{"tick": 1, "actor": ["tv"], "action": "power_on"}]}, "actor"),
+            ({"relay": {"commands": [{"tick": -1, "command": "DOS1"}]}}, "tick"),
+            (
+                {"actions": [{"tick": 1, "actor": "client", "action": "request_file",
+                              "args": {"peer": 3.5}}]},
+                "peer",
+            ),
+            ({"topology": dict(TESTBED_TOPOLOGY, edges=5)}, "edges"),
+            ({"topology": dict(TESTBED_TOPOLOGY, vendor_names=[1])}, "vendor_names"),
+            ({"topology": dict(TESTBED_TOPOLOGY, vendor_names={"zz": "x"})}, "vendor_names"),
+            (
+                {"actions": [{"tick": 1, "actor": "tv", "action": "select_input",
+                              "args": {"port": True}}]},
+                "select_input",
+            ),
+            ({"ids": {"config": {"scan_window": True}}}, "scan_window"),
         ],
     )
     def test_rejections_name_the_problem(self, patch, fragment):
@@ -391,6 +418,29 @@ class TestCli:
     def test_ids_analyze_missing_file_exits_two(self, capsys):
         assert cli.main(["ids", "analyze", "/nonexistent/trace.log"]) == 2
         capsys.readouterr()
+
+    def test_ids_analyze_tap_seeing_no_frame_exits_two(self, tmp_path, capsys):
+        run_out = tmp_path / "run"
+        assert cli.main(["run", "--scenario", "attack1-device-walk", "--out", str(run_out)]) == 0
+        trace = str(run_out / "trace.log")
+        assert cli.main(["ids", "analyze", trace, "--ids-tap", "tv"]) == 0
+        capsys.readouterr()
+        assert cli.main(["ids", "analyze", trace, "--ids-tap", "ghost"]) == 2
+        assert "'ghost'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [DEEP_JSON, NESTED_SCENARIO])
+    def test_run_deeply_nested_scenario_exits_two(self, tmp_path, capsys, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        assert cli.main(["run", "--scenario", str(path)]) == 2
+        assert "deep" in capsys.readouterr().err
+
+    def test_run_deeply_nested_ids_config_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_JSON)
+        assert cli.main(["run", "--scenario", "benign-status-query",
+                         "--ids-config", str(path)]) == 2
+        assert "deep.json" in capsys.readouterr().err
 
     def test_ids_analyze_garbage_exits_two(self, tmp_path, capsys):
         path = tmp_path / "garbage.log"

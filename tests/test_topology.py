@@ -9,6 +9,7 @@ from cecsim.topology import (
     TopologyError,
     assign_physical_addresses,
     build_topology,
+    load_topology,
     propagation_domains,
 )
 
@@ -175,6 +176,51 @@ class TestValidation:
                     {"parent": "b", "child": "a", "port": 1},
                 ],
             )
+
+    def test_cycle_below_the_root(self):
+        with pytest.raises(TopologyError) as err:
+            minimal(
+                [
+                    {"id": "tv", "kind": "display", "device_type": "television", "osd_name": "TV"},
+                    {"id": "a", "kind": "switch", "device_type": "playback", "osd_name": "A"},
+                    {"id": "b", "kind": "switch", "device_type": "playback", "osd_name": "B"},
+                ],
+                [
+                    {"parent": "a", "child": "b", "port": 1},
+                    {"parent": "b", "child": "a", "port": 1},
+                ],
+            )
+        assert "nodes unreachable from root 'tv': ['a', 'b']" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "patch, fragment",
+        [
+            ({"edges": 5}, "edges"),
+            ({"edges": None}, "edges"),
+            ({"edges": [{"parent": ["tv"], "child": "box", "port": 1}]}, "parent"),
+            ({"edges": [{"parent": "tv", "child": "box", "port": True}]}, "port"),
+            ({"vendor_names": [1]}, "vendor_names"),
+            ({"vendor_names": {"zz": "x"}}, "vendor_names"),
+        ],
+    )
+    def test_malformed_shapes_name_the_field(self, patch, fragment):
+        config = {
+            "nodes": [
+                {"id": "tv", "kind": "display", "device_type": "television", "osd_name": "TV"},
+                {"id": "box", "kind": "source", "device_type": "playback", "osd_name": "Box"},
+            ],
+            "edges": [{"parent": "tv", "child": "box", "port": 1}],
+        }
+        config.update(patch)
+        with pytest.raises(TopologyError) as err:
+            build_topology(config)
+        assert fragment in str(err.value)
+
+    def test_deeply_nested_file_rejected(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"nodes": [{"id": "tv", "kind": %s}]}' % ("[" * 31 + "]" * 31))
+        with pytest.raises(TopologyError, match="nests deeper than 32"):
+            load_topology(str(path))
 
     def test_unknown_edge_endpoint(self):
         with pytest.raises(TopologyError) as err:

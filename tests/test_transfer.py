@@ -1,6 +1,7 @@
 """Covert file channel: segmentation, reassembly, failure handling."""
 
 import math
+import tracemalloc
 from random import Random
 
 import pytest
@@ -66,13 +67,13 @@ class TestSegmentation:
         assert segments == math.ceil(size / SEGMENT_BYTES)
 
     def test_serialize_splits_at_fourteen(self):
-        chunks = serialize_payload(bytes(range(29)))
+        chunks = list(serialize_payload(bytes(range(29))))
         assert [len(c) for c in chunks] == [14, 14, 1]
         assert chunks[0] == tuple(range(14))
         assert chunks[2] == (28,)
 
     def test_empty_payload_serializes_to_nothing(self):
-        assert serialize_payload(b"") == []
+        assert list(serialize_payload(b"")) == []
 
     @given(st.binary(max_size=600))
     @settings(deadline=None)
@@ -232,3 +233,25 @@ class TestFailures:
 
     def test_request_marker_shape(self):
         assert REQUEST_MARKER.text == "aa:aa:aa:aa"
+
+
+# ---------------------------------------------------------------------------
+# Streaming
+# ---------------------------------------------------------------------------
+
+class TestStreaming:
+    def test_large_request_allocates_only_what_it_sends(self):
+        # Segments are made as they are sent: opening a 1 MiB transfer and
+        # sending its first frames costs far less than the 75,000 frames
+        # of the whole payload.
+        sim, sender, receiver, _ = wired_sim(bytes(2**20))
+        tracemalloc.start()
+        try:
+            receiver.request_file(sim)
+            sim.run(until=sim.clock + 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sender.session is not None
+        assert len([e for e in sim.trace.events if e.frame.opcode == DATA_OPCODE]) == 2
+        assert peak < 2**20
