@@ -36,6 +36,10 @@ log = logging.getLogger(__name__)
 UNREGISTERED = 15
 
 
+# Tick, origin, frame text, 1 or 0 for the ack, and the joined observers.
+_EVENT_LINE = "t=%d | %s | %s | ack=%d | obs=%s"
+
+
 @dataclass(frozen=True)
 class BusEvent:
     """One frame as it appeared on the wire."""
@@ -47,12 +51,8 @@ class BusEvent:
     acknowledged: bool
 
     def render(self) -> str:
-        return "t=%d | %s | %s | ack=%d | obs=%s" % (
-            self.tick,
-            self.origin,
-            self.frame.text,
-            1 if self.acknowledged else 0,
-            ",".join(self.observers),
+        return _EVENT_LINE % (
+            self.tick, self.origin, self.frame.text, self.acknowledged, ",".join(self.observers)
         )
 
 
@@ -92,7 +92,16 @@ class Trace:
     changes: list[StateChange] = field(default_factory=list)
 
     def render_log(self) -> str:
-        return "".join(e.render() + "\n" for e in self.events)
+        # Events of one domain share its members tuple: join it once.
+        joined: dict[int, str] = {}
+        lines = []
+        line = _EVENT_LINE + "\n"
+        for e in self.events:
+            observers = joined.get(id(e.observers))
+            if observers is None:
+                observers = joined[id(e.observers)] = ",".join(e.observers)
+            lines.append(line % (e.tick, e.origin, e.frame.text, e.acknowledged, observers))
+        return "".join(lines)
 
     def render_state_log(self) -> str:
         return "".join(c.render() + "\n" for c in self.changes)
@@ -300,7 +309,7 @@ class Simulator:
         any other device on the segment talks CEC.  Reactions follow the
         rule in the module docstring.
         """
-        nodes = self.topology.nodes
+        nodes, states, clock = self.topology.nodes, self.device_states, self.clock
         if origin not in nodes:
             raise TopologyError("unknown transmitter %r" % origin)
         domain = self._domains[origin]
@@ -310,43 +319,37 @@ class Simulator:
         else:
             receivers = domain.holders.get(frame.destination, ())
             acknowledged = bool(receivers) and receivers[0] != origin and (
-                self.device_states[receivers[0]].cec_info_reporting_enabled
+                states[receivers[0]].cec_info_reporting_enabled
             )
-        if frame.is_polling:
+        if frame.opcode is None:
             receivers = ()
-        event = BusEvent(
-            tick=self.clock,
-            origin=origin,
-            frame=frame,
-            observers=domain.members,
-            acknowledged=acknowledged,
-        )
+        event = BusEvent(clock, origin, frame, domain.members, acknowledged)
         self.trace.events.append(event)
 
         for node_id in receivers:
             if node_id == origin or not nodes[node_id].cec_addressed:
                 continue
-            state = self.device_states[node_id]
+            state = states[node_id]
             reaction = dv.react(self._ctx[node_id], state, frame)
             if reaction.control_pressure:
-                self._pressure[node_id].append(self.clock)
+                self._pressure[node_id].append(clock)
             if reaction.state is not state:
-                self._apply_state(node_id, state, reaction.state)
+                self._apply_state(node_id, reaction.state, reaction.changed)
             for i, response in enumerate(reaction.responses):
-                self.transmit_at(self.clock + 1 + i, node_id, response)
+                self.transmit_at(clock + 1 + i, node_id, response)
 
         for actor in list(self.actors):
             if actor.device in domain.position:
                 actor.on_event(self, event)
         return event
 
-    def _apply_state(self, node_id: str, old: dv.DeviceState, new: dv.DeviceState):
+    def _apply_state(self, node_id: str, new: dv.DeviceState, changed: tuple[str, ...]):
+        """Store the new state and log the fields that changed."""
         self.device_states[node_id] = new
-        for name in ("power", "active_source", "active_input_port", "cec_control_enabled"):
-            before, after = getattr(old, name), getattr(new, name)
-            if before != after:
-                value = after.value if isinstance(after, PowerState) else str(after)
-                self.trace.changes.append(StateChange(self.clock, node_id, name, value))
+        for name in changed:
+            after = getattr(new, name)
+            value = after.value if isinstance(after, PowerState) else str(after)
+            self.trace.changes.append(StateChange(self.clock, node_id, name, value))
 
     def user_action(self, device: str, action: dv.UserAction, argument: int | None = None):
         """Someone works the device's own buttons or menu right now."""
@@ -361,7 +364,7 @@ class Simulator:
         if not result.ok:
             log.info("t=%d %s %s rejected: %s", self.clock, device, action.value, result.reason)
         if result.state is not state:
-            self._apply_state(device, state, result.state)
+            self._apply_state(device, result.state, result.changed)
         for i, emission in enumerate(result.emissions):
             self.transmit_at(self.clock + i, device, emission)
 

@@ -1,13 +1,14 @@
 """Per-device CEC behaviour: queries, control, announcements, user actions.
 
 Reactions are written as pure transitions: `react` takes the current
-DeviceState plus an observed frame and returns the next state and any
-response frames.  The caller (the simulator) owns scheduling, so responses
-land on the bus one tick after the frame that caused them.
+DeviceState plus an observed frame and returns the next state, the logged
+fields that changed, and any response frames.  The caller (the simulator)
+owns scheduling, so responses land on the bus one tick after the frame that
+caused them.
 """
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from cecsim import frames as fr
 from cecsim.frames import CecFrame, PhysicalAddress, PowerState
@@ -41,6 +42,18 @@ class DeviceState:
             cec_info_reporting_enabled=node.cec_info_reporting_enabled,
         )
 
+    def powered(self, power: PowerState) -> "DeviceState":
+        return DeviceState(
+            power, self.active_source, self.active_input_port,
+            self.cec_control_enabled, self.cec_info_reporting_enabled,
+        )
+
+    def routed(self, active_source: bool, active_input_port: int | None) -> "DeviceState":
+        return DeviceState(
+            self.power, active_source, active_input_port,
+            self.cec_control_enabled, self.cec_info_reporting_enabled,
+        )
+
 
 @dataclass
 class DeviceCtx:
@@ -57,6 +70,10 @@ class Reaction:
     responses: list[CecFrame] = field(default_factory=list)
     # True when the frame counted as external control pressure on the device.
     control_pressure: bool = False
+    # The fields the state log records that differ between the old state and
+    # `state`, in the log's order: power, active_source, active_input_port,
+    # cec_control_enabled.
+    changed: tuple[str, ...] = ()
 
 
 class UserAction(enum.Enum):
@@ -146,13 +163,29 @@ def _query_response(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> CecF
     return None
 
 
-def _derived_input_port(ctx: DeviceCtx, state: DeviceState, claimed: PhysicalAddress) -> int | None:
+def _derived_input_port(ctx: DeviceCtx, claimed: PhysicalAddress) -> int | None:
     if ctx.node.kind not in (DeviceKind.DISPLAY, DeviceKind.SWITCH):
         return None
     port = ctx.physical.port_towards(claimed)
     if port is None or port > ctx.node.input_count:
         return None
     return port
+
+
+_POWER = ("power",)
+_SOURCE = ("active_source",)
+_PORT = ("active_input_port",)
+_SOURCE_AND_PORT = _SOURCE + _PORT
+
+
+def _route(state: DeviceState, active_source: bool, port: int | None, pressure: bool) -> Reaction:
+    """The reaction that sets the active-source claim and the input port."""
+    source_moved = active_source != state.active_source
+    port_moved = port != state.active_input_port
+    if not (source_moved or port_moved):
+        return Reaction(state, control_pressure=pressure)
+    changed = _SOURCE_AND_PORT if source_moved and port_moved else _SOURCE if source_moved else _PORT
+    return Reaction(state.routed(active_source, port), [], pressure, changed)
 
 
 def react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
@@ -184,37 +217,33 @@ def react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
 
     if op == fr.OP_STANDBY:
         if control and state.power is not PowerState.STANDBY:
-            return Reaction(replace(state, power=PowerState.STANDBY), control_pressure=pressure)
+            return Reaction(
+                state.powered(PowerState.STANDBY), control_pressure=pressure, changed=_POWER
+            )
         return Reaction(state, control_pressure=pressure)
 
     if op == fr.OP_IMAGE_VIEW_ON and addressed:
         if control and ctx.node.kind is DeviceKind.DISPLAY and state.power is PowerState.STANDBY:
-            new_state = replace(state, power=PowerState.ON)
+            new_state = state.powered(PowerState.ON)
             return Reaction(
-                new_state, announcement_frames(ctx, new_state), control_pressure=pressure
+                new_state, announcement_frames(ctx, new_state), pressure, _POWER
             )
         return Reaction(state, control_pressure=pressure)
 
     if op == fr.OP_ACTIVE_SOURCE and broadcast and len(frame.operands) == 2:
         claimed = PhysicalAddress.from_bytes(*frame.operands)
-        new_state = state
         claims = not ctx.physical.is_unregistered and claimed == ctx.physical
-        if new_state.active_source != claims:
-            new_state = replace(new_state, active_source=claims)
-        if control:
-            port = _derived_input_port(ctx, new_state, claimed)
-            if port is not None and port != new_state.active_input_port:
-                new_state = replace(new_state, active_input_port=port)
-        return Reaction(new_state, control_pressure=pressure)
+        port = _derived_input_port(ctx, claimed) if control else None
+        if port is None:
+            port = state.active_input_port
+        return _route(state, claims, port, pressure)
 
     if op == fr.OP_ROUTING_CHANGE and broadcast and len(frame.operands) == 4:
         if control:
             new = PhysicalAddress.from_bytes(frame.operands[2], frame.operands[3])
-            port = _derived_input_port(ctx, state, new)
-            if port is not None and port != state.active_input_port:
-                return Reaction(
-                    replace(state, active_input_port=port), control_pressure=pressure
-                )
+            port = _derived_input_port(ctx, new)
+            if port is not None:
+                return _route(state, state.active_source, port, pressure)
         return Reaction(state, control_pressure=pressure)
 
     if op == fr.OP_REQUEST_ACTIVE_SOURCE and broadcast:
@@ -246,6 +275,8 @@ class UserActionResult:
     reason: str
     state: DeviceState
     emissions: list[CecFrame] = field(default_factory=list)
+    # As Reaction.changed.
+    changed: tuple[str, ...] = ()
 
 
 def apply_user_action(
@@ -264,27 +295,31 @@ def apply_user_action(
     if action is UserAction.POWER_ON:
         if state.power is not PowerState.STANDBY:
             return UserActionResult(False, "already on", state)
-        new_state = replace(state, power=PowerState.ON)
-        return UserActionResult(True, "", new_state, announcement_frames(ctx, new_state))
+        new_state = state.powered(PowerState.ON)
+        return UserActionResult(
+            True, "", new_state, announcement_frames(ctx, new_state), _POWER
+        )
 
     if action is UserAction.POWER_OFF:
         if state.power is PowerState.STANDBY:
             return UserActionResult(False, "already in standby", state)
-        return UserActionResult(True, "", replace(state, power=PowerState.STANDBY))
+        return UserActionResult(True, "", state.powered(PowerState.STANDBY), [], _POWER)
 
     if action is UserAction.SELECT_INPUT:
         if node.kind not in (DeviceKind.DISPLAY, DeviceKind.SWITCH):
             return UserActionResult(False, "device has no selectable inputs", state)
         if not isinstance(argument, int) or not 1 <= argument <= node.input_count:
             return UserActionResult(False, "unknown input port %r" % (argument,), state)
-        new_state = replace(state, active_input_port=argument)
+        new_state, changed = state, ()
+        if argument != state.active_input_port:
+            new_state, changed = state.routed(state.active_source, argument), _PORT
         emissions = []
         if ctx.logical is not None and not ctx.physical.is_unregistered:
             selected = ctx.physical.child(argument)
             emissions.append(
                 CecFrame(ctx.logical, fr.BROADCAST, fr.OP_ACTIVE_SOURCE, selected.to_bytes())
             )
-        return UserActionResult(True, "", new_state, emissions)
+        return UserActionResult(True, "", new_state, emissions, changed)
 
     if action is UserAction.OPEN_SETTINGS:
         if not menu_accessible:
@@ -294,7 +329,10 @@ def apply_user_action(
     if action is UserAction.DISABLE_CEC:
         if not menu_accessible:
             return UserActionResult(False, "settings menu unresponsive", state)
-        disabled = replace(state, cec_control_enabled=False, cec_info_reporting_enabled=False)
-        return UserActionResult(True, "", disabled)
+        disabled = DeviceState(
+            state.power, state.active_source, state.active_input_port, False, False
+        )
+        changed = ("cec_control_enabled",) if state.cec_control_enabled else ()
+        return UserActionResult(True, "", disabled, [], changed)
 
     return UserActionResult(False, "unsupported action", state)

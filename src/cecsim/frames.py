@@ -7,6 +7,7 @@ attacks and detector rules key on is defined once, in the sets below.
 """
 
 import enum
+import functools
 from dataclasses import dataclass
 
 BROADCAST = 15
@@ -87,7 +88,10 @@ class PhysicalAddress:
             raise FrameError("bad physical address nibble in %r" % text) from None
 
     @classmethod
+    @functools.cache
     def from_bytes(cls, high: int, low: int) -> "PhysicalAddress":
+        # Memoized: at most 65,536 byte pairs decode.  A pair that does not
+        # raises and is not stored, so it raises again on every call.
         return cls((high >> 4, high & 0xF, low >> 4, low & 0xF))
 
     @property
@@ -186,6 +190,12 @@ class CecFrame:
         return self.text
 
 
+# Each octet text of exactly two lowercase hex digits to its value; an octet
+# is looked up lowercased.  `int(part, 16)` would also take a sign or
+# whitespace ("+a", " 2").
+_OCTET_VALUES = {"%02x" % b: b for b in range(256)}
+
+
 def parse_frame(text: str) -> CecFrame:
     """Parse colon-separated hex text into a CecFrame.
 
@@ -195,12 +205,12 @@ def parse_frame(text: str) -> CecFrame:
         raise FrameError("empty frame text")
     octets = []
     for i, part in enumerate(text.strip().split(":")):
-        if len(part) != 2:
-            raise FrameError("octet %d is not two hex digits: %r" % (i, part))
-        try:
-            octets.append(int(part, 16))
-        except ValueError:
-            raise FrameError("octet %d is not hex: %r" % (i, part)) from None
+        value = _OCTET_VALUES.get(part.lower())
+        if value is None:
+            if len(part) != 2:
+                raise FrameError("octet %d is not two hex digits: %r" % (i, part))
+            raise FrameError("octet %d is not hex: %r" % (i, part))
+        octets.append(value)
     if len(octets) > 2 + MAX_OPERANDS:
         raise FrameError("frame longer than %d octets" % (2 + MAX_OPERANDS))
     header = octets[0]

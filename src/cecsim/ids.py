@@ -2,8 +2,9 @@
 
 Detection is a pure function of the event sequence: the streaming Detector
 fed events one at a time emits exactly the alerts an offline pass over the
-same prefix would.  Alerts serialise as JSON lines citing the frames that
-tripped each rule.
+same prefix would.  Each event goes only to the rules its opcode can trip,
+and the rules keep frames, encoding them only as an alert's evidence.
+Alerts serialise as JSON lines citing the frames that tripped each rule.
 """
 
 import copy
@@ -95,16 +96,24 @@ class Detector:
         self._standby_pairs: dict[str, list] = {}
         self._streams: dict[str, list] = {}
         self._fired: set[tuple[str, str]] = set()
+        # The last observers tuple seen, and whether the tap is in it: the
+        # events of one domain share one tuple.
+        self._observers: tuple[str, ...] | None = None
+        self._tapped = True
 
     def feed(self, event: BusEvent) -> list[Alert]:
-        if self.tap is not None and self.tap not in event.observers:
+        if self.tap is not None:
+            if event.observers is not self._observers:
+                self._observers = event.observers
+                self._tapped = self.tap in event.observers
+            if not self._tapped:
+                return []
+        checks = _CHECKS_BY_OPCODE.get(event.frame.opcode)
+        if checks is None:
             return []
         new: list[Alert] = []
-        self._check_markers(event, new)
-        self._check_stream(event, new)
-        self._check_scan(event, new)
-        self._check_churn(event, new)
-        self._check_standby(event, new)
+        for check in checks:
+            check(self, event, new)
         self.alerts.extend(new)
         return new
 
@@ -126,33 +135,33 @@ class Detector:
 
     def _check_stream(self, event: BusEvent, new: list[Alert]):
         frame = event.frame
-        if frame.is_polling or frame.opcode != 0x00 or len(frame.operands) <= 1:
+        if len(frame.operands) <= 1:
             return
         # The alert cites the first three data frames; later ones add nothing.
         bucket = self._streams.setdefault(event.origin, [])
         if len(bucket) >= 3:
             return
-        bucket.append((event.tick, frame.text))
+        bucket.append((event.tick, frame))
         if len(bucket) == 3 and self._once(RULE_COVERT_STREAM, event.origin):
             new.append(
                 Alert(
                     RULE_COVERT_STREAM,
                     (bucket[0][0], bucket[-1][0]),
                     event.origin,
-                    tuple(text for _, text in bucket),
+                    tuple(f.text for _, f in bucket),
                 )
             )
 
     def _check_scan(self, event: BusEvent, new: list[Alert]):
-        frame = event.frame
-        probing = frame.is_polling or frame.opcode in fr.QUERY_OPCODES
-        if not probing:
+        # The rule fires once per initiator; after that its window is moot.
+        if (RULE_SCAN_BURST, event.origin) in self._fired:
             return
+        frame = event.frame
         window = self._scan.setdefault(event.origin, deque())
-        window.append((event.tick, frame.destination, frame.text))
+        window.append((event.tick, frame))
         while window and window[0][0] <= event.tick - self.config.scan_window:
             window.popleft()
-        distinct = {dest for _, dest, _ in window}
+        distinct = {f.destination for _, f in window}
         if len(distinct) >= self.config.scan_distinct_addresses and self._once(
             RULE_SCAN_BURST, event.origin
         ):
@@ -161,16 +170,16 @@ class Detector:
                     RULE_SCAN_BURST,
                     (window[0][0], window[-1][0]),
                     event.origin,
-                    tuple(text for _, _, text in window),
+                    tuple(f.text for _, f in window),
                 )
             )
 
     def _check_churn(self, event: BusEvent, new: list[Alert]):
-        frame = event.frame
-        if frame.is_polling or frame.opcode not in fr.CHURN_OPCODES:
+        # The rule fires once per initiator; after that its window is moot.
+        if (RULE_INPUT_CHURN, event.origin) in self._fired:
             return
         window = self._churn.setdefault(event.origin, deque())
-        window.append((event.tick, frame.text))
+        window.append((event.tick, event.frame))
         while window and window[0][0] <= event.tick - self.config.churn_window:
             window.popleft()
         if len(window) >= self.config.churn_count and self._once(RULE_INPUT_CHURN, event.origin):
@@ -179,35 +188,33 @@ class Detector:
                     RULE_INPUT_CHURN,
                     (window[0][0], window[-1][0]),
                     event.origin,
-                    tuple(text for _, text in window),
+                    tuple(f.text for _, f in window),
                 )
             )
 
     def _check_standby(self, event: BusEvent, new: list[Alert]):
         frame = event.frame
-        if frame.is_polling:
-            return
         tick = event.tick
         if frame.opcode in fr.ANNOUNCE_OPCODES and frame.is_broadcast:
-            self._announcements.append((tick, event.origin, frame.initiator, frame.text))
+            self._announcements.append((tick, event.origin, frame))
         while self._announcements and self._announcements[0][0] < tick - self.config.standby_gap:
             self._announcements.popleft()
         if frame.opcode != fr.OP_STANDBY:
             return
-        for ann_tick, ann_origin, ann_initiator, ann_text in self._announcements:
+        for ann_tick, ann_origin, announcement in self._announcements:
             if ann_origin == event.origin:
                 continue
-            if not frame.is_broadcast and frame.destination != ann_initiator:
+            if not frame.is_broadcast and frame.destination != announcement.initiator:
                 continue
             # The alert cites the first standby_repeat pairs; later ones add nothing.
             pairs = self._standby_pairs.setdefault(event.origin, [])
             if len(pairs) >= self.config.standby_repeat:
                 break
-            pairs.append((ann_tick, tick, ann_text, frame.text))
+            pairs.append((ann_tick, tick, announcement, frame))
             if len(pairs) == self.config.standby_repeat and self._once(
                 RULE_TARGETED_STANDBY, event.origin
             ):
-                evidence = [text for pair in pairs for text in pair[2:]]
+                evidence = [f.text for pair in pairs for f in pair[2:]]
                 new.append(
                     Alert(
                         RULE_TARGETED_STANDBY,
@@ -217,6 +224,25 @@ class Detector:
                     )
                 )
             break
+
+
+def _checks_by_opcode() -> dict[int | None, list]:
+    """Opcode (None for a poll) -> the checks a frame with it can trip, in
+    the order their alerts are raised."""
+    table: dict[int | None, list] = {}
+    for opcodes, check in (
+        ({marker.opcode for marker in _MARKERS}, Detector._check_markers),
+        ((0x00,), Detector._check_stream),
+        ((None,) + fr.QUERY_OPCODES, Detector._check_scan),
+        (fr.CHURN_OPCODES, Detector._check_churn),
+        (fr.ANNOUNCE_OPCODES + (fr.OP_STANDBY,), Detector._check_standby),
+    ):
+        for opcode in opcodes:
+            table.setdefault(opcode, []).append(check)
+    return table
+
+
+_CHECKS_BY_OPCODE = _checks_by_opcode()
 
 
 def detect(events, config: RuleConfig | None = None, tap: str | None = None) -> list[Alert]:

@@ -689,14 +689,26 @@ _CHECKS = {
 }
 
 
+# Check fields that name a device; each must name one in the topology.
+_DEVICE_FIELDS = ("device", "actor", "from_origin")
+
+
 def evaluate_checks(result: RunResult, extra: list[dict] | None = None) -> list[CheckResult]:
     """Run the scenario's declared checks plus any ad hoc ones."""
+    nodes = result.sim.topology.nodes
     outcomes = []
     for entry in list(result.scenario.checks) + list(extra or []):
         kind = entry.get("type")
         fn = _CHECKS.get(kind) if isinstance(kind, str) else None
         if fn is None:
             outcomes.append(CheckResult(str(kind), False, "unknown check type"))
+            continue
+        unknown = [
+            entry[name] for name in _DEVICE_FIELDS
+            if name in entry and not (isinstance(entry[name], str) and entry[name] in nodes)
+        ]
+        if unknown:
+            outcomes.append(CheckResult(kind, False, "check names no device %r" % (unknown[0],)))
             continue
         try:
             outcomes.append(fn(result, entry))

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cecsim import frames as fr
 from cecsim.bus import Simulator
 from cecsim.devices import (
     ABORT_UNRECOGNIZED,
+    DeviceCtx,
     DeviceState,
     UserAction,
     announcement_frames,
@@ -24,6 +26,7 @@ from cecsim.frames import (
     OP_GIVE_POWER_STATUS,
     OP_IMAGE_VIEW_ON,
     OP_STANDBY,
+    PhysicalAddress,
     PowerState,
     QUERY_OPCODES,
     RESPONSE_OPCODES,
@@ -290,3 +293,98 @@ class TestMenuPressure:
         record = sim.artifacts.user_actions[-1]
         assert record.action == "disable_cec"
         assert not record.ok
+
+
+# ---------------------------------------------------------------------------
+# Reported changes
+# ---------------------------------------------------------------------------
+
+# The fields the state log records, in the order it records them.
+STATE_LOG_FIELDS = ("power", "active_source", "active_input_port", "cec_control_enabled")
+
+_TESTBED = build_testbed()
+
+
+@st.composite
+def physical_addresses(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return PhysicalAddress.unregistered()
+    depth = draw(st.integers(0, 3))
+    prefix = [draw(st.integers(1, 15)) for _ in range(depth)]
+    return PhysicalAddress(tuple(prefix + [0] * (4 - depth)))
+
+
+@st.composite
+def device_contexts(draw):
+    node = _TESTBED.nodes[draw(st.sampled_from(sorted(_TESTBED.nodes)))]
+    return DeviceCtx(node, draw(st.none() | st.integers(0, 15)), draw(physical_addresses()))
+
+
+device_states = st.builds(
+    DeviceState,
+    st.sampled_from(PowerState),
+    st.booleans(),
+    st.none() | st.integers(1, 5),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+@st.composite
+def observed_frames(draw, ctx):
+    """A frame aimed at the device, broadcast or sent elsewhere."""
+    destination = draw(
+        st.sampled_from([fr.BROADCAST, 0 if ctx.logical is None else ctx.logical])
+        | st.integers(0, 15)
+    )
+    opcode = draw(
+        st.sampled_from(fr.QUERY_OPCODES + fr.CONTROL_OPCODES + (fr.OP_REQUEST_ACTIVE_SOURCE,))
+        | st.none()
+        | st.integers(0, 255)
+    )
+    if opcode is None:
+        return CecFrame(draw(st.integers(0, 15)), destination)
+    operands = draw(st.lists(st.integers(0, 255), max_size=4).map(tuple))
+    return CecFrame(draw(st.integers(0, 15)), destination, opcode, operands)
+
+
+def control_frames(ctx, port):
+    """Every control frame at the device or broadcast, with operands naming
+    its own address, the address on `port` below it, or both."""
+    here = ctx.physical.to_bytes()
+    there = ctx.physical.child(port).to_bytes() if ctx.physical.depth() < 4 else here
+    for destination in (fr.BROADCAST, 0 if ctx.logical is None else ctx.logical):
+        for opcode in fr.CONTROL_OPCODES:
+            for operands in (here, there, here + there):
+                yield CecFrame(1, destination, opcode, operands)
+
+
+def _differing(old, new):
+    return tuple(name for name in STATE_LOG_FIELDS if getattr(old, name) != getattr(new, name))
+
+
+class TestReportedChanges:
+    @given(st.data(), st.integers(1, 5))
+    @settings(deadline=None, max_examples=100)
+    def test_react_reports_exactly_the_logged_fields_that_differ(self, data, port):
+        ctx = data.draw(device_contexts())
+        state = data.draw(device_states)
+        for frame in [data.draw(observed_frames(ctx))] + list(control_frames(ctx, port)):
+            reaction = react(ctx, state, frame)
+            assert reaction.changed == _differing(state, reaction.state)
+            if reaction.state is state:
+                assert reaction.changed == ()
+
+    @given(
+        device_contexts(),
+        device_states,
+        st.sampled_from(UserAction),
+        st.none() | st.integers(0, 6),
+        st.booleans(),
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_user_action_reports_exactly_the_logged_fields_that_differ(
+        self, ctx, state, action, argument, accessible
+    ):
+        result = apply_user_action(ctx, state, action, argument, accessible)
+        assert result.changed == _differing(state, result.state)

@@ -1,5 +1,7 @@
 """Frame codec tests: parsing, encoding, addressing tables."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +72,7 @@ class TestParse:
 
     def test_uppercase_and_whitespace_tolerated(self):
         assert parse_frame(" 1F:82:30:00 ") == parse_frame("1f:82:30:00")
+        assert parse_frame("1F:82:aB:Cd").text == "1f:82:ab:cd"
 
     @pytest.mark.parametrize(
         "text, octet",
@@ -79,6 +82,21 @@ class TestParse:
         with pytest.raises(FrameError) as err:
             parse_frame(text)
         assert str(octet) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1f:+a", "octet 1 is not hex: '+a'"),
+            ("+f:82", "octet 0 is not hex: '+f'"),
+            ("1f: 2", "octet 1 is not hex: ' 2'"),
+            ("1f:-1", "octet 1 is not hex: '-1'"),
+            ("1f:0x", "octet 1 is not hex: '0x'"),
+            ("1f:\u0661\u0662", "octet 1 is not hex"),
+        ],
+    )
+    def test_sign_space_and_non_ascii_digits_rejected(self, text, message):
+        with pytest.raises(FrameError, match="^" + re.escape(message)):
+            parse_frame(text)
 
     def test_empty_text_rejected(self):
         with pytest.raises(FrameError):
@@ -196,6 +214,20 @@ class TestPhysicalAddress:
         mid = PhysicalAddress.parse("4.0.0.0")
         assert mid.port_towards(PhysicalAddress.parse("4.2.0.0")) == 2
         assert own.port_towards(PhysicalAddress.unregistered()) is None
+
+    @given(st.integers(0, 255), st.integers(0, 255))
+    @settings(deadline=None, max_examples=100)
+    def test_from_bytes_equals_a_fresh_address(self, high, low):
+        fresh = PhysicalAddress((high >> 4, high & 0xF, low >> 4, low & 0xF))
+        for _ in range(2):
+            decoded = PhysicalAddress.from_bytes(high, low)
+            assert decoded == fresh and decoded.to_bytes() == (high, low)
+
+    @pytest.mark.parametrize("pair", [(256, 0), (0, 256), (-1, 0), (0x42, -16)])
+    def test_from_bytes_rejects_on_every_call(self, pair):
+        for _ in range(3):
+            with pytest.raises(FrameError):
+                PhysicalAddress.from_bytes(*pair)
 
     @given(st.integers(0, 15), st.integers(0, 15), st.integers(0, 15), st.integers(0, 15))
     @settings(deadline=None)

@@ -1,10 +1,11 @@
 """Detector rules, tap filtering, and mitigation rewrites."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cecsim.bus import BusEvent, Simulator
+from cecsim import frames as fr
+from cecsim.bus import BusEvent, Simulator, parse_trace_line
 from cecsim.frames import CecFrame, parse_frame
 from cecsim.ids import (
     Detector,
@@ -23,6 +24,7 @@ from cecsim.ids import (
 )
 from cecsim.testbed import build_testbed
 from cecsim.topology import TopologyError
+from cecsim.transfer import END_MARKER, MIC_MARKER, REQUEST_MARKER
 
 
 def ev(tick, origin, text, observers=("tap", "a", "b"), ack=True):
@@ -174,6 +176,56 @@ class TestCovertRules:
 # Streaming equals offline; tap filtering
 # ---------------------------------------------------------------------------
 
+_TESTBED_IDS = tuple(sorted(build_testbed().nodes))
+_TESTBED_EDGES = [StripEdge(e.parent, e.child) for e in build_testbed().edges]
+_nibbles = st.integers(0, 15)
+_bytes = st.lists(st.integers(0, 255), max_size=6).map(tuple)
+
+_standby_frames = st.one_of(
+    st.builds(lambda s, d: CecFrame(s, d, fr.OP_STANDBY), _nibbles, st.just(15) | _nibbles),
+    st.builds(lambda s, op, ops: CecFrame(s, 15, op, ops), _nibbles,
+              st.sampled_from(fr.ANNOUNCE_OPCODES), _bytes),
+)
+
+# Frames of the kinds the rules watch: churn, scan, standby and covert.  A
+# standby alert needs an announcement and a standby close together, so
+# those are drawn more often.
+attack_frames = st.one_of(
+    st.builds(lambda s, hi: CecFrame(s, 15, fr.OP_ACTIVE_SOURCE, (hi, 0)),
+              _nibbles, st.integers(0x10, 0x4F)),
+    st.builds(lambda s, d: CecFrame(s, d, fr.OP_IMAGE_VIEW_ON), _nibbles, _nibbles),
+    st.builds(CecFrame, _nibbles, _nibbles),
+    st.builds(lambda s, d, op: CecFrame(s, d, op), _nibbles, _nibbles,
+              st.sampled_from(fr.QUERY_OPCODES)),
+    _standby_frames,
+    _standby_frames,
+    _standby_frames,
+    st.builds(lambda s, d, ops: CecFrame(s, d, 0x00, ops), _nibbles, _nibbles, _bytes),
+    st.sampled_from([REQUEST_MARKER, MIC_MARKER, END_MARKER]),
+)
+
+# (ticks since the previous burst, origin, frame, ticks in the burst); a
+# few origins send every burst.
+attack_bursts = st.lists(
+    st.sampled_from(_TESTBED_IDS), min_size=2, max_size=3, unique=True
+).flatmap(
+    lambda origins: st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from(origins), attack_frames, st.integers(1, 4)),
+        min_size=4, max_size=20,
+    )
+)
+
+small_configs = st.builds(
+    RuleConfig,
+    scan_distinct_addresses=st.integers(1, 4),
+    scan_window=st.integers(1, 20),
+    churn_count=st.integers(1, 4),
+    churn_window=st.integers(1, 20),
+    standby_gap=st.integers(1, 3),
+    standby_repeat=st.integers(1, 3),
+)
+
+
 class TestDetectorPlumbing:
     def _mixed_events(self):
         events = [ev(t, "spy", "%x%x" % (t, t)) for t in range(8)]
@@ -230,6 +282,45 @@ class TestDetectorPlumbing:
         config = RuleConfig.from_dict({"churn_count": 9})
         assert config.churn_count == 9
         assert config.scan_window == 50
+
+    @given(
+        attack_bursts,
+        small_configs,
+        st.none() | st.sampled_from(_TESTBED_IDS),
+        st.none() | st.sampled_from(_TESTBED_EDGES),
+    )
+    @settings(deadline=None, max_examples=100)
+    # One burst per rule, each enough to trip it at the lowest thresholds.
+    @example(
+        bursts=[
+            (0, "client", CecFrame(4, 15, fr.OP_REPORT_PHYSICAL_ADDRESS, (0x10, 0, 4)), 1),
+            (1, "amp", CecFrame(5, 15, fr.OP_STANDBY), 1),
+            (1, "listener", CecFrame(1, 2), 1),
+            (1, "listener", CecFrame(1, 15, fr.OP_ACTIVE_SOURCE, (0x10, 0)), 1),
+            (1, "client", CecFrame(4, 1, 0x00, (1, 2)), 3),
+            (3, "client", MIC_MARKER, 1),
+        ],
+        config=RuleConfig(1, 1, 1, 1, 1, 1),
+        tap=None,
+        strip=None,
+    )
+    def test_live_alerts_equal_alerts_from_the_rendered_log(self, bursts, config, tap, strip):
+        # A stripped edge splits the bus, so some frames miss the tap.
+        topology = build_testbed()
+        sim = Simulator(topology if strip is None else apply_mitigation(topology, strip))
+        tick = 0
+        for gap, origin, frame, length in bursts:
+            tick += gap
+            for offset in range(length):
+                sim.transmit_at(tick + offset, origin, frame)
+        sim.run(tick + 8)
+        detector = Detector(config, tap)
+        live = [alert for event in sim.trace.events for alert in detector.feed(event)]
+        lines = sim.trace.render_log().splitlines()
+        assert live == detect([parse_trace_line(line) for line in lines], config, tap)
+        # The tap only drops the frames it does not observe.
+        observed = [e for e in sim.trace.events if tap is None or tap in e.observers]
+        assert live == detect(observed, config)
 
 
 # ---------------------------------------------------------------------------

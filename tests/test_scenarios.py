@@ -130,6 +130,11 @@ class TestValidation:
                 "select_input",
             ),
             ({"ids": {"config": {"scan_window": True}}}, "scan_window"),
+            (
+                {"actions": [{"tick": 1, "actor": "tv", "action": "send_frame",
+                              "args": {"frame": "1f:+a"}}]},
+                "send_frame at tick 1: octet 1 is not hex",
+            ),
         ],
     )
     def test_rejections_name_the_problem(self, patch, fragment):
@@ -272,6 +277,28 @@ class TestArtifacts:
         outcomes = evaluate_checks(run_scenario(scenario))
         assert [(o.label, o.ok) for o in outcomes] == [(check["type"], False)]
         assert "bad field" in outcomes[0].detail
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            {"type": "scan_only_actor", "actor": "ghost"},
+            {"type": "min_input_cycles", "device": "ghost", "count": 1},
+            {"type": "powered_on_by", "device": "ghost", "tick": 5},
+            {"type": "max_on_streak", "device": "ghost", "ticks": 3},
+            {"type": "standby_follows_announcement", "device": "ghost"},
+            {"type": "disable_cec_attempts_rejected", "device": "ghost"},
+            {"type": "device_power_at_end", "device": "ghost", "power": "on"},
+            {"type": "device_remains_on", "device": "ghost"},
+            {"type": "no_control_frames_reach", "device": "ghost", "from_origin": "client"},
+            {"type": "no_control_frames_reach", "device": "tv", "from_origin": "ghost"},
+        ],
+    )
+    def test_check_naming_unknown_device_fails(self, check):
+        scenario = builtin_scenario("benign-status-query")
+        scenario.checks = [check]
+        outcomes = evaluate_checks(run_scenario(scenario))
+        assert [(o.label, o.ok) for o in outcomes] == [(check["type"], False)]
+        assert outcomes[0].detail == "check names no device 'ghost'"
 
     def test_deterministic_trace(self):
         first = run_scenario(builtin_scenario("attack2-mic-exfil")).trace.render_log()
