@@ -36,8 +36,8 @@ log = logging.getLogger(__name__)
 UNREGISTERED = 15
 
 
-# Tick, origin, frame text, 1 or 0 for the ack, and the joined observers.
-_EVENT_LINE = "t=%d | %s | %s | ack=%d | obs=%s"
+# A trace line up to its observers: tick, origin, frame text, 1 or 0 for the ack.
+_EVENT_HEAD = "t=%d | %s | %s | ack=%d | obs="
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,10 @@ class BusEvent:
     acknowledged: bool
 
     def render(self) -> str:
-        return _EVENT_LINE % (
-            self.tick, self.origin, self.frame.text, self.acknowledged, ",".join(self.observers)
-        )
+        return self._head() + ",".join(self.observers)
+
+    def _head(self) -> str:
+        return _EVENT_HEAD % (self.tick, self.origin, self.frame.text, self.acknowledged)
 
 
 @dataclass(frozen=True)
@@ -92,16 +93,16 @@ class Trace:
     changes: list[StateChange] = field(default_factory=list)
 
     def render_log(self) -> str:
-        # Events of one domain share its members tuple: join it once.
+        # Events of one domain share its members tuple: join it once, and
+        # put that one text after the head of each of its lines.
         joined: dict[int, str] = {}
-        lines = []
-        line = _EVENT_LINE + "\n"
+        parts = []
         for e in self.events:
             observers = joined.get(id(e.observers))
             if observers is None:
-                observers = joined[id(e.observers)] = ",".join(e.observers)
-            lines.append(line % (e.tick, e.origin, e.frame.text, e.acknowledged, observers))
-        return "".join(lines)
+                observers = joined[id(e.observers)] = ",".join(e.observers) + "\n"
+            parts += (e._head(), observers)
+        return "".join(parts)
 
     def render_state_log(self) -> str:
         return "".join(c.render() + "\n" for c in self.changes)
