@@ -88,8 +88,9 @@ def announcement_frames(ctx: DeviceCtx, state: DeviceState) -> list[CecFrame]:
     """Broadcasts a device makes as it wakes up.
 
     Every device reports its physical address and vendor id.  A display
-    with a selected input also re-announces the route; a source that holds
-    the active-source claim re-claims it.
+    with a selected input also re-announces the route, when its address
+    has room for a port below it (not f.f.f.f, not four levels deep); a
+    source that holds the active-source claim re-claims it.
     """
     if ctx.logical is None:
         return []
@@ -112,15 +113,16 @@ def announcement_frames(ctx: DeviceCtx, state: DeviceState) -> list[CecFrame]:
         )
     )
     if ctx.node.kind is DeviceKind.DISPLAY and state.active_input_port is not None:
-        new = ctx.physical.child(state.active_input_port)
-        out.append(
-            CecFrame(
-                ctx.logical,
-                fr.BROADCAST,
-                fr.OP_ROUTING_CHANGE,
-                ctx.physical.to_bytes() + new.to_bytes(),
+        if ctx.physical.depth() < 4:
+            new = ctx.physical.child(state.active_input_port)
+            out.append(
+                CecFrame(
+                    ctx.logical,
+                    fr.BROADCAST,
+                    fr.OP_ROUTING_CHANGE,
+                    ctx.physical.to_bytes() + new.to_bytes(),
+                )
             )
-        )
     elif state.active_source and not ctx.physical.is_unregistered:
         out.append(
             CecFrame(ctx.logical, fr.BROADCAST, fr.OP_ACTIVE_SOURCE, ctx.physical.to_bytes())
@@ -314,7 +316,8 @@ def apply_user_action(
         if argument != state.active_input_port:
             new_state, changed = state.routed(state.active_source, argument), _PORT
         emissions = []
-        if ctx.logical is not None and not ctx.physical.is_unregistered:
+        # f.f.f.f and a four-level address have no port to name below them.
+        if ctx.logical is not None and ctx.physical.depth() < 4:
             selected = ctx.physical.child(argument)
             emissions.append(
                 CecFrame(ctx.logical, fr.BROADCAST, fr.OP_ACTIVE_SOURCE, selected.to_bytes())

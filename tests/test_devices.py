@@ -32,6 +32,7 @@ from cecsim.frames import (
     RESPONSE_OPCODES,
 )
 from cecsim.testbed import build_testbed
+from cecsim.topology import build_topology
 
 
 @pytest.fixture
@@ -206,6 +207,33 @@ class TestAnnouncements:
         frames = announcement_frames(ctx, claiming)
         assert [f.opcode for f in frames] == [0x84, 0x87, 0x82]
 
+    @pytest.mark.parametrize("address", ["f.f.f.f", "1.2.3.4"])
+    def test_display_with_no_port_below_skips_the_route(self, sim, address):
+        ctx, state = ctx_and_state(sim, "tv")
+        ctx = dataclasses.replace(ctx, physical=PhysicalAddress.parse(address))
+        assert [f.opcode for f in announcement_frames(ctx, state)] == [0x84, 0x87]
+
+    def test_display_without_its_own_address_powers_on(self):
+        topology = build_topology(
+            {
+                "nodes": [
+                    {"id": "tv", "kind": "display", "device_type": "television",
+                     "osd_name": "TV"},
+                    {"id": "mon", "kind": "display", "device_type": "playback",
+                     "osd_name": "Mon", "edid_address_available": False,
+                     "initial_power": "standby", "active_input_port": 1},
+                ],
+                "edges": [{"parent": "tv", "child": "mon", "port": 1}],
+            }
+        )
+        sim = Simulator(topology)
+        sim.schedule(2, sim.user_action, "mon", UserAction.POWER_ON)
+        sim.run(5)
+        assert sim.device_states["mon"].power is PowerState.ON
+        # the two reports and no route: there is no address below f.f.f.f
+        sent = [e.frame.opcode for e in sim.trace.events if e.origin == "mon" and e.tick >= 2]
+        assert sent == [0x84, 0x87]
+
 
 # ---------------------------------------------------------------------------
 # User actions
@@ -241,6 +269,13 @@ class TestUserActions:
         claim = result.emissions[0]
         assert claim.opcode == OP_ACTIVE_SOURCE
         assert claim.operands == (0x10, 0x00)
+
+    def test_select_input_below_a_full_address_claims_nothing(self, sim):
+        ctx, state = ctx_and_state(sim, "tv")
+        ctx = dataclasses.replace(ctx, physical=PhysicalAddress.parse("1.2.3.4"))
+        result = apply_user_action(ctx, state, UserAction.SELECT_INPUT, argument=1)
+        assert result.ok and result.state.active_input_port == 1
+        assert result.emissions == []
 
     def test_select_input_rejects_bad_port(self, sim):
         ctx, state = ctx_and_state(sim, "tv")
@@ -309,7 +344,7 @@ _TESTBED = build_testbed()
 def physical_addresses(draw):
     if draw(st.integers(0, 9)) == 0:
         return PhysicalAddress.unregistered()
-    depth = draw(st.integers(0, 3))
+    depth = draw(st.integers(0, 4))
     prefix = [draw(st.integers(1, 15)) for _ in range(depth)]
     return PhysicalAddress(tuple(prefix + [0] * (4 - depth)))
 
