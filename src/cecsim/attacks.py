@@ -179,13 +179,6 @@ class ScanWalk(Actor):
             self.on_complete(sim, report)
 
 
-def check_target(value) -> int:
-    """A targeted standby's target: an integer logical address 0..15."""
-    if type(value) is not int or not 0 <= value <= fr.BROADCAST:
-        raise ValueError("standby target must be a logical address 0..15, got %r" % (value,))
-    return value
-
-
 class TargetedDos(Actor):
     """Sniff for wake-up chatter and put the target straight back into
     standby.  Stays armed and re-fires every time."""

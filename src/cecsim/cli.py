@@ -13,6 +13,7 @@ import sys
 from cecsim import ids as ids_mod
 from cecsim import relay as relay_mod
 from cecsim import scenarios as scen
+from cecsim import schema
 from cecsim.attacks import ScanWalk
 from cecsim.bus import Simulator, parse_trace_line
 from cecsim.frames import FrameError
@@ -70,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_ids_config(path: str | None) -> ids_mod.RuleConfig | None:
     if path is None:
         return None
-    return ids_mod.RuleConfig.from_dict(scen.read_json_file(path, "detector config"))
+    return ids_mod.RuleConfig.from_dict(schema.read_json_file(path, "detector config"))
 
 
 def _cmd_run(args) -> int:
@@ -194,10 +195,7 @@ def main(argv=None) -> int:
             for name in scen.builtin_scenario_names():
                 print(name)
             return EXIT_OK
-    except (scen.ScenarioError, TopologyError, FrameError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT
     return EXIT_BAD_INPUT

@@ -344,8 +344,8 @@ def vendor_name(vendor_id: int, extra: dict[int, str] | None = None) -> str:
 
 
 def parse_vendor_id(value) -> int:
-    """Vendor id from an int, "aabbcc" hex text, or "aa:bb:cc" text."""
-    if isinstance(value, int):
+    """Vendor id from an int (not a bool), "aabbcc" hex text, or "aa:bb:cc" text."""
+    if type(value) is int:
         vid = value
     else:
         text = str(value).strip().replace(":", "")

@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass, fields
 
 from cecsim import frames as fr
+from cecsim import schema
 from cecsim.bus import BusEvent
 from cecsim.topology import Edge, Topology, TopologyError
 from cecsim.transfer import END_MARKER, MIC_MARKER, REQUEST_MARKER
@@ -25,6 +26,8 @@ RULE_INPUT_CHURN = "InputChurnDoS"
 RULE_TARGETED_STANDBY = "TargetedStandby"
 RULE_COVERT_MARKER = "CovertMarker"
 RULE_COVERT_STREAM = "CovertStream"
+RULES = (RULE_SCAN_BURST, RULE_INPUT_CHURN, RULE_TARGETED_STANDBY, RULE_COVERT_MARKER,
+         RULE_COVERT_STREAM)
 
 # Covert-channel marker frames; each sighting raises a CovertMarker alert.
 _MARKERS = frozenset((REQUEST_MARKER, MIC_MARKER, END_MARKER))
@@ -45,18 +48,14 @@ class RuleConfig:
 
     def __post_init__(self):
         for item in fields(self):
-            value = getattr(self, item.name)
-            if type(value) is not int or value < 1:
-                raise ValueError("%s must be a positive integer, got %r" % (item.name, value))
+            schema.integer(getattr(self, item.name), item.name, 1)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RuleConfig":
-        if not isinstance(raw, dict):
-            raise ValueError("detector settings must be an object, got %r" % (raw,))
         known = {item.name for item in fields(cls)}
-        unknown = set(raw) - known
+        unknown = set(schema.obj(raw, "detector settings")) - known
         if unknown:
-            raise ValueError("unknown detector settings: %s" % ", ".join(sorted(unknown)))
+            raise schema.FieldError("unknown detector settings: %s" % ", ".join(sorted(unknown)))
         return cls(**raw)
 
 
@@ -304,12 +303,13 @@ def apply_mitigation(topology: Topology, mitigation: Mitigation) -> Topology:
     raise TypeError("unknown mitigation %r" % (mitigation,))
 
 
+_MITIGATIONS = {
+    "strip_edge": StripEdge, "disable_control": DisableControl, "disable_cec": DisableCecEndToEnd
+}
+
+
 def parse_mitigation(raw: dict) -> Mitigation:
-    kind = raw.get("type")
-    if kind == "strip_edge":
-        return StripEdge(raw["parent"], raw["child"])
-    if kind == "disable_control":
-        return DisableControl(raw["device"])
-    if kind == "disable_cec":
-        return DisableCecEndToEnd(raw["device"])
-    raise TopologyError("unknown mitigation type %r" % kind)
+    """A mitigation from its document; each field is a device id."""
+    kind = schema.text(raw.get("type"), "mitigation type", _MITIGATIONS)
+    names = [item.name for item in fields(_MITIGATIONS[kind])]
+    return _MITIGATIONS[kind](*(schema.text(raw.get(n), "%s %s" % (kind, n)) for n in names))

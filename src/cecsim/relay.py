@@ -15,8 +15,9 @@ import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from cecsim.attacks import check_target
+from cecsim import schema
 from cecsim.bus import Actor, Simulator
+from cecsim.frames import BROADCAST
 from cecsim.transfer import MAX_PAYLOAD, payload_digest
 
 log = logging.getLogger(__name__)
@@ -207,10 +208,8 @@ class RelayPoller(Actor):
     def _dispatch(self, sim: Simulator, value: str):
         try:
             envelope = json.loads(value)
-            command = envelope["command"]
-        except (json.JSONDecodeError, RecursionError, TypeError, KeyError):
-            command = None
-        if not isinstance(command, str):
+            command = schema.text(envelope["command"], "command")
+        except (ValueError, RecursionError, TypeError, KeyError):
             log.warning("ignoring malformed relay envelope %r", value)
             return
         handler = self._HANDLERS.get(command)
@@ -232,7 +231,7 @@ class RelayPoller(Actor):
     def _tdos(self, sim: Simulator, envelope: dict):
         targeted = self.controller.targeted
         target = envelope.get("target", targeted.target_address)
-        targeted.target_address = check_target(target)
+        targeted.target_address = schema.integer(target, "standby target", 0, BROADCAST)
         targeted.arm()
 
     def _scan(self, sim: Simulator, envelope: dict):

@@ -12,17 +12,20 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field
+from inspect import signature
 from random import Random
 
 from cecsim import frames as fr
 from cecsim import ids as ids_mod
 from cecsim import relay as relay_mod
-from cecsim.attacks import AttackController, ScanWalk, check_target
+from cecsim import schema
+from cecsim.attacks import AttackController, ScanWalk
 from cecsim.bus import Simulator, Trace
 from cecsim.devices import UserAction
 from cecsim.frames import FrameError, parse_frame
 from cecsim.testbed import EXPECTED_TESTBED_SCAN, TESTBED_NAME, TESTBED_TOPOLOGY
-from cecsim.topology import MAX_NESTING, Topology, TopologyError, build_topology, nesting
+from cecsim.schema import FieldError
+from cecsim.topology import Topology, TopologyError, build_topology
 from cecsim.transfer import MAX_PAYLOAD, FileReceiver, PayloadStore, write_transfer_artifacts
 
 log = logging.getLogger(__name__)
@@ -30,7 +33,7 @@ log = logging.getLogger(__name__)
 _USER_ACTIONS = {action.value: action for action in UserAction}
 
 
-class ScenarioError(ValueError):
+class ScenarioError(FieldError):
     """Raised when a scenario document fails validation."""
 
 
@@ -66,27 +69,21 @@ def _resolve_topology(raw, base_dir: str | None) -> dict:
         path = raw if os.path.isabs(raw) or base_dir is None else os.path.join(base_dir, raw)
         if not os.path.isfile(path):
             raise ScenarioError("topology %r is neither builtin nor a file" % raw)
-        return read_json_file(path, "topology")
+        return schema.read_json_file(path, "topology")
     raise ScenarioError("scenario topology must be a name, path, or object")
 
 
+@schema.raises(ScenarioError)
 def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
     """Validate a scenario document; every complaint names the field."""
-    if not isinstance(document, dict):
-        raise ScenarioError("scenario must be a JSON object")
-    name = document.get("name")
-    if not isinstance(name, str) or not name:
-        raise ScenarioError("scenario needs a non-empty name")
+    schema.obj(document, "scenario")
+    name = schema.text(document.get("name"), "scenario name")
     if "topology" not in document:
         raise ScenarioError("scenario %r is missing its topology" % name)
-    duration = document.get("duration")
-    if type(duration) is not int or duration < 1:
-        raise ScenarioError("scenario %r duration must be a positive tick count" % name)
+    duration = schema.integer(document.get("duration"), "scenario %r duration" % name, 1)
 
     config = _resolve_topology(document["topology"], base_dir)
-    overrides = document.get("overrides") or {}
-    if not isinstance(overrides, dict) or not all(isinstance(p, dict) for p in overrides.values()):
-        raise ScenarioError("overrides must map node ids to objects")
+    overrides = schema.obj(document.get("overrides", {}), "overrides")
     try:
         by_id = {n["id"]: n for n in config["nodes"]} if overrides else {}
     except (KeyError, TypeError):
@@ -94,100 +91,82 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
     for node_id, patch in overrides.items():
         if node_id not in by_id:
             raise ScenarioError("override targets unknown node %r" % node_id)
-        by_id[node_id].update(patch)
+        by_id[node_id].update(schema.obj(patch, "overrides for %r" % node_id))
 
     try:
         topology = build_topology(config)
     except TopologyError as exc:
         raise ScenarioError("scenario %r topology invalid: %s" % (name, exc)) from None
 
-    for raw in _objects(document.get("mitigations"), "mitigations"):
+    for raw in schema.objects(document.get("mitigations", []), "mitigations"):
         try:
             topology = ids_mod.apply_mitigation(topology, ids_mod.parse_mitigation(raw))
-        except (TopologyError, KeyError, TypeError) as exc:
+        except FieldError as exc:
             raise ScenarioError("scenario %r mitigation invalid: %s" % (name, exc)) from None
 
     listeners = topology.listeners()
     actions = []
-    for raw in _objects(document.get("actions"), "actions"):
-        tick, actor, action = raw.get("tick"), raw.get("actor"), raw.get("action")
-        if type(tick) is not int or tick < 0:
-            raise ScenarioError("action %r needs a tick >= 0" % raw)
-        if type(actor) is not str or actor not in topology.nodes:
-            raise ScenarioError("action at tick %d names unknown actor %r" % (tick, actor))
-        if type(action) is not str or not (action in _USER_ACTIONS or action in _SERVICE_ACTIONS):
-            raise ScenarioError("unknown action %r at tick %d" % (action, tick))
-        args = raw.get("args") or {}
-        if not isinstance(args, dict):
-            raise ScenarioError("%s at tick %d args must be an object" % (action, tick))
+    for raw in schema.objects(document.get("actions", []), "actions"):
+        tick = schema.integer(raw.get("tick"), "action tick")
+        actor = schema.text(raw.get("actor"), "actor at tick %d" % tick, topology.nodes)
+        action = schema.text(raw.get("action"), "action at tick %d" % tick, _ACTION_NAMES)
+        where = "%s at tick %d" % (action, tick)
+        args = schema.obj(raw.get("args", {}), where + " args")
         if action == "send_frame":
             try:
                 parse_frame(args.get("frame", ""))
             except FrameError as exc:
-                raise ScenarioError("send_frame at tick %d: %s" % (tick, exc)) from None
-        if action == "select_input" and type(args.get("port")) is not int:
-            raise ScenarioError("select_input at tick %d needs an integer port" % tick)
+                raise ScenarioError("%s: %s" % (where, exc)) from None
+        if action == "select_input":
+            schema.integer(args.get("port"), where + " port", low=None)
         if action == "request_file":
             peer = args.get("peer")
             if isinstance(peer, str):
-                known = peer in topology.nodes
-            else:
-                known = peer is None or type(peer) is int and 0 <= peer <= fr.BROADCAST
-            if not known:
-                raise ScenarioError("request_file at tick %d names unknown peer %r" % (tick, peer))
+                schema.text(peer, where + " peer", topology.nodes)
+            elif peer is not None:
+                schema.integer(peer, where + " peer", 0, fr.BROADCAST)
             if actor in listeners or not topology.nodes[actor].cec_addressed:
-                raise ScenarioError("request_file at tick %d cannot run on %r" % (tick, actor))
+                raise ScenarioError("%s cannot run on %r" % (where, actor))
         if action in ("arm_targeted_dos", "start_broadcast_dos", "cancel_attacks"):
             if actor not in listeners:
-                raise ScenarioError(
-                    "%s at tick %d must run on a listener device, not %r" % (action, tick, actor)
-                )
+                raise ScenarioError("%s must run on a listener device, not %r" % (where, actor))
         if action == "arm_targeted_dos" and "target" in args:
-            try:
-                check_target(args["target"])
-            except ValueError as exc:
-                raise ScenarioError("arm_targeted_dos at tick %d: %s" % (tick, exc)) from None
+            schema.integer(args["target"], where + " target", 0, fr.BROADCAST)
         actions.append(ScenarioAction(tick, actor, action, args))
     actions.sort(key=lambda a: a.tick)
 
-    relay_cfg = document.get("relay")
-    if relay_cfg is not None:
-        if not isinstance(relay_cfg, dict):
-            raise ScenarioError("relay section must be an object")
-        if relay_cfg.get("enabled") and not listeners:
-            raise ScenarioError("relay needs an attacker listener in the topology")
-        for cmd in _objects(relay_cfg.get("commands"), "relay commands"):
-            tick = cmd.get("tick")
-            if type(tick) is not int or tick < 0 or not isinstance(cmd.get("command"), str):
-                raise ScenarioError("relay commands need a tick >= 0 and a command string")
-        interval = relay_cfg.get("interval_ticks")
-        if "interval_ticks" in relay_cfg and (type(interval) is not int or interval < 1):
-            raise ScenarioError("relay interval_ticks must be a positive integer")
+    relay_cfg = schema.obj(document.get("relay", {}), "relay section")
+    if schema.flag(relay_cfg.get("enabled", False), "relay enabled") and not listeners:
+        raise ScenarioError("relay needs an attacker listener in the topology")
+    for cmd in schema.objects(relay_cfg.get("commands", []), "relay commands"):
+        schema.integer(cmd.get("tick"), "relay command tick")
+        schema.text(cmd.get("command"), "relay command")
+    if "interval_ticks" in relay_cfg:
+        schema.integer(relay_cfg["interval_ticks"], "relay interval_ticks", 1)
 
-    seed = document.get("seed", 0)
-    if type(seed) is not int:
-        raise ScenarioError("scenario %r seed must be an integer" % name)
-    tps = document.get("ticks_per_second", 10)
-    if type(tps) is not int or tps < 1:
-        raise ScenarioError("scenario %r ticks_per_second must be a positive integer" % name)
-    listener_options = document.get("listener_options") or {}
-    if not isinstance(listener_options, dict):
-        raise ScenarioError("listener_options must be an object")
+    seed = schema.integer(document.get("seed", 0), "scenario %r seed" % name, low=None)
+    tps = schema.integer(
+        document.get("ticks_per_second", 10), "scenario %r ticks_per_second" % name, 1
+    )
+    listener_options = schema.obj(document.get("listener_options", {}), "listener_options")
     for key, top in (("mic_bytes", MAX_PAYLOAD), ("capture_bytes", MAX_PAYLOAD),
                      ("targeted_target", fr.BROADCAST), ("display_address", fr.BROADCAST)):
-        value = listener_options.get(key, 0)
-        if type(value) is not int or not 0 <= value <= top:
-            raise ScenarioError("listener_options %s must be an integer 0..%d" % (key, top))
+        schema.integer(listener_options.get(key, 0), "listener_options " + key, 0, top)
 
-    ids_options = document.get("ids") or {}
-    if not isinstance(ids_options, dict):
-        raise ScenarioError("ids section must be an object")
-    if ids_options.get("config"):
+    ids_options = schema.obj(document.get("ids", {}), "ids section")
+    if "config" in ids_options:
         try:
             ids_mod.RuleConfig.from_dict(ids_options["config"])
-        except (ValueError, TypeError) as exc:
+        except FieldError as exc:
             raise ScenarioError("detector config invalid: %s" % exc) from None
     _check_tap(ids_options.get("tap"), topology)
+
+    checks = list(schema.objects(document.get("checks", []), "checks"))
+    for index, entry in enumerate(checks):
+        try:
+            _bind_check(entry, topology.nodes)
+        except FieldError as exc:
+            raise ScenarioError("checks[%d]: %s" % (index, exc)) from None
 
     return Scenario(
         name=name,
@@ -199,7 +178,7 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
         relay=relay_cfg,
         listener_options=listener_options,
         ids_options=ids_options,
-        checks=_objects(document.get("checks"), "checks"),
+        checks=checks,
     )
 
 
@@ -209,28 +188,9 @@ def _check_tap(tap, topology: Topology):
         raise ScenarioError("detector tap %r names no device" % (tap,))
 
 
-def _objects(value, section: str) -> list:
-    """A scenario section that must be a list of JSON objects, or absent."""
-    if value is None or isinstance(value, list) and all(isinstance(i, dict) for i in value):
-        return list(value or [])
-    raise ScenarioError("%s must be a list of objects" % section)
-
-
-def read_json_file(path: str, what: str):
-    """A JSON file's document.  An unreadable file, text that is not JSON
-    and nesting too deep to handle all raise ScenarioError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            document = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
-        raise ScenarioError("%s file %s is not readable JSON: %s" % (what, path, exc)) from None
-    if nesting(document) > MAX_NESTING:
-        raise ScenarioError("%s file %s nests deeper than %d levels" % (what, path, MAX_NESTING))
-    return document
-
-
+@schema.raises(ScenarioError)
 def load_scenario_file(path: str) -> Scenario:
-    document = read_json_file(path, "scenario")
+    document = schema.read_json_file(path, "scenario")
     return load_scenario(document, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -383,6 +343,7 @@ _SERVICE_ACTIONS = {
     "start_broadcast_dos": _start_broadcast_dos,
     "cancel_attacks": _cancel_attacks,
 }
+_ACTION_NAMES = set(_USER_ACTIONS) | set(_SERVICE_ACTIONS)
 
 
 def write_artifacts(result: RunResult, out_dir: str) -> list[str]:
@@ -422,23 +383,19 @@ def write_artifacts(result: RunResult, out_dir: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Post-run checks
+# Post-run checks: each returns whether it passed and a line saying why
 # ---------------------------------------------------------------------------
 
 def _power_timeline(result: RunResult, device: str) -> list[str]:
     """Per-tick power value for a device across the whole run."""
-    node = result.sim.topology.nodes[device]
+    value = result.sim.topology.nodes[device].initial_power.value
+    # The last change logged at each tick is the power that tick ends with.
+    changes = {
+        c.tick: c.value for c in result.trace.changes if c.device == device and c.field == "power"
+    }
     timeline = []
-    value = node.initial_power.value
-    changes = [
-        (c.tick, c.value) for c in result.trace.changes
-        if c.device == device and c.field == "power"
-    ]
-    idx = 0
     for tick in range(result.scenario.duration):
-        while idx < len(changes) and changes[idx][0] <= tick:
-            value = changes[idx][1]
-            idx += 1
+        value = changes.get(tick, value)
         timeline.append(value)
     return timeline
 
@@ -450,93 +407,71 @@ def _input_sequence(result: RunResult, device: str) -> list[int]:
     ]
 
 
-def _check_scan_report_equals(result: RunResult, args: dict) -> CheckResult:
-    expected = args.get("expected")
+def _check_scan_report_equals(result: RunResult, *, expected) -> tuple[bool, str]:
     if expected == TESTBED_NAME:
         expected = EXPECTED_TESTBED_SCAN
-    if not isinstance(expected, dict):
-        raise TypeError("expected must be %r or an object of rows" % TESTBED_NAME)
     if not result.reports:
-        return CheckResult("scan_report_equals", False, "no scan report was produced")
+        return False, "no scan report was produced"
     got = result.reports[-1].to_dict()
     if got == expected:
-        return CheckResult("scan_report_equals", True, "%d rows match" % len(got))
+        return True, "%d rows match" % len(got)
     missing = {k: v for k, v in expected.items() if got.get(k) != v}
     extra = sorted(set(got) - set(expected))
-    return CheckResult(
-        "scan_report_equals", False,
-        "mismatched rows %s, unexpected rows %s" % (sorted(missing), extra),
-    )
+    return False, "mismatched rows %s, unexpected rows %s" % (sorted(missing), extra)
 
 
-def _check_scan_only_actor(result: RunResult, args: dict) -> CheckResult:
-    actor = args["actor"]
+def _check_scan_only_actor(result: RunResult, *, actor) -> tuple[bool, str]:
     if not result.reports:
-        return CheckResult("scan_only_actor", False, "no scan report was produced")
+        return False, "no scan report was produced"
     report = result.reports[-1]
     own = result.sim.logical.get(actor)
     addrs = sorted(report.entries)
     if report.actor == actor and addrs == [own]:
-        return CheckResult("scan_only_actor", True, "only address %d visible" % own)
-    return CheckResult(
-        "scan_only_actor", False,
-        "report by %s lists addresses %s, expected just %s" % (report.actor, addrs, own),
-    )
+        return True, "only address %d visible" % own
+    return False, "report by %s lists addresses %s, expected just %s" % (report.actor, addrs, own)
 
 
-def _check_zero_alerts(result: RunResult, args: dict) -> CheckResult:
+def _check_zero_alerts(result: RunResult) -> tuple[bool, str]:
     if not result.alerts:
-        return CheckResult("zero_alerts", True, "no alerts raised")
+        return True, "no alerts raised"
     rules = sorted({a.rule for a in result.alerts})
-    return CheckResult("zero_alerts", False, "%d alerts raised: %s" % (len(result.alerts), rules))
+    return False, "%d alerts raised: %s" % (len(result.alerts), rules)
 
 
-def _check_alerts_include(result: RunResult, args: dict) -> CheckResult:
-    rule = args["rule"]
+def _check_alerts_include(result: RunResult, *, rule) -> tuple[bool, str]:
     hits = [a for a in result.alerts if a.rule == rule]
     if hits:
-        return CheckResult("alerts_include", True, "%d %s alert(s)" % (len(hits), rule))
-    return CheckResult("alerts_include", False, "no %s alert raised" % rule)
+        return True, "%d %s alert(s)" % (len(hits), rule)
+    return False, "no %s alert raised" % rule
 
 
-def _check_alert_exactly(result: RunResult, args: dict) -> CheckResult:
-    rule = args["rule"]
+def _check_alert_exactly(result: RunResult, *, rule, count=1, subject=None) -> tuple[bool, str]:
     hits = [a for a in result.alerts if a.rule == rule]
-    count = int(args.get("count", 1))
-    subject = args.get("subject")
     ok = len(hits) == count and (subject is None or all(a.subject == subject for a in hits))
-    detail = "%d %s alert(s), subjects %s" % (len(hits), rule, sorted({a.subject for a in hits}))
-    return CheckResult("alert_exactly", ok, detail)
+    return ok, "%d %s alert(s), subjects %s" % (len(hits), rule, sorted({a.subject for a in hits}))
 
 
-def _check_transfer_complete(result: RunResult, args: dict) -> CheckResult:
+def _check_transfer_complete(result: RunResult, *, source=None) -> tuple[bool, str]:
     if not result.transfers:
-        return CheckResult("transfer_complete", False, "no transfer attempted")
+        return False, "no transfer attempted"
     record = result.transfers[-1]
     if record.status != "complete":
-        return CheckResult("transfer_complete", False, "transfer status %s" % record.status)
-    source = args.get("source")
-    if source:
+        return False, "transfer status %s" % record.status
+    if source is not None:
         store = next(iter(result.controllers.values())).store
-        expected = {
-            "mic": store.mic_blob,
-            "capture": store.capture,
-            "scan_report": store.scan_report,
-        }.get(source)
+        sources = {"mic": store.mic_blob, "capture": store.capture, "scan_report": store.scan_report}
+        expected = sources[source]
         if expected is None:
-            return CheckResult("transfer_complete", False, "store has no %s payload" % source)
+            return False, "store has no %s payload" % source
         if record.payload != expected:
-            return CheckResult(
-                "transfer_complete", False,
-                "payload differs from %s source (%d vs %d bytes)"
-                % (source, len(record.payload), len(expected)),
+            return False, "payload differs from %s source (%d vs %d bytes)" % (
+                source, len(record.payload), len(expected)
             )
-    return CheckResult("transfer_complete", True, "%d bytes delivered intact" % len(record.payload))
+    return True, "%d bytes delivered intact" % len(record.payload)
 
 
-def _check_min_input_cycles(result: RunResult, args: dict) -> CheckResult:
-    sequence = _input_sequence(result, args["device"])
-    want = int(args["count"])
+def _check_min_input_cycles(result: RunResult, *, device, count) -> tuple[bool, str]:
+    sequence = _input_sequence(result, device)
     cycles = 0
     i = 0
     while i + 4 <= len(sequence):
@@ -545,114 +480,97 @@ def _check_min_input_cycles(result: RunResult, args: dict) -> CheckResult:
             i += 4
         else:
             i += 1
-    ok = cycles >= want
-    return CheckResult("min_input_cycles", ok, "%d full input cycles (need %d)" % (cycles, want))
+    return cycles >= count, "%d full input cycles (need %d)" % (cycles, count)
 
 
-def _check_powered_on_by(result: RunResult, args: dict) -> CheckResult:
-    device, bound = args["device"], int(args["tick"])
+def _check_powered_on_by(result: RunResult, *, device, tick) -> tuple[bool, str]:
     timeline = _power_timeline(result, device)
-    for tick, value in enumerate(timeline[: bound + 1]):
+    for at, value in enumerate(timeline[: tick + 1]):
         if value == "on":
-            return CheckResult("powered_on_by", True, "%s on at tick %d" % (device, tick))
-    return CheckResult("powered_on_by", False, "%s not on by tick %d" % (device, bound))
+            return True, "%s on at tick %d" % (device, at)
+    return False, "%s not on by tick %d" % (device, tick)
 
 
-def _check_max_on_streak(result: RunResult, args: dict) -> CheckResult:
-    device, limit = args["device"], int(args["ticks"])
-    start = int(args.get("from_tick", 0))
-    timeline = _power_timeline(result, device)[start:]
+def _check_max_on_streak(result: RunResult, *, device, ticks, from_tick=0) -> tuple[bool, str]:
+    timeline = _power_timeline(result, device)[from_tick:]
     worst = streak = 0
     for value in timeline:
         streak = streak + 1 if value == "on" else 0
         worst = max(worst, streak)
-    ok = worst <= limit
-    return CheckResult(
-        "max_on_streak", ok,
-        "%s longest on-streak %d ticks from tick %d (limit %d)" % (device, worst, start, limit),
+    return worst <= ticks, "%s longest on-streak %d ticks from tick %d (limit %d)" % (
+        device, worst, from_tick, ticks
     )
 
 
-def _check_standby_follows_announcement(result: RunResult, args: dict) -> CheckResult:
-    device, within = args["device"], int(args.get("within", 1))
-    start = int(args.get("from_tick", 0))
+def _check_standby_follows_announcement(
+    result: RunResult, *, device, within=1, from_tick=0
+) -> tuple[bool, str]:
     address = result.sim.logical.get(device)
     announced = [
         e.tick for e in result.trace.events
-        if e.origin == device and e.frame.opcode in fr.ANNOUNCE_OPCODES and e.tick >= start
+        if e.origin == device and e.frame.opcode in fr.ANNOUNCE_OPCODES and e.tick >= from_tick
     ]
     if not announced:
-        return CheckResult("standby_follows_announcement", False, "%s never announced" % device)
+        return False, "%s never announced" % device
     standbys = [
         e.tick for e in result.trace.events
         if e.frame.opcode == fr.OP_STANDBY and e.frame.destination == address and e.origin != device
     ]
     misses = [t for t in announced if not any(t < s <= t + within for s in standbys)]
-    ok = not misses
-    detail = "%d announcements, all answered within %d tick(s)" % (len(announced), within)
     if misses:
-        detail = "announcements at ticks %s drew no standby" % misses[:5]
-    return CheckResult("standby_follows_announcement", ok, detail)
+        return False, "announcements at ticks %s drew no standby" % misses[:5]
+    return True, "%d announcements, all answered within %d tick(s)" % (len(announced), within)
 
 
-def _check_disable_cec_attempts_rejected(result: RunResult, args: dict) -> CheckResult:
-    device = args["device"]
-    least = int(args.get("min_attempts", 1))
+def _check_disable_cec_attempts_rejected(
+    result: RunResult, *, device, min_attempts=1
+) -> tuple[bool, str]:
     attempts = [
         r for r in result.sim.artifacts.user_actions
         if r.device == device and r.action == "disable_cec"
     ]
     rejected = [r for r in attempts if not r.ok]
-    ok = len(attempts) >= least and len(rejected) == len(attempts)
-    return CheckResult(
-        "disable_cec_attempts_rejected", ok,
-        "%d of %d attempts rejected (need at least %d attempts)"
-        % (len(rejected), len(attempts), least),
+    ok = len(attempts) >= min_attempts and len(rejected) == len(attempts)
+    return ok, "%d of %d attempts rejected (need at least %d attempts)" % (
+        len(rejected), len(attempts), min_attempts
     )
 
 
-def _check_device_power_at_end(result: RunResult, args: dict) -> CheckResult:
-    device, want = args["device"], args["power"]
+def _check_device_power_at_end(result: RunResult, *, device, power) -> tuple[bool, str]:
     got = result.sim.device_states[device].power.value
-    return CheckResult(
-        "device_power_at_end", got == want, "%s finished %s (expected %s)" % (device, got, want)
-    )
+    return got == power, "%s finished %s (expected %s)" % (device, got, power)
 
 
-def _check_device_remains_on(result: RunResult, args: dict) -> CheckResult:
-    device = args["device"]
-    start = int(args.get("from_tick", 0))
-    timeline = _power_timeline(result, device)[start:]
-    off_at = next((start + i for i, v in enumerate(timeline) if v != "on"), None)
+def _check_device_remains_on(result: RunResult, *, device, from_tick=0) -> tuple[bool, str]:
+    timeline = _power_timeline(result, device)[from_tick:]
+    off_at = next((from_tick + i for i, v in enumerate(timeline) if v != "on"), None)
     if off_at is None:
-        return CheckResult("device_remains_on", True, "%s on from tick %d onward" % (device, start))
-    return CheckResult("device_remains_on", False, "%s left on-state at tick %d" % (device, off_at))
+        return True, "%s on from tick %d onward" % (device, from_tick)
+    return False, "%s left on-state at tick %d" % (device, off_at)
 
 
-def _check_no_control_frames_reach(result: RunResult, args: dict) -> CheckResult:
-    device, origin = args["device"], args["from_origin"]
+def _check_no_control_frames_reach(
+    result: RunResult, *, device, from_origin
+) -> tuple[bool, str]:
     hits = [
         e.tick for e in result.trace.events
-        if e.origin == origin and e.frame.opcode in fr.CONTROL_OPCODES and device in e.observers
+        if e.origin == from_origin and e.frame.opcode in fr.CONTROL_OPCODES
+        and device in e.observers
     ]
     if not hits:
-        return CheckResult(
-            "no_control_frames_reach", True, "no control frame from %s reached %s" % (origin, device)
-        )
-    return CheckResult(
-        "no_control_frames_reach", False,
-        "%d control frames from %s reached %s (first at tick %d)"
-        % (len(hits), origin, device, hits[0]),
+        return True, "no control frame from %s reached %s" % (from_origin, device)
+    return False, "%d control frames from %s reached %s (first at tick %d)" % (
+        len(hits), from_origin, device, hits[0]
     )
 
 
-def _check_relay_latency(result: RunResult, args: dict) -> CheckResult:
+def _check_relay_latency(result: RunResult, *, within=None) -> tuple[bool, str]:
     if result.poller is None:
-        return CheckResult("relay_latency", False, "scenario ran without a relay")
-    budget = int(args.get("within", result.poller.interval_ticks + 2))
+        return False, "scenario ran without a relay"
+    budget = result.poller.interval_ticks + 2 if within is None else within
     post = next((t for t, cmd in result.relay_posts if cmd == "DOS1"), None)
     if post is None:
-        return CheckResult("relay_latency", False, "no DOS1 command was posted")
+        return False, "no DOS1 command was posted"
     listeners = set(result.controllers)
     first = next(
         (
@@ -662,11 +580,10 @@ def _check_relay_latency(result: RunResult, args: dict) -> CheckResult:
         None,
     )
     if first is None:
-        return CheckResult("relay_latency", False, "relay command never produced bus traffic")
-    ok = first - post <= budget
-    return CheckResult(
-        "relay_latency", ok,
-        "first attack frame %d ticks after the post (budget %d)" % (first - post, budget),
+        return False, "relay command never produced bus traffic"
+    delay = first - post
+    return delay <= budget, "first attack frame %d ticks after the post (budget %d)" % (
+        delay, budget
     )
 
 
@@ -688,34 +605,63 @@ _CHECKS = {
     "relay_latency": _check_relay_latency,
 }
 
+# The shape of each check field.  A check function's keyword parameters are
+# its fields, and one without a default is required.
+_DEVICE = "device"
+_CHECK_FIELDS = {
+    **dict.fromkeys(("device", "actor", "from_origin", "subject"), _DEVICE),
+    **dict.fromkeys(("count", "tick", "ticks", "from_tick", "within", "min_attempts"),
+                    schema.integer),
+    "rule": ids_mod.RULES,
+    "power": ("on", "standby"),
+    "source": ("mic", "capture", "scan_report"),
+    "expected": lambda value, name: value == TESTBED_NAME or schema.obj(value, name),
+}
 
-# Check fields that name a device; each must name one in the topology.
-_DEVICE_FIELDS = ("device", "actor", "from_origin")
+# Each check function's fields, after the run result: (name, required).
+_CHECK_PARAMS = {
+    fn: [(p.name, p.default is p.empty) for p in list(signature(fn).parameters.values())[1:]]
+    for fn in _CHECKS.values()
+}
 
 
-def evaluate_checks(result: RunResult, extra: list[dict] | None = None) -> list[CheckResult]:
-    """Run the scenario's declared checks plus any ad hoc ones."""
-    nodes = result.sim.topology.nodes
-    outcomes = []
-    for entry in list(result.scenario.checks) + list(extra or []):
-        kind = entry.get("type")
-        fn = _CHECKS.get(kind) if isinstance(kind, str) else None
-        if fn is None:
-            outcomes.append(CheckResult(str(kind), False, "unknown check type"))
+def _bind_check(entry: dict, nodes) -> tuple:
+    """The function a check names and its keyword arguments, read from the
+    entry by the function's signature; other keys are ignored.  A field
+    missing or of the wrong shape raises FieldError."""
+    fn = _CHECKS[schema.text(entry.get("type"), "check type", _CHECKS)]
+    kwargs = {}
+    for name, required in _CHECK_PARAMS[fn]:
+        if name not in entry:
+            if required:
+                raise FieldError("check is missing field %r" % name)
             continue
-        unknown = [
-            entry[name] for name in _DEVICE_FIELDS
-            if name in entry and not (isinstance(entry[name], str) and entry[name] in nodes)
-        ]
-        if unknown:
-            outcomes.append(CheckResult(kind, False, "check names no device %r" % (unknown[0],)))
+        value = kwargs[name] = entry[name]
+        shape = _CHECK_FIELDS[name]
+        if shape is _DEVICE:
+            if type(value) is not str or value not in nodes:
+                raise FieldError("check names no device %r" % (value,))
             continue
         try:
-            outcomes.append(fn(result, entry))
-        except KeyError as exc:
-            outcomes.append(CheckResult(str(kind), False, "check is missing field %s" % exc))
-        except (TypeError, ValueError) as exc:
-            outcomes.append(CheckResult(str(kind), False, "check has a bad field: %s" % exc))
+            shape(value, name) if callable(shape) else schema.text(value, name, shape)
+        except FieldError as exc:
+            raise FieldError("check has a bad field: %s" % exc) from None
+    return fn, kwargs
+
+
+def evaluate_checks(result: RunResult) -> list[CheckResult]:
+    """Run the scenario's checks.  They are validated again here, since a
+    caller may replace `scenario.checks` after loading; a malformed check
+    fails and says why."""
+    nodes = result.sim.topology.nodes
+    outcomes = []
+    for entry in result.scenario.checks:
+        try:
+            fn, kwargs = _bind_check(entry, nodes)
+            ok, detail = fn(result, **kwargs)
+        except FieldError as exc:
+            ok, detail = False, str(exc)
+        outcomes.append(CheckResult(str(entry.get("type")), ok, detail))
     result.checks = outcomes
     return outcomes
 

@@ -10,14 +10,14 @@ so everything behind it sees the same port address.
 """
 
 import enum
-import json
 from collections import deque
 from dataclasses import dataclass, field
 
+from cecsim import schema
 from cecsim.frames import DeviceType, FrameError, PhysicalAddress, PowerState, parse_vendor_id
 
 
-class TopologyError(ValueError):
+class TopologyError(schema.FieldError):
     """Raised when a topology document is structurally invalid."""
 
 
@@ -54,10 +54,6 @@ _TYPE_ALIASES = {
 MAX_PORTS = 15
 MAX_DEPTH = 4
 MAX_OSD_LEN = 14
-# Deepest nesting of lists and objects an input file may use.  Real
-# documents need about six levels; far deeper ones overflow the recursion
-# limit wherever a value is copied, printed or encoded.
-MAX_NESTING = 32
 
 
 @dataclass
@@ -122,29 +118,24 @@ def _children_by_parent(edges: list[Edge]) -> dict[str, list[Edge]]:
     return children
 
 
-def nesting(value) -> int:
-    """How deep lists and objects nest in a JSON value, found without recursion."""
-    deepest, stack = 0, [(value, 0)]
-    while stack:
-        value, depth = stack.pop()
-        if isinstance(value, dict):
-            value = value.values()
-        elif not isinstance(value, list):
-            continue
-        deepest = max(deepest, depth + 1)
-        stack.extend((item, depth + 1) for item in value)
-    return deepest
-
-
 def _require(condition: bool, message: str):
     if not condition:
         raise TopologyError(message)
 
 
+# Each node flag and its value when the document leaves it out; the
+# default of cec_addressed depends on the node's kind.
+_NODE_FLAGS = (
+    ("cec_control_enabled", True),
+    ("cec_info_reporting_enabled", True),
+    ("edid_address_available", True),
+    ("active_source", False),
+)
+
+
 def _parse_node(raw: dict) -> DeviceNode:
-    _require(isinstance(raw, dict), "node entries must be objects")
-    node_id = raw.get("id")
-    _require(isinstance(node_id, str) and node_id != "", "node missing id: %r" % raw)
+    node_id = schema.text(raw.get("id"), "node id")
+    where = "node %r " % node_id
     kind_text = str(raw.get("kind", "")).lower()
     _require(kind_text in _KIND_ALIASES, "node %r has unknown kind %r" % (node_id, raw.get("kind")))
     kind = _KIND_ALIASES[kind_text]
@@ -155,65 +146,53 @@ def _parse_node(raw: dict) -> DeviceNode:
     )
     device_type = _TYPE_ALIASES[type_text]
 
-    osd = raw.get("osd_name", node_id)
-    _require(isinstance(osd, str), "node %r osd_name must be a string" % node_id)
-    osd = osd[:MAX_OSD_LEN]
+    osd = schema.text(raw.get("osd_name", node_id), where + "osd_name")
     try:
         vendor = parse_vendor_id(raw.get("vendor_id", 0))
     except FrameError as exc:
-        raise TopologyError("node %r: %s" % (node_id, exc)) from None
+        raise TopologyError("%svendor_id: %s" % (where, exc)) from None
 
     language = raw.get("menu_language", "eng")
     if language in (None, "", "unknown"):
         language = None
     else:
-        language = str(language).lower()
+        language = schema.text(language, where + "menu_language").lower()
         _require(len(language) == 3, "node %r menu_language must be 3 chars" % node_id)
 
     logical = raw.get("logical_address")
     if logical is not None:
-        _require(
-            type(logical) is int and 0 <= logical <= 14,
-            "node %r logical_address must be 0..14" % node_id,
-        )
+        schema.integer(logical, where + "logical_address", 0, 14)
 
     power_text = str(raw.get("initial_power", "on")).lower()
     _require(power_text in ("on", "standby"), "node %r initial_power must be on|standby" % node_id)
 
-    input_count = raw.get("input_count", 4)
-    _require(
-        type(input_count) is int and 1 <= input_count <= MAX_PORTS,
-        "node %r input_count must be 1..%d" % (node_id, MAX_PORTS),
-    )
-
+    input_count = schema.integer(raw.get("input_count", 4), where + "input_count", 1, MAX_PORTS)
     active_port = raw.get("active_input_port")
     if active_port is not None:
-        _require(
-            type(active_port) is int and 1 <= active_port <= input_count,
-            "node %r active_input_port must be 1..%d" % (node_id, input_count),
-        )
+        schema.integer(active_port, where + "active_input_port", 1, input_count)
 
-    addressed_default = kind not in (DeviceKind.SWITCH, DeviceKind.HUB_SPLITTER)
+    addressed = ("cec_addressed", kind not in (DeviceKind.SWITCH, DeviceKind.HUB_SPLITTER))
+    flags = {
+        name: schema.flag(raw.get(name, default), where + name)
+        for name, default in _NODE_FLAGS + (addressed,)
+    }
     return DeviceNode(
         id=node_id,
         kind=kind,
         device_type=device_type,
-        osd_name=osd,
+        osd_name=osd[:MAX_OSD_LEN],
         vendor_id=vendor,
-        cec_version=str(raw.get("cec_version", "1.4")),
+        cec_version=schema.text(raw.get("cec_version", "1.4"), where + "cec_version"),
         menu_language=language,
-        cec_control_enabled=bool(raw.get("cec_control_enabled", True)),
-        cec_info_reporting_enabled=bool(raw.get("cec_info_reporting_enabled", True)),
-        edid_address_available=bool(raw.get("edid_address_available", True)),
-        cec_addressed=bool(raw.get("cec_addressed", addressed_default)),
         logical_address=logical,
         initial_power=PowerState.ON if power_text == "on" else PowerState.STANDBY,
-        active_source=bool(raw.get("active_source", False)),
         active_input_port=active_port,
         input_count=input_count,
+        **flags,
     )
 
 
+@schema.raises(TopologyError)
 def build_topology(config: dict) -> Topology:
     """Validate a topology document and return the tree.
 
@@ -221,9 +200,9 @@ def build_topology(config: dict) -> Topology:
     shared children, ports within range and unique per parent, and that the
     tree still fits the four-nibble address space.
     """
-    _require(isinstance(config, dict), "topology config must be an object")
-    raw_nodes = config.get("nodes")
-    _require(isinstance(raw_nodes, list) and raw_nodes, "topology needs a non-empty nodes list")
+    schema.obj(config, "topology config")
+    raw_nodes = schema.objects(config.get("nodes"), "topology nodes")
+    _require(raw_nodes, "topology needs a non-empty nodes list")
 
     nodes: dict[str, DeviceNode] = {}
     for raw in raw_nodes:
@@ -231,24 +210,15 @@ def build_topology(config: dict) -> Topology:
         _require(node.id not in nodes, "duplicate node id %r" % node.id)
         nodes[node.id] = node
 
-    raw_edges = config.get("edges", [])
-    _require(isinstance(raw_edges, list), "topology edges must be a list")
     edges: list[Edge] = []
     seen_child: set[str] = set()
     ports_used: dict[str, set[int]] = {}
-    for raw in raw_edges:
-        _require(isinstance(raw, dict), "edge entries must be objects")
-        parent, child = raw.get("parent"), raw.get("child")
-        for end, name in (("parent", parent), ("child", child)):
-            _require(
-                type(name) is str and name in nodes, "edge references unknown %s %r" % (end, name)
-            )
+    for raw in schema.objects(config.get("edges", []), "topology edges"):
+        parent = schema.text(raw.get("parent"), "edge parent", nodes)
+        child = schema.text(raw.get("child"), "edge child", nodes)
         _require(parent != child, "node %r cannot be its own parent" % parent)
-        port = raw.get("port")
-        _require(
-            type(port) is int and 1 <= port <= MAX_PORTS,
-            "edge %r->%r port must be 1..%d" % (parent, child, MAX_PORTS),
-        )
+        where = "edge %r->%r " % (parent, child)
+        port = schema.integer(raw.get("port"), where + "port", 1, MAX_PORTS)
         _require(
             port not in ports_used.setdefault(parent, set()),
             "node %r uses port %d twice" % (parent, port),
@@ -256,17 +226,16 @@ def build_topology(config: dict) -> Topology:
         ports_used[parent].add(port)
         _require(child not in seen_child, "node %r has more than one parent" % child)
         seen_child.add(child)
-        edges.append(Edge(parent, child, port, bool(raw.get("cec_propagates", True))))
+        propagates = schema.flag(raw.get("cec_propagates", True), where + "cec_propagates")
+        edges.append(Edge(parent, child, port, propagates))
 
     roots = [n for n in nodes if n not in seen_child]
     _require(len(roots) == 1, "topology must have exactly one root, found %r" % roots)
 
-    raw_names = config.get("vendor_names", {})
-    _require(isinstance(raw_names, dict), "topology vendor_names must be an object")
     vendor_names = {}
-    for key, name in raw_names.items():
+    for key, name in schema.obj(config.get("vendor_names", {}), "topology vendor_names").items():
         try:
-            vendor_names[parse_vendor_id(key)] = str(name)
+            vendor_names[parse_vendor_id(key)] = schema.text(name, "vendor_names %r" % key)
         except FrameError as exc:
             raise TopologyError("vendor_names: %s" % exc) from None
 
@@ -279,17 +248,9 @@ def build_topology(config: dict) -> Topology:
     return topo
 
 
+@schema.raises(TopologyError)
 def load_topology(path: str) -> Topology:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            config = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise TopologyError("topology file %s is not valid JSON: %s" % (path, exc)) from None
-    _require(
-        nesting(config) <= MAX_NESTING,
-        "topology file %s nests deeper than %d levels" % (path, MAX_NESTING),
-    )
-    return build_topology(config)
+    return build_topology(schema.read_json_file(path, "topology"))
 
 
 def assign_physical_addresses(topology: Topology) -> dict[str, PhysicalAddress]:

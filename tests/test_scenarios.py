@@ -135,12 +135,25 @@ class TestValidation:
                               "args": {"frame": "1f:+a"}}]},
                 "send_frame at tick 1: octet 1 is not hex",
             ),
+            ({"relay": {"enabled": "false"}}, "relay enabled"),
+            ({"checks": [{"type": "does_not_exist"}]}, "unknown check type"),
+            ({"checks": [{"type": "device_remains_on", "device": "ghost"}]}, "'ghost'"),
+            ({"checks": [{"type": "min_input_cycles", "device": "tv", "count": "190"}]}, "count"),
+            ({"checks": [{"type": "min_input_cycles", "device": "tv", "count": 190.9}]}, "count"),
+            ({"checks": [{"type": "min_input_cycles", "device": "tv", "count": True}]}, "count"),
+            ({"checks": [{"type": "min_input_cycles", "device": "tv"}]}, "count"),
+            ({"checks": [{"type": "device_power_at_end", "device": "tv", "power": "off"}]},
+             "power"),
         ],
     )
     def test_rejections_name_the_problem(self, patch, fragment):
         with pytest.raises(ScenarioError) as err:
             load_scenario(doc(**patch))
         assert fragment in str(err.value)
+
+    def test_check_fields_beyond_its_own_are_ignored(self):
+        check = {"type": "zero_alerts", "note": "quiet bus", "device": "ghost"}
+        assert load_scenario(doc(checks=[check])).checks == [check]
 
     def test_actions_sorted_by_tick(self):
         scenario = load_scenario(
@@ -392,6 +405,16 @@ class TestCli:
                                                  "action": "power_on", "args": [1]}])))
         assert cli.main(["run", "--scenario", str(path)]) == 2
         assert "args must be an object" in capsys.readouterr().err
+
+    def test_run_malformed_check_exits_two_before_running(self, tmp_path, capsys):
+        path = tmp_path / "bad-check.json"
+        path.write_text(json.dumps(doc(checks=[
+            {"type": "min_input_cycles", "device": "tv", "count": "190"},
+        ])))
+        assert cli.main(["run", "--scenario", str(path), "--check"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "checks[0]" in err and "count" in err
 
     def test_run_unknown_scenario_exits_two(self, capsys):
         assert cli.main(["run", "--scenario", "no-such"]) == 2

@@ -20,6 +20,15 @@ def minimal(nodes, edges):
     return build_topology({"nodes": nodes, "edges": edges})
 
 
+def tv_and_box(**tv_fields):
+    """The nodes of a TV with one box below it, the TV given extra fields."""
+    return [
+        dict({"id": "tv", "kind": "display", "device_type": "television", "osd_name": "TV"},
+             **tv_fields),
+        {"id": "box", "kind": "source", "device_type": "playback", "osd_name": "Box"},
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Happy path
 # ---------------------------------------------------------------------------
@@ -201,6 +210,18 @@ class TestValidation:
             ({"edges": [{"parent": "tv", "child": "box", "port": True}]}, "port"),
             ({"vendor_names": [1]}, "vendor_names"),
             ({"vendor_names": {"zz": "x"}}, "vendor_names"),
+            ({"nodes": tv_and_box(cec_control_enabled="false")}, "cec_control_enabled"),
+            ({"nodes": tv_and_box(cec_info_reporting_enabled=0)}, "cec_info_reporting_enabled"),
+            ({"nodes": tv_and_box(edid_address_available="no")}, "edid_address_available"),
+            ({"nodes": tv_and_box(cec_addressed=1)}, "cec_addressed"),
+            ({"nodes": tv_and_box(active_source="false")}, "active_source"),
+            (
+                {"edges": [{"parent": "tv", "child": "box", "port": 1, "cec_propagates": "no"}]},
+                "cec_propagates",
+            ),
+            ({"nodes": tv_and_box(vendor_id=True)}, "vendor_id"),
+            ({"nodes": tv_and_box(cec_version=5)}, "cec_version"),
+            ({"nodes": tv_and_box(menu_language=123)}, "menu_language"),
         ],
     )
     def test_malformed_shapes_name_the_field(self, patch, fragment):
