@@ -148,9 +148,6 @@ class ScanWalk(Actor):
             bucket["language"] = bytes(operands).decode("ascii", errors="replace")
         elif op == fr.OP_ACTIVE_SOURCE:
             self._active_claimant = source
-        elif op == fr.OP_FEATURE_ABORT and len(operands) == 2:
-            # The peer refused one of our questions; the field stays Unk.
-            pass
 
     def _finalize(self, sim: Simulator, own: int | None):
         report = ScanReport(actor=self.device)
@@ -188,7 +185,6 @@ class TargetedDos(Actor):
         self.target_address = target_address
         self.status = "idle"
         self.fired = 0
-        self.evidence: list[BusEvent] = []
 
     def arm(self):
         if self.status == "idle":
@@ -207,7 +203,6 @@ class TargetedDos(Actor):
             return
         self.status = "active"
         self.fired += 1
-        self.evidence.append(event)
         sim.transmit_at(
             sim.clock + 1,
             self.device,

@@ -190,10 +190,11 @@ class CecFrame:
         return self.text
 
 
-# Each octet text of exactly two lowercase hex digits to its value; an octet
-# is looked up lowercased.  `int(part, 16)` would also take a sign or
-# whitespace ("+a", " 2").
-_OCTET_VALUES = {"%02x" % b: b for b in range(256)}
+# Each octet value's text, two lowercase hex digits, and each such text to
+# its value; an octet is looked up lowercased.  `int(part, 16)` would also
+# take a sign or whitespace ("+a", " 2").
+_OCTET_TEXTS = tuple("%02x" % b for b in range(256))
+_OCTET_VALUES = {text: b for b, text in enumerate(_OCTET_TEXTS)}
 
 
 def parse_frame(text: str) -> CecFrame:
@@ -229,7 +230,7 @@ def encode_frame(frame: CecFrame) -> str:
     if frame.opcode is not None:
         octets.append(frame.opcode)
         octets.extend(frame.operands)
-    return ":".join("%02x" % b for b in octets)
+    return ":".join([_OCTET_TEXTS[b] for b in octets])
 
 
 # ---------------------------------------------------------------------------

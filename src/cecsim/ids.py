@@ -89,11 +89,10 @@ class Detector:
         self.config = config or RuleConfig()
         self.tap = tap
         self.alerts: list[Alert] = []
-        self._scan: dict[str, deque] = {}
-        self._churn: dict[str, deque] = {}
+        # (rule, initiator) -> (tick, frame) window, until the rule fires.
+        self._windows: dict[tuple[str, str], deque] = {}
         self._announcements: deque = deque()
         self._standby_pairs: dict[str, list] = {}
-        self._streams: dict[str, list] = {}
         self._fired: set[tuple[str, str]] = set()
         # The last observers tuple seen, and whether the tap is in it: the
         # events of one domain share one tuple.
@@ -132,64 +131,49 @@ class Detector:
                 Alert(RULE_COVERT_MARKER, (event.tick, event.tick), event.origin, (frame.text,))
             )
 
+    def _window(self, rule: str, event: BusEvent, span: int | None = None) -> deque | None:
+        """The initiator's window for `rule`, this frame added and frames a
+        `span` or more ticks older dropped; None once the rule has fired."""
+        key = (rule, event.origin)
+        if key in self._fired:
+            return None
+        window = self._windows.get(key)
+        if window is None:
+            window = self._windows[key] = deque()
+        tick = event.tick
+        window.append((tick, event.frame))
+        if span is not None:
+            while window[0][0] <= tick - span:
+                window.popleft()
+        return window
+
+    def _fire(self, rule: str, subject: str, window: deque, new: list[Alert]):
+        """Raise `rule` once for the initiator, citing its window, and drop the window."""
+        self._fired.add((rule, subject))
+        del self._windows[(rule, subject)]
+        new.append(
+            Alert(rule, (window[0][0], window[-1][0]), subject, tuple(f.text for _, f in window))
+        )
+
     def _check_stream(self, event: BusEvent, new: list[Alert]):
-        frame = event.frame
-        if len(frame.operands) <= 1:
+        if len(event.frame.operands) <= 1:
             return
         # The alert cites the first three data frames; later ones add nothing.
-        bucket = self._streams.setdefault(event.origin, [])
-        if len(bucket) >= 3:
-            return
-        bucket.append((event.tick, frame))
-        if len(bucket) == 3 and self._once(RULE_COVERT_STREAM, event.origin):
-            new.append(
-                Alert(
-                    RULE_COVERT_STREAM,
-                    (bucket[0][0], bucket[-1][0]),
-                    event.origin,
-                    tuple(f.text for _, f in bucket),
-                )
-            )
+        window = self._window(RULE_COVERT_STREAM, event)
+        if window is not None and len(window) == 3:
+            self._fire(RULE_COVERT_STREAM, event.origin, window, new)
 
     def _check_scan(self, event: BusEvent, new: list[Alert]):
-        # The rule fires once per initiator; after that its window is moot.
-        if (RULE_SCAN_BURST, event.origin) in self._fired:
+        window = self._window(RULE_SCAN_BURST, event, self.config.scan_window)
+        if window is None:
             return
-        frame = event.frame
-        window = self._scan.setdefault(event.origin, deque())
-        window.append((event.tick, frame))
-        while window and window[0][0] <= event.tick - self.config.scan_window:
-            window.popleft()
-        distinct = {f.destination for _, f in window}
-        if len(distinct) >= self.config.scan_distinct_addresses and self._once(
-            RULE_SCAN_BURST, event.origin
-        ):
-            new.append(
-                Alert(
-                    RULE_SCAN_BURST,
-                    (window[0][0], window[-1][0]),
-                    event.origin,
-                    tuple(f.text for _, f in window),
-                )
-            )
+        if len({f.destination for _, f in window}) >= self.config.scan_distinct_addresses:
+            self._fire(RULE_SCAN_BURST, event.origin, window, new)
 
     def _check_churn(self, event: BusEvent, new: list[Alert]):
-        # The rule fires once per initiator; after that its window is moot.
-        if (RULE_INPUT_CHURN, event.origin) in self._fired:
-            return
-        window = self._churn.setdefault(event.origin, deque())
-        window.append((event.tick, event.frame))
-        while window and window[0][0] <= event.tick - self.config.churn_window:
-            window.popleft()
-        if len(window) >= self.config.churn_count and self._once(RULE_INPUT_CHURN, event.origin):
-            new.append(
-                Alert(
-                    RULE_INPUT_CHURN,
-                    (window[0][0], window[-1][0]),
-                    event.origin,
-                    tuple(f.text for _, f in window),
-                )
-            )
+        window = self._window(RULE_INPUT_CHURN, event, self.config.churn_window)
+        if window is not None and len(window) >= self.config.churn_count:
+            self._fire(RULE_INPUT_CHURN, event.origin, window, new)
 
     def _check_standby(self, event: BusEvent, new: list[Alert]):
         frame = event.frame

@@ -30,6 +30,14 @@ WEBCLIENT_PATH = "/cec/webclient"
 MAX_BODY_BYTES = 2 * MAX_PAYLOAD + 4096
 
 
+# Envelope text in a log line or a record is cut to this many characters.
+EXCERPT_CHARS = 64
+
+
+def _excerpt(text: str) -> str:
+    return "%r (%d chars)" % (text[:EXCERPT_CHARS], len(text))
+
+
 class RelayUnreachable(Exception):
     """The relay endpoint could not be reached; the caller should retry."""
 
@@ -160,11 +168,14 @@ class HttpRelayClient:
 
 class RelayPoller(Actor):
     """Listener-side loop: read the command slot every poll interval,
-    run anything new, push pending results back out.
+    run anything new, push the pending result back out.
 
-    Commands are deduplicated by the exact stored string, so re-reading
-    the same envelope never re-executes it; operators re-issue with a
-    fresh issued_at to run a command again.
+    Like the relay slots, the poller keeps only the last write: it runs a
+    value that differs from the last one read, so re-reading an envelope
+    never re-runs it (re-issue with a fresh issued_at instead), and a
+    result held over an outage is replaced by the next.  An envelope
+    posted again after another (A, B, A) runs again; anyone who can
+    replay A to the unauthenticated relay can post a fresh one anyway.
     """
 
     def __init__(self, client, controller, interval_ticks: int):
@@ -176,8 +187,8 @@ class RelayPoller(Actor):
         self.interval_ticks = interval_ticks
         self.executed: list[str] = []
         self.unknown: list[str] = []
-        self._seen: set[str] = set()
-        self._outbox: list[str] = []
+        self._last: str | None = None
+        self._pending: str | None = None
 
     def on_tick(self, sim: Simulator, tick: int):
         if tick == 0 or tick % self.interval_ticks != 0:
@@ -187,40 +198,41 @@ class RelayPoller(Actor):
         except RelayUnreachable as exc:
             log.warning("relay poll failed: %s", exc)
             return
-        if value is not None and value not in self._seen:
-            self._seen.add(value)
+        if value is not None and value != self._last:
+            self._last = value
             self._dispatch(sim, value)
         self._flush()
 
     def publish(self, text: str):
-        self._outbox.append(text)
+        self._pending = text
         self._flush()
 
     def _flush(self):
-        while self._outbox:
-            try:
-                self.client.post(WEBCLIENT_PATH, self._outbox[0])
-            except RelayUnreachable as exc:
-                log.warning("relay publish failed, will retry: %s", exc)
-                return
-            self._outbox.pop(0)
+        if self._pending is None:
+            return
+        try:
+            self.client.post(WEBCLIENT_PATH, self._pending)
+        except RelayUnreachable as exc:
+            log.warning("relay publish failed, will retry: %s", exc)
+            return
+        self._pending = None
 
     def _dispatch(self, sim: Simulator, value: str):
         try:
             envelope = json.loads(value)
             command = schema.text(envelope["command"], "command")
         except (ValueError, RecursionError, TypeError, KeyError):
-            log.warning("ignoring malformed relay envelope %r", value)
+            log.warning("ignoring malformed relay envelope %s", _excerpt(value))
             return
         handler = self._HANDLERS.get(command)
         if handler is None:
-            log.warning("unknown relay command %r acknowledged, not executed", command)
-            self.unknown.append(command)
+            log.warning("unknown relay command %s acknowledged, not executed", _excerpt(command))
+            self.unknown.append(command[:EXCERPT_CHARS])
             return
         try:
             handler(self, sim, envelope)
         except ValueError as exc:
-            log.warning("ignoring relay command %s: %s", command, exc)
+            log.warning("ignoring relay command %s: %s", command, _excerpt(str(exc)))
             return
         self.executed.append(command)
         log.info("relay command %s executed", command)

@@ -7,7 +7,6 @@ wires up the attack services, replays the actions, runs the detector over
 the finished trace, and can persist every artifact of the run.
 """
 
-import copy
 import json
 import logging
 import os
@@ -62,9 +61,9 @@ class Scenario:
 
 def _resolve_topology(raw, base_dir: str | None) -> dict:
     if isinstance(raw, dict):
-        return copy.deepcopy(raw)
+        return raw
     if raw == TESTBED_NAME:
-        return copy.deepcopy(TESTBED_TOPOLOGY)
+        return TESTBED_TOPOLOGY
     if isinstance(raw, str):
         path = raw if os.path.isabs(raw) or base_dir is None else os.path.join(base_dir, raw)
         if not os.path.isfile(path):
@@ -85,13 +84,18 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
     config = _resolve_topology(document["topology"], base_dir)
     overrides = schema.obj(document.get("overrides", {}), "overrides")
     try:
-        by_id = {n["id"]: n for n in config["nodes"]} if overrides else {}
+        node_ids = {n["id"] for n in config["nodes"]} if overrides else ()
     except (KeyError, TypeError):
         raise ScenarioError("overrides need a topology whose nodes all have ids") from None
     for node_id, patch in overrides.items():
-        if node_id not in by_id:
+        if node_id not in node_ids:
             raise ScenarioError("override targets unknown node %r" % node_id)
-        by_id[node_id].update(schema.obj(patch, "overrides for %r" % node_id))
+        schema.obj(patch, "overrides for %r" % node_id)
+    if overrides:
+        # build_topology only reads; copy just the patched nodes, keeping duplicates.
+        nodes = [{**n, **overrides[n["id"]]} if n["id"] in overrides else n
+                 for n in config["nodes"]]
+        config = {**config, "nodes": nodes}
 
     try:
         topology = build_topology(config)
@@ -132,7 +136,7 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
                 raise ScenarioError("%s must run on a listener device, not %r" % (where, actor))
         if action == "arm_targeted_dos" and "target" in args:
             schema.integer(args["target"], where + " target", 0, fr.BROADCAST)
-        actions.append(ScenarioAction(tick, actor, action, args))
+        actions.append(ScenarioAction(tick, actor, action, dict(args)))
     actions.sort(key=lambda a: a.tick)
 
     relay_cfg = schema.obj(document.get("relay", {}), "relay section")
@@ -161,7 +165,7 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
             raise ScenarioError("detector config invalid: %s" % exc) from None
     _check_tap(ids_options.get("tap"), topology)
 
-    checks = list(schema.objects(document.get("checks", []), "checks"))
+    checks = [dict(entry) for entry in schema.objects(document.get("checks", []), "checks")]
     for index, entry in enumerate(checks):
         try:
             _bind_check(entry, topology.nodes)
@@ -175,9 +179,10 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
         seed=seed,
         ticks_per_second=tps,
         actions=actions,
-        relay=relay_cfg,
-        listener_options=listener_options,
-        ids_options=ids_options,
+        # Copies: editing a loaded scenario never edits the document.
+        relay=dict(relay_cfg),
+        listener_options=dict(listener_options),
+        ids_options=dict(ids_options),
         checks=checks,
     )
 
@@ -859,7 +864,7 @@ def builtin_scenario(name: str) -> Scenario:
         raise ScenarioError(
             "unknown scenario %r; builtin names: %s" % (name, ", ".join(builtin_scenario_names()))
         )
-    return load_scenario(copy.deepcopy(_BUILTIN_SCENARIOS[name]))
+    return load_scenario(_BUILTIN_SCENARIOS[name])
 
 
 def resolve_scenario(ref: str) -> Scenario:

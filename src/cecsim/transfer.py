@@ -105,7 +105,6 @@ class FileSender(Actor):
         if event.origin == self.device:
             if (
                 self.session is not None
-                and not frame.is_polling
                 and frame.opcode == DATA_OPCODE
                 and not event.acknowledged
             ):

@@ -154,7 +154,7 @@ class TestTargetedDos:
         assert standbys
         assert standbys[0].tick == 9  # announcement at 8, reaction one tick later
         assert standbys[0].frame.destination == 0
-        assert dos.fired == len(dos.evidence) == 3
+        assert dos.fired == len(standbys) == 3
 
     def test_idle_until_armed(self, testbed_sim):
         dos = TargetedDos("listener")

@@ -169,7 +169,47 @@ class TestCovertRules:
             detector.feed(ev(t, "spy", "12:00:01:02:03"))
         assert [a.rule for a in detector.alerts] == [RULE_COVERT_STREAM]
         assert detector.alerts[0].window == (0, 2)
-        assert len(detector._streams["spy"]) <= 3
+        assert detector._windows == {}
+
+
+# The frames that trip each sliding-window rule at the default thresholds,
+# and that rule's window in ticks.
+_WINDOWED = [
+    pytest.param(RULE_SCAN_BURST, ["%x%x" % (d, d) for d in range(8)], 50, id="scan"),
+    pytest.param(
+        RULE_INPUT_CHURN, ["1f:82:%x0:00" % (n % 4 + 1) for n in range(5)], 30, id="churn"
+    ),
+]
+
+
+class TestRuleWindows:
+    @pytest.mark.parametrize("rule, texts, window", _WINDOWED)
+    @pytest.mark.parametrize("first, fires", [(0, False), (1, True)])
+    def test_first_frame_one_window_old_is_dropped(self, rule, texts, window, first, fires):
+        # The first frame at `first`, the rest at `window`: exactly one window
+        # older than the last frame falls out, one tick newer still counts.
+        events = [ev(first, "spy", texts[0])] + [ev(window, "spy", t) for t in texts[1:]]
+        alerts = detect(events)
+        assert [a.rule for a in alerts] == ([rule] if fires else [])
+        if fires:
+            assert alerts[0].window == (first, window)
+
+    @pytest.mark.parametrize(
+        "rule, texts",
+        [
+            pytest.param(RULE_SCAN_BURST, ["%x%x" % (d, d) for d in range(8)], id="scan"),
+            pytest.param(RULE_INPUT_CHURN, ["1f:82:10:00"] * 5, id="churn"),
+            pytest.param(RULE_COVERT_STREAM, ["12:00:01:02:03"] * 3, id="stream"),
+        ],
+    )
+    def test_window_dropped_once_rule_fires(self, rule, texts):
+        detector = Detector()
+        for t, text in enumerate(texts * 50):
+            detector.feed(ev(t, "spy", text))
+            if t == len(texts) - 2:
+                assert list(detector._windows) == [(rule, "spy")]
+        assert [a.rule for a in detector.alerts] == [rule]
+        assert detector._windows == {}
 
 
 # ---------------------------------------------------------------------------

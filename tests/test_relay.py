@@ -230,11 +230,78 @@ class TestPoller:
         sim.add_actor(poller)
         client.down = True
         poller.publish("result-1")
-        assert poller._outbox == ["result-1"]
+        assert poller._pending == "result-1"
         client.down = False
         poller.publish("result-2")
         assert client.get(WEBCLIENT_PATH) == "result-2"
-        assert poller._outbox == []
+        assert poller._pending is None
+
+    def test_outage_over_two_results_posts_only_the_newer(self):
+        sim, controller, _ = wired_sim()
+        posted = []
+
+        class RecordingClient(LoopbackRelayClient):
+            def post(self, path, value):
+                super().post(path, value)
+                posted.append(value)
+
+        client = RecordingClient()
+        poller = RelayPoller(client, controller, interval_ticks=2)
+        sim.add_actor(poller)
+        client.down = True
+        poller.publish("result-1")
+        poller.publish("result-2")
+        sim.run(until=3)  # the poll at tick 2 fails too
+        client.down = False
+        sim.run(until=5)
+        assert posted == ["result-2"]
+        assert client.get(WEBCLIENT_PATH) == "result-2"
+        assert poller._pending is None
+
+    def test_distinct_envelopes_leave_one_held(self):
+        sim, controller, _ = wired_sim()
+        client = LoopbackRelayClient()
+        poller = RelayPoller(client, controller, interval_ticks=1)
+        sim.add_actor(poller)
+        for issued_at in range(1, 1001):
+            envelope = json.dumps({"command": "CANCEL", "issued_at": issued_at})
+            client.post(LISTENER_PATH, envelope)
+            sim.run(until=issued_at + 1)
+        assert len(poller.executed) == 1000
+        assert poller._last == envelope
+        assert poller._pending is None
+
+    def test_envelope_reposted_after_another_runs_again(self):
+        # Only the last envelope read is remembered: A, B, A runs A twice.
+        sim, controller, _ = wired_sim()
+        client = LoopbackRelayClient()
+        poller = RelayPoller(client, controller, interval_ticks=2)
+        sim.add_actor(poller)
+        first = json.dumps({"command": "CANCEL", "issued_at": 0})
+        for until, envelope in ((5, first), (9, json.dumps({"command": "TDOS"})), (13, first)):
+            client.post(LISTENER_PATH, envelope)
+            sim.run(until=until)
+        assert poller.executed == ["CANCEL", "TDOS", "CANCEL"]
+
+    @pytest.mark.parametrize(
+        "envelope, unknown",
+        [
+            pytest.param(json.dumps({"command": "X" * 2**20}), ["X" * 64], id="command"),
+            pytest.param("{" * 2**20, [], id="malformed"),
+            pytest.param(json.dumps({"command": "TDOS", "target": "X" * 2**20}), [], id="target"),
+        ],
+    )
+    def test_huge_envelope_text_is_cut(self, envelope, unknown, caplog):
+        sim, controller, _ = wired_sim()
+        client = LoopbackRelayClient()
+        poller = RelayPoller(client, controller, interval_ticks=2)
+        sim.add_actor(poller)
+        client.post(LISTENER_PATH, envelope)
+        with caplog.at_level("DEBUG", logger="cecsim.relay"):
+            sim.run(until=4)
+        assert poller.executed == [] and poller.unknown == unknown
+        assert caplog.records
+        assert all(len(record.getMessage()) < 200 for record in caplog.records)
 
     def test_poll_survives_outage(self):
         sim, controller, _ = wired_sim()

@@ -1,5 +1,6 @@
 """Scenario schema, runner wiring, artifact output, and the CLI."""
 
+import copy
 import json
 import os
 
@@ -171,6 +172,23 @@ class TestValidation:
         result = run_scenario(scenario)
         assert result.sim.topology.nodes["tv"].osd_name == "Lounge"
 
+    @pytest.mark.parametrize("inline", [False, True], ids=["testbed", "inline"])
+    def test_overrides_leave_the_document(self, inline):
+        document = doc(overrides={"tv": {"osd_name": "Lounge"}})
+        if inline:
+            document["topology"] = copy.deepcopy(TESTBED_TOPOLOGY)
+        before, testbed = copy.deepcopy(document), copy.deepcopy(TESTBED_TOPOLOGY)
+        scenario = load_scenario(document)
+        assert scenario.topology.nodes["tv"].osd_name == "Lounge"
+        assert document == before
+        assert TESTBED_TOPOLOGY == testbed
+
+    def test_override_keeps_duplicate_ids_visible(self):
+        topology = copy.deepcopy(TESTBED_TOPOLOGY)
+        topology["nodes"].append(dict(topology["nodes"][0]))
+        with pytest.raises(ScenarioError, match="duplicate node id"):
+            load_scenario(doc(topology=topology, overrides={topology["nodes"][0]["id"]: {}}))
+
     def test_inline_topology(self):
         scenario = load_scenario(
             doc(
@@ -223,6 +241,22 @@ class TestBuiltins:
         first.duration = 1
         second = builtin_scenario("benign-power-cycle")
         assert second.duration == 100
+
+
+    @pytest.mark.parametrize("name", scen.builtin_scenario_names())
+    def test_editing_a_loaded_builtin_leaves_the_catalogue(self, name):
+        catalogue = copy.deepcopy(scen._BUILTIN_SCENARIOS[name])
+        first = builtin_scenario(name)
+        for stored in [first.relay, first.listener_options, first.ids_options,
+                       *(action.args for action in first.actions), *first.checks]:
+            stored["edited"] = True
+        first.ids_options["tap"] = "client"
+        assert scen._BUILTIN_SCENARIOS[name] == catalogue
+        second = builtin_scenario(name)
+        assert "edited" not in second.relay and "edited" not in second.listener_options
+        assert "tap" not in second.ids_options and "edited" not in second.ids_options
+        assert all("edited" not in action.args for action in second.actions)
+        assert all("edited" not in check for check in second.checks)
 
 
 # ---------------------------------------------------------------------------
