@@ -13,9 +13,10 @@ Observing is not acting.  `devices.react` runs only where a frame can
 land: for a broadcast, on every CEC-addressed observer; for a directed
 frame, on the observers holding its destination address (several may hold
 one when the first never acknowledged the later claimants' polls), in
-declaration order; for a polling frame, on no one.  The transmitter never
-reacts to its own frame.  Actors still hear every frame their device
-observes.
+declaration order.  Polls and response frames (`frames.RESPONSE_OPCODES`)
+reach no `react`: no device acts on them, so they only travel, ack and are
+heard.  The transmitter never reacts to its own frame.  Actors still hear
+every frame their device observes.
 """
 
 import bisect
@@ -25,6 +26,7 @@ import re
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 from cecsim import devices as dv
 from cecsim import frames as fr
@@ -35,13 +37,16 @@ log = logging.getLogger(__name__)
 
 UNREGISTERED = 15
 
+# Opcodes no device acts on: None (a poll) and every response.  `react`
+# returns the state unchanged for them, so `deliver` does not call it.
+_INERT_OPCODES = fr.RESPONSE_OPCODES | {None}
+
 
 # Tick, origin, frame text, 1 or 0 for the ack, and the joined observers.
 _EVENT_LINE = "t=%d | %s | %s | ack=%d | obs=%s"
 
 
-@dataclass(frozen=True)
-class BusEvent:
+class BusEvent(NamedTuple):
     """One frame as it appeared on the wire."""
 
     tick: int
@@ -57,8 +62,9 @@ class BusEvent:
         return _EVENT_LINE % (self.tick, self.origin, self.frame.text, self.acknowledged, observers)
 
 
-@dataclass(frozen=True)
-class StateChange:
+class StateChange(NamedTuple):
+    """One logged field of a device's state, after a change."""
+
     tick: int
     device: str
     field: str
@@ -143,9 +149,12 @@ class Actor:
     """Anything that runs on a device and watches the wire or acts on a
     schedule: attack sessions, covert file endpoints, relay pollers.
 
-    Every actor gets `on_tick` on every tick.  It hears what its device
-    hears: the simulator calls `on_event` only for frames whose observers
-    include `device`, its own transmissions among them.
+    Add one with `Simulator.add_actor`.  An actor gets `on_tick` on every
+    tick that starts after it was added.  It hears what its device hears:
+    the simulator calls `on_event` only for frames whose observers include
+    `device`, its own transmissions among them, and only for frames put on
+    the wire after it was added.  The simulator calls only the callbacks a
+    subclass overrides; the ones here do nothing.
     """
 
     def __init__(self, device: str):
@@ -182,6 +191,11 @@ class Simulator:
         self.logical: dict[str, int | None] = {}
         self.device_states: dict[str, dv.DeviceState] = {}
         self.actors: list[Actor] = []
+        # The actors whose class overrides `on_tick`, and those whose class
+        # overrides `on_event`, in add order.  `add_actor` rebinds them, so
+        # a loop over one never sees an actor added during that loop.
+        self._tickers: tuple[Actor, ...] = ()
+        self._listeners: tuple[Actor, ...] = ()
         self._domains: dict[str, _Domain] = {}
         self._ctx: dict[str, dv.DeviceCtx] = {}
         # Each device's last MENU_PRESSURE_LIMIT control-pressure ticks, made
@@ -276,6 +290,11 @@ class Simulator:
 
     def add_actor(self, actor: Actor):
         self.actors.append(actor)
+        cls = type(actor)
+        if cls.on_tick is not Actor.on_tick:
+            self._tickers += (actor,)
+        if cls.on_event is not Actor.on_event:
+            self._listeners += (actor,)
 
     def next_session_id(self) -> str:
         self._session_counter += 1
@@ -291,6 +310,8 @@ class Simulator:
         return self._domains[device_id].members
 
     def device_ctx(self, device_id: str) -> dv.DeviceCtx:
+        if not self._started:
+            self.start()
         return self._ctx[device_id]
 
     def settings_menu_accessible(self, device_id: str) -> bool:
@@ -313,6 +334,8 @@ class Simulator:
         any other device on the segment talks CEC.  Reactions follow the
         rule in the module docstring.
         """
+        if not self._started:
+            self.start()
         nodes, states, clock = self.topology.nodes, self.device_states, self.clock
         if origin not in nodes:
             raise TopologyError("unknown transmitter %r" % origin)
@@ -325,7 +348,7 @@ class Simulator:
             acknowledged = bool(receivers) and receivers[0] != origin and (
                 states[receivers[0]].cec_info_reporting_enabled
             )
-        if frame.opcode is None:
+        if frame.opcode in _INERT_OPCODES:
             receivers = ()
         event = BusEvent(clock, origin, frame, domain.members, acknowledged)
         self.trace.events.append(event)
@@ -342,8 +365,9 @@ class Simulator:
             for i, response in enumerate(reaction.responses):
                 self.transmit_at(clock + 1 + i, node_id, response)
 
-        for actor in list(self.actors):
-            if actor.device in domain.position:
+        position = domain.position
+        for actor in self._listeners:
+            if actor.device in position:
                 actor.on_event(self, event)
         return event
 
@@ -357,6 +381,8 @@ class Simulator:
 
     def user_action(self, device: str, action: dv.UserAction, argument: int | None = None):
         """Someone works the device's own buttons or menu right now."""
+        if not self._started:
+            self.start()
         state = self.device_states[device]
         accessible = self.settings_menu_accessible(device)
         result = dv.apply_user_action(
@@ -381,7 +407,7 @@ class Simulator:
         self.start()
         while self.clock < until:
             tick = self.clock
-            for actor in list(self.actors):
+            for actor in self._tickers:
                 actor.on_tick(self, tick)
             while self._queue and self._queue[0][0] == tick:
                 _, _, fn, args = heapq.heappop(self._queue)

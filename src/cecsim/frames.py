@@ -9,6 +9,7 @@ attacks and detector rules key on is defined once, in the sets below.
 import enum
 import functools
 from dataclasses import dataclass
+from itertools import repeat
 
 BROADCAST = 15
 FREE_USE = 14
@@ -165,10 +166,19 @@ class CecFrame:
         else:
             if not 0 <= self.opcode <= 255:
                 raise FrameError("opcode out of range: %r" % (self.opcode,))
-        if len(self.operands) > MAX_OPERANDS:
-            raise FrameError("too many operands: %d" % len(self.operands))
-        if not all(isinstance(b, int) and 0 <= b <= 255 for b in self.operands):
-            raise FrameError("operands must be bytes")
+        operands = self.operands
+        if len(operands) > MAX_OPERANDS:
+            raise FrameError("too many operands: %d" % len(operands))
+        # Each operand is an int (bools included) in 0..255.  `bytes()` does
+        # the range check in C but also takes any object with `__index__`,
+        # so the isinstance pass comes first.
+        if operands:
+            if not all(map(isinstance, operands, repeat(int))):
+                raise FrameError("operands must be bytes")
+            try:
+                bytes(operands)
+            except ValueError:
+                raise FrameError("operands must be bytes") from None
 
     @property
     def header(self) -> int:

@@ -1,5 +1,6 @@
 """Simulator tests: address allocation, delivery, acks, determinism."""
 
+import functools
 from random import Random
 
 import pytest
@@ -8,9 +9,18 @@ from hypothesis import strategies as st
 
 from cecsim import devices as dv
 from cecsim import frames as fr
-from cecsim.bus import Actor, Simulator, parse_trace_line
+from cecsim.bus import Actor, Simulator, StateChange, parse_trace_line
 from cecsim.devices import UserAction
-from cecsim.frames import CecFrame, OP_GIVE_OSD_NAME, OP_GIVE_POWER_STATUS, OP_STANDBY
+from cecsim.frames import (
+    CecFrame,
+    OP_GIVE_OSD_NAME,
+    OP_GIVE_POWER_STATUS,
+    OP_STANDBY,
+    PhysicalAddress,
+    PowerState,
+)
+from cecsim.scenarios import builtin_scenario, builtin_scenario_names, run_scenario
+from cecsim.testbed import build_testbed
 from cecsim.topology import build_topology
 
 from conftest import make_chain
@@ -350,6 +360,63 @@ class TestReactionIndex:
             dv.react = real
 
 
+@functools.cache
+def _testbed_contexts():
+    sim = Simulator(build_testbed())
+    sim.start()
+    return {node_id: sim.device_ctx(node_id) for node_id in sim.topology.nodes}
+
+
+_states = st.builds(
+    dv.DeviceState,
+    st.sampled_from(list(PowerState)),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(1, 15)),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+class TestInertFrames:
+    """Polls and responses reach no `react`; `deliver` relies on `react`
+    doing nothing with a response."""
+
+    @pytest.mark.parametrize("opcode", sorted(fr.RESPONSE_OPCODES))
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_react_does_nothing_with_a_response(self, opcode, data):
+        contexts = _testbed_contexts()
+        ctx = contexts[data.draw(st.sampled_from(sorted(contexts)))]
+        own = () if ctx.logical is None else (ctx.logical,)
+        frame = CecFrame(
+            data.draw(st.integers(0, 15)),
+            data.draw(st.sampled_from((fr.BROADCAST,) + own) | st.integers(0, 15)),
+            opcode,
+            tuple(data.draw(st.lists(st.integers(0, 255), max_size=fr.MAX_OPERANDS))),
+        )
+        state = data.draw(_states)
+        reaction = dv.react(ctx, state, frame)
+        assert reaction.state is state
+        assert reaction.responses == [] and reaction.changed == ()
+        assert not reaction.control_pressure
+
+    def test_responses_are_heard_but_not_reacted_to(self, testbed_sim, react_calls):
+        listeners = [_Listener(node_id) for node_id in testbed_sim.topology.nodes]
+        for listener in listeners:
+            testbed_sim.add_actor(listener)
+        cast = testbed_sim.logical["chromecast"]
+        report = CecFrame(
+            cast, fr.BROADCAST, fr.OP_REPORT_PHYSICAL_ADDRESS,
+            (*testbed_sim.physical["chromecast"].to_bytes(), 0x04),
+        )
+        name = CecFrame(cast, 0, fr.OP_SET_OSD_NAME, tuple(b"Chromecast"))
+        events = [testbed_sim.deliver("chromecast", f) for f in (report, name)]
+        assert react_calls == []
+        assert all(e.acknowledged and len(e.observers) > 1 for e in events)
+        for listener in listeners:
+            assert listener.heard == [e for e in events if listener.device in e.observers]
+
+
 # ---------------------------------------------------------------------------
 # Scheduling and timing
 # ---------------------------------------------------------------------------
@@ -399,8 +466,6 @@ class TestTiming:
 
     def test_determinism_with_seeded_actions(self):
         def run_once():
-            from cecsim.testbed import build_testbed
-
             sim = Simulator(build_testbed())
             sim.start()
             rng = Random(99)
@@ -424,10 +489,41 @@ class _Listener(Actor):
         self.heard.append(event)
 
 
+class _Ticker(Actor):
+    def __init__(self, device):
+        super().__init__(device)
+        self.ticks = []
+
+    def on_tick(self, sim, tick):
+        self.ticks.append(tick)
+
+
+class _Witness(_Listener, _Ticker):
+    """Records both callbacks."""
+
+
+class _Recruiter(_Witness):
+    """Adds `recruit` while it hears its first frame or, with `at_tick`
+    set, during its first tick."""
+
+    def __init__(self, device, recruit, at_tick=False):
+        super().__init__(device)
+        self.recruit = recruit
+        self.at_tick = at_tick
+
+    def on_event(self, sim, event):
+        super().on_event(sim, event)
+        if len(self.heard) == 1 and not self.at_tick:
+            sim.add_actor(self.recruit)
+
+    def on_tick(self, sim, tick):
+        super().on_tick(sim, tick)
+        if len(self.ticks) == 1 and self.at_tick:
+            sim.add_actor(self.recruit)
+
+
 class TestHearing:
     def test_actor_hears_only_what_its_device_observes(self):
-        from cecsim.scenarios import builtin_scenario
-
         # the podium's control link is stripped, so client is alone on its wire
         sim = Simulator(builtin_scenario("podium-strip-scan").topology)
         actor = _Listener("client")
@@ -442,6 +538,74 @@ class TestHearing:
         assert any(e.origin == "tv" for e in sim.trace.events)
         assert {e.origin for e in actor.heard} == {"client"}
         assert any(e.frame == own for e in actor.heard)
+
+    def test_actor_added_while_a_frame_is_heard_starts_after_it(self, testbed_sim):
+        late = _Witness("tv")
+        recruiter = _Recruiter("tv", late)
+        testbed_sim.add_actor(recruiter)
+        testbed_sim.transmit_at(2, "client", CecFrame(2, 0, OP_GIVE_POWER_STATUS))
+        testbed_sim.transmit_at(4, "client", CecFrame(2, 0, OP_GIVE_OSD_NAME))
+        testbed_sim.run(until=7)
+        first = recruiter.heard[0]
+        assert (first.tick, first.origin) == (2, "client")
+        # it missed the frame it was added during, and that frame's tick
+        assert len(recruiter.heard) > 2
+        assert late.heard == recruiter.heard[1:]
+        assert late.ticks == [3, 4, 5, 6]
+
+    def test_actor_added_during_a_tick_starts_on_the_next(self, testbed_sim):
+        late = _Witness("tv")
+        testbed_sim.add_actor(_Recruiter("tv", late, at_tick=True))
+        testbed_sim.run(until=4)
+        assert late.ticks == [1, 2, 3]
+
+    def test_one_callback_actors_get_theirs(self, testbed_sim):
+        ticker, listener, idle = _Ticker("tv"), _Listener("tv"), Actor("amp")
+        for actor in (ticker, listener, idle):
+            testbed_sim.add_actor(actor)
+        start = len(testbed_sim.trace.events)
+        testbed_sim.transmit_at(1, "client", CecFrame(2, 0, OP_GIVE_POWER_STATUS))
+        testbed_sim.run(until=3)
+        assert ticker.ticks == [0, 1, 2]
+        heard = [e for e in testbed_sim.trace.events[start:] if "tv" in e.observers]
+        assert len(heard) == 2 and listener.heard == heard
+        assert testbed_sim.actors == [ticker, listener, idle]
+
+
+# ---------------------------------------------------------------------------
+# Entry points called before start()
+# ---------------------------------------------------------------------------
+
+class TestStartOnDemand:
+    """`deliver`, `user_action` and `device_ctx` start the simulator, as
+    `run` and `domain_of` do."""
+
+    @staticmethod
+    def _pair():
+        topology = builtin_scenario("benign-status-query").topology
+        started = Simulator(topology)
+        started.start()
+        return Simulator(topology), started
+
+    def test_deliver(self):
+        sim, started = self._pair()
+        frame = CecFrame(0, 5, 0x8F)
+        assert sim.deliver("tv", frame) == started.deliver("tv", frame)
+        assert sim.trace.render_log() == started.trace.render_log()
+
+    def test_user_action(self):
+        sim, started = self._pair()
+        sim.user_action("tv", UserAction.POWER_OFF)
+        started.user_action("tv", UserAction.POWER_OFF)
+        assert sim.device_states["tv"].power is PowerState.STANDBY
+        assert sim.trace.render_log() == started.trace.render_log()
+        assert sim.trace.render_state_log() == started.trace.render_state_log()
+
+    def test_device_ctx(self):
+        sim, started = self._pair()
+        ctx = sim.device_ctx("tv")
+        assert (ctx.logical, ctx.physical) == (0, PhysicalAddress.root())
+        assert ctx == started.device_ctx("tv")
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +628,22 @@ class TestTraceFormat:
             assert again.frame == event.frame
             assert again.acknowledged == event.acknowledged
             assert again.observers == event.observers
+
+    @pytest.mark.parametrize("name", builtin_scenario_names())
+    def test_every_builtin_event_parses_back_equal(self, name):
+        events = run_scenario(builtin_scenario(name)).sim.trace.events
+        assert events
+        assert [parse_trace_line(e.render()) for e in events] == events
+
+    def test_records_are_immutable(self, testbed_sim):
+        event = testbed_sim.deliver("tv", CecFrame(0, 15, 0x85))
+        change = StateChange(0, "tv", "power", "standby")
+        for record in (event, change):
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, getattr(record, name))
+        assert change == StateChange(tick=0, device="tv", field="power", value="standby")
+        assert change.render() == "t=0 | tv | power=standby"
 
     def test_state_log_lines(self, pair_topology):
         sim = Simulator(pair_topology)

@@ -3,7 +3,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cecsim.frames import (
@@ -39,6 +39,25 @@ def frames(draw):
 def frame_texts(draw):
     octets = draw(st.lists(st.integers(0, 255), min_size=1, max_size=16))
     return ":".join("%02x" % b for b in octets)
+
+
+class _IndexOnly:
+    """Has `__index__`, so `bytes()` takes it, but is no int."""
+
+    def __index__(self):
+        return 7
+
+
+# Operands of every kind a caller might pass, valid or not.
+_operand_items = st.one_of(
+    st.integers(-300, 300),
+    st.booleans(),
+    st.floats(),
+    st.none(),
+    st.text(max_size=2),
+    st.binary(max_size=2),
+    st.just(_IndexOnly()),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +150,19 @@ class TestEncode:
             CecFrame(16, 0, 0x36)
         with pytest.raises(FrameError):
             CecFrame(0, -1, 0x36)
+
+    @given(st.lists(_operand_items, max_size=14))
+    @example([True, 0, 255])
+    @example([256])
+    @example([-1])
+    @example([_IndexOnly()])
+    @settings(deadline=None, max_examples=100)
+    def test_operand_check_refuses_exactly_non_byte_ints(self, operands):
+        if all(isinstance(b, int) and 0 <= b <= 255 for b in operands):
+            assert CecFrame(1, 0, 0x47, tuple(operands)).operands == tuple(operands)
+        else:
+            with pytest.raises(FrameError, match="operands must be bytes"):
+                CecFrame(1, 0, 0x47, tuple(operands))
 
     @given(frames())
     @settings(deadline=None)
