@@ -4,7 +4,9 @@ Detection is a pure function of the event sequence: the streaming Detector
 fed events one at a time emits exactly the alerts an offline pass over the
 same prefix would.  Each event goes only to the rules its opcode can trip,
 and the rules keep frames, encoding them only as an alert's evidence.
-Alerts serialise as JSON lines citing the frames that tripped each rule.
+Each sustained rule (scan, churn, standby, stream) fires once per initiator
+and then drops that initiator's window.  Alerts serialise as JSON lines
+citing the frames that tripped each rule.
 """
 
 import copy
@@ -80,9 +82,11 @@ class Alert:
 class Detector:
     """Feed events in trace order; each call returns newly raised alerts.
 
-    Rules that describe sustained behaviour (scanning, churn, repeated
-    standby, streaming) fire once per offending initiator; the marker rule
-    fires on every marker frame it sees.
+    The marker rule fires on every marker frame.  Each sustained rule
+    (scanning, churn, repeated standby, streaming) keeps an initiator's
+    frames in its (rule, initiator) window until `_fire` raises the alert
+    from it; the window is then dropped, and `_fired` makes the rule skip
+    that initiator's frames from then on.
     """
 
     def __init__(self, config: RuleConfig | None = None, tap: str | None = None):
@@ -91,8 +95,8 @@ class Detector:
         self.alerts: list[Alert] = []
         # (rule, initiator) -> (tick, frame) window, until the rule fires.
         self._windows: dict[tuple[str, str], deque] = {}
+        # Recent broadcast announcements from every initiator, for standby.
         self._announcements: deque = deque()
-        self._standby_pairs: dict[str, list] = {}
         self._fired: set[tuple[str, str]] = set()
         # The last observers tuple seen, and whether the tap is in it: the
         # events of one domain share one tuple.
@@ -116,13 +120,6 @@ class Detector:
         return new
 
     # ------------------------------------------------------------------
-
-    def _once(self, rule: str, subject: str) -> bool:
-        key = (rule, subject)
-        if key in self._fired:
-            return False
-        self._fired.add(key)
-        return True
 
     def _check_markers(self, event: BusEvent, new: list[Alert]):
         frame = event.frame
@@ -182,31 +179,19 @@ class Detector:
             self._announcements.append((tick, event.origin, frame))
         while self._announcements and self._announcements[0][0] < tick - self.config.standby_gap:
             self._announcements.popleft()
-        if frame.opcode != fr.OP_STANDBY:
+        if frame.opcode != fr.OP_STANDBY or (RULE_TARGETED_STANDBY, event.origin) in self._fired:
             return
+        # The standby pairs with the oldest announcement it answers; the
+        # window holds the pairs in turn, announcement then standby.
         for ann_tick, ann_origin, announcement in self._announcements:
-            if ann_origin == event.origin:
-                continue
-            if not frame.is_broadcast and frame.destination != announcement.initiator:
-                continue
-            # The alert cites the first standby_repeat pairs; later ones add nothing.
-            pairs = self._standby_pairs.setdefault(event.origin, [])
-            if len(pairs) >= self.config.standby_repeat:
-                break
-            pairs.append((ann_tick, tick, announcement, frame))
-            if len(pairs) == self.config.standby_repeat and self._once(
-                RULE_TARGETED_STANDBY, event.origin
+            if ann_origin != event.origin and (
+                frame.is_broadcast or frame.destination == announcement.initiator
             ):
-                evidence = [f.text for pair in pairs for f in pair[2:]]
-                new.append(
-                    Alert(
-                        RULE_TARGETED_STANDBY,
-                        (pairs[0][0], pairs[-1][1]),
-                        event.origin,
-                        tuple(evidence),
-                    )
-                )
-            break
+                window = self._windows.setdefault((RULE_TARGETED_STANDBY, event.origin), deque())
+                window.extend(((ann_tick, announcement), (tick, frame)))
+                if len(window) == 2 * self.config.standby_repeat:
+                    self._fire(RULE_TARGETED_STANDBY, event.origin, window, new)
+                return
 
 
 def _checks_by_opcode() -> dict[int | None, list]:

@@ -8,6 +8,7 @@ loopback transport and a real socket server, so tests exercise identical
 logic either way.
 """
 
+import http.client
 import json
 import logging
 import threading
@@ -140,7 +141,9 @@ class LoopbackRelayClient:
 
 
 class HttpRelayClient:
-    """Same interface over a real socket."""
+    """Same interface over a real socket.  The relay's answers are not
+    trusted: one that is not a JSON object, or a GET `value` that is
+    neither a string nor null, counts as an outage (RelayUnreachable)."""
 
     def __init__(self, base_url: str, timeout: float = 5.0):
         self.base_url = base_url.rstrip("/")
@@ -155,12 +158,20 @@ class HttpRelayClient:
         )
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
+                answer = json.loads(response.read().decode("utf-8"))
+        except (urllib.error.URLError, http.client.HTTPException, OSError, ValueError,
+                RecursionError) as exc:
             raise RelayUnreachable(str(exc)) from None
+        if not isinstance(answer, dict):
+            raise RelayUnreachable("relay answered %.*r, not an object" % (EXCERPT_CHARS, answer))
+        return answer
 
     def get(self, path: str) -> str | None:
-        return self._call("GET", path, None)["value"]
+        answer = self._call("GET", path, None)
+        value = answer.get("value")
+        if "value" not in answer or not (value is None or isinstance(value, str)):
+            raise RelayUnreachable("relay answered %.*r, not a value" % (EXCERPT_CHARS, answer))
+        return value
 
     def post(self, path: str, value: str):
         self._call("POST", path, json.dumps({"value": value}).encode("utf-8"))

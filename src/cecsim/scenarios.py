@@ -127,6 +127,8 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
             peer = args.get("peer")
             if isinstance(peer, str):
                 schema.text(peer, where + " peer", topology.nodes)
+                if not topology.nodes[peer].cec_addressed:
+                    raise ScenarioError("%s peer %r has no logical address" % (where, peer))
             elif peer is not None:
                 schema.integer(peer, where + " peer", 0, fr.BROADCAST)
             if actor in listeners or not topology.nodes[actor].cec_addressed:
@@ -463,6 +465,8 @@ def _check_transfer_complete(result: RunResult, *, source=None) -> tuple[bool, s
     if record.status != "complete":
         return False, "transfer status %s" % record.status
     if source is not None:
+        if not result.controllers:
+            return False, "no listener holds a %s payload" % source
         store = next(iter(result.controllers.values())).store
         sources = {"mic": store.mic_blob, "capture": store.capture, "scan_report": store.scan_report}
         expected = sources[source]

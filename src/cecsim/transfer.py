@@ -83,7 +83,6 @@ class PayloadStore:
 @dataclass
 class SendSession:
     session_id: str
-    status: str = "streaming"
     unacked: int = 0
 
 
@@ -98,7 +97,6 @@ class FileSender(Actor):
         self.store = store
         self.session: SendSession | None = None
         self._frames: Iterator[CecFrame] = iter(())
-        self.finished: list[SendSession] = []
 
     def on_event(self, sim: Simulator, event: BusEvent):
         frame = event.frame
@@ -114,7 +112,7 @@ class FileSender(Actor):
                         "%s aborting %s after %d unacknowledged frames",
                         self.device, self.session.session_id, self.session.unacked,
                     )
-                    self._close("aborted")
+                    self.session = None
             return
 
         if frame == MIC_MARKER:
@@ -150,12 +148,7 @@ class FileSender(Actor):
         frame = next(self._frames)
         sim.transmit_at(tick, self.device, frame)
         if frame is END_MARKER:
-            self._close("complete")
-
-    def _close(self, status: str):
-        self.session.status = status
-        self.finished.append(self.session)
-        self.session = None
+            self.session = None
 
 
 @dataclass

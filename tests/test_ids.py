@@ -8,6 +8,7 @@ from cecsim import frames as fr
 from cecsim.bus import BusEvent, Simulator, parse_trace_line
 from cecsim.frames import CecFrame, parse_frame
 from cecsim.ids import (
+    Alert,
     Detector,
     DisableCecEndToEnd,
     DisableControl,
@@ -124,7 +125,7 @@ class TestTargetedStandby:
             detector.feed(event)
         assert [a.rule for a in detector.alerts] == [RULE_TARGETED_STANDBY]
         assert detector.alerts[0].window == (0, 11)
-        assert len(detector._standby_pairs["spy"]) == detector.config.standby_repeat
+        assert detector._windows == {}
 
     def test_broadcast_standby_counts(self):
         events = []
@@ -195,18 +196,23 @@ class TestRuleWindows:
             assert alerts[0].window == (first, window)
 
     @pytest.mark.parametrize(
-        "rule, texts",
+        "rule, sent",
         [
-            pytest.param(RULE_SCAN_BURST, ["%x%x" % (d, d) for d in range(8)], id="scan"),
-            pytest.param(RULE_INPUT_CHURN, ["1f:82:10:00"] * 5, id="churn"),
-            pytest.param(RULE_COVERT_STREAM, ["12:00:01:02:03"] * 3, id="stream"),
+            pytest.param(RULE_SCAN_BURST, [("spy", "%x%x" % (d, d)) for d in range(8)], id="scan"),
+            pytest.param(RULE_INPUT_CHURN, [("spy", "1f:82:10:00")] * 5, id="churn"),
+            pytest.param(RULE_COVERT_STREAM, [("spy", "12:00:01:02:03")] * 3, id="stream"),
+            pytest.param(
+                RULE_TARGETED_STANDBY, [("tv", "0f:84:00:00:00"), ("spy", "10:36")] * 2,
+                id="standby",
+            ),
         ],
     )
-    def test_window_dropped_once_rule_fires(self, rule, texts):
+    def test_window_dropped_once_rule_fires(self, rule, sent):
+        # `sent` trips the rule once for "spy"; it is sent 50 times over.
         detector = Detector()
-        for t, text in enumerate(texts * 50):
-            detector.feed(ev(t, "spy", text))
-            if t == len(texts) - 2:
+        for t, (origin, text) in enumerate(sent * 50):
+            detector.feed(ev(t, origin, text))
+            if t == len(sent) - 2:
                 assert list(detector._windows) == [(rule, "spy")]
         assert [a.rule for a in detector.alerts] == [rule]
         assert detector._windows == {}
@@ -264,6 +270,79 @@ small_configs = st.builds(
     standby_gap=st.integers(1, 3),
     standby_repeat=st.integers(1, 3),
 )
+
+
+
+def reference_standby_alerts(events, config):
+    """TargetedStandby as documented, by brute force over the whole stream.
+
+    A Standby pairs with the oldest earlier broadcast announcement that is
+    at most `standby_gap` ticks older, comes from another device, and is
+    one the Standby addresses (it is broadcast, or sent to the announcer).
+    An initiator's `standby_repeat`-th pair raises its one alert, which
+    runs from the first announcement to that Standby and cites every pair.
+    """
+    pairs: dict[str, list] = {}
+    alerts = []
+    for index, standby in enumerate(events):
+        frame = standby.frame
+        mine = pairs.setdefault(standby.origin, [])
+        if frame.opcode != fr.OP_STANDBY or len(mine) == config.standby_repeat:
+            continue
+        for announced in events[:index]:
+            if (
+                announced.frame.opcode in fr.ANNOUNCE_OPCODES
+                and announced.frame.is_broadcast
+                and announced.tick >= standby.tick - config.standby_gap
+                and announced.origin != standby.origin
+                and (frame.is_broadcast or frame.destination == announced.frame.initiator)
+            ):
+                mine.append((announced, standby))
+                if len(mine) == config.standby_repeat:
+                    evidence = tuple(e.frame.text for pair in mine for e in pair)
+                    window = (mine[0][0].tick, standby.tick)
+                    alerts.append(Alert(RULE_TARGETED_STANDBY, window, standby.origin, evidence))
+                break
+    return alerts
+
+
+class TestStandbyReference:
+    @given(attack_bursts, small_configs, st.none() | st.sampled_from(_TESTBED_IDS))
+    @settings(deadline=None, max_examples=150)
+    # Two announcements in the gap, so the oldest is cited; one of them
+    # paired twice; a third announcement from the standby's own sender.
+    @example(
+        bursts=[
+            (0, "tv", CecFrame(0, 15, fr.OP_REPORT_PHYSICAL_ADDRESS, (0, 0, 0)), 1),
+            (0, "amp", CecFrame(5, 15, fr.OP_DEVICE_VENDOR_ID, (0, 0, 1)), 1),
+            (0, "client", CecFrame(4, 15, fr.OP_ROUTING_CHANGE, (0x10, 0, 0x20, 0)), 1),
+            (1, "client", CecFrame(4, 15, fr.OP_STANDBY), 2),
+            (1, "client", CecFrame(4, 5, fr.OP_STANDBY), 1),
+        ],
+        config=RuleConfig(standby_gap=3, standby_repeat=3),
+        tap=None,
+    )
+    # A directed announcement pairs with nothing.
+    @example(
+        bursts=[
+            (0, "tv", CecFrame(0, 4, fr.OP_DEVICE_VENDOR_ID, (0, 0, 1)), 1),
+            (1, "client", CecFrame(4, 15, fr.OP_STANDBY), 1),
+        ],
+        config=RuleConfig(standby_repeat=1),
+        tap=None,
+    )
+    def test_detector_matches_reference(self, bursts, config, tap):
+        sim = Simulator(build_testbed())
+        tick = 0
+        for gap, origin, frame, length in bursts:
+            tick += gap
+            for offset in range(length):
+                sim.transmit_at(tick + offset, origin, frame)
+        sim.run(tick + 8)
+        observed = [e for e in sim.trace.events if tap is None or tap in e.observers]
+        alerts = [a for a in detect(sim.trace.events, config, tap)
+                  if a.rule == RULE_TARGETED_STANDBY]
+        assert alerts == reference_standby_alerts(observed, config)
 
 
 class TestDetectorPlumbing:

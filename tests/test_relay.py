@@ -1,7 +1,10 @@
 """Command relay: mailbox protocol, HTTP server, polling loop."""
 
 import json
+import logging
 import socket
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -19,7 +22,7 @@ from cecsim.relay import (
     RelayUnreachable,
     WEBCLIENT_PATH,
 )
-from cecsim.scenarios import load_scenario, run_scenario
+from cecsim.scenarios import builtin_scenario, load_scenario, run_scenario
 from cecsim.testbed import EXPECTED_TESTBED_SCAN, build_testbed
 from cecsim.transfer import MAX_PAYLOAD, PayloadStore, payload_digest
 
@@ -365,6 +368,81 @@ class TestHttpTransport:
         finally:
             server.shutdown()
             server.server_close()
+
+
+class _StubRelayHandler(BaseHTTPRequestHandler):
+    """Answers every request with the server's `answer` bytes as a 200, or
+    with them alone, status line and all, when `raw` is set."""
+
+    def do_GET(self):
+        if self.server.raw:
+            self.wfile.write(self.server.answer)
+            return
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(self.server.answer)))
+        self.end_headers()
+        self.wfile.write(self.server.answer)
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.do_GET()
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def stub_relay():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubRelayHandler)
+    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def _stub_client(server, answer: bytes, raw: bool = False) -> HttpRelayClient:
+    server.answer, server.raw = answer, raw
+    host, port = server.server_address[:2]
+    return HttpRelayClient("http://%s:%d" % (host, port), timeout=5)
+
+
+class TestUntrustedAnswers:
+    @pytest.mark.parametrize(
+        "answer",
+        [b"[]", b"{}", b'"x"', b"5", b"null", b'{"value": 5}', b'{"value": ["DOS1"]}',
+         b'{"value": {"command": "DOS1"}}', b"not json", b"\xff\xfe",
+         pytest.param(b"[" * 100_000, id="deep")],
+    )
+    def test_get_refuses_a_malformed_answer(self, stub_relay, answer):
+        with pytest.raises(RelayUnreachable):
+            _stub_client(stub_relay, answer).get(LISTENER_PATH)
+
+    @pytest.mark.parametrize("answer", [b"[]", b'"x"', b"5", b"null"])
+    def test_post_refuses_an_answer_that_is_not_an_object(self, stub_relay, answer):
+        with pytest.raises(RelayUnreachable):
+            _stub_client(stub_relay, answer).post(WEBCLIENT_PATH, "result")
+
+    def test_a_garbled_status_line_is_an_outage(self, stub_relay):
+        with pytest.raises(RelayUnreachable):
+            _stub_client(stub_relay, b"garbage\r\n\r\n", raw=True).get(LISTENER_PATH)
+
+    @pytest.mark.parametrize(
+        "answer, value",
+        [(b'{"value": null}', None), (b'{"value": "x", "extra": 1}', "x")],
+    )
+    def test_get_accepts_a_string_or_null_value(self, stub_relay, answer, value):
+        assert _stub_client(stub_relay, answer).get(LISTENER_PATH) == value
+
+    def test_poller_retries_through_malformed_answers(self, stub_relay, caplog):
+        client = _stub_client(stub_relay, b'{"value": 5}')
+        with caplog.at_level(logging.WARNING, logger="cecsim.relay"):
+            result = run_scenario(builtin_scenario("attack5-remote-churn"), relay_client=client)
+        assert result.poller.executed == []
+        polls = [r for r in caplog.records if r.getMessage().startswith("relay poll failed")]
+        # Every poll tick of the run fails, and is retried at the next.
+        assert len(polls) == result.scenario.duration // result.poller.interval_ticks - 1
 
 
 def _raw_request(server, head: bytes) -> bytes:

@@ -145,6 +145,11 @@ class TestValidation:
             ({"checks": [{"type": "min_input_cycles", "device": "tv"}]}, "count"),
             ({"checks": [{"type": "device_power_at_end", "device": "tv", "power": "off"}]},
              "power"),
+            (
+                {"actions": [{"tick": 1, "actor": "client", "action": "request_file",
+                              "args": {"peer": "hub"}}]},
+                "peer 'hub' has no logical address",
+            ),
         ],
     )
     def test_rejections_name_the_problem(self, patch, fragment):
@@ -449,6 +454,29 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert "checks[0]" in err and "count" in err
+
+    def test_transfer_source_without_listener_fails_the_check(self, tmp_path, capsys):
+        # A transfer completes (tv sends the end marker) with no listener
+        # to hold the payload the check names.
+        document = doc(
+            topology={
+                "nodes": [
+                    {"id": "tv", "kind": "display", "device_type": "television"},
+                    {"id": "client", "kind": "source", "device_type": "recording"},
+                ],
+                "edges": [{"parent": "tv", "child": "client", "port": 1}],
+            },
+            actions=[
+                {"tick": 1, "actor": "client", "action": "request_file"},
+                {"tick": 3, "actor": "tv", "action": "send_frame",
+                 "args": {"frame": "ee:ee:ee:ee"}},
+            ],
+            checks=[{"type": "transfer_complete", "source": "mic"}],
+        )
+        path = tmp_path / "no-listener.json"
+        path.write_text(json.dumps(document))
+        assert cli.main(["run", "--scenario", str(path), "--check"]) == 3
+        assert "no listener holds a mic payload" in capsys.readouterr().out
 
     def test_run_unknown_scenario_exits_two(self, capsys):
         assert cli.main(["run", "--scenario", "no-such"]) == 2

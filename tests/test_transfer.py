@@ -16,6 +16,7 @@ from cecsim.transfer import (
     FileReceiver,
     FileSender,
     INACTIVITY_TIMEOUT,
+    MAX_UNACKED,
     PayloadStore,
     REQUEST_MARKER,
     SEGMENT_BYTES,
@@ -229,7 +230,15 @@ class TestFailures:
         sim.schedule(6, mute_receiver, sim, 6)
         sim.run(until=60)
         assert sender.session is None
-        assert sender.finished[-1].status == "aborted"
+        # The last frames the sender put on the wire are its first
+        # MAX_UNACKED unacknowledged data frames: no data frame and no end
+        # marker follows them.
+        sent = [e for e in sim.trace.events if e.origin == "spy"]
+        data = [e for e in sent if e.frame.opcode == DATA_OPCODE]
+        assert data[-MAX_UNACKED - 1].acknowledged
+        assert not any(e.acknowledged for e in data[-MAX_UNACKED:])
+        assert sent[-MAX_UNACKED:] == data[-MAX_UNACKED:]
+        assert len(data) < segment_count(300)
 
     def test_request_marker_shape(self):
         assert REQUEST_MARKER.text == "aa:aa:aa:aa"
