@@ -231,7 +231,9 @@ class Simulator:
         for node_id, node in nodes.items():
             self.device_states[node_id] = dv.DeviceState.initial(node)
             self.logical[node_id] = None
-            self._ctx[node_id] = dv.DeviceCtx(node, None, self.physical[node_id])
+            # A device that claims an address gets its context in `_claim`.
+            if not node.cec_addressed:
+                self._ctx[node_id] = dv.DeviceCtx(node, None, self.physical[node_id])
         for node_id, node in nodes.items():
             if node.cec_addressed:
                 self.allocate_logical_address(node_id)

@@ -5,6 +5,13 @@ DeviceState plus an observed frame and returns the next state, the logged
 fields that changed, and any response frames.  The caller (the simulator)
 owns scheduling, so responses land on the bus one tick after the frame that
 caused them.
+
+`react` is a memo of that transition.  Each `DeviceCtx` holds its own memo
+from (state, frame) to the reaction, compared by value, so a re-claim,
+which builds a new context, starts with an empty one.  A memo that reaches
+`_MEMO_LIMIT` entries is cleared.  Queries, the broadcast Request Active
+Source among them, skip the memo: a device answers each one about once per
+scan, so their entries would only take memory.
 """
 
 import enum
@@ -22,6 +29,12 @@ ABORT_REFUSED = 0x04
 # inside the window lock the user out for the rest of the window.
 MENU_PRESSURE_WINDOW = 10
 MENU_PRESSURE_LIMIT = 3
+
+# The most (state, frame) entries one context's `react` memo holds.
+_MEMO_LIMIT = 256
+
+# Opcodes `react` leaves out of the memo (see the module docstring).
+_UNMEMOIZED = frozenset(fr.QUERY_OPCODES + (fr.OP_REQUEST_ACTIVE_SOURCE,))
 
 
 @dataclass(frozen=True)
@@ -57,17 +70,25 @@ class DeviceState:
 
 @dataclass
 class DeviceCtx:
-    """Addressing context the simulator hands to a reacting device."""
+    """Addressing context the simulator hands to a reacting device.
+
+    A context is never changed in place: a new logical address gets a new
+    context.  `memo` is `react`'s cache for this context alone.
+    """
 
     node: DeviceNode
     logical: int | None
     physical: PhysicalAddress
+    memo: "dict[tuple[DeviceState, CecFrame], Reaction]" = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 @dataclass
 class Reaction:
     state: DeviceState
-    responses: list[CecFrame] = field(default_factory=list)
+    # A memo hit hands one reaction to several callers, so it is a tuple.
+    responses: tuple[CecFrame, ...] = ()
     # True when the frame counted as external control pressure on the device.
     control_pressure: bool = False
     # The fields the state log records that differ between the old state and
@@ -187,7 +208,7 @@ def _route(state: DeviceState, active_source: bool, port: int | None, pressure: 
     if not (source_moved or port_moved):
         return Reaction(state, control_pressure=pressure)
     changed = _SOURCE_AND_PORT if source_moved and port_moved else _SOURCE if source_moved else _PORT
-    return Reaction(state.routed(active_source, port), [], pressure, changed)
+    return Reaction(state.routed(active_source, port), (), pressure, changed)
 
 
 def react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
@@ -198,7 +219,29 @@ def react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
     bus layer and ignored here.  The simulator only calls this for frames
     that can land on the device (see `cecsim.bus`); polls and frames
     addressed elsewhere still return the state unchanged.
+
+    The transition is pure, so its result is memoized in `ctx.memo` (see
+    the module docstring), which is cleared when it holds `_MEMO_LIMIT`
+    entries.  When nothing changed, the returned reaction's state is the
+    `state` passed in, the same object, hit or miss.
     """
+    if frame.opcode in _UNMEMOIZED:
+        return _react(ctx, state, frame)
+    memo = ctx.memo
+    key = (state, frame)
+    reaction = memo.get(key)
+    if reaction is None:
+        if len(memo) >= _MEMO_LIMIT:
+            memo.clear()
+        reaction = memo[key] = _react(ctx, state, frame)
+    elif reaction.state is not state and not reaction.changed:
+        # An equal state from another object: keep the caller's.
+        return Reaction(state, reaction.responses, reaction.control_pressure)
+    return reaction
+
+
+def _react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
+    """`react` without the memo."""
     if frame.is_polling:
         return Reaction(state)
     addressed = ctx.logical is not None and frame.destination == ctx.logical
@@ -215,7 +258,7 @@ def react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
         if not state.cec_info_reporting_enabled:
             return Reaction(state)
         response = _query_response(ctx, state, frame)
-        return Reaction(state, [response] if response else [])
+        return Reaction(state, (response,) if response else ())
 
     if op == fr.OP_STANDBY:
         if control and state.power is not PowerState.STANDBY:
@@ -228,7 +271,7 @@ def react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
         if control and ctx.node.kind is DeviceKind.DISPLAY and state.power is PowerState.STANDBY:
             new_state = state.powered(PowerState.ON)
             return Reaction(
-                new_state, announcement_frames(ctx, new_state), pressure, _POWER
+                new_state, tuple(announcement_frames(ctx, new_state)), pressure, _POWER
             )
         return Reaction(state, control_pressure=pressure)
 
@@ -250,24 +293,18 @@ def react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
 
     if op == fr.OP_REQUEST_ACTIVE_SOURCE and broadcast:
         if state.active_source and state.cec_info_reporting_enabled and ctx.logical is not None:
-            return Reaction(
-                state,
-                [
-                    CecFrame(
-                        ctx.logical, fr.BROADCAST, fr.OP_ACTIVE_SOURCE, ctx.physical.to_bytes()
-                    )
-                ],
+            claim = CecFrame(
+                ctx.logical, fr.BROADCAST, fr.OP_ACTIVE_SOURCE, ctx.physical.to_bytes()
             )
+            return Reaction(state, (claim,))
         return Reaction(state)
 
     if op in fr.RESPONSE_OPCODES:
         return Reaction(state)
 
     if addressed and state.cec_info_reporting_enabled and ctx.logical is not None:
-        return Reaction(
-            state,
-            [CecFrame(ctx.logical, frame.initiator, fr.OP_FEATURE_ABORT, (op, ABORT_UNRECOGNIZED))],
-        )
+        abort = CecFrame(ctx.logical, frame.initiator, fr.OP_FEATURE_ABORT, (op, ABORT_UNRECOGNIZED))
+        return Reaction(state, (abort,))
     return Reaction(state)
 
 

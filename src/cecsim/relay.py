@@ -108,7 +108,8 @@ class RelayServer(ThreadingHTTPServer):
         super().__init__(address, _RelayRequestHandler)
 
     def start_background(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
+        # Poll every 0.05 s, not 0.5 s: `shutdown()` waits for the next poll.
+        thread = threading.Thread(target=self.serve_forever, args=(0.05,), daemon=True)
         thread.start()
         return thread
 

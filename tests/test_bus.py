@@ -397,7 +397,7 @@ class TestInertFrames:
         state = data.draw(_states)
         reaction = dv.react(ctx, state, frame)
         assert reaction.state is state
-        assert reaction.responses == [] and reaction.changed == ()
+        assert reaction.responses == () and reaction.changed == ()
         assert not reaction.control_pressure
 
     def test_responses_are_heard_but_not_reacted_to(self, testbed_sim, react_calls):

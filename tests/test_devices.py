@@ -1,11 +1,13 @@
 """Device reaction model: queries, control gating, announcements, menus."""
 
 import dataclasses
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cecsim import devices
 from cecsim import frames as fr
 from cecsim.bus import Simulator
 from cecsim.devices import (
@@ -83,18 +85,18 @@ class TestQueries:
         ctx, state = ctx_and_state(sim, "tv")
         muted = dataclasses.replace(state, cec_info_reporting_enabled=False)
         for opcode in QUERY_OPCODES:
-            assert react(ctx, muted, CecFrame(2, 0, opcode)).responses == []
+            assert react(ctx, muted, CecFrame(2, 0, opcode)).responses == ()
 
     def test_polling_is_ignored(self, sim):
         ctx, state = ctx_and_state(sim, "tv")
         reaction = react(ctx, state, CecFrame(0, 0))
-        assert reaction.responses == []
+        assert reaction.responses == ()
         assert reaction.state == state
 
     def test_frames_for_other_addresses_ignored(self, sim):
         ctx, state = ctx_and_state(sim, "tv")
         reaction = react(ctx, state, CecFrame(2, 5, OP_GIVE_POWER_STATUS))
-        assert reaction.responses == []
+        assert reaction.responses == ()
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +113,14 @@ class TestAborts:
 
     def test_unknown_broadcast_not_aborted(self, sim):
         ctx, state = ctx_and_state(sim, "tv")
-        assert react(ctx, state, CecFrame(2, 15, 0xAB)).responses == []
+        assert react(ctx, state, CecFrame(2, 15, 0xAB)).responses == ()
 
     @pytest.mark.parametrize("opcode", sorted(RESPONSE_OPCODES))
     def test_responses_never_aborted(self, sim, opcode):
         # Replies from other devices must not trigger abort ping-pong.
         ctx, state = ctx_and_state(sim, "tv")
         reaction = react(ctx, state, CecFrame(2, 0, opcode, (0x00,)))
-        assert reaction.responses == []
+        assert reaction.responses == ()
 
 
 # ---------------------------------------------------------------------------
@@ -423,3 +425,63 @@ class TestReportedChanges:
     ):
         result = apply_user_action(ctx, state, action, argument, accessible)
         assert result.changed == _differing(state, result.state)
+
+
+# ---------------------------------------------------------------------------
+# The reaction memo
+# ---------------------------------------------------------------------------
+
+class TestMemo:
+    @given(st.data(), st.integers(1, 5), st.integers(1, 8))
+    @settings(deadline=None, max_examples=150)
+    def test_memoized_react_equals_a_fresh_one(self, data, port, limit):
+        ctx = data.draw(device_contexts())
+        state = data.draw(device_states)
+        # Few distinct frames, so that (state, frame) pairs repeat.
+        frames = observed_frames(ctx) | st.sampled_from(list(control_frames(ctx, port)))
+        pool = data.draw(st.lists(frames, min_size=1, max_size=4))
+        steps = data.draw(
+            st.lists(st.tuples(st.sampled_from(pool), st.booleans()), min_size=1, max_size=16)
+        )
+        with mock.patch.object(devices, "_MEMO_LIMIT", limit):
+            for frame, copy in steps:
+                if copy:
+                    # Equal values in other objects: the same memo entry.
+                    state, frame = dataclasses.replace(state), dataclasses.replace(frame)
+                reaction = react(ctx, state, frame)
+                assert reaction == devices._react(ctx, state, frame)
+                if not reaction.changed:
+                    assert reaction.state is state
+                assert len(ctx.memo) <= limit
+                state = reaction.state
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=50)
+    def test_a_reclaimed_device_starts_with_an_empty_memo(self, data):
+        sim = Simulator(build_testbed())
+        sim.start()
+        addressed = sorted(n for n, node in sim.topology.nodes.items() if node.cec_addressed)
+        device = data.draw(st.sampled_from(addressed))
+        old, state = ctx_and_state(sim, device)
+        for frame in data.draw(st.lists(observed_frames(old), min_size=1, max_size=6)):
+            react(old, state, frame)
+        entries = dict(old.memo)
+        sim.allocate_logical_address(device)
+        new = sim.device_ctx(device)
+        assert new is not old
+        assert new.memo == {}
+        assert old.memo == entries
+
+    def test_memo_is_cleared_at_its_limit(self, sim):
+        ctx, state = ctx_and_state(sim, "tv")
+        # Distinct unknown broadcasts: each one a miss that keeps the state.
+        frames = [
+            CecFrame(4, fr.BROADCAST, 0xAB, (i >> 8, i & 0xFF))
+            for i in range(devices._MEMO_LIMIT + 1)
+        ]
+        first = react(ctx, state, frames[0])
+        assert react(ctx, state, frames[0]) is first
+        for frame in frames[1:]:
+            react(ctx, state, frame)
+            assert len(ctx.memo) <= devices._MEMO_LIMIT
+        assert len(ctx.memo) == 1

@@ -8,6 +8,7 @@ import pytest
 
 from cecsim import cli
 from cecsim import scenarios as scen
+from cecsim.relay import LoopbackRelayClient
 from cecsim.scenarios import (
     ScenarioError,
     builtin_scenario,
@@ -26,6 +27,16 @@ NESTED_SCENARIO = (
     '{"name": "nested", "topology": "testbed", "duration": 5, '
     '"checks": [{"type": "zero_alerts", "note": %s}]}' % ("[" * 600 + "]" * 600)
 )
+
+
+# A display and a source: no attacker listener to run a relay poller on.
+NO_LISTENER_TOPOLOGY = {
+    "nodes": [
+        {"id": "tv", "kind": "display", "device_type": "television"},
+        {"id": "client", "kind": "source", "device_type": "recording"},
+    ],
+    "edges": [{"parent": "tv", "child": "client", "port": 1}],
+}
 
 
 def doc(**overrides):
@@ -149,6 +160,10 @@ class TestValidation:
                 {"actions": [{"tick": 1, "actor": "client", "action": "request_file",
                               "args": {"peer": "hub"}}]},
                 "peer 'hub' has no logical address",
+            ),
+            (
+                {"topology": NO_LISTENER_TOPOLOGY, "relay": {"enabled": True}},
+                "relay needs an attacker listener",
             ),
         ],
     )
@@ -477,6 +492,21 @@ class TestCli:
         path.write_text(json.dumps(document))
         assert cli.main(["run", "--scenario", str(path), "--check"]) == 3
         assert "no listener holds a mic payload" in capsys.readouterr().out
+
+    def test_relay_client_without_listener_is_refused(self):
+        # The document enables no relay, so only the run-time check sees it.
+        scenario = load_scenario(doc(topology=NO_LISTENER_TOPOLOGY))
+        with pytest.raises(ScenarioError, match="relay needs an attacker listener"):
+            run_scenario(scenario, relay_client=LoopbackRelayClient())
+
+    def test_relay_url_without_listener_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "no-listener.json"
+        path.write_text(json.dumps(doc(topology=NO_LISTENER_TOPOLOGY)))
+        code = cli.main(["run", "--scenario", str(path), "--relay-url", "http://127.0.0.1:1"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "relay needs an attacker listener" in err
 
     def test_run_unknown_scenario_exits_two(self, capsys):
         assert cli.main(["run", "--scenario", "no-such"]) == 2
