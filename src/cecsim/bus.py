@@ -25,7 +25,7 @@ import logging
 import re
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from cecsim import devices as dv
@@ -80,6 +80,20 @@ _TRACE_LINE = re.compile(
 )
 
 
+# A trace repeats a few frame texts and one observers list per domain: each
+# distinct text is decoded once, so replayed events share their frames and
+# their domain's tuple, as live events do.  Only the regex's `str` groups
+# reach these memos, and a text that raises is not cached.
+@lru_cache(maxsize=1024)
+def _trace_frame(text: str) -> CecFrame:
+    return fr.parse_frame(text)
+
+
+@lru_cache(maxsize=64)
+def _trace_observers(text: str) -> tuple[str, ...]:
+    return tuple(x for x in text.split(",") if x)
+
+
 def parse_trace_line(line: str) -> BusEvent:
     match = _TRACE_LINE.match(line.strip())
     if match is None:
@@ -87,8 +101,8 @@ def parse_trace_line(line: str) -> BusEvent:
     return BusEvent(
         tick=int(match.group("tick")),
         origin=match.group("origin"),
-        frame=fr.parse_frame(match.group("frame")),
-        observers=tuple(x for x in match.group("obs").split(",") if x),
+        frame=_trace_frame(match.group("frame")),
+        observers=_trace_observers(match.group("obs")),
         acknowledged=match.group("ack") == "1",
     )
 

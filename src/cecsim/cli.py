@@ -154,25 +154,41 @@ def _cmd_relay_serve(args) -> int:
 
 
 def _cmd_ids_analyze(args) -> int:
-    events = []
+    # Each line goes to the detector as it is read, so memory follows the
+    # detector's windows, not the trace.  Of several errors, the first of a
+    # bad line, a tap that sees no frame and a bad config is reported.
     with open(args.trace, "r", encoding="utf-8") as fh:
+        try:
+            config, config_error = _load_ids_config(args.ids_config), None
+        except ValueError as exc:
+            config, config_error = None, exc
+        tap = args.ids_tap
+        detector = ids_mod.Detector(config, tap)
+        frames = 0
+        # Replayed events of one domain share one observers tuple: look for
+        # the tap once per tuple, until it is seen.
+        seen, observers = tap is None, None
         for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                events.append(parse_trace_line(line))
+                event = parse_trace_line(line)
             except (ValueError, FrameError) as exc:
                 print("%s:%d: %s" % (args.trace, number, exc), file=sys.stderr)
                 return EXIT_BAD_INPUT
-    tap = args.ids_tap
-    if tap is not None and events and not any(tap in e.observers for e in events):
-        raise ValueError("detector tap %r observes none of the %d frames" % (tap, len(events)))
-    config = _load_ids_config(args.ids_config)
-    alerts = ids_mod.detect(events, config, tap)
-    for alert in alerts:
+            frames += 1
+            if not seen and event.observers is not observers:
+                observers = event.observers
+                seen = tap in observers
+            detector.feed(event)
+    if not seen and frames:
+        raise ValueError("detector tap %r observes none of the %d frames" % (tap, frames))
+    if config_error is not None:
+        raise config_error
+    for alert in detector.alerts:
         print(alert.to_json())
-    print("%d alerts from %d frames" % (len(alerts), len(events)), file=sys.stderr)
+    print("%d alerts from %d frames" % (len(detector.alerts), frames), file=sys.stderr)
     return EXIT_OK
 
 

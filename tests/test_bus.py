@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from cecsim import devices as dv
 from cecsim import frames as fr
-from cecsim.bus import Actor, Simulator, StateChange, parse_trace_line
+from cecsim import bus
+from cecsim.bus import Actor, BusEvent, Simulator, StateChange, parse_trace_line
 from cecsim.devices import UserAction
 from cecsim.frames import (
     CecFrame,
@@ -633,7 +634,12 @@ class TestTraceFormat:
     def test_every_builtin_event_parses_back_equal(self, name):
         events = run_scenario(builtin_scenario(name)).sim.trace.events
         assert events
-        assert [parse_trace_line(e.render()) for e in events] == events
+        replayed = [parse_trace_line(e.render()) for e in events]
+        assert replayed == events
+        # Replayed events of one domain share one observers tuple.
+        shared: dict[tuple[str, ...], tuple[str, ...]] = {}
+        for event in replayed:
+            assert shared.setdefault(event.observers, event.observers) is event.observers
 
     def test_records_are_immutable(self, testbed_sim):
         event = testbed_sim.deliver("tv", CecFrame(0, 15, 0x85))
@@ -652,3 +658,81 @@ class TestTraceFormat:
         sim.run(until=4)
         text = sim.trace.render_state_log()
         assert "t=2 | tv | power=standby" in text
+
+
+# ---------------------------------------------------------------------------
+# Trace replay memos
+# ---------------------------------------------------------------------------
+
+def _reference_decode(line: str) -> BusEvent:
+    """`parse_trace_line` without its memos."""
+    match = bus._TRACE_LINE.match(line.strip())
+    if match is None:
+        raise ValueError("unrecognised trace line: %r" % line)
+    return BusEvent(
+        tick=int(match.group("tick")),
+        origin=match.group("origin"),
+        frame=fr.parse_frame(match.group("frame")),
+        observers=tuple(x for x in match.group("obs").split(",") if x),
+        acknowledged=match.group("ack") == "1",
+    )
+
+
+def _outcome(decode, line):
+    try:
+        return decode(line)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_names = st.from_regex(r"[a-z][a-z0-9_-]{0,7}", fullmatch=True)
+
+
+@st.composite
+def rendered_events(draw):
+    opcode = draw(st.none() | st.integers(0, 255))
+    operands = () if opcode is None else tuple(
+        draw(st.lists(st.integers(0, 255), max_size=fr.MAX_OPERANDS))
+    )
+    event = BusEvent(
+        tick=draw(st.integers(0, 10**6)),
+        origin=draw(_names),
+        frame=CecFrame(draw(st.integers(0, 15)), draw(st.integers(0, 15)), opcode, operands),
+        observers=tuple(draw(st.lists(_names, max_size=6))),
+        acknowledged=draw(st.booleans()),
+    )
+    return event.render()
+
+
+class TestTraceMemo:
+    @given(st.from_regex(bus._TRACE_LINE) | rendered_events())
+    @settings(deadline=None, max_examples=200)
+    def test_memoised_decode_matches_reference(self, line):
+        expected = _outcome(_reference_decode, line)
+        assert _outcome(parse_trace_line, line) == expected
+        assert _outcome(parse_trace_line, line) == expected
+
+    def test_bad_frame_raises_every_time(self):
+        line = "t=1 | tv | 1f:8 | ack=1 | obs=tv"
+        errors = []
+        for _ in range(2):
+            misses = bus._trace_frame.cache_info().misses
+            with pytest.raises(fr.FrameError) as caught:
+                parse_trace_line(line)
+            # A miss each time: the failed decode was not cached.
+            assert bus._trace_frame.cache_info().misses == misses + 1
+            errors.append(str(caught.value))
+        assert errors == ["octet 1 is not two hex digits: '8'"] * 2
+
+    def test_replay_past_the_frame_memo_stays_bounded(self):
+        scenario = builtin_scenario("attack3-file-theft")
+        scenario.listener_options["capture_bytes"] = 20 * 1024
+        scenario.duration = 20 * 1024 // 14 + 40
+        events = run_scenario(scenario).trace.events
+        info = bus._trace_frame.cache_info()
+        assert len({e.frame for e in events}) > info.maxsize
+        replayed = []
+        for event in events:
+            replayed.append(parse_trace_line(event.render()))
+            assert bus._trace_frame.cache_info().currsize <= info.maxsize
+        assert replayed == events

@@ -547,15 +547,26 @@ class TestCli:
         assert cli.main(["scan", "--topology", "testbed", "--actor", "ghost"]) == 2
         capsys.readouterr()
 
-    def test_ids_analyze(self, tmp_path, capsys):
+    @pytest.mark.parametrize("name", builtin_scenario_names())
+    def test_ids_analyze(self, name, tmp_path, capsys):
+        """Replaying a run's trace.log from its tap, with its detector
+        config, prints exactly the run's alerts.jsonl."""
         run_out = tmp_path / "run"
-        assert cli.main(
-            ["run", "--scenario", "attack1-device-walk", "--out", str(run_out)]
-        ) == 0
+        assert cli.main(["run", "--scenario", name, "--out", str(run_out)]) == 0
         capsys.readouterr()
-        assert cli.main(["ids", "analyze", str(run_out / "trace.log")]) == 0
-        out = capsys.readouterr().out
-        assert "ScanBurst" in out
+        scenario = builtin_scenario(name)
+        argv = ["ids", "analyze", str(run_out / "trace.log"),
+                "--ids-tap", scenario.ids_options.get("tap") or scenario.topology.root]
+        if "config" in scenario.ids_options:
+            config_path = tmp_path / "ids.json"
+            config_path.write_text(json.dumps(scenario.ids_options["config"]))
+            argv += ["--ids-config", str(config_path)]
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        alerts = (run_out / "alerts.jsonl").read_text().splitlines()
+        assert captured.out.splitlines() == alerts
+        frames = len((run_out / "trace.log").read_text().splitlines())
+        assert captured.err == "%d alerts from %d frames\n" % (len(alerts), frames)
 
     def test_ids_analyze_missing_file_exits_two(self, capsys):
         assert cli.main(["ids", "analyze", "/nonexistent/trace.log"]) == 2
