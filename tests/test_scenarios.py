@@ -547,8 +547,18 @@ class TestCli:
         assert cli.main(["scan", "--topology", "testbed", "--actor", "ghost"]) == 2
         capsys.readouterr()
 
+    def test_ids_analyze(self, tmp_path, capsys):
+        run_out = tmp_path / "run"
+        assert cli.main(
+            ["run", "--scenario", "attack1-device-walk", "--out", str(run_out)]
+        ) == 0
+        capsys.readouterr()
+        assert cli.main(["ids", "analyze", str(run_out / "trace.log")]) == 0
+        out = capsys.readouterr().out
+        assert "ScanBurst" in out
+
     @pytest.mark.parametrize("name", builtin_scenario_names())
-    def test_ids_analyze(self, name, tmp_path, capsys):
+    def test_ids_analyze_replays_run_alerts(self, name, tmp_path, capsys):
         """Replaying a run's trace.log from its tap, with its detector
         config, prints exactly the run's alerts.jsonl."""
         run_out = tmp_path / "run"
