@@ -80,15 +80,10 @@ _TRACE_LINE = re.compile(
 )
 
 
-# A trace repeats a few frame texts and one observers list per domain: each
-# distinct text is decoded once, so replayed events share their frames and
-# their domain's tuple, as live events do.  Only the regex's `str` groups
-# reach these memos, and a text that raises is not cached.
-@lru_cache(maxsize=1024)
-def _trace_frame(text: str) -> CecFrame:
-    return fr.parse_frame(text)
-
-
+# A trace repeats one observers list per domain: each distinct `obs=` text
+# is split once, so replayed events of one domain share one tuple, as live
+# events do.  Each line still decodes its own frame through `parse_frame`,
+# one constructed frame per line, which perfbench's traced counts assume.
 @lru_cache(maxsize=64)
 def _trace_observers(text: str) -> tuple[str, ...]:
     return tuple(x for x in text.split(",") if x)
@@ -98,12 +93,13 @@ def parse_trace_line(line: str) -> BusEvent:
     match = _TRACE_LINE.match(line.strip())
     if match is None:
         raise ValueError("unrecognised trace line: %r" % line)
+    tick, origin, frame, ack, observers = match.groups()
     return BusEvent(
-        tick=int(match.group("tick")),
-        origin=match.group("origin"),
-        frame=_trace_frame(match.group("frame")),
-        observers=_trace_observers(match.group("obs")),
-        acknowledged=match.group("ack") == "1",
+        tick=int(tick),
+        origin=origin,
+        frame=fr.parse_frame(frame),
+        observers=_trace_observers(observers),
+        acknowledged=ack == "1",
     )
 
 

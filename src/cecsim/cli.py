@@ -165,9 +165,6 @@ def _cmd_ids_analyze(args) -> int:
         tap = args.ids_tap
         detector = ids_mod.Detector(config, tap)
         frames = 0
-        # Replayed events of one domain share one observers tuple: look for
-        # the tap once per tuple, until it is seen.
-        seen, observers = tap is None, None
         for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -178,11 +175,8 @@ def _cmd_ids_analyze(args) -> int:
                 print("%s:%d: %s" % (args.trace, number, exc), file=sys.stderr)
                 return EXIT_BAD_INPUT
             frames += 1
-            if not seen and event.observers is not observers:
-                observers = event.observers
-                seen = tap in observers
             detector.feed(event)
-    if not seen and frames:
+    if frames and not detector.tap_seen:
         raise ValueError("detector tap %r observes none of the %d frames" % (tap, frames))
     if config_error is not None:
         raise config_error

@@ -102,12 +102,15 @@ class Detector:
         # events of one domain share one tuple.
         self._observers: tuple[str, ...] | None = None
         self._tapped = True
+        # Whether the tap has observed any fed event (always, without a tap).
+        self.tap_seen = tap is None
 
     def feed(self, event: BusEvent) -> list[Alert]:
         if self.tap is not None:
             if event.observers is not self._observers:
                 self._observers = event.observers
                 self._tapped = self.tap in event.observers
+                self.tap_seen = self.tap_seen or self._tapped
             if not self._tapped:
                 return []
         checks = _CHECKS_BY_OPCODE.get(event.frame.opcode)

@@ -370,6 +370,16 @@ class TestDetectorPlumbing:
         events = [ev(t, "spy", "%x%x" % (t, t), observers=("spy",)) for t in range(8)]
         assert [a.rule for a in detect(events)] == [RULE_SCAN_BURST]
 
+    def test_tap_seen_once_the_tap_observes_a_frame(self):
+        assert Detector().tap_seen is True
+        detector = Detector(tap="tap")
+        assert detector.tap_seen is False
+        detector.feed(ev(0, "spy", "11", observers=("spy",)))
+        assert detector.tap_seen is False
+        detector.feed(ev(1, "spy", "22", observers=("tap", "spy")))
+        detector.feed(ev(2, "spy", "33", observers=("spy",)))
+        assert detector.tap_seen is True
+
     def test_alert_json_fields(self):
         alerts = detect(self._mixed_events())
         import json
