@@ -169,7 +169,6 @@ class ScanWalk(Actor):
                 entry.language = node.menu_language if node.menu_language else "Unk"
             entry.active = addr == self._active_claimant
             report.entries[addr] = entry
-        self.phase = "done"
         sim.artifacts.scan_reports.append(report)
         log.info("%s census finished with %d entries", self.device, len(report.entries))
         if self.on_complete is not None:
@@ -183,26 +182,22 @@ class TargetedDos(Actor):
     def __init__(self, device: str, target_address: int = 0):
         super().__init__(device)
         self.target_address = target_address
-        self.status = "idle"
-        self.fired = 0
+        self.armed = False
 
     def arm(self):
-        if self.status == "idle":
-            self.status = "armed"
+        self.armed = True
 
     def disarm(self):
-        self.status = "idle"
+        self.armed = False
 
     def on_event(self, sim: Simulator, event: BusEvent):
-        if self.status == "idle" or event.origin == self.device:
+        if not self.armed or event.origin == self.device:
             return
         if event.frame.opcode not in fr.ANNOUNCE_OPCODES:
             return
         own = sim.logical.get(self.device)
         if own is None:
             return
-        self.status = "active"
-        self.fired += 1
         sim.transmit_at(
             sim.clock + 1,
             self.device,

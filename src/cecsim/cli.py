@@ -14,11 +14,10 @@ from cecsim import ids as ids_mod
 from cecsim import relay as relay_mod
 from cecsim import scenarios as scen
 from cecsim import schema
-from cecsim.attacks import ScanWalk
-from cecsim.bus import Simulator, parse_trace_line
+from cecsim.bus import parse_trace_line
 from cecsim.frames import FrameError
-from cecsim.testbed import TESTBED_NAME, build_testbed
-from cecsim.topology import TopologyError, load_topology
+from cecsim.testbed import TESTBED_NAME
+from cecsim.topology import TopologyError
 
 log = logging.getLogger(__name__)
 
@@ -111,25 +110,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    if args.topology == TESTBED_NAME:
-        topology = build_testbed()
-    else:
-        topology = load_topology(args.topology)
+    # A census is a scenario with one action, run like any other.
+    scenario = scen.load_scenario({"name": "scan", "topology": args.topology, "duration": 140})
+    topology = scenario.topology
     actor = args.actor
     if actor is None:
         listeners = topology.listeners()
         actor = listeners[0] if listeners else topology.root
     if actor not in topology.nodes:
         raise TopologyError("scan actor %r is not in the topology" % actor)
-    sim = Simulator(topology)
-    walk = ScanWalk(actor)
-    sim.add_actor(walk)
-    walk.start(sim)
-    sim.run(until=140)
-    if not sim.artifacts.scan_reports:
-        print("walk from %s produced no census" % actor, file=sys.stderr)
-        return EXIT_BAD_INPUT
-    report = sim.artifacts.scan_reports[-1]
+    scenario.actions.append(scen.ScenarioAction(0, actor, "scan"))
+    report = scen.run_scenario(scenario).reports[-1]
     print(report.to_json() if args.json else report.render_table(), end="")
     if not args.json:
         print()
@@ -138,7 +129,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_relay_serve(args) -> int:
     host, _, port_text = args.bind.rpartition(":")
-    if not host or not port_text.isdigit():
+    if not host or not port_text.isdecimal() or int(port_text) > 65535:
         print("--bind expects host:port, got %r" % args.bind, file=sys.stderr)
         return EXIT_BAD_INPUT
     server = relay_mod.RelayServer((host, int(port_text)))

@@ -105,6 +105,24 @@ class UserAction(enum.Enum):
     DISABLE_CEC = "disable_cec"
 
 
+def _report_physical_address(ctx: DeviceCtx) -> CecFrame:
+    hi, lo = ctx.physical.to_bytes()
+    return CecFrame(
+        ctx.logical, fr.BROADCAST, fr.OP_REPORT_PHYSICAL_ADDRESS,
+        (hi, lo, fr.DEVICE_TYPE_OPERAND[ctx.node.device_type]),
+    )
+
+
+def _device_vendor_id(ctx: DeviceCtx) -> CecFrame:
+    return CecFrame(
+        ctx.logical, fr.BROADCAST, fr.OP_DEVICE_VENDOR_ID, fr.vendor_id_bytes(ctx.node.vendor_id)
+    )
+
+
+def _active_source(ctx: DeviceCtx, address: PhysicalAddress) -> CecFrame:
+    return CecFrame(ctx.logical, fr.BROADCAST, fr.OP_ACTIVE_SOURCE, address.to_bytes())
+
+
 def announcement_frames(ctx: DeviceCtx, state: DeviceState) -> list[CecFrame]:
     """Broadcasts a device makes as it wakes up.
 
@@ -115,24 +133,7 @@ def announcement_frames(ctx: DeviceCtx, state: DeviceState) -> list[CecFrame]:
     """
     if ctx.logical is None:
         return []
-    out = []
-    hi, lo = ctx.physical.to_bytes()
-    out.append(
-        CecFrame(
-            ctx.logical,
-            fr.BROADCAST,
-            fr.OP_REPORT_PHYSICAL_ADDRESS,
-            (hi, lo, fr.DEVICE_TYPE_OPERAND[ctx.node.device_type]),
-        )
-    )
-    out.append(
-        CecFrame(
-            ctx.logical,
-            fr.BROADCAST,
-            fr.OP_DEVICE_VENDOR_ID,
-            fr.vendor_id_bytes(ctx.node.vendor_id),
-        )
-    )
+    out = [_report_physical_address(ctx), _device_vendor_id(ctx)]
     if ctx.node.kind is DeviceKind.DISPLAY and state.active_input_port is not None:
         if ctx.physical.depth() < 4:
             new = ctx.physical.child(state.active_input_port)
@@ -145,9 +146,7 @@ def announcement_frames(ctx: DeviceCtx, state: DeviceState) -> list[CecFrame]:
                 )
             )
     elif state.active_source and not ctx.physical.is_unregistered:
-        out.append(
-            CecFrame(ctx.logical, fr.BROADCAST, fr.OP_ACTIVE_SOURCE, ctx.physical.to_bytes())
-        )
+        out.append(_active_source(ctx, ctx.physical))
     return out
 
 
@@ -155,20 +154,14 @@ def _query_response(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> CecF
     node, me, them = ctx.node, ctx.logical, frame.initiator
     op = frame.opcode
     if op == fr.OP_GIVE_PHYSICAL_ADDRESS:
-        hi, lo = ctx.physical.to_bytes()
-        return CecFrame(
-            me, fr.BROADCAST, fr.OP_REPORT_PHYSICAL_ADDRESS,
-            (hi, lo, fr.DEVICE_TYPE_OPERAND[node.device_type]),
-        )
+        return _report_physical_address(ctx)
     if op == fr.OP_GIVE_OSD_NAME:
         name = node.osd_name.encode("ascii", errors="replace")[:14]
         if not name:
             return CecFrame(me, them, fr.OP_FEATURE_ABORT, (op, ABORT_REFUSED))
         return CecFrame(me, them, fr.OP_SET_OSD_NAME, tuple(name))
     if op == fr.OP_GIVE_VENDOR_ID:
-        return CecFrame(
-            me, fr.BROADCAST, fr.OP_DEVICE_VENDOR_ID, fr.vendor_id_bytes(node.vendor_id)
-        )
+        return _device_vendor_id(ctx)
     if op == fr.OP_GIVE_POWER_STATUS:
         return CecFrame(
             me, them, fr.OP_REPORT_POWER_STATUS, (fr.POWER_STATUS_OPERAND[state.power],)
@@ -293,10 +286,7 @@ def _react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
 
     if op == fr.OP_REQUEST_ACTIVE_SOURCE and broadcast:
         if state.active_source and state.cec_info_reporting_enabled and ctx.logical is not None:
-            claim = CecFrame(
-                ctx.logical, fr.BROADCAST, fr.OP_ACTIVE_SOURCE, ctx.physical.to_bytes()
-            )
-            return Reaction(state, (claim,))
+            return Reaction(state, (_active_source(ctx, ctx.physical),))
         return Reaction(state)
 
     if op in fr.RESPONSE_OPCODES:
@@ -355,10 +345,7 @@ def apply_user_action(
         emissions = []
         # f.f.f.f and a four-level address have no port to name below them.
         if ctx.logical is not None and ctx.physical.depth() < 4:
-            selected = ctx.physical.child(argument)
-            emissions.append(
-                CecFrame(ctx.logical, fr.BROADCAST, fr.OP_ACTIVE_SOURCE, selected.to_bytes())
-            )
+            emissions.append(_active_source(ctx, ctx.physical.child(argument)))
         return UserActionResult(True, "", new_state, emissions, changed)
 
     if action is UserAction.OPEN_SETTINGS:

@@ -142,9 +142,6 @@ class PhysicalAddress:
         port = claimed.nibbles[d]
         return port if port != 0 else None
 
-    def __str__(self) -> str:
-        return self.text
-
 
 @dataclass(frozen=True)
 class CecFrame:
@@ -195,9 +192,6 @@ class CecFrame:
     @property
     def text(self) -> str:
         return encode_frame(self)
-
-    def __str__(self) -> str:
-        return self.text
 
 
 # Each octet value's text, two lowercase hex digits, and each such text to

@@ -13,6 +13,7 @@ import json
 import logging
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -144,9 +145,15 @@ class LoopbackRelayClient:
 class HttpRelayClient:
     """Same interface over a real socket.  The relay's answers are not
     trusted: one that is not a JSON object, or a GET `value` that is
-    neither a string nor null, counts as an outage (RelayUnreachable)."""
+    neither a string nor null, counts as an outage (RelayUnreachable).
+    A base URL that is not http(s)://host[:port][/path] raises ValueError."""
 
     def __init__(self, base_url: str, timeout: float = 5.0):
+        parts = urllib.parse.urlsplit(base_url)
+        # A query or a fragment, even an empty one, would swallow the paths appended.
+        if parts.scheme not in ("http", "https") or not parts.hostname or set("?#") & set(base_url):
+            raise ValueError("relay URL must be http(s)://host[:port][/path], got %r" % base_url)
+        parts.port  # raises ValueError now, not at the first call, for a bad port
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
 
@@ -197,8 +204,6 @@ class RelayPoller(Actor):
         self.client = client
         self.controller = controller
         self.interval_ticks = interval_ticks
-        self.executed: list[str] = []
-        self.unknown: list[str] = []
         self._last: str | None = None
         self._pending: str | None = None
 
@@ -239,14 +244,12 @@ class RelayPoller(Actor):
         handler = self._HANDLERS.get(command)
         if handler is None:
             log.warning("unknown relay command %s acknowledged, not executed", _excerpt(command))
-            self.unknown.append(command[:EXCERPT_CHARS])
             return
         try:
             handler(self, sim, envelope)
         except ValueError as exc:
             log.warning("ignoring relay command %s: %s", command, _excerpt(str(exc)))
             return
-        self.executed.append(command)
         log.info("relay command %s executed", command)
 
     def _dos1(self, sim: Simulator, envelope: dict):

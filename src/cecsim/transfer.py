@@ -166,13 +166,11 @@ class FileReceiver(Actor):
     def __init__(self, device: str):
         super().__init__(device)
         self.session: ReceiveSession | None = None
-        self.rejected_requests = 0
 
     def request_file(self, sim: Simulator, peer_address: int | None = None) -> bool:
         """Ask whoever is listening for its payload.  One session at a
         time; a second request is rejected until the first closes."""
         if self.session is not None:
-            self.rejected_requests += 1
             log.info("%s already has an open transfer, request rejected", self.device)
             return False
         if peer_address is None:

@@ -1,4 +1,7 @@
-"""Shared fixtures: the lab tree, small topologies, and random builders."""
+"""Shared fixtures: the lab tree, small topologies, random builders, and
+the relay poller's log."""
+
+import logging
 
 import pytest
 
@@ -45,3 +48,33 @@ def make_chain(length: int, propagates=True):
             {"parent": "d%d" % (i - 1), "child": "d%d" % i, "port": 1, "cec_propagates": propagates}
         )
     return build_topology({"nodes": nodes, "edges": edges})
+
+
+class RelayLog:
+    """The relay commands a poller ran, read from its log records."""
+
+    def __init__(self, caplog):
+        self._caplog = caplog
+
+    def _args(self, message: str) -> list:
+        return [r.args[0] for r in self._caplog.records
+                if r.name == "cecsim.relay" and r.msg == message]
+
+    @property
+    def executed(self) -> list[str]:
+        """Each command name the poller ran, in order."""
+        return self._args("relay command %s executed")
+
+    @property
+    def unknown(self) -> list[str]:
+        """The excerpt of each unknown command the poller acknowledged."""
+        return self._args("unknown relay command %s acknowledged, not executed")
+
+    def clear(self):
+        self._caplog.clear()
+
+
+@pytest.fixture
+def relay_log(caplog):
+    caplog.set_level(logging.INFO, logger="cecsim.relay")
+    return RelayLog(caplog)

@@ -193,15 +193,15 @@ def test_acceptance_broadcast_churn_over_thousand_ticks():
 # 6. Remote relay
 # ---------------------------------------------------------------------------
 
-def _relay_roundtrip(client) -> tuple[bool, str]:
+def _relay_roundtrip(client, relay_log) -> tuple[bool, str]:
     # DOS1 command: bus traffic within poll interval + 2 ticks of the post
     scenario = scen.builtin_scenario("attack5-remote-churn")
     result = scen.run_scenario(scenario, relay_client=client)
     outcomes = scen.evaluate_checks(result)
     if not all(o.ok for o in outcomes):
         return False, "; ".join("%s: %s" % (o.label, o.detail) for o in outcomes)
-    if result.poller.executed != ["DOS1"]:
-        return False, "expected exactly one DOS1 execution, got %r" % result.poller.executed
+    if relay_log.executed != ["DOS1"]:
+        return False, "expected exactly one DOS1 execution, got %r" % relay_log.executed
 
     # SCAN command publishes the census JSON to the outbound mailbox
     scan_scenario = scen.builtin_scenario("attack1-device-walk")
@@ -222,22 +222,23 @@ def _relay_roundtrip(client) -> tuple[bool, str]:
     client.post(LISTENER_PATH, envelope)
     sim.start()
     sim.schedule(12, lambda: client.post(LISTENER_PATH, envelope))
+    relay_log.clear()
     sim.run(until=30)
-    if poller.executed != ["TDOS"]:
-        return False, "duplicate envelope re-executed: %r" % poller.executed
+    if relay_log.executed != ["TDOS"]:
+        return False, "duplicate envelope re-executed: %r" % relay_log.executed
     return True, "command, census publication, and dedup verified"
 
 
-def test_acceptance_relay_loopback():
-    ok, detail = _relay_roundtrip(LoopbackRelayClient())
+def test_acceptance_relay_loopback(relay_log):
+    ok, detail = _relay_roundtrip(LoopbackRelayClient(), relay_log)
     _report("relay drives attacks over the in-process transport", ok, detail)
 
 
-def test_acceptance_relay_http_socket():
+def test_acceptance_relay_http_socket(relay_log):
     server = RelayServer(("127.0.0.1", 0))
     server.start_background()
     try:
-        ok, detail = _relay_roundtrip(HttpRelayClient(server.url))
+        ok, detail = _relay_roundtrip(HttpRelayClient(server.url), relay_log)
     finally:
         server.shutdown()
         server.server_close()

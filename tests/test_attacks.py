@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cecsim import frames as fr
 from cecsim.attacks import (
     ARM_BROADCAST_MARKER,
     ARM_TARGETED_MARKER,
@@ -25,12 +26,28 @@ from test_bus import tree_topologies
 
 
 def scanned(sim, actor):
+    reports = sim.artifacts.scan_reports
+    expected = len(reports) + 1
     walk = ScanWalk(actor)
     sim.add_actor(walk)
     walk.start(sim)
     sim.run(until=sim.clock + 130)
-    assert walk.phase == "done"
-    return sim.artifacts.scan_reports[-1]
+    assert len(reports) == expected and reports[-1].actor == actor
+    return reports[-1]
+
+
+def standbys_from(sim, device):
+    """The Standby frames `device` put on the wire."""
+    return [e for e in sim.trace.events if e.origin == device and e.frame.opcode == fr.OP_STANDBY]
+
+
+def announcements_heard(sim, device):
+    """The wake-up announcements from other devices that `device` observed."""
+    return [
+        e for e in sim.trace.events
+        if e.origin != device and device in e.observers
+        and e.frame.opcode in fr.ANNOUNCE_OPCODES
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +164,12 @@ class TestTargetedDos:
         testbed_sim.schedule(4, testbed_sim.user_action, "tv", UserAction.POWER_OFF)
         testbed_sim.schedule(8, testbed_sim.user_action, "tv", UserAction.POWER_ON)
         testbed_sim.run(until=16)
-        standbys = [
-            e for e in testbed_sim.trace.events
-            if e.origin == "listener" and e.frame.opcode == 0x36
-        ]
+        standbys = standbys_from(testbed_sim, "listener")
         assert standbys
         assert standbys[0].tick == 9  # announcement at 8, reaction one tick later
         assert standbys[0].frame.destination == 0
-        assert dos.fired == len(standbys) == 3
+        # One Standby per announcement heard, each already on the wire.
+        assert len(announcements_heard(testbed_sim, "listener")) == len(standbys) == 3
 
     def test_idle_until_armed(self, testbed_sim):
         dos = TargetedDos("listener")
@@ -162,7 +177,8 @@ class TestTargetedDos:
         testbed_sim.schedule(3, testbed_sim.user_action, "tv", UserAction.POWER_OFF)
         testbed_sim.schedule(5, testbed_sim.user_action, "tv", UserAction.POWER_ON)
         testbed_sim.run(until=12)
-        assert dos.fired == 0
+        assert announcements_heard(testbed_sim, "listener")
+        assert standbys_from(testbed_sim, "listener") == []
         assert testbed_sim.device_states["tv"].power.value == "on"
 
     def test_ignores_own_frames(self, testbed_sim):
@@ -171,7 +187,7 @@ class TestTargetedDos:
         testbed_sim.add_actor(dos)
         testbed_sim.transmit_at(3, "listener", CecFrame(1, 15, 0x84, (0xF0, 0xF0, 0x01)))
         testbed_sim.run(until=8)
-        assert dos.fired == 0
+        assert standbys_from(testbed_sim, "listener") == []
 
     def test_keeps_target_down(self, testbed_sim):
         dos = TargetedDos("listener", target_address=0)
@@ -272,10 +288,11 @@ class TestAttackController:
 
     def test_marker_arms_targeted(self, testbed_sim):
         controller, _ = self.wired(testbed_sim)
-        assert controller.targeted.status == "idle"
+        assert not controller.targeted.armed
         testbed_sim.transmit_at(3, "client", ARM_TARGETED_MARKER)
         testbed_sim.run(until=5)
-        assert controller.targeted.status == "armed"
+        assert controller.targeted.armed
+        assert standbys_from(testbed_sim, "listener") == []
 
     def test_marker_activates_broadcast(self, testbed_sim):
         controller, _ = self.wired(testbed_sim)
@@ -289,7 +306,7 @@ class TestAttackController:
         controller, _ = self.wired(testbed_sim)
         testbed_sim.transmit_at(3, "listener", ARM_TARGETED_MARKER)
         testbed_sim.run(until=5)
-        assert controller.targeted.status == "idle"
+        assert not controller.targeted.armed
 
     def test_scan_stores_report_bytes(self, testbed_sim):
         controller, store = self.wired(testbed_sim)
@@ -311,7 +328,7 @@ class TestAttackController:
         controller.targeted.arm()
         controller.broadcast.activate()
         controller.cancel_all()
-        assert controller.targeted.status == "idle"
+        assert not controller.targeted.armed
         assert not controller.broadcast.active
 
 

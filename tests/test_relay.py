@@ -1,15 +1,16 @@
 """Command relay: mailbox protocol, HTTP server, polling loop."""
 
 import json
-import logging
 import socket
 import threading
+from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from cecsim.attacks import AttackController
 from cecsim.bus import Simulator
+from cecsim.frames import OP_STANDBY
 from cecsim.relay import (
     HttpRelayClient,
     KNOWN_COMMANDS,
@@ -133,7 +134,7 @@ class TestPoller:
         sim.run(until=21)
         assert CountingClient.gets == 4  # ticks 5, 10, 15, 20
 
-    def test_command_dispatched_once(self):
+    def test_command_dispatched_once(self, relay_log):
         sim, controller, _ = wired_sim()
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
@@ -141,10 +142,12 @@ class TestPoller:
         client.post(LISTENER_PATH, json.dumps({"command": "TDOS", "issued_at": 0}))
         sim.start()
         sim.run(until=12)
-        assert poller.executed == ["TDOS"]
-        assert controller.targeted.status == "armed"
+        assert relay_log.executed == ["TDOS"]
+        # Armed, and nothing on the wire has made it fire yet.
+        assert controller.targeted.armed
+        assert not any(e.frame.opcode == OP_STANDBY for e in sim.trace.events)
 
-    def test_fresh_envelope_reexecutes(self):
+    def test_fresh_envelope_reexecutes(self, relay_log):
         sim, controller, _ = wired_sim()
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
@@ -154,9 +157,9 @@ class TestPoller:
         sim.run(until=5)
         client.post(LISTENER_PATH, json.dumps({"command": "CANCEL", "issued_at": 5}))
         sim.run(until=10)
-        assert poller.executed == ["CANCEL", "CANCEL"]
+        assert relay_log.executed == ["CANCEL", "CANCEL"]
 
-    def test_unknown_command_logged_not_executed(self):
+    def test_unknown_command_logged_not_executed(self, relay_log):
         sim, controller, _ = wired_sim()
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
@@ -164,11 +167,11 @@ class TestPoller:
         client.post(LISTENER_PATH, json.dumps({"command": "FORMAT_DISK"}))
         sim.start()
         sim.run(until=6)
-        assert poller.executed == []
-        assert poller.unknown == ["FORMAT_DISK"]
+        assert relay_log.executed == []
+        assert relay_log.unknown == ["'FORMAT_DISK' (11 chars)"]
         assert "FORMAT_DISK" not in KNOWN_COMMANDS
 
-    def test_malformed_envelope_ignored(self):
+    def test_malformed_envelope_ignored(self, relay_log):
         sim, controller, _ = wired_sim()
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
@@ -176,23 +179,23 @@ class TestPoller:
         client.post(LISTENER_PATH, "not json at all")
         sim.start()
         sim.run(until=6)
-        assert poller.executed == []
+        assert relay_log.executed == []
 
     @pytest.mark.parametrize(
         "envelope", ["[" * 100_000, '{"command": %s}' % ("[" * 900 + "]" * 900)]
     )
-    def test_deeply_nested_envelope_ignored(self, envelope):
+    def test_deeply_nested_envelope_ignored(self, envelope, relay_log):
         sim, controller, _ = wired_sim()
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
         sim.add_actor(poller)
         client.post(LISTENER_PATH, envelope)
         sim.run(until=6)
-        assert poller.executed == [] and poller.unknown == []
+        assert relay_log.executed == [] and relay_log.unknown == []
         assert sim.clock == 6
 
     @pytest.mark.parametrize("target", ["x", "4", 99, -1, None, True, [4]])
-    def test_bad_target_ignored_and_run_finishes(self, target):
+    def test_bad_target_ignored_and_run_finishes(self, target, relay_log):
         scenario = load_scenario(
             {
                 "name": "bad-target",
@@ -210,17 +213,17 @@ class TestPoller:
         )
         result = run_scenario(scenario, relay_client=LoopbackRelayClient())
         assert result.sim.clock == 50
-        assert result.poller.executed == ["CANCEL"]
-        assert result.controllers["listener"].targeted.status == "idle"
+        assert relay_log.executed == ["CANCEL"]
+        assert not result.controllers["listener"].targeted.armed
 
-    def test_target_sets_standby_destination(self):
+    def test_target_sets_standby_destination(self, relay_log):
         sim, controller, _ = wired_sim()
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
         sim.add_actor(poller)
         client.post(LISTENER_PATH, json.dumps({"command": "TDOS", "target": 4}))
         sim.run(until=4)
-        assert poller.executed == ["TDOS"]
+        assert relay_log.executed == ["TDOS"]
         assert controller.targeted.target_address == 4
 
     def test_command_table_names_every_command(self):
@@ -261,7 +264,7 @@ class TestPoller:
         assert client.get(WEBCLIENT_PATH) == "result-2"
         assert poller._pending is None
 
-    def test_distinct_envelopes_leave_one_held(self):
+    def test_distinct_envelopes_leave_one_held(self, relay_log):
         sim, controller, _ = wired_sim()
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=1)
@@ -270,11 +273,29 @@ class TestPoller:
             envelope = json.dumps({"command": "CANCEL", "issued_at": issued_at})
             client.post(LISTENER_PATH, envelope)
             sim.run(until=issued_at + 1)
-        assert len(poller.executed) == 1000
+        assert relay_log.executed == ["CANCEL"] * 1000
         assert poller._last == envelope
         assert poller._pending is None
 
-    def test_envelope_reposted_after_another_runs_again(self):
+    def test_poller_state_does_not_grow_with_envelopes(self, relay_log):
+        # Known and unknown commands alike: after 10 distinct envelopes and
+        # after 1,000, each container the poller holds has the same size.
+        sim, controller, _ = wired_sim()
+        client = LoopbackRelayClient()
+        poller = RelayPoller(client, controller, interval_ticks=1)
+        sim.add_actor(poller)
+        sizes = []
+        for issued_at in range(1, 1001):
+            command = "CANCEL" if issued_at % 2 else "FORMAT_DISK"
+            client.post(LISTENER_PATH, json.dumps({"command": command, "issued_at": issued_at}))
+            sim.run(until=issued_at + 1)
+            if issued_at in (10, 1000):
+                sizes.append({name: len(value) for name, value in vars(poller).items()
+                              if isinstance(value, (list, dict, set, deque))})
+        assert len(relay_log.executed) == len(relay_log.unknown) == 500
+        assert sizes[0] == sizes[1]
+
+    def test_envelope_reposted_after_another_runs_again(self, relay_log):
         # Only the last envelope read is remembered: A, B, A runs A twice.
         sim, controller, _ = wired_sim()
         client = LoopbackRelayClient()
@@ -284,17 +305,20 @@ class TestPoller:
         for until, envelope in ((5, first), (9, json.dumps({"command": "TDOS"})), (13, first)):
             client.post(LISTENER_PATH, envelope)
             sim.run(until=until)
-        assert poller.executed == ["CANCEL", "TDOS", "CANCEL"]
+        assert relay_log.executed == ["CANCEL", "TDOS", "CANCEL"]
 
     @pytest.mark.parametrize(
         "envelope, unknown",
         [
-            pytest.param(json.dumps({"command": "X" * 2**20}), ["X" * 64], id="command"),
+            pytest.param(
+                json.dumps({"command": "X" * 2**20}), [repr("X" * 64) + " (1048576 chars)"],
+                id="command",
+            ),
             pytest.param("{" * 2**20, [], id="malformed"),
             pytest.param(json.dumps({"command": "TDOS", "target": "X" * 2**20}), [], id="target"),
         ],
     )
-    def test_huge_envelope_text_is_cut(self, envelope, unknown, caplog):
+    def test_huge_envelope_text_is_cut(self, envelope, unknown, caplog, relay_log):
         sim, controller, _ = wired_sim()
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
@@ -302,11 +326,11 @@ class TestPoller:
         client.post(LISTENER_PATH, envelope)
         with caplog.at_level("DEBUG", logger="cecsim.relay"):
             sim.run(until=4)
-        assert poller.executed == [] and poller.unknown == unknown
+        assert relay_log.executed == [] and relay_log.unknown == unknown
         assert caplog.records
         assert all(len(record.getMessage()) < 200 for record in caplog.records)
 
-    def test_poll_survives_outage(self):
+    def test_poll_survives_outage(self, relay_log):
         sim, controller, _ = wired_sim()
         client = LoopbackRelayClient()
         client.down = True
@@ -317,7 +341,7 @@ class TestPoller:
         client.down = False
         client.post(LISTENER_PATH, json.dumps({"command": "TDOS"}))
         sim.run(until=12)
-        assert poller.executed == ["TDOS"]
+        assert relay_log.executed == ["TDOS"]
 
     def test_getfile_publishes_digest(self):
         sim, controller, store = wired_sim()
@@ -353,6 +377,20 @@ class TestPoller:
 # ---------------------------------------------------------------------------
 
 class TestHttpTransport:
+    @pytest.mark.parametrize(
+        "url",
+        ["notaurl", "127.0.0.1:8750", "ftp://127.0.0.1/", "file:///etc/hosts", "http://",
+         "http://:8750", "http://127.0.0.1:99999", "http://127.0.0.1:port", "http://[::1",
+         "http://127.0.0.1:8750/?key=1", "http://127.0.0.1:8750?", "http://127.0.0.1:8750#top"],
+    )
+    def test_base_url_must_be_http_with_a_host(self, url):
+        with pytest.raises(ValueError):
+            HttpRelayClient(url)
+
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:1", "https://relay.example/base/"])
+    def test_http_urls_build_without_connecting(self, url):
+        assert HttpRelayClient(url).base_url == url.rstrip("/")
+
     def test_unreachable_server(self):
         client = HttpRelayClient("http://127.0.0.1:1", timeout=0.2)
         with pytest.raises(RelayUnreachable):
@@ -435,11 +473,10 @@ class TestUntrustedAnswers:
     def test_get_accepts_a_string_or_null_value(self, stub_relay, answer, value):
         assert _stub_client(stub_relay, answer).get(LISTENER_PATH) == value
 
-    def test_poller_retries_through_malformed_answers(self, stub_relay, caplog):
+    def test_poller_retries_through_malformed_answers(self, stub_relay, caplog, relay_log):
         client = _stub_client(stub_relay, b'{"value": 5}')
-        with caplog.at_level(logging.WARNING, logger="cecsim.relay"):
-            result = run_scenario(builtin_scenario("attack5-remote-churn"), relay_client=client)
-        assert result.poller.executed == []
+        result = run_scenario(builtin_scenario("attack5-remote-churn"), relay_client=client)
+        assert relay_log.executed == []
         polls = [r for r in caplog.records if r.getMessage().startswith("relay poll failed")]
         # Every poll tick of the run fails, and is retried at the next.
         assert len(polls) == result.scenario.duration // result.poller.interval_ticks - 1

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from cecsim import cli
+from cecsim import relay as relay_mod
 from cecsim import scenarios as scen
 from cecsim.relay import LoopbackRelayClient
 from cecsim.scenarios import (
@@ -18,7 +19,9 @@ from cecsim.scenarios import (
     run_scenario,
     write_artifacts,
 )
-from cecsim.testbed import TESTBED_TOPOLOGY
+from cecsim.testbed import EXPECTED_TESTBED_SCAN, TESTBED_TOPOLOGY
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 # Far deeper than the parser's recursion limit, far below any size limit.
 DEEP_JSON = "[" * 100_000
@@ -535,8 +538,6 @@ class TestCli:
 
     def test_scan_json(self, capsys):
         assert cli.main(["scan", "--topology", "testbed", "--json"]) == 0
-        from cecsim.testbed import EXPECTED_TESTBED_SCAN
-
         assert json.loads(capsys.readouterr().out) == EXPECTED_TESTBED_SCAN
 
     def test_scan_actor_override(self, capsys):
@@ -546,6 +547,75 @@ class TestCli:
     def test_scan_unknown_actor_exits_two(self, capsys):
         assert cli.main(["scan", "--topology", "testbed", "--actor", "ghost"]) == 2
         capsys.readouterr()
+
+    def test_scan_topology_file_json(self, tmp_path, capsys):
+        path = tmp_path / "testbed.json"
+        path.write_text(json.dumps(TESTBED_TOPOLOGY))
+        assert cli.main(["scan", "--topology", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == EXPECTED_TESTBED_SCAN
+
+    @pytest.mark.parametrize("actor", [node["id"] for node in TESTBED_TOPOLOGY["nodes"]])
+    def test_scan_table_from_each_testbed_node(self, actor, capsys):
+        # Recorded from `cecsim scan --actor NODE` when scan drove its own
+        # simulator; a walker without a logical address learns nothing.
+        with open(os.path.join(DATA_DIR, "scan_testbed_tables.json"), encoding="utf-8") as fh:
+            expected = json.load(fh)[actor]
+        assert cli.main(["scan", "--actor", actor]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_scan_where_every_address_answers(self, tmp_path, capsys):
+        # The longest walk: 14 responders, each asked all six queries.
+        nodes = [{"id": "tv", "kind": "display", "device_type": "television",
+                  "osd_name": "TV", "logical_address": 0, "input_count": 15}]
+        edges = []
+        for i in range(1, 15):
+            nodes.append({"id": "d%d" % i, "kind": "source", "device_type": "playback",
+                          "osd_name": "D%d" % i, "logical_address": i})
+            edges.append({"parent": "tv", "child": "d%d" % i, "port": i})
+        path = tmp_path / "full.json"
+        path.write_text(json.dumps({"nodes": nodes, "edges": edges}))
+        assert cli.main(["scan", "--topology", str(path), "--actor", "d7", "--json"]) == 0
+        census = json.loads(capsys.readouterr().out)
+        assert list(census) == ["Addr %02X" % a for a in range(15)]
+        assert [row["OSD Str"] for row in census.values()] == ["TV"] + [
+            "D%d" % i for i in range(1, 15)
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--actor", "ghost"], "scan actor 'ghost' is not in the topology"),
+            (["--actor", ""], "scan actor '' is not in the topology"),
+            (["--topology", "no-such-file.json"], "'no-such-file.json' is neither builtin nor"),
+        ],
+    )
+    def test_scan_bad_input_exits_two(self, argv, message, capsys):
+        assert cli.main(["scan"] + argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "bind",
+        ["8750", ":8750", "127.0.0.1:", "127.0.0.1:http", "127.0.0.1:-1", "127.0.0.1:\u00b2",
+         "127.0.0.1:65536", "127.0.0.1:99999"],
+    )
+    def test_relay_serve_bad_bind_exits_two(self, bind, monkeypatch, capsys):
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a bad --bind must not open a socket")
+
+        monkeypatch.setattr(relay_mod, "RelayServer", no_socket)
+        assert cli.main(["relay", "serve", "--bind", bind]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "--bind expects host:port, got %r\n" % bind
+
+    def test_run_bad_relay_url_exits_two_before_running(self, capsys):
+        code = cli.main(["run", "--scenario", "attack5-remote-churn", "--relay-url", "notaurl"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "relay URL must be http(s)://host[:port][/path], got 'notaurl'" in err
 
     def test_ids_analyze(self, tmp_path, capsys):
         run_out = tmp_path / "run"

@@ -186,10 +186,11 @@ class TestTransfer:
 
     def test_second_request_rejected_while_open(self):
         sim, sender, receiver, _ = wired_sim(bytes(400))
-        sim.schedule(2, lambda: receiver.request_file(sim))
-        sim.schedule(5, lambda: receiver.request_file(sim))
+        accepted = []
+        sim.schedule(2, lambda: accepted.append(receiver.request_file(sim)))
+        sim.schedule(5, lambda: accepted.append(receiver.request_file(sim)))
         sim.run(until=10)
-        assert receiver.rejected_requests == 1
+        assert accepted == [True, False]
 
     def test_transfer_records_peer_addresses(self):
         sim, sender, receiver, _ = wired_sim(b"x")
