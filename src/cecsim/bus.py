@@ -21,12 +21,13 @@ every frame their device observes.
 
 import bisect
 import heapq
+import io
 import logging
 import re
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 from cecsim import devices as dv
 from cecsim import frames as fr
@@ -43,7 +44,8 @@ _INERT_OPCODES = fr.RESPONSE_OPCODES | {None}
 
 
 # Tick, origin, frame text, 1 or 0 for the ack, and the joined observers.
-_EVENT_LINE = "t=%d | %s | %s | ack=%d | obs=%s"
+_EVENT_LINE = "t=%d | %s | %s | ack=%d | obs=%s\n"
+_CHANGE_LINE = "t=%d | %s | %s=%s\n"
 
 
 class BusEvent(NamedTuple):
@@ -56,9 +58,9 @@ class BusEvent(NamedTuple):
     acknowledged: bool
 
     def render(self) -> str:
-        return self._render(",".join(self.observers))
+        return self._line(",".join(self.observers))[:-1]
 
-    def _render(self, observers: str) -> str:
+    def _line(self, observers: str) -> str:
         return _EVENT_LINE % (self.tick, self.origin, self.frame.text, self.acknowledged, observers)
 
 
@@ -71,7 +73,7 @@ class StateChange(NamedTuple):
     value: str
 
     def render(self) -> str:
-        return "t=%d | %s | %s=%s" % (self.tick, self.device, self.field, self.value)
+        return (_CHANGE_LINE % self)[:-1]
 
 
 _TRACE_LINE = re.compile(
@@ -105,26 +107,33 @@ def parse_trace_line(line: str) -> BusEvent:
 
 @dataclass
 class Trace:
+    """Every frame and logged state change of a run, in order.
+
+    The render methods write `trace.log` and `state.log` to a text stream
+    one line at a time, never holding a whole log in memory; with no stream
+    they return the text.  The run itself still retains every record.
+    """
+
     events: list[BusEvent] = field(default_factory=list)
     changes: list[StateChange] = field(default_factory=list)
 
-    def render_log(self) -> str:
+    def render_log(self, out: TextIO | None = None) -> str | None:
+        """Write one `trace.log` line per event to `out`, or return them."""
+        buf = io.StringIO() if out is None else out
         # Events of one domain share its members tuple: join it once.
         joined: dict[int, str] = {}
-        lines = []
         for e in self.events:
             observers = joined.get(id(e.observers))
             if observers is None:
                 observers = joined[id(e.observers)] = ",".join(e.observers)
-            # `+` keeps an exact-size copy of each line.  Keeping the
-            # formatter's own output instead, or a head and the shared
-            # observers as two pieces, raised the peak RSS of a run by up to
-            # 3.8 MB (fleet-census) and 0.5 MB (covert-bulk).
-            lines.append(e._render(observers) + "\n")
-        return "".join(lines)
+            buf.write(e._line(observers))
+        return buf.getvalue() if out is None else None
 
-    def render_state_log(self) -> str:
-        return "".join(c.render() + "\n" for c in self.changes)
+    def render_state_log(self, out: TextIO | None = None) -> str | None:
+        """Write one `state.log` line per change to `out`, or return them."""
+        buf = io.StringIO() if out is None else out
+        buf.writelines(_CHANGE_LINE % c for c in self.changes)
+        return buf.getvalue() if out is None else None
 
 
 @dataclass

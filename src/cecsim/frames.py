@@ -230,11 +230,9 @@ def parse_frame(text: str) -> CecFrame:
 
 def encode_frame(frame: CecFrame) -> str:
     """Canonical lowercase colon-hex text for a frame."""
-    octets = [frame.header]
-    if frame.opcode is not None:
-        octets.append(frame.opcode)
-        octets.extend(frame.operands)
-    return ":".join([_OCTET_TEXTS[b] for b in octets])
+    if frame.opcode is None:
+        return _OCTET_TEXTS[frame.header]
+    return bytes((frame.header, frame.opcode, *frame.operands)).hex(":")
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,15 @@ and then drops that initiator's window.  Alerts serialise as JSON lines
 citing the frames that tripped each rule.
 """
 
-import copy
 import json
 import logging
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from cecsim import frames as fr
 from cecsim import schema
 from cecsim.bus import BusEvent
-from cecsim.topology import Edge, Topology, TopologyError
+from cecsim.topology import Topology, TopologyError
 from cecsim.transfer import END_MARKER, MIC_MARKER, REQUEST_MARKER
 
 log = logging.getLogger(__name__)
@@ -254,24 +253,25 @@ Mitigation = StripEdge | DisableControl | DisableCecEndToEnd
 
 
 def apply_mitigation(topology: Topology, mitigation: Mitigation) -> Topology:
-    """Return a copy of the topology with the mitigation applied."""
-    topo = copy.deepcopy(topology)
+    """Return a copy of the topology with the mitigation applied.  The copy
+    shares every node and edge the mitigation leaves as they were."""
     if isinstance(mitigation, StripEdge):
-        for i, edge in enumerate(topo.edges):
+        for i, edge in enumerate(topology.edges):
             if edge.parent == mitigation.parent and edge.child == mitigation.child:
-                topo.edges[i] = Edge(edge.parent, edge.child, edge.port, cec_propagates=False)
-                return topo
+                edges = list(topology.edges)
+                edges[i] = replace(edge, cec_propagates=False)
+                return replace(topology, edges=edges)
         raise TopologyError(
             "no edge %r -> %r to strip" % (mitigation.parent, mitigation.child)
         )
     if isinstance(mitigation, (DisableControl, DisableCecEndToEnd)):
-        node = topo.nodes.get(mitigation.device)
+        node = topology.nodes.get(mitigation.device)
         if node is None:
             raise TopologyError("unknown device %r in mitigation" % mitigation.device)
-        node.cec_control_enabled = False
-        if isinstance(mitigation, DisableCecEndToEnd):
-            node.cec_info_reporting_enabled = False
-        return topo
+        reporting = node.cec_info_reporting_enabled and isinstance(mitigation, DisableControl)
+        node = replace(node, cec_control_enabled=False, cec_info_reporting_enabled=reporting)
+        # The patched node keeps its place in the node order.
+        return replace(topology, nodes={**topology.nodes, mitigation.device: node})
     raise TypeError("unknown mitigation %r" % (mitigation,))
 
 

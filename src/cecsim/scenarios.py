@@ -362,8 +362,11 @@ def write_artifacts(result: RunResult, out_dir: str) -> list[str]:
             fh.write(text)
         written.append(name)
 
-    save("trace.log", result.trace.render_log())
-    save("state.log", result.trace.render_state_log())
+    for name, render in (("trace.log", result.trace.render_log),
+                         ("state.log", result.trace.render_state_log)):
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            render(fh)
+        written.append(name)
     save("alerts.jsonl", "".join(alert.to_json() + "\n" for alert in result.alerts))
     if result.reports:
         report = result.reports[-1]

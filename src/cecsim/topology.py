@@ -110,8 +110,7 @@ class Topology:
 
 
 def _children_by_parent(edges: list[Edge]) -> dict[str, list[Edge]]:
-    """Each parent's edges, in edge order.  Built per walk, never kept:
-    mitigations replace entries of `Topology.edges` in place."""
+    """Each parent's edges, in edge order.  Built per walk, never kept."""
     children: dict[str, list[Edge]] = {}
     for edge in edges:
         children.setdefault(edge.parent, []).append(edge)

@@ -236,19 +236,7 @@ def write_transfer_artifacts(records, out_dir) -> list[str]:
     """Persist recovered payloads as <session-id>.bin plus a manifest of
     sizes and digests.  Returns the file names written."""
     written = []
-    manifest_lines = []
     for record in records:
-        manifest_lines.append(
-            "%s status=%s receiver=%s peer=%s bytes=%d sha256=%s"
-            % (
-                record.session_id,
-                record.status,
-                record.receiver,
-                record.peer,
-                len(record.payload),
-                payload_digest(record.payload),
-            )
-        )
         if record.status == "complete":
             name = "%s.bin" % record.session_id
             with open(os.path.join(out_dir, name), "wb") as fh:
@@ -256,6 +244,9 @@ def write_transfer_artifacts(records, out_dir) -> list[str]:
             written.append(name)
     if records:
         with open(os.path.join(out_dir, "transfers.manifest"), "w", encoding="utf-8") as fh:
-            fh.write("".join(line + "\n" for line in manifest_lines))
+            for record in records:
+                fh.write("%s status=%s receiver=%s peer=%s bytes=%d sha256=%s\n" % (
+                    record.session_id, record.status, record.receiver, record.peer,
+                    len(record.payload), payload_digest(record.payload)))
         written.append("transfers.manifest")
     return written

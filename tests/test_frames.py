@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cecsim.frames import (
+    _OCTET_TEXTS,
     CecFrame,
     DeviceType,
     FrameError,
@@ -173,6 +174,15 @@ class TestEncode:
     @settings(deadline=None)
     def test_roundtrip_text_to_frame(self, text):
         assert encode_frame(parse_frame(text)) == text
+
+    @given(frames())
+    @settings(deadline=None)
+    def test_encoding_matches_per_octet_join(self, frame):
+        # The reference: each octet's own two hex digits, joined by colons.
+        octets = [frame.header]
+        if frame.opcode is not None:
+            octets += [frame.opcode, *frame.operands]
+        assert encode_frame(frame) == ":".join([_OCTET_TEXTS[b] for b in octets])
 
 
 # ---------------------------------------------------------------------------

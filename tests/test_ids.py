@@ -1,5 +1,7 @@
 """Detector rules, tap filtering, and mitigation rewrites."""
 
+import copy
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -464,6 +466,18 @@ class TestMitigations:
             not e.cec_propagates for e in patched.edges if e.child == "switch"
         )
         assert all(e.cec_propagates for e in original.edges)
+
+    @pytest.mark.parametrize(
+        "mitigation", [StripEdge("tv", "switch"), DisableControl("tv"), DisableCecEndToEnd("client")]
+    )
+    def test_input_topology_left_as_it_was(self, mitigation):
+        original = build_testbed()
+        before = copy.deepcopy(original)
+        patched = apply_mitigation(original, mitigation)
+        assert original == before
+        assert patched != before
+        assert list(patched.nodes) == list(before.nodes)
+        assert len(patched.edges) == len(before.edges)
 
     def test_strip_unknown_edge(self):
         with pytest.raises(TopologyError):

@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -39,6 +40,16 @@ NO_LISTENER_TOPOLOGY = {
         {"id": "client", "kind": "source", "device_type": "recording"},
     ],
     "edges": [{"parent": "tv", "child": "client", "port": 1}],
+}
+
+# Device ids outside ASCII: they appear in every line of both logs.
+NON_ASCII_TOPOLOGY = {
+    "nodes": [
+        {"id": "télé", "kind": "display", "device_type": "television", "osd_name": "TV",
+         "initial_power": "standby"},
+        {"id": "lecteur-é", "kind": "source", "device_type": "recording", "osd_name": "Player"},
+    ],
+    "edges": [{"parent": "télé", "child": "lecteur-é", "port": 1}],
 }
 
 
@@ -316,6 +327,37 @@ class TestArtifacts:
         assert [a.rule for a in detect(events, tap="tv")] == [
             a.rule for a in result.alerts
         ]
+
+    def test_logs_written_without_a_whole_log_in_memory(self, tmp_path):
+        scenario = builtin_scenario("attack5-input-churn")
+        scenario.duration = 3000
+        result = run_scenario(scenario)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            write_artifacts(result, str(tmp_path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        trace_bytes = (tmp_path / "trace.log").stat().st_size
+        assert peak < trace_bytes / 4, (peak, trace_bytes)
+
+    def test_logs_written_as_utf8(self, tmp_path):
+        scenario = load_scenario(doc(
+            topology=NON_ASCII_TOPOLOGY,
+            actions=[
+                {"tick": 2, "actor": "lecteur-é", "action": "send_frame",
+                 "args": {"frame": "10:04"}},
+                {"tick": 3, "actor": "lecteur-é", "action": "send_frame",
+                 "args": {"frame": "1f:82:10:00"}},
+            ],
+        ))
+        result = run_scenario(scenario)
+        write_artifacts(result, str(tmp_path))
+        trace, state = result.trace.render_log(), result.trace.render_state_log()
+        assert "| télé |" in trace and "t=2 | télé | power=on\n" in state
+        assert (tmp_path / "trace.log").read_bytes() == trace.encode("utf-8")
+        assert (tmp_path / "state.log").read_bytes() == state.encode("utf-8")
 
     def test_transfer_bin_written(self, tmp_path):
         result = run_scenario(builtin_scenario("attack3-file-theft"))
