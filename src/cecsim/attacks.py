@@ -23,39 +23,20 @@ log = logging.getLogger(__name__)
 ARM_TARGETED_MARKER = parse_frame("cc:cc:cc:cc")
 ARM_BROADCAST_MARKER = parse_frame("dd:dd:dd:dd")
 
-# Columns of the census report, in render order; ScanEntry.row follows it.
+# Columns of the census report, in render order.  A census row is a dict
+# keyed by them, "Unk" where nobody answered.
 REPORT_FIELDS = ("P. Addr", "Active", "Vendor", "OSD Str", "CEC Ver", "Pow Status", "Language")
 
 _POWER_RENDER = {0x00: "ON", 0x01: "Standby", 0x02: "To-On", 0x03: "To-Standby"}
 
 
 @dataclass
-class ScanEntry:
-    address: int
-    physical: str = "Unk"
-    active: bool = False
-    vendor: str = "Unk"
-    osd: str = "Unk"
-    cec_version: str = "Unk"
-    power: str = "Unk"
-    language: str = "Unk"
-
-    def row(self) -> dict[str, str]:
-        active = "Yes" if self.active else "No"
-        values = (self.physical, active, self.vendor, self.osd, self.cec_version, self.power,
-                  self.language)
-        return dict(zip(REPORT_FIELDS, values))
-
-
-@dataclass
 class ScanReport:
     actor: str
-    entries: dict[int, ScanEntry] = field(default_factory=dict)
+    entries: dict[int, dict[str, str]] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "Addr %02X" % addr: self.entries[addr].row() for addr in sorted(self.entries)
-        }
+        return {"Addr %02X" % addr: dict(self.entries[addr]) for addr in sorted(self.entries)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -63,9 +44,7 @@ class ScanReport:
     def render_table(self) -> str:
         addrs = sorted(self.entries)
         headers = ["Info"] + ["Addr %02X" % a for a in addrs]
-        rows = [
-            [name] + [self.entries[a].row()[name] for a in addrs] for name in REPORT_FIELDS
-        ]
+        rows = [[name] + [self.entries[a][name] for a in addrs] for name in REPORT_FIELDS]
         widths = [
             max(len(str(line[i])) for line in [headers] + rows) for i in range(len(headers))
         ]
@@ -85,23 +64,22 @@ class ScanWalk(Actor):
     def __init__(self, device: str, on_complete=None):
         super().__init__(device)
         self.on_complete = on_complete
-        self.phase = "idle"
+        self._polling = True
         self._steps = iter(())
         self._acked: list[int] = []
-        self._collected: dict[int, dict] = {}
+        self._rows: dict[int, dict[str, str]] = {}
         self._active_claimant: int | None = None
 
     def start(self, sim: Simulator):
         sim.start()
         self._steps = self._walk(sim, sim.logical.get(self.device))
-        self.phase = "poll"
 
     def _walk(self, sim: Simulator, own: int | None):
         """One item per tick: a frame to send, or None for a quiet tick."""
         for target in range(15):
             yield CecFrame(target if own is None else own, target)
         # Every poll has been answered by now; no more acks are counted.
-        self.phase = "query"
+        self._polling = False
         yield None
         if own is not None:
             for addr in self._acked:
@@ -120,32 +98,30 @@ class ScanWalk(Actor):
             sim.transmit_at(tick, self.device, frame)
 
     def on_event(self, sim: Simulator, event: BusEvent):
-        if self.phase == "idle":
-            return
         frame = event.frame
         if event.origin == self.device:
-            if frame.is_polling and self.phase == "poll":
+            if frame.is_polling and self._polling:
                 if event.acknowledged and frame.destination not in self._acked:
                     self._acked.append(frame.destination)
             return
         if frame.is_polling:
             return
         source = frame.initiator
-        bucket = self._collected.setdefault(source, {})
+        row = self._rows.setdefault(source, dict.fromkeys(REPORT_FIELDS, "Unk"))
         op, operands = frame.opcode, frame.operands
         if op == fr.OP_REPORT_PHYSICAL_ADDRESS and len(operands) == 3:
-            bucket["physical"] = PhysicalAddress.from_bytes(operands[0], operands[1]).text
+            row["P. Addr"] = PhysicalAddress.from_bytes(operands[0], operands[1]).text
         elif op == fr.OP_SET_OSD_NAME and operands:
-            bucket["osd"] = bytes(operands).decode("ascii", errors="replace")
+            row["OSD Str"] = bytes(operands).decode("ascii", errors="replace")
         elif op == fr.OP_DEVICE_VENDOR_ID and len(operands) == 3:
             vid = operands[0] << 16 | operands[1] << 8 | operands[2]
-            bucket["vendor"] = vendor_name(vid, sim.topology.vendor_names)
+            row["Vendor"] = vendor_name(vid, sim.topology.vendor_names)
         elif op == fr.OP_REPORT_POWER_STATUS and len(operands) == 1:
-            bucket["power"] = _POWER_RENDER.get(operands[0], "Unk")
+            row["Pow Status"] = _POWER_RENDER.get(operands[0], "Unk")
         elif op == fr.OP_CEC_VERSION and len(operands) == 1:
-            bucket["cec_version"] = fr.cec_version_name(operands[0])
+            row["CEC Ver"] = fr.cec_version_name(operands[0])
         elif op == fr.OP_SET_MENU_LANGUAGE and len(operands) == 3:
-            bucket["language"] = bytes(operands).decode("ascii", errors="replace")
+            row["Language"] = bytes(operands).decode("ascii", errors="replace")
         elif op == fr.OP_ACTIVE_SOURCE:
             self._active_claimant = source
 
@@ -158,17 +134,20 @@ class ScanWalk(Actor):
         if self._active_claimant is None and state.active_source and own is not None:
             self._active_claimant = own
         for addr in sorted(addresses):
-            entry = ScanEntry(address=addr, **self._collected.get(addr, {}))
+            # Popped: answers after the census go to new rows, not the report's.
+            row = self._rows.pop(addr, None) or dict.fromkeys(REPORT_FIELDS, "Unk")
             if addr == own:
                 node = sim.topology.nodes[self.device]
-                entry.physical = sim.physical[self.device].text
-                entry.osd = node.osd_name
-                entry.vendor = vendor_name(node.vendor_id, sim.topology.vendor_names)
-                entry.cec_version = node.cec_version
-                entry.power = "ON" if state.power is PowerState.ON else "Standby"
-                entry.language = node.menu_language if node.menu_language else "Unk"
-            entry.active = addr == self._active_claimant
-            report.entries[addr] = entry
+                row.update({
+                    "P. Addr": sim.physical[self.device].text,
+                    "Vendor": vendor_name(node.vendor_id, sim.topology.vendor_names),
+                    "OSD Str": node.osd_name,
+                    "CEC Ver": node.cec_version,
+                    "Pow Status": "ON" if state.power is PowerState.ON else "Standby",
+                    "Language": node.menu_language or "Unk",
+                })
+            row["Active"] = "Yes" if addr == self._active_claimant else "No"
+            report.entries[addr] = row
         sim.artifacts.scan_reports.append(report)
         log.info("%s census finished with %d entries", self.device, len(report.entries))
         if self.on_complete is not None:

@@ -325,11 +325,6 @@ class Simulator:
     # Lookups
     # ------------------------------------------------------------------
 
-    def domain_of(self, device_id: str) -> tuple[str, ...]:
-        if not self._started:
-            self.start()
-        return self._domains[device_id].members
-
     def device_ctx(self, device_id: str) -> dv.DeviceCtx:
         if not self._started:
             self.start()

@@ -79,16 +79,6 @@ class PhysicalAddress:
         return cls((15, 15, 15, 15))
 
     @classmethod
-    def parse(cls, text: str) -> "PhysicalAddress":
-        parts = text.strip().split(".")
-        if len(parts) != 4:
-            raise FrameError("physical address text must be a.b.c.d: %r" % text)
-        try:
-            return cls(tuple(int(p, 16) for p in parts))
-        except ValueError:
-            raise FrameError("bad physical address nibble in %r" % text) from None
-
-    @classmethod
     @functools.cache
     def from_bytes(cls, high: int, low: int) -> "PhysicalAddress":
         # Memoized: at most 65,536 byte pairs decode.  A pair that does not

@@ -227,61 +227,35 @@ def detect(events, config: RuleConfig | None = None, tap: str | None = None) -> 
 # Mitigations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StripEdge:
-    """Sever the control wire on one cable; video keeps flowing."""
-
-    parent: str
-    child: str
-
-
-@dataclass(frozen=True)
-class DisableControl:
-    """Device stops obeying control frames but still answers queries."""
-
-    device: str
-
-
-@dataclass(frozen=True)
-class DisableCecEndToEnd:
-    """Device drops off CEC entirely: no control, no reporting, no acks."""
-
-    device: str
-
-
-Mitigation = StripEdge | DisableControl | DisableCecEndToEnd
-
-
-def apply_mitigation(topology: Topology, mitigation: Mitigation) -> Topology:
-    """Return a copy of the topology with the mitigation applied.  The copy
-    shares every node and edge the mitigation leaves as they were."""
-    if isinstance(mitigation, StripEdge):
-        for i, edge in enumerate(topology.edges):
-            if edge.parent == mitigation.parent and edge.child == mitigation.child:
-                edges = list(topology.edges)
-                edges[i] = replace(edge, cec_propagates=False)
-                return replace(topology, edges=edges)
-        raise TopologyError(
-            "no edge %r -> %r to strip" % (mitigation.parent, mitigation.child)
-        )
-    if isinstance(mitigation, (DisableControl, DisableCecEndToEnd)):
-        node = topology.nodes.get(mitigation.device)
-        if node is None:
-            raise TopologyError("unknown device %r in mitigation" % mitigation.device)
-        reporting = node.cec_info_reporting_enabled and isinstance(mitigation, DisableControl)
-        node = replace(node, cec_control_enabled=False, cec_info_reporting_enabled=reporting)
-        # The patched node keeps its place in the node order.
-        return replace(topology, nodes={**topology.nodes, mitigation.device: node})
-    raise TypeError("unknown mitigation %r" % (mitigation,))
-
-
+# Each mitigation type and its fields, every one a device id.  strip_edge
+# cuts one cable's control wire (video keeps flowing); disable_control stops
+# a device obeying control frames (it still answers queries); disable_cec
+# takes a device off CEC entirely: no control, no reporting, no acks.
 _MITIGATIONS = {
-    "strip_edge": StripEdge, "disable_control": DisableControl, "disable_cec": DisableCecEndToEnd
+    "strip_edge": ("parent", "child"),
+    "disable_control": ("device",),
+    "disable_cec": ("device",),
 }
 
 
-def parse_mitigation(raw: dict) -> Mitigation:
-    """A mitigation from its document; each field is a device id."""
-    kind = schema.text(raw.get("type"), "mitigation type", _MITIGATIONS)
-    names = [item.name for item in fields(_MITIGATIONS[kind])]
-    return _MITIGATIONS[kind](*(schema.text(raw.get(n), "%s %s" % (kind, n)) for n in names))
+def apply_mitigation(topology: Topology, raw: dict) -> Topology:
+    """Validate one mitigation document and return a copy of the topology
+    with it applied.  The copy shares every node and edge the mitigation
+    leaves as they were."""
+    kind = schema.text(schema.obj(raw, "mitigation").get("type"), "mitigation type", _MITIGATIONS)
+    ids = [schema.text(raw.get(name), "%s %s" % (kind, name)) for name in _MITIGATIONS[kind]]
+    if kind == "strip_edge":
+        for i, edge in enumerate(topology.edges):
+            if [edge.parent, edge.child] == ids:
+                edges = list(topology.edges)
+                edges[i] = replace(edge, cec_propagates=False)
+                return replace(topology, edges=edges)
+        raise TopologyError("no edge %r -> %r to strip" % tuple(ids))
+    [device] = ids
+    node = topology.nodes.get(device)
+    if node is None:
+        raise TopologyError("unknown device %r in mitigation" % device)
+    reporting = node.cec_info_reporting_enabled and kind == "disable_control"
+    node = replace(node, cec_control_enabled=False, cec_info_reporting_enabled=reporting)
+    # The patched node keeps its place in the node order.
+    return replace(topology, nodes={**topology.nodes, device: node})

@@ -104,7 +104,7 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
 
     for raw in schema.objects(document.get("mitigations", []), "mitigations"):
         try:
-            topology = ids_mod.apply_mitigation(topology, ids_mod.parse_mitigation(raw))
+            topology = ids_mod.apply_mitigation(topology, raw)
         except FieldError as exc:
             raise ScenarioError("scenario %r mitigation invalid: %s" % (name, exc)) from None
 
@@ -193,12 +193,6 @@ def _check_tap(tap, topology: Topology):
     """A detector tap is absent or names a device of the topology."""
     if tap is not None and (type(tap) is not str or tap not in topology.nodes):
         raise ScenarioError("detector tap %r names no device" % (tap,))
-
-
-@schema.raises(ScenarioError)
-def load_scenario_file(path: str) -> Scenario:
-    document = schema.read_json_file(path, "scenario")
-    return load_scenario(document, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +678,6 @@ def evaluate_checks(result: RunResult) -> list[CheckResult]:
 
 _BUILTIN_SCENARIOS: dict[str, dict] = {
     "attack1-device-walk": {
-        "name": "attack1-device-walk",
         "topology": "testbed",
         "duration": 170,
         "seed": 11,
@@ -699,7 +692,6 @@ _BUILTIN_SCENARIOS: dict[str, dict] = {
         ],
     },
     "attack2-mic-exfil": {
-        "name": "attack2-mic-exfil",
         "topology": "testbed",
         "duration": 140,
         "seed": 2,
@@ -715,7 +707,6 @@ _BUILTIN_SCENARIOS: dict[str, dict] = {
         ],
     },
     "attack3-file-theft": {
-        "name": "attack3-file-theft",
         "topology": "testbed",
         "duration": 200,
         "seed": 3,
@@ -730,7 +721,6 @@ _BUILTIN_SCENARIOS: dict[str, dict] = {
         ],
     },
     "attack4-targeted-standby": {
-        "name": "attack4-targeted-standby",
         "topology": "testbed",
         "duration": 70,
         "seed": 4,
@@ -748,7 +738,6 @@ _BUILTIN_SCENARIOS: dict[str, dict] = {
         ],
     },
     "attack5-input-churn": {
-        "name": "attack5-input-churn",
         "topology": "testbed",
         "duration": 1000,
         "seed": 5,
@@ -767,7 +756,6 @@ _BUILTIN_SCENARIOS: dict[str, dict] = {
         ],
     },
     "attack5-remote-churn": {
-        "name": "attack5-remote-churn",
         "topology": "testbed",
         "duration": 200,
         "seed": 6,
@@ -780,7 +768,6 @@ _BUILTIN_SCENARIOS: dict[str, dict] = {
         ],
     },
     "benign-power-cycle": {
-        "name": "benign-power-cycle",
         "topology": "testbed",
         "duration": 100,
         "seed": 21,
@@ -796,7 +783,6 @@ _BUILTIN_SCENARIOS: dict[str, dict] = {
         ],
     },
     "benign-input-select": {
-        "name": "benign-input-select",
         "topology": "testbed",
         "duration": 80,
         "seed": 22,
@@ -807,7 +793,6 @@ _BUILTIN_SCENARIOS: dict[str, dict] = {
         "checks": [{"type": "zero_alerts"}],
     },
     "benign-status-query": {
-        "name": "benign-status-query",
         "topology": "testbed",
         "duration": 40,
         "seed": 23,
@@ -817,7 +802,6 @@ _BUILTIN_SCENARIOS: dict[str, dict] = {
         "checks": [{"type": "zero_alerts"}],
     },
     "attack4-disable-control-mitigated": {
-        "name": "attack4-disable-control-mitigated",
         "topology": "testbed",
         "duration": 140,
         "seed": 34,
@@ -834,7 +818,6 @@ _BUILTIN_SCENARIOS: dict[str, dict] = {
         ],
     },
     "attack5-strip-mitigated": {
-        "name": "attack5-strip-mitigated",
         "topology": "testbed",
         "duration": 120,
         "seed": 35,
@@ -849,7 +832,6 @@ _BUILTIN_SCENARIOS: dict[str, dict] = {
         ],
     },
     "podium-strip-scan": {
-        "name": "podium-strip-scan",
         "topology": "testbed",
         "duration": 60,
         "seed": 36,
@@ -871,15 +853,17 @@ def builtin_scenario(name: str) -> Scenario:
         raise ScenarioError(
             "unknown scenario %r; builtin names: %s" % (name, ", ".join(builtin_scenario_names()))
         )
-    return load_scenario(_BUILTIN_SCENARIOS[name])
+    return load_scenario({"name": name, **_BUILTIN_SCENARIOS[name]})
 
 
+@schema.raises(ScenarioError)
 def resolve_scenario(ref: str) -> Scenario:
     """Accept either a builtin name or a path to a scenario file."""
     if ref in _BUILTIN_SCENARIOS:
         return builtin_scenario(ref)
     if os.path.exists(ref):
-        return load_scenario_file(ref)
+        document = schema.read_json_file(ref, "scenario")
+        return load_scenario(document, base_dir=os.path.dirname(os.path.abspath(ref)))
     raise ScenarioError(
         "%r is neither a builtin scenario nor a file; builtin names: %s"
         % (ref, ", ".join(builtin_scenario_names()))

@@ -102,9 +102,6 @@ class Topology:
                 return node_id
         raise TopologyError("topology has no root")
 
-    def node_order(self) -> list[str]:
-        return list(self.nodes)
-
     def listeners(self) -> list[str]:
         return [n.id for n in self.nodes.values() if n.kind is DeviceKind.ATTACKER_LISTENER]
 
@@ -134,6 +131,9 @@ _NODE_FLAGS = (
 
 def _parse_node(raw: dict) -> DeviceNode:
     node_id = schema.text(raw.get("id"), "node id")
+    # Trace lines separate their fields by spaces and their observers by commas.
+    _require(not any(c.isspace() or c == "," for c in node_id),
+             "node id %r holds whitespace or a comma" % node_id)
     where = "node %r " % node_id
     kind_text = str(raw.get("kind", "")).lower()
     _require(kind_text in _KIND_ALIASES, "node %r has unknown kind %r" % (node_id, raw.get("kind")))
@@ -156,7 +156,8 @@ def _parse_node(raw: dict) -> DeviceNode:
         language = None
     else:
         language = schema.text(language, where + "menu_language").lower()
-        _require(len(language) == 3, "node %r menu_language must be 3 chars" % node_id)
+        _require(len(language) == 3 and language.isascii(),
+                 "node %r menu_language must be 3 ASCII chars" % node_id)
 
     logical = raw.get("logical_address")
     if logical is not None:
@@ -247,11 +248,6 @@ def build_topology(config: dict) -> Topology:
     return topo
 
 
-@schema.raises(TopologyError)
-def load_topology(path: str) -> Topology:
-    return build_topology(schema.read_json_file(path, "topology"))
-
-
 def assign_physical_addresses(topology: Topology) -> dict[str, PhysicalAddress]:
     """EDID walk over the tree, returning each node's physical address.
 
@@ -303,7 +299,7 @@ def propagation_domains(topology: Topology) -> dict[str, tuple[str, ...]]:
 
     domains: dict[str, tuple[str, ...]] = {}
     seen: set[str] = set()
-    order = topology.node_order()
+    order = list(topology.nodes)
     position = {n: i for i, n in enumerate(order)}
     for node_id in order:
         if node_id in seen:

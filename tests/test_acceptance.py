@@ -16,7 +16,7 @@ from cecsim.frames import CecFrame, encode_frame, parse_frame
 from cecsim.relay import LISTENER_PATH, WEBCLIENT_PATH, HttpRelayClient, LoopbackRelayClient, RelayPoller, RelayServer
 from cecsim.testbed import EXPECTED_TESTBED_SCAN, build_testbed
 from cecsim.transfer import FileReceiver, FileSender, PayloadStore, segment_count
-from cecsim.ids import DisableControl, apply_mitigation, detect
+from cecsim.ids import apply_mitigation, detect
 
 from test_transfer import wired_sim as transfer_sim
 
@@ -296,7 +296,7 @@ def test_acceptance_mitigations_change_outcomes():
             problems.append("disable-control: %s" % outcome.detail)
 
     # direct immunity probes on the patched topology
-    patched = apply_mitigation(build_testbed(), DisableControl("tv"))
+    patched = apply_mitigation(build_testbed(), {"type": "disable_control", "device": "tv"})
     sim = Simulator(patched)
     sim.start()
     sim.transmit_at(2, "listener", CecFrame(1, 0, 0x36))

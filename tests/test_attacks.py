@@ -20,6 +20,7 @@ from cecsim.bus import Simulator
 from cecsim.devices import UserAction
 from cecsim.frames import CecFrame
 from cecsim.testbed import EXPECTED_TESTBED_SCAN, build_testbed
+from cecsim.topology import propagation_domains
 from cecsim.transfer import PayloadStore
 
 from test_bus import tree_topologies
@@ -85,7 +86,7 @@ class TestScanWalk:
         scanner = next(
             (
                 node_id
-                for node_id in topology.node_order()
+                for node_id in topology.nodes
                 if topology.nodes[node_id].cec_addressed
                 and sim.logical.get(node_id) not in (None, 15)
             ),
@@ -94,7 +95,7 @@ class TestScanWalk:
         if scanner is None:
             return
         report = scanned(sim, scanner)
-        domain = set(sim.domain_of(scanner))
+        domain = set(propagation_domains(topology)[scanner])
         expected = {
             sim.logical[d]
             for d in domain
@@ -112,7 +113,7 @@ class TestScanWalk:
         sim.start()
         scanner = next(
             (
-                n for n in topology.node_order()
+                n for n in topology.nodes
                 if topology.nodes[n].cec_addressed and sim.logical.get(n) not in (None, 15)
             ),
             None,
@@ -120,12 +121,12 @@ class TestScanWalk:
         if scanner is None:
             return
         report = scanned(sim, scanner)
-        by_address = {sim.logical[d]: d for d in sim.domain_of(scanner)
+        by_address = {sim.logical[d]: d for d in propagation_domains(topology)[scanner]
                       if sim.logical.get(d) is not None}
         for address, entry in report.entries.items():
             node = topology.nodes[by_address[address]]
-            assert entry.row()["OSD Str"] == node.osd_name
-            assert entry.row()["P. Addr"] == sim.physical[node.id].text
+            assert entry["OSD Str"] == node.osd_name
+            assert entry["P. Addr"] == sim.physical[node.id].text
 
     def test_scan_from_island_sees_only_itself(self):
         topo = build_testbed()

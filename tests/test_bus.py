@@ -4,7 +4,7 @@ import functools
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cecsim import devices as dv
@@ -22,7 +22,7 @@ from cecsim.frames import (
 )
 from cecsim.scenarios import builtin_scenario, builtin_scenario_names, run_scenario
 from cecsim.testbed import build_testbed
-from cecsim.topology import build_topology
+from cecsim.topology import TopologyError, build_topology, propagation_domains
 
 from conftest import make_chain
 
@@ -111,8 +111,9 @@ class TestAllocation:
     def test_allocation_injective_within_domain(self, topology):
         sim = Simulator(topology)
         sim.start()
+        domains = propagation_domains(topology)
         for node_id in topology.nodes:
-            domain = sim.domain_of(node_id)
+            domain = domains[node_id]
             taken = [
                 sim.logical[d]
                 for d in domain
@@ -161,7 +162,7 @@ class TestDelivery:
                 adjacency[edge.parent].add(edge.child)
                 adjacency[edge.child].add(edge.parent)
         start = len(sim.trace.events)
-        for node_id in topology.node_order():
+        for node_id in topology.nodes:
             sim.deliver(node_id, CecFrame(1, 15, 0x85))
         for event in sim.trace.events[start:]:
             component = {event.origin}
@@ -179,7 +180,7 @@ class TestDelivery:
         sim = Simulator(topology)
         sim.start()
         start = len(sim.trace.events)
-        for node_id in topology.node_order():
+        for node_id in topology.nodes:
             for destination in (0, 4, 15):
                 sim.deliver(node_id, CecFrame(1, destination, 0x85))
         for event in sim.trace.events[start:]:
@@ -347,7 +348,7 @@ class TestReactionIndex:
         try:
             # a standby broadcast first: every device starts on, so all act
             for frame in [CecFrame(1, fr.BROADCAST, OP_STANDBY)] + frames:
-                for origin in topology.node_order():
+                for origin in topology.nodes:
                     reacted.clear()
                     event = sim.deliver(origin, frame)
                     # every addressed observer but the origin may react
@@ -579,7 +580,7 @@ class TestHearing:
 
 class TestStartOnDemand:
     """`deliver`, `user_action` and `device_ctx` start the simulator, as
-    `run` and `domain_of` do."""
+    `run` does."""
 
     @staticmethod
     def _pair():
@@ -629,6 +630,29 @@ class TestTraceFormat:
             assert again.frame == event.frame
             assert again.acknowledged == event.acknowledged
             assert again.observers == event.observers
+
+    @given(st.text(min_size=1, max_size=12))
+    @settings(deadline=None, max_examples=200)
+    @example(node_id="evil box")
+    @example(node_id="c,d")
+    @example(node_id="t\u00e9l\u00e9")
+    def test_every_node_id_that_loads_survives_its_trace_line(self, node_id):
+        # Trace fields are split at spaces and observers at commas: a node
+        # id the loader accepts must come back whole from either place.
+        assume(node_id != "tv")
+        nodes = [{"id": "tv", "kind": "display", "device_type": "television"},
+                 {"id": node_id, "kind": "source", "device_type": "playback"}]
+        edges = [{"parent": "tv", "child": node_id, "port": 1}]
+        try:
+            sim = Simulator(build_topology({"nodes": nodes, "edges": edges}))
+        except TopologyError as exc:
+            assert repr(node_id) in str(exc)
+            return
+        sim.deliver(node_id, CecFrame(4, 15, 0x85))
+        sim.deliver("tv", CecFrame(0, 15, 0x85))
+        lines = sim.trace.render_log().splitlines()
+        assert [parse_trace_line(line) for line in lines] == sim.trace.events
+        assert all(node_id in event.observers for event in sim.trace.events)
 
     @pytest.mark.parametrize("name", builtin_scenario_names())
     def test_every_builtin_event_parses_back_equal(self, name):

@@ -209,10 +209,13 @@ class TestAnnouncements:
         frames = announcement_frames(ctx, claiming)
         assert [f.opcode for f in frames] == [0x84, 0x87, 0x82]
 
-    @pytest.mark.parametrize("address", ["f.f.f.f", "1.2.3.4"])
+    @pytest.mark.parametrize(
+        "address", [PhysicalAddress.unregistered(), PhysicalAddress((1, 2, 3, 4))],
+        ids=["f.f.f.f", "1.2.3.4"],
+    )
     def test_display_with_no_port_below_skips_the_route(self, sim, address):
         ctx, state = ctx_and_state(sim, "tv")
-        ctx = dataclasses.replace(ctx, physical=PhysicalAddress.parse(address))
+        ctx = dataclasses.replace(ctx, physical=address)
         assert [f.opcode for f in announcement_frames(ctx, state)] == [0x84, 0x87]
 
     def test_display_without_its_own_address_powers_on(self):
@@ -274,7 +277,7 @@ class TestUserActions:
 
     def test_select_input_below_a_full_address_claims_nothing(self, sim):
         ctx, state = ctx_and_state(sim, "tv")
-        ctx = dataclasses.replace(ctx, physical=PhysicalAddress.parse("1.2.3.4"))
+        ctx = dataclasses.replace(ctx, physical=PhysicalAddress((1, 2, 3, 4)))
         result = apply_user_action(ctx, state, UserAction.SELECT_INPUT, argument=1)
         assert result.ok and result.state.active_input_port == 1
         assert result.emissions == []

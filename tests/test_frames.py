@@ -222,7 +222,7 @@ class TestLogicalCandidates:
 class TestPhysicalAddress:
     def test_root_and_text(self):
         assert PhysicalAddress.root().text == "0.0.0.0"
-        assert PhysicalAddress.parse("4.2.0.0").nibbles == (4, 2, 0, 0)
+        assert PhysicalAddress((4, 2, 0, 0)).text == "4.2.0.0"
 
     def test_child_fills_first_zero(self):
         root = PhysicalAddress.root()
@@ -231,16 +231,16 @@ class TestPhysicalAddress:
 
     def test_depth(self):
         assert PhysicalAddress.root().depth() == 0
-        assert PhysicalAddress.parse("4.2.0.0").depth() == 2
-        assert PhysicalAddress.parse("1.2.3.4").depth() == 4
+        assert PhysicalAddress((4, 2, 0, 0)).depth() == 2
+        assert PhysicalAddress((1, 2, 3, 4)).depth() == 4
 
     def test_child_beyond_depth_rejected(self):
-        deep = PhysicalAddress.parse("1.2.3.4")
+        deep = PhysicalAddress((1, 2, 3, 4))
         with pytest.raises(FrameError):
             deep.child(1)
 
     def test_bytes_roundtrip(self):
-        addr = PhysicalAddress.parse("4.2.0.0")
+        addr = PhysicalAddress((4, 2, 0, 0))
         assert addr.to_bytes() == (0x42, 0x00)
         assert PhysicalAddress.from_bytes(0x42, 0x00) == addr
 
@@ -251,10 +251,10 @@ class TestPhysicalAddress:
 
     def test_port_towards(self):
         own = PhysicalAddress.root()
-        assert own.port_towards(PhysicalAddress.parse("3.0.0.0")) == 3
-        assert own.port_towards(PhysicalAddress.parse("4.2.0.0")) == 4
-        mid = PhysicalAddress.parse("4.0.0.0")
-        assert mid.port_towards(PhysicalAddress.parse("4.2.0.0")) == 2
+        assert own.port_towards(PhysicalAddress((3, 0, 0, 0))) == 3
+        assert own.port_towards(PhysicalAddress((4, 2, 0, 0))) == 4
+        mid = PhysicalAddress((4, 0, 0, 0))
+        assert mid.port_towards(PhysicalAddress((4, 2, 0, 0))) == 2
         assert own.port_towards(PhysicalAddress.unregistered()) is None
 
     @given(st.integers(0, 255), st.integers(0, 255))
@@ -271,11 +271,13 @@ class TestPhysicalAddress:
             with pytest.raises(FrameError):
                 PhysicalAddress.from_bytes(*pair)
 
-    @given(st.integers(0, 15), st.integers(0, 15), st.integers(0, 15), st.integers(0, 15))
+    @given(st.tuples(*[st.integers(0, 15)] * 4))
     @settings(deadline=None)
-    def test_parse_text_roundtrip(self, a, b, c, d):
-        text = "%x.%x.%x.%x" % (a, b, c, d)
-        assert PhysicalAddress.parse(text).text == text
+    def test_parse_text_roundtrip(self, nibbles):
+        # The text is four lowercase hex digits joined by dots, and reads back.
+        text = PhysicalAddress(nibbles).text
+        assert text == "%x.%x.%x.%x" % nibbles
+        assert tuple(int(part, 16) for part in text.split(".")) == nibbles
 
 
 # ---------------------------------------------------------------------------

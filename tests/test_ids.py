@@ -12,18 +12,14 @@ from cecsim.frames import CecFrame, parse_frame
 from cecsim.ids import (
     Alert,
     Detector,
-    DisableCecEndToEnd,
-    DisableControl,
     RULE_COVERT_MARKER,
     RULE_COVERT_STREAM,
     RULE_INPUT_CHURN,
     RULE_SCAN_BURST,
     RULE_TARGETED_STANDBY,
     RuleConfig,
-    StripEdge,
     apply_mitigation,
     detect,
-    parse_mitigation,
 )
 from cecsim.testbed import build_testbed
 from cecsim.topology import TopologyError
@@ -224,8 +220,12 @@ class TestRuleWindows:
 # Streaming equals offline; tap filtering
 # ---------------------------------------------------------------------------
 
+def _strip(parent: str, child: str) -> dict:
+    return {"type": "strip_edge", "parent": parent, "child": child}
+
+
 _TESTBED_IDS = tuple(sorted(build_testbed().nodes))
-_TESTBED_EDGES = [StripEdge(e.parent, e.child) for e in build_testbed().edges]
+_TESTBED_EDGES = [_strip(e.parent, e.child) for e in build_testbed().edges]
 _nibbles = st.integers(0, 15)
 _bytes = st.lists(st.integers(0, 255), max_size=6).map(tuple)
 
@@ -458,17 +458,22 @@ class TestDetectorPlumbing:
 # Mitigations
 # ---------------------------------------------------------------------------
 
+def _disable(kind: str, device: str) -> dict:
+    return {"type": kind, "device": device}
+
+
 class TestMitigations:
     def test_strip_edge_clones(self):
         original = build_testbed()
-        patched = apply_mitigation(original, StripEdge("tv", "switch"))
+        patched = apply_mitigation(original, _strip("tv", "switch"))
         assert any(
             not e.cec_propagates for e in patched.edges if e.child == "switch"
         )
         assert all(e.cec_propagates for e in original.edges)
 
     @pytest.mark.parametrize(
-        "mitigation", [StripEdge("tv", "switch"), DisableControl("tv"), DisableCecEndToEnd("client")]
+        "mitigation",
+        [_strip("tv", "switch"), _disable("disable_control", "tv"), _disable("disable_cec", "client")],
     )
     def test_input_topology_left_as_it_was(self, mitigation):
         original = build_testbed()
@@ -481,43 +486,45 @@ class TestMitigations:
 
     def test_strip_unknown_edge(self):
         with pytest.raises(TopologyError):
-            apply_mitigation(build_testbed(), StripEdge("tv", "hub"))
+            apply_mitigation(build_testbed(), _strip("tv", "hub"))
 
     def test_disable_control(self):
-        patched = apply_mitigation(build_testbed(), DisableControl("tv"))
+        patched = apply_mitigation(build_testbed(), _disable("disable_control", "tv"))
         node = patched.nodes["tv"]
         assert not node.cec_control_enabled
         assert node.cec_info_reporting_enabled
 
     def test_disable_cec_end_to_end(self):
-        patched = apply_mitigation(build_testbed(), DisableCecEndToEnd("client"))
+        patched = apply_mitigation(build_testbed(), _disable("disable_cec", "client"))
         node = patched.nodes["client"]
         assert not node.cec_control_enabled
         assert not node.cec_info_reporting_enabled
 
     def test_unknown_device(self):
         with pytest.raises(TopologyError):
-            apply_mitigation(build_testbed(), DisableControl("ghost"))
+            apply_mitigation(build_testbed(), _disable("disable_control", "ghost"))
 
     @pytest.mark.parametrize(
-        "raw, expected_type",
+        "raw, message",
         [
-            ({"type": "strip_edge", "parent": "tv", "child": "switch"}, StripEdge),
-            ({"type": "disable_control", "device": "tv"}, DisableControl),
-            ({"type": "disable_cec", "device": "tv"}, DisableCecEndToEnd),
+            ({"type": "strip_edge", "parent": "tv"}, "strip_edge child must be a non-empty string"),
+            ({"type": "disable_control", "device": 0}, "disable_control device must be a non-empty"),
+            (["disable_cec", "tv"], "mitigation must be an object"),
         ],
+        ids=["missing-field", "field-not-text", "not-an-object"],
     )
-    def test_parse_forms(self, raw, expected_type):
-        assert isinstance(parse_mitigation(raw), expected_type)
+    def test_malformed_document_refused(self, raw, message):
+        with pytest.raises(ValueError, match=message):
+            apply_mitigation(build_testbed(), raw)
 
     def test_parse_unknown_type(self):
-        with pytest.raises(ValueError):
-            parse_mitigation({"type": "unplug_everything"})
+        with pytest.raises(ValueError, match="unknown mitigation type 'unplug_everything'"):
+            apply_mitigation(build_testbed(), {"type": "unplug_everything"})
 
     def test_fully_disabled_device_vanishes_from_census(self):
         from cecsim.attacks import ScanWalk
 
-        patched = apply_mitigation(build_testbed(), DisableCecEndToEnd("chromecast"))
+        patched = apply_mitigation(build_testbed(), _disable("disable_cec", "chromecast"))
         sim = Simulator(patched)
         sim.start()
         walk = ScanWalk("listener")
@@ -530,7 +537,7 @@ class TestMitigations:
     def test_control_disabled_device_still_in_census(self):
         from cecsim.attacks import ScanWalk
 
-        patched = apply_mitigation(build_testbed(), DisableControl("tv"))
+        patched = apply_mitigation(build_testbed(), _disable("disable_control", "tv"))
         sim = Simulator(patched)
         sim.start()
         walk = ScanWalk("listener")
@@ -541,7 +548,7 @@ class TestMitigations:
         assert 0 in report.entries
 
     def test_control_disabled_device_immune_to_standby(self):
-        patched = apply_mitigation(build_testbed(), DisableControl("tv"))
+        patched = apply_mitigation(build_testbed(), _disable("disable_control", "tv"))
         sim = Simulator(patched)
         sim.start()
         sim.transmit_at(2, "listener", CecFrame(1, 0, 0x36))

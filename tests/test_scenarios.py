@@ -269,6 +269,12 @@ class TestBuiltins:
         with pytest.raises(ScenarioError):
             builtin_scenario("attack9-sharks")
 
+    def test_unreadable_scenario_file(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        with pytest.raises(ScenarioError, match="scenario file .* is not readable JSON"):
+            scen.resolve_scenario(str(path))
+
     def test_builtin_isolation(self):
         # loading twice must hand out independent documents
         first = builtin_scenario("benign-power-cycle")
@@ -553,6 +559,17 @@ class TestCli:
         assert out == ""
         assert "relay needs an attacker listener" in err
 
+    def test_run_non_ascii_menu_language_exits_two_before_running(self, tmp_path, capsys):
+        path = tmp_path / "language.json"
+        path.write_text(json.dumps(doc(
+            overrides={"amp": {"menu_language": "\u00e9t\u00e9"}},
+            actions=[{"tick": 1, "actor": "listener", "action": "scan"}],
+        )))
+        assert cli.main(["run", "--scenario", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "node 'amp' menu_language must be 3 ASCII chars" in err
+
     def test_run_unknown_scenario_exits_two(self, capsys):
         assert cli.main(["run", "--scenario", "no-such"]) == 2
         assert "no-such" in capsys.readouterr().err
@@ -651,6 +668,23 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "--bind expects host:port, got %r\n" % bind
+
+    def test_relay_serve_runs_until_interrupted(self, monkeypatch, capsys):
+        served = []
+
+        def interrupted(server, *args, **kwargs):
+            served.append(server)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(relay_mod.RelayServer, "serve_forever", interrupted)
+        assert cli.main(["relay", "serve", "--bind", "127.0.0.1:0"]) == 0
+        [server] = served
+        port = server.server_address[1]
+        assert capsys.readouterr().out == (
+            "relay listening on http://127.0.0.1:%d (paths /cec/listener and /cec/webclient)\n"
+            % port
+        )
+        assert port != 0 and server.socket.fileno() == -1
 
     def test_run_bad_relay_url_exits_two_before_running(self, capsys):
         code = cli.main(["run", "--scenario", "attack5-remote-churn", "--relay-url", "notaurl"])

@@ -2,14 +2,14 @@
 
 import pytest
 
-from cecsim.ids import StripEdge, apply_mitigation
+from cecsim.ids import apply_mitigation
+from cecsim.scenarios import ScenarioError, load_scenario
 from cecsim.topology import (
     DeviceKind,
     Edge,
     TopologyError,
     assign_physical_addresses,
     build_topology,
-    load_topology,
     propagation_domains,
 )
 
@@ -59,7 +59,9 @@ class TestBuild:
 
     def test_addresses_unchanged_after_edge_strip(self, testbed_topology):
         before = assign_physical_addresses(testbed_topology)
-        stripped = apply_mitigation(testbed_topology, StripEdge("tv", "switch"))
+        stripped = apply_mitigation(
+            testbed_topology, {"type": "strip_edge", "parent": "tv", "child": "switch"}
+        )
         assert assign_physical_addresses(stripped) == before
 
     def test_addresses_follow_edges_replaced_in_place(self, testbed_topology):
@@ -89,8 +91,8 @@ class TestBuild:
         assert addresses["sw"].text == "4.0.0.0"
         assert addresses["src"].text == "4.2.0.0"
 
-    def test_node_order_is_declaration_order(self, testbed_topology):
-        assert testbed_topology.node_order()[:3] == ["tv", "listener", "client"]
+    def test_nodes_keep_declaration_order(self, testbed_topology):
+        assert list(testbed_topology.nodes)[:3] == ["tv", "listener", "client"]
 
     def test_listeners(self, testbed_topology):
         assert testbed_topology.listeners() == ["listener"]
@@ -222,6 +224,13 @@ class TestValidation:
             ({"nodes": tv_and_box(vendor_id=True)}, "vendor_id"),
             ({"nodes": tv_and_box(cec_version=5)}, "cec_version"),
             ({"nodes": tv_and_box(menu_language=123)}, "menu_language"),
+            # Get Menu Language answers with the code's three ASCII octets.
+            ({"nodes": tv_and_box(menu_language="\u00e9t\u00e9")},
+             "node 'tv' menu_language must be 3 ASCII chars"),
+            ({"nodes": [{"id": "evil box", "kind": "tv", "device_type": "tv"}]},
+             "node id 'evil box' holds whitespace or a comma"),
+            ({"nodes": [{"id": "c,d", "kind": "tv", "device_type": "tv"}]},
+             "node id 'c,d' holds whitespace or a comma"),
         ],
     )
     def test_malformed_shapes_name_the_field(self, patch, fragment):
@@ -240,8 +249,8 @@ class TestValidation:
     def test_deeply_nested_file_rejected(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text('{"nodes": [{"id": "tv", "kind": %s}]}' % ("[" * 31 + "]" * 31))
-        with pytest.raises(TopologyError, match="nests deeper than 32"):
-            load_topology(str(path))
+        with pytest.raises(ScenarioError, match="nests deeper than 32"):
+            load_scenario({"name": "deep", "topology": str(path), "duration": 1})
 
     def test_unknown_edge_endpoint(self):
         with pytest.raises(TopologyError) as err:
@@ -291,7 +300,7 @@ class TestPropagation:
 
     def test_domain_order_is_declaration_order(self, testbed_topology):
         domains = propagation_domains(testbed_topology)
-        assert list(domains["hub"]) == testbed_topology.node_order()
+        assert list(domains["hub"]) == list(testbed_topology.nodes)
 
     def test_blocked_edge_splits_domain(self):
         topo = make_chain(3)
