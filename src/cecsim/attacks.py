@@ -58,7 +58,8 @@ class ScanWalk(Actor):
 
     Each tick sends the next frame of `_walk`, or nothing.  The walker
     itself is part of the report; its own row comes from local state since
-    nobody answers a self-poll.
+    nobody answers a self-poll.  Once the report is made, the walker leaves
+    the simulator and hears no more frames.
     """
 
     def __init__(self, device: str, on_complete=None):
@@ -126,6 +127,7 @@ class ScanWalk(Actor):
             self._active_claimant = source
 
     def _finalize(self, sim: Simulator, own: int | None):
+        sim.remove_actor(self)
         report = ScanReport(actor=self.device)
         addresses = list(self._acked)
         if own is not None and own not in addresses:
@@ -134,8 +136,7 @@ class ScanWalk(Actor):
         if self._active_claimant is None and state.active_source and own is not None:
             self._active_claimant = own
         for addr in sorted(addresses):
-            # Popped: answers after the census go to new rows, not the report's.
-            row = self._rows.pop(addr, None) or dict.fromkeys(REPORT_FIELDS, "Unk")
+            row = self._rows.get(addr) or dict.fromkeys(REPORT_FIELDS, "Unk")
             if addr == own:
                 node = sim.topology.nodes[self.device]
                 row.update({

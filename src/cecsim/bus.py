@@ -47,6 +47,10 @@ _INERT_OPCODES = fr.RESPONSE_OPCODES | {None}
 _EVENT_LINE = "t=%d | %s | %s | ack=%d | obs=%s\n"
 _CHANGE_LINE = "t=%d | %s | %s=%s\n"
 
+# Each logged state value's text, made once and shared by every change that
+# logs it.  Typed: `True == 1`, and port 1 must not log as "True".
+_value_text = lru_cache(typed=True)(str)
+
 
 class BusEvent(NamedTuple):
     """One frame as it appeared on the wire."""
@@ -172,8 +176,9 @@ class Actor:
     tick that starts after it was added.  It hears what its device hears:
     the simulator calls `on_event` only for frames whose observers include
     `device`, its own transmissions among them, and only for frames put on
-    the wire after it was added.  The simulator calls only the callbacks a
-    subclass overrides; the ones here do nothing.
+    the wire after it was added.  After `Simulator.remove_actor` it gets
+    neither, from the next tick or frame on.  The simulator calls only the
+    callbacks a subclass overrides; the ones here do nothing.
     """
 
     def __init__(self, device: str):
@@ -211,8 +216,8 @@ class Simulator:
         self.device_states: dict[str, dv.DeviceState] = {}
         self.actors: list[Actor] = []
         # The actors whose class overrides `on_tick`, and those whose class
-        # overrides `on_event`, in add order.  `add_actor` rebinds them, so
-        # a loop over one never sees an actor added during that loop.
+        # overrides `on_event`, in add order.  `add_actor` and `remove_actor`
+        # rebind them, so a loop over one keeps the actors it started with.
         self._tickers: tuple[Actor, ...] = ()
         self._listeners: tuple[Actor, ...] = ()
         self._domains: dict[str, _Domain] = {}
@@ -317,6 +322,11 @@ class Simulator:
         if cls.on_event is not Actor.on_event:
             self._listeners += (actor,)
 
+    def remove_actor(self, actor: Actor):
+        self.actors.remove(actor)
+        self._tickers = tuple(a for a in self._tickers if a is not actor)
+        self._listeners = tuple(a for a in self._listeners if a is not actor)
+
     def next_session_id(self) -> str:
         self._session_counter += 1
         return "transfer-%03d" % self._session_counter
@@ -392,7 +402,7 @@ class Simulator:
         self.device_states[node_id] = new
         for name in changed:
             after = getattr(new, name)
-            value = after.value if isinstance(after, PowerState) else str(after)
+            value = after.value if isinstance(after, PowerState) else _value_text(after)
             self.trace.changes.append(StateChange(self.clock, node_id, name, value))
 
     def user_action(self, device: str, action: dv.UserAction, argument: int | None = None):

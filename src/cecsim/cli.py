@@ -86,7 +86,11 @@ def _cmd_run(args) -> int:
     config = _load_ids_config(args.ids_config)
     if config is not None:
         scenario.ids_options["config"] = dataclasses.asdict(config)
-    relay_client = relay_mod.HttpRelayClient(args.relay_url) if args.relay_url else None
+    relay_client = None
+    if args.relay_url:
+        from cecsim import relay_http  # only a live relay needs the HTTP stack
+
+        relay_client = relay_http.HttpRelayClient(args.relay_url)
     result = scen.run_scenario(scenario, relay_client=relay_client)
     outcomes = scen.evaluate_checks(result)
     if args.out:
@@ -132,7 +136,9 @@ def _cmd_relay_serve(args) -> int:
     if not host or not port_text.isdecimal() or int(port_text) > 65535:
         print("--bind expects host:port, got %r" % args.bind, file=sys.stderr)
         return EXIT_BAD_INPUT
-    server = relay_mod.RelayServer((host, int(port_text)))
+    from cecsim import relay_http  # only a live relay needs the HTTP stack
+
+    server = relay_http.RelayServer((host, int(port_text)))
     print("relay listening on %s (paths %s and %s)"
           % (server.url, relay_mod.LISTENER_PATH, relay_mod.WEBCLIENT_PATH))
     try:

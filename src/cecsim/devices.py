@@ -37,7 +37,7 @@ _MEMO_LIMIT = 256
 _UNMEMOIZED = frozenset(fr.QUERY_OPCODES + (fr.OP_REQUEST_ACTIVE_SOURCE,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeviceState:
     power: PowerState
     active_source: bool = False

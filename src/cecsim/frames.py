@@ -60,7 +60,7 @@ def logical_candidates(device_type: DeviceType) -> tuple[int, ...]:
     return base + (FREE_USE,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhysicalAddress:
     """Four-nibble HDMI physical address such as 4.0.0.0 or f.f.f.f."""
 
@@ -133,7 +133,7 @@ class PhysicalAddress:
         return port if port != 0 else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CecFrame:
     """One CEC frame: header nibbles plus optional opcode and operands."""
 

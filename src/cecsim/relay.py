@@ -4,18 +4,13 @@ The relay holds exactly two single-value string caches: one the operator
 writes commands into, one the listener publishes results to.  GET returns
 {"value": ...} (null when empty), POST {"value": ...} overwrites; last
 write wins and reads never consume.  The same handler backs an in-process
-loopback transport and a real socket server, so tests exercise identical
-logic either way.
+loopback transport and the socket server of `relay_http`, so tests
+exercise identical logic either way.
 """
 
-import http.client
 import json
 import logging
 import threading
-import urllib.error
-import urllib.parse
-import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from cecsim import schema
 from cecsim.bus import Actor, Simulator
@@ -70,56 +65,6 @@ class RelayState:
         return 405, {"error": "method %s not allowed" % method}
 
 
-class _RelayRequestHandler(BaseHTTPRequestHandler):
-    server_version = "cecsim-relay/1.0"
-
-    def _respond(self, method: str):
-        length = self.headers.get("Content-Length") or "0"
-        if not length.isdecimal():
-            self._send(400, {"error": "Content-Length must be a non-negative integer"})
-        elif int(length) > MAX_BODY_BYTES:
-            self._send(413, {"error": "body larger than %d bytes" % MAX_BODY_BYTES})
-        else:
-            self._send(*self.server.state.handle(method, self.path, self.rfile.read(int(length))))
-
-    def _send(self, status: int, payload: dict):
-        data = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def do_GET(self):
-        self._respond("GET")
-
-    def do_POST(self):
-        self._respond("POST")
-
-    def log_message(self, fmt, *args):
-        log.debug("relay http: " + fmt, *args)
-
-
-class RelayServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address: tuple[str, int], state: RelayState | None = None):
-        self.state = state or RelayState()
-        super().__init__(address, _RelayRequestHandler)
-
-    def start_background(self) -> threading.Thread:
-        # Poll every 0.05 s, not 0.5 s: `shutdown()` waits for the next poll.
-        thread = threading.Thread(target=self.serve_forever, args=(0.05,), daemon=True)
-        thread.start()
-        return thread
-
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[:2]
-        return "http://%s:%d" % (host, port)
-
-
 class LoopbackRelayClient:
     """Talks to a RelayState directly; `down` simulates an outage."""
 
@@ -137,49 +82,6 @@ class LoopbackRelayClient:
 
     def get(self, path: str) -> str | None:
         return self._call("GET", path, b"")["value"]
-
-    def post(self, path: str, value: str):
-        self._call("POST", path, json.dumps({"value": value}).encode("utf-8"))
-
-
-class HttpRelayClient:
-    """Same interface over a real socket.  The relay's answers are not
-    trusted: one that is not a JSON object, or a GET `value` that is
-    neither a string nor null, counts as an outage (RelayUnreachable).
-    A base URL that is not http(s)://host[:port][/path] raises ValueError."""
-
-    def __init__(self, base_url: str, timeout: float = 5.0):
-        parts = urllib.parse.urlsplit(base_url)
-        # A query or a fragment, even an empty one, would swallow the paths appended.
-        if parts.scheme not in ("http", "https") or not parts.hostname or set("?#") & set(base_url):
-            raise ValueError("relay URL must be http(s)://host[:port][/path], got %r" % base_url)
-        parts.port  # raises ValueError now, not at the first call, for a bad port
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-
-    def _call(self, method: str, path: str, body: bytes | None) -> dict:
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=body,
-            method=method,
-            headers={"Content-Type": "application/json"},
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                answer = json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, http.client.HTTPException, OSError, ValueError,
-                RecursionError) as exc:
-            raise RelayUnreachable(str(exc)) from None
-        if not isinstance(answer, dict):
-            raise RelayUnreachable("relay answered %.*r, not an object" % (EXCERPT_CHARS, answer))
-        return answer
-
-    def get(self, path: str) -> str | None:
-        answer = self._call("GET", path, None)
-        value = answer.get("value")
-        if "value" not in answer or not (value is None or isinstance(value, str)):
-            raise RelayUnreachable("relay answered %.*r, not a value" % (EXCERPT_CHARS, answer))
-        return value
 
     def post(self, path: str, value: str):
         self._call("POST", path, json.dumps({"value": value}).encode("utf-8"))
@@ -277,5 +179,3 @@ class RelayPoller(Actor):
         "DOS1": _dos1, "SCAN": _scan, "TDOS": _tdos, "CANCEL": _cancel, "GETFILE": _getfile,
     }
 
-
-KNOWN_COMMANDS = tuple(RelayPoller._HANDLERS)

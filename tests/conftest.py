@@ -1,11 +1,14 @@
 """Shared fixtures: the lab tree, small topologies, random builders, and
-the relay poller's log."""
+the relay poller's log and command names; servers run in the background."""
 
+import contextlib
 import logging
+import threading
 
 import pytest
 
 from cecsim.bus import Simulator
+from cecsim.relay import RelayPoller
 from cecsim.testbed import build_testbed
 from cecsim.topology import build_topology
 
@@ -78,3 +81,19 @@ class RelayLog:
 def relay_log(caplog):
     caplog.set_level(logging.INFO, logger="cecsim.relay")
     return RelayLog(caplog)
+
+
+# Every command name a relay poller runs.
+KNOWN_COMMANDS = tuple(RelayPoller._HANDLERS)
+
+
+@contextlib.contextmanager
+def serving(server):
+    """Serve `server` from a daemon thread, then shut it down and close it."""
+    # Poll every 0.05 s, not 0.5 s: `shutdown()` waits for the next poll.
+    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()

@@ -13,11 +13,13 @@ from cecsim.attacks import AttackController, ScanWalk, TargetedDos
 from cecsim.bus import Simulator
 from cecsim.devices import UserAction
 from cecsim.frames import CecFrame, encode_frame, parse_frame
-from cecsim.relay import LISTENER_PATH, WEBCLIENT_PATH, HttpRelayClient, LoopbackRelayClient, RelayPoller, RelayServer
+from cecsim.relay import LISTENER_PATH, WEBCLIENT_PATH, LoopbackRelayClient, RelayPoller
+from cecsim.relay_http import HttpRelayClient, RelayServer
 from cecsim.testbed import EXPECTED_TESTBED_SCAN, build_testbed
 from cecsim.transfer import FileReceiver, FileSender, PayloadStore, segment_count
 from cecsim.ids import apply_mitigation, detect
 
+from conftest import serving
 from test_transfer import wired_sim as transfer_sim
 
 
@@ -235,13 +237,8 @@ def test_acceptance_relay_loopback(relay_log):
 
 
 def test_acceptance_relay_http_socket(relay_log):
-    server = RelayServer(("127.0.0.1", 0))
-    server.start_background()
-    try:
+    with serving(RelayServer(("127.0.0.1", 0))) as server:
         ok, detail = _relay_roundtrip(HttpRelayClient(server.url), relay_log)
-    finally:
-        server.shutdown()
-        server.server_close()
     _report("relay drives attacks over a real HTTP socket", ok, detail)
 
 

@@ -19,6 +19,7 @@ from cecsim.attacks import (
 from cecsim.bus import Simulator
 from cecsim.devices import UserAction
 from cecsim.frames import CecFrame
+from cecsim.scenarios import builtin_scenario, run_scenario
 from cecsim.testbed import EXPECTED_TESTBED_SCAN, build_testbed
 from cecsim.topology import propagation_domains
 from cecsim.transfer import PayloadStore
@@ -127,6 +128,27 @@ class TestScanWalk:
             node = topology.nodes[by_address[address]]
             assert entry["OSD Str"] == node.osd_name
             assert entry["P. Addr"] == sim.physical[node.id].text
+
+    def test_finished_walk_hears_no_more_frames(self, monkeypatch):
+        reports_when_heard, events_when_finished = [], []
+        hear, finalize = ScanWalk.on_event, ScanWalk._finalize
+
+        def recording_hear(walk, sim, event):
+            reports_when_heard.append(len(sim.artifacts.scan_reports))
+            hear(walk, sim, event)
+
+        def recording_finalize(walk, sim, own):
+            finalize(walk, sim, own)
+            events_when_finished.append(len(sim.trace.events))
+
+        monkeypatch.setattr(ScanWalk, "on_event", recording_hear)
+        monkeypatch.setattr(ScanWalk, "_finalize", recording_finalize)
+        result = run_scenario(builtin_scenario("attack1-device-walk"))
+        [report], [finished] = result.reports, events_when_finished
+        # The walker's device observes frames after the census, unheard.
+        assert any(report.actor in e.observers for e in result.trace.events[finished:])
+        assert reports_when_heard and set(reports_when_heard) == {0}
+        assert not any(isinstance(a, ScanWalk) for a in result.sim.actors)
 
     def test_scan_from_island_sees_only_itself(self):
         topo = build_testbed()

@@ -524,6 +524,19 @@ class _Recruiter(_Witness):
             sim.add_actor(self.recruit)
 
 
+class _Remover(_Witness):
+    """Removes `target`, itself by default, while it hears its first frame."""
+
+    def __init__(self, device, target=None):
+        super().__init__(device)
+        self.target = target or self
+
+    def on_event(self, sim, event):
+        super().on_event(sim, event)
+        if len(self.heard) == 1:
+            sim.remove_actor(self.target)
+
+
 class TestHearing:
     def test_actor_hears_only_what_its_device_observes(self):
         # the podium's control link is stripped, so client is alone on its wire
@@ -572,6 +585,28 @@ class TestHearing:
         heard = [e for e in testbed_sim.trace.events[start:] if "tv" in e.observers]
         assert len(heard) == 2 and listener.heard == heard
         assert testbed_sim.actors == [ticker, listener, idle]
+
+    def test_removed_actor_stops_from_the_next_tick_and_frame(self, testbed_sim):
+        leaver, stayer = _Remover("tv"), _Witness("tv")
+        testbed_sim.add_actor(leaver)
+        testbed_sim.add_actor(stayer)
+        testbed_sim.transmit_at(2, "client", CecFrame(2, 0, OP_GIVE_POWER_STATUS))
+        testbed_sim.transmit_at(4, "client", CecFrame(2, 0, OP_GIVE_OSD_NAME))
+        testbed_sim.run(until=7)
+        assert len(stayer.heard) > 2 and leaver.heard == stayer.heard[:1]
+        assert leaver.ticks == [0, 1, 2] and stayer.ticks == list(range(7))
+        assert testbed_sim.actors == [stayer]
+
+    def test_actor_removed_while_a_frame_is_heard_still_hears_it(self, testbed_sim):
+        victim = _Witness("tv")
+        remover = _Remover("tv", victim)
+        testbed_sim.add_actor(remover)
+        testbed_sim.add_actor(victim)
+        testbed_sim.transmit_at(2, "client", CecFrame(2, 0, OP_GIVE_POWER_STATUS))
+        testbed_sim.run(until=5)
+        assert len(remover.heard) > 1 and victim.heard == remover.heard[:1]
+        assert victim.ticks == [0, 1, 2]
+        assert testbed_sim.actors == [remover]
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +717,17 @@ class TestTraceFormat:
         sim.run(until=4)
         text = sim.trace.render_state_log()
         assert "t=2 | tv | power=standby" in text
+
+    def test_state_log_tells_true_from_one(self, pair_topology):
+        # `True == 1`: values that share texts must still log as their own.
+        sim = Simulator(pair_topology)
+        sim.start()
+        sim.transmit_at(0, "tv", CecFrame(0, fr.BROADCAST, fr.OP_ACTIVE_SOURCE, (0x10, 0x00)))
+        sim.transmit_at(1, "box", CecFrame(4, fr.BROADCAST, fr.OP_ACTIVE_SOURCE, (0x10, 0x00)))
+        sim.run(until=3)
+        assert sim.trace.render_state_log() == (
+            "t=0 | box | active_source=True\nt=1 | tv | active_input_port=1\n"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,20 @@
-"""Frame codec tests: parsing, encoding, addressing tables."""
+"""Frame codec tests: parsing, encoding, addressing tables, value types."""
 
+import dataclasses
 import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cecsim.devices import DeviceState
 from cecsim.frames import (
     _OCTET_TEXTS,
     CecFrame,
     DeviceType,
     FrameError,
     PhysicalAddress,
+    PowerState,
     encode_frame,
     logical_candidates,
     parse_frame,
@@ -302,3 +305,46 @@ class TestVendorIds:
 
     def test_bytes(self):
         assert vendor_id_bytes(0x001582) == (0x00, 0x15, 0x82)
+
+
+# ---------------------------------------------------------------------------
+# Value types
+# ---------------------------------------------------------------------------
+
+VALUES = [
+    CecFrame(4, 0, 0x82, (0x10, 0x00)),
+    CecFrame(4, 4),
+    PhysicalAddress((1, 2, 0, 0)),
+    DeviceState(PowerState.STANDBY, True, 3),
+]
+
+
+class TestValueTypes:
+    """Frames, addresses and device states are slotted and frozen."""
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    def test_no_instance_dict(self, value):
+        assert not hasattr(value, "__dict__")
+        assert type(value).__slots__ == tuple(f.name for f in dataclasses.fields(value))
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    def test_fields_refuse_assignment(self, value):
+        for field in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field.name, getattr(value, field.name))
+        # A name that is no field is refused too, though Python 3.11's
+        # frozen `__setattr__` says so with TypeError on a slotted class.
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            value.extra = 1
+        assert not hasattr(value, "extra")
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    def test_replace_gives_an_equal_instance(self, value):
+        copy = dataclasses.replace(value)
+        assert copy is not value
+        assert copy == value and hash(copy) == hash(value)
+
+    def test_replace_still_validates(self):
+        with pytest.raises(FrameError):
+            dataclasses.replace(CecFrame(4, 0), initiator=16)
+        assert dataclasses.replace(CecFrame(4, 0), opcode=0x36) == parse_frame("40:36")

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from cecsim.attacks import AttackController
 from cecsim.bus import Simulator, _TRACE_LINE, parse_trace_line
-from cecsim.relay import KNOWN_COMMANDS, LISTENER_PATH, WEBCLIENT_PATH, RelayPoller, RelayState
+from cecsim.relay import LISTENER_PATH, WEBCLIENT_PATH, RelayPoller, RelayState
 from cecsim.scenarios import ScenarioError, evaluate_checks, load_scenario, run_scenario
 from cecsim.testbed import TESTBED_TOPOLOGY, build_testbed
 from cecsim.topology import TopologyError, build_topology
 from cecsim.transfer import PayloadStore
+
+from conftest import KNOWN_COMMANDS
 
 FUZZ = settings(
     deadline=None, max_examples=100, suppress_health_check=[HealthCheck.too_slow]

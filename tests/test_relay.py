@@ -2,7 +2,6 @@
 
 import json
 import socket
-import threading
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -12,20 +11,20 @@ from cecsim.attacks import AttackController
 from cecsim.bus import Simulator
 from cecsim.frames import OP_STANDBY
 from cecsim.relay import (
-    HttpRelayClient,
-    KNOWN_COMMANDS,
     LISTENER_PATH,
     MAX_BODY_BYTES,
     LoopbackRelayClient,
     RelayPoller,
-    RelayServer,
     RelayState,
     RelayUnreachable,
     WEBCLIENT_PATH,
 )
+from cecsim.relay_http import HttpRelayClient, RelayServer
 from cecsim.scenarios import builtin_scenario, load_scenario, run_scenario
 from cecsim.testbed import EXPECTED_TESTBED_SCAN, build_testbed
 from cecsim.transfer import MAX_PAYLOAD, PayloadStore, payload_digest
+
+from conftest import KNOWN_COMMANDS, serving
 
 
 @pytest.fixture(params=["loopback", "http"])
@@ -33,13 +32,8 @@ def client(request):
     if request.param == "loopback":
         yield LoopbackRelayClient()
         return
-    server = RelayServer(("127.0.0.1", 0))
-    server.start_background()
-    try:
+    with serving(RelayServer(("127.0.0.1", 0))) as server:
         yield HttpRelayClient(server.url)
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def wired_sim():
@@ -397,15 +391,10 @@ class TestHttpTransport:
             client.get(LISTENER_PATH)
 
     def test_http_error_statuses(self):
-        server = RelayServer(("127.0.0.1", 0))
-        server.start_background()
-        try:
+        with serving(RelayServer(("127.0.0.1", 0))) as server:
             client = HttpRelayClient(server.url)
             with pytest.raises(RelayUnreachable):
                 client.get("/cec/bogus")
-        finally:
-            server.shutdown()
-            server.server_close()
 
 
 class _StubRelayHandler(BaseHTTPRequestHandler):
@@ -431,13 +420,8 @@ class _StubRelayHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def stub_relay():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubRelayHandler)
-    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
-    try:
+    with serving(ThreadingHTTPServer(("127.0.0.1", 0), _StubRelayHandler)) as server:
         yield server
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def _stub_client(server, answer: bytes, raw: bool = False) -> HttpRelayClient:
@@ -495,9 +479,7 @@ class TestContentLength:
         [("abc", b" 400 "), ("-5", b" 400 "), (str(MAX_BODY_BYTES + 1), b" 413 ")],
     )
     def test_bad_length_answered_and_server_keeps_serving(self, length, status):
-        server = RelayServer(("127.0.0.1", 0))
-        server.start_background()
-        try:
+        with serving(RelayServer(("127.0.0.1", 0))) as server:
             head = "POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %s\r\n\r\n" % (
                 LISTENER_PATH, length
             )
@@ -505,9 +487,6 @@ class TestContentLength:
             get = "GET %s HTTP/1.1\r\nHost: x\r\n\r\n" % WEBCLIENT_PATH
             assert b" 200 " in _raw_request(server, get.encode("ascii"))
             assert HttpRelayClient(server.url).get(WEBCLIENT_PATH) is None
-        finally:
-            server.shutdown()
-            server.server_close()
 
     def test_limit_fits_a_getfile_of_the_largest_payload(self):
         # A GETFILE body grows by two hex digits per payload byte; measure

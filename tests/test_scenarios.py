@@ -3,12 +3,14 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
 from cecsim import cli
-from cecsim import relay as relay_mod
+from cecsim import relay_http
 from cecsim import scenarios as scen
 from cecsim.relay import LoopbackRelayClient
 from cecsim.scenarios import (
@@ -663,7 +665,7 @@ class TestCli:
         def no_socket(*args, **kwargs):
             raise AssertionError("a bad --bind must not open a socket")
 
-        monkeypatch.setattr(relay_mod, "RelayServer", no_socket)
+        monkeypatch.setattr(relay_http, "RelayServer", no_socket)
         assert cli.main(["relay", "serve", "--bind", bind]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -676,7 +678,7 @@ class TestCli:
             served.append(server)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(relay_mod.RelayServer, "serve_forever", interrupted)
+        monkeypatch.setattr(relay_http.RelayServer, "serve_forever", interrupted)
         assert cli.main(["relay", "serve", "--bind", "127.0.0.1:0"]) == 0
         [server] = served
         port = server.server_address[1]
@@ -811,3 +813,47 @@ class TestCli:
         out = capsys.readouterr().out
         # the raised threshold silences the scan-burst rule
         assert "[FAIL] alert_exactly" in out
+
+
+# ---------------------------------------------------------------------------
+# Import path
+# ---------------------------------------------------------------------------
+
+# The HTTP stack and what it pulls in; only a live relay needs them.
+HTTP_STACK = {"http.client", "http.server", "urllib.request", "ssl", "email"}
+
+
+def _loaded_modules(*steps: str) -> list[set[str]]:
+    """Run each step in one fresh interpreter; the modules loaded after each."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    report = "import sys; print('\\nmodules:', *sys.modules)"
+    code = "\n".join(step + "\n" + report for step in steps)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = [line for line in done.stdout.splitlines() if line.startswith("modules: ")]
+    return [set(line.split()[1:]) for line in lines]
+
+
+class TestImportPath:
+    def test_simulation_and_cli_load_no_http_stack(self):
+        simulation, with_cli = _loaded_modules(
+            "import cecsim.scenarios, cecsim.ids, cecsim.bus", "import cecsim.cli"
+        )
+        assert "cecsim.scenarios" in simulation and "cecsim.cli" in with_cli
+        assert not HTTP_STACK & with_cli
+        assert "cecsim.relay_http" not in with_cli
+
+    def test_run_loads_relay_http_only_for_a_relay_url(self):
+        loopback, live = _loaded_modules(
+            "from cecsim import cli; assert cli.main(['run', '--scenario', "
+            "'attack5-remote-churn', '--check']) == 0",
+            "assert cli.main(['run', '--scenario', 'attack5-remote-churn', "
+            "'--relay-url', 'notaurl']) == 2",
+        )
+        assert "cecsim.relay" in loopback
+        assert "cecsim.relay_http" not in loopback and not HTTP_STACK & loopback
+        assert "cecsim.relay_http" in live and HTTP_STACK <= live
+
