@@ -74,6 +74,7 @@ class ScanWalk(Actor):
     def start(self, sim: Simulator):
         sim.start()
         self._steps = self._walk(sim, sim.logical.get(self.device))
+        sim.wake(self)
 
     def _walk(self, sim: Simulator, own: int | None):
         """One item per tick: a frame to send, or None for a quiet tick."""
@@ -201,7 +202,7 @@ def _churn_cycle(own: int, display: int) -> tuple[CecFrame, ...]:
 
 class BroadcastDos(Actor):
     """Five-frame input-churn loop: wake the display, then walk its inputs
-    with forged active-source claims, one frame per tick, forever."""
+    with forged active-source claims, one frame per tick, until deactivated."""
 
     def __init__(self, device: str, display_address: int = 0):
         super().__init__(device)
@@ -209,19 +210,20 @@ class BroadcastDos(Actor):
         self.active = False
         self._index = 0
 
-    def activate(self):
+    def activate(self, sim: Simulator):
         if not self.active:
             self.active = True
             log.info("%s input-churn loop armed", self.device)
+        sim.wake(self)
 
     def deactivate(self):
         self.active = False
 
     def on_tick(self, sim: Simulator, tick: int):
-        if not self.active:
-            return
         own = sim.logical.get(self.device)
-        if own is None:
+        # A device with no logical address never gets one during a run.
+        if not self.active or own is None:
+            sim.rest(self)
             return
         cycle = _churn_cycle(own, self.display_address)
         sim.transmit_at(tick, self.device, cycle[self._index])
@@ -257,7 +259,7 @@ class AttackController(Actor):
         if event.frame == ARM_TARGETED_MARKER:
             self.targeted.arm()
         elif event.frame == ARM_BROADCAST_MARKER:
-            self.broadcast.activate()
+            self.broadcast.activate(sim)
 
     def start_scan(self, sim: Simulator, on_complete=None) -> ScanWalk:
         def finish(inner_sim, report):

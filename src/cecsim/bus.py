@@ -16,7 +16,8 @@ one when the first never acknowledged the later claimants' polls), in
 declaration order.  Polls and response frames (`frames.RESPONSE_OPCODES`)
 reach no `react`: no device acts on them, so they only travel, ack and are
 heard.  The transmitter never reacts to its own frame.  Actors still hear
-every frame their device observes.
+every frame their device observes, but tick only while they have work, from
+`Simulator.wake` to `Simulator.rest`; with none awake, `run` jumps ahead.
 """
 
 import bisect
@@ -172,13 +173,13 @@ class Actor:
     """Anything that runs on a device and watches the wire or acts on a
     schedule: attack sessions, covert file endpoints, relay pollers.
 
-    Add one with `Simulator.add_actor`.  An actor gets `on_tick` on every
-    tick that starts after it was added.  It hears what its device hears:
+    Add one with `Simulator.add_actor`.  It hears what its device hears:
     the simulator calls `on_event` only for frames whose observers include
     `device`, its own transmissions among them, and only for frames put on
-    the wire after it was added.  After `Simulator.remove_actor` it gets
-    neither, from the next tick or frame on.  The simulator calls only the
-    callbacks a subclass overrides; the ones here do nothing.
+    the wire after it was added.  It gets `on_tick` on each tick between
+    `Simulator.wake` and `Simulator.rest`.  After `Simulator.remove_actor`
+    it gets neither, from the next tick or frame on.  The simulator calls
+    only the callbacks a subclass overrides; the ones here do nothing.
     """
 
     def __init__(self, device: str):
@@ -215,9 +216,8 @@ class Simulator:
         self.logical: dict[str, int | None] = {}
         self.device_states: dict[str, dv.DeviceState] = {}
         self.actors: list[Actor] = []
-        # The actors whose class overrides `on_tick`, and those whose class
-        # overrides `on_event`, in add order.  `add_actor` and `remove_actor`
-        # rebind them, so a loop over one keeps the actors it started with.
+        # The awake actors and the `on_event` overriders, in add order.  Each
+        # change rebinds them, so a loop over one keeps the actors it started with.
         self._tickers: tuple[Actor, ...] = ()
         self._listeners: tuple[Actor, ...] = ()
         self._domains: dict[str, _Domain] = {}
@@ -316,16 +316,23 @@ class Simulator:
 
     def add_actor(self, actor: Actor):
         self.actors.append(actor)
-        cls = type(actor)
-        if cls.on_tick is not Actor.on_tick:
-            self._tickers += (actor,)
-        if cls.on_event is not Actor.on_event:
+        if type(actor).on_event is not Actor.on_event:
             self._listeners += (actor,)
 
     def remove_actor(self, actor: Actor):
         self.actors.remove(actor)
-        self._tickers = tuple(a for a in self._tickers if a is not actor)
+        self.rest(actor)
         self._listeners = tuple(a for a in self._listeners if a is not actor)
+
+    def wake(self, actor: Actor):
+        """Call `actor.on_tick` on every tick from the next one until `rest`."""
+        if actor not in self.actors:
+            raise ValueError("cannot wake an actor that was never added")
+        self._tickers = tuple(a for a in self.actors if a is actor or a in self._tickers)
+
+    def rest(self, actor: Actor):
+        """Stop calling `actor.on_tick`, from the next tick on."""
+        self._tickers = tuple(a for a in self._tickers if a is not actor)
 
     def next_session_id(self) -> str:
         self._session_counter += 1
@@ -429,7 +436,8 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def run(self, until: int) -> Trace:
-        """Process every tick up to (not including) `until`."""
+        """Process every tick before `until`; with no actor awake, the clock
+        jumps straight to the next queued call, or to `until`."""
         self.start()
         while self.clock < until:
             tick = self.clock
@@ -438,5 +446,8 @@ class Simulator:
             while self._queue and self._queue[0][0] == tick:
                 _, _, fn, args = heapq.heappop(self._queue)
                 fn(*args)
-            self.clock = tick + 1
+            if self._tickers:
+                self.clock = tick + 1
+            else:
+                self.clock = min(self._queue[0][0], until) if self._queue else until
         return self.trace

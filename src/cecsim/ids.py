@@ -94,7 +94,7 @@ class Detector:
         self.alerts: list[Alert] = []
         # (rule, initiator) -> (tick, frame) window, until the rule fires.
         self._windows: dict[tuple[str, str], deque] = {}
-        # Recent broadcast announcements from every initiator, for standby.
+        # Recent broadcast announcements, each with its wire's observers.
         self._announcements: deque = deque()
         self._fired: set[tuple[str, str]] = set()
         # The last observers tuple seen, and whether the tap is in it: the
@@ -178,15 +178,15 @@ class Detector:
         frame = event.frame
         tick = event.tick
         if frame.opcode in fr.ANNOUNCE_OPCODES and frame.is_broadcast:
-            self._announcements.append((tick, event.origin, frame))
+            self._announcements.append((tick, event.origin, frame, event.observers))
         while self._announcements and self._announcements[0][0] < tick - self.config.standby_gap:
             self._announcements.popleft()
         if frame.opcode != fr.OP_STANDBY or (RULE_TARGETED_STANDBY, event.origin) in self._fired:
             return
-        # The standby pairs with the oldest announcement it answers; the
-        # window holds the pairs in turn, announcement then standby.
-        for ann_tick, ann_origin, announcement in self._announcements:
-            if ann_origin != event.origin and (
+        # The standby pairs with the oldest announcement on its wire that it
+        # answers; the window holds the pairs in turn, announcement then standby.
+        for ann_tick, ann_origin, announcement, observers in self._announcements:
+            if ann_origin != event.origin and observers == event.observers and (
                 frame.is_broadcast or frame.destination == announcement.initiator
             ):
                 window = self._windows.setdefault((RULE_TARGETED_STANDBY, event.origin), deque())

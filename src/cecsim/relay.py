@@ -155,7 +155,7 @@ class RelayPoller(Actor):
         log.info("relay command %s executed", command)
 
     def _dos1(self, sim: Simulator, envelope: dict):
-        self.controller.broadcast.activate()
+        self.controller.broadcast.activate(sim)
 
     def _tdos(self, sim: Simulator, envelope: dict):
         targeted = self.controller.targeted

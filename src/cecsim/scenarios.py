@@ -262,6 +262,8 @@ def run_scenario(scenario: Scenario, *, relay_client=None) -> RunResult:
         interval = relay_cfg.get("interval_ticks", 2 * scenario.ticks_per_second)
         poller = relay_mod.RelayPoller(client, next(iter(controllers.values())), interval)
         sim.add_actor(poller)
+        # The poller reads the relay on its own schedule, so it never rests.
+        sim.wake(poller)
         result.poller = poller
         for cmd in relay_cfg.get("commands") or []:
             envelope = {k: v for k, v in cmd.items() if k != "tick"}
@@ -327,7 +329,7 @@ def _arm_targeted_dos(sim: Simulator, action: ScenarioAction, result: RunResult)
 
 
 def _start_broadcast_dos(sim: Simulator, action: ScenarioAction, result: RunResult):
-    result.controllers[action.actor].broadcast.activate()
+    result.controllers[action.actor].broadcast.activate(sim)
 
 
 def _cancel_attacks(sim: Simulator, action: ScenarioAction, result: RunResult):
@@ -390,25 +392,17 @@ def write_artifacts(result: RunResult, out_dir: str) -> list[str]:
 # Post-run checks: each returns whether it passed and a line saying why
 # ---------------------------------------------------------------------------
 
-def _power_timeline(result: RunResult, device: str) -> list[str]:
-    """Per-tick power value for a device across the whole run."""
-    value = result.sim.topology.nodes[device].initial_power.value
+def _power_spans(result: RunResult, device: str, start=0) -> list[tuple]:
+    """A device's power from tick `start` to the run's end, as (first, end,
+    value) spans read from its logged changes rather than tick by tick."""
+    stop = result.scenario.duration
+    power = {0: result.sim.topology.nodes[device].initial_power.value}
     # The last change logged at each tick is the power that tick ends with.
-    changes = {
-        c.tick: c.value for c in result.trace.changes if c.device == device and c.field == "power"
-    }
-    timeline = []
-    for tick in range(result.scenario.duration):
-        value = changes.get(tick, value)
-        timeline.append(value)
-    return timeline
-
-
-def _input_sequence(result: RunResult, device: str) -> list[int]:
-    return [
-        int(c.value) for c in result.trace.changes
-        if c.device == device and c.field == "active_input_port" and c.value != "None"
-    ]
+    power.update((c.tick, c.value) for c in result.trace.changes
+                 if c.device == device and c.field == "power" and c.tick < stop)
+    ticks = sorted(power)
+    ends = ticks[1:] + [stop]
+    return [(max(t, start), end, power[t]) for t, end in zip(ticks, ends) if end > start]
 
 
 def _check_scan_report_equals(result: RunResult, *, expected) -> tuple[bool, str]:
@@ -477,7 +471,10 @@ def _check_transfer_complete(result: RunResult, *, source=None) -> tuple[bool, s
 
 
 def _check_min_input_cycles(result: RunResult, *, device, count) -> tuple[bool, str]:
-    sequence = _input_sequence(result, device)
+    sequence = [
+        int(c.value) for c in result.trace.changes
+        if c.device == device and c.field == "active_input_port" and c.value != "None"
+    ]
     cycles = 0
     i = 0
     while i + 4 <= len(sequence):
@@ -490,18 +487,16 @@ def _check_min_input_cycles(result: RunResult, *, device, count) -> tuple[bool, 
 
 
 def _check_powered_on_by(result: RunResult, *, device, tick) -> tuple[bool, str]:
-    timeline = _power_timeline(result, device)
-    for at, value in enumerate(timeline[: tick + 1]):
-        if value == "on":
-            return True, "%s on at tick %d" % (device, at)
+    on_at = next((at for at, _, value in _power_spans(result, device) if value == "on"), None)
+    if on_at is not None and on_at <= tick:
+        return True, "%s on at tick %d" % (device, on_at)
     return False, "%s not on by tick %d" % (device, tick)
 
 
 def _check_max_on_streak(result: RunResult, *, device, ticks, from_tick=0) -> tuple[bool, str]:
-    timeline = _power_timeline(result, device)[from_tick:]
     worst = streak = 0
-    for value in timeline:
-        streak = streak + 1 if value == "on" else 0
+    for first, end, value in _power_spans(result, device, from_tick):
+        streak = streak + end - first if value == "on" else 0
         worst = max(worst, streak)
     return worst <= ticks, "%s longest on-streak %d ticks from tick %d (limit %d)" % (
         device, worst, from_tick, ticks
@@ -548,8 +543,7 @@ def _check_device_power_at_end(result: RunResult, *, device, power) -> tuple[boo
 
 
 def _check_device_remains_on(result: RunResult, *, device, from_tick=0) -> tuple[bool, str]:
-    timeline = _power_timeline(result, device)[from_tick:]
-    off_at = next((from_tick + i for i, v in enumerate(timeline) if v != "on"), None)
+    off_at = next((t for t, _, v in _power_spans(result, device, from_tick) if v != "on"), None)
     if off_at is None:
         return True, "%s on from tick %d onward" % (device, from_tick)
     return False, "%s left on-state at tick %d" % (device, off_at)

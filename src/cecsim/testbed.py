@@ -8,8 +8,6 @@ switch passes EDID through untouched, which is why the client reads the
 TV's port address 4.0.0.0 rather than one nibble deeper.
 """
 
-from cecsim.topology import Topology, build_topology
-
 TESTBED_NAME = "testbed"
 
 TESTBED_TOPOLOGY = {
@@ -139,7 +137,3 @@ EXPECTED_TESTBED_SCAN = {
         "Language": "Unk",
     },
 }
-
-
-def build_testbed() -> Topology:
-    return build_topology(TESTBED_TOPOLOGY)

@@ -11,7 +11,6 @@ for the open session is dismissed.
 import hashlib
 import itertools
 import logging
-import math
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -42,10 +41,6 @@ def serialize_payload(data: bytes) -> Iterator[tuple[int, ...]]:
     if len(data) > MAX_PAYLOAD:
         raise ValueError("payload too large: %d bytes" % len(data))
     return (tuple(data[i : i + SEGMENT_BYTES]) for i in range(0, len(data), SEGMENT_BYTES))
-
-
-def segment_count(size: int) -> int:
-    return math.ceil(size / SEGMENT_BYTES)
 
 
 def payload_digest(data: bytes) -> str:
@@ -137,6 +132,7 @@ class FileSender(Actor):
             (CecFrame(own, peer, DATA_OPCODE, chunk) for chunk in chunks), (END_MARKER,)
         )
         self.session = SendSession(session_id=sim.next_session_id())
+        sim.wake(self)
         log.info(
             "%s streaming %d bytes to address %d as %s",
             self.device, len(payload), peer, self.session.session_id,
@@ -144,6 +140,7 @@ class FileSender(Actor):
 
     def on_tick(self, sim: Simulator, tick: int):
         if self.session is None:
+            sim.rest(self)
             return
         frame = next(self._frames)
         sim.transmit_at(tick, self.device, frame)
@@ -181,6 +178,7 @@ class FileReceiver(Actor):
             last_activity=sim.clock,
         )
         sim.transmit_at(sim.clock, self.device, REQUEST_MARKER)
+        sim.wake(self)
         return True
 
     def _peer_matches(self, sim: Simulator, origin: str) -> bool:
@@ -211,6 +209,7 @@ class FileReceiver(Actor):
 
     def on_tick(self, sim: Simulator, tick: int):
         if self.session is None:
+            sim.rest(self)
             return
         if tick - self.session.last_activity > INACTIVITY_TIMEOUT:
             log.info("%s transfer %s timed out", self.device, self.session.session_id)

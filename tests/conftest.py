@@ -1,5 +1,6 @@
-"""Shared fixtures: the lab tree, small topologies, random builders, and
-the relay poller's log and command names; servers run in the background."""
+"""Shared fixtures and helpers: the lab tree, small topologies, random
+builders, covert segment counts, and the relay poller's log and command
+names; servers run in the background."""
 
 import contextlib
 import logging
@@ -9,8 +10,18 @@ import pytest
 
 from cecsim.bus import Simulator
 from cecsim.relay import RelayPoller
-from cecsim.testbed import build_testbed
-from cecsim.topology import build_topology
+from cecsim.testbed import TESTBED_TOPOLOGY
+from cecsim.topology import Topology, build_topology
+from cecsim.transfer import SEGMENT_BYTES
+
+
+def build_testbed() -> Topology:
+    return build_topology(TESTBED_TOPOLOGY)
+
+
+def segment_count(size: int) -> int:
+    """The data frames a covert transfer of `size` bytes takes."""
+    return -(-size // SEGMENT_BYTES)
 
 
 @pytest.fixture

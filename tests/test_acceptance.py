@@ -15,11 +15,11 @@ from cecsim.devices import UserAction
 from cecsim.frames import CecFrame, encode_frame, parse_frame
 from cecsim.relay import LISTENER_PATH, WEBCLIENT_PATH, LoopbackRelayClient, RelayPoller
 from cecsim.relay_http import HttpRelayClient, RelayServer
-from cecsim.testbed import EXPECTED_TESTBED_SCAN, build_testbed
-from cecsim.transfer import FileReceiver, FileSender, PayloadStore, segment_count
+from cecsim.testbed import EXPECTED_TESTBED_SCAN
+from cecsim.transfer import FileReceiver, FileSender, PayloadStore
 from cecsim.ids import apply_mitigation, detect
 
-from conftest import serving
+from conftest import build_testbed, segment_count, serving
 from test_transfer import wired_sim as transfer_sim
 
 
@@ -220,6 +220,7 @@ def _relay_roundtrip(client, relay_log) -> tuple[bool, str]:
     controller.register(sim)
     poller = RelayPoller(client, controller, interval_ticks=5)
     sim.add_actor(poller)
+    sim.wake(poller)
     envelope = json.dumps({"command": "TDOS", "issued_at": 1})
     client.post(LISTENER_PATH, envelope)
     sim.start()

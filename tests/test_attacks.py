@@ -20,10 +20,11 @@ from cecsim.bus import Simulator
 from cecsim.devices import UserAction
 from cecsim.frames import CecFrame
 from cecsim.scenarios import builtin_scenario, run_scenario
-from cecsim.testbed import EXPECTED_TESTBED_SCAN, build_testbed
+from cecsim.testbed import EXPECTED_TESTBED_SCAN
 from cecsim.topology import propagation_domains
 from cecsim.transfer import PayloadStore
 
+from conftest import build_testbed
 from test_bus import tree_topologies
 
 
@@ -250,7 +251,7 @@ class TestBroadcastDos:
     def test_cycle_contents(self, testbed_sim):
         dos = BroadcastDos("listener", display_address=0)
         testbed_sim.add_actor(dos)
-        dos.activate()
+        dos.activate(testbed_sim)
         testbed_sim.run(until=7)
         frames = [
             e.frame.text
@@ -271,14 +272,14 @@ class TestBroadcastDos:
         sim.device_states["tv"] = dataclasses.replace(
             sim.device_states["tv"], power=PowerState.STANDBY
         )
-        dos.activate()
+        dos.activate(sim)
         sim.run(until=6)
         assert sim.device_states["tv"].power.value == "on"
 
     def test_rate_sustained(self, testbed_sim):
         dos = BroadcastDos("listener")
         testbed_sim.add_actor(dos)
-        dos.activate()
+        dos.activate(testbed_sim)
         testbed_sim.run(until=500)
         claims = [
             e for e in testbed_sim.trace.events
@@ -289,13 +290,37 @@ class TestBroadcastDos:
     def test_deactivate_stops_traffic(self, testbed_sim):
         dos = BroadcastDos("listener")
         testbed_sim.add_actor(dos)
-        dos.activate()
+        dos.activate(testbed_sim)
         testbed_sim.run(until=10)
         dos.deactivate()
         seen = len([e for e in testbed_sim.trace.events if e.origin == "listener"])
         testbed_sim.run(until=30)
         again = len([e for e in testbed_sim.trace.events if e.origin == "listener"])
         assert again == seen
+
+    @staticmethod
+    def _churn_ticks(sim):
+        return [e.tick for e in sim.trace.events
+                if e.origin == "listener" and e.frame.opcode in fr.CHURN_OPCODES]
+
+    def test_reactivated_in_the_same_tick_sends_one_frame_per_tick(self, testbed_sim):
+        dos = BroadcastDos("listener")
+        testbed_sim.add_actor(dos)
+        dos.activate(testbed_sim)
+        for tick in (3, 6):
+            testbed_sim.schedule(tick, dos.deactivate)
+            testbed_sim.schedule(tick, dos.activate, testbed_sim)
+        testbed_sim.run(until=10)
+        assert self._churn_ticks(testbed_sim) == list(range(10))
+
+    def test_reactivated_after_a_pause_resumes_on_the_next_tick(self, testbed_sim):
+        dos = BroadcastDos("listener")
+        testbed_sim.add_actor(dos)
+        dos.activate(testbed_sim)
+        testbed_sim.schedule(3, dos.deactivate)
+        testbed_sim.schedule(7, dos.activate, testbed_sim)
+        testbed_sim.run(until=10)
+        assert self._churn_ticks(testbed_sim) == [0, 1, 2, 3, 8, 9]
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +374,7 @@ class TestAttackController:
     def test_cancel_all(self, testbed_sim):
         controller, _ = self.wired(testbed_sim)
         controller.targeted.arm()
-        controller.broadcast.activate()
+        controller.broadcast.activate(testbed_sim)
         controller.cancel_all()
         assert not controller.targeted.armed
         assert not controller.broadcast.active
@@ -370,7 +395,7 @@ class TestTriggerEquivalence:
         if via_marker:
             sim.transmit_at(5, "client", ARM_BROADCAST_MARKER)
         else:
-            sim.schedule(5, lambda: controller.broadcast.activate())
+            sim.schedule(5, controller.broadcast.activate, sim)
         sim.run(until=40)
         frames = [
             (e.tick, e.frame.text)

@@ -21,10 +21,9 @@ from cecsim.frames import (
     PowerState,
 )
 from cecsim.scenarios import builtin_scenario, builtin_scenario_names, run_scenario
-from cecsim.testbed import build_testbed
 from cecsim.topology import TopologyError, build_topology, propagation_domains
 
-from conftest import make_chain
+from conftest import build_testbed, make_chain
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +504,8 @@ class _Witness(_Listener, _Ticker):
 
 
 class _Recruiter(_Witness):
-    """Adds `recruit` while it hears its first frame or, with `at_tick`
-    set, during its first tick."""
+    """Adds and wakes `recruit` while it hears its first frame or, with
+    `at_tick` set, during its first tick."""
 
     def __init__(self, device, recruit, at_tick=False):
         super().__init__(device)
@@ -517,11 +516,13 @@ class _Recruiter(_Witness):
         super().on_event(sim, event)
         if len(self.heard) == 1 and not self.at_tick:
             sim.add_actor(self.recruit)
+            sim.wake(self.recruit)
 
     def on_tick(self, sim, tick):
         super().on_tick(sim, tick)
         if len(self.ticks) == 1 and self.at_tick:
             sim.add_actor(self.recruit)
+            sim.wake(self.recruit)
 
 
 class _Remover(_Witness):
@@ -570,7 +571,9 @@ class TestHearing:
 
     def test_actor_added_during_a_tick_starts_on_the_next(self, testbed_sim):
         late = _Witness("tv")
-        testbed_sim.add_actor(_Recruiter("tv", late, at_tick=True))
+        recruiter = _Recruiter("tv", late, at_tick=True)
+        testbed_sim.add_actor(recruiter)
+        testbed_sim.wake(recruiter)
         testbed_sim.run(until=4)
         assert late.ticks == [1, 2, 3]
 
@@ -578,6 +581,7 @@ class TestHearing:
         ticker, listener, idle = _Ticker("tv"), _Listener("tv"), Actor("amp")
         for actor in (ticker, listener, idle):
             testbed_sim.add_actor(actor)
+        testbed_sim.wake(ticker)
         start = len(testbed_sim.trace.events)
         testbed_sim.transmit_at(1, "client", CecFrame(2, 0, OP_GIVE_POWER_STATUS))
         testbed_sim.run(until=3)
@@ -590,6 +594,8 @@ class TestHearing:
         leaver, stayer = _Remover("tv"), _Witness("tv")
         testbed_sim.add_actor(leaver)
         testbed_sim.add_actor(stayer)
+        testbed_sim.wake(leaver)
+        testbed_sim.wake(stayer)
         testbed_sim.transmit_at(2, "client", CecFrame(2, 0, OP_GIVE_POWER_STATUS))
         testbed_sim.transmit_at(4, "client", CecFrame(2, 0, OP_GIVE_OSD_NAME))
         testbed_sim.run(until=7)
@@ -602,11 +608,108 @@ class TestHearing:
         remover = _Remover("tv", victim)
         testbed_sim.add_actor(remover)
         testbed_sim.add_actor(victim)
+        testbed_sim.wake(victim)
         testbed_sim.transmit_at(2, "client", CecFrame(2, 0, OP_GIVE_POWER_STATUS))
         testbed_sim.run(until=5)
         assert len(remover.heard) > 1 and victim.heard == remover.heard[:1]
         assert victim.ticks == [0, 1, 2]
         assert testbed_sim.actors == [remover]
+
+
+class _Sleeper(_Ticker):
+    """Rests itself on its `stop`-th tick."""
+
+    def __init__(self, device, stop):
+        super().__init__(device)
+        self.stop = stop
+
+    def on_tick(self, sim, tick):
+        super().on_tick(sim, tick)
+        if len(self.ticks) == self.stop:
+            sim.rest(self)
+
+
+class TestWaking:
+    """`on_tick` runs only between `wake` and `rest` or `remove_actor`."""
+
+    def test_added_actor_does_not_tick_until_woken(self, testbed_sim):
+        ticker = _Ticker("tv")
+        testbed_sim.add_actor(ticker)
+        testbed_sim.run(until=5)
+        assert ticker.ticks == []
+        testbed_sim.wake(ticker)
+        testbed_sim.run(until=8)
+        assert ticker.ticks == [5, 6, 7]
+
+    def test_actor_woken_by_a_queued_call_starts_on_the_next_tick(self, testbed_sim):
+        ticker = _Ticker("tv")
+        testbed_sim.add_actor(ticker)
+        testbed_sim.schedule(4, testbed_sim.wake, ticker)
+        testbed_sim.run(until=8)
+        assert ticker.ticks == [5, 6, 7]
+
+    def test_actor_woken_twice_ticks_once_per_tick(self, testbed_sim):
+        ticker = _Ticker("tv")
+        testbed_sim.add_actor(ticker)
+        testbed_sim.wake(ticker)
+        testbed_sim.schedule(2, testbed_sim.wake, ticker)
+        testbed_sim.run(until=5)
+        assert ticker.ticks == [0, 1, 2, 3, 4]
+
+    def test_rest_stops_ticks_from_the_next_tick(self, testbed_sim):
+        sleeper, other = _Sleeper("tv", stop=2), _Ticker("tv")
+        for actor in (sleeper, other):
+            testbed_sim.add_actor(actor)
+            testbed_sim.wake(actor)
+        testbed_sim.schedule(3, testbed_sim.rest, other)
+        testbed_sim.run(until=6)
+        assert sleeper.ticks == [0, 1] and other.ticks == [0, 1, 2, 3]
+        assert testbed_sim.actors == [sleeper, other]
+
+    def test_awake_actors_tick_in_add_order(self, testbed_sim):
+        order = []
+        actors = [_Ticker(device) for device in ("tv", "amp", "client")]
+        for actor in actors:
+            testbed_sim.add_actor(actor)
+            actor.on_tick = lambda sim, tick, actor=actor: order.append(actor.device)
+        for actor in reversed(actors):
+            testbed_sim.wake(actor)
+        testbed_sim.run(until=2)
+        assert order == ["tv", "amp", "client"] * 2
+
+    def test_waking_an_actor_not_added_raises(self, testbed_sim):
+        stranger, leaver = _Ticker("tv"), _Ticker("tv")
+        testbed_sim.add_actor(leaver)
+        testbed_sim.remove_actor(leaver)
+        for actor in (stranger, leaver):
+            with pytest.raises(ValueError, match="never added"):
+                testbed_sim.wake(actor)
+
+    def test_idle_run_jumps_to_the_next_queued_call(self, testbed_sim):
+        # No actor is awake: the clock jumps over a billion empty ticks.
+        calls = []
+        testbed_sim.add_actor(_Ticker("tv"))
+        testbed_sim.schedule(10**9 - 1, lambda: calls.append(testbed_sim.clock))
+        testbed_sim.run(until=10**9)
+        assert calls == [10**9 - 1] and testbed_sim.clock == 10**9
+
+    def test_idle_run_ends_at_until(self, testbed_sim):
+        calls = []
+        testbed_sim.schedule(50, lambda: calls.append(testbed_sim.clock))
+        testbed_sim.run(until=20)
+        assert calls == [] and testbed_sim.clock == 20
+        testbed_sim.run(until=60)
+        assert calls == [50] and testbed_sim.clock == 60
+
+    def test_actor_woken_after_a_jump_ticks_every_tick(self, testbed_sim):
+        ticker = _Ticker("tv")
+        testbed_sim.add_actor(ticker)
+        testbed_sim.schedule(1000, testbed_sim.wake, ticker)
+        testbed_sim.schedule(1003, testbed_sim.rest, ticker)
+        testbed_sim.schedule(5000, lambda: None)
+        testbed_sim.run(until=10**6)
+        assert ticker.ticks == [1001, 1002, 1003]
+        assert testbed_sim.clock == 10**6
 
 
 # ---------------------------------------------------------------------------

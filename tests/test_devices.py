@@ -33,8 +33,9 @@ from cecsim.frames import (
     QUERY_OPCODES,
     RESPONSE_OPCODES,
 )
-from cecsim.testbed import build_testbed
 from cecsim.topology import build_topology
+
+from conftest import build_testbed
 
 
 @pytest.fixture

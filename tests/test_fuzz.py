@@ -15,11 +15,11 @@ from cecsim.attacks import AttackController
 from cecsim.bus import Simulator, _TRACE_LINE, parse_trace_line
 from cecsim.relay import LISTENER_PATH, WEBCLIENT_PATH, RelayPoller, RelayState
 from cecsim.scenarios import ScenarioError, evaluate_checks, load_scenario, run_scenario
-from cecsim.testbed import TESTBED_TOPOLOGY, build_testbed
+from cecsim.testbed import TESTBED_TOPOLOGY
 from cecsim.topology import TopologyError, build_topology
 from cecsim.transfer import PayloadStore
 
-from conftest import KNOWN_COMMANDS
+from conftest import KNOWN_COMMANDS, build_testbed
 
 FUZZ = settings(
     deadline=None, max_examples=100, suppress_health_check=[HealthCheck.too_slow]

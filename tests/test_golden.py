@@ -10,7 +10,13 @@ import hashlib
 
 import pytest
 
-from cecsim.scenarios import builtin_scenario, builtin_scenario_names, run_scenario, write_artifacts
+from cecsim.scenarios import (
+    builtin_scenario,
+    builtin_scenario_names,
+    load_scenario,
+    run_scenario,
+    write_artifacts,
+)
 
 PINNED_FILES = ("trace.log", "state.log", "alerts.jsonl")
 
@@ -103,3 +109,28 @@ def test_loaded_scenario_runs_twice_unchanged(name):
     assert first.trace.render_log() == second.trace.render_log()
     assert first.trace.render_state_log() == second.trace.render_state_log()
     assert scenario.topology == pristine
+
+
+# A covert transfer with input churn armed while it streams: from tick 11 the
+# listener's churn and data frames share each tick, and the churn frame goes
+# first because the churn loop was added before the file sender.  No builtin
+# puts two actors' frames on one tick.
+SAME_TICK_SCENARIO = {
+    "name": "churn-during-transfer",
+    "topology": "testbed",
+    "duration": 30,
+    "seed": 1,
+    "listener_options": {"capture_bytes": 2048},
+    "actions": [
+        {"tick": 2, "actor": "client", "action": "request_file", "args": {"peer": "listener"}},
+        {"tick": 10, "actor": "client", "action": "send_frame", "args": {"frame": "dd:dd:dd:dd"}},
+    ],
+}
+SAME_TICK_TRACE = "07d474754a8907b84da997586f76169928ce3e733523d25c13038b1402d7127d"
+
+
+def test_same_tick_frames_keep_the_actors_add_order():
+    log = run_scenario(load_scenario(SAME_TICK_SCENARIO)).trace.render_log()
+    at_11 = [line.split(" | ")[2] for line in log.splitlines() if line.startswith("t=11 ")]
+    assert at_11[0] == "10:04" and at_11[1].startswith("12:00:")
+    assert hashlib.sha256(log.encode("utf-8")).hexdigest() == SAME_TICK_TRACE

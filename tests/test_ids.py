@@ -21,9 +21,10 @@ from cecsim.ids import (
     apply_mitigation,
     detect,
 )
-from cecsim.testbed import build_testbed
 from cecsim.topology import TopologyError
 from cecsim.transfer import END_MARKER, MIC_MARKER, REQUEST_MARKER
+
+from conftest import build_testbed
 
 
 def ev(tick, origin, text, observers=("tap", "a", "b"), ack=True):
@@ -131,6 +132,26 @@ class TestTargetedStandby:
             events.append(ev(tick, "tv", "0f:84:00:00:00"))
             events.append(ev(tick + 1, "spy", "1f:36"))
         assert [a.rule for a in detect(events)] == [RULE_TARGETED_STANDBY]
+
+    @staticmethod
+    def _across_wires(listener_wire):
+        """tv announces on its wire, then listener sends Standby to tv on
+        `listener_wire`, twice."""
+        events = []
+        for tick in (10, 20):
+            events.append(ev(tick, "tv", "0f:84:00:00:00", observers=("tv", "amp")))
+            events.append(ev(tick + 1, "listener", "30:36", observers=listener_wire))
+        return events
+
+    @pytest.mark.parametrize("tap", [None, "tv", "switch"])
+    def test_standby_pairs_only_with_an_announcement_on_its_wire(self, tap):
+        # No single wire carries both frames, so no tap, and no detector
+        # fed every wire, may pair them.
+        assert detect(self._across_wires(("switch", "listener")), tap=tap) == []
+
+    def test_same_wire_pairs(self):
+        alerts = detect(self._across_wires(("tv", "amp")))
+        assert [(a.rule, a.subject) for a in alerts] == [(RULE_TARGETED_STANDBY, "listener")]
 
 
 class TestCovertRules:
@@ -279,8 +300,9 @@ def reference_standby_alerts(events, config):
     """TargetedStandby as documented, by brute force over the whole stream.
 
     A Standby pairs with the oldest earlier broadcast announcement that is
-    at most `standby_gap` ticks older, comes from another device, and is
-    one the Standby addresses (it is broadcast, or sent to the announcer).
+    at most `standby_gap` ticks older, went out on the same wire (the same
+    observers), comes from another device, and is one the Standby
+    addresses (it is broadcast, or sent to the announcer).
     An initiator's `standby_repeat`-th pair raises its one alert, which
     runs from the first announcement to that Standby and cites every pair.
     """
@@ -296,6 +318,7 @@ def reference_standby_alerts(events, config):
                 announced.frame.opcode in fr.ANNOUNCE_OPCODES
                 and announced.frame.is_broadcast
                 and announced.tick >= standby.tick - config.standby_gap
+                and announced.observers == standby.observers
                 and announced.origin != standby.origin
                 and (frame.is_broadcast or frame.destination == announced.frame.initiator)
             ):
@@ -309,7 +332,10 @@ def reference_standby_alerts(events, config):
 
 
 class TestStandbyReference:
-    @given(attack_bursts, small_configs, st.none() | st.sampled_from(_TESTBED_IDS))
+    # A stripped edge splits the bus into wires, so an untapped detector
+    # sees announcements and Standbys that no one wire carries together.
+    @given(attack_bursts, small_configs, st.none() | st.sampled_from(_TESTBED_IDS),
+           st.none() | st.sampled_from(_TESTBED_EDGES))
     @settings(deadline=None, max_examples=150)
     # Two announcements in the gap, so the oldest is cited; one of them
     # paired twice; a third announcement from the standby's own sender.
@@ -323,6 +349,7 @@ class TestStandbyReference:
         ],
         config=RuleConfig(standby_gap=3, standby_repeat=3),
         tap=None,
+        strip=None,
     )
     # A directed announcement pairs with nothing.
     @example(
@@ -332,9 +359,23 @@ class TestStandbyReference:
         ],
         config=RuleConfig(standby_repeat=1),
         tap=None,
+        strip=None,
     )
-    def test_detector_matches_reference(self, bursts, config, tap):
-        sim = Simulator(build_testbed())
+    # tv's announcements and client's Standbys on either side of a cut.
+    @example(
+        bursts=[
+            (0, "tv", CecFrame(0, 15, fr.OP_REPORT_PHYSICAL_ADDRESS, (0, 0, 0)), 1),
+            (1, "client", CecFrame(4, 0, fr.OP_STANDBY), 1),
+            (9, "tv", CecFrame(0, 15, fr.OP_REPORT_PHYSICAL_ADDRESS, (0, 0, 0)), 1),
+            (1, "client", CecFrame(4, 0, fr.OP_STANDBY), 1),
+        ],
+        config=RuleConfig(),
+        tap=None,
+        strip=_strip("tv", "switch"),
+    )
+    def test_detector_matches_reference(self, bursts, config, tap, strip):
+        topology = build_testbed()
+        sim = Simulator(topology if strip is None else apply_mitigation(topology, strip))
         tick = 0
         for gap, origin, frame, length in bursts:
             tick += gap

@@ -21,10 +21,10 @@ from cecsim.relay import (
 )
 from cecsim.relay_http import HttpRelayClient, RelayServer
 from cecsim.scenarios import builtin_scenario, load_scenario, run_scenario
-from cecsim.testbed import EXPECTED_TESTBED_SCAN, build_testbed
+from cecsim.testbed import EXPECTED_TESTBED_SCAN
 from cecsim.transfer import MAX_PAYLOAD, PayloadStore, payload_digest
 
-from conftest import KNOWN_COMMANDS, serving
+from conftest import KNOWN_COMMANDS, build_testbed, serving
 
 
 @pytest.fixture(params=["loopback", "http"])
@@ -124,6 +124,7 @@ class TestPoller:
 
         poller = RelayPoller(CountingClient(), controller, interval_ticks=5)
         sim.add_actor(poller)
+        sim.wake(poller)
         sim.start()
         sim.run(until=21)
         assert CountingClient.gets == 4  # ticks 5, 10, 15, 20
@@ -133,6 +134,7 @@ class TestPoller:
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
         sim.add_actor(poller)
+        sim.wake(poller)
         client.post(LISTENER_PATH, json.dumps({"command": "TDOS", "issued_at": 0}))
         sim.start()
         sim.run(until=12)
@@ -146,6 +148,7 @@ class TestPoller:
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
         sim.add_actor(poller)
+        sim.wake(poller)
         client.post(LISTENER_PATH, json.dumps({"command": "CANCEL", "issued_at": 0}))
         sim.start()
         sim.run(until=5)
@@ -158,6 +161,7 @@ class TestPoller:
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
         sim.add_actor(poller)
+        sim.wake(poller)
         client.post(LISTENER_PATH, json.dumps({"command": "FORMAT_DISK"}))
         sim.start()
         sim.run(until=6)
@@ -170,6 +174,7 @@ class TestPoller:
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
         sim.add_actor(poller)
+        sim.wake(poller)
         client.post(LISTENER_PATH, "not json at all")
         sim.start()
         sim.run(until=6)
@@ -183,6 +188,7 @@ class TestPoller:
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
         sim.add_actor(poller)
+        sim.wake(poller)
         client.post(LISTENER_PATH, envelope)
         sim.run(until=6)
         assert relay_log.executed == [] and relay_log.unknown == []
@@ -215,6 +221,7 @@ class TestPoller:
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
         sim.add_actor(poller)
+        sim.wake(poller)
         client.post(LISTENER_PATH, json.dumps({"command": "TDOS", "target": 4}))
         sim.run(until=4)
         assert relay_log.executed == ["TDOS"]
@@ -228,6 +235,7 @@ class TestPoller:
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
         sim.add_actor(poller)
+        sim.wake(poller)
         client.down = True
         poller.publish("result-1")
         assert poller._pending == "result-1"
@@ -248,6 +256,7 @@ class TestPoller:
         client = RecordingClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
         sim.add_actor(poller)
+        sim.wake(poller)
         client.down = True
         poller.publish("result-1")
         poller.publish("result-2")
@@ -263,6 +272,7 @@ class TestPoller:
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=1)
         sim.add_actor(poller)
+        sim.wake(poller)
         for issued_at in range(1, 1001):
             envelope = json.dumps({"command": "CANCEL", "issued_at": issued_at})
             client.post(LISTENER_PATH, envelope)
@@ -278,6 +288,7 @@ class TestPoller:
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=1)
         sim.add_actor(poller)
+        sim.wake(poller)
         sizes = []
         for issued_at in range(1, 1001):
             command = "CANCEL" if issued_at % 2 else "FORMAT_DISK"
@@ -295,6 +306,7 @@ class TestPoller:
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
         sim.add_actor(poller)
+        sim.wake(poller)
         first = json.dumps({"command": "CANCEL", "issued_at": 0})
         for until, envelope in ((5, first), (9, json.dumps({"command": "TDOS"})), (13, first)):
             client.post(LISTENER_PATH, envelope)
@@ -317,6 +329,7 @@ class TestPoller:
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
         sim.add_actor(poller)
+        sim.wake(poller)
         client.post(LISTENER_PATH, envelope)
         with caplog.at_level("DEBUG", logger="cecsim.relay"):
             sim.run(until=4)
@@ -330,6 +343,7 @@ class TestPoller:
         client.down = True
         poller = RelayPoller(client, controller, interval_ticks=2)
         sim.add_actor(poller)
+        sim.wake(poller)
         sim.start()
         sim.run(until=8)  # polls fail quietly
         client.down = False
@@ -342,6 +356,7 @@ class TestPoller:
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
         sim.add_actor(poller)
+        sim.wake(poller)
         client.post(LISTENER_PATH, json.dumps({"command": "GETFILE"}))
         sim.start()
         sim.run(until=6)
@@ -355,6 +370,7 @@ class TestPoller:
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
         sim.add_actor(poller)
+        sim.wake(poller)
         client.post(LISTENER_PATH, json.dumps({"command": "SCAN"}))
         sim.start()
         sim.run(until=140)

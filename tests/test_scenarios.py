@@ -5,13 +5,19 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cecsim import cli
 from cecsim import relay_http
 from cecsim import scenarios as scen
+from cecsim.bus import StateChange
+from cecsim.frames import PowerState
 from cecsim.relay import LoopbackRelayClient
 from cecsim.scenarios import (
     ScenarioError,
@@ -424,6 +430,109 @@ class TestArtifacts:
         first = run_scenario(builtin_scenario("attack2-mic-exfil")).trace.render_log()
         second = run_scenario(builtin_scenario("attack2-mic-exfil")).trace.render_log()
         assert first == second
+
+
+# ---------------------------------------------------------------------------
+# Power checks against a per-tick reference
+# ---------------------------------------------------------------------------
+
+def reference_power_timeline(result, device: str) -> list[str]:
+    """Per-tick power value for a device across the whole run, one entry
+    per tick of the duration.  The last change logged at each tick is the
+    power that tick ends with."""
+    value = result.sim.topology.nodes[device].initial_power.value
+    changes = {
+        c.tick: c.value for c in result.trace.changes if c.device == device and c.field == "power"
+    }
+    timeline = []
+    for tick in range(result.scenario.duration):
+        value = changes.get(tick, value)
+        timeline.append(value)
+    return timeline
+
+
+def reference_powered_on_by(result, *, device, tick):
+    for at, value in enumerate(reference_power_timeline(result, device)[: tick + 1]):
+        if value == "on":
+            return True, "%s on at tick %d" % (device, at)
+    return False, "%s not on by tick %d" % (device, tick)
+
+
+def reference_max_on_streak(result, *, device, ticks, from_tick=0):
+    worst = streak = 0
+    for value in reference_power_timeline(result, device)[from_tick:]:
+        streak = streak + 1 if value == "on" else 0
+        worst = max(worst, streak)
+    return worst <= ticks, "%s longest on-streak %d ticks from tick %d (limit %d)" % (
+        device, worst, from_tick, ticks
+    )
+
+
+def reference_device_remains_on(result, *, device, from_tick=0):
+    timeline = reference_power_timeline(result, device)[from_tick:]
+    off_at = next((from_tick + i for i, v in enumerate(timeline) if v != "on"), None)
+    if off_at is None:
+        return True, "%s on from tick %d onward" % (device, from_tick)
+    return False, "%s left on-state at tick %d" % (device, off_at)
+
+
+_powers = st.sampled_from([p.value for p in PowerState])
+# Changes to two devices' power and to a field the power checks skip, some
+# logged at the same tick and some past the end of the run.
+_changes = st.lists(
+    st.builds(StateChange, st.integers(0, 40), st.sampled_from(["tv", "amp"]),
+              st.sampled_from(["power", "power", "active_source"]), _powers),
+    max_size=12,
+).map(lambda changes: sorted(changes, key=lambda c: c.tick))
+
+
+def _fake_result(initial: str, changes, duration: int):
+    node = SimpleNamespace(initial_power=PowerState(initial))
+    return SimpleNamespace(
+        sim=SimpleNamespace(topology=SimpleNamespace(nodes={"tv": node, "amp": node})),
+        trace=SimpleNamespace(changes=changes),
+        scenario=SimpleNamespace(duration=duration),
+    )
+
+
+class TestPowerChecks:
+    @given(_powers, _changes, st.integers(1, 40), st.integers(0, 45), st.integers(0, 45))
+    @settings(deadline=None, max_examples=300)
+    def test_checks_match_the_per_tick_reference(self, initial, changes, duration, tick, ticks):
+        result = _fake_result(initial, changes, duration)
+        for check, reference, kwargs in (
+            (scen._check_powered_on_by, reference_powered_on_by, {"tick": tick}),
+            (scen._check_max_on_streak, reference_max_on_streak, {"ticks": ticks}),
+            (scen._check_max_on_streak, reference_max_on_streak,
+             {"ticks": ticks, "from_tick": tick}),
+            (scen._check_device_remains_on, reference_device_remains_on, {}),
+            (scen._check_device_remains_on, reference_device_remains_on, {"from_tick": tick}),
+        ):
+            assert check(result, device="tv", **kwargs) == reference(
+                result, device="tv", **kwargs
+            )
+
+    def test_power_checks_cost_nothing_per_quiet_tick(self):
+        scenario = load_scenario(doc(
+            duration=10**12,
+            actions=[
+                {"tick": 10, "actor": "tv", "action": "power_off"},
+                {"tick": 20, "actor": "tv", "action": "power_on"},
+            ],
+            checks=[
+                {"type": "powered_on_by", "device": "tv", "tick": 5},
+                {"type": "max_on_streak", "device": "tv", "ticks": 10**12, "from_tick": 15},
+                {"type": "device_remains_on", "device": "tv", "from_tick": 25},
+            ],
+        ))
+        start = time.perf_counter()
+        outcomes = evaluate_checks(run_scenario(scenario))
+        assert time.perf_counter() - start < 1.0
+        assert [(o.ok, o.detail) for o in outcomes] == [
+            (True, "tv on at tick 0"),
+            (True, "tv longest on-streak %d ticks from tick 15 (limit %d)" % (10**12 - 20, 10**12)),
+            (True, "tv on from tick 25 onward"),
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,10 @@ from cecsim.transfer import (
     REQUEST_MARKER,
     SEGMENT_BYTES,
     payload_digest,
-    segment_count,
     serialize_payload,
 )
+
+from conftest import segment_count
 
 
 def channel_topology():
