@@ -22,6 +22,7 @@ log = logging.getLogger(__name__)
 
 ARM_TARGETED_MARKER = parse_frame("cc:cc:cc:cc")
 ARM_BROADCAST_MARKER = parse_frame("dd:dd:dd:dd")
+_ARMING_OPCODES = (ARM_TARGETED_MARKER.opcode, ARM_BROADCAST_MARKER.opcode)
 
 # Columns of the census report, in render order.  A census row is a dict
 # keyed by them, "Unk" where nobody answered.
@@ -254,7 +255,8 @@ class AttackController(Actor):
             sim.add_actor(actor)
 
     def on_event(self, sim: Simulator, event: BusEvent):
-        if event.origin == self.device:
+        # The opcode test only filters: the whole frame must still match.
+        if event.frame.opcode not in _ARMING_OPCODES or event.origin == self.device:
             return
         if event.frame == ARM_TARGETED_MARKER:
             self.targeted.arm()

@@ -18,6 +18,9 @@ reach no `react`: no device acts on them, so they only travel, ack and are
 heard.  The transmitter never reacts to its own frame.  Actors still hear
 every frame their device observes, but tick only while they have work, from
 `Simulator.wake` to `Simulator.rest`; with none awake, `run` jumps ahead.
+
+Frames are immutable values, so the sixteen poll frames `start` sends are
+built once, in `_POLLS`, and every claim in every run shares them.
 """
 
 import bisect
@@ -42,6 +45,9 @@ UNREGISTERED = 15
 # Opcodes no device acts on: None (a poll) and every response.  `react`
 # returns the state unchanged for them, so `deliver` does not call it.
 _INERT_OPCODES = fr.RESPONSE_OPCODES | {None}
+
+# The poll of each logical address, indexed by that address.
+_POLLS = tuple(CecFrame(a, a) for a in range(16))
 
 
 # Tick, origin, frame text, 1 or 0 for the ack, and the joined observers.
@@ -180,6 +186,11 @@ class Actor:
     `Simulator.wake` and `Simulator.rest`.  After `Simulator.remove_actor`
     it gets neither, from the next tick or frame on.  The simulator calls
     only the callbacks a subclass overrides; the ones here do nothing.
+
+    `on_event` runs for every frame the device observes, the logical-address
+    polls of `Simulator.start` included, so a handler that waits for a few
+    frames should reject the rest by a cheap field, such as the opcode,
+    before it compares whole frames.
     """
 
     def __init__(self, device: str):
@@ -276,7 +287,7 @@ class Simulator:
             if c not in candidates:
                 candidates.append(c)
         for candidate in candidates:
-            event = self.deliver(device_id, CecFrame(candidate, candidate))
+            event = self.deliver(device_id, _POLLS[candidate])
             if not event.acknowledged:
                 return self._claim(device_id, candidate)
         log.warning("%s found no free logical address", device_id)

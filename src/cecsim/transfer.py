@@ -28,6 +28,7 @@ MAX_PAYLOAD = 2**24
 REQUEST_MARKER = parse_frame("aa:aa:aa:aa")
 MIC_MARKER = parse_frame("bb:bb:bb:bb")
 END_MARKER = parse_frame("ee:ee:ee:ee")
+_SENDER_MARKER_OPCODES = (MIC_MARKER.opcode, REQUEST_MARKER.opcode)
 
 # Receiver gives up after this much silence.
 INACTIVITY_TIMEOUT = 20
@@ -110,6 +111,9 @@ class FileSender(Actor):
                     self.session = None
             return
 
+        # The opcode test only filters: the whole frame must still match.
+        if frame.opcode not in _SENDER_MARKER_OPCODES:
+            return
         if frame == MIC_MARKER:
             if self.store.arm_mic():
                 log.info("%s mic payload armed", self.device)
@@ -193,7 +197,7 @@ class FileReceiver(Actor):
         if self.session is None or event.origin == self.device:
             return
         frame = event.frame
-        if frame == END_MARKER:
+        if frame.opcode == END_MARKER.opcode and frame == END_MARKER:
             if self._peer_matches(sim, event.origin):
                 self._close(sim, "complete")
             return

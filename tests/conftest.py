@@ -1,6 +1,6 @@
 """Shared fixtures and helpers: the lab tree, small topologies, random
-builders, covert segment counts, and the relay poller's log and command
-names; servers run in the background."""
+builders, covert segment counts, near misses of marker frames, and the
+relay poller's log and command names; servers run in the background."""
 
 import contextlib
 import logging
@@ -9,6 +9,7 @@ import threading
 import pytest
 
 from cecsim.bus import Simulator
+from cecsim.frames import CecFrame
 from cecsim.relay import RelayPoller
 from cecsim.testbed import TESTBED_TOPOLOGY
 from cecsim.topology import Topology, build_topology
@@ -22,6 +23,18 @@ def build_testbed() -> Topology:
 def segment_count(size: int) -> int:
     """The data frames a covert transfer of `size` bytes takes."""
     return -(-size // SEGMENT_BYTES)
+
+
+def near_misses(marker: CecFrame) -> list[CecFrame]:
+    """Frames that carry `marker`'s opcode but differ from it in the
+    initiator, in one operand, or in length."""
+    head, last = marker.operands[:-1], marker.operands[-1]
+    return [
+        CecFrame(1, marker.destination, marker.opcode, marker.operands),
+        CecFrame(marker.initiator, marker.destination, marker.opcode, head + (last ^ 1,)),
+        CecFrame(marker.initiator, marker.destination, marker.opcode, head),
+        CecFrame(marker.initiator, marker.destination, marker.opcode, marker.operands + (last,)),
+    ]
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ from cecsim.testbed import EXPECTED_TESTBED_SCAN
 from cecsim.topology import propagation_domains
 from cecsim.transfer import PayloadStore
 
-from conftest import build_testbed
+from conftest import build_testbed, near_misses
 from test_bus import tree_topologies
 
 
@@ -355,6 +355,21 @@ class TestAttackController:
         testbed_sim.transmit_at(3, "listener", ARM_TARGETED_MARKER)
         testbed_sim.run(until=5)
         assert not controller.targeted.armed
+
+    @pytest.mark.parametrize("marker", [ARM_TARGETED_MARKER, ARM_BROADCAST_MARKER])
+    def test_only_the_exact_marker_arms(self, testbed_sim, marker):
+        controller, _ = self.wired(testbed_sim)
+        misses = near_misses(marker)
+        for tick, frame in enumerate(misses, start=3):
+            testbed_sim.transmit_at(tick, "client", frame)
+        testbed_sim.run(until=3 + len(misses))
+        assert [e.frame for e in testbed_sim.trace.events[-len(misses):]] == misses
+        assert not controller.targeted.armed
+        assert not controller.broadcast.active
+        testbed_sim.transmit_at(testbed_sim.clock, "client", marker)
+        testbed_sim.run(until=testbed_sim.clock + 1)
+        assert controller.targeted.armed == (marker is ARM_TARGETED_MARKER)
+        assert controller.broadcast.active == (marker is ARM_BROADCAST_MARKER)
 
     def test_scan_stores_report_bytes(self, testbed_sim):
         controller, store = self.wired(testbed_sim)

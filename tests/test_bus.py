@@ -138,11 +138,41 @@ class TestAllocation:
                  "osd_name": "P%d" % i}
             )
             edges.append({"parent": "tv", "child": "p%d" % i, "port": i + 1})
+        # A tuner configured to a taken address, and a playback device
+        # behind a cable that does not carry CEC: a domain of its own.
+        nodes.append({"id": "t", "kind": "source", "device_type": "tuner",
+                      "osd_name": "T", "logical_address": 8})
+        nodes.append({"id": "far", "kind": "source", "device_type": "playback",
+                      "osd_name": "Far"})
+        edges.append({"parent": "tv", "child": "t", "port": 7})
+        edges.append({"parent": "tv", "child": "far", "port": 8, "cec_propagates": False})
         sim = Simulator(build_topology({"nodes": nodes, "edges": edges}))
+        tap = _Listener("tv")
+        sim.add_actor(tap)
         sim.start()
         taken = [sim.logical["p%d" % i] for i in range(6)]
         assert taken[:5] == [4, 8, 9, 11, 14]
         assert taken[5] == 15
+        assert (sim.logical["t"], sim.logical["far"]) == (3, 4)
+        # Each device polls in declaration order, its candidates in claim
+        # order, a configured address first, until one goes unacknowledged.
+        # p5 finds every candidate taken and stays unregistered.
+        assert [(e.origin, e.frame.text, e.acknowledged) for e in sim.trace.events] == [
+            ("tv", "00", False),
+            ("p0", "44", False),
+            ("p1", "44", True), ("p1", "88", False),
+            ("p2", "44", True), ("p2", "88", True), ("p2", "99", False),
+            ("p3", "44", True), ("p3", "88", True), ("p3", "99", True), ("p3", "bb", False),
+            ("p4", "44", True), ("p4", "88", True), ("p4", "99", True), ("p4", "bb", True),
+            ("p4", "ee", False),
+            ("p5", "44", True), ("p5", "88", True), ("p5", "99", True), ("p5", "bb", True),
+            ("p5", "ee", True),
+            ("t", "88", True), ("t", "33", False),
+            ("far", "44", False),
+        ]
+        # An actor added before start hears every poll of its domain.
+        assert tap.heard == sim.trace.events[:-1]
+        assert sim.trace.events[-1].observers == ("far",)
 
 
 # ---------------------------------------------------------------------------

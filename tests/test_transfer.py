@@ -13,10 +13,12 @@ from cecsim.frames import CecFrame
 from cecsim.topology import build_topology
 from cecsim.transfer import (
     DATA_OPCODE,
+    END_MARKER,
     FileReceiver,
     FileSender,
     INACTIVITY_TIMEOUT,
     MAX_UNACKED,
+    MIC_MARKER,
     PayloadStore,
     REQUEST_MARKER,
     SEGMENT_BYTES,
@@ -24,7 +26,7 @@ from cecsim.transfer import (
     serialize_payload,
 )
 
-from conftest import segment_count
+from conftest import near_misses, segment_count
 
 
 def channel_topology():
@@ -244,6 +246,47 @@ class TestFailures:
 
     def test_request_marker_shape(self):
         assert REQUEST_MARKER.text == "aa:aa:aa:aa"
+
+
+# ---------------------------------------------------------------------------
+# Markers
+# ---------------------------------------------------------------------------
+
+class TestMarkers:
+    """Only the exact marker frame acts; a frame sharing its opcode does not."""
+
+    @pytest.mark.parametrize("marker", [MIC_MARKER, REQUEST_MARKER])
+    def test_sender_acts_only_on_the_exact_marker(self, marker):
+        sim, sender, receiver, store = wired_sim(b"payload")
+        misses = near_misses(marker)
+        for tick, frame in enumerate(misses, start=2):
+            sim.transmit_at(tick, "pc", frame)
+        sim.run(until=2 + len(misses))
+        assert [e.frame for e in sim.trace.events[-len(misses):]] == misses
+        assert not store.mic_armed
+        assert sender.session is None
+        sim.transmit_at(sim.clock, "pc", marker)
+        sim.run(until=sim.clock + 1)
+        assert store.mic_armed == (marker is MIC_MARKER)
+        assert (sender.session is not None) == (marker is REQUEST_MARKER)
+
+    def test_receiver_closes_only_on_the_exact_end_marker(self):
+        sim = Simulator(channel_topology())
+        receiver = FileReceiver("pc")
+        sim.add_actor(receiver)
+        sim.start()
+        sim.schedule(2, lambda: receiver.request_file(sim))
+        misses = near_misses(END_MARKER)
+        for tick, frame in enumerate(misses, start=3):
+            sim.transmit_at(tick, "spy", frame)
+        sim.run(until=3 + len(misses))
+        assert [e.frame for e in sim.trace.events[-len(misses):]] == misses
+        assert receiver.session is not None
+        assert sim.artifacts.transfers == []
+        sim.transmit_at(sim.clock, "spy", END_MARKER)
+        sim.run(until=sim.clock + 1)
+        assert receiver.session is None
+        assert [r.status for r in sim.artifacts.transfers] == ["complete"]
 
 
 # ---------------------------------------------------------------------------
