@@ -18,6 +18,8 @@ reach no `react`: no device acts on them, so they only travel, ack and are
 heard.  The transmitter never reacts to its own frame.  Actors still hear
 every frame their device observes, but tick only while they have work, from
 `Simulator.wake` to `Simulator.rest`; with none awake, `run` jumps ahead.
+An actor that waits rests and queues `Simulator.wake` on the tick before it
+acts, so it still acts ahead of that tick's queued calls.
 
 Frames are immutable values, so the sixteen poll frames `start` sends are
 built once, in `_POLLS`, and every claim in every run shares them.
@@ -25,7 +27,6 @@ built once, in `_POLLS`, and every claim in every run shares them.
 
 import bisect
 import heapq
-import io
 import logging
 import re
 from collections import defaultdict, deque
@@ -68,12 +69,6 @@ class BusEvent(NamedTuple):
     observers: tuple[str, ...]
     acknowledged: bool
 
-    def render(self) -> str:
-        return self._line(",".join(self.observers))[:-1]
-
-    def _line(self, observers: str) -> str:
-        return _EVENT_LINE % (self.tick, self.origin, self.frame.text, self.acknowledged, observers)
-
 
 class StateChange(NamedTuple):
     """One logged field of a device's state, after a change."""
@@ -82,9 +77,6 @@ class StateChange(NamedTuple):
     device: str
     field: str
     value: str
-
-    def render(self) -> str:
-        return (_CHANGE_LINE % self)[:-1]
 
 
 _TRACE_LINE = re.compile(
@@ -121,30 +113,26 @@ class Trace:
     """Every frame and logged state change of a run, in order.
 
     The render methods write `trace.log` and `state.log` to a text stream
-    one line at a time, never holding a whole log in memory; with no stream
-    they return the text.  The run itself still retains every record.
+    one line at a time, never holding a whole log in memory.  The run itself
+    still retains every record.
     """
 
     events: list[BusEvent] = field(default_factory=list)
     changes: list[StateChange] = field(default_factory=list)
 
-    def render_log(self, out: TextIO | None = None) -> str | None:
-        """Write one `trace.log` line per event to `out`, or return them."""
-        buf = io.StringIO() if out is None else out
+    def render_log(self, out: TextIO):
+        """Write one `trace.log` line per event to `out`."""
         # Events of one domain share its members tuple: join it once.
         joined: dict[int, str] = {}
         for e in self.events:
             observers = joined.get(id(e.observers))
             if observers is None:
                 observers = joined[id(e.observers)] = ",".join(e.observers)
-            buf.write(e._line(observers))
-        return buf.getvalue() if out is None else None
+            out.write(_EVENT_LINE % (e.tick, e.origin, e.frame.text, e.acknowledged, observers))
 
-    def render_state_log(self, out: TextIO | None = None) -> str | None:
-        """Write one `state.log` line per change to `out`, or return them."""
-        buf = io.StringIO() if out is None else out
-        buf.writelines(_CHANGE_LINE % c for c in self.changes)
-        return buf.getvalue() if out is None else None
+    def render_state_log(self, out: TextIO):
+        """Write one `state.log` line per change to `out`."""
+        out.writelines(_CHANGE_LINE % c for c in self.changes)
 
 
 @dataclass
@@ -183,7 +171,8 @@ class Actor:
     the simulator calls `on_event` only for frames whose observers include
     `device`, its own transmissions among them, and only for frames put on
     the wire after it was added.  It gets `on_tick` on each tick between
-    `Simulator.wake` and `Simulator.rest`.  After `Simulator.remove_actor`
+    `Simulator.wake` and `Simulator.rest`; one that waits rests and queues
+    `Simulator.wake` on the tick before it acts.  After `Simulator.remove_actor`
     it gets neither, from the next tick or frame on.  The simulator calls
     only the callbacks a subclass overrides; the ones here do nothing.
 

@@ -91,6 +91,10 @@ class RelayPoller(Actor):
     """Listener-side loop: read the command slot every poll interval,
     run anything new, push the pending result back out.
 
+    `start` adds the poller and counts intervals from the current clock.
+    Between polls it rests, with a wake queued for the tick before the next
+    one, so each poll runs ahead of that tick's queued calls.
+
     Like the relay slots, the poller keeps only the last write: it runs a
     value that differs from the last one read, so re-reading an envelope
     never re-runs it (re-issue with a fresh issued_at instead), and a
@@ -109,9 +113,13 @@ class RelayPoller(Actor):
         self._last: str | None = None
         self._pending: str | None = None
 
+    def start(self, sim: Simulator):
+        sim.add_actor(self)
+        sim.schedule(sim.clock + self.interval_ticks - 1, sim.wake, self)
+
     def on_tick(self, sim: Simulator, tick: int):
-        if tick == 0 or tick % self.interval_ticks != 0:
-            return
+        sim.rest(self)
+        sim.schedule(tick + self.interval_ticks - 1, sim.wake, self)
         try:
             value = self.client.get(LISTENER_PATH)
         except RelayUnreachable as exc:

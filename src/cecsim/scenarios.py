@@ -261,9 +261,7 @@ def run_scenario(scenario: Scenario, *, relay_client=None) -> RunResult:
         client = relay_client if relay_client is not None else relay_mod.LoopbackRelayClient()
         interval = relay_cfg.get("interval_ticks", 2 * scenario.ticks_per_second)
         poller = relay_mod.RelayPoller(client, next(iter(controllers.values())), interval)
-        sim.add_actor(poller)
-        # The poller reads the relay on its own schedule, so it never rests.
-        sim.wake(poller)
+        poller.start(sim)
         result.poller = poller
         for cmd in relay_cfg.get("commands") or []:
             envelope = {k: v for k, v in cmd.items() if k != "tick"}

@@ -155,14 +155,16 @@ class FileSender(Actor):
 @dataclass
 class ReceiveSession:
     session_id: str
-    peer_address: int
+    # None until the first responder when the request named no peer.
+    peer_address: int | None
     chunks: list[bytes] = field(default_factory=list)
     last_activity: int = 0
 
 
 class FileReceiver(Actor):
     """Client-side endpoint: sends the request marker, reassembles data
-    frames, and closes on the end marker or after a quiet timeout."""
+    frames, and closes on the end marker or after a quiet timeout, which
+    it checks only on the ticks the silence could run out."""
 
     def __init__(self, device: str):
         super().__init__(device)
@@ -174,22 +176,20 @@ class FileReceiver(Actor):
         if self.session is not None:
             log.info("%s already has an open transfer, request rejected", self.device)
             return False
-        if peer_address is None:
-            peer_address = -1  # accept the first responder
         self.session = ReceiveSession(
             session_id=sim.next_session_id(),
             peer_address=peer_address,
             last_activity=sim.clock,
         )
         sim.transmit_at(sim.clock, self.device, REQUEST_MARKER)
-        sim.wake(self)
+        sim.schedule(sim.clock + INACTIVITY_TIMEOUT, sim.wake, self)
         return True
 
     def _peer_matches(self, sim: Simulator, origin: str) -> bool:
         origin_addr = sim.logical.get(origin)
         if origin_addr is None:
             return False
-        if self.session.peer_address == -1:
+        if self.session.peer_address is None:
             self.session.peer_address = origin_addr
         return origin_addr == self.session.peer_address
 
@@ -212,12 +212,14 @@ class FileReceiver(Actor):
         self.session.last_activity = event.tick
 
     def on_tick(self, sim: Simulator, tick: int):
+        sim.rest(self)
         if self.session is None:
-            sim.rest(self)
             return
         if tick - self.session.last_activity > INACTIVITY_TIMEOUT:
             log.info("%s transfer %s timed out", self.device, self.session.session_id)
             self._close(sim, "aborted")
+        else:
+            sim.schedule(self.session.last_activity + INACTIVITY_TIMEOUT, sim.wake, self)
 
     def _close(self, sim: Simulator, status: str):
         session = self.session
@@ -226,7 +228,7 @@ class FileReceiver(Actor):
             TransferRecord(
                 session_id=session.session_id,
                 receiver=self.device,
-                peer="address-%d" % session.peer_address,
+                peer="none" if session.peer_address is None else "address-%d" % session.peer_address,
                 status=status,
                 payload=payload,
                 segments=len(session.chunks),

@@ -1,8 +1,10 @@
 """Shared fixtures and helpers: the lab tree, small topologies, random
-builders, covert segment counts, near misses of marker frames, and the
-relay poller's log and command names; servers run in the background."""
+builders, covert segment counts, near misses of marker frames, rendered
+logs, and the relay poller's log and command names; servers run in the
+background."""
 
 import contextlib
+import io
 import logging
 import threading
 
@@ -23,6 +25,13 @@ def build_testbed() -> Topology:
 def segment_count(size: int) -> int:
     """The data frames a covert transfer of `size` bytes takes."""
     return -(-size // SEGMENT_BYTES)
+
+
+def rendered(render) -> str:
+    """The text a `Trace` render method, such as `trace.render_log`, writes."""
+    out = io.StringIO()
+    render(out)
+    return out.getvalue()
 
 
 def near_misses(marker: CecFrame) -> list[CecFrame]:

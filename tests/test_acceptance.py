@@ -19,7 +19,7 @@ from cecsim.testbed import EXPECTED_TESTBED_SCAN
 from cecsim.transfer import FileReceiver, FileSender, PayloadStore
 from cecsim.ids import apply_mitigation, detect
 
-from conftest import build_testbed, segment_count, serving
+from conftest import build_testbed, rendered, segment_count, serving
 from test_transfer import wired_sim as transfer_sim
 
 
@@ -219,8 +219,7 @@ def _relay_roundtrip(client, relay_log) -> tuple[bool, str]:
     controller = AttackController("listener", PayloadStore(seed=0))
     controller.register(sim)
     poller = RelayPoller(client, controller, interval_ticks=5)
-    sim.add_actor(poller)
-    sim.wake(poller)
+    poller.start(sim)
     envelope = json.dumps({"command": "TDOS", "issued_at": 1})
     client.post(LISTENER_PATH, envelope)
     sim.start()
@@ -320,8 +319,8 @@ def test_acceptance_mitigations_change_outcomes():
 def test_acceptance_builtin_scenarios_deterministic():
     unstable = []
     for name in scen.builtin_scenario_names():
-        first = scen.run_scenario(scen.builtin_scenario(name)).trace.render_log()
-        second = scen.run_scenario(scen.builtin_scenario(name)).trace.render_log()
+        first = rendered(scen.run_scenario(scen.builtin_scenario(name)).trace.render_log)
+        second = rendered(scen.run_scenario(scen.builtin_scenario(name)).trace.render_log)
         if first != second:
             unstable.append(name)
     _report(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cecsim import devices as dv
 from cecsim import frames as fr
 from cecsim import bus
-from cecsim.bus import Actor, BusEvent, Simulator, StateChange, parse_trace_line
+from cecsim.bus import Actor, BusEvent, Simulator, StateChange, Trace, parse_trace_line
 from cecsim.devices import UserAction
 from cecsim.frames import (
     CecFrame,
@@ -23,7 +23,7 @@ from cecsim.frames import (
 from cecsim.scenarios import builtin_scenario, builtin_scenario_names, run_scenario
 from cecsim.topology import TopologyError, build_topology, propagation_domains
 
-from conftest import build_testbed, make_chain
+from conftest import build_testbed, make_chain, rendered
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +348,8 @@ class TestReactionIndex:
         sim.transmit_at(7, "box", CecFrame(4, 0, OP_GIVE_OSD_NAME))
         sim.run(10)
         # both holders obey the standby; the ack follows mute, the first
-        assert sim.trace.render_log() == _SHADOW_TRACE
-        assert sim.trace.render_state_log() == (
+        assert rendered(sim.trace.render_log) == _SHADOW_TRACE
+        assert rendered(sim.trace.render_state_log) == (
             "t=3 | mute | power=standby\nt=3 | box | power=standby\n"
         )
 
@@ -506,7 +506,7 @@ class TestTiming:
                 frame = CecFrame(rng.randrange(16), rng.randrange(16), rng.randrange(256))
                 sim.transmit_at(tick, origin, frame)
             sim.run(until=45)
-            return sim.trace.render_log()
+            return rendered(sim.trace.render_log)
 
         assert run_once() == run_once()
 
@@ -761,15 +761,15 @@ class TestStartOnDemand:
         sim, started = self._pair()
         frame = CecFrame(0, 5, 0x8F)
         assert sim.deliver("tv", frame) == started.deliver("tv", frame)
-        assert sim.trace.render_log() == started.trace.render_log()
+        assert rendered(sim.trace.render_log) == rendered(started.trace.render_log)
 
     def test_user_action(self):
         sim, started = self._pair()
         sim.user_action("tv", UserAction.POWER_OFF)
         started.user_action("tv", UserAction.POWER_OFF)
         assert sim.device_states["tv"].power is PowerState.STANDBY
-        assert sim.trace.render_log() == started.trace.render_log()
-        assert sim.trace.render_state_log() == started.trace.render_state_log()
+        assert rendered(sim.trace.render_log) == rendered(started.trace.render_log)
+        assert rendered(sim.trace.render_state_log) == rendered(started.trace.render_state_log)
 
     def test_device_ctx(self):
         sim, started = self._pair()
@@ -782,17 +782,22 @@ class TestStartOnDemand:
 # Trace round trip
 # ---------------------------------------------------------------------------
 
+def _line(event: BusEvent) -> str:
+    """The `trace.log` line of one event."""
+    return rendered(Trace([event]).render_log)
+
+
 class TestTraceFormat:
     def test_render_shape(self, testbed_sim):
         event = testbed_sim.deliver("tv", CecFrame(0, 15, 0x85))
-        line = event.render()
+        line = _line(event)
         assert line.startswith("t=%d | tv | 0f:85 | ack=1 | obs=" % event.tick)
 
     def test_round_trip(self, testbed_sim):
         testbed_sim.transmit_at(1, "client", CecFrame(2, 0, OP_GIVE_POWER_STATUS))
         testbed_sim.run(until=4)
         for event in testbed_sim.trace.events:
-            again = parse_trace_line(event.render())
+            again = parse_trace_line(_line(event))
             assert again.tick == event.tick
             assert again.origin == event.origin
             assert again.frame == event.frame
@@ -818,7 +823,7 @@ class TestTraceFormat:
             return
         sim.deliver(node_id, CecFrame(4, 15, 0x85))
         sim.deliver("tv", CecFrame(0, 15, 0x85))
-        lines = sim.trace.render_log().splitlines()
+        lines = rendered(sim.trace.render_log).splitlines()
         assert [parse_trace_line(line) for line in lines] == sim.trace.events
         assert all(node_id in event.observers for event in sim.trace.events)
 
@@ -826,7 +831,7 @@ class TestTraceFormat:
     def test_every_builtin_event_parses_back_equal(self, name):
         events = run_scenario(builtin_scenario(name)).sim.trace.events
         assert events
-        replayed = [parse_trace_line(e.render()) for e in events]
+        replayed = [parse_trace_line(_line(e)) for e in events]
         assert replayed == events
         # Replayed events of one domain share one observers tuple.
         shared: dict[tuple[str, ...], tuple[str, ...]] = {}
@@ -841,14 +846,14 @@ class TestTraceFormat:
                 with pytest.raises(AttributeError):
                     setattr(record, name, getattr(record, name))
         assert change == StateChange(tick=0, device="tv", field="power", value="standby")
-        assert change.render() == "t=0 | tv | power=standby"
+        assert rendered(Trace(changes=[change]).render_state_log) == "t=0 | tv | power=standby\n"
 
     def test_state_log_lines(self, pair_topology):
         sim = Simulator(pair_topology)
         sim.start()
         sim.schedule(2, sim.user_action, "tv", UserAction.POWER_OFF)
         sim.run(until=4)
-        text = sim.trace.render_state_log()
+        text = rendered(sim.trace.render_state_log)
         assert "t=2 | tv | power=standby" in text
 
     def test_state_log_tells_true_from_one(self, pair_topology):
@@ -858,7 +863,7 @@ class TestTraceFormat:
         sim.transmit_at(0, "tv", CecFrame(0, fr.BROADCAST, fr.OP_ACTIVE_SOURCE, (0x10, 0x00)))
         sim.transmit_at(1, "box", CecFrame(4, fr.BROADCAST, fr.OP_ACTIVE_SOURCE, (0x10, 0x00)))
         sim.run(until=3)
-        assert sim.trace.render_state_log() == (
+        assert rendered(sim.trace.render_state_log) == (
             "t=0 | box | active_source=True\nt=1 | tv | active_input_port=1\n"
         )
 
@@ -904,7 +909,7 @@ def rendered_events(draw):
         observers=tuple(draw(st.lists(_names, max_size=6))),
         acknowledged=draw(st.booleans()),
     )
-    return event.render()
+    return _line(event)
 
 
 class TestTraceMemo:
@@ -932,6 +937,6 @@ class TestTraceMemo:
         ]
         replayed = []
         for event in events:
-            replayed.append(parse_trace_line(event.render()))
+            replayed.append(parse_trace_line(_line(event)))
             assert bus._trace_observers.cache_info().currsize <= maxsize
         assert replayed == events

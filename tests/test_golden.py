@@ -18,6 +18,8 @@ from cecsim.scenarios import (
     write_artifacts,
 )
 
+from conftest import rendered
+
 PINNED_FILES = ("trace.log", "state.log", "alerts.jsonl")
 
 _EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -106,8 +108,8 @@ def test_loaded_scenario_runs_twice_unchanged(name):
     pristine = copy.deepcopy(scenario.topology)
     first = run_scenario(scenario)
     second = run_scenario(scenario)
-    assert first.trace.render_log() == second.trace.render_log()
-    assert first.trace.render_state_log() == second.trace.render_state_log()
+    assert rendered(first.trace.render_log) == rendered(second.trace.render_log)
+    assert rendered(first.trace.render_state_log) == rendered(second.trace.render_state_log)
     assert scenario.topology == pristine
 
 
@@ -130,7 +132,7 @@ SAME_TICK_TRACE = "07d474754a8907b84da997586f76169928ce3e733523d25c13038b1402d71
 
 
 def test_same_tick_frames_keep_the_actors_add_order():
-    log = run_scenario(load_scenario(SAME_TICK_SCENARIO)).trace.render_log()
+    log = rendered(run_scenario(load_scenario(SAME_TICK_SCENARIO)).trace.render_log)
     at_11 = [line.split(" | ")[2] for line in log.splitlines() if line.startswith("t=11 ")]
     assert at_11[0] == "10:04" and at_11[1].startswith("12:00:")
     assert hashlib.sha256(log.encode("utf-8")).hexdigest() == SAME_TICK_TRACE

@@ -24,7 +24,7 @@ from cecsim.ids import (
 from cecsim.topology import TopologyError
 from cecsim.transfer import END_MARKER, MIC_MARKER, REQUEST_MARKER
 
-from conftest import build_testbed
+from conftest import build_testbed, rendered
 
 
 def ev(tick, origin, text, observers=("tap", "a", "b"), ack=True):
@@ -488,7 +488,7 @@ class TestDetectorPlumbing:
         sim.run(tick + 8)
         detector = Detector(config, tap)
         live = [alert for event in sim.trace.events for alert in detector.feed(event)]
-        lines = sim.trace.render_log().splitlines()
+        lines = rendered(sim.trace.render_log).splitlines()
         assert live == detect([parse_trace_line(line) for line in lines], config, tap)
         # The tap only drops the frames it does not observe.
         observed = [e for e in sim.trace.events if tap is None or tap in e.observers]

@@ -122,19 +122,51 @@ class TestPoller:
                 CountingClient.gets += 1
                 return super().get(path)
 
-        poller = RelayPoller(CountingClient(), controller, interval_ticks=5)
-        sim.add_actor(poller)
-        sim.wake(poller)
+        ticks = []
+
+        class CountingPoller(RelayPoller):
+            def on_tick(self, sim, tick):
+                ticks.append(tick)
+                super().on_tick(sim, tick)
+
+        CountingPoller(CountingClient(), controller, interval_ticks=5).start(sim)
         sim.start()
         sim.run(until=21)
-        assert CountingClient.gets == 4  # ticks 5, 10, 15, 20
+        assert CountingClient.gets == 4
+        # Between polls the poller sleeps: it ticks only to poll.
+        assert ticks == [5, 10, 15, 20]
+
+    def test_idle_relay_run_jumps_between_polls(self, monkeypatch):
+        ticks = []
+        on_tick = RelayPoller.on_tick
+
+        def counting(self, sim, tick):
+            ticks.append(tick)
+            on_tick(self, sim, tick)
+
+        monkeypatch.setattr(RelayPoller, "on_tick", counting)
+        scenario = load_scenario({
+            "name": "idle-relay", "topology": "testbed", "duration": 100_000,
+            "relay": {"enabled": True, "interval_ticks": 10_000},
+        })
+        result = run_scenario(scenario)
+        assert ticks == list(range(10_000, 100_000, 10_000))
+        assert result.sim.clock == 100_000
+
+    def test_a_poll_runs_before_its_ticks_queued_calls(self):
+        # DOS1 posted at tick 40, a poll tick: that poll reads the slot before
+        # the post lands, so the command runs at the poll of tick 60.
+        scenario = builtin_scenario("attack5-remote-churn")
+        scenario.relay = {"enabled": True, "commands": [{"tick": 40, "command": "DOS1"}]}
+        result = run_scenario(scenario)
+        churn = [e.tick for e in result.sim.trace.events if e.origin == "listener" and e.tick > 0]
+        assert churn[0] == 61
 
     def test_command_dispatched_once(self, relay_log):
         sim, controller, _ = wired_sim()
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
-        sim.add_actor(poller)
-        sim.wake(poller)
+        poller.start(sim)
         client.post(LISTENER_PATH, json.dumps({"command": "TDOS", "issued_at": 0}))
         sim.start()
         sim.run(until=12)
@@ -147,8 +179,7 @@ class TestPoller:
         sim, controller, _ = wired_sim()
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
-        sim.add_actor(poller)
-        sim.wake(poller)
+        poller.start(sim)
         client.post(LISTENER_PATH, json.dumps({"command": "CANCEL", "issued_at": 0}))
         sim.start()
         sim.run(until=5)
@@ -160,8 +191,7 @@ class TestPoller:
         sim, controller, _ = wired_sim()
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
-        sim.add_actor(poller)
-        sim.wake(poller)
+        poller.start(sim)
         client.post(LISTENER_PATH, json.dumps({"command": "FORMAT_DISK"}))
         sim.start()
         sim.run(until=6)
@@ -173,8 +203,7 @@ class TestPoller:
         sim, controller, _ = wired_sim()
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
-        sim.add_actor(poller)
-        sim.wake(poller)
+        poller.start(sim)
         client.post(LISTENER_PATH, "not json at all")
         sim.start()
         sim.run(until=6)
@@ -187,8 +216,7 @@ class TestPoller:
         sim, controller, _ = wired_sim()
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
-        sim.add_actor(poller)
-        sim.wake(poller)
+        poller.start(sim)
         client.post(LISTENER_PATH, envelope)
         sim.run(until=6)
         assert relay_log.executed == [] and relay_log.unknown == []
@@ -220,8 +248,7 @@ class TestPoller:
         sim, controller, _ = wired_sim()
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
-        sim.add_actor(poller)
-        sim.wake(poller)
+        poller.start(sim)
         client.post(LISTENER_PATH, json.dumps({"command": "TDOS", "target": 4}))
         sim.run(until=4)
         assert relay_log.executed == ["TDOS"]
@@ -234,8 +261,7 @@ class TestPoller:
         sim, controller, _ = wired_sim()
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
-        sim.add_actor(poller)
-        sim.wake(poller)
+        poller.start(sim)
         client.down = True
         poller.publish("result-1")
         assert poller._pending == "result-1"
@@ -255,8 +281,7 @@ class TestPoller:
 
         client = RecordingClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
-        sim.add_actor(poller)
-        sim.wake(poller)
+        poller.start(sim)
         client.down = True
         poller.publish("result-1")
         poller.publish("result-2")
@@ -271,8 +296,7 @@ class TestPoller:
         sim, controller, _ = wired_sim()
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=1)
-        sim.add_actor(poller)
-        sim.wake(poller)
+        poller.start(sim)
         for issued_at in range(1, 1001):
             envelope = json.dumps({"command": "CANCEL", "issued_at": issued_at})
             client.post(LISTENER_PATH, envelope)
@@ -287,8 +311,7 @@ class TestPoller:
         sim, controller, _ = wired_sim()
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=1)
-        sim.add_actor(poller)
-        sim.wake(poller)
+        poller.start(sim)
         sizes = []
         for issued_at in range(1, 1001):
             command = "CANCEL" if issued_at % 2 else "FORMAT_DISK"
@@ -305,8 +328,7 @@ class TestPoller:
         sim, controller, _ = wired_sim()
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
-        sim.add_actor(poller)
-        sim.wake(poller)
+        poller.start(sim)
         first = json.dumps({"command": "CANCEL", "issued_at": 0})
         for until, envelope in ((5, first), (9, json.dumps({"command": "TDOS"})), (13, first)):
             client.post(LISTENER_PATH, envelope)
@@ -328,8 +350,7 @@ class TestPoller:
         sim, controller, _ = wired_sim()
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
-        sim.add_actor(poller)
-        sim.wake(poller)
+        poller.start(sim)
         client.post(LISTENER_PATH, envelope)
         with caplog.at_level("DEBUG", logger="cecsim.relay"):
             sim.run(until=4)
@@ -342,8 +363,7 @@ class TestPoller:
         client = LoopbackRelayClient()
         client.down = True
         poller = RelayPoller(client, controller, interval_ticks=2)
-        sim.add_actor(poller)
-        sim.wake(poller)
+        poller.start(sim)
         sim.start()
         sim.run(until=8)  # polls fail quietly
         client.down = False
@@ -355,8 +375,7 @@ class TestPoller:
         sim, controller, store = wired_sim()
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
-        sim.add_actor(poller)
-        sim.wake(poller)
+        poller.start(sim)
         client.post(LISTENER_PATH, json.dumps({"command": "GETFILE"}))
         sim.start()
         sim.run(until=6)
@@ -369,8 +388,7 @@ class TestPoller:
         sim, controller, _ = wired_sim()
         client = LoopbackRelayClient()
         poller = RelayPoller(client, controller, interval_ticks=2)
-        sim.add_actor(poller)
-        sim.wake(poller)
+        poller.start(sim)
         client.post(LISTENER_PATH, json.dumps({"command": "SCAN"}))
         sim.start()
         sim.run(until=140)

@@ -30,6 +30,8 @@ from cecsim.scenarios import (
 )
 from cecsim.testbed import EXPECTED_TESTBED_SCAN, TESTBED_TOPOLOGY
 
+from conftest import rendered
+
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 # Far deeper than the parser's recursion limit, far below any size limit.
@@ -368,7 +370,7 @@ class TestArtifacts:
         ))
         result = run_scenario(scenario)
         write_artifacts(result, str(tmp_path))
-        trace, state = result.trace.render_log(), result.trace.render_state_log()
+        trace, state = rendered(result.trace.render_log), rendered(result.trace.render_state_log)
         assert "| télé |" in trace and "t=2 | télé | power=on\n" in state
         assert (tmp_path / "trace.log").read_bytes() == trace.encode("utf-8")
         assert (tmp_path / "state.log").read_bytes() == state.encode("utf-8")
@@ -427,8 +429,8 @@ class TestArtifacts:
         assert outcomes[0].detail == "check names no device 'ghost'"
 
     def test_deterministic_trace(self):
-        first = run_scenario(builtin_scenario("attack2-mic-exfil")).trace.render_log()
-        second = run_scenario(builtin_scenario("attack2-mic-exfil")).trace.render_log()
+        first = rendered(run_scenario(builtin_scenario("attack2-mic-exfil")).trace.render_log)
+        second = rendered(run_scenario(builtin_scenario("attack2-mic-exfil")).trace.render_log)
         assert first == second
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cecsim.bus import Simulator
-from cecsim.frames import CecFrame
+from cecsim.frames import CecFrame, parse_frame
 from cecsim.topology import build_topology
 from cecsim.transfer import (
     DATA_OPCODE,
@@ -24,6 +24,7 @@ from cecsim.transfer import (
     SEGMENT_BYTES,
     payload_digest,
     serialize_payload,
+    write_transfer_artifacts,
 )
 
 from conftest import near_misses, segment_count
@@ -44,6 +45,15 @@ def channel_topology():
             ],
         }
     )
+
+
+def lone_receiver():
+    """A receiver on the channel with no sender to answer it."""
+    sim = Simulator(channel_topology())
+    receiver = FileReceiver("pc")
+    sim.add_actor(receiver)
+    sim.start()
+    return sim, receiver
 
 
 def wired_sim(payload: bytes, seed=0):
@@ -209,16 +219,58 @@ class TestTransfer:
 # ---------------------------------------------------------------------------
 
 class TestFailures:
-    def test_timeout_without_sender(self):
-        sim = Simulator(channel_topology())
-        receiver = FileReceiver("pc")
-        sim.add_actor(receiver)
-        sim.start()
+    def test_timeout_without_sender(self, tmp_path):
+        sim, receiver = lone_receiver()
         sim.schedule(2, lambda: receiver.request_file(sim))
         sim.run(until=INACTIVITY_TIMEOUT + 10)
         record = sim.artifacts.transfers[-1]
         assert record.status == "aborted"
         assert record.payload == b""
+        # Nobody answered, so the record names no peer.
+        assert record.peer == "none"
+        write_transfer_artifacts([record], tmp_path)
+        manifest = (tmp_path / "transfers.manifest").read_text()
+        assert manifest.startswith("transfer-001 status=aborted receiver=pc peer=none bytes=0 ")
+
+    # The receiver checks its deadline in the ticker phase, ahead of the
+    # timeout tick's queued calls, as if it had ticked every tick.
+    def test_a_request_on_the_timeout_tick_opens_a_new_session(self):
+        sim, receiver = lone_receiver()
+        sim.schedule(2, receiver.request_file, sim)
+        sim.schedule(2 + INACTIVITY_TIMEOUT + 1, receiver.request_file, sim)
+        sim.run(until=2 * INACTIVITY_TIMEOUT + 10)
+        assert [r.status for r in sim.artifacts.transfers] == ["aborted", "aborted"]
+
+    def test_a_data_frame_on_the_timeout_tick_is_ignored(self):
+        sim, receiver = lone_receiver()
+        sim.schedule(2, receiver.request_file, sim)
+        sim.transmit_at(2 + INACTIVITY_TIMEOUT + 1, "tv", parse_frame("02:00:41:42"))
+        sim.run(until=2 * INACTIVITY_TIMEOUT + 10)
+        assert sim.logical["pc"] == 2
+        assert [(r.status, r.payload) for r in sim.artifacts.transfers] == [("aborted", b"")]
+
+    def test_receiver_wakes_only_to_check_its_deadline(self):
+        ticks = []
+
+        class CountingReceiver(FileReceiver):
+            def on_tick(self, sim, tick):
+                ticks.append(tick)
+                super().on_tick(sim, tick)
+
+        size = 2000
+        sim = Simulator(channel_topology())
+        sim.add_actor(FileSender("spy", PayloadStore(capture=bytes(size))))
+        receiver = CountingReceiver("pc")
+        sim.add_actor(receiver)
+        sim.start()
+        sim.schedule(2, receiver.request_file, sim)
+        duration = segment_count(size) + 30
+        sim.run(until=duration)
+        assert sim.artifacts.transfers[-1].status == "complete"
+        assert len(ticks) <= -(-duration // INACTIVITY_TIMEOUT) + 1
+        # While data flows, the session is checked once every timeout.
+        assert ticks[0] == 2 + INACTIVITY_TIMEOUT + 1
+        assert {b - a for a, b in zip(ticks, ticks[1:])} == {INACTIVITY_TIMEOUT}
 
     def test_sender_gives_up_after_unacked_frames(self):
         sim, sender, receiver, _ = wired_sim(bytes(300))
