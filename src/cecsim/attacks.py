@@ -157,6 +157,13 @@ class ScanWalk(Actor):
             self.on_complete(sim, report)
 
 
+@functools.cache
+def _standby(own: int, target: int) -> CecFrame:
+    """TargetedDos's Standby frame, built once per pair of addresses, so
+    that every fire is one frame object to the targets' `react` memo."""
+    return CecFrame(own, target, fr.OP_STANDBY)
+
+
 class TargetedDos(Actor):
     """Sniff for wake-up chatter and put the target straight back into
     standby.  Stays armed and re-fires every time."""
@@ -180,11 +187,7 @@ class TargetedDos(Actor):
         own = sim.logical.get(self.device)
         if own is None:
             return
-        sim.transmit_at(
-            sim.clock + 1,
-            self.device,
-            CecFrame(own, self.target_address, fr.OP_STANDBY),
-        )
+        sim.transmit_at(sim.clock + 1, self.device, _standby(own, self.target_address))
 
 
 CLAIMED_PORTS = (1, 2, 3, 4)

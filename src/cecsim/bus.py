@@ -36,7 +36,7 @@ from typing import NamedTuple, TextIO
 
 from cecsim import devices as dv
 from cecsim import frames as fr
-from cecsim.frames import CecFrame, PhysicalAddress, PowerState, logical_candidates
+from cecsim.frames import CecFrame, PhysicalAddress, logical_candidates
 from cecsim.topology import Topology, TopologyError, assign_physical_addresses, propagation_domains
 
 log = logging.getLogger(__name__)
@@ -54,10 +54,6 @@ _POLLS = tuple(CecFrame(a, a) for a in range(16))
 # Tick, origin, frame text, 1 or 0 for the ack, and the joined observers.
 _EVENT_LINE = "t=%d | %s | %s | ack=%d | obs=%s\n"
 _CHANGE_LINE = "t=%d | %s | %s=%s\n"
-
-# Each logged state value's text, made once and shared by every change that
-# logs it.  Typed: `True == 1`, and port 1 must not log as "True".
-_value_text = lru_cache(typed=True)(str)
 
 
 class BusEvent(NamedTuple):
@@ -404,12 +400,11 @@ class Simulator:
                 actor.on_event(self, event)
         return event
 
-    def _apply_state(self, node_id: str, new: dv.DeviceState, changed: tuple[str, ...]):
-        """Store the new state and log the fields that changed."""
+    def _apply_state(self, node_id: str, new: dv.DeviceState, changed: tuple[tuple[str, str], ...]):
+        """Store the new state and log the (field, text) pairs of a
+        reaction's or user action's `changed`."""
         self.device_states[node_id] = new
-        for name in changed:
-            after = getattr(new, name)
-            value = after.value if isinstance(after, PowerState) else _value_text(after)
+        for name, value in changed:
             self.trace.changes.append(StateChange(self.clock, node_id, name, value))
 
     def user_action(self, device: str, action: dv.UserAction, argument: int | None = None):

@@ -1,17 +1,23 @@
 """Per-device CEC behaviour: queries, control, announcements, user actions.
 
 Reactions are written as pure transitions: `react` takes the current
-DeviceState plus an observed frame and returns the next state, the logged
-fields that changed, and any response frames.  The caller (the simulator)
-owns scheduling, so responses land on the bus one tick after the frame that
-caused them.
+DeviceState plus an observed frame and returns the next state, the state
+log's lines for the fields that changed, and any response frames.  The
+caller (the simulator) owns scheduling, so responses land on the bus one
+tick after the frame that caused them.
 
-`react` is a memo of that transition.  Each `DeviceCtx` holds its own memo
-from (state, frame) to the reaction, compared by value, so a re-claim,
-which builds a new context, starts with an empty one.  A memo that reaches
-`_MEMO_LIMIT` entries is cleared.  Queries, the broadcast Request Active
-Source among them, skip the memo: a device answers each one about once per
-scan, so their entries would only take memory.
+Device states are compared by reference.  Every state a transition makes
+comes from `_state`, which returns the first-made object of each value, so
+equal results are one object; the table holds at most 512 of them.  Only
+`DeviceState.initial` builds a state outside it.
+
+`react` is a memo of that transition.  Each `DeviceCtx` holds its own memo,
+keyed by the identities of the state and the frame, so a re-claim, which
+builds a new context, starts with an empty one.  Each entry holds its state
+and frame, so no key's ids can name other objects while it lives.  A
+memo that reaches `_MEMO_LIMIT` entries is cleared.  Queries, the broadcast
+Request Active Source among them, skip the memo: a device answers each one
+about once per scan, so their entries would only take memory.
 """
 
 import enum
@@ -32,6 +38,9 @@ MENU_PRESSURE_LIMIT = 3
 
 # The most (state, frame) entries one context's `react` memo holds.
 _MEMO_LIMIT = 256
+
+# The fields the state log records, in the order it records them.
+_LOGGED_FIELDS = ("power", "active_source", "active_input_port", "cec_control_enabled")
 
 # Opcodes `react` leaves out of the memo (see the module docstring).
 _UNMEMOIZED = frozenset(fr.QUERY_OPCODES + (fr.OP_REQUEST_ACTIVE_SOURCE,))
@@ -56,16 +65,28 @@ class DeviceState:
         )
 
     def powered(self, power: PowerState) -> "DeviceState":
-        return DeviceState(
+        return _state(
             power, self.active_source, self.active_input_port,
             self.cec_control_enabled, self.cec_info_reporting_enabled,
         )
 
     def routed(self, active_source: bool, active_input_port: int | None) -> "DeviceState":
-        return DeviceState(
+        return _state(
             self.power, active_source, active_input_port,
             self.cec_control_enabled, self.cec_info_reporting_enabled,
         )
+
+
+# Every state `_state` has made, by value: at most 4 powers x 2 claims x 16
+# ports (None or 1..MAX_PORTS) x 2 x 2 flags = 512.
+_STATES: dict[DeviceState, DeviceState] = {}
+
+
+def _state(*fields) -> DeviceState:
+    """The canonical state of these field values, given in `DeviceState`'s
+    order: the first one made."""
+    state = DeviceState(*fields)
+    return _STATES.setdefault(state, state)
 
 
 @dataclass
@@ -73,13 +94,14 @@ class DeviceCtx:
     """Addressing context the simulator hands to a reacting device.
 
     A context is never changed in place: a new logical address gets a new
-    context.  `memo` is `react`'s cache for this context alone.
+    context.  `memo` is `react`'s cache for this context alone: from
+    `(id(state), id(frame))` to the reaction, the state and the frame.
     """
 
     node: DeviceNode
     logical: int | None
     physical: PhysicalAddress
-    memo: "dict[tuple[DeviceState, CecFrame], Reaction]" = field(
+    memo: "dict[tuple[int, int], tuple[Reaction, DeviceState, CecFrame]]" = field(
         default_factory=dict, compare=False, repr=False
     )
 
@@ -91,10 +113,20 @@ class Reaction:
     responses: tuple[CecFrame, ...] = ()
     # True when the frame counted as external control pressure on the device.
     control_pressure: bool = False
-    # The fields the state log records that differ between the old state and
-    # `state`, in the log's order: power, active_source, active_input_port,
-    # cec_control_enabled.
-    changed: tuple[str, ...] = ()
+    # The state log's (field, text) pair for each logged field that differs
+    # between the old state and `state`, in the log's order: power,
+    # active_source, active_input_port, cec_control_enabled.
+    changed: tuple[tuple[str, str], ...] = ()
+
+
+def _changes(old: DeviceState, new: DeviceState) -> tuple[tuple[str, str], ...]:
+    """`Reaction.changed` for the move from `old` to `new`.  A memo entry
+    makes it once, and every change it logs shares the texts."""
+    return tuple(
+        (name, value.value if isinstance(value, PowerState) else str(value))
+        for name in _LOGGED_FIELDS
+        if (value := getattr(new, name)) != getattr(old, name)
+    )
 
 
 class UserAction(enum.Enum):
@@ -188,20 +220,12 @@ def _derived_input_port(ctx: DeviceCtx, claimed: PhysicalAddress) -> int | None:
     return port
 
 
-_POWER = ("power",)
-_SOURCE = ("active_source",)
-_PORT = ("active_input_port",)
-_SOURCE_AND_PORT = _SOURCE + _PORT
-
-
 def _route(state: DeviceState, active_source: bool, port: int | None, pressure: bool) -> Reaction:
     """The reaction that sets the active-source claim and the input port."""
-    source_moved = active_source != state.active_source
-    port_moved = port != state.active_input_port
-    if not (source_moved or port_moved):
+    if active_source == state.active_source and port == state.active_input_port:
         return Reaction(state, control_pressure=pressure)
-    changed = _SOURCE_AND_PORT if source_moved and port_moved else _SOURCE if source_moved else _PORT
-    return Reaction(state.routed(active_source, port), (), pressure, changed)
+    new_state = state.routed(active_source, port)
+    return Reaction(new_state, (), pressure, _changes(state, new_state))
 
 
 def react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
@@ -213,24 +237,23 @@ def react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
     that can land on the device (see `cecsim.bus`); polls and frames
     addressed elsewhere still return the state unchanged.
 
-    The transition is pure, so its result is memoized in `ctx.memo` (see
-    the module docstring), which is cleared when it holds `_MEMO_LIMIT`
-    entries.  When nothing changed, the returned reaction's state is the
-    `state` passed in, the same object, hit or miss.
+    The transition is pure, so its result is memoized in `ctx.memo` by the
+    identities of `state` and `frame` (see the module docstring), which is
+    cleared when it holds `_MEMO_LIMIT` entries.  An equal state or frame
+    in another object is a miss, which returns an equal reaction.  When
+    nothing changed, the returned reaction's state is the `state` passed
+    in, the same object, hit or miss.
     """
     if frame.opcode in _UNMEMOIZED:
         return _react(ctx, state, frame)
     memo = ctx.memo
-    key = (state, frame)
-    reaction = memo.get(key)
-    if reaction is None:
+    key = (id(state), id(frame))
+    entry = memo.get(key)
+    if entry is None:
         if len(memo) >= _MEMO_LIMIT:
             memo.clear()
-        reaction = memo[key] = _react(ctx, state, frame)
-    elif reaction.state is not state and not reaction.changed:
-        # An equal state from another object: keep the caller's.
-        return Reaction(state, reaction.responses, reaction.control_pressure)
-    return reaction
+        entry = memo[key] = (_react(ctx, state, frame), state, frame)
+    return entry[0]
 
 
 def _react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
@@ -255,16 +278,18 @@ def _react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
 
     if op == fr.OP_STANDBY:
         if control and state.power is not PowerState.STANDBY:
-            return Reaction(
-                state.powered(PowerState.STANDBY), control_pressure=pressure, changed=_POWER
-            )
+            new_state = state.powered(PowerState.STANDBY)
+            return Reaction(new_state, (), pressure, _changes(state, new_state))
         return Reaction(state, control_pressure=pressure)
 
     if op == fr.OP_IMAGE_VIEW_ON and addressed:
         if control and ctx.node.kind is DeviceKind.DISPLAY and state.power is PowerState.STANDBY:
             new_state = state.powered(PowerState.ON)
             return Reaction(
-                new_state, tuple(announcement_frames(ctx, new_state)), pressure, _POWER
+                new_state,
+                tuple(announcement_frames(ctx, new_state)),
+                pressure,
+                _changes(state, new_state),
             )
         return Reaction(state, control_pressure=pressure)
 
@@ -305,7 +330,7 @@ class UserActionResult:
     state: DeviceState
     emissions: list[CecFrame] = field(default_factory=list)
     # As Reaction.changed.
-    changed: tuple[str, ...] = ()
+    changed: tuple[tuple[str, str], ...] = ()
 
 
 def apply_user_action(
@@ -326,27 +351,28 @@ def apply_user_action(
             return UserActionResult(False, "already on", state)
         new_state = state.powered(PowerState.ON)
         return UserActionResult(
-            True, "", new_state, announcement_frames(ctx, new_state), _POWER
+            True, "", new_state, announcement_frames(ctx, new_state), _changes(state, new_state)
         )
 
     if action is UserAction.POWER_OFF:
         if state.power is PowerState.STANDBY:
             return UserActionResult(False, "already in standby", state)
-        return UserActionResult(True, "", state.powered(PowerState.STANDBY), [], _POWER)
+        new_state = state.powered(PowerState.STANDBY)
+        return UserActionResult(True, "", new_state, [], _changes(state, new_state))
 
     if action is UserAction.SELECT_INPUT:
         if node.kind not in (DeviceKind.DISPLAY, DeviceKind.SWITCH):
             return UserActionResult(False, "device has no selectable inputs", state)
         if not isinstance(argument, int) or not 1 <= argument <= node.input_count:
             return UserActionResult(False, "unknown input port %r" % (argument,), state)
-        new_state, changed = state, ()
+        new_state = state
         if argument != state.active_input_port:
-            new_state, changed = state.routed(state.active_source, argument), _PORT
+            new_state = state.routed(state.active_source, argument)
         emissions = []
         # f.f.f.f and a four-level address have no port to name below them.
         if ctx.logical is not None and ctx.physical.depth() < 4:
             emissions.append(_active_source(ctx, ctx.physical.child(argument)))
-        return UserActionResult(True, "", new_state, emissions, changed)
+        return UserActionResult(True, "", new_state, emissions, _changes(state, new_state))
 
     if action is UserAction.OPEN_SETTINGS:
         if not menu_accessible:
@@ -356,10 +382,7 @@ def apply_user_action(
     if action is UserAction.DISABLE_CEC:
         if not menu_accessible:
             return UserActionResult(False, "settings menu unresponsive", state)
-        disabled = DeviceState(
-            state.power, state.active_source, state.active_input_port, False, False
-        )
-        changed = ("cec_control_enabled",) if state.cec_control_enabled else ()
-        return UserActionResult(True, "", disabled, [], changed)
+        disabled = _state(state.power, state.active_source, state.active_input_port, False, False)
+        return UserActionResult(True, "", disabled, [], _changes(state, disabled))
 
     return UserActionResult(False, "unsupported action", state)

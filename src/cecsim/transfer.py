@@ -182,8 +182,14 @@ class FileReceiver(Actor):
             last_activity=sim.clock,
         )
         sim.transmit_at(sim.clock, self.device, REQUEST_MARKER)
-        sim.schedule(sim.clock + INACTIVITY_TIMEOUT, sim.wake, self)
+        sim.schedule(sim.clock + INACTIVITY_TIMEOUT, self._wake_for, sim, self.session)
         return True
+
+    def _wake_for(self, sim: Simulator, session: ReceiveSession):
+        """A queued deadline wake: it wakes the receiver only while
+        `session`, the one it was queued for, is still open."""
+        if self.session is session:
+            sim.wake(self)
 
     def _peer_matches(self, sim: Simulator, origin: str) -> bool:
         origin_addr = sim.logical.get(origin)
@@ -219,7 +225,8 @@ class FileReceiver(Actor):
             log.info("%s transfer %s timed out", self.device, self.session.session_id)
             self._close(sim, "aborted")
         else:
-            sim.schedule(self.session.last_activity + INACTIVITY_TIMEOUT, sim.wake, self)
+            deadline = self.session.last_activity + INACTIVITY_TIMEOUT
+            sim.schedule(deadline, self._wake_for, sim, self.session)
 
     def _close(self, sim: Simulator, status: str):
         session = self.session

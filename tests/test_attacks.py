@@ -195,6 +195,19 @@ class TestTargetedDos:
         # One Standby per announcement heard, each already on the wire.
         assert len(announcements_heard(testbed_sim, "listener")) == len(standbys) == 3
 
+    def test_every_fire_sends_one_frame_object(self, testbed_sim):
+        # One object, so the target's `react` memo answers repeats by identity.
+        dos = TargetedDos("listener", target_address=0)
+        dos.arm()
+        testbed_sim.add_actor(dos)
+        testbed_sim.schedule(4, testbed_sim.user_action, "tv", UserAction.POWER_OFF)
+        for tick in (8, 20):
+            testbed_sim.schedule(tick, testbed_sim.user_action, "tv", UserAction.POWER_ON)
+        testbed_sim.run(until=30)
+        standbys = standbys_from(testbed_sim, "listener")
+        assert len(standbys) > 3
+        assert all(e.frame is standbys[0].frame for e in standbys)
+
     def test_idle_until_armed(self, testbed_sim):
         dos = TargetedDos("listener")
         testbed_sim.add_actor(dos)

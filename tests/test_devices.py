@@ -33,9 +33,10 @@ from cecsim.frames import (
     QUERY_OPCODES,
     RESPONSE_OPCODES,
 )
-from cecsim.topology import build_topology
+from cecsim.scenarios import builtin_scenario, builtin_scenario_names, load_scenario, run_scenario
+from cecsim.topology import MAX_PORTS, build_topology
 
-from conftest import build_testbed
+from conftest import build_testbed, rendered
 
 
 @pytest.fixture
@@ -401,7 +402,12 @@ def control_frames(ctx, port):
 
 
 def _differing(old, new):
-    return tuple(name for name in STATE_LOG_FIELDS if getattr(old, name) != getattr(new, name))
+    """The state log's (field, text) pair for each logged field that differs."""
+    return tuple(
+        (name, new.power.value if name == "power" else str(getattr(new, name)))
+        for name in STATE_LOG_FIELDS
+        if getattr(old, name) != getattr(new, name)
+    )
 
 
 class TestReportedChanges:
@@ -450,7 +456,8 @@ class TestMemo:
         with mock.patch.object(devices, "_MEMO_LIMIT", limit):
             for frame, copy in steps:
                 if copy:
-                    # Equal values in other objects: the same memo entry.
+                    # Equal values in other objects: a miss that returns an
+                    # equal reaction.
                     state, frame = dataclasses.replace(state), dataclasses.replace(frame)
                 reaction = react(ctx, state, frame)
                 assert reaction == devices._react(ctx, state, frame)
@@ -489,3 +496,72 @@ class TestMemo:
             react(ctx, state, frame)
             assert len(ctx.memo) <= devices._MEMO_LIMIT
         assert len(ctx.memo) == 1
+
+    def test_a_memo_entry_holds_its_keys_state_and_frame(self):
+        result = run_scenario(builtin_scenario("attack5-input-churn"))
+        contexts = [ctx for ctx in result.sim._ctx.values() if ctx.memo]
+        assert contexts
+        for ctx in contexts:
+            for key, (reaction, state, frame) in ctx.memo.items():
+                assert key == (id(state), id(frame))
+                assert reaction == devices._react(ctx, state, frame)
+
+
+# attack5-input-churn stretched to 600 ticks, with the owner's attempts to
+# disable CEC spread over the run.
+_LONG_CHURN = {
+    "name": "long-churn",
+    "topology": "testbed",
+    "duration": 600,
+    "overrides": {"tv": {"initial_power": "standby"}},
+    "ids": {"tap": "tv"},
+    "actions": [
+        {"tick": 2, "actor": "client", "action": "send_frame", "args": {"frame": "dd:dd:dd:dd"}}
+    ]
+    + [{"tick": t, "actor": "tv", "action": "disable_cec"} for t in range(31, 600, 30)],
+}
+
+
+def _logs(scenario):
+    trace = run_scenario(scenario).trace
+    return rendered(trace.render_log), rendered(trace.render_state_log)
+
+
+@pytest.mark.parametrize("name", builtin_scenario_names() + ["long-churn"])
+def test_a_whole_run_without_the_memo_logs_the_same(name):
+    def scenario():
+        return load_scenario(_LONG_CHURN) if name == "long-churn" else builtin_scenario(name)
+
+    memoized = _logs(scenario())
+    with mock.patch.object(devices, "react", devices._react):
+        assert _logs(scenario()) == memoized
+    assert memoized[0]
+
+
+# ---------------------------------------------------------------------------
+# Interned states
+# ---------------------------------------------------------------------------
+
+class TestInterning:
+    @given(device_states, st.sampled_from(PowerState), st.booleans(), st.none() | st.integers(1, 5))
+    @settings(deadline=None, max_examples=100)
+    def test_equal_transition_results_are_one_object(self, state, power, source, port):
+        copy = dataclasses.replace(state)
+        assert copy is not state
+        assert state.powered(power) is copy.powered(power)
+        assert state.routed(source, port) is copy.routed(source, port)
+        assert state.powered(power).routed(source, port) is copy.routed(source, port).powered(power)
+        ctx = DeviceCtx(_TESTBED.nodes["tv"], 0, PhysicalAddress((0, 0, 0, 0)))
+        disabled = apply_user_action(ctx, state, UserAction.DISABLE_CEC).state
+        assert disabled is apply_user_action(ctx, copy, UserAction.DISABLE_CEC).state
+        assert disabled is disabled.powered(disabled.power)
+
+    def test_the_table_stays_within_its_512_values_after_the_builtins(self):
+        for name in builtin_scenario_names():
+            run_scenario(builtin_scenario(name))
+        table = devices._STATES
+        assert 0 < len(table) <= len(PowerState) * 2 * (MAX_PORTS + 1) * 2 * 2 == 512
+        for key, state in table.items():
+            assert key is state
+            assert state.active_input_port is None or 1 <= state.active_input_port <= MAX_PORTS
+

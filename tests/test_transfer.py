@@ -56,6 +56,18 @@ def lone_receiver():
     return sim, receiver
 
 
+class CountingReceiver(FileReceiver):
+    """A receiver that records the ticks of its `on_tick` calls."""
+
+    def __init__(self, device: str):
+        super().__init__(device)
+        self.ticks = []
+
+    def on_tick(self, sim, tick):
+        self.ticks.append(tick)
+        super().on_tick(sim, tick)
+
+
 def wired_sim(payload: bytes, seed=0):
     sim = Simulator(channel_topology())
     store = PayloadStore(seed=seed, capture=payload)
@@ -249,28 +261,39 @@ class TestFailures:
         assert sim.logical["pc"] == 2
         assert [(r.status, r.payload) for r in sim.artifacts.transfers] == [("aborted", b"")]
 
-    def test_receiver_wakes_only_to_check_its_deadline(self):
-        ticks = []
-
-        class CountingReceiver(FileReceiver):
-            def on_tick(self, sim, tick):
-                ticks.append(tick)
-                super().on_tick(sim, tick)
-
-        size = 2000
+    @staticmethod
+    def counted_transfer(size: int, requests=(2,)):
+        """A counting receiver that requests a `size`-byte payload at each
+        of `requests`."""
         sim = Simulator(channel_topology())
         sim.add_actor(FileSender("spy", PayloadStore(capture=bytes(size))))
         receiver = CountingReceiver("pc")
         sim.add_actor(receiver)
         sim.start()
-        sim.schedule(2, receiver.request_file, sim)
+        for tick in requests:
+            sim.schedule(tick, receiver.request_file, sim)
+        return sim, receiver
+
+    def test_receiver_wakes_only_to_check_its_deadline(self):
+        size = 2000
+        sim, receiver = self.counted_transfer(size)
         duration = segment_count(size) + 30
         sim.run(until=duration)
         assert sim.artifacts.transfers[-1].status == "complete"
+        ticks = receiver.ticks
         assert len(ticks) <= -(-duration // INACTIVITY_TIMEOUT) + 1
         # While data flows, the session is checked once every timeout.
         assert ticks[0] == 2 + INACTIVITY_TIMEOUT + 1
         assert {b - a for a, b in zip(ticks, ticks[1:])} == {INACTIVITY_TIMEOUT}
+
+    def test_a_wake_queued_for_a_closed_session_does_nothing(self):
+        # Each transfer completes before its request's deadline wake, and
+        # the second opens before the first one's wake comes due.
+        second = 2 + INACTIVITY_TIMEOUT - 5
+        sim, receiver = self.counted_transfer(20, requests=(2, second))
+        sim.run(until=second + 3 * INACTIVITY_TIMEOUT)
+        assert [r.status for r in sim.artifacts.transfers] == ["complete", "complete"]
+        assert receiver.ticks == []
 
     def test_sender_gives_up_after_unacked_frames(self):
         sim, sender, receiver, _ = wired_sim(bytes(300))
