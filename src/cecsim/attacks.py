@@ -22,7 +22,6 @@ log = logging.getLogger(__name__)
 
 ARM_TARGETED_MARKER = parse_frame("cc:cc:cc:cc")
 ARM_BROADCAST_MARKER = parse_frame("dd:dd:dd:dd")
-_ARMING_OPCODES = (ARM_TARGETED_MARKER.opcode, ARM_BROADCAST_MARKER.opcode)
 
 # Columns of the census report, in render order.  A census row is a dict
 # keyed by them, "Unk" where nobody answered.
@@ -59,8 +58,8 @@ class ScanWalk(Actor):
 
     Each tick sends the next frame of `_walk`, or nothing.  The walker
     itself is part of the report; its own row comes from local state since
-    nobody answers a self-poll.  Once the report is made, the walker leaves
-    the simulator and hears no more frames.
+    nobody answers a self-poll.  It hears every frame until the report is
+    made; then the walker leaves the simulator.
     """
 
     def __init__(self, device: str, on_complete=None):
@@ -168,6 +167,8 @@ class TargetedDos(Actor):
     """Sniff for wake-up chatter and put the target straight back into
     standby.  Stays armed and re-fires every time."""
 
+    hears = frozenset(fr.ANNOUNCE_OPCODES)
+
     def __init__(self, device: str, target_address: int = 0):
         super().__init__(device)
         self.target_address = target_address
@@ -181,8 +182,6 @@ class TargetedDos(Actor):
 
     def on_event(self, sim: Simulator, event: BusEvent):
         if not self.armed or event.origin == self.device:
-            return
-        if event.frame.opcode not in fr.ANNOUNCE_OPCODES:
             return
         own = sim.logical.get(self.device)
         if own is None:
@@ -239,6 +238,8 @@ class AttackController(Actor):
     census walks, serves its store over the covert channel, and hands the
     relay something to drive."""
 
+    hears = frozenset((ARM_TARGETED_MARKER.opcode, ARM_BROADCAST_MARKER.opcode))
+
     def __init__(
         self,
         device: str,
@@ -258,8 +259,7 @@ class AttackController(Actor):
             sim.add_actor(actor)
 
     def on_event(self, sim: Simulator, event: BusEvent):
-        # The opcode test only filters: the whole frame must still match.
-        if event.frame.opcode not in _ARMING_OPCODES or event.origin == self.device:
+        if event.origin == self.device:
             return
         if event.frame == ARM_TARGETED_MARKER:
             self.targeted.arm()

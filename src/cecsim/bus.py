@@ -15,14 +15,14 @@ frame, on the observers holding its destination address (several may hold
 one when the first never acknowledged the later claimants' polls), in
 declaration order.  Polls and response frames (`frames.RESPONSE_OPCODES`)
 reach no `react`: no device acts on them, so they only travel, ack and are
-heard.  The transmitter never reacts to its own frame.  Actors still hear
-every frame their device observes, but tick only while they have work, from
-`Simulator.wake` to `Simulator.rest`; with none awake, `run` jumps ahead.
-An actor that waits rests and queues `Simulator.wake` on the tick before it
-acts, so it still acts ahead of that tick's queued calls.
+heard.  The transmitter never reacts to its own frame.  Actors hear only
+the opcodes they declare (`Actor.hears`), and tick only while they have
+work, from `Simulator.wake` to `Simulator.rest`; with none awake, `run`
+jumps ahead.  An actor that waits rests and queues `Simulator.wake` on the
+tick before it acts, so it still acts ahead of that tick's queued calls.
 
-Frames are immutable values, so the sixteen poll frames `start` sends are
-built once, in `_POLLS`, and every claim in every run shares them.
+A run's fixed cost is its claims: addresses and domains are the topology's,
+and the sixteen poll frames are built once, in `_POLLS`.
 """
 
 import bisect
@@ -37,7 +37,7 @@ from typing import NamedTuple, TextIO
 from cecsim import devices as dv
 from cecsim import frames as fr
 from cecsim.frames import CecFrame, PhysicalAddress, logical_candidates
-from cecsim.topology import Topology, TopologyError, assign_physical_addresses, propagation_domains
+from cecsim.topology import Topology, TopologyError
 
 log = logging.getLogger(__name__)
 
@@ -165,18 +165,17 @@ class Actor:
 
     Add one with `Simulator.add_actor`.  It hears what its device hears:
     the simulator calls `on_event` only for frames whose observers include
-    `device`, its own transmissions among them, and only for frames put on
-    the wire after it was added.  It gets `on_tick` on each tick between
-    `Simulator.wake` and `Simulator.rest`; one that waits rests and queues
-    `Simulator.wake` on the tick before it acts.  After `Simulator.remove_actor`
-    it gets neither, from the next tick or frame on.  The simulator calls
-    only the callbacks a subclass overrides; the ones here do nothing.
-
-    `on_event` runs for every frame the device observes, the logical-address
-    polls of `Simulator.start` included, so a handler that waits for a few
-    frames should reject the rest by a cheap field, such as the opcode,
-    before it compares whole frames.
+    `device`, its own transmissions among them, whose opcode is in `hears`,
+    and only for frames put on the wire after it was added.  It gets
+    `on_tick` on each tick between `Simulator.wake` and `Simulator.rest`;
+    one that waits rests and queues `Simulator.wake` on the tick before it
+    acts.  After `Simulator.remove_actor` it gets neither, from the next
+    tick or frame on.  The simulator calls only the callbacks a subclass
+    overrides; the ones here do nothing.
     """
+
+    # The opcodes `on_event` hears (None in it: polls); None hears every frame.
+    hears: frozenset[int | None] | None = None
 
     def __init__(self, device: str):
         self.device = device
@@ -208,14 +207,15 @@ class Simulator:
         self.clock = 0
         self.trace = Trace()
         self.artifacts = Artifacts()
-        self.physical: dict[str, PhysicalAddress] = {}
+        self.physical: dict[str, PhysicalAddress] = topology.physical
         self.logical: dict[str, int | None] = {}
         self.device_states: dict[str, dv.DeviceState] = {}
         self.actors: list[Actor] = []
-        # The awake actors and the `on_event` overriders, in add order.  Each
-        # change rebinds them, so a loop over one keeps the actors it started with.
+        # The awake actors and, per opcode, the `on_event` overriders that hear
+        # it, in add order.  Each change rebinds them, so a loop over one keeps
+        # the actors it started with.
         self._tickers: tuple[Actor, ...] = ()
-        self._listeners: tuple[Actor, ...] = ()
+        self._hearing: dict[int | None, tuple[Actor, ...]] = {}
         self._domains: dict[str, _Domain] = {}
         self._ctx: dict[str, dv.DeviceCtx] = {}
         # Each device's last MENU_PRESSURE_LIMIT control-pressure ticks, made
@@ -233,17 +233,16 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def start(self):
-        """Assign physical addresses, then let devices claim logical ones
-        by polling, in declaration order.  Safe to call once; run() calls
-        it implicitly."""
+        """Set up this run's domains and device states, then let devices
+        claim logical addresses by polling, in declaration order.  Safe to
+        call once; run() calls it implicitly."""
         if self._started:
             return
         self._started = True
         nodes = self.topology.nodes
-        self.physical = assign_physical_addresses(self.topology)
         # A domain is keyed by its first member, so each is built once.
         by_first: dict[str, _Domain] = {}
-        for node_id, members in propagation_domains(self.topology).items():
+        for node_id, members in self.topology.domains.items():
             domain = by_first.get(members[0])
             if domain is None:
                 domain = by_first[members[0]] = _Domain(members, nodes)
@@ -312,13 +311,12 @@ class Simulator:
 
     def add_actor(self, actor: Actor):
         self.actors.append(actor)
-        if type(actor).on_event is not Actor.on_event:
-            self._listeners += (actor,)
+        self._hearing = {}
 
     def remove_actor(self, actor: Actor):
         self.actors.remove(actor)
         self.rest(actor)
-        self._listeners = tuple(a for a in self._listeners if a is not actor)
+        self._hearing = {}
 
     def wake(self, actor: Actor):
         """Call `actor.on_tick` on every tick from the next one until `rest`."""
@@ -394,8 +392,15 @@ class Simulator:
             for i, response in enumerate(reaction.responses):
                 self.transmit_at(clock + 1 + i, node_id, response)
 
+        listeners = self._hearing.get(frame.opcode)
+        if listeners is None:
+            listeners = self._hearing[frame.opcode] = tuple(
+                a for a in self.actors
+                if type(a).on_event is not Actor.on_event
+                and (a.hears is None or frame.opcode in a.hears)
+            )
         position = domain.position
-        for actor in self._listeners:
+        for actor in listeners:
             if actor.device in position:
                 actor.on_event(self, event)
         return event

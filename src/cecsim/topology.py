@@ -6,12 +6,14 @@ addresses follow EDID: the root is 0.0.0.0 and a child on port p replaces
 its parent's first zero nibble with p.  A device that never reads EDID
 stays unregistered at f.f.f.f; an intermediate without its own EDID hop
 (a dumb switch or splitter) passes its upstream address through unchanged,
-so everything behind it sees the same port address.
+so everything behind it sees the same port address.  A `Topology` is a
+frozen value whose views (root, addresses, domains) are computed once.
 """
 
 import enum
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from cecsim import schema
 from cecsim.frames import DeviceType, FrameError, PhysicalAddress, PowerState, parse_vendor_id
@@ -88,19 +90,32 @@ class Edge:
     cec_propagates: bool = True
 
 
-@dataclass
+@dataclass(frozen=True)
 class Topology:
+    """A validated tree.  Each view is computed on first read and shared by
+    every run; a tree changed by `dataclasses.replace` computes its own."""
+
     nodes: dict[str, DeviceNode]
     edges: list[Edge]
     vendor_names: dict[int, str] = field(default_factory=dict)
 
-    @property
+    @cached_property
     def root(self) -> str:
         children = {e.child for e in self.edges}
         for node_id in self.nodes:
             if node_id not in children:
                 return node_id
         raise TopologyError("topology has no root")
+
+    @cached_property
+    def physical(self) -> dict[str, PhysicalAddress]:
+        """Each node's physical address; read it, never write it."""
+        return assign_physical_addresses(self)
+
+    @cached_property
+    def domains(self) -> dict[str, tuple[str, ...]]:
+        """Each node's propagation domain (`propagation_domains`)."""
+        return propagation_domains(self)
 
     def listeners(self) -> list[str]:
         return [n.id for n in self.nodes.values() if n.kind is DeviceKind.ATTACKER_LISTENER]
@@ -242,8 +257,7 @@ def build_topology(config: dict) -> Topology:
     topo = Topology(nodes=nodes, edges=edges, vendor_names=vendor_names)
     # The addressing walk checks depth and reaches everything below the root;
     # anything it misses is an orphan or part of a cycle among non-root nodes.
-    reached = assign_physical_addresses(topo)
-    unreached = [n for n in nodes if n not in reached]
+    unreached = [n for n in nodes if n not in topo.physical]
     _require(not unreached, "nodes unreachable from root %r: %r" % (roots[0], unreached))
     return topo
 

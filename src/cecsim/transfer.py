@@ -28,7 +28,6 @@ MAX_PAYLOAD = 2**24
 REQUEST_MARKER = parse_frame("aa:aa:aa:aa")
 MIC_MARKER = parse_frame("bb:bb:bb:bb")
 END_MARKER = parse_frame("ee:ee:ee:ee")
-_SENDER_MARKER_OPCODES = (MIC_MARKER.opcode, REQUEST_MARKER.opcode)
 
 # Receiver gives up after this much silence.
 INACTIVITY_TIMEOUT = 20
@@ -88,6 +87,8 @@ class FileSender(Actor):
     While a session is open, each tick sends the next of `_frames`: the
     payload's data frames, then the end marker, which closes it."""
 
+    hears = frozenset((DATA_OPCODE, MIC_MARKER.opcode, REQUEST_MARKER.opcode))
+
     def __init__(self, device: str, store: PayloadStore):
         super().__init__(device)
         self.store = store
@@ -111,9 +112,6 @@ class FileSender(Actor):
                     self.session = None
             return
 
-        # The opcode test only filters: the whole frame must still match.
-        if frame.opcode not in _SENDER_MARKER_OPCODES:
-            return
         if frame == MIC_MARKER:
             if self.store.arm_mic():
                 log.info("%s mic payload armed", self.device)
@@ -166,6 +164,8 @@ class FileReceiver(Actor):
     frames, and closes on the end marker or after a quiet timeout, which
     it checks only on the ticks the silence could run out."""
 
+    hears = frozenset((DATA_OPCODE, END_MARKER.opcode))
+
     def __init__(self, device: str):
         super().__init__(device)
         self.session: ReceiveSession | None = None
@@ -207,7 +207,7 @@ class FileReceiver(Actor):
             if self._peer_matches(sim, event.origin):
                 self._close(sim, "complete")
             return
-        if frame.is_polling or frame.opcode != DATA_OPCODE or not frame.operands:
+        if frame.opcode != DATA_OPCODE or not frame.operands:
             return
         own = sim.logical.get(self.device)
         if own is None or frame.destination != own:

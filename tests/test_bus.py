@@ -533,6 +533,14 @@ class _Witness(_Listener, _Ticker):
     """Records both callbacks."""
 
 
+class _StandbyListener(_Listener):
+    hears = frozenset({OP_STANDBY})
+
+
+class _PollListener(_Listener):
+    hears = frozenset({None})
+
+
 class _Recruiter(_Witness):
     """Adds and wakes `recruit` while it hears its first frame or, with
     `at_tick` set, during its first tick."""
@@ -584,6 +592,45 @@ class TestHearing:
         assert any(e.origin == "tv" for e in sim.trace.events)
         assert {e.origin for e in actor.heard} == {"client"}
         assert any(e.frame == own for e in actor.heard)
+
+    def test_actor_hears_only_the_opcodes_it_declares(self, testbed_sim):
+        standby, everything = _StandbyListener("tv"), _Listener("tv")
+        testbed_sim.add_actor(standby)
+        testbed_sim.add_actor(everything)
+        testbed_sim.transmit_at(1, "client", CecFrame(2, 0, OP_GIVE_POWER_STATUS))
+        testbed_sim.transmit_at(2, "client", CecFrame(2, 0, OP_STANDBY))
+        testbed_sim.transmit_at(3, "client", CecFrame(2, 15, OP_STANDBY))
+        testbed_sim.run(until=6)
+        assert len(standby.heard) == 2 and len(everything.heard) > 2
+        assert standby.heard == [e for e in everything.heard if e.frame.opcode == OP_STANDBY]
+
+    def test_none_in_hears_means_polls(self):
+        sim = Simulator(build_testbed())
+        polls, standby, everything = _PollListener("tv"), _StandbyListener("tv"), _Listener("tv")
+        for actor in (polls, standby, everything):
+            sim.add_actor(actor)
+        sim.start()
+        sim.transmit_at(1, "client", CecFrame(2, 0, OP_GIVE_POWER_STATUS))
+        sim.run(until=4)
+        assert Actor.hears is None and everything.heard == sim.trace.events
+        assert polls.heard == [e for e in sim.trace.events if e.frame.is_polling]
+        assert polls.heard and len(polls.heard) < len(everything.heard)
+        assert standby.heard == []
+
+    def test_simulators_of_one_topology_share_only_its_views(self):
+        topology = build_testbed()
+        first, second = Simulator(topology), Simulator(topology)
+        first.start()
+        second.start()
+        assert first.physical is second.physical is topology.physical
+        assert first.device_states is not second.device_states
+        for node_id in topology.nodes:
+            assert first._domains[node_id].holders is not second._domains[node_id].holders
+        first.transmit_at(1, "client", CecFrame(2, 0, OP_STANDBY))
+        first.run(until=3)
+        second.run(until=3)
+        assert first.device_states["tv"].power is PowerState.STANDBY
+        assert second.device_states["tv"].power is PowerState.ON
 
     def test_actor_added_while_a_frame_is_heard_starts_after_it(self, testbed_sim):
         late = _Witness("tv")

@@ -10,6 +10,8 @@ import hashlib
 
 import pytest
 
+from cecsim import scenarios
+from cecsim.bus import Actor, Simulator
 from cecsim.scenarios import (
     builtin_scenario,
     builtin_scenario_names,
@@ -111,6 +113,35 @@ def test_loaded_scenario_runs_twice_unchanged(name):
     assert rendered(first.trace.render_log) == rendered(second.trace.render_log)
     assert rendered(first.trace.render_state_log) == rendered(second.trace.render_state_log)
     assert scenario.topology == pristine
+
+
+class _AlwaysAwake(Actor):
+    """Does nothing on every tick; while it is awake, `run` never jumps."""
+
+    def __init__(self, device):
+        super().__init__(device)
+        self.ticks = 0
+
+    def on_tick(self, sim, tick):
+        self.ticks += 1
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_idle_jump_logs_what_stepping_every_tick_logs(name, monkeypatch):
+    plain = run_scenario(builtin_scenario(name))
+
+    class SteppingSimulator(Simulator):
+        def __init__(self, topology):
+            super().__init__(topology)
+            self.awake = _AlwaysAwake(topology.root)
+            self.add_actor(self.awake)
+            self.wake(self.awake)
+
+    monkeypatch.setattr(scenarios, "Simulator", SteppingSimulator)
+    stepped = run_scenario(builtin_scenario(name))
+    assert stepped.sim.awake.ticks == stepped.scenario.duration
+    assert rendered(stepped.trace.render_log) == rendered(plain.trace.render_log)
+    assert rendered(stepped.trace.render_state_log) == rendered(plain.trace.render_state_log)
 
 
 # A covert transfer with input churn armed while it streams: from tick 11 the

@@ -11,10 +11,16 @@ moves a cell must declare it, as a change to a golden digest must.
 `NEGATIVE` holds hand-written cells for the check types that fail in no
 matrix cell, so that every one of the 15 check types is pinned failing at
 least once.
+
+Whatever the mitigations, the untapped detector raises exactly the alerts of
+one detector per propagation domain put together.
 """
+
+from collections import Counter
 
 import pytest
 
+from cecsim import ids
 from cecsim import scenarios as scen
 
 MITIGATION_SETS = {
@@ -94,6 +100,20 @@ def test_matrix_cell(name, mitigations, tap):
     result = _run(name, mitigations=MITIGATION_SETS[mitigations], ids={"tap": tap})
     verdicts = "".join("P" if c.ok else "F" for c in result.checks)
     assert (verdicts, len(result.alerts)) == MATRIX[name, mitigations][TAPS.index(tap)]
+
+
+@pytest.mark.parametrize("name, mitigations", sorted(MATRIX))
+def test_untapped_detector_is_the_union_of_the_domain_taps(name, mitigations):
+    # A mitigation can blind the root tap (see the strip-tv-switch cells), but
+    # never every tap: each alert is raised on some wire.
+    result = _run(name, mitigations=MITIGATION_SETS[mitigations])
+    events = result.trace.events
+    taps = {members[0] for members in result.sim.topology.domains.values()}
+    assert len(taps) == (2 if mitigations.startswith("strip") else 1)
+    union = Counter()
+    for tap in taps:
+        union.update(ids.detect(events, None, tap))
+    assert Counter(ids.detect(events, None, None)) == union
 
 
 @pytest.mark.parametrize("name, check", NEGATIVE, ids=lambda v: v if type(v) is str else v["type"])

@@ -1,5 +1,7 @@
 """Topology building, validation, and physical address assignment."""
 
+import dataclasses
+
 import pytest
 
 from cecsim.ids import apply_mitigation
@@ -293,6 +295,26 @@ class TestValidation:
 # ---------------------------------------------------------------------------
 
 class TestPropagation:
+    def test_views_are_computed_once_per_topology(self, testbed_topology):
+        assert testbed_topology.physical is testbed_topology.physical
+        assert testbed_topology.domains is testbed_topology.domains
+        assert testbed_topology.physical == assign_physical_addresses(testbed_topology)
+        assert testbed_topology.domains == propagation_domains(testbed_topology)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            testbed_topology.edges = []
+
+    def test_strip_edge_copy_gets_its_own_domains(self, testbed_topology):
+        physical, domains = testbed_topology.physical, testbed_topology.domains
+        stripped = apply_mitigation(
+            testbed_topology, {"type": "strip_edge", "parent": "tv", "child": "switch"}
+        )
+        assert stripped.domains is not domains
+        assert set(stripped.domains["tv"]) == {"tv", "amp", "chromecast"}
+        assert stripped.domains == propagation_domains(stripped)
+        assert stripped.physical == physical
+        assert testbed_topology.physical is physical and testbed_topology.domains is domains
+        assert set(domains["tv"]) == set(testbed_topology.nodes)
+
     def test_single_domain_by_default(self, testbed_topology):
         domains = propagation_domains(testbed_topology)
         for node_id in testbed_topology.nodes:
