@@ -141,7 +141,7 @@ class ScanWalk(Actor):
             if addr == own:
                 node = sim.topology.nodes[self.device]
                 row.update({
-                    "P. Addr": sim.physical[self.device].text,
+                    "P. Addr": sim.topology.physical[self.device].text,
                     "Vendor": vendor_name(node.vendor_id, sim.topology.vendor_names),
                     "OSD Str": node.osd_name,
                     "CEC Ver": node.cec_version,

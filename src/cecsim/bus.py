@@ -36,7 +36,7 @@ from typing import NamedTuple, TextIO
 
 from cecsim import devices as dv
 from cecsim import frames as fr
-from cecsim.frames import CecFrame, PhysicalAddress, logical_candidates
+from cecsim.frames import CecFrame, logical_candidates
 from cecsim.topology import Topology, TopologyError
 
 log = logging.getLogger(__name__)
@@ -207,7 +207,6 @@ class Simulator:
         self.clock = 0
         self.trace = Trace()
         self.artifacts = Artifacts()
-        self.physical: dict[str, PhysicalAddress] = topology.physical
         self.logical: dict[str, int | None] = {}
         self.device_states: dict[str, dv.DeviceState] = {}
         self.actors: list[Actor] = []
@@ -252,7 +251,7 @@ class Simulator:
             self.logical[node_id] = None
             # A device that claims an address gets its context in `_claim`.
             if not node.cec_addressed:
-                self._ctx[node_id] = dv.DeviceCtx(node, None, self.physical[node_id])
+                self._ctx[node_id] = dv.DeviceCtx(node, None, self.topology.physical[node_id])
         for node_id, node in nodes.items():
             if node.cec_addressed:
                 self.allocate_logical_address(node_id)
@@ -289,7 +288,7 @@ class Simulator:
         )
         self.logical[device_id] = address
         self._ctx[device_id] = dv.DeviceCtx(
-            self.topology.nodes[device_id], address, self.physical[device_id]
+            self.topology.nodes[device_id], address, self.topology.physical[device_id]
         )
         return address
 

@@ -182,7 +182,7 @@ def announcement_frames(ctx: DeviceCtx, state: DeviceState) -> list[CecFrame]:
     return out
 
 
-def _query_response(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> CecFrame | None:
+def _query_response(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> CecFrame:
     node, me, them = ctx.node, ctx.logical, frame.initiator
     op = frame.opcode
     if op == fr.OP_GIVE_PHYSICAL_ADDRESS:
@@ -208,7 +208,6 @@ def _query_response(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> CecF
             return CecFrame(me, them, fr.OP_FEATURE_ABORT, (op, ABORT_REFUSED))
         lang = node.menu_language.encode("ascii")[:3]
         return CecFrame(me, fr.BROADCAST, fr.OP_SET_MENU_LANGUAGE, tuple(lang))
-    return None
 
 
 def _derived_input_port(ctx: DeviceCtx, claimed: PhysicalAddress) -> int | None:
@@ -273,8 +272,7 @@ def _react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
     if addressed and op in fr.QUERY_OPCODES:
         if not state.cec_info_reporting_enabled:
             return Reaction(state)
-        response = _query_response(ctx, state, frame)
-        return Reaction(state, (response,) if response else ())
+        return Reaction(state, (_query_response(ctx, state, frame),))
 
     if op == fr.OP_STANDBY:
         if control and state.power is not PowerState.STANDBY:

@@ -7,7 +7,6 @@ attacks and detector rules key on is defined once, in the sets below.
 """
 
 import enum
-import functools
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -79,10 +78,7 @@ class PhysicalAddress:
         return cls((15, 15, 15, 15))
 
     @classmethod
-    @functools.cache
     def from_bytes(cls, high: int, low: int) -> "PhysicalAddress":
-        # Memoized: at most 65,536 byte pairs decode.  A pair that does not
-        # raises and is not stored, so it raises again on every call.
         return cls((high >> 4, high & 0xF, low >> 4, low & 0xF))
 
     @property

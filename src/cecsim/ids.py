@@ -18,7 +18,7 @@ from cecsim import frames as fr
 from cecsim import schema
 from cecsim.bus import BusEvent
 from cecsim.topology import Topology, TopologyError
-from cecsim.transfer import END_MARKER, MIC_MARKER, REQUEST_MARKER
+from cecsim.transfer import DATA_OPCODE, END_MARKER, MIC_MARKER, REQUEST_MARKER
 
 log = logging.getLogger(__name__)
 
@@ -202,7 +202,7 @@ def _checks_by_opcode() -> dict[int | None, list]:
     table: dict[int | None, list] = {}
     for opcodes, check in (
         ({marker.opcode for marker in _MARKERS}, Detector._check_markers),
-        ((0x00,), Detector._check_stream),
+        ((DATA_OPCODE,), Detector._check_stream),
         ((None,) + fr.QUERY_OPCODES, Detector._check_scan),
         (fr.CHURN_OPCODES, Detector._check_churn),
         (fr.ANNOUNCE_OPCODES + (fr.OP_STANDBY,), Detector._check_standby),
@@ -247,9 +247,8 @@ def apply_mitigation(topology: Topology, raw: dict) -> Topology:
     if kind == "strip_edge":
         for i, edge in enumerate(topology.edges):
             if [edge.parent, edge.child] == ids:
-                edges = list(topology.edges)
-                edges[i] = replace(edge, cec_propagates=False)
-                return replace(topology, edges=edges)
+                edges, stripped = topology.edges, replace(edge, cec_propagates=False)
+                return replace(topology, edges=edges[:i] + (stripped,) + edges[i + 1:])
         raise TopologyError("no edge %r -> %r to strip" % tuple(ids))
     [device] = ids
     node = topology.nodes.get(device)

@@ -6,14 +6,17 @@ addresses follow EDID: the root is 0.0.0.0 and a child on port p replaces
 its parent's first zero nibble with p.  A device that never reads EDID
 stays unregistered at f.f.f.f; an intermediate without its own EDID hop
 (a dumb switch or splitter) passes its upstream address through unchanged,
-so everything behind it sees the same port address.  A `Topology` is a
-frozen value whose views (root, addresses, domains) are computed once.
+so everything behind it sees the same port address.  A built `Topology`
+is a value nothing can edit: its nodes are frozen, its edges a tuple, its
+root found once by `build_topology`, and its read-only views (addresses,
+domains) computed once.
 """
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from types import MappingProxyType
 
 from cecsim import schema
 from cecsim.frames import DeviceType, FrameError, PhysicalAddress, PowerState, parse_vendor_id
@@ -58,7 +61,7 @@ MAX_DEPTH = 4
 MAX_OSD_LEN = 14
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class DeviceNode:
     """Static configuration of one device in the tree."""
 
@@ -92,41 +95,31 @@ class Edge:
 
 @dataclass(frozen=True)
 class Topology:
-    """A validated tree.  Each view is computed on first read and shared by
-    every run; a tree changed by `dataclasses.replace` computes its own."""
+    """A validated tree rooted at `root`.  Each read-only view is computed
+    on first read and shared by every run; a tree changed by
+    `dataclasses.replace` computes its own."""
 
     nodes: dict[str, DeviceNode]
-    edges: list[Edge]
+    edges: tuple[Edge, ...]
+    root: str
     vendor_names: dict[int, str] = field(default_factory=dict)
 
     @cached_property
-    def root(self) -> str:
-        children = {e.child for e in self.edges}
-        for node_id in self.nodes:
-            if node_id not in children:
-                return node_id
-        raise TopologyError("topology has no root")
+    def physical(self) -> MappingProxyType[str, PhysicalAddress]:
+        """Each node's physical address (`assign_physical_addresses`)."""
+        return MappingProxyType(assign_physical_addresses(self))
 
     @cached_property
-    def physical(self) -> dict[str, PhysicalAddress]:
-        """Each node's physical address; read it, never write it."""
-        return assign_physical_addresses(self)
-
-    @cached_property
-    def domains(self) -> dict[str, tuple[str, ...]]:
+    def domains(self) -> MappingProxyType[str, tuple[str, ...]]:
         """Each node's propagation domain (`propagation_domains`)."""
-        return propagation_domains(self)
+        return MappingProxyType(propagation_domains(self))
+
+    def __getstate__(self) -> dict:
+        """Copies and pickles carry the fields; their views are made anew."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def listeners(self) -> list[str]:
         return [n.id for n in self.nodes.values() if n.kind is DeviceKind.ATTACKER_LISTENER]
-
-
-def _children_by_parent(edges: list[Edge]) -> dict[str, list[Edge]]:
-    """Each parent's edges, in edge order.  Built per walk, never kept."""
-    children: dict[str, list[Edge]] = {}
-    for edge in edges:
-        children.setdefault(edge.parent, []).append(edge)
-    return children
 
 
 def _require(condition: bool, message: str):
@@ -246,6 +239,7 @@ def build_topology(config: dict) -> Topology:
 
     roots = [n for n in nodes if n not in seen_child]
     _require(len(roots) == 1, "topology must have exactly one root, found %r" % roots)
+    [root] = roots
 
     vendor_names = {}
     for key, name in schema.obj(config.get("vendor_names", {}), "topology vendor_names").items():
@@ -254,11 +248,11 @@ def build_topology(config: dict) -> Topology:
         except FrameError as exc:
             raise TopologyError("vendor_names: %s" % exc) from None
 
-    topo = Topology(nodes=nodes, edges=edges, vendor_names=vendor_names)
+    topo = Topology(nodes, tuple(edges), root, vendor_names)
     # The addressing walk checks depth and reaches everything below the root;
     # anything it misses is an orphan or part of a cycle among non-root nodes.
     unreached = [n for n in nodes if n not in topo.physical]
-    _require(not unreached, "nodes unreachable from root %r: %r" % (roots[0], unreached))
+    _require(not unreached, "nodes unreachable from root %r: %r" % (root, unreached))
     return topo
 
 
@@ -270,7 +264,9 @@ def assign_physical_addresses(topology: Topology) -> dict[str, PhysicalAddress]:
     inherit the slot unchanged instead of consuming another nibble.
     """
     root = topology.root
-    children = _children_by_parent(topology.edges)
+    children: dict[str, list[Edge]] = {}
+    for edge in topology.edges:
+        children.setdefault(edge.parent, []).append(edge)
     slots = {root: PhysicalAddress.root()}
     result: dict[str, PhysicalAddress] = {}
     order = deque([root])

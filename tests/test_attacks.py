@@ -19,6 +19,7 @@ from cecsim.attacks import (
 from cecsim.bus import Simulator
 from cecsim.devices import UserAction
 from cecsim.frames import CecFrame
+from cecsim.ids import apply_mitigation
 from cecsim.scenarios import builtin_scenario, run_scenario
 from cecsim.testbed import EXPECTED_TESTBED_SCAN
 from cecsim.topology import propagation_domains
@@ -128,7 +129,7 @@ class TestScanWalk:
         for address, entry in report.entries.items():
             node = topology.nodes[by_address[address]]
             assert entry["OSD Str"] == node.osd_name
-            assert entry["P. Addr"] == sim.physical[node.id].text
+            assert entry["P. Addr"] == sim.topology.physical[node.id].text
 
     def test_finished_walk_hears_no_more_frames(self, monkeypatch):
         reports_when_heard, events_when_finished = [], []
@@ -152,10 +153,9 @@ class TestScanWalk:
         assert not any(isinstance(a, ScanWalk) for a in result.sim.actors)
 
     def test_scan_from_island_sees_only_itself(self):
-        topo = build_testbed()
-        for i, edge in enumerate(topo.edges):
-            if edge.child == "client":
-                topo.edges[i] = edge.__class__(edge.parent, edge.child, edge.port, False)
+        topo = apply_mitigation(
+            build_testbed(), {"type": "strip_edge", "parent": "switch", "child": "client"}
+        )
         sim = Simulator(topo)
         sim.start()
         report = scanned(sim, "client")
@@ -164,10 +164,9 @@ class TestScanWalk:
     def test_scan_reaches_across_blocked_display_edge(self):
         # cutting the display link still leaves the island below the
         # switch talking to itself, so the walk finds the neighbours there
-        topo = build_testbed()
-        for i, edge in enumerate(topo.edges):
-            if edge.child == "switch":
-                topo.edges[i] = edge.__class__(edge.parent, edge.child, edge.port, False)
+        topo = apply_mitigation(
+            build_testbed(), {"type": "strip_edge", "parent": "tv", "child": "switch"}
+        )
         sim = Simulator(topo)
         sim.start()
         report = scanned(sim, "client")

@@ -240,6 +240,17 @@ class TestDelivery:
         event = testbed_sim.deliver("tv", CecFrame(0, 15, 0x85))
         assert event.acknowledged
 
+    def test_unknown_transmitter_raises(self, testbed_sim):
+        logged = len(testbed_sim.trace.events)
+        with pytest.raises(TopologyError, match="unknown transmitter 'ghost'"):
+            testbed_sim.deliver("ghost", CecFrame(0, 15, 0x85))
+        assert len(testbed_sim.trace.events) == logged
+
+    def test_scheduling_into_the_past_raises(self, testbed_sim):
+        testbed_sim.run(until=5)
+        with pytest.raises(ValueError, match="cannot schedule at tick 4, clock is already at 5"):
+            testbed_sim.schedule(4, print)
+
 
 # ---------------------------------------------------------------------------
 # Who reacts: the holder index
@@ -438,7 +449,7 @@ class TestInertFrames:
         cast = testbed_sim.logical["chromecast"]
         report = CecFrame(
             cast, fr.BROADCAST, fr.OP_REPORT_PHYSICAL_ADDRESS,
-            (*testbed_sim.physical["chromecast"].to_bytes(), 0x04),
+            (*testbed_sim.topology.physical["chromecast"].to_bytes(), 0x04),
         )
         name = CecFrame(cast, 0, fr.OP_SET_OSD_NAME, tuple(b"Chromecast"))
         events = [testbed_sim.deliver("chromecast", f) for f in (report, name)]
@@ -622,7 +633,6 @@ class TestHearing:
         first, second = Simulator(topology), Simulator(topology)
         first.start()
         second.start()
-        assert first.physical is second.physical is topology.physical
         assert first.device_states is not second.device_states
         for node_id in topology.nodes:
             assert first._domains[node_id].holders is not second._domains[node_id].holders

@@ -11,6 +11,7 @@ from cecsim import devices
 from cecsim import frames as fr
 from cecsim.bus import Simulator
 from cecsim.devices import (
+    ABORT_REFUSED,
     ABORT_UNRECOGNIZED,
     DeviceCtx,
     DeviceState,
@@ -23,6 +24,7 @@ from cecsim.frames import (
     CecFrame,
     OP_ACTIVE_SOURCE,
     OP_FEATURE_ABORT,
+    OP_GET_CEC_VERSION,
     OP_GIVE_OSD_NAME,
     OP_GIVE_PHYSICAL_ADDRESS,
     OP_GIVE_POWER_STATUS,
@@ -76,6 +78,21 @@ class TestQueries:
         reply = reaction.responses[0]
         assert reply.is_broadcast
         assert reply.operands[:2] == (0x30, 0x00)
+
+    def test_unknown_cec_version_refused(self):
+        nodes = [
+            {"id": "tv", "kind": "display", "device_type": "television", "cec_version": "2.0"},
+            {"id": "box", "kind": "source", "device_type": "playback"},
+        ]
+        sim = Simulator(build_topology(
+            {"nodes": nodes, "edges": [{"parent": "tv", "child": "box", "port": 1}]}
+        ))
+        sim.start()
+        ctx, state = ctx_and_state(sim, "tv")
+        reaction = react(ctx, state, CecFrame(4, 0, OP_GET_CEC_VERSION))
+        assert reaction.responses == (
+            CecFrame(0, 4, OP_FEATURE_ABORT, (OP_GET_CEC_VERSION, ABORT_REFUSED)),
+        )
 
     def test_queries_answered_from_standby(self, sim):
         ctx, state = ctx_and_state(sim, "amp")

@@ -130,6 +130,14 @@ class TestParse:
         with pytest.raises(FrameError):
             parse_frame(text)
 
+    @pytest.mark.parametrize(
+        "opcode, operands, message",
+        [(256, (), "opcode out of range: 256"), (0x82, (0,) * 15, "too many operands: 15")],
+    )
+    def test_constructor_rejects_what_no_frame_holds(self, opcode, operands, message):
+        with pytest.raises(FrameError, match="^%s$" % message):
+            CecFrame(1, 15, opcode, operands)
+
 
 class TestEncode:
     @pytest.mark.parametrize(
@@ -259,6 +267,12 @@ class TestPhysicalAddress:
         mid = PhysicalAddress((4, 0, 0, 0))
         assert mid.port_towards(PhysicalAddress((4, 2, 0, 0))) == 2
         assert own.port_towards(PhysicalAddress.unregistered()) is None
+        # a claim outside the node's prefix is not beneath it
+        assert mid.port_towards(PhysicalAddress((3, 2, 0, 0))) is None
+
+    def test_child_port_zero_rejected(self):
+        with pytest.raises(FrameError, match="port must be 1..15, got 0"):
+            PhysicalAddress.root().child(0)
 
     @given(st.integers(0, 255), st.integers(0, 255))
     @settings(deadline=None, max_examples=100)
@@ -305,6 +319,10 @@ class TestVendorIds:
 
     def test_bytes(self):
         assert vendor_id_bytes(0x001582) == (0x00, 0x15, 0x82)
+
+    def test_parse_rejects_more_than_24_bits(self):
+        with pytest.raises(FrameError, match="vendor id out of range"):
+            parse_vendor_id(0x1000000)
 
 
 # ---------------------------------------------------------------------------

@@ -189,12 +189,17 @@ class TestValidation:
                 {"topology": NO_LISTENER_TOPOLOGY, "relay": {"enabled": True}},
                 "relay needs an attacker listener",
             ),
+            ({"topology": 5}, "scenario topology must be a name, path, or object"),
         ],
     )
     def test_rejections_name_the_problem(self, patch, fragment):
         with pytest.raises(ScenarioError) as err:
             load_scenario(doc(**patch))
         assert fragment in str(err.value)
+
+    def test_missing_topology_named(self):
+        with pytest.raises(ScenarioError, match="^scenario 'bare' is missing its topology$"):
+            load_scenario({"name": "bare", "duration": 5})
 
     def test_check_fields_beyond_its_own_are_ignored(self):
         check = {"type": "zero_alerts", "note": "quiet bus", "device": "ghost"}
@@ -427,6 +432,49 @@ class TestArtifacts:
         outcomes = evaluate_checks(run_scenario(scenario))
         assert [(o.label, o.ok) for o in outcomes] == [(check["type"], False)]
         assert outcomes[0].detail == "check names no device 'ghost'"
+
+    @pytest.mark.parametrize(
+        "name, changes, check, detail",
+        [
+            ("benign-status-query", {}, {"type": "scan_report_equals", "expected": "testbed"},
+             "no scan report was produced"),
+            ("benign-status-query", {}, {"type": "scan_only_actor", "actor": "listener"},
+             "no scan report was produced"),
+            ("benign-status-query", {}, {"type": "transfer_complete"}, "no transfer attempted"),
+            ("attack1-device-walk", {}, {"type": "transfer_complete", "source": "capture"},
+             "store has no capture payload"),
+            ("attack3-file-theft", {}, {"type": "transfer_complete", "source": "mic"},
+             "payload differs from mic source (2048 vs 1024 bytes)"),
+            (
+                "benign-input-select",
+                {"actions": [{"tick": 10 + 5 * i, "actor": "tv", "action": "select_input",
+                              "args": {"port": port}} for i, port in enumerate((2, 1, 2, 3, 4))]},
+                {"type": "min_input_cycles", "device": "tv", "count": 2},
+                "1 full input cycles (need 2)",
+            ),
+            ("benign-status-query", {}, {"type": "standby_follows_announcement", "device": "amp"},
+             "amp never announced"),
+            ("benign-status-query", {}, {"type": "relay_latency"}, "scenario ran without a relay"),
+            ("attack5-remote-churn",
+             {"relay": {"enabled": True, "commands": [{"tick": 5, "command": "CANCEL"}]}},
+             {"type": "relay_latency"}, "no DOS1 command was posted"),
+            # Posted after the last poll of the run.
+            ("attack5-remote-churn",
+             {"relay": {"enabled": True, "commands": [{"tick": 190, "command": "DOS1"}]}},
+             {"type": "relay_latency"}, "relay command never produced bus traffic"),
+        ],
+    )
+    def test_failing_check_says_why(self, name, changes, check, detail):
+        document = {"name": name, **copy.deepcopy(scen._BUILTIN_SCENARIOS[name]), **changes}
+        result = run_scenario(load_scenario(dict(document, checks=[check])))
+        assert evaluate_checks(result) == [scen.CheckResult(check["type"], False, detail)]
+
+    def test_post_to_unreachable_relay_is_logged_not_recorded(self, caplog):
+        client = LoopbackRelayClient()
+        client.down = True
+        result = run_scenario(builtin_scenario("attack5-remote-churn"), relay_client=client)
+        assert result.relay_posts == []
+        assert "scenario post failed: loopback relay marked down" in caplog.messages
 
     def test_deterministic_trace(self):
         first = rendered(run_scenario(builtin_scenario("attack2-mic-exfil")).trace.render_log)
@@ -815,6 +863,16 @@ class TestCli:
         assert cli.main(["ids", "analyze", str(run_out / "trace.log")]) == 0
         out = capsys.readouterr().out
         assert "ScanBurst" in out
+
+    def test_ids_analyze_skips_blank_lines(self, tmp_path, capsys):
+        lines = rendered(run_scenario(builtin_scenario("attack1-device-walk")).trace.render_log)
+        plain, spaced = tmp_path / "plain.log", tmp_path / "spaced.log"
+        plain.write_text(lines, encoding="utf-8")
+        spaced.write_text("\n" + lines.replace("\n", "\n  \n"), encoding="utf-8")
+        assert cli.main(["ids", "analyze", str(plain)]) == 0
+        want = capsys.readouterr()
+        assert cli.main(["ids", "analyze", str(spaced)]) == 0
+        assert capsys.readouterr() == want and "ScanBurst" in want.out
 
     @pytest.mark.parametrize("name", builtin_scenario_names())
     def test_ids_analyze_replays_run_alerts(self, name, tmp_path, capsys):

@@ -67,12 +67,13 @@ class TestBuild:
         assert assign_physical_addresses(stripped) == before
 
     def test_addresses_follow_edges_replaced_in_place(self, testbed_topology):
-        # nothing about the edges is cached between walks
+        # a walk reads the edges of the tree it is given, not an earlier tree's
         assign_physical_addresses(testbed_topology)
-        edges = testbed_topology.edges
-        i = next(i for i, e in enumerate(edges) if e.child == "chromecast")
-        edges[i] = Edge("tv", "chromecast", 2)
-        assert assign_physical_addresses(testbed_topology)["chromecast"].text == "2.0.0.0"
+        edges = tuple(Edge("tv", "chromecast", 2) if e.child == "chromecast" else e
+                      for e in testbed_topology.edges)
+        moved = dataclasses.replace(testbed_topology, edges=edges)
+        assert assign_physical_addresses(moved)["chromecast"].text == "2.0.0.0"
+        assert assign_physical_addresses(testbed_topology)["chromecast"].text == "3.0.0.0"
 
     def test_addressed_switch_extends_path(self):
         # A switch that does answer the address handshake: devices behind it
@@ -303,6 +304,18 @@ class TestPropagation:
         with pytest.raises(dataclasses.FrozenInstanceError):
             testbed_topology.edges = []
 
+    def test_built_topology_cannot_be_edited(self, testbed_topology):
+        with pytest.raises(TypeError):
+            testbed_topology.edges[0] = testbed_topology.edges[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            testbed_topology.nodes["tv"].osd_name = "Other"
+        with pytest.raises(TypeError):
+            testbed_topology.physical["tv"] = testbed_topology.physical["amp"]
+        with pytest.raises(TypeError):
+            testbed_topology.domains["tv"] = ("tv",)
+        assert testbed_topology.nodes["tv"].osd_name == "TV"
+        assert testbed_topology.physical["tv"].text == "0.0.0.0"
+
     def test_strip_edge_copy_gets_its_own_domains(self, testbed_topology):
         physical, domains = testbed_topology.physical, testbed_topology.domains
         stripped = apply_mitigation(
@@ -325,10 +338,7 @@ class TestPropagation:
         assert list(domains["hub"]) == list(testbed_topology.nodes)
 
     def test_blocked_edge_splits_domain(self):
-        topo = make_chain(3)
-        for i, edge in enumerate(topo.edges):
-            if edge.child == "d2":
-                topo.edges[i] = edge.__class__(edge.parent, edge.child, edge.port, False)
+        topo = apply_mitigation(make_chain(3), {"type": "strip_edge", "parent": "d1", "child": "d2"})
         domains = propagation_domains(topo)
         assert sorted(domains["d0"]) == ["d0", "d1"]
         assert domains["d2"] == ("d2",)

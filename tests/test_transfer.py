@@ -17,6 +17,7 @@ from cecsim.transfer import (
     FileReceiver,
     FileSender,
     INACTIVITY_TIMEOUT,
+    MAX_PAYLOAD,
     MAX_UNACKED,
     MIC_MARKER,
     PayloadStore,
@@ -100,6 +101,10 @@ class TestSegmentation:
 
     def test_empty_payload_serializes_to_nothing(self):
         assert list(serialize_payload(b"")) == []
+
+    def test_oversized_payload_raises_at_the_call(self):
+        with pytest.raises(ValueError, match="payload too large: %d bytes" % (MAX_PAYLOAD + 1)):
+            serialize_payload(bytes(MAX_PAYLOAD + 1))
 
     @given(st.binary(max_size=600))
     @settings(deadline=None)
@@ -216,6 +221,28 @@ class TestTransfer:
         sim.schedule(5, lambda: accepted.append(receiver.request_file(sim)))
         sim.run(until=10)
         assert accepted == [True, False]
+
+    def test_second_requester_gets_no_second_stream(self, caplog):
+        payload = bytes(range(200))
+        sim, sender, receiver, _ = wired_sim(payload)
+        other = FileReceiver("tv")
+        sim.add_actor(other)
+        sim.schedule(2, lambda: receiver.request_file(sim))
+        sim.schedule(5, lambda: other.request_file(sim))
+        with caplog.at_level("INFO", logger="cecsim.transfer"):
+            sim.run(until=60)
+        assert "spy busy, ignoring transfer request from tv" in caplog.messages
+        sent = [e.frame for e in sim.trace.events if e.origin == "spy" and e.tick >= 2]
+        assert sent[-1] == END_MARKER and sent.count(END_MARKER) == 1
+        assert len(sent) == segment_count(len(payload)) + 1
+        spy = "address-%d" % sim.logical["spy"]
+        # The end marker is broadcast, so it also closes the refused
+        # request's session, as complete and empty.
+        assert [(r.receiver, r.peer, r.status, r.payload, r.segments)
+                for r in sim.artifacts.transfers] == [
+            ("pc", spy, "complete", payload, segment_count(len(payload))),
+            ("tv", spy, "complete", b"", 0),
+        ]
 
     def test_transfer_records_peer_addresses(self):
         sim, sender, receiver, _ = wired_sim(b"x")
