@@ -156,13 +156,6 @@ class ScanWalk(Actor):
             self.on_complete(sim, report)
 
 
-@functools.cache
-def _standby(own: int, target: int) -> CecFrame:
-    """TargetedDos's Standby frame, built once per pair of addresses, so
-    that every fire is one frame object to the targets' `react` memo."""
-    return CecFrame(own, target, fr.OP_STANDBY)
-
-
 class TargetedDos(Actor):
     """Sniff for wake-up chatter and put the target straight back into
     standby.  Stays armed and re-fires every time."""
@@ -184,19 +177,20 @@ class TargetedDos(Actor):
         if not self.armed or event.origin == self.device:
             return
         own = sim.logical.get(self.device)
-        if own is None:
-            return
-        sim.transmit_at(sim.clock + 1, self.device, _standby(own, self.target_address))
+        if own is not None:
+            standby = CecFrame(own, self.target_address, fr.OP_STANDBY)
+            sim.transmit_at(sim.clock + 1, self.device, standby)
 
 
 CLAIMED_PORTS = (1, 2, 3, 4)
 
 
 @functools.cache
-def _churn_cycle(own: int, display: int) -> tuple[CecFrame, ...]:
-    """The input-churn loop's frames, built once per pair of addresses (at
-    most 16 x 16).  Frames are immutable, so every run shares them."""
-    frames = [CecFrame(own, display, fr.OP_IMAGE_VIEW_ON)]
+def _churn_cycle(own: int) -> tuple[CecFrame, ...]:
+    """The input-churn loop's frames, built once per address (at most 16).
+    Frames are immutable, so every run shares them.  CEC fixes the display at
+    logical address 0."""
+    frames = [CecFrame(own, 0, fr.OP_IMAGE_VIEW_ON)]
     for port in CLAIMED_PORTS:
         claim = PhysicalAddress((port, 0, 0, 0))
         frames.append(CecFrame(own, fr.BROADCAST, fr.OP_ACTIVE_SOURCE, claim.to_bytes()))
@@ -207,9 +201,10 @@ class BroadcastDos(Actor):
     """Five-frame input-churn loop: wake the display, then walk its inputs
     with forged active-source claims, one frame per tick, until deactivated."""
 
-    def __init__(self, device: str, display_address: int = 0):
+    hears = frozenset()
+
+    def __init__(self, device: str):
         super().__init__(device)
-        self.display_address = display_address
         self.active = False
         self._index = 0
 
@@ -228,7 +223,7 @@ class BroadcastDos(Actor):
         if not self.active or own is None:
             sim.rest(self)
             return
-        cycle = _churn_cycle(own, self.display_address)
+        cycle = _churn_cycle(own)
         sim.transmit_at(tick, self.device, cycle[self._index])
         self._index = (self._index + 1) % len(cycle)
 
@@ -240,17 +235,11 @@ class AttackController(Actor):
 
     hears = frozenset((ARM_TARGETED_MARKER.opcode, ARM_BROADCAST_MARKER.opcode))
 
-    def __init__(
-        self,
-        device: str,
-        store: PayloadStore,
-        targeted_target: int = 0,
-        display_address: int = 0,
-    ):
+    def __init__(self, device: str, store: PayloadStore):
         super().__init__(device)
         self.store = store
-        self.targeted = TargetedDos(device, target_address=targeted_target)
-        self.broadcast = BroadcastDos(device, display_address=display_address)
+        self.targeted = TargetedDos(device)
+        self.broadcast = BroadcastDos(device)
         self.sender = FileSender(device, store)
 
     def register(self, sim: Simulator):

@@ -25,7 +25,6 @@ A run's fixed cost is its claims: addresses and domains are the topology's,
 and the sixteen poll frames are built once, in `_POLLS`.
 """
 
-import bisect
 import heapq
 import logging
 import re
@@ -170,8 +169,8 @@ class Actor:
     `on_tick` on each tick between `Simulator.wake` and `Simulator.rest`;
     one that waits rests and queues `Simulator.wake` on the tick before it
     acts.  After `Simulator.remove_actor` it gets neither, from the next
-    tick or frame on.  The simulator calls only the callbacks a subclass
-    overrides; the ones here do nothing.
+    tick or frame on.  An actor that does not listen declares an empty
+    `hears`.
     """
 
     # The opcodes `on_event` hears (None in it: polls); None hears every frame.
@@ -193,8 +192,7 @@ class _Domain:
 
     def __init__(self, members: tuple[str, ...], nodes):
         self.members = members
-        # Member -> index in `members`; also the membership test.
-        self.position = {n: i for i, n in enumerate(members)}
+        self.membership = frozenset(members)
         # The members that react to a broadcast.
         self.addressed = tuple(n for n in members if nodes[n].cec_addressed)
         # Logical address -> the members that claimed it, in `members` order.
@@ -210,8 +208,8 @@ class Simulator:
         self.logical: dict[str, int | None] = {}
         self.device_states: dict[str, dv.DeviceState] = {}
         self.actors: list[Actor] = []
-        # The awake actors and, per opcode, the `on_event` overriders that hear
-        # it, in add order.  Each change rebinds them, so a loop over one keeps
+        # The awake actors and, per opcode, the actors that hear it, in add
+        # order.  Each change rebinds them, so a loop over one keeps
         # the actors it started with.
         self._tickers: tuple[Actor, ...] = ()
         self._hearing: dict[int | None, tuple[Actor, ...]] = {}
@@ -257,12 +255,17 @@ class Simulator:
                 self.allocate_logical_address(node_id)
 
     def allocate_logical_address(self, device_id: str) -> int:
-        """Poll candidate addresses and claim the first free one.
-
-        A configured fixed address is tried before the type's usual claim
-        order.  Returns 15 (stays unregistered) when everything is taken.
+        """Poll candidate addresses and claim the first free one, once: a
+        device that is not CEC-addressed or already holds an address raises
+        ValueError.  A configured fixed address is tried before the type's
+        usual claim order.  Returns 15 (stays unregistered) when everything
+        is taken.
         """
+        if not self._started:
+            self.start()
         node = self.topology.nodes[device_id]
+        if not node.cec_addressed or self.logical[device_id] is not None:
+            raise ValueError("%s is not CEC-addressed or already holds an address" % device_id)
         candidates = []
         if node.logical_address is not None:
             candidates.append(node.logical_address)
@@ -277,15 +280,9 @@ class Simulator:
         return self._claim(device_id, UNREGISTERED)
 
     def _claim(self, device_id: str, address: int) -> int:
-        """Record the claim in `logical`, the domain's holder index and the
-        device's context."""
-        domain = self._domains[device_id]
-        previous = self.logical[device_id]
-        if previous is not None:
-            domain.holders[previous].remove(device_id)
-        bisect.insort(
-            domain.holders.setdefault(address, []), device_id, key=domain.position.__getitem__
-        )
+        """Record the claim in `logical`, the device's context and the
+        domain's holders, by appending: `start` claims in `members` order."""
+        self._domains[device_id].holders.setdefault(address, []).append(device_id)
         self.logical[device_id] = address
         self._ctx[device_id] = dv.DeviceCtx(
             self.topology.nodes[device_id], address, self.topology.physical[device_id]
@@ -380,7 +377,7 @@ class Simulator:
         self.trace.events.append(event)
 
         for node_id in receivers:
-            if node_id == origin or not nodes[node_id].cec_addressed:
+            if node_id == origin:
                 continue
             state = states[node_id]
             reaction = dv.react(self._ctx[node_id], state, frame)
@@ -394,13 +391,11 @@ class Simulator:
         listeners = self._hearing.get(frame.opcode)
         if listeners is None:
             listeners = self._hearing[frame.opcode] = tuple(
-                a for a in self.actors
-                if type(a).on_event is not Actor.on_event
-                and (a.hears is None or frame.opcode in a.hears)
+                a for a in self.actors if a.hears is None or frame.opcode in a.hears
             )
-        position = domain.position
+        membership = domain.membership
         for actor in listeners:
-            if actor.device in position:
+            if actor.device in membership:
                 actor.on_event(self, event)
         return event
 

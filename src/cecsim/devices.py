@@ -12,8 +12,8 @@ equal results are one object; the table holds at most 512 of them.  Only
 `DeviceState.initial` builds a state outside it.
 
 `react` is a memo of that transition.  Each `DeviceCtx` holds its own memo,
-keyed by the identities of the state and the frame, so a re-claim, which
-builds a new context, starts with an empty one.  Each entry holds its state
+keyed by the identities of the state and the frame; a simulator builds one
+context per device, so no two runs share a memo.  Each entry holds its state
 and frame, so no key's ids can name other objects while it lives.  A
 memo that reaches `_MEMO_LIMIT` entries is cleared.  Queries, the broadcast
 Request Active Source among them, skip the memo: a device answers each one
@@ -189,8 +189,6 @@ def _query_response(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> CecF
         return _report_physical_address(ctx)
     if op == fr.OP_GIVE_OSD_NAME:
         name = node.osd_name.encode("ascii", errors="replace")[:14]
-        if not name:
-            return CecFrame(me, them, fr.OP_FEATURE_ABORT, (op, ABORT_REFUSED))
         return CecFrame(me, them, fr.OP_SET_OSD_NAME, tuple(name))
     if op == fr.OP_GIVE_VENDOR_ID:
         return _device_vendor_id(ctx)

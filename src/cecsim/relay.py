@@ -103,6 +103,8 @@ class RelayPoller(Actor):
     replay A to the unauthenticated relay can post a fresh one anyway.
     """
 
+    hears = frozenset()
+
     def __init__(self, client, controller, interval_ticks: int):
         if interval_ticks < 1:
             raise ValueError("poll interval must be at least one tick")

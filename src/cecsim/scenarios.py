@@ -155,9 +155,10 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
         document.get("ticks_per_second", 10), "scenario %r ticks_per_second" % name, 1
     )
     listener_options = schema.obj(document.get("listener_options", {}), "listener_options")
-    for key, top in (("mic_bytes", MAX_PAYLOAD), ("capture_bytes", MAX_PAYLOAD),
-                     ("targeted_target", fr.BROADCAST), ("display_address", fr.BROADCAST)):
-        schema.integer(listener_options.get(key, 0), "listener_options " + key, 0, top)
+    for key, value in listener_options.items():
+        if key not in ("mic_bytes", "capture_bytes"):
+            raise ScenarioError("unknown listener_options key %r" % key)
+        schema.integer(value, "listener_options " + key, 0, MAX_PAYLOAD)
 
     ids_options = schema.obj(document.get("ids", {}), "ids section")
     if "config" in ids_options:
@@ -248,9 +249,7 @@ def run_scenario(scenario: Scenario, *, relay_client=None) -> RunResult:
         rng = Random(scenario.seed ^ 0x636170)
         capture = rng.randbytes(capture_bytes) if capture_bytes else None
         store = PayloadStore(scenario.seed, options.get("mic_bytes", 1024), capture)
-        controller = controllers[listener] = AttackController(
-            listener, store, options.get("targeted_target", 0), options.get("display_address", 0)
-        )
+        controller = controllers[listener] = AttackController(listener, store)
         controller.register(sim)
     result = RunResult(scenario, sim, controllers)
 

@@ -5,7 +5,10 @@ the holder answers with a stream of opcode-0x00 data frames carrying up to
 14 payload bytes each, one frame per tick, then a fixed end marker.  The
 markers are whole-frame byte patterns, so they work without knowing who is
 listening, and anything that does not look like a marker or a data frame
-for the open session is dismissed.
+for the open session is dismissed, with one gap: every observer hears the
+end marker, so the end of another device's stream closes an open session
+as complete with no bytes.  A requester refused while the holder was busy
+cannot tell that refusal from an empty payload.
 """
 
 import hashlib

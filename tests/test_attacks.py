@@ -194,8 +194,7 @@ class TestTargetedDos:
         # One Standby per announcement heard, each already on the wire.
         assert len(announcements_heard(testbed_sim, "listener")) == len(standbys) == 3
 
-    def test_every_fire_sends_one_frame_object(self, testbed_sim):
-        # One object, so the target's `react` memo answers repeats by identity.
+    def test_every_fire_sends_an_equal_standby(self, testbed_sim):
         dos = TargetedDos("listener", target_address=0)
         dos.arm()
         testbed_sim.add_actor(dos)
@@ -205,7 +204,8 @@ class TestTargetedDos:
         testbed_sim.run(until=30)
         standbys = standbys_from(testbed_sim, "listener")
         assert len(standbys) > 3
-        assert all(e.frame is standbys[0].frame for e in standbys)
+        own = testbed_sim.logical["listener"]
+        assert all(e.frame == CecFrame(own, 0, fr.OP_STANDBY) for e in standbys)
 
     def test_idle_until_armed(self, testbed_sim):
         dos = TargetedDos("listener")
@@ -261,7 +261,7 @@ class TestTargetedDos:
 
 class TestBroadcastDos:
     def test_cycle_contents(self, testbed_sim):
-        dos = BroadcastDos("listener", display_address=0)
+        dos = BroadcastDos("listener")
         testbed_sim.add_actor(dos)
         dos.activate(testbed_sim)
         testbed_sim.run(until=7)

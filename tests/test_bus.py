@@ -1,5 +1,7 @@
 """Simulator tests: address allocation, delivery, acks, determinism."""
 
+import copy
+import dataclasses
 import functools
 from random import Random
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from cecsim import devices as dv
 from cecsim import frames as fr
 from cecsim import bus
+from cecsim.attacks import BroadcastDos
 from cecsim.bus import Actor, BusEvent, Simulator, StateChange, Trace, parse_trace_line
 from cecsim.devices import UserAction
 from cecsim.frames import (
@@ -20,6 +23,7 @@ from cecsim.frames import (
     PhysicalAddress,
     PowerState,
 )
+from cecsim.relay import RelayPoller
 from cecsim.scenarios import builtin_scenario, builtin_scenario_names, run_scenario
 from cecsim.topology import TopologyError, build_topology, propagation_domains
 
@@ -364,13 +368,33 @@ class TestReactionIndex:
             "t=3 | mute | power=standby\nt=3 | box | power=standby\n"
         )
 
-    def test_reclaim_moves_the_holder(self, pair_topology, react_calls):
-        sim = Simulator(pair_topology)
+    def test_a_device_claims_once(self, pair_topology, testbed_topology):
+        # box already holds an address; the testbed's switch never can
+        for topology, device in ((pair_topology, "box"), (testbed_topology, "switch")):
+            sim = Simulator(topology)
+            sim.start()
+            logical, events = dict(sim.logical), len(sim.trace.events)
+            holders = {n: copy.deepcopy(d.holders) for n, d in sim._domains.items()}
+            with pytest.raises(ValueError, match=device):
+                sim.allocate_logical_address(device)
+            assert sim.logical == logical and len(sim.trace.events) == events
+            assert {n: d.holders for n, d in sim._domains.items()} == holders
+
+    @given(tree_topologies(), st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_holders_are_in_members_order(self, topology, data):
+        # A device that never acks its poll shares its address with the
+        # next claimant of its type.
+        muted = data.draw(st.sets(st.sampled_from(sorted(topology.nodes))))
+        nodes = {
+            n: dataclasses.replace(node, cec_info_reporting_enabled=n not in muted)
+            for n, node in topology.nodes.items()
+        }
+        sim = Simulator(dataclasses.replace(topology, nodes=nodes))
         sim.start()
-        assert sim.allocate_logical_address("box") == 4
-        react_calls.clear()
-        sim.deliver("tv", CecFrame(0, 4, OP_GIVE_OSD_NAME))
-        assert react_calls == ["box"]
+        for domain in sim._domains.values():
+            for holders in domain.holders.values():
+                assert holders == [n for n in domain.members if n in holders]
 
     @given(tree_topologies(), st.lists(_frames, min_size=1, max_size=6))
     @settings(deadline=None, max_examples=60)
@@ -552,6 +576,10 @@ class _PollListener(_Listener):
     hears = frozenset({None})
 
 
+class _Deaf(_Listener):
+    hears = frozenset()
+
+
 class _Recruiter(_Witness):
     """Adds and wakes `recruit` while it hears its first frame or, with
     `at_tick` set, during its first tick."""
@@ -605,15 +633,16 @@ class TestHearing:
         assert any(e.frame == own for e in actor.heard)
 
     def test_actor_hears_only_the_opcodes_it_declares(self, testbed_sim):
-        standby, everything = _StandbyListener("tv"), _Listener("tv")
-        testbed_sim.add_actor(standby)
-        testbed_sim.add_actor(everything)
+        standby, everything, deaf = _StandbyListener("tv"), _Listener("tv"), _Deaf("tv")
+        for actor in (standby, everything, deaf):
+            testbed_sim.add_actor(actor)
         testbed_sim.transmit_at(1, "client", CecFrame(2, 0, OP_GIVE_POWER_STATUS))
         testbed_sim.transmit_at(2, "client", CecFrame(2, 0, OP_STANDBY))
         testbed_sim.transmit_at(3, "client", CecFrame(2, 15, OP_STANDBY))
         testbed_sim.run(until=6)
         assert len(standby.heard) == 2 and len(everything.heard) > 2
         assert standby.heard == [e for e in everything.heard if e.frame.opcode == OP_STANDBY]
+        assert deaf.heard == []
 
     def test_none_in_hears_means_polls(self):
         sim = Simulator(build_testbed())
@@ -627,6 +656,15 @@ class TestHearing:
         assert polls.heard == [e for e in sim.trace.events if e.frame.is_polling]
         assert polls.heard and len(polls.heard) < len(everything.heard)
         assert standby.heard == []
+
+    def test_program_actors_that_do_not_listen_are_never_called(self, monkeypatch):
+        # The same patch a tracer makes: an `on_event` on every actor class.
+        calls = []
+        for cls in (BroadcastDos, RelayPoller):
+            monkeypatch.setattr(cls, "on_event", lambda self, sim, event: calls.append(self))
+        result = run_scenario(builtin_scenario("attack5-remote-churn"))
+        assert result.poller is not None and result.controllers["listener"].broadcast.active
+        assert calls == []
 
     def test_simulators_of_one_topology_share_only_its_views(self):
         topology = build_testbed()
@@ -804,8 +842,8 @@ class TestWaking:
 # ---------------------------------------------------------------------------
 
 class TestStartOnDemand:
-    """`deliver`, `user_action` and `device_ctx` start the simulator, as
-    `run` does."""
+    """`deliver`, `user_action`, `device_ctx` and `allocate_logical_address`
+    start the simulator, as `run` does."""
 
     @staticmethod
     def _pair():
@@ -833,6 +871,14 @@ class TestStartOnDemand:
         ctx = sim.device_ctx("tv")
         assert (ctx.logical, ctx.physical) == (0, PhysicalAddress.root())
         assert ctx == started.device_ctx("tv")
+
+    def test_allocate_logical_address(self):
+        sim, started = self._pair()
+        # the claims of `start` come first, so tv's own is refused
+        with pytest.raises(ValueError, match="tv"):
+            sim.allocate_logical_address("tv")
+        assert sim.logical == started.logical
+        assert rendered(sim.trace.render_log) == rendered(started.trace.render_log)
 
 
 # ---------------------------------------------------------------------------

@@ -485,20 +485,19 @@ class TestMemo:
 
     @given(st.data())
     @settings(deadline=None, max_examples=50)
-    def test_a_reclaimed_device_starts_with_an_empty_memo(self, data):
-        sim = Simulator(build_testbed())
-        sim.start()
-        addressed = sorted(n for n, node in sim.topology.nodes.items() if node.cec_addressed)
+    def test_simulators_of_one_topology_keep_separate_memos(self, data):
+        topology = build_testbed()
+        first, second = Simulator(topology), Simulator(topology)
+        first.start()
+        second.start()
+        addressed = sorted(n for n, node in topology.nodes.items() if node.cec_addressed)
         device = data.draw(st.sampled_from(addressed))
-        old, state = ctx_and_state(sim, device)
-        for frame in data.draw(st.lists(observed_frames(old), min_size=1, max_size=6)):
-            react(old, state, frame)
-        entries = dict(old.memo)
-        sim.allocate_logical_address(device)
-        new = sim.device_ctx(device)
-        assert new is not old
-        assert new.memo == {}
-        assert old.memo == entries
+        ctx, state = ctx_and_state(first, device)
+        for frame in data.draw(st.lists(observed_frames(ctx), min_size=1, max_size=6)):
+            react(ctx, state, frame)
+        other = second.device_ctx(device)
+        assert other is not ctx
+        assert other.memo == {}
 
     def test_memo_is_cleared_at_its_limit(self, sim):
         ctx, state = ctx_and_state(sim, "tv")

@@ -45,8 +45,7 @@ SCENARIO = {
     "ticks_per_second": 10,
     "overrides": {"tv": {"osd_name": "Lounge"}},
     "mitigations": [{"type": "disable_control", "device": "amp"}],
-    "listener_options": {"mic_bytes": 64, "capture_bytes": 100, "targeted_target": 0,
-                         "display_address": 0},
+    "listener_options": {"mic_bytes": 64, "capture_bytes": 100},
     "actions": [
         {"tick": 2, "actor": "listener", "action": "scan"},
         {"tick": 3, "actor": "client", "action": "send_frame", "args": {"frame": "bb:bb:bb:bb"}},

@@ -190,6 +190,7 @@ class TestValidation:
                 "relay needs an attacker listener",
             ),
             ({"topology": 5}, "scenario topology must be a name, path, or object"),
+            ({"listener_options": {"mic_byte": 5}}, "mic_byte"),
         ],
     )
     def test_rejections_name_the_problem(self, patch, fragment):
