@@ -38,7 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scenario", required=True, help="builtin name or path to a scenario file")
     run.add_argument("--out", help="directory for trace/report/transfer artifacts")
     run.add_argument("--seed", type=int, help="override the scenario seed")
-    run.add_argument("--ticks-per-second", type=int, help="override the clock rate")
     run.add_argument("--relay-url", help="use a live relay at this base URL")
     run.add_argument("--ids-config", help="JSON file with detector thresholds")
     run.add_argument("--ids-tap", help="device whose vantage point the detector taps")
@@ -77,10 +76,6 @@ def _cmd_run(args) -> int:
     scenario = scen.resolve_scenario(args.scenario)
     if args.seed is not None:
         scenario.seed = args.seed
-    if args.ticks_per_second is not None:
-        if args.ticks_per_second < 1:
-            raise scen.ScenarioError("--ticks-per-second must be a positive integer")
-        scenario.ticks_per_second = args.ticks_per_second
     if args.ids_tap:
         scenario.ids_options["tap"] = args.ids_tap
     config = _load_ids_config(args.ids_config)

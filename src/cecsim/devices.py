@@ -133,7 +133,6 @@ class UserAction(enum.Enum):
     POWER_ON = "power_on"
     POWER_OFF = "power_off"
     SELECT_INPUT = "select_input"
-    OPEN_SETTINGS = "open_settings"
     DISABLE_CEC = "disable_cec"
 
 
@@ -370,15 +369,8 @@ def apply_user_action(
             emissions.append(_active_source(ctx, ctx.physical.child(argument)))
         return UserActionResult(True, "", new_state, emissions, _changes(state, new_state))
 
-    if action is UserAction.OPEN_SETTINGS:
-        if not menu_accessible:
-            return UserActionResult(False, "settings menu unresponsive", state)
-        return UserActionResult(True, "", state)
-
-    if action is UserAction.DISABLE_CEC:
-        if not menu_accessible:
-            return UserActionResult(False, "settings menu unresponsive", state)
-        disabled = _state(state.power, state.active_source, state.active_input_port, False, False)
-        return UserActionResult(True, "", disabled, [], _changes(state, disabled))
-
-    return UserActionResult(False, "unsupported action", state)
+    # DISABLE_CEC, the one action left.
+    if not menu_accessible:
+        return UserActionResult(False, "settings menu unresponsive", state)
+    disabled = _state(state.power, state.active_source, state.active_input_port, False, False)
+    return UserActionResult(True, "", disabled, [], _changes(state, disabled))

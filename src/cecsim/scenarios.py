@@ -2,9 +2,11 @@
 
 A scenario is a JSON document: a topology (inline, by file, or the built
 in lab tree), optional per-node overrides and mitigations, a timed action
-list, optional relay plumbing, and a list of post-run checks.  The runner
-wires up the attack services, replays the actions, runs the detector over
-the finished trace, and can persist every artifact of the run.
+list, optional relay plumbing, and post-run checks.  A key the loader does
+not know, at the top level or in `relay`, `ids` or `listener_options`, is
+refused.  Marker frames from another device, or relay commands, arm the
+listener.  The runner wires up the attack services, replays the actions,
+runs the detector over the finished trace, and can persist its artifacts.
 """
 
 import json
@@ -30,6 +32,9 @@ from cecsim.transfer import MAX_PAYLOAD, FileReceiver, PayloadStore, write_trans
 log = logging.getLogger(__name__)
 
 _USER_ACTIONS = {action.value: action for action in UserAction}
+_SCENARIO_KEYS = ("name", "topology", "duration", "seed", "overrides", "mitigations",
+                  "actions", "relay", "listener_options", "ids", "checks")
+_RELAY_KEYS = ("enabled", "commands", "interval_ticks")
 
 
 class ScenarioError(FieldError):
@@ -51,7 +56,6 @@ class Scenario:
     topology: Topology
     duration: int
     seed: int = 0
-    ticks_per_second: int = 10
     actions: list[ScenarioAction] = field(default_factory=list)
     relay: dict | None = None
     listener_options: dict = field(default_factory=dict)
@@ -75,7 +79,7 @@ def _resolve_topology(raw, base_dir: str | None) -> dict:
 @schema.raises(ScenarioError)
 def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
     """Validate a scenario document; every complaint names the field."""
-    schema.obj(document, "scenario")
+    schema.keyed(document, "scenario", _SCENARIO_KEYS)
     name = schema.text(document.get("name"), "scenario name")
     if "topology" not in document:
         raise ScenarioError("scenario %r is missing its topology" % name)
@@ -133,15 +137,10 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
                 schema.integer(peer, where + " peer", 0, fr.BROADCAST)
             if actor in listeners or not topology.nodes[actor].cec_addressed:
                 raise ScenarioError("%s cannot run on %r" % (where, actor))
-        if action in ("arm_targeted_dos", "start_broadcast_dos", "cancel_attacks"):
-            if actor not in listeners:
-                raise ScenarioError("%s must run on a listener device, not %r" % (where, actor))
-        if action == "arm_targeted_dos" and "target" in args:
-            schema.integer(args["target"], where + " target", 0, fr.BROADCAST)
         actions.append(ScenarioAction(tick, actor, action, dict(args)))
     actions.sort(key=lambda a: a.tick)
 
-    relay_cfg = schema.obj(document.get("relay", {}), "relay section")
+    relay_cfg = schema.keyed(document.get("relay", {}), "relay", _RELAY_KEYS)
     if schema.flag(relay_cfg.get("enabled", False), "relay enabled") and not listeners:
         raise ScenarioError("relay needs an attacker listener in the topology")
     for cmd in schema.objects(relay_cfg.get("commands", []), "relay commands"):
@@ -151,16 +150,13 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
         schema.integer(relay_cfg["interval_ticks"], "relay interval_ticks", 1)
 
     seed = schema.integer(document.get("seed", 0), "scenario %r seed" % name, low=None)
-    tps = schema.integer(
-        document.get("ticks_per_second", 10), "scenario %r ticks_per_second" % name, 1
+    listener_options = schema.keyed(
+        document.get("listener_options", {}), "listener_options", ("mic_bytes", "capture_bytes")
     )
-    listener_options = schema.obj(document.get("listener_options", {}), "listener_options")
     for key, value in listener_options.items():
-        if key not in ("mic_bytes", "capture_bytes"):
-            raise ScenarioError("unknown listener_options key %r" % key)
         schema.integer(value, "listener_options " + key, 0, MAX_PAYLOAD)
 
-    ids_options = schema.obj(document.get("ids", {}), "ids section")
+    ids_options = schema.keyed(document.get("ids", {}), "ids", ("tap", "config"))
     if "config" in ids_options:
         try:
             ids_mod.RuleConfig.from_dict(ids_options["config"])
@@ -180,7 +176,6 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
         topology=topology,
         duration=duration,
         seed=seed,
-        ticks_per_second=tps,
         actions=actions,
         # Copies: editing a loaded scenario never edits the document.
         relay=dict(relay_cfg),
@@ -235,8 +230,9 @@ class RunResult:
 def run_scenario(scenario: Scenario, *, relay_client=None) -> RunResult:
     """Build the simulator, wire services, replay actions, detect.
 
-    `relay_client` picks the relay transport; without one, an enabled
-    relay runs over an in-process loopback."""
+    A `relay_client` carries the relay's traffic and turns a relay on even
+    where the scenario enables none, so the listener is checked again here;
+    without one, an enabled relay runs over an in-process loopback."""
     topology = scenario.topology
     # Checked again here: `cecsim run --ids-tap` sets the tap after loading.
     _check_tap(scenario.ids_options.get("tap"), topology)
@@ -258,7 +254,7 @@ def run_scenario(scenario: Scenario, *, relay_client=None) -> RunResult:
         if not controllers:
             raise ScenarioError("relay needs an attacker listener in the topology")
         client = relay_client if relay_client is not None else relay_mod.LoopbackRelayClient()
-        interval = relay_cfg.get("interval_ticks", 2 * scenario.ticks_per_second)
+        interval = relay_cfg.get("interval_ticks", 20)
         poller = relay_mod.RelayPoller(client, next(iter(controllers.values())), interval)
         poller.start(sim)
         result.poller = poller
@@ -318,30 +314,12 @@ def _request_file(sim: Simulator, action: ScenarioAction, result: RunResult):
     receiver.request_file(sim, peer)
 
 
-def _arm_targeted_dos(sim: Simulator, action: ScenarioAction, result: RunResult):
-    targeted = result.controllers[action.actor].targeted
-    if "target" in action.args:
-        targeted.target_address = action.args["target"]
-    targeted.arm()
-
-
-def _start_broadcast_dos(sim: Simulator, action: ScenarioAction, result: RunResult):
-    result.controllers[action.actor].broadcast.activate(sim)
-
-
-def _cancel_attacks(sim: Simulator, action: ScenarioAction, result: RunResult):
-    result.controllers[action.actor].cancel_all()
-
-
 # Each scenario action that drives an attack service, and what it runs at
 # its tick.  Device user actions go through _USER_ACTIONS instead.
 _SERVICE_ACTIONS = {
     "send_frame": _send_frame,
     "scan": _scan,
     "request_file": _request_file,
-    "arm_targeted_dos": _arm_targeted_dos,
-    "start_broadcast_dos": _start_broadcast_dos,
-    "cancel_attacks": _cancel_attacks,
 }
 _ACTION_NAMES = set(_USER_ACTIONS) | set(_SERVICE_ACTIONS)
 

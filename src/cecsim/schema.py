@@ -67,6 +67,14 @@ def obj(value, name: str) -> dict:
     return value
 
 
+def keyed(value, name: str, known) -> dict:
+    """An object whose keys are all in `known`; the first other key is named."""
+    for key in obj(value, name):
+        if key not in known:
+            raise FieldError("unknown %s key %r" % (name, key))
+    return value
+
+
 def objects(value, name: str) -> list:
     if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
         raise FieldError("%s must be a list of objects" % name)

@@ -42,19 +42,17 @@ SCENARIO = {
     "topology": copy.deepcopy(TESTBED_TOPOLOGY),
     "duration": 120,
     "seed": 3,
-    "ticks_per_second": 10,
     "overrides": {"tv": {"osd_name": "Lounge"}},
     "mitigations": [{"type": "disable_control", "device": "amp"}],
     "listener_options": {"mic_bytes": 64, "capture_bytes": 100},
     "actions": [
         {"tick": 2, "actor": "listener", "action": "scan"},
         {"tick": 3, "actor": "client", "action": "send_frame", "args": {"frame": "bb:bb:bb:bb"}},
-        {"tick": 4, "actor": "listener", "action": "arm_targeted_dos", "args": {"target": 0}},
+        {"tick": 4, "actor": "client", "action": "send_frame", "args": {"frame": "cc:cc:cc:cc"}},
         {"tick": 10, "actor": "tv", "action": "select_input", "args": {"port": 1}},
         {"tick": 20, "actor": "amp", "action": "power_on"},
         {"tick": 40, "actor": "client", "action": "request_file", "args": {"peer": "listener"}},
-        {"tick": 80, "actor": "listener", "action": "start_broadcast_dos"},
-        {"tick": 100, "actor": "listener", "action": "cancel_attacks"},
+        {"tick": 80, "actor": "client", "action": "send_frame", "args": {"frame": "dd:dd:dd:dd"}},
     ],
     "relay": {
         "enabled": True,

@@ -106,7 +106,7 @@ class TestValidation:
             ),
             (
                 {"actions": [{"tick": 1, "actor": "tv", "action": "start_broadcast_dos"}]},
-                "listener",
+                "start_broadcast_dos",
             ),
             ({"overrides": {"ghost": {"osd_name": "X"}}}, "ghost"),
             ({"mitigations": [{"type": "strip_edge", "parent": "tv", "child": "hub"}]},
@@ -191,12 +191,23 @@ class TestValidation:
             ),
             ({"topology": 5}, "scenario topology must be a name, path, or object"),
             ({"listener_options": {"mic_byte": 5}}, "mic_byte"),
+            ({"listner_options": {"mic_bytes": 5}}, "listner_options"),
+            ({"relay": {"enabled": True, "intervall_ticks": 5}}, "intervall_ticks"),
+            ({"ids": {"tapp": "tv"}}, "tapp"),
         ],
     )
     def test_rejections_name_the_problem(self, patch, fragment):
         with pytest.raises(ScenarioError) as err:
             load_scenario(doc(**patch))
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize(
+        "action", ["arm_targeted_dos", "start_broadcast_dos", "cancel_attacks", "open_settings"]
+    )
+    def test_removed_actions_are_refused_by_name(self, action):
+        # Marker frames and relay commands arm and cancel the listener instead.
+        with pytest.raises(ScenarioError, match="unknown action at tick 1 '%s'" % action):
+            load_scenario(doc(actions=[{"tick": 1, "actor": "listener", "action": action}]))
 
     def test_missing_topology_named(self):
         with pytest.raises(ScenarioError, match="^scenario 'bare' is missing its topology$"):
@@ -612,7 +623,7 @@ class TestWiring:
 
     def test_run_settings_come_from_the_scenario(self):
         scenario = builtin_scenario("attack5-remote-churn")
-        scenario.ticks_per_second = 1
+        scenario.relay["interval_ticks"] = 2
         assert run_scenario(scenario).poller.interval_ticks == 2
         # client's link is stripped: only its own tap sees its census walk
         scenario = builtin_scenario("podium-strip-scan")
@@ -948,13 +959,21 @@ class TestCli:
                          "--ids-config", str(config_path)]) == 2
         capsys.readouterr()
 
-    def test_ticks_per_second_flag_sets_poll_interval(self, capsys):
-        assert cli.main(["run", "--scenario", "attack5-remote-churn",
-                         "--ticks-per-second", "1"]) == 0
+    def test_scenario_interval_ticks_sets_poll_interval(self, tmp_path, capsys):
+        path = tmp_path / "remote.json"
+        path.write_text(json.dumps(doc(
+            relay={"enabled": True, "interval_ticks": 2,
+                   "commands": [{"tick": 5, "command": "DOS1"}]},
+            checks=[{"type": "relay_latency"}],
+        )))
+        assert cli.main(["run", "--scenario", str(path), "--check"]) == 0
         assert "(budget 4)" in capsys.readouterr().out
-        assert cli.main(["run", "--scenario", "attack5-remote-churn",
-                         "--ticks-per-second", "0"]) == 2
-        assert "ticks-per-second" in capsys.readouterr().err
+
+    def test_ticks_per_second_flag_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--scenario", "attack5-remote-churn", "--ticks-per-second", "1"])
+        assert exc.value.code == 2
+        assert "--ticks-per-second" in capsys.readouterr().err
 
     def test_ids_tap_flag_moves_the_detector(self, capsys):
         assert cli.main(["run", "--scenario", "podium-strip-scan"]) == 0
