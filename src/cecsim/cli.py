@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import logging
 import sys
+from types import MappingProxyType
 
 from cecsim import ids as ids_mod
 from cecsim import relay as relay_mod
@@ -73,14 +74,19 @@ def _load_ids_config(path: str | None) -> ids_mod.RuleConfig | None:
 
 
 def _cmd_run(args) -> int:
-    scenario = scen.resolve_scenario(args.scenario)
+    # Each flag replaces a field of the document, so the loader checks what runs.
+    document, base_dir = scen.scenario_document(args.scenario)
     if args.seed is not None:
-        scenario.seed = args.seed
+        document = dict(document, seed=args.seed)
+    ids = dict(schema.obj(document.get("ids", {}), "ids"))
+    relay = dict(schema.obj(document.get("relay", {}), "relay"))
     if args.ids_tap:
-        scenario.ids_options["tap"] = args.ids_tap
-    config = _load_ids_config(args.ids_config)
-    if config is not None:
-        scenario.ids_options["config"] = dataclasses.asdict(config)
+        ids["tap"] = args.ids_tap
+    if args.ids_config:
+        ids["config"] = schema.read_json_file(args.ids_config, "detector config")
+    if args.relay_url:
+        relay["enabled"] = True
+    scenario = scen.load_scenario({**document, "ids": ids, "relay": relay}, base_dir)
     relay_client = None
     if args.relay_url:
         from cecsim import relay_http  # only a live relay needs the HTTP stack
@@ -118,8 +124,8 @@ def _cmd_scan(args) -> int:
         actor = listeners[0] if listeners else topology.root
     if actor not in topology.nodes:
         raise TopologyError("scan actor %r is not in the topology" % actor)
-    scenario.actions.append(scen.ScenarioAction(0, actor, "scan"))
-    report = scen.run_scenario(scenario).reports[-1]
+    walk = scen.ScenarioAction(0, actor, "scan", MappingProxyType({}))
+    report = scen.run_scenario(dataclasses.replace(scenario, actions=(walk,))).reports[-1]
     print(report.to_json() if args.json else report.render_table(), end="")
     if not args.json:
         print()

@@ -53,11 +53,7 @@ class RuleConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RuleConfig":
-        known = {item.name for item in fields(cls)}
-        unknown = set(schema.obj(raw, "detector settings")) - known
-        if unknown:
-            raise schema.FieldError("unknown detector settings: %s" % ", ".join(sorted(unknown)))
-        return cls(**raw)
+        return cls(**schema.keyed(raw, "detector settings", {f.name for f in fields(cls)}))
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ A scenario is a JSON document: a topology (inline, by file, or the built
 in lab tree), optional per-node overrides and mitigations, a timed action
 list, optional relay plumbing, and post-run checks.  A key the loader does
 not know, at the top level or in `relay`, `ids` or `listener_options`, is
-refused.  Marker frames from another device, or relay commands, arm the
-listener.  The runner wires up the attack services, replays the actions,
-runs the detector over the finished trace, and can persist its artifacts.
+refused.  Only `load_scenario` checks a document; the `Scenario` it
+returns is read-only, so the runner and the checks trust it.  Marker
+frames from another device, or relay commands, arm the listener.  The
+runner wires up the attack services, replays the actions, runs the
+detector over the finished trace, and can persist its artifacts.
 """
 
 import json
@@ -15,6 +17,7 @@ import os
 from dataclasses import dataclass, field
 from inspect import signature
 from random import Random
+from types import MappingProxyType
 
 from cecsim import frames as fr
 from cecsim import ids as ids_mod
@@ -31,7 +34,6 @@ from cecsim.transfer import MAX_PAYLOAD, FileReceiver, PayloadStore, write_trans
 
 log = logging.getLogger(__name__)
 
-_USER_ACTIONS = {action.value: action for action in UserAction}
 _SCENARIO_KEYS = ("name", "topology", "duration", "seed", "overrides", "mitigations",
                   "actions", "relay", "listener_options", "ids", "checks")
 _RELAY_KEYS = ("enabled", "commands", "interval_ticks")
@@ -41,26 +43,27 @@ class ScenarioError(FieldError):
     """Raised when a scenario document fails validation."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioAction:
     tick: int
     actor: str
     action: str
-    args: dict = field(default_factory=dict)
+    args: MappingProxyType
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     name: str
-    # Built and mitigated once by load_scenario; runs read it, never change it.
     topology: Topology
     duration: int
-    seed: int = 0
-    actions: list[ScenarioAction] = field(default_factory=list)
-    relay: dict | None = None
-    listener_options: dict = field(default_factory=dict)
-    ids_options: dict = field(default_factory=dict)
-    checks: list[dict] = field(default_factory=list)
+    seed: int
+    actions: tuple[ScenarioAction, ...]
+    relay: MappingProxyType
+    listener_options: MappingProxyType
+    # "tap" names a device; "config" is a built RuleConfig.
+    ids_options: MappingProxyType
+    # (type, function, keyword arguments), as _bind_check returned them.
+    checks: tuple[tuple, ...]
 
 
 def _resolve_topology(raw, base_dir: str | None) -> dict:
@@ -117,7 +120,7 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
     for raw in schema.objects(document.get("actions", []), "actions"):
         tick = schema.integer(raw.get("tick"), "action tick")
         actor = schema.text(raw.get("actor"), "actor at tick %d" % tick, topology.nodes)
-        action = schema.text(raw.get("action"), "action at tick %d" % tick, _ACTION_NAMES)
+        action = schema.text(raw.get("action"), "action at tick %d" % tick, _ACTIONS)
         where = "%s at tick %d" % (action, tick)
         args = schema.obj(raw.get("args", {}), where + " args")
         if action == "send_frame":
@@ -137,13 +140,14 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
                 schema.integer(peer, where + " peer", 0, fr.BROADCAST)
             if actor in listeners or not topology.nodes[actor].cec_addressed:
                 raise ScenarioError("%s cannot run on %r" % (where, actor))
-        actions.append(ScenarioAction(tick, actor, action, dict(args)))
+        actions.append(ScenarioAction(tick, actor, action, MappingProxyType(dict(args))))
     actions.sort(key=lambda a: a.tick)
 
     relay_cfg = schema.keyed(document.get("relay", {}), "relay", _RELAY_KEYS)
     if schema.flag(relay_cfg.get("enabled", False), "relay enabled") and not listeners:
         raise ScenarioError("relay needs an attacker listener in the topology")
-    for cmd in schema.objects(relay_cfg.get("commands", []), "relay commands"):
+    commands = schema.objects(relay_cfg.get("commands", []), "relay commands")
+    for cmd in commands:
         schema.integer(cmd.get("tick"), "relay command tick")
         schema.text(cmd.get("command"), "relay command")
     if "interval_ticks" in relay_cfg:
@@ -156,39 +160,36 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
     for key, value in listener_options.items():
         schema.integer(value, "listener_options " + key, 0, MAX_PAYLOAD)
 
-    ids_options = schema.keyed(document.get("ids", {}), "ids", ("tap", "config"))
+    ids_options = dict(schema.keyed(document.get("ids", {}), "ids", ("tap", "config")))
     if "config" in ids_options:
         try:
-            ids_mod.RuleConfig.from_dict(ids_options["config"])
+            ids_options["config"] = ids_mod.RuleConfig.from_dict(ids_options["config"])
         except FieldError as exc:
             raise ScenarioError("detector config invalid: %s" % exc) from None
-    _check_tap(ids_options.get("tap"), topology)
+    tap = ids_options.get("tap")
+    if tap is not None and (type(tap) is not str or tap not in topology.nodes):
+        raise ScenarioError("detector tap %r names no device" % (tap,))
 
-    checks = [dict(entry) for entry in schema.objects(document.get("checks", []), "checks")]
-    for index, entry in enumerate(checks):
+    checks = []
+    for index, entry in enumerate(schema.objects(document.get("checks", []), "checks")):
         try:
-            _bind_check(entry, topology.nodes)
+            checks.append(_bind_check(entry, topology.nodes))
         except FieldError as exc:
             raise ScenarioError("checks[%d]: %s" % (index, exc)) from None
 
+    # Read-only copies: nothing edits a loaded scenario or, through it, the document.
     return Scenario(
         name=name,
         topology=topology,
         duration=duration,
         seed=seed,
-        actions=actions,
-        # Copies: editing a loaded scenario never edits the document.
-        relay=dict(relay_cfg),
-        listener_options=dict(listener_options),
-        ids_options=dict(ids_options),
-        checks=checks,
+        actions=tuple(actions),
+        relay=MappingProxyType({**relay_cfg, "commands": tuple(
+            MappingProxyType(dict(cmd)) for cmd in commands)}),
+        listener_options=MappingProxyType(dict(listener_options)),
+        ids_options=MappingProxyType(ids_options),
+        checks=tuple(checks),
     )
-
-
-def _check_tap(tap, topology: Topology):
-    """A detector tap is absent or names a device of the topology."""
-    if tap is not None and (type(tap) is not str or tap not in topology.nodes):
-        raise ScenarioError("detector tap %r names no device" % (tap,))
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +231,9 @@ class RunResult:
 def run_scenario(scenario: Scenario, *, relay_client=None) -> RunResult:
     """Build the simulator, wire services, replay actions, detect.
 
-    A `relay_client` carries the relay's traffic and turns a relay on even
-    where the scenario enables none, so the listener is checked again here;
-    without one, an enabled relay runs over an in-process loopback."""
+    A `relay_client` carries an enabled relay's traffic; without one, the
+    relay runs over an in-process loopback."""
     topology = scenario.topology
-    # Checked again here: `cecsim run --ids-tap` sets the tap after loading.
-    _check_tap(scenario.ids_options.get("tap"), topology)
     sim = Simulator(topology)
 
     options = scenario.listener_options
@@ -249,34 +247,25 @@ def run_scenario(scenario: Scenario, *, relay_client=None) -> RunResult:
         controller.register(sim)
     result = RunResult(scenario, sim, controllers)
 
-    relay_cfg = scenario.relay or {}
-    if relay_cfg.get("enabled") or relay_client is not None:
-        if not controllers:
-            raise ScenarioError("relay needs an attacker listener in the topology")
+    relay_cfg = scenario.relay
+    if relay_cfg.get("enabled"):
         client = relay_client if relay_client is not None else relay_mod.LoopbackRelayClient()
         interval = relay_cfg.get("interval_ticks", 20)
         poller = relay_mod.RelayPoller(client, next(iter(controllers.values())), interval)
         poller.start(sim)
         result.poller = poller
-        for cmd in relay_cfg.get("commands") or []:
+        for cmd in relay_cfg["commands"]:
             envelope = {k: v for k, v in cmd.items() if k != "tick"}
             envelope.setdefault("issued_at", cmd["tick"])
             sim.schedule(cmd["tick"], _post_command, sim, client, envelope, result)
 
     sim.start()
     for action in scenario.actions:
-        user_action = _USER_ACTIONS.get(action.action)
-        if user_action is not None:
-            sim.schedule(
-                action.tick, sim.user_action, action.actor, user_action, action.args.get("port")
-            )
-        else:
-            sim.schedule(action.tick, _SERVICE_ACTIONS[action.action], sim, action, result)
+        sim.schedule(action.tick, _ACTIONS[action.action], sim, action, result)
     sim.run(scenario.duration)
 
-    config = ids_mod.RuleConfig.from_dict(scenario.ids_options.get("config") or {})
     tap = scenario.ids_options.get("tap") or topology.root
-    result.alerts = ids_mod.detect(sim.trace.events, config, tap)
+    result.alerts = ids_mod.detect(sim.trace.events, scenario.ids_options.get("config"), tap)
     return result
 
 
@@ -287,6 +276,10 @@ def _post_command(sim: Simulator, client, envelope: dict, result: RunResult):
         result.relay_posts.append((sim.clock, envelope.get("command")))
     except relay_mod.RelayUnreachable as exc:
         log.warning("scenario post failed: %s", exc)
+
+
+def _user_action(sim: Simulator, action: ScenarioAction, result: RunResult):
+    sim.user_action(action.actor, UserAction(action.action), action.args.get("port"))
 
 
 def _send_frame(sim: Simulator, action: ScenarioAction, result: RunResult):
@@ -314,14 +307,13 @@ def _request_file(sim: Simulator, action: ScenarioAction, result: RunResult):
     receiver.request_file(sim, peer)
 
 
-# Each scenario action that drives an attack service, and what it runs at
-# its tick.  Device user actions go through _USER_ACTIONS instead.
-_SERVICE_ACTIONS = {
+# Each scenario action and what it runs at its tick.
+_ACTIONS = {
     "send_frame": _send_frame,
     "scan": _scan,
     "request_file": _request_file,
+    **dict.fromkeys((a.value for a in UserAction), _user_action),
 }
-_ACTION_NAMES = set(_USER_ACTIONS) | set(_SERVICE_ACTIONS)
 
 
 def write_artifacts(result: RunResult, out_dir: str) -> list[str]:
@@ -601,10 +593,11 @@ _CHECK_PARAMS = {
 
 
 def _bind_check(entry: dict, nodes) -> tuple:
-    """The function a check names and its keyword arguments, read from the
-    entry by the function's signature; other keys are ignored.  A field
-    missing or of the wrong shape raises FieldError."""
-    fn = _CHECKS[schema.text(entry.get("type"), "check type", _CHECKS)]
+    """The type a check names, its function and its keyword arguments, read
+    from the entry by the function's signature; other keys are ignored.  A
+    field missing or of the wrong shape raises FieldError."""
+    kind = schema.text(entry.get("type"), "check type", _CHECKS)
+    fn = _CHECKS[kind]
     kwargs = {}
     for name, required in _CHECK_PARAMS[fn]:
         if name not in entry:
@@ -621,24 +614,14 @@ def _bind_check(entry: dict, nodes) -> tuple:
             shape(value, name) if callable(shape) else schema.text(value, name, shape)
         except FieldError as exc:
             raise FieldError("check has a bad field: %s" % exc) from None
-    return fn, kwargs
+    return kind, fn, MappingProxyType(kwargs)
 
 
 def evaluate_checks(result: RunResult) -> list[CheckResult]:
-    """Run the scenario's checks.  They are validated again here, since a
-    caller may replace `scenario.checks` after loading; a malformed check
-    fails and says why."""
-    nodes = result.sim.topology.nodes
-    outcomes = []
-    for entry in result.scenario.checks:
-        try:
-            fn, kwargs = _bind_check(entry, nodes)
-            ok, detail = fn(result, **kwargs)
-        except FieldError as exc:
-            ok, detail = False, str(exc)
-        outcomes.append(CheckResult(str(entry.get("type")), ok, detail))
-    result.checks = outcomes
-    return outcomes
+    """Run the scenario's checks, bound when it was loaded."""
+    result.checks = [CheckResult(kind, *fn(result, **kwargs))
+                     for kind, fn, kwargs in result.scenario.checks]
+    return result.checks
 
 
 # ---------------------------------------------------------------------------
@@ -826,13 +809,14 @@ def builtin_scenario(name: str) -> Scenario:
 
 
 @schema.raises(ScenarioError)
-def resolve_scenario(ref: str) -> Scenario:
-    """Accept either a builtin name or a path to a scenario file."""
+def scenario_document(ref: str) -> tuple[dict, str | None]:
+    """The document of a builtin name or of a scenario file, and the
+    directory its relative paths start from."""
     if ref in _BUILTIN_SCENARIOS:
-        return builtin_scenario(ref)
+        return {"name": ref, **_BUILTIN_SCENARIOS[ref]}, None
     if os.path.exists(ref):
-        document = schema.read_json_file(ref, "scenario")
-        return load_scenario(document, base_dir=os.path.dirname(os.path.abspath(ref)))
+        document = schema.obj(schema.read_json_file(ref, "scenario"), "scenario")
+        return document, os.path.dirname(os.path.abspath(ref))
     raise ScenarioError(
         "%r is neither a builtin scenario nor a file; builtin names: %s"
         % (ref, ", ".join(builtin_scenario_names()))

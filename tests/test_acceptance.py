@@ -206,9 +206,12 @@ def _relay_roundtrip(client, relay_log) -> tuple[bool, str]:
         return False, "expected exactly one DOS1 execution, got %r" % relay_log.executed
 
     # SCAN command publishes the census JSON to the outbound mailbox
-    scan_scenario = scen.builtin_scenario("attack1-device-walk")
-    scan_scenario.actions = [a for a in scan_scenario.actions if a.action == "request_file"]
-    scan_scenario.relay = {"enabled": True, "commands": [{"tick": 5, "command": "SCAN"}]}
+    document, _ = scen.scenario_document("attack1-device-walk")
+    scan_scenario = scen.load_scenario(dict(
+        document,
+        actions=[a for a in document["actions"] if a["action"] == "request_file"],
+        relay={"enabled": True, "commands": [{"tick": 5, "command": "SCAN"}]},
+    ))
     scen.run_scenario(scan_scenario, relay_client=client)
     published = client.get(WEBCLIENT_PATH)
     if published is None or json.loads(published) != EXPECTED_TESTBED_SCAN:

@@ -442,7 +442,7 @@ class TestDetectorPlumbing:
     def test_config_rejects_nonsense(self):
         with pytest.raises(ValueError):
             RuleConfig(scan_window=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown detector settings key 'bogus_knob'$"):
             RuleConfig.from_dict({"bogus_knob": 3})
 
     @pytest.mark.parametrize("raw", [[1], 5, "churn_count", None])

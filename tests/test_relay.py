@@ -20,7 +20,7 @@ from cecsim.relay import (
     WEBCLIENT_PATH,
 )
 from cecsim.relay_http import HttpRelayClient, RelayServer
-from cecsim.scenarios import builtin_scenario, load_scenario, run_scenario
+from cecsim.scenarios import builtin_scenario, load_scenario, run_scenario, scenario_document
 from cecsim.testbed import EXPECTED_TESTBED_SCAN
 from cecsim.transfer import MAX_PAYLOAD, PayloadStore, payload_digest
 
@@ -156,9 +156,9 @@ class TestPoller:
     def test_a_poll_runs_before_its_ticks_queued_calls(self):
         # DOS1 posted at tick 40, a poll tick: that poll reads the slot before
         # the post lands, so the command runs at the poll of tick 60.
-        scenario = builtin_scenario("attack5-remote-churn")
-        scenario.relay = {"enabled": True, "commands": [{"tick": 40, "command": "DOS1"}]}
-        result = run_scenario(scenario)
+        document, _ = scenario_document("attack5-remote-churn")
+        relay = {"enabled": True, "commands": [{"tick": 40, "command": "DOS1"}]}
+        result = run_scenario(load_scenario(dict(document, relay=relay)))
         churn = [e.tick for e in result.sim.trace.events if e.origin == "listener" and e.tick > 0]
         assert churn[0] == 61
 

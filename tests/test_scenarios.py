@@ -1,6 +1,7 @@
 """Scenario schema, runner wiring, artifact output, and the CLI."""
 
 import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -72,6 +73,11 @@ def doc(**overrides):
     }
     base.update(overrides)
     return base
+
+
+def builtin_doc(name, **overrides):
+    """A builtin scenario's document with `overrides` replacing its fields."""
+    return dict(scen.scenario_document(name)[0], **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +200,7 @@ class TestValidation:
             ({"listner_options": {"mic_bytes": 5}}, "listner_options"),
             ({"relay": {"enabled": True, "intervall_ticks": 5}}, "intervall_ticks"),
             ({"ids": {"tapp": "tv"}}, "tapp"),
+            ({"checks": [{"device": "tv"}]}, "checks[0]: check type must be a non-empty string"),
         ],
     )
     def test_rejections_name_the_problem(self, patch, fragment):
@@ -215,7 +222,9 @@ class TestValidation:
 
     def test_check_fields_beyond_its_own_are_ignored(self):
         check = {"type": "zero_alerts", "note": "quiet bus", "device": "ghost"}
-        assert load_scenario(doc(checks=[check])).checks == [check]
+        assert load_scenario(doc(checks=[check])).checks == (
+            ("zero_alerts", scen._check_zero_alerts, {}),
+        )
 
     def test_actions_sorted_by_tick(self):
         scenario = load_scenario(
@@ -300,30 +309,30 @@ class TestBuiltins:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ScenarioError, match="scenario file .* is not readable JSON"):
-            scen.resolve_scenario(str(path))
-
-    def test_builtin_isolation(self):
-        # loading twice must hand out independent documents
-        first = builtin_scenario("benign-power-cycle")
-        first.duration = 1
-        second = builtin_scenario("benign-power-cycle")
-        assert second.duration == 100
-
+            scen.scenario_document(str(path))
 
     @pytest.mark.parametrize("name", scen.builtin_scenario_names())
     def test_editing_a_loaded_builtin_leaves_the_catalogue(self, name):
+        # A loaded scenario is read-only: every field and every container
+        # refuses an edit, so no run sees an unchecked value.
         catalogue = copy.deepcopy(scen._BUILTIN_SCENARIOS[name])
         first = builtin_scenario(name)
+        for item in [first, *first.actions]:
+            for field in dataclasses.fields(item):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(item, field.name, getattr(item, field.name))
         for stored in [first.relay, first.listener_options, first.ids_options,
-                       *(action.args for action in first.actions), *first.checks]:
-            stored["edited"] = True
-        first.ids_options["tap"] = "client"
+                       *first.relay["commands"], *(action.args for action in first.actions),
+                       *(kwargs for _, _, kwargs in first.checks)]:
+            with pytest.raises(TypeError):
+                stored["tap"] = "ghost"
+        for stored in [first.actions, first.checks, first.relay["commands"], *first.checks]:
+            with pytest.raises(TypeError):
+                stored[0] = None
         assert scen._BUILTIN_SCENARIOS[name] == catalogue
         second = builtin_scenario(name)
-        assert "edited" not in second.relay and "edited" not in second.listener_options
-        assert "tap" not in second.ids_options and "edited" not in second.ids_options
-        assert all("edited" not in action.args for action in second.actions)
-        assert all("edited" not in check for check in second.checks)
+        assert (second.duration, second.actions, second.relay, second.ids_options) == (
+            first.duration, first.actions, first.relay, first.ids_options)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +371,7 @@ class TestArtifacts:
         ]
 
     def test_logs_written_without_a_whole_log_in_memory(self, tmp_path):
-        scenario = builtin_scenario("attack5-input-churn")
-        scenario.duration = 3000
+        scenario = dataclasses.replace(builtin_scenario("attack5-input-churn"), duration=3000)
         result = run_scenario(scenario)
         tracemalloc.start()
         try:
@@ -402,12 +410,9 @@ class TestArtifacts:
         assert payload == result.transfers[-1].payload
 
     def test_unknown_check_type_fails_gracefully(self):
-        scenario = builtin_scenario("benign-status-query")
-        scenario.checks = [{"type": "does_not_exist"}]
-        result = run_scenario(scenario)
-        outcomes = evaluate_checks(result)
-        assert not outcomes[0].ok
-        assert "unknown check" in outcomes[0].detail
+        document = builtin_doc("benign-status-query", checks=[{"type": "does_not_exist"}])
+        with pytest.raises(ScenarioError, match=r"^checks\[0\]: unknown check type "):
+            load_scenario(document)
 
     @pytest.mark.parametrize(
         "check",
@@ -417,11 +422,8 @@ class TestArtifacts:
         ],
     )
     def test_bad_check_field_fails_gracefully(self, check):
-        scenario = builtin_scenario("benign-status-query")
-        scenario.checks = [check]
-        outcomes = evaluate_checks(run_scenario(scenario))
-        assert [(o.label, o.ok) for o in outcomes] == [(check["type"], False)]
-        assert "bad field" in outcomes[0].detail
+        with pytest.raises(ScenarioError, match=r"^checks\[0\]: check has a bad field: "):
+            load_scenario(builtin_doc("benign-status-query", checks=[check]))
 
     @pytest.mark.parametrize(
         "check",
@@ -439,11 +441,9 @@ class TestArtifacts:
         ],
     )
     def test_check_naming_unknown_device_fails(self, check):
-        scenario = builtin_scenario("benign-status-query")
-        scenario.checks = [check]
-        outcomes = evaluate_checks(run_scenario(scenario))
-        assert [(o.label, o.ok) for o in outcomes] == [(check["type"], False)]
-        assert outcomes[0].detail == "check names no device 'ghost'"
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(builtin_doc("benign-status-query", checks=[check]))
+        assert str(err.value) == "checks[0]: check names no device 'ghost'"
 
     @pytest.mark.parametrize(
         "name, changes, check, detail",
@@ -622,13 +622,12 @@ class TestWiring:
         assert senders == [result.controllers["listener"].sender]
 
     def test_run_settings_come_from_the_scenario(self):
-        scenario = builtin_scenario("attack5-remote-churn")
-        scenario.relay["interval_ticks"] = 2
+        relay = dict(scen._BUILTIN_SCENARIOS["attack5-remote-churn"]["relay"], interval_ticks=2)
+        scenario = load_scenario(builtin_doc("attack5-remote-churn", relay=relay))
         assert run_scenario(scenario).poller.interval_ticks == 2
         # client's link is stripped: only its own tap sees its census walk
-        scenario = builtin_scenario("podium-strip-scan")
-        assert run_scenario(scenario).alerts == []
-        scenario.ids_options["tap"] = "client"
+        assert run_scenario(builtin_scenario("podium-strip-scan")).alerts == []
+        scenario = load_scenario(builtin_doc("podium-strip-scan", ids={"tap": "client"}))
         assert [a.subject for a in run_scenario(scenario).alerts] == ["client"]
 
 
@@ -717,11 +716,10 @@ class TestCli:
         assert cli.main(["run", "--scenario", str(path), "--check"]) == 3
         assert "no listener holds a mic payload" in capsys.readouterr().out
 
-    def test_relay_client_without_listener_is_refused(self):
-        # The document enables no relay, so only the run-time check sees it.
+    def test_relay_client_alone_runs_no_relay(self):
+        # Only the document enables a relay; `--relay-url` enables it there.
         scenario = load_scenario(doc(topology=NO_LISTENER_TOPOLOGY))
-        with pytest.raises(ScenarioError, match="relay needs an attacker listener"):
-            run_scenario(scenario, relay_client=LoopbackRelayClient())
+        assert run_scenario(scenario, relay_client=LoopbackRelayClient()).poller is None
 
     def test_relay_url_without_listener_exits_two(self, tmp_path, capsys):
         path = tmp_path / "no-listener.json"
@@ -898,7 +896,7 @@ class TestCli:
                 "--ids-tap", scenario.ids_options.get("tap") or scenario.topology.root]
         if "config" in scenario.ids_options:
             config_path = tmp_path / "ids.json"
-            config_path.write_text(json.dumps(scenario.ids_options["config"]))
+            config_path.write_text(json.dumps(dataclasses.asdict(scenario.ids_options["config"])))
             argv += ["--ids-config", str(config_path)]
         assert cli.main(argv) == 0
         captured = capsys.readouterr()
@@ -986,12 +984,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert "'ghost'" in err and "tap" in err
 
-    def test_run_rejects_a_tap_set_after_loading(self):
-        scenario = builtin_scenario("attack1-device-walk")
-        scenario.ids_options["tap"] = "ghost"
-        with pytest.raises(ScenarioError, match="ghost"):
-            run_scenario(scenario)
-
     def test_ids_config_file(self, tmp_path, capsys):
         config_path = tmp_path / "ids.json"
         config_path.write_text(json.dumps({"scan_distinct_addresses": 99}))
@@ -1002,6 +994,19 @@ class TestCli:
         out = capsys.readouterr().out
         # the raised threshold silences the scan-burst rule
         assert "[FAIL] alert_exactly" in out
+
+    def test_ids_config_naming_an_unknown_setting_exits_two(self, tmp_path, capsys):
+        config_path = tmp_path / "ids.json"
+        config_path.write_text(json.dumps({"scan_window": 9, "bogus_knob": 3}))
+        code = cli.main(
+            ["run", "--scenario", "attack1-device-walk", "--ids-config", str(config_path)]
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: detector config invalid: unknown detector settings key 'bogus_knob'\n"
+        )
 
 
 # ---------------------------------------------------------------------------
