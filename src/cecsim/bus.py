@@ -74,6 +74,17 @@ class StateChange(NamedTuple):
     value: str
 
 
+# Positional builders of the two records: `tuple.__new__` in C, without the
+# keyword `__new__` that NamedTuple writes in Python.
+_new_event = partial(tuple.__new__, BusEvent)
+_new_change = partial(tuple.__new__, StateChange)
+
+# Frame texts `render_log` keeps, keyed by frame object, before it starts over.
+_RENDER_MEMO_SIZE = 64
+# `state.log` lines joined into each write.
+_STATE_BLOCK = 128
+
+
 _TRACE_LINE = re.compile(
     r"^t=(?P<tick>\d+) \| (?P<origin>\S+) \| (?P<frame>[0-9a-f:]+) \| "
     r"ack=(?P<ack>[01]) \| obs=(?P<obs>\S*)$"
@@ -82,8 +93,8 @@ _TRACE_LINE = re.compile(
 
 # A trace repeats one observers list per domain: each distinct `obs=` text
 # is split once, so replayed events of one domain share one tuple, as live
-# events do.  Each line still decodes its own frame through `parse_frame`,
-# one constructed frame per line, which perfbench's traced counts assume.
+# events do.  Frames get no such memo: every line makes one `parse_frame`
+# call and so one constructed frame, which perfbench's traced counts assume.
 @lru_cache(maxsize=64)
 def _trace_observers(text: str) -> tuple[str, ...]:
     return tuple(x for x in text.split(",") if x)
@@ -94,12 +105,8 @@ def parse_trace_line(line: str) -> BusEvent:
     if match is None:
         raise ValueError("unrecognised trace line: %r" % line)
     tick, origin, frame, ack, observers = match.groups()
-    return BusEvent(
-        tick=int(tick),
-        origin=origin,
-        frame=fr.parse_frame(frame),
-        observers=_trace_observers(observers),
-        acknowledged=ack == "1",
+    return _new_event(
+        (int(tick), origin, fr.parse_frame(frame), _trace_observers(observers), ack == "1")
     )
 
 
@@ -107,8 +114,11 @@ def parse_trace_line(line: str) -> BusEvent:
 class Trace:
     """Every frame and logged state change of a run, in order.
 
-    The render methods write `trace.log` and `state.log` to a text stream
-    one line at a time, never holding a whole log in memory.  The run itself
+    The render methods write `trace.log` and `state.log` to a text stream,
+    never holding a whole log in memory: `trace.log` one line per write,
+    `state.log` in blocks of `_STATE_BLOCK` (128) lines.  `render_log` keeps
+    the text of at most `_RENDER_MEMO_SIZE` (64) frame objects, so a frame
+    object sent again is encoded once while it stays there.  The run itself
     still retains every record.
     """
 
@@ -117,17 +127,27 @@ class Trace:
 
     def render_log(self, out: TextIO):
         """Write one `trace.log` line per event to `out`."""
-        # Events of one domain share its members tuple: join it once.
+        # Events of one domain share its members tuple: join it once.  Ids
+        # are safe keys: `self.events` keeps every keyed object alive.
         joined: dict[int, str] = {}
-        for e in self.events:
-            observers = joined.get(id(e.observers))
-            if observers is None:
-                observers = joined[id(e.observers)] = ",".join(e.observers)
-            out.write(_EVENT_LINE % (e.tick, e.origin, e.frame.text, e.acknowledged, observers))
+        texts: dict[int, str] = {}
+        encode, write = fr.encode_frame, out.write
+        for tick, origin, frame, observers, acknowledged in self.events:
+            text = texts.get(id(frame))
+            if text is None:
+                if len(texts) == _RENDER_MEMO_SIZE:
+                    texts.clear()
+                text = texts[id(frame)] = encode(frame)
+            joined_observers = joined.get(id(observers))
+            if joined_observers is None:
+                joined_observers = joined[id(observers)] = ",".join(observers)
+            write(_EVENT_LINE % (tick, origin, text, acknowledged, joined_observers))
 
     def render_state_log(self, out: TextIO):
         """Write one `state.log` line per change to `out`."""
-        out.writelines(_CHANGE_LINE % c for c in self.changes)
+        changes = self.changes
+        for start in range(0, len(changes), _STATE_BLOCK):
+            out.write("".join([_CHANGE_LINE % c for c in changes[start:start + _STATE_BLOCK]]))
 
 
 @dataclass
@@ -373,7 +393,7 @@ class Simulator:
             )
         if frame.opcode in _INERT_OPCODES:
             receivers = ()
-        event = BusEvent(clock, origin, frame, domain.members, acknowledged)
+        event = _new_event((clock, origin, frame, domain.members, acknowledged))
         self.trace.events.append(event)
 
         for node_id in receivers:
@@ -404,7 +424,7 @@ class Simulator:
         reaction's or user action's `changed`."""
         self.device_states[node_id] = new
         for name, value in changed:
-            self.trace.changes.append(StateChange(self.clock, node_id, name, value))
+            self.trace.changes.append(_new_change((self.clock, node_id, name, value)))
 
     def user_action(self, device: str, action: dv.UserAction, argument: int | None = None):
         """Someone works the device's own buttons or menu right now."""

@@ -80,7 +80,7 @@ def _cmd_run(args) -> int:
         document = dict(document, seed=args.seed)
     ids = dict(schema.obj(document.get("ids", {}), "ids"))
     relay = dict(schema.obj(document.get("relay", {}), "relay"))
-    if args.ids_tap:
+    if args.ids_tap is not None:
         ids["tap"] = args.ids_tap
     if args.ids_config:
         ids["config"] = schema.read_json_file(args.ids_config, "detector config")

@@ -7,6 +7,7 @@ attacks and detector rules key on is defined once, in the sets below.
 """
 
 import enum
+import re
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -186,6 +187,11 @@ class CecFrame:
 _OCTET_TEXTS = tuple("%02x" % b for b in range(256))
 _OCTET_VALUES = {text: b for b, text in enumerate(_OCTET_TEXTS)}
 
+# A whole frame text: ASCII hex octet pairs joined by single colons.  A text
+# matches exactly when every colon-separated part, lowercased, is in
+# `_OCTET_VALUES`.
+_FRAME_TEXT = re.compile(r"[0-9a-fA-F]{2}(?::[0-9a-fA-F]{2})*")
+
 
 def parse_frame(text: str) -> CecFrame:
     """Parse colon-separated hex text into a CecFrame.
@@ -194,24 +200,21 @@ def parse_frame(text: str) -> CecFrame:
     """
     if not isinstance(text, str) or not text.strip():
         raise FrameError("empty frame text")
-    octets = []
-    for i, part in enumerate(text.strip().split(":")):
-        value = _OCTET_VALUES.get(part.lower())
-        if value is None:
-            if len(part) != 2:
-                raise FrameError("octet %d is not two hex digits: %r" % (i, part))
-            raise FrameError("octet %d is not hex: %r" % (i, part))
-        octets.append(value)
+    text = text.strip()
+    if _FRAME_TEXT.fullmatch(text) is None:
+        # Some octet is bad: name the first.
+        for i, part in enumerate(text.split(":")):
+            if part.lower() not in _OCTET_VALUES:
+                if len(part) != 2:
+                    raise FrameError("octet %d is not two hex digits: %r" % (i, part))
+                raise FrameError("octet %d is not hex: %r" % (i, part))
+    octets = bytes.fromhex(text.replace(":", ""))
     if len(octets) > 2 + MAX_OPERANDS:
         raise FrameError("frame longer than %d octets" % (2 + MAX_OPERANDS))
     header = octets[0]
-    frame = CecFrame(
-        initiator=header >> 4,
-        destination=header & 0xF,
-        opcode=octets[1] if len(octets) > 1 else None,
-        operands=tuple(octets[2:]),
-    )
-    return frame
+    if len(octets) == 1:
+        return CecFrame(header >> 4, header & 0xF)
+    return CecFrame(header >> 4, header & 0xF, octets[1], tuple(octets[2:]))
 
 
 def encode_frame(frame: CecFrame) -> str:

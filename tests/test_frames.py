@@ -64,6 +64,60 @@ _operand_items = st.one_of(
 )
 
 
+_REFERENCE_OCTETS = {"%02x" % b: b for b in range(256)}
+
+
+def _reference_parse(text):
+    """`parse_frame` as a loop over the octets, each looked up lowercased."""
+    if not isinstance(text, str) or not text.strip():
+        raise FrameError("empty frame text")
+    octets = []
+    for i, part in enumerate(text.strip().split(":")):
+        value = _REFERENCE_OCTETS.get(part.lower())
+        if value is None:
+            if len(part) != 2:
+                raise FrameError("octet %d is not two hex digits: %r" % (i, part))
+            raise FrameError("octet %d is not hex: %r" % (i, part))
+        octets.append(value)
+    if len(octets) > 16:
+        raise FrameError("frame longer than 16 octets")
+    header = octets[0]
+    return CecFrame(
+        initiator=header >> 4,
+        destination=header & 0xF,
+        opcode=octets[1] if len(octets) > 1 else None,
+        operands=tuple(octets[2:]),
+    )
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except FrameError as exc:
+        return type(exc), str(exc)
+
+
+# Parts of a frame text: mostly mixed-case octets, else parts of 0, 1 or 3
+# hex digits (an empty part makes a doubled, leading or trailing colon), or
+# parts with whitespace, a sign, a prefix or non-ASCII digits.
+_good_octets = st.from_regex(r"[0-9a-fA-F]{2}", fullmatch=True)
+_bad_parts = st.one_of(
+    st.sampled_from(["", " ", "+a", "-1", "+1f", " 2", "2 ", "1\t", "0x", "g0", "Ff0"]),
+    st.from_regex(r"[0-9a-fA-F]|[0-9a-fA-F]{3}", fullmatch=True),
+    st.sampled_from(["\u0661\u0662", "1\u0663", "\uff11\uff12", "\u00e9f", "\u00a01"]),
+)
+_outer_space = st.sampled_from(["", " ", "  ", "\t", "\n", " \r\n", "\u00a0", "\u3000"])
+
+
+@st.composite
+def odd_frame_texts(draw):
+    parts = draw(st.lists(
+        st.integers(0, 9).flatmap(lambda k: _good_octets if k else _bad_parts),
+        min_size=1, max_size=19,
+    ))
+    return draw(_outer_space) + ":".join(parts) + draw(_outer_space)
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
@@ -129,6 +183,20 @@ class TestParse:
         text = ":".join(["1f", "82"] + ["00"] * 15)
         with pytest.raises(FrameError):
             parse_frame(text)
+
+    @given(odd_frame_texts() | frame_texts())
+    @settings(deadline=None, max_examples=500)
+    @example(text="1f::82")
+    @example(text=":1f:82")
+    @example(text="1f:82:")
+    @example(text="\u00a01F:82:aB\t")
+    @example(text=":".join(["00"] * 17))
+    @example(text=":".join(["00"] * 18 + ["zz"]))
+    @example(text="")
+    @example(text=" \n")
+    @example(text=None)
+    def test_parse_matches_the_per_octet_reference(self, text):
+        assert _parse_outcome(parse_frame, text) == _parse_outcome(_reference_parse, text)
 
     @pytest.mark.parametrize(
         "opcode, operands, message",

@@ -11,7 +11,7 @@ import tracemalloc
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cecsim import cli
@@ -383,6 +383,27 @@ class TestArtifacts:
         trace_bytes = (tmp_path / "trace.log").stat().st_size
         assert peak < trace_bytes / 4, (peak, trace_bytes)
 
+    def test_logs_of_distinct_frames_written_without_a_whole_log_in_memory(self, tmp_path):
+        # A covert transfer sends each data frame once, so no memo of frame
+        # texts may grow with the trace.
+        capture = 64 * 1024
+        scenario = load_scenario(builtin_doc(
+            "attack3-file-theft", duration=capture // 14 + 40,
+            listener_options={"capture_bytes": capture},
+        ))
+        result = run_scenario(scenario)
+        assert result.transfers[-1].status == "complete"
+        assert len({e.frame for e in result.trace.events}) > capture // 14
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            write_artifacts(result, str(tmp_path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        trace_bytes = (tmp_path / "trace.log").stat().st_size
+        assert peak < trace_bytes / 4, (peak, trace_bytes)
+
     def test_logs_written_as_utf8(self, tmp_path):
         scenario = load_scenario(doc(
             topology=NON_ASCII_TOPOLOGY,
@@ -595,6 +616,59 @@ class TestPowerChecks:
             (True, "tv longest on-streak %d ticks from tick 15 (limit %d)" % (10**12 - 20, 10**12)),
             (True, "tv on from tick 25 onward"),
         ]
+
+
+# ---------------------------------------------------------------------------
+# Input-cycle check against the slicing reference
+# ---------------------------------------------------------------------------
+
+def reference_min_input_cycles(result, *, device, count):
+    """The check as a slice compared at every index of the port sequence."""
+    sequence = [
+        int(c.value) for c in result.trace.changes
+        if c.device == device and c.field == "active_input_port" and c.value != "None"
+    ]
+    cycles = 0
+    i = 0
+    while i + 4 <= len(sequence):
+        if sequence[i:i + 4] == [1, 2, 3, 4]:
+            cycles += 1
+            i += 4
+        else:
+            i += 1
+    return cycles >= count, "%d full input cycles (need %d)" % (cycles, count)
+
+
+def _ports(*ports):
+    return [StateChange(0, "tv", "active_input_port", str(port)) for port in ports]
+
+
+_CYCLE = _ports(1, 2, 3, 4)
+# Whole 1, 2, 3, 4 runs of the tv's port, which may land back to back, and
+# single changes of any port (1-15 or none) to the tv or another device, or
+# of another field.
+_port_pieces = st.one_of(
+    st.just(_CYCLE),
+    st.builds(
+        lambda device, field, value: [StateChange(0, device, field, value)],
+        st.sampled_from(["tv", "tv", "tv", "amp"]),
+        st.sampled_from(["active_input_port", "active_input_port", "power"]),
+        st.sampled_from([str(port) for port in range(1, 16)] + ["None"]),
+    ),
+)
+
+
+class TestInputCycleCheck:
+    @given(st.lists(_port_pieces, max_size=30), st.integers(0, 8))
+    @settings(deadline=None, max_examples=300)
+    @example(pieces=[_CYCLE, _CYCLE], count=2)
+    @example(pieces=[_ports(11), _CYCLE, _ports(12, 1), _CYCLE, _ports(15)], count=2)
+    @example(pieces=[_ports(1, 2, 3), _CYCLE, _ports(4)], count=1)
+    def test_check_matches_the_slicing_reference(self, pieces, count):
+        result = SimpleNamespace(trace=SimpleNamespace(changes=[c for p in pieces for c in p]))
+        assert scen._check_min_input_cycles(result, device="tv", count=count) == (
+            reference_min_input_cycles(result, device="tv", count=count)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -983,6 +1057,11 @@ class TestCli:
         assert cli.main(["run", "--scenario", "attack1-device-walk", "--ids-tap", "ghost"]) == 2
         err = capsys.readouterr().err
         assert "'ghost'" in err and "tap" in err
+
+    def test_empty_ids_tap_flag_exits_two(self, capsys):
+        # As `ids.tap` "" in a scenario file: an empty tap is refused, not dropped.
+        assert cli.main(["run", "--scenario", "podium-strip-scan", "--ids-tap", ""]) == 2
+        assert "detector tap '' names no device" in capsys.readouterr().err
 
     def test_ids_config_file(self, tmp_path, capsys):
         config_path = tmp_path / "ids.json"
