@@ -79,11 +79,6 @@ class StateChange(NamedTuple):
 _new_event = partial(tuple.__new__, BusEvent)
 _new_change = partial(tuple.__new__, StateChange)
 
-# Frame texts `render_log` keeps, keyed by frame object, before it starts over.
-_RENDER_MEMO_SIZE = 64
-# `state.log` lines joined into each write.
-_STATE_BLOCK = 128
-
 
 _TRACE_LINE = re.compile(
     r"^t=(?P<tick>\d+) \| (?P<origin>\S+) \| (?P<frame>[0-9a-f:]+) \| "
@@ -114,11 +109,8 @@ def parse_trace_line(line: str) -> BusEvent:
 class Trace:
     """Every frame and logged state change of a run, in order.
 
-    The render methods write `trace.log` and `state.log` to a text stream,
-    never holding a whole log in memory: `trace.log` one line per write,
-    `state.log` in blocks of `_STATE_BLOCK` (128) lines.  `render_log` keeps
-    the text of at most `_RENDER_MEMO_SIZE` (64) frame objects, so a frame
-    object sent again is encoded once while it stays there.  The run itself
+    The render methods write `trace.log` and `state.log` to a text stream
+    one line at a time, never holding a whole log in memory.  The run itself
     still retains every record.
     """
 
@@ -127,27 +119,17 @@ class Trace:
 
     def render_log(self, out: TextIO):
         """Write one `trace.log` line per event to `out`."""
-        # Events of one domain share its members tuple: join it once.  Ids
-        # are safe keys: `self.events` keeps every keyed object alive.
+        # Events of one domain share its members tuple: join it once.
         joined: dict[int, str] = {}
-        texts: dict[int, str] = {}
-        encode, write = fr.encode_frame, out.write
-        for tick, origin, frame, observers, acknowledged in self.events:
-            text = texts.get(id(frame))
-            if text is None:
-                if len(texts) == _RENDER_MEMO_SIZE:
-                    texts.clear()
-                text = texts[id(frame)] = encode(frame)
-            joined_observers = joined.get(id(observers))
-            if joined_observers is None:
-                joined_observers = joined[id(observers)] = ",".join(observers)
-            write(_EVENT_LINE % (tick, origin, text, acknowledged, joined_observers))
+        for e in self.events:
+            observers = joined.get(id(e.observers))
+            if observers is None:
+                observers = joined[id(e.observers)] = ",".join(e.observers)
+            out.write(_EVENT_LINE % (e.tick, e.origin, e.frame.text, e.acknowledged, observers))
 
     def render_state_log(self, out: TextIO):
         """Write one `state.log` line per change to `out`."""
-        changes = self.changes
-        for start in range(0, len(changes), _STATE_BLOCK):
-            out.write("".join([_CHANGE_LINE % c for c in changes[start:start + _STATE_BLOCK]]))
+        out.writelines(_CHANGE_LINE % c for c in self.changes)
 
 
 @dataclass

@@ -181,15 +181,13 @@ class CecFrame:
         return encode_frame(self)
 
 
-# Each octet value's text, two lowercase hex digits, and each such text to
-# its value; an octet is looked up lowercased.  `int(part, 16)` would also
-# take a sign or whitespace ("+a", " 2").
+# Each octet value's text, two lowercase hex digits, indexed by value.
 _OCTET_TEXTS = tuple("%02x" % b for b in range(256))
-_OCTET_VALUES = {text: b for b, text in enumerate(_OCTET_TEXTS)}
 
 # A whole frame text: ASCII hex octet pairs joined by single colons.  A text
 # matches exactly when every colon-separated part, lowercased, is in
-# `_OCTET_VALUES`.
+# `_OCTET_TEXTS`.  `int(part, 16)` would also take a sign or whitespace
+# ("+a", " 2").
 _FRAME_TEXT = re.compile(r"[0-9a-fA-F]{2}(?::[0-9a-fA-F]{2})*")
 
 
@@ -204,7 +202,7 @@ def parse_frame(text: str) -> CecFrame:
     if _FRAME_TEXT.fullmatch(text) is None:
         # Some octet is bad: name the first.
         for i, part in enumerate(text.split(":")):
-            if part.lower() not in _OCTET_VALUES:
+            if part.lower() not in _OCTET_TEXTS:
                 if len(part) != 2:
                     raise FrameError("octet %d is not two hex digits: %r" % (i, part))
                 raise FrameError("octet %d is not hex: %r" % (i, part))

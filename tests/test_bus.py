@@ -1046,7 +1046,7 @@ class TestTraceMemo:
 
 
 def _per_line_log(events) -> str:
-    """`trace.log` with every frame encoded on its own line, no memo."""
+    """`trace.log` with every frame encoded on its own line."""
     return "".join(
         "t=%d | %s | %s | ack=%d | obs=%s\n"
         % (e.tick, e.origin, fr.encode_frame(e.frame), e.acknowledged, ",".join(e.observers))
@@ -1054,7 +1054,7 @@ def _per_line_log(events) -> str:
     )
 
 
-class TestRenderMemo:
+class TestTraceRecords:
     def test_shared_frame_objects_render_as_distinct_equal_ones(self):
         shared = [CecFrame(0, 15, 0x85), CecFrame(4, 0, 0x36), CecFrame(1, 1)]
         events = [
@@ -1065,32 +1065,6 @@ class TestRenderMemo:
         assert all(c.frame is not e.frame for c, e in zip(copies, events))
         assert rendered(Trace(events).render_log) == rendered(Trace(copies).render_log)
         assert rendered(Trace(events).render_log) == _per_line_log(events)
-
-    def test_replay_past_the_render_memo_encodes_every_frame_right(self):
-        size = bus._RENDER_MEMO_SIZE
-        again = CecFrame(0, 15, 0x85)
-        events = []
-        for tick in range(3 * size):
-            frame = CecFrame(4, 0, 0x00, (tick >> 8, tick & 0xFF))
-            events.append(BusEvent(2 * tick, "box", frame, ("tv", "box"), True))
-            events.append(BusEvent(2 * tick + 1, "tv", again, ("tv", "box"), False))
-        assert rendered(Trace(events).render_log) == _per_line_log(events)
-
-    def test_render_memo_encodes_a_resent_frame_once(self, monkeypatch):
-        calls, encode = [], fr.encode_frame
-        monkeypatch.setattr(fr, "encode_frame", lambda f: calls.append(f) or encode(f))
-        frame = CecFrame(0, 15, 0x85)
-        events = [BusEvent(tick, "tv", frame, ("tv",), True) for tick in range(5)]
-        rendered(Trace(events).render_log)
-        assert calls == [frame]
-
-    @pytest.mark.parametrize("count", [0, 1, 127, 128, 129, 300])
-    def test_state_log_blocks_render_every_change_in_order(self, count):
-        changes = [StateChange(tick, "tv", "power", "on" if tick % 2 else "standby")
-                   for tick in range(count)]
-        assert rendered(Trace(changes=changes).render_state_log) == "".join(
-            "t=%d | tv | power=%s\n" % (c.tick, c.value) for c in changes
-        )
 
     def test_built_records_keep_their_types(self, testbed_sim):
         testbed_sim.schedule(1, testbed_sim.user_action, "tv", UserAction.POWER_OFF)
