@@ -82,13 +82,13 @@ def _cmd_run(args) -> int:
     relay = dict(schema.obj(document.get("relay", {}), "relay"))
     if args.ids_tap is not None:
         ids["tap"] = args.ids_tap
-    if args.ids_config:
+    if args.ids_config is not None:
         ids["config"] = schema.read_json_file(args.ids_config, "detector config")
-    if args.relay_url:
+    if args.relay_url is not None:
         relay["enabled"] = True
     scenario = scen.load_scenario({**document, "ids": ids, "relay": relay}, base_dir)
     relay_client = None
-    if args.relay_url:
+    if args.relay_url is not None:
         from cecsim import relay_http  # only a live relay needs the HTTP stack
 
         relay_client = relay_http.HttpRelayClient(args.relay_url)

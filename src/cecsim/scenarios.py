@@ -14,6 +14,7 @@ detector over the finished trace, and can persist its artifacts.
 import json
 import logging
 import os
+import re
 from dataclasses import dataclass, field
 from inspect import signature
 from random import Random
@@ -316,18 +317,29 @@ _ACTIONS = {
 }
 
 
+# Artifacts that only some runs write.  An earlier run's that this run did
+# not write are removed, so an output directory holds one run's artifacts.
+_OPTIONAL_ARTIFACT = re.compile(
+    r"scanreport\.(?:json|txt)|transfers\.manifest|transfer-\d{3,}\.bin", re.ASCII)
+
+
 def write_artifacts(result: RunResult, out_dir: str) -> list[str]:
+    """Write the run's artifacts into `out_dir` and return their names.
+    Each is a new file (`schema.new_file`): what an earlier run or anyone
+    else left at its name is replaced, never truncated or written through.
+    Then the optional artifacts this run did not write are removed from
+    `out_dir` itself (no recursion, no directory removed)."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
     def save(name: str, text: str):
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+        with schema.new_file(out_dir, name) as fh:
             fh.write(text)
         written.append(name)
 
     for name, render in (("trace.log", result.trace.render_log),
                          ("state.log", result.trace.render_state_log)):
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+        with schema.new_file(out_dir, name) as fh:
             render(fh)
         written.append(name)
     save("alerts.jsonl", "".join(alert.to_json() + "\n" for alert in result.alerts))
@@ -352,6 +364,12 @@ def write_artifacts(result: RunResult, out_dir: str) -> list[str]:
         ],
     }
     save("summary.json", json.dumps(summary, indent=2) + "\n")
+    for name in os.listdir(out_dir):
+        if name not in written and _OPTIONAL_ARTIFACT.fullmatch(name):
+            try:
+                os.unlink(os.path.join(out_dir, name))
+            except IsADirectoryError:
+                pass
     return written
 
 

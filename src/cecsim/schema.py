@@ -4,11 +4,13 @@ Scenario, topology and detector-config files, scenario checks and relay
 command envelopes all go through these helpers, so a field of the wrong
 shape is refused the same way everywhere: a FieldError whose message names
 the field.  Nothing is coerced: an integer is never a bool or a float, a
-flag is a JSON boolean, and text is a string.
+flag is a JSON boolean, and text is a string.  The package's one file
+reader and its one artifact opener live here too.
 """
 
 import functools
 import json
+import os
 
 # Deepest nesting of lists and objects an input file may use.  Real
 # documents need about six levels; far deeper ones overflow the recursion
@@ -106,3 +108,16 @@ def read_json_file(path: str, what: str):
     if nesting(document) > MAX_NESTING:
         raise FieldError("%s file %s nests deeper than %d levels" % (what, path, MAX_NESTING))
     return document
+
+
+def new_file(out_dir: str, name: str, binary: bool = False):
+    """Open `out_dir/name` as a new file, UTF-8 text unless `binary`.  What
+    was at that name (a file, a symlink, a hard link) is unlinked first,
+    never truncated or written through, and the create is exclusive: a name
+    that reappears in between raises FileExistsError."""
+    path = os.path.join(out_dir, name)
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "xb") if binary else open(path, "x", encoding="utf-8")

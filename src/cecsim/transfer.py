@@ -14,13 +14,13 @@ cannot tell that refusal from an empty payload.
 import hashlib
 import itertools
 import logging
-import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from random import Random
 
 from cecsim.bus import Actor, BusEvent, Simulator, TransferRecord
 from cecsim.frames import CecFrame, parse_frame
+from cecsim.schema import new_file
 
 log = logging.getLogger(__name__)
 
@@ -249,16 +249,17 @@ class FileReceiver(Actor):
 
 def write_transfer_artifacts(records, out_dir) -> list[str]:
     """Persist recovered payloads as <session-id>.bin plus a manifest of
-    sizes and digests.  Returns the file names written."""
+    sizes and digests, each as a new file (`schema.new_file`).  Returns the
+    file names written."""
     written = []
     for record in records:
         if record.status == "complete":
             name = "%s.bin" % record.session_id
-            with open(os.path.join(out_dir, name), "wb") as fh:
+            with new_file(out_dir, name, binary=True) as fh:
                 fh.write(record.payload)
             written.append(name)
     if records:
-        with open(os.path.join(out_dir, "transfers.manifest"), "w", encoding="utf-8") as fh:
+        with new_file(out_dir, "transfers.manifest") as fh:
             for record in records:
                 fh.write("%s status=%s receiver=%s peer=%s bytes=%d sha256=%s\n" % (
                     record.session_id, record.status, record.receiver, record.peer,

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from cecsim import cli
 from cecsim import relay_http
 from cecsim import scenarios as scen
+from cecsim import schema
 from cecsim.bus import StateChange
 from cecsim.frames import PowerState
 from cecsim.relay import LoopbackRelayClient
@@ -429,6 +431,73 @@ class TestArtifacts:
         assert len(bins) == 1
         payload = (out / bins[0]).read_bytes()
         assert payload == result.transfers[-1].payload
+
+    def test_rewrite_matches_a_fresh_write(self, tmp_path):
+        # A longer run, then a shorter one, into one directory: no file may
+        # keep a tail of the longer run.
+        churn = builtin_scenario("attack5-input-churn")
+        write_artifacts(run_scenario(dataclasses.replace(churn, duration=3000)),
+                        str(tmp_path / "reused"))
+        short = run_scenario(churn)
+        names = write_artifacts(short, str(tmp_path / "reused"))
+        assert names == write_artifacts(short, str(tmp_path / "fresh"))
+        assert sorted(os.listdir(tmp_path / "reused")) == sorted(names)
+        for name in names:
+            assert (tmp_path / "reused" / name).read_bytes() == (
+                tmp_path / "fresh" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("plant", [os.symlink, os.link])
+    def test_links_at_artifact_names_are_replaced_not_followed(self, tmp_path, plant):
+        out = tmp_path / "run"
+        out.mkdir()
+        names = ("trace.log", "transfer-001.bin")
+        for name in names:
+            (tmp_path / name).write_bytes(b"not an artifact\n")
+            plant(tmp_path / name, out / name)
+        result = run_scenario(builtin_scenario("attack3-file-theft"))
+        write_artifacts(result, str(out))
+        for name in names:
+            assert (tmp_path / name).read_bytes() == b"not an artifact\n"
+            status = os.lstat(out / name)
+            assert stat.S_ISREG(status.st_mode) and status.st_nlink == 1, name
+        assert (out / "trace.log").read_text() == rendered(result.trace.render_log)
+        assert (out / "transfer-001.bin").read_bytes() == result.transfers[-1].payload
+
+    def test_a_name_that_reappears_before_the_create_is_refused(self, tmp_path, monkeypatch):
+        # Something plants a link again between the unlink and the create.
+        target = tmp_path / "target"
+        target.write_text("kept")
+        unlink = os.unlink
+
+        def unlink_and_replant(path):
+            unlink(path)
+            os.symlink(target, path)
+
+        (tmp_path / "trace.log").write_text("old")
+        monkeypatch.setattr(os, "unlink", unlink_and_replant)
+        with pytest.raises(FileExistsError):
+            schema.new_file(str(tmp_path), "trace.log")
+        assert target.read_text() == "kept"
+
+    def test_a_directory_at_an_artifact_name_exits_two(self, tmp_path, capsys):
+        (tmp_path / "trace.log").mkdir()
+        assert cli.main(["run", "--scenario", "benign-status-query", "--out", str(tmp_path)]) == 2
+        assert "trace.log" in capsys.readouterr().err
+
+    # The theft leaves a payload and a manifest, the walk also scan reports.
+    @pytest.mark.parametrize("first", ["attack3-file-theft", "attack1-device-walk"])
+    def test_an_earlier_runs_optional_artifacts_are_removed(self, tmp_path, first):
+        write_artifacts(run_scenario(builtin_scenario(first)), str(tmp_path))
+        (tmp_path / "notes.txt").write_text("mine")
+        (tmp_path / "transfer-002.bin").mkdir()
+        (tmp_path / "transfer-002.bin" / "transfer-003.bin").write_bytes(b"nested")
+        (tmp_path / "transfer-01.bin").write_bytes(b"not a session name")
+        written = write_artifacts(run_scenario(builtin_scenario("benign-status-query")),
+                                  str(tmp_path))
+        assert json.loads((tmp_path / "summary.json").read_text())["transfers"] == []
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            written + ["notes.txt", "transfer-002.bin", "transfer-01.bin"])
+        assert (tmp_path / "transfer-002.bin" / "transfer-003.bin").read_bytes() == b"nested"
 
     def test_unknown_check_type_fails_gracefully(self):
         document = builtin_doc("benign-status-query", checks=[{"type": "does_not_exist"}])
@@ -1062,6 +1131,15 @@ class TestCli:
         # As `ids.tap` "" in a scenario file: an empty tap is refused, not dropped.
         assert cli.main(["run", "--scenario", "podium-strip-scan", "--ids-tap", ""]) == 2
         assert "detector tap '' names no device" in capsys.readouterr().err
+
+    def test_empty_ids_config_flag_exits_two(self, capsys):
+        # As `ids analyze --ids-config ""`: an empty path is refused, not dropped.
+        assert cli.main(["run", "--scenario", "podium-strip-scan", "--ids-config", ""]) == 2
+        assert "detector config file  is not readable JSON" in capsys.readouterr().err
+
+    def test_empty_relay_url_flag_exits_two(self, capsys):
+        assert cli.main(["run", "--scenario", "podium-strip-scan", "--relay-url", ""]) == 2
+        assert "relay URL must be http(s)://host[:port][/path], got ''" in capsys.readouterr().err
 
     def test_ids_config_file(self, tmp_path, capsys):
         config_path = tmp_path / "ids.json"

@@ -1,6 +1,8 @@
 """Covert file channel: segmentation, reassembly, failure handling."""
 
 import math
+import os
+import stat
 import tracemalloc
 from random import Random
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cecsim.bus import Simulator
+from cecsim.bus import Simulator, TransferRecord
 from cecsim.frames import CecFrame, parse_frame
 from cecsim.topology import build_topology
 from cecsim.transfer import (
@@ -251,6 +253,35 @@ class TestTransfer:
         record = sim.artifacts.transfers[-1]
         assert record.receiver == "pc"
         assert record.peer == "address-%d" % sim.logical["spy"]
+
+
+def complete_record(payload: bytes) -> TransferRecord:
+    return TransferRecord("transfer-001", "pc", "address-4", "complete", payload,
+                          segment_count(len(payload)))
+
+
+class TestArtifactFiles:
+    def test_a_shorter_payload_replaces_a_longer_one(self, tmp_path):
+        write_transfer_artifacts([complete_record(bytes(1000))], tmp_path)
+        write_transfer_artifacts([complete_record(b"short")], tmp_path)
+        assert (tmp_path / "transfer-001.bin").read_bytes() == b"short"
+        assert (tmp_path / "transfers.manifest").read_text().endswith(
+            " bytes=5 sha256=%s\n" % payload_digest(b"short"))
+
+    @pytest.mark.parametrize("plant", [os.symlink, os.link])
+    def test_links_at_artifact_names_are_replaced_not_followed(self, tmp_path, plant):
+        out = tmp_path / "run"
+        out.mkdir()
+        names = ("transfer-001.bin", "transfers.manifest")
+        for name in names:
+            (tmp_path / name).write_bytes(b"not an artifact\n")
+            plant(tmp_path / name, out / name)
+        assert write_transfer_artifacts([complete_record(b"payload")], out) == list(names)
+        for name in names:
+            assert (tmp_path / name).read_bytes() == b"not an artifact\n"
+            status = os.lstat(out / name)
+            assert stat.S_ISREG(status.st_mode) and status.st_nlink == 1, name
+        assert (out / "transfer-001.bin").read_bytes() == b"payload"
 
 
 # ---------------------------------------------------------------------------
