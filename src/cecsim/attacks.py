@@ -27,6 +27,7 @@ ARM_BROADCAST_MARKER = parse_frame("dd:dd:dd:dd")
 # keyed by them, "Unk" where nobody answered.
 REPORT_FIELDS = ("P. Addr", "Active", "Vendor", "OSD Str", "CEC Ver", "Pow Status", "Language")
 
+# Every power status operand: no device enters 0x02 or 0x03, but frames may.
 _POWER_RENDER = {0x00: "ON", 0x01: "Standby", 0x02: "To-On", 0x03: "To-Standby"}
 
 
@@ -150,7 +151,7 @@ class ScanWalk(Actor):
                 })
             row["Active"] = "Yes" if addr == self._active_claimant else "No"
             report.entries[addr] = row
-        sim.artifacts.scan_reports.append(report)
+        sim.scan_reports.append(report)
         log.info("%s census finished with %d entries", self.device, len(report.entries))
         if self.on_complete is not None:
             self.on_complete(sim, report)

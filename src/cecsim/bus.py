@@ -151,15 +151,6 @@ class UserActionRecord:
     reason: str
 
 
-@dataclass
-class Artifacts:
-    """Everything a run produces besides the raw trace."""
-
-    transfers: list[TransferRecord] = field(default_factory=list)
-    scan_reports: list = field(default_factory=list)
-    user_actions: list[UserActionRecord] = field(default_factory=list)
-
-
 class Actor:
     """Anything that runs on a device and watches the wire or acts on a
     schedule: attack sessions, covert file endpoints, relay pollers.
@@ -206,7 +197,10 @@ class Simulator:
         self.topology = topology
         self.clock = 0
         self.trace = Trace()
-        self.artifacts = Artifacts()
+        # What the run produces besides the trace, each in the order made.
+        self.transfers: list[TransferRecord] = []
+        self.scan_reports: list = []
+        self.user_actions: list[UserActionRecord] = []
         self.logical: dict[str, int | None] = {}
         self.device_states: dict[str, dv.DeviceState] = {}
         self.actors: list[Actor] = []
@@ -417,7 +411,7 @@ class Simulator:
         result = dv.apply_user_action(
             self.device_ctx(device), state, action, argument, accessible
         )
-        self.artifacts.user_actions.append(
+        self.user_actions.append(
             UserActionRecord(self.clock, device, action.value, result.ok, result.reason)
         )
         if not result.ok:

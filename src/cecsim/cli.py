@@ -94,7 +94,7 @@ def _cmd_run(args) -> int:
         relay_client = relay_http.HttpRelayClient(args.relay_url)
     result = scen.run_scenario(scenario, relay_client=relay_client)
     outcomes = scen.evaluate_checks(result)
-    if args.out:
+    if args.out is not None:
         written = scen.write_artifacts(result, args.out)
         log.info("wrote %d artifacts to %s", len(written), args.out)
     print(

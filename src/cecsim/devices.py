@@ -8,7 +8,7 @@ tick after the frame that caused them.
 
 Device states are compared by reference.  Every state a transition makes
 comes from `_state`, which returns the first-made object of each value, so
-equal results are one object; the table holds at most 512 of them.  Only
+equal results are one object; the table holds at most 256 of them.  Only
 `DeviceState.initial` builds a state outside it.
 
 `react` is a memo of that transition.  Each `DeviceCtx` holds its own memo,
@@ -77,8 +77,8 @@ class DeviceState:
         )
 
 
-# Every state `_state` has made, by value: at most 4 powers x 2 claims x 16
-# ports (None or 1..MAX_PORTS) x 2 x 2 flags = 512.
+# Every state `_state` has made, by value: at most 2 powers x 2 claims x 16
+# ports (None or 1..MAX_PORTS) x 2 x 2 flags = 256.
 _STATES: dict[DeviceState, DeviceState] = {}
 
 

@@ -298,15 +298,11 @@ RESPONSE_OPCODES = frozenset(
 class PowerState(enum.Enum):
     ON = "on"
     STANDBY = "standby"
-    TO_ON = "to_on"
-    TO_STANDBY = "to_standby"
 
 
 POWER_STATUS_OPERAND = {
     PowerState.ON: 0x00,
     PowerState.STANDBY: 0x01,
-    PowerState.TO_ON: 0x02,
-    PowerState.TO_STANDBY: 0x03,
 }
 
 CEC_VERSION_OPERAND = {"1.3a": 0x04, "1.4": 0x05}

@@ -59,6 +59,7 @@ class Scenario:
     duration: int
     seed: int
     actions: tuple[ScenarioAction, ...]
+    # "commands" holds (tick, command, envelope JSON text) tuples.
     relay: MappingProxyType
     listener_options: MappingProxyType
     # "tap" names a device; "config" is a built RuleConfig.
@@ -147,10 +148,17 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
     relay_cfg = schema.keyed(document.get("relay", {}), "relay", _RELAY_KEYS)
     if schema.flag(relay_cfg.get("enabled", False), "relay enabled") and not listeners:
         raise ScenarioError("relay needs an attacker listener in the topology")
-    commands = schema.objects(relay_cfg.get("commands", []), "relay commands")
-    for cmd in commands:
-        schema.integer(cmd.get("tick"), "relay command tick")
-        schema.text(cmd.get("command"), "relay command")
+    commands = []
+    for cmd in schema.objects(relay_cfg.get("commands", []), "relay commands"):
+        tick = schema.integer(cmd.get("tick"), "relay command tick")
+        command = schema.text(cmd.get("command"), "relay command")
+        # Encoded now: the command without its tick, issued_at the tick by default.
+        envelope = {k: v for k, v in cmd.items() if k != "tick"}
+        envelope.setdefault("issued_at", tick)
+        try:
+            commands.append((tick, command, json.dumps(envelope)))
+        except (TypeError, ValueError, RecursionError) as exc:
+            raise ScenarioError("relay command %r at tick %d: %s" % (command, tick, exc)) from None
     if "interval_ticks" in relay_cfg:
         schema.integer(relay_cfg["interval_ticks"], "relay interval_ticks", 1)
 
@@ -185,8 +193,7 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
         duration=duration,
         seed=seed,
         actions=tuple(actions),
-        relay=MappingProxyType({**relay_cfg, "commands": tuple(
-            MappingProxyType(dict(cmd)) for cmd in commands)}),
+        relay=MappingProxyType({**relay_cfg, "commands": tuple(commands)}),
         listener_options=MappingProxyType(dict(listener_options)),
         ids_options=MappingProxyType(ids_options),
         checks=tuple(checks),
@@ -222,11 +229,11 @@ class RunResult:
 
     @property
     def reports(self):
-        return self.sim.artifacts.scan_reports
+        return self.sim.scan_reports
 
     @property
     def transfers(self):
-        return self.sim.artifacts.transfers
+        return self.sim.transfers
 
 
 def run_scenario(scenario: Scenario, *, relay_client=None) -> RunResult:
@@ -255,10 +262,8 @@ def run_scenario(scenario: Scenario, *, relay_client=None) -> RunResult:
         poller = relay_mod.RelayPoller(client, next(iter(controllers.values())), interval)
         poller.start(sim)
         result.poller = poller
-        for cmd in relay_cfg["commands"]:
-            envelope = {k: v for k, v in cmd.items() if k != "tick"}
-            envelope.setdefault("issued_at", cmd["tick"])
-            sim.schedule(cmd["tick"], _post_command, sim, client, envelope, result)
+        for tick, command, text in relay_cfg["commands"]:
+            sim.schedule(tick, _post_command, sim, client, command, text, result)
 
     sim.start()
     for action in scenario.actions:
@@ -270,11 +275,11 @@ def run_scenario(scenario: Scenario, *, relay_client=None) -> RunResult:
     return result
 
 
-def _post_command(sim: Simulator, client, envelope: dict, result: RunResult):
+def _post_command(sim: Simulator, client, command: str, text: str, result: RunResult):
     """The operator drops a command into the relay's listener slot."""
     try:
-        client.post(relay_mod.LISTENER_PATH, json.dumps(envelope))
-        result.relay_posts.append((sim.clock, envelope.get("command")))
+        client.post(relay_mod.LISTENER_PATH, text)
+        result.relay_posts.append((sim.clock, command))
     except relay_mod.RelayUnreachable as exc:
         log.warning("scenario post failed: %s", exc)
 
@@ -391,8 +396,6 @@ def _power_spans(result: RunResult, device: str, start=0) -> list[tuple]:
 
 
 def _check_scan_report_equals(result: RunResult, *, expected) -> tuple[bool, str]:
-    if expected == TESTBED_NAME:
-        expected = EXPECTED_TESTBED_SCAN
     if not result.reports:
         return False, "no scan report was produced"
     got = result.reports[-1].to_dict()
@@ -401,6 +404,15 @@ def _check_scan_report_equals(result: RunResult, *, expected) -> tuple[bool, str
     missing = {k: v for k, v in expected.items() if got.get(k) != v}
     extra = sorted(set(got) - set(expected))
     return False, "mismatched rows %s, unexpected rows %s" % (sorted(missing), extra)
+
+
+def _scan_rows(value, name: str) -> MappingProxyType:
+    """A read-only copy of the rows `expected` names ("testbed": the lab tree's)."""
+    rows = EXPECTED_TESTBED_SCAN if value == TESTBED_NAME else schema.obj(value, name)
+    for key, row in rows.items():
+        if not isinstance(row, dict) or not all(type(cell) is str for cell in row.values()):
+            raise FieldError("%s row %r must be an object of strings" % (name, key))
+    return MappingProxyType({key: MappingProxyType(dict(row)) for key, row in rows.items()})
 
 
 def _check_scan_only_actor(result: RunResult, *, actor) -> tuple[bool, str]:
@@ -512,7 +524,7 @@ def _check_disable_cec_attempts_rejected(
     result: RunResult, *, device, min_attempts=1
 ) -> tuple[bool, str]:
     attempts = [
-        r for r in result.sim.artifacts.user_actions
+        r for r in result.sim.user_actions
         if r.device == device and r.action == "disable_cec"
     ]
     rejected = [r for r in attempts if not r.ok]
@@ -600,7 +612,7 @@ _CHECK_FIELDS = {
     "rule": ids_mod.RULES,
     "power": ("on", "standby"),
     "source": ("mic", "capture", "scan_report"),
-    "expected": lambda value, name: value == TESTBED_NAME or schema.obj(value, name),
+    "expected": _scan_rows,
 }
 
 # Each check function's fields, after the run result: (name, required).
@@ -629,7 +641,7 @@ def _bind_check(entry: dict, nodes) -> tuple:
                 raise FieldError("check names no device %r" % (value,))
             continue
         try:
-            shape(value, name) if callable(shape) else schema.text(value, name, shape)
+            kwargs[name] = shape(value, name) if callable(shape) else schema.text(value, name, shape)
         except FieldError as exc:
             raise FieldError("check has a bad field: %s" % exc) from None
     return kind, fn, MappingProxyType(kwargs)

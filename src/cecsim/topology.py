@@ -294,35 +294,22 @@ def assign_physical_addresses(topology: Topology) -> dict[str, PhysicalAddress]:
 
 
 def propagation_domains(topology: Topology) -> dict[str, tuple[str, ...]]:
-    """Map each node to its CEC propagation domain.
-
-    Domains are the connected components over edges with cec_propagates
-    True; the control wire is shared, so every member of a component
-    observes every frame any member puts on it.  Order within a domain is
-    node declaration order, which keeps traces stable.
+    """Map each node to its CEC propagation domain: the nodes that observe
+    every frame any of them puts on the shared wire.  A domain is named by
+    its top, reached by climbing cables with cec_propagates True; a climb
+    stops at the first node already placed.  Members are in declaration
+    order, which keeps traces stable, and share one tuple.
     """
-    neighbours: dict[str, set[str]] = {n: set() for n in topology.nodes}
-    for edge in topology.edges:
-        if edge.cec_propagates:
-            neighbours[edge.parent].add(edge.child)
-            neighbours[edge.child].add(edge.parent)
-
-    domains: dict[str, tuple[str, ...]] = {}
-    seen: set[str] = set()
-    order = list(topology.nodes)
-    position = {n: i for i, n in enumerate(order)}
-    for node_id in order:
-        if node_id in seen:
-            continue
-        component = {node_id}
-        frontier = [node_id]
-        while frontier:
-            for other in neighbours[frontier.pop()]:
-                if other not in component:
-                    component.add(other)
-                    frontier.append(other)
-        ordered = tuple(sorted(component, key=position.__getitem__))
-        for member in component:
-            domains[member] = ordered
-        seen |= component
-    return domains
+    up = {edge.child: edge.parent for edge in topology.edges if edge.cec_propagates}
+    top: dict[str, str] = {}
+    members: dict[str, list[str]] = {}
+    for node_id in topology.nodes:
+        climbed, node = [], node_id
+        while node not in top and node in up:
+            climbed.append(node)
+            node = up[node]
+        head = top.setdefault(node, node)
+        top.update(dict.fromkeys(climbed, head))
+        members.setdefault(head, []).append(node_id)
+    domains = {head: tuple(ids) for head, ids in members.items()}
+    return {node_id: domains[top[node_id]] for node_id in topology.nodes}

@@ -8,7 +8,8 @@ listening, and anything that does not look like a marker or a data frame
 for the open session is dismissed, with one gap: every observer hears the
 end marker, so the end of another device's stream closes an open session
 as complete with no bytes.  A requester refused while the holder was busy
-cannot tell that refusal from an empty payload.
+cannot tell that refusal from an empty payload.  Receiver sessions are
+numbered in request order (transfer-001, ...); a sender's stream is not.
 """
 
 import hashlib
@@ -78,16 +79,11 @@ class PayloadStore:
         return b""
 
 
-@dataclass
-class SendSession:
-    session_id: str
-    unacked: int = 0
-
-
 class FileSender(Actor):
     """Listener-side endpoint: watches for markers, streams on request.
 
-    While a session is open, each tick sends the next of `_frames`: the
+    While a stream is open, `unacked` counts its unacknowledged data frames
+    (None while idle) and each tick sends the next of `_frames`: the
     payload's data frames, then the end marker, which closes it."""
 
     hears = frozenset((DATA_OPCODE, MIC_MARKER.opcode, REQUEST_MARKER.opcode))
@@ -95,24 +91,17 @@ class FileSender(Actor):
     def __init__(self, device: str, store: PayloadStore):
         super().__init__(device)
         self.store = store
-        self.session: SendSession | None = None
+        self.unacked: int | None = None
         self._frames: Iterator[CecFrame] = iter(())
 
     def on_event(self, sim: Simulator, event: BusEvent):
         frame = event.frame
         if event.origin == self.device:
-            if (
-                self.session is not None
-                and frame.opcode == DATA_OPCODE
-                and not event.acknowledged
-            ):
-                self.session.unacked += 1
-                if self.session.unacked >= MAX_UNACKED:
-                    log.info(
-                        "%s aborting %s after %d unacknowledged frames",
-                        self.device, self.session.session_id, self.session.unacked,
-                    )
-                    self.session = None
+            if self.unacked is not None and frame.opcode == DATA_OPCODE and not event.acknowledged:
+                self.unacked += 1
+                if self.unacked >= MAX_UNACKED:
+                    log.info("%s aborting after %d unacked frames", self.device, self.unacked)
+                    self.unacked = None
             return
 
         if frame == MIC_MARKER:
@@ -123,7 +112,7 @@ class FileSender(Actor):
             self._start_session(sim, event)
 
     def _start_session(self, sim: Simulator, event: BusEvent):
-        if self.session is not None:
+        if self.unacked is not None:
             log.info("%s busy, ignoring transfer request from %s", self.device, event.origin)
             return
         own = sim.logical.get(self.device)
@@ -136,21 +125,18 @@ class FileSender(Actor):
         self._frames = itertools.chain(
             (CecFrame(own, peer, DATA_OPCODE, chunk) for chunk in chunks), (END_MARKER,)
         )
-        self.session = SendSession(session_id=sim.next_session_id())
+        self.unacked = 0
         sim.wake(self)
-        log.info(
-            "%s streaming %d bytes to address %d as %s",
-            self.device, len(payload), peer, self.session.session_id,
-        )
+        log.info("%s streaming %d bytes to address %d", self.device, len(payload), peer)
 
     def on_tick(self, sim: Simulator, tick: int):
-        if self.session is None:
+        if self.unacked is None:
             sim.rest(self)
             return
         frame = next(self._frames)
         sim.transmit_at(tick, self.device, frame)
         if frame is END_MARKER:
-            self.session = None
+            self.unacked = None
 
 
 @dataclass
@@ -234,7 +220,7 @@ class FileReceiver(Actor):
     def _close(self, sim: Simulator, status: str):
         session = self.session
         payload = b"".join(session.chunks)
-        sim.artifacts.transfers.append(
+        sim.transfers.append(
             TransferRecord(
                 session_id=session.session_id,
                 receiver=self.device,

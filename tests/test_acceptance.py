@@ -43,7 +43,7 @@ def test_acceptance_census_matches_reference_table():
     sim.add_actor(walk)
     walk.start(sim)
     sim.run(until=130)
-    got = sim.artifacts.scan_reports[-1].to_dict()
+    got = sim.scan_reports[-1].to_dict()
     with open("tests/data/scanreport_testbed.json", "r", encoding="utf-8") as fh:
         reference = json.load(fh)
     elapsed = time.monotonic() - started
@@ -99,7 +99,7 @@ def test_acceptance_transfers_lossless_at_scale():
         sim, sender, receiver, _ = transfer_sim(payload, seed=index)
         sim.schedule(1, lambda: receiver.request_file(sim))
         sim.run(until=segment_count(size) + 25)
-        record = sim.artifacts.transfers[-1]
+        record = sim.transfers[-1]
         if record.status != "complete" or record.payload != payload:
             _report("covert transfers", False, "size %d corrupted" % size)
         if record.segments != segment_count(size):

@@ -30,7 +30,7 @@ from test_bus import tree_topologies
 
 
 def scanned(sim, actor):
-    reports = sim.artifacts.scan_reports
+    reports = sim.scan_reports
     expected = len(reports) + 1
     walk = ScanWalk(actor)
     sim.add_actor(walk)
@@ -136,7 +136,7 @@ class TestScanWalk:
         hear, finalize = ScanWalk.on_event, ScanWalk._finalize
 
         def recording_hear(walk, sim, event):
-            reports_when_heard.append(len(sim.artifacts.scan_reports))
+            reports_when_heard.append(len(sim.scan_reports))
             hear(walk, sim, event)
 
         def recording_finalize(walk, sim, own):

@@ -183,29 +183,47 @@ class TestAllocation:
 # Delivery and acknowledgement
 # ---------------------------------------------------------------------------
 
+def bfs_component(topology, start: str) -> set[str]:
+    """The nodes reached from `start` over propagating edges, either way."""
+    adjacency = {n: set() for n in topology.nodes}
+    for edge in topology.edges:
+        if edge.cec_propagates:
+            adjacency[edge.parent].add(edge.child)
+            adjacency[edge.child].add(edge.parent)
+    component = {start}
+    frontier = [start]
+    while frontier:
+        for neighbour in adjacency[frontier.pop()]:
+            if neighbour not in component:
+                component.add(neighbour)
+                frontier.append(neighbour)
+    return component
+
+
 class TestDelivery:
     @given(tree_topologies())
     @settings(deadline=None, max_examples=60)
     def test_observers_match_bfs_over_propagating_edges(self, topology):
         sim = Simulator(topology)
         sim.start()
-        adjacency = {n: set() for n in topology.nodes}
-        for edge in topology.edges:
-            if edge.cec_propagates:
-                adjacency[edge.parent].add(edge.child)
-                adjacency[edge.child].add(edge.parent)
         start = len(sim.trace.events)
         for node_id in topology.nodes:
             sim.deliver(node_id, CecFrame(1, 15, 0x85))
         for event in sim.trace.events[start:]:
-            component = {event.origin}
-            frontier = [event.origin]
-            while frontier:
-                for neighbour in adjacency[frontier.pop()]:
-                    if neighbour not in component:
-                        component.add(neighbour)
-                        frontier.append(neighbour)
-            assert set(event.observers) == component
+            assert set(event.observers) == bfs_component(topology, event.origin)
+
+    @given(tree_topologies(), st.data())
+    @settings(deadline=None, max_examples=80)
+    def test_domains_match_bfs_in_any_declaration_order(self, topology, data):
+        # Generated trees declare each parent before its children; a drawn
+        # order also puts children first, so a domain's top may come last.
+        order = data.draw(st.permutations(list(topology.nodes)))
+        shuffled = dataclasses.replace(topology, nodes={n: topology.nodes[n] for n in order})
+        domains = propagation_domains(shuffled)
+        for node_id in order:
+            component = bfs_component(shuffled, node_id)
+            assert domains[node_id] == tuple(n for n in order if n in component)
+            assert all(domains[member] is domains[node_id] for member in component)
 
     @given(tree_topologies())
     @settings(deadline=None, max_examples=60)

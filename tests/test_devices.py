@@ -349,7 +349,7 @@ class TestMenuPressure:
             sim.transmit_at(tick, "client", CecFrame(2, 0, OP_IMAGE_VIEW_ON))
         sim.schedule(12, sim.user_action, "tv", UserAction.DISABLE_CEC)
         sim.run(until=14)
-        record = sim.artifacts.user_actions[-1]
+        record = sim.user_actions[-1]
         assert record.action == "disable_cec"
         assert not record.ok
 
@@ -572,11 +572,11 @@ class TestInterning:
         assert disabled is apply_user_action(ctx, copy, UserAction.DISABLE_CEC).state
         assert disabled is disabled.powered(disabled.power)
 
-    def test_the_table_stays_within_its_512_values_after_the_builtins(self):
+    def test_the_table_stays_within_its_256_values_after_the_builtins(self):
         for name in builtin_scenario_names():
             run_scenario(builtin_scenario(name))
         table = devices._STATES
-        assert 0 < len(table) <= len(PowerState) * 2 * (MAX_PORTS + 1) * 2 * 2 == 512
+        assert 0 < len(table) <= len(PowerState) * 2 * (MAX_PORTS + 1) * 2 * 2 == 256
         for key, state in table.items():
             assert key is state
             assert state.active_input_port is None or 1 <= state.active_input_port <= MAX_PORTS

@@ -572,7 +572,7 @@ class TestMitigations:
         sim.add_actor(walk)
         walk.start(sim)
         sim.run(until=130)
-        report = sim.artifacts.scan_reports[-1]
+        report = sim.scan_reports[-1]
         assert sim.logical["chromecast"] not in report.entries
 
     def test_control_disabled_device_still_in_census(self):
@@ -585,7 +585,7 @@ class TestMitigations:
         sim.add_actor(walk)
         walk.start(sim)
         sim.run(until=130)
-        report = sim.artifacts.scan_reports[-1]
+        report = sim.scan_reports[-1]
         assert 0 in report.entries
 
     def test_control_disabled_device_immune_to_standby(self):

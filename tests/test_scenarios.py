@@ -21,7 +21,7 @@ from cecsim import scenarios as scen
 from cecsim import schema
 from cecsim.bus import StateChange
 from cecsim.frames import PowerState
-from cecsim.relay import LoopbackRelayClient
+from cecsim.relay import LISTENER_PATH, LoopbackRelayClient
 from cecsim.scenarios import (
     ScenarioError,
     builtin_scenario,
@@ -336,6 +336,47 @@ class TestBuiltins:
         assert (second.duration, second.actions, second.relay, second.ids_options) == (
             first.duration, first.actions, first.relay, first.ids_options)
 
+    def test_editing_expected_rows_after_loading_changes_no_result(self):
+        document = builtin_doc("attack1-device-walk", checks=[
+            {"type": "scan_report_equals", "expected": copy.deepcopy(EXPECTED_TESTBED_SCAN)}])
+        scenario = load_scenario(document)
+        expected = document["checks"][0]["expected"]
+        expected["bogus"] = expected.pop("Addr 00")
+        expected["Addr 01"]["OSD Str"] = "Other"
+        result = run_scenario(scenario)
+        assert evaluate_checks(result) == [
+            scen.CheckResult("scan_report_equals", True, "5 rows match")]
+        [(_, _, kwargs)] = scenario.checks
+        with pytest.raises(TypeError):
+            kwargs["expected"]["Addr 00"]["OSD Str"] = "Other"
+
+    @pytest.mark.parametrize("row", [["TV"], {"OSD Str": 1}, {"OSD Str": None}, "TV"])
+    def test_expected_row_that_is_not_an_object_of_strings_is_refused(self, row):
+        check = {"type": "scan_report_equals", "expected": {"Addr 00": row}}
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(builtin_doc("benign-status-query", checks=[check]))
+        assert str(err.value) == (
+            "checks[0]: check has a bad field: expected row 'Addr 00' must be an object of strings")
+
+    def test_editing_a_relay_command_after_loading_changes_no_post(self):
+        document = builtin_doc("attack5-remote-churn", relay={
+            "enabled": True, "commands": [{"tick": 5, "command": "DOS1", "note": [1]}]})
+        scenario = load_scenario(document)
+        document["relay"]["commands"][0]["note"].append(object())
+        document["relay"]["commands"][0]["command"] = "CANCEL"
+        client = LoopbackRelayClient()
+        result = run_scenario(scenario, relay_client=client)
+        assert json.loads(client.get(LISTENER_PATH)) == {
+            "command": "DOS1", "note": [1], "issued_at": 5}
+        assert result.relay_posts == [(5, "DOS1")]
+        assert all(outcome.ok for outcome in evaluate_checks(result))
+
+    def test_relay_command_json_cannot_encode_is_refused_at_load(self):
+        document = builtin_doc("attack5-remote-churn", relay={
+            "enabled": True, "commands": [{"tick": 5, "command": "DOS1", "note": {1, 2}}]})
+        with pytest.raises(ScenarioError, match="relay command 'DOS1' at tick 5: .*set"):
+            load_scenario(document)
+
 
 # ---------------------------------------------------------------------------
 # Runner artifacts
@@ -478,6 +519,18 @@ class TestArtifacts:
         with pytest.raises(FileExistsError):
             schema.new_file(str(tmp_path), "trace.log")
         assert target.read_text() == "kept"
+
+    def test_payloads_are_numbered_in_request_order(self, tmp_path):
+        # The listener's streams take no number: two requests are 001 and 002.
+        document = builtin_doc("attack3-file-theft", duration=60,
+                               listener_options={"capture_bytes": 28}, actions=[
+            {"tick": t, "actor": "client", "action": "request_file", "args": {"peer": "listener"}}
+            for t in (2, 20)])
+        result = run_scenario(load_scenario(document))
+        assert [(t.session_id, t.status, len(t.payload)) for t in result.transfers] == [
+            ("transfer-001", "complete", 28), ("transfer-002", "complete", 28)]
+        written = write_artifacts(result, str(tmp_path))
+        assert {"transfer-001.bin", "transfer-002.bin"} <= set(written)
 
     def test_a_directory_at_an_artifact_name_exits_two(self, tmp_path, capsys):
         (tmp_path / "trace.log").mkdir()
@@ -1136,6 +1189,11 @@ class TestCli:
         # As `ids analyze --ids-config ""`: an empty path is refused, not dropped.
         assert cli.main(["run", "--scenario", "podium-strip-scan", "--ids-config", ""]) == 2
         assert "detector config file  is not readable JSON" in capsys.readouterr().err
+
+    def test_empty_out_flag_exits_two(self, capsys):
+        # As the other flags: an empty directory is refused, not dropped.
+        assert cli.main(["run", "--scenario", "benign-status-query", "--out", ""]) == 2
+        assert "No such file or directory: ''" in capsys.readouterr().err
 
     def test_empty_relay_url_flag_exits_two(self, capsys):
         assert cli.main(["run", "--scenario", "podium-strip-scan", "--relay-url", ""]) == 2

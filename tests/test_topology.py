@@ -1,6 +1,7 @@
 """Topology building, validation, and physical address assignment."""
 
 import dataclasses
+import time
 
 import pytest
 
@@ -348,3 +349,21 @@ class TestPropagation:
         domains = propagation_domains(topo)
         for node_id in ("d0", "d1", "d2"):
             assert domains[node_id] == (node_id,)
+
+    def test_leaf_first_passthrough_chain_is_one_domain_in_linear_time(self):
+        # Passthrough switches add no address nibble, so the chain builds at
+        # any length.  Declared leaf first, the first node climbs the whole
+        # chain and every later one is already placed.
+        length = 20_000
+        nodes = [{"id": "s%d" % i, "kind": "switch", "device_type": "playback",
+                  "edid_address_available": False} for i in range(length - 1, 0, -1)]
+        nodes.append({"id": "s0", "kind": "display", "device_type": "television"})
+        edges = [{"parent": "s%d" % (i - 1), "child": "s%d" % i, "port": 1}
+                 for i in range(1, length)]
+        topo = minimal(nodes, edges)
+        started = time.perf_counter()
+        domains = propagation_domains(topo)
+        elapsed = time.perf_counter() - started
+        assert {id(domain) for domain in domains.values()} == {id(domains["s0"])}
+        assert domains["s0"] == tuple(topo.nodes)
+        assert elapsed < 2.0

@@ -153,7 +153,7 @@ class TestTransfer:
         sim, sender, receiver, _ = wired_sim(payload)
         sim.schedule(2, lambda: receiver.request_file(sim))
         sim.run(until=segment_count(size) + 30)
-        record = sim.artifacts.transfers[-1]
+        record = sim.transfers[-1]
         assert record.status == "complete"
         assert record.payload == payload
         assert payload_digest(record.payload) == payload_digest(payload)
@@ -168,7 +168,7 @@ class TestTransfer:
             e for e in sim.trace.events if e.origin == "spy" and e.frame.opcode == DATA_OPCODE
         ]
         assert len(data_frames) == segment_count(size)
-        record = sim.artifacts.transfers[-1]
+        record = sim.transfers[-1]
         assert record.segments == segment_count(size)
 
     def test_one_data_frame_per_tick(self):
@@ -187,7 +187,7 @@ class TestTransfer:
         sim, sender, receiver, _ = wired_sim(payload, seed=seed)
         sim.schedule(1, lambda: receiver.request_file(sim))
         sim.run(until=segment_count(len(payload)) + 25)
-        record = sim.artifacts.transfers[-1]
+        record = sim.transfers[-1]
         assert record.status == "complete"
         assert record.payload == payload
 
@@ -203,7 +203,7 @@ class TestTransfer:
             sim.transmit_at(tick, "tv", CecFrame(0, 15, 0x85))
             sim.transmit_at(tick, "tv", CecFrame(0, 2, DATA_OPCODE, (0x99, 0x98)))
         sim.run(until=50)
-        record = sim.artifacts.transfers[-1]
+        record = sim.transfers[-1]
         assert record.status == "complete"
         assert record.payload == payload
 
@@ -241,7 +241,7 @@ class TestTransfer:
         # The end marker is broadcast, so it also closes the refused
         # request's session, as complete and empty.
         assert [(r.receiver, r.peer, r.status, r.payload, r.segments)
-                for r in sim.artifacts.transfers] == [
+                for r in sim.transfers] == [
             ("pc", spy, "complete", payload, segment_count(len(payload))),
             ("tv", spy, "complete", b"", 0),
         ]
@@ -250,7 +250,7 @@ class TestTransfer:
         sim, sender, receiver, _ = wired_sim(b"x")
         sim.schedule(2, lambda: receiver.request_file(sim))
         sim.run(until=20)
-        record = sim.artifacts.transfers[-1]
+        record = sim.transfers[-1]
         assert record.receiver == "pc"
         assert record.peer == "address-%d" % sim.logical["spy"]
 
@@ -293,7 +293,7 @@ class TestFailures:
         sim, receiver = lone_receiver()
         sim.schedule(2, lambda: receiver.request_file(sim))
         sim.run(until=INACTIVITY_TIMEOUT + 10)
-        record = sim.artifacts.transfers[-1]
+        record = sim.transfers[-1]
         assert record.status == "aborted"
         assert record.payload == b""
         # Nobody answered, so the record names no peer.
@@ -309,7 +309,7 @@ class TestFailures:
         sim.schedule(2, receiver.request_file, sim)
         sim.schedule(2 + INACTIVITY_TIMEOUT + 1, receiver.request_file, sim)
         sim.run(until=2 * INACTIVITY_TIMEOUT + 10)
-        assert [r.status for r in sim.artifacts.transfers] == ["aborted", "aborted"]
+        assert [r.status for r in sim.transfers] == ["aborted", "aborted"]
 
     def test_a_data_frame_on_the_timeout_tick_is_ignored(self):
         sim, receiver = lone_receiver()
@@ -317,7 +317,7 @@ class TestFailures:
         sim.transmit_at(2 + INACTIVITY_TIMEOUT + 1, "tv", parse_frame("02:00:41:42"))
         sim.run(until=2 * INACTIVITY_TIMEOUT + 10)
         assert sim.logical["pc"] == 2
-        assert [(r.status, r.payload) for r in sim.artifacts.transfers] == [("aborted", b"")]
+        assert [(r.status, r.payload) for r in sim.transfers] == [("aborted", b"")]
 
     @staticmethod
     def counted_transfer(size: int, requests=(2,)):
@@ -337,7 +337,7 @@ class TestFailures:
         sim, receiver = self.counted_transfer(size)
         duration = segment_count(size) + 30
         sim.run(until=duration)
-        assert sim.artifacts.transfers[-1].status == "complete"
+        assert sim.transfers[-1].status == "complete"
         ticks = receiver.ticks
         assert len(ticks) <= -(-duration // INACTIVITY_TIMEOUT) + 1
         # While data flows, the session is checked once every timeout.
@@ -350,7 +350,7 @@ class TestFailures:
         second = 2 + INACTIVITY_TIMEOUT - 5
         sim, receiver = self.counted_transfer(20, requests=(2, second))
         sim.run(until=second + 3 * INACTIVITY_TIMEOUT)
-        assert [r.status for r in sim.artifacts.transfers] == ["complete", "complete"]
+        assert [r.status for r in sim.transfers] == ["complete", "complete"]
         assert receiver.ticks == []
 
     def test_sender_gives_up_after_unacked_frames(self):
@@ -366,7 +366,7 @@ class TestFailures:
 
         sim.schedule(6, mute_receiver, sim, 6)
         sim.run(until=60)
-        assert sender.session is None
+        assert sender.unacked is None
         # The last frames the sender put on the wire are its first
         # MAX_UNACKED unacknowledged data frames: no data frame and no end
         # marker follows them.
@@ -397,11 +397,11 @@ class TestMarkers:
         sim.run(until=2 + len(misses))
         assert [e.frame for e in sim.trace.events[-len(misses):]] == misses
         assert not store.mic_armed
-        assert sender.session is None
+        assert sender.unacked is None
         sim.transmit_at(sim.clock, "pc", marker)
         sim.run(until=sim.clock + 1)
         assert store.mic_armed == (marker is MIC_MARKER)
-        assert (sender.session is not None) == (marker is REQUEST_MARKER)
+        assert (sender.unacked is not None) == (marker is REQUEST_MARKER)
 
     def test_receiver_closes_only_on_the_exact_end_marker(self):
         sim = Simulator(channel_topology())
@@ -415,11 +415,11 @@ class TestMarkers:
         sim.run(until=3 + len(misses))
         assert [e.frame for e in sim.trace.events[-len(misses):]] == misses
         assert receiver.session is not None
-        assert sim.artifacts.transfers == []
+        assert sim.transfers == []
         sim.transmit_at(sim.clock, "spy", END_MARKER)
         sim.run(until=sim.clock + 1)
         assert receiver.session is None
-        assert [r.status for r in sim.artifacts.transfers] == ["complete"]
+        assert [r.status for r in sim.transfers] == ["complete"]
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +439,6 @@ class TestStreaming:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sender.session is not None
+        assert sender.unacked is not None
         assert len([e for e in sim.trace.events if e.frame.opcode == DATA_OPCODE]) == 2
         assert peak < 2**20
