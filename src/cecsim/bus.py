@@ -408,17 +408,17 @@ class Simulator:
             self.start()
         state = self.device_states[device]
         accessible = self.settings_menu_accessible(device)
-        result = dv.apply_user_action(
+        refusal, reaction = dv.apply_user_action(
             self.device_ctx(device), state, action, argument, accessible
         )
         self.user_actions.append(
-            UserActionRecord(self.clock, device, action.value, result.ok, result.reason)
+            UserActionRecord(self.clock, device, action.value, not refusal, refusal)
         )
-        if not result.ok:
-            log.info("t=%d %s %s rejected: %s", self.clock, device, action.value, result.reason)
-        if result.state is not state:
-            self._apply_state(device, result.state, result.changed)
-        for i, emission in enumerate(result.emissions):
+        if refusal:
+            log.info("t=%d %s %s rejected: %s", self.clock, device, action.value, refusal)
+        if reaction.state is not state:
+            self._apply_state(device, reaction.state, reaction.changed)
+        for i, emission in enumerate(reaction.responses):
             self.transmit_at(self.clock + i, device, emission)
 
     # ------------------------------------------------------------------

@@ -9,7 +9,6 @@ import argparse
 import dataclasses
 import logging
 import sys
-from types import MappingProxyType
 
 from cecsim import ids as ids_mod
 from cecsim import relay as relay_mod
@@ -74,6 +73,8 @@ def _load_ids_config(path: str | None) -> ids_mod.RuleConfig | None:
 
 
 def _cmd_run(args) -> int:
+    if args.out == "":
+        raise ValueError("--out must name a directory, got ''")
     # Each flag replaces a field of the document, so the loader checks what runs.
     document, base_dir = scen.scenario_document(args.scenario)
     if args.seed is not None:
@@ -124,7 +125,7 @@ def _cmd_scan(args) -> int:
         actor = listeners[0] if listeners else topology.root
     if actor not in topology.nodes:
         raise TopologyError("scan actor %r is not in the topology" % actor)
-    walk = scen.ScenarioAction(0, actor, "scan", MappingProxyType({}))
+    walk = scen.ScenarioAction(0, actor, "scan", None)
     report = scen.run_scenario(dataclasses.replace(scenario, actions=(walk,))).reports[-1]
     print(report.to_json() if args.json else report.render_table(), end="")
     if not args.json:

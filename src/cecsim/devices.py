@@ -6,6 +6,10 @@ log's lines for the fields that changed, and any response frames.  The
 caller (the simulator) owns scheduling, so responses land on the bus one
 tick after the frame that caused them.
 
+A user action (`apply_user_action`) is the same kind of transition, made
+by someone at the device's own buttons instead of by a frame: it returns a
+`Reaction` too, with the reason the device refused it, if it did.
+
 Device states are compared by reference.  Every state a transition makes
 comes from `_state`, which returns the first-made object of each value, so
 equal results are one object; the table holds at most 256 of them.  Only
@@ -21,7 +25,7 @@ about once per scan, so their entries would only take memory.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from cecsim import frames as fr
 from cecsim.frames import CecFrame, PhysicalAddress, PowerState
@@ -64,29 +68,17 @@ class DeviceState:
             cec_info_reporting_enabled=node.cec_info_reporting_enabled,
         )
 
-    def powered(self, power: PowerState) -> "DeviceState":
-        return _state(
-            power, self.active_source, self.active_input_port,
-            self.cec_control_enabled, self.cec_info_reporting_enabled,
-        )
-
-    def routed(self, active_source: bool, active_input_port: int | None) -> "DeviceState":
-        return _state(
-            self.power, active_source, active_input_port,
-            self.cec_control_enabled, self.cec_info_reporting_enabled,
-        )
-
 
 # Every state `_state` has made, by value: at most 2 powers x 2 claims x 16
 # ports (None or 1..MAX_PORTS) x 2 x 2 flags = 256.
 _STATES: dict[DeviceState, DeviceState] = {}
 
 
-def _state(*fields) -> DeviceState:
-    """The canonical state of these field values, given in `DeviceState`'s
-    order: the first one made."""
-    state = DeviceState(*fields)
-    return _STATES.setdefault(state, state)
+def _state(state: DeviceState, **changes) -> DeviceState:
+    """`state` with the fields `changes` names set: the first-made object of
+    that value."""
+    new = replace(state, **changes)
+    return _STATES.setdefault(new, new)
 
 
 @dataclass
@@ -119,14 +111,15 @@ class Reaction:
     changed: tuple[tuple[str, str], ...] = ()
 
 
-def _changes(old: DeviceState, new: DeviceState) -> tuple[tuple[str, str], ...]:
-    """`Reaction.changed` for the move from `old` to `new`.  A memo entry
-    makes it once, and every change it logs shares the texts."""
-    return tuple(
+def _move(old: DeviceState, new: DeviceState, responses=(), pressure=False) -> Reaction:
+    """The reaction that moves `old` to `new`, with its `changed` pairs.  A
+    memo entry makes them once, and every change it logs shares the texts."""
+    changed = tuple(
         (name, value.value if isinstance(value, PowerState) else str(value))
         for name in _LOGGED_FIELDS
         if (value := getattr(new, name)) != getattr(old, name)
     )
+    return Reaction(new, tuple(responses), pressure, changed)
 
 
 class UserAction(enum.Enum):
@@ -220,8 +213,8 @@ def _route(state: DeviceState, active_source: bool, port: int | None, pressure: 
     """The reaction that sets the active-source claim and the input port."""
     if active_source == state.active_source and port == state.active_input_port:
         return Reaction(state, control_pressure=pressure)
-    new_state = state.routed(active_source, port)
-    return Reaction(new_state, (), pressure, _changes(state, new_state))
+    new_state = _state(state, active_source=active_source, active_input_port=port)
+    return _move(state, new_state, (), pressure)
 
 
 def react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
@@ -273,19 +266,13 @@ def _react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
 
     if op == fr.OP_STANDBY:
         if control and state.power is not PowerState.STANDBY:
-            new_state = state.powered(PowerState.STANDBY)
-            return Reaction(new_state, (), pressure, _changes(state, new_state))
+            return _move(state, _state(state, power=PowerState.STANDBY), (), pressure)
         return Reaction(state, control_pressure=pressure)
 
     if op == fr.OP_IMAGE_VIEW_ON and addressed:
         if control and ctx.node.kind is DeviceKind.DISPLAY and state.power is PowerState.STANDBY:
-            new_state = state.powered(PowerState.ON)
-            return Reaction(
-                new_state,
-                tuple(announcement_frames(ctx, new_state)),
-                pressure,
-                _changes(state, new_state),
-            )
+            new_state = _state(state, power=PowerState.ON)
+            return _move(state, new_state, announcement_frames(ctx, new_state), pressure)
         return Reaction(state, control_pressure=pressure)
 
     if op == fr.OP_ACTIVE_SOURCE and broadcast and len(frame.operands) == 2:
@@ -318,24 +305,16 @@ def _react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
     return Reaction(state)
 
 
-@dataclass
-class UserActionResult:
-    ok: bool
-    reason: str
-    state: DeviceState
-    emissions: list[CecFrame] = field(default_factory=list)
-    # As Reaction.changed.
-    changed: tuple[tuple[str, str], ...] = ()
-
-
 def apply_user_action(
     ctx: DeviceCtx,
     state: DeviceState,
     action: UserAction,
     argument: int | None = None,
     menu_accessible: bool = True,
-) -> UserActionResult:
-    """Front-panel and remote-control actions.
+) -> tuple[str, Reaction]:
+    """Front-panel and remote-control actions: the reason the device
+    refused the action ("" when it went ahead) and its reaction, whose
+    `responses` go on the wire from the action's tick on.
 
     These are physical interactions, so CEC control gating does not apply;
     only the settings menu can be starved out by control-frame pressure.
@@ -343,34 +322,31 @@ def apply_user_action(
     node = ctx.node
     if action is UserAction.POWER_ON:
         if state.power is not PowerState.STANDBY:
-            return UserActionResult(False, "already on", state)
-        new_state = state.powered(PowerState.ON)
-        return UserActionResult(
-            True, "", new_state, announcement_frames(ctx, new_state), _changes(state, new_state)
-        )
+            return "already on", Reaction(state)
+        new_state = _state(state, power=PowerState.ON)
+        return "", _move(state, new_state, announcement_frames(ctx, new_state))
 
     if action is UserAction.POWER_OFF:
         if state.power is PowerState.STANDBY:
-            return UserActionResult(False, "already in standby", state)
-        new_state = state.powered(PowerState.STANDBY)
-        return UserActionResult(True, "", new_state, [], _changes(state, new_state))
+            return "already in standby", Reaction(state)
+        return "", _move(state, _state(state, power=PowerState.STANDBY))
 
     if action is UserAction.SELECT_INPUT:
         if node.kind not in (DeviceKind.DISPLAY, DeviceKind.SWITCH):
-            return UserActionResult(False, "device has no selectable inputs", state)
+            return "device has no selectable inputs", Reaction(state)
         if not isinstance(argument, int) or not 1 <= argument <= node.input_count:
-            return UserActionResult(False, "unknown input port %r" % (argument,), state)
+            return "unknown input port %r" % (argument,), Reaction(state)
         new_state = state
         if argument != state.active_input_port:
-            new_state = state.routed(state.active_source, argument)
-        emissions = []
+            new_state = _state(state, active_input_port=argument)
         # f.f.f.f and a four-level address have no port to name below them.
+        claims = ()
         if ctx.logical is not None and ctx.physical.depth() < 4:
-            emissions.append(_active_source(ctx, ctx.physical.child(argument)))
-        return UserActionResult(True, "", new_state, emissions, _changes(state, new_state))
+            claims = (_active_source(ctx, ctx.physical.child(argument)),)
+        return "", _move(state, new_state, claims)
 
     # DISABLE_CEC, the one action left.
     if not menu_accessible:
-        return UserActionResult(False, "settings menu unresponsive", state)
-    disabled = _state(state.power, state.active_source, state.active_input_port, False, False)
-    return UserActionResult(True, "", disabled, [], _changes(state, disabled))
+        return "settings menu unresponsive", Reaction(state)
+    disabled = _state(state, cec_control_enabled=False, cec_info_reporting_enabled=False)
+    return "", _move(state, disabled)

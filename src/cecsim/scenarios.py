@@ -3,12 +3,12 @@
 A scenario is a JSON document: a topology (inline, by file, or the built
 in lab tree), optional per-node overrides and mitigations, a timed action
 list, optional relay plumbing, and post-run checks.  A key the loader does
-not know, at the top level or in `relay`, `ids` or `listener_options`, is
-refused.  Only `load_scenario` checks a document; the `Scenario` it
-returns is read-only, so the runner and the checks trust it.  Marker
-frames from another device, or relay commands, arm the listener.  The
-runner wires up the attack services, replays the actions, runs the
-detector over the finished trace, and can persist its artifacts.
+not know, at the top level, in an action or its `args`, or in `relay`, `ids`
+or `listener_options`, is refused.  Only `load_scenario` checks a document;
+the `Scenario` it returns is read-only, so the runner and the checks trust
+it.  Marker frames from another device, or relay commands, arm the
+listener.  The runner wires up the attack services, replays the actions,
+runs the detector over the finished trace, and can persist its artifacts.
 """
 
 import json
@@ -27,7 +27,7 @@ from cecsim import schema
 from cecsim.attacks import AttackController, ScanWalk
 from cecsim.bus import Simulator, Trace
 from cecsim.devices import UserAction
-from cecsim.frames import FrameError, parse_frame
+from cecsim.frames import CecFrame, FrameError, parse_frame
 from cecsim.testbed import EXPECTED_TESTBED_SCAN, TESTBED_NAME, TESTBED_TOPOLOGY
 from cecsim.schema import FieldError
 from cecsim.topology import Topology, TopologyError, build_topology
@@ -37,6 +37,7 @@ log = logging.getLogger(__name__)
 
 _SCENARIO_KEYS = ("name", "topology", "duration", "seed", "overrides", "mitigations",
                   "actions", "relay", "listener_options", "ids", "checks")
+_ACTION_KEYS = ("tick", "actor", "action", "args")
 _RELAY_KEYS = ("enabled", "commands", "interval_ticks")
 
 
@@ -49,7 +50,9 @@ class ScenarioAction:
     tick: int
     actor: str
     action: str
-    args: MappingProxyType
+    # What the loader checked of `args`: the frame of a send_frame, the port
+    # of a select_input, the peer of a request_file; None for the others.
+    argument: CecFrame | int | str | None
 
 
 @dataclass(frozen=True)
@@ -120,20 +123,22 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
     listeners = topology.listeners()
     actions = []
     for raw in schema.objects(document.get("actions", []), "actions"):
+        schema.keyed(raw, "action", _ACTION_KEYS)
         tick = schema.integer(raw.get("tick"), "action tick")
         actor = schema.text(raw.get("actor"), "actor at tick %d" % tick, topology.nodes)
         action = schema.text(raw.get("action"), "action at tick %d" % tick, _ACTIONS)
         where = "%s at tick %d" % (action, tick)
-        args = schema.obj(raw.get("args", {}), where + " args")
+        args = schema.keyed(raw.get("args", {}), where + " args", _ARGUMENT_KEYS.get(action, ()))
+        argument = None
         if action == "send_frame":
             try:
-                parse_frame(args.get("frame", ""))
+                argument = parse_frame(args.get("frame", ""))
             except FrameError as exc:
                 raise ScenarioError("%s: %s" % (where, exc)) from None
         if action == "select_input":
-            schema.integer(args.get("port"), where + " port", low=None)
+            argument = schema.integer(args.get("port"), where + " port", low=None)
         if action == "request_file":
-            peer = args.get("peer")
+            peer = argument = args.get("peer")
             if isinstance(peer, str):
                 schema.text(peer, where + " peer", topology.nodes)
                 if not topology.nodes[peer].cec_addressed:
@@ -142,7 +147,7 @@ def load_scenario(document: dict, base_dir: str | None = None) -> Scenario:
                 schema.integer(peer, where + " peer", 0, fr.BROADCAST)
             if actor in listeners or not topology.nodes[actor].cec_addressed:
                 raise ScenarioError("%s cannot run on %r" % (where, actor))
-        actions.append(ScenarioAction(tick, actor, action, MappingProxyType(dict(args))))
+        actions.append(ScenarioAction(tick, actor, action, argument))
     actions.sort(key=lambda a: a.tick)
 
     relay_cfg = schema.keyed(document.get("relay", {}), "relay", _RELAY_KEYS)
@@ -285,11 +290,11 @@ def _post_command(sim: Simulator, client, command: str, text: str, result: RunRe
 
 
 def _user_action(sim: Simulator, action: ScenarioAction, result: RunResult):
-    sim.user_action(action.actor, UserAction(action.action), action.args.get("port"))
+    sim.user_action(action.actor, UserAction(action.action), action.argument)
 
 
 def _send_frame(sim: Simulator, action: ScenarioAction, result: RunResult):
-    sim.deliver(action.actor, parse_frame(action.args["frame"]))
+    sim.deliver(action.actor, action.argument)
 
 
 def _scan(sim: Simulator, action: ScenarioAction, result: RunResult):
@@ -303,7 +308,7 @@ def _scan(sim: Simulator, action: ScenarioAction, result: RunResult):
 
 
 def _request_file(sim: Simulator, action: ScenarioAction, result: RunResult):
-    peer = action.args.get("peer")
+    peer = action.argument
     if isinstance(peer, str):
         peer = sim.logical.get(peer)
     receiver = result.receivers.get(action.actor)
@@ -320,6 +325,9 @@ _ACTIONS = {
     "request_file": _request_file,
     **dict.fromkeys((a.value for a in UserAction), _user_action),
 }
+
+# The `args` key of each action that takes one; the others take none.
+_ARGUMENT_KEYS = {"send_frame": ("frame",), "select_input": ("port",), "request_file": ("peer",)}
 
 
 # Artifacts that only some runs write.  An earlier run's that this run did

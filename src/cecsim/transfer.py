@@ -16,7 +16,6 @@ import hashlib
 import itertools
 import logging
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from random import Random
 
 from cecsim.bus import Actor, BusEvent, Simulator, TransferRecord
@@ -139,25 +138,24 @@ class FileSender(Actor):
             self.unacked = None
 
 
-@dataclass
-class ReceiveSession:
-    session_id: str
-    # None until the first responder when the request named no peer.
-    peer_address: int | None
-    chunks: list[bytes] = field(default_factory=list)
-    last_activity: int = 0
-
-
 class FileReceiver(Actor):
     """Client-side endpoint: sends the request marker, reassembles data
     frames, and closes on the end marker or after a quiet timeout, which
-    it checks only on the ticks the silence could run out."""
+    it checks only on the ticks the silence could run out.
+
+    `session` is the open session's id (None while idle), `peer` the
+    address it takes data from (None until the first responder when the
+    request named none), `chunks` its data so far and `last_activity` the
+    tick of its last data frame."""
 
     hears = frozenset((DATA_OPCODE, END_MARKER.opcode))
 
     def __init__(self, device: str):
         super().__init__(device)
-        self.session: ReceiveSession | None = None
+        self.session: str | None = None
+        self.peer: int | None = None
+        self.chunks: list[bytes] = []
+        self.last_activity = 0
 
     def request_file(self, sim: Simulator, peer_address: int | None = None) -> bool:
         """Ask whoever is listening for its payload.  One session at a
@@ -165,28 +163,26 @@ class FileReceiver(Actor):
         if self.session is not None:
             log.info("%s already has an open transfer, request rejected", self.device)
             return False
-        self.session = ReceiveSession(
-            session_id=sim.next_session_id(),
-            peer_address=peer_address,
-            last_activity=sim.clock,
-        )
+        self.session = sim.next_session_id()
+        self.peer, self.chunks, self.last_activity = peer_address, [], sim.clock
         sim.transmit_at(sim.clock, self.device, REQUEST_MARKER)
         sim.schedule(sim.clock + INACTIVITY_TIMEOUT, self._wake_for, sim, self.session)
         return True
 
-    def _wake_for(self, sim: Simulator, session: ReceiveSession):
+    def _wake_for(self, sim: Simulator, session: str):
         """A queued deadline wake: it wakes the receiver only while
-        `session`, the one it was queued for, is still open."""
-        if self.session is session:
+        `session`, the one it was queued for, is still open.  No two
+        sessions of a run share an id."""
+        if self.session == session:
             sim.wake(self)
 
     def _peer_matches(self, sim: Simulator, origin: str) -> bool:
         origin_addr = sim.logical.get(origin)
         if origin_addr is None:
             return False
-        if self.session.peer_address is None:
-            self.session.peer_address = origin_addr
-        return origin_addr == self.session.peer_address
+        if self.peer is None:
+            self.peer = origin_addr
+        return origin_addr == self.peer
 
     def on_event(self, sim: Simulator, event: BusEvent):
         if self.session is None or event.origin == self.device:
@@ -203,31 +199,28 @@ class FileReceiver(Actor):
             return
         if not self._peer_matches(sim, event.origin):
             return
-        self.session.chunks.append(bytes(frame.operands))
-        self.session.last_activity = event.tick
+        self.chunks.append(bytes(frame.operands))
+        self.last_activity = event.tick
 
     def on_tick(self, sim: Simulator, tick: int):
         sim.rest(self)
         if self.session is None:
             return
-        if tick - self.session.last_activity > INACTIVITY_TIMEOUT:
-            log.info("%s transfer %s timed out", self.device, self.session.session_id)
+        if tick - self.last_activity > INACTIVITY_TIMEOUT:
+            log.info("%s transfer %s timed out", self.device, self.session)
             self._close(sim, "aborted")
         else:
-            deadline = self.session.last_activity + INACTIVITY_TIMEOUT
-            sim.schedule(deadline, self._wake_for, sim, self.session)
+            sim.schedule(self.last_activity + INACTIVITY_TIMEOUT, self._wake_for, sim, self.session)
 
     def _close(self, sim: Simulator, status: str):
-        session = self.session
-        payload = b"".join(session.chunks)
         sim.transfers.append(
             TransferRecord(
-                session_id=session.session_id,
+                session_id=self.session,
                 receiver=self.device,
-                peer="none" if session.peer_address is None else "address-%d" % session.peer_address,
+                peer="none" if self.peer is None else "address-%d" % self.peer,
                 status=status,
-                payload=payload,
-                segments=len(session.chunks),
+                payload=b"".join(self.chunks),
+                segments=len(self.chunks),
             )
         )
         self.session = None

@@ -266,58 +266,63 @@ class TestAnnouncements:
 class TestUserActions:
     def test_power_on_from_standby_announces(self, sim):
         ctx, state = ctx_and_state(sim, "amp")
-        result = apply_user_action(ctx, state, UserAction.POWER_ON)
-        assert result.ok
-        assert result.state.power is PowerState.ON
-        assert [f.opcode for f in result.emissions] == [0x84, 0x87]
+        refusal, reaction = apply_user_action(ctx, state, UserAction.POWER_ON)
+        assert refusal == ""
+        assert reaction.state.power is PowerState.ON
+        assert [f.opcode for f in reaction.responses] == [0x84, 0x87]
 
     def test_power_on_when_already_on_rejected(self, sim):
         ctx, state = ctx_and_state(sim, "tv")
-        result = apply_user_action(ctx, state, UserAction.POWER_ON)
-        assert not result.ok
-        assert "already" in result.reason
-        assert result.emissions == []
+        refusal, reaction = apply_user_action(ctx, state, UserAction.POWER_ON)
+        assert "already" in refusal
+        assert reaction.state is state
+        assert reaction.responses == ()
 
     def test_power_off_is_silent(self, sim):
         ctx, state = ctx_and_state(sim, "tv")
-        result = apply_user_action(ctx, state, UserAction.POWER_OFF)
-        assert result.ok
-        assert result.state.power is PowerState.STANDBY
-        assert result.emissions == []
+        refusal, reaction = apply_user_action(ctx, state, UserAction.POWER_OFF)
+        assert refusal == ""
+        assert reaction.state.power is PowerState.STANDBY
+        assert reaction.responses == ()
 
     def test_select_input_broadcasts_route(self, sim):
         ctx, state = ctx_and_state(sim, "tv")
-        result = apply_user_action(ctx, state, UserAction.SELECT_INPUT, argument=1)
-        assert result.ok
-        assert result.state.active_input_port == 1
-        claim = result.emissions[0]
+        refusal, reaction = apply_user_action(ctx, state, UserAction.SELECT_INPUT, argument=1)
+        assert refusal == ""
+        assert reaction.state.active_input_port == 1
+        claim = reaction.responses[0]
         assert claim.opcode == OP_ACTIVE_SOURCE
         assert claim.operands == (0x10, 0x00)
 
     def test_select_input_below_a_full_address_claims_nothing(self, sim):
         ctx, state = ctx_and_state(sim, "tv")
         ctx = dataclasses.replace(ctx, physical=PhysicalAddress((1, 2, 3, 4)))
-        result = apply_user_action(ctx, state, UserAction.SELECT_INPUT, argument=1)
-        assert result.ok and result.state.active_input_port == 1
-        assert result.emissions == []
+        refusal, reaction = apply_user_action(ctx, state, UserAction.SELECT_INPUT, argument=1)
+        assert refusal == "" and reaction.state.active_input_port == 1
+        assert reaction.responses == ()
 
     def test_select_input_rejects_bad_port(self, sim):
         ctx, state = ctx_and_state(sim, "tv")
-        result = apply_user_action(ctx, state, UserAction.SELECT_INPUT, argument=9)
-        assert not result.ok
+        refusal, _ = apply_user_action(ctx, state, UserAction.SELECT_INPUT, argument=9)
+        assert refusal == "unknown input port 9"
 
     def test_select_input_only_for_inputs(self, sim):
         ctx, state = ctx_and_state(sim, "chromecast")
-        result = apply_user_action(ctx, state, UserAction.SELECT_INPUT, argument=1)
-        assert not result.ok
+        refusal, _ = apply_user_action(ctx, state, UserAction.SELECT_INPUT, argument=1)
+        assert refusal == "device has no selectable inputs"
 
     def test_disable_cec_needs_menu(self, sim):
         ctx, state = ctx_and_state(sim, "tv")
-        blocked = apply_user_action(ctx, state, UserAction.DISABLE_CEC, menu_accessible=False)
-        assert not blocked.ok
+        refusal, blocked = apply_user_action(
+            ctx, state, UserAction.DISABLE_CEC, menu_accessible=False
+        )
+        assert refusal == "settings menu unresponsive"
         assert blocked.state.cec_control_enabled
-        allowed = apply_user_action(ctx, state, UserAction.DISABLE_CEC, menu_accessible=True)
-        assert allowed.ok
+        refusal, allowed = apply_user_action(
+            ctx, state, UserAction.DISABLE_CEC, menu_accessible=True
+        )
+        assert refusal == ""
+        assert not allowed.state.cec_control_enabled
         assert not allowed.state.cec_control_enabled
         assert not allowed.state.cec_info_reporting_enabled
 
@@ -450,8 +455,8 @@ class TestReportedChanges:
     def test_user_action_reports_exactly_the_logged_fields_that_differ(
         self, ctx, state, action, argument, accessible
     ):
-        result = apply_user_action(ctx, state, action, argument, accessible)
-        assert result.changed == _differing(state, result.state)
+        _, reaction = apply_user_action(ctx, state, action, argument, accessible)
+        assert reaction.changed == _differing(state, reaction.state)
 
 
 # ---------------------------------------------------------------------------
@@ -559,18 +564,28 @@ def test_a_whole_run_without_the_memo_logs_the_same(name):
 # ---------------------------------------------------------------------------
 
 class TestInterning:
-    @given(device_states, st.sampled_from(PowerState), st.booleans(), st.none() | st.integers(1, 5))
+    @given(
+        device_states, st.sampled_from(PowerState), st.booleans(), st.none() | st.integers(1, 5),
+        st.permutations(("power", "active_source", "active_input_port")),
+    )
     @settings(deadline=None, max_examples=100)
-    def test_equal_transition_results_are_one_object(self, state, power, source, port):
+    def test_equal_transition_results_are_one_object(self, state, power, source, port, order):
         copy = dataclasses.replace(state)
         assert copy is not state
-        assert state.powered(power) is copy.powered(power)
-        assert state.routed(source, port) is copy.routed(source, port)
-        assert state.powered(power).routed(source, port) is copy.routed(source, port).powered(power)
+        values = {"power": power, "active_source": source, "active_input_port": port}
+        made = devices._state(state, **values)
+        assert made == dataclasses.replace(state, **values)
+        # Equal inputs, with the changes named in any order, give one object.
+        assert devices._state(copy, **{name: values[name] for name in order}) is made
+        stepped = copy
+        for name in order:
+            stepped = devices._state(stepped, **{name: values[name]})
+        assert stepped is made
+        assert devices._state(made) is made
         ctx = DeviceCtx(_TESTBED.nodes["tv"], 0, PhysicalAddress((0, 0, 0, 0)))
-        disabled = apply_user_action(ctx, state, UserAction.DISABLE_CEC).state
-        assert disabled is apply_user_action(ctx, copy, UserAction.DISABLE_CEC).state
-        assert disabled is disabled.powered(disabled.power)
+        _, disabled = apply_user_action(ctx, state, UserAction.DISABLE_CEC)
+        assert disabled.state is apply_user_action(ctx, copy, UserAction.DISABLE_CEC)[1].state
+        assert disabled.state is devices._state(disabled.state, power=disabled.state.power)
 
     def test_the_table_stays_within_its_256_values_after_the_builtins(self):
         for name in builtin_scenario_names():

@@ -203,6 +203,18 @@ class TestValidation:
             ({"relay": {"enabled": True, "intervall_ticks": 5}}, "intervall_ticks"),
             ({"ids": {"tapp": "tv"}}, "tapp"),
             ({"checks": [{"device": "tv"}]}, "checks[0]: check type must be a non-empty string"),
+            (
+                {"actions": [{"tick": 1, "actor": "client", "action": "request_file",
+                              "args": {"pear": "listener"}}]},
+                "unknown request_file at tick 1 args key 'pear'",
+            ),
+            ({"actions": [{"tick": 1, "actor": "tv", "action": "power_on", "at": 2}]},
+             "unknown action key 'at'"),
+            (
+                {"actions": [{"tick": 1, "actor": "tv", "action": "power_on",
+                              "args": {"port": 1}}]},
+                "unknown power_on at tick 1 args key 'port'",
+            ),
         ],
     )
     def test_rejections_name_the_problem(self, patch, fragment):
@@ -324,8 +336,7 @@ class TestBuiltins:
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(item, field.name, getattr(item, field.name))
         for stored in [first.relay, first.listener_options, first.ids_options,
-                       *first.relay["commands"], *(action.args for action in first.actions),
-                       *(kwargs for _, _, kwargs in first.checks)]:
+                       *first.relay["commands"], *(kwargs for _, _, kwargs in first.checks)]:
             with pytest.raises(TypeError):
                 stored["tap"] = "ghost"
         for stored in [first.actions, first.checks, first.relay["commands"], *first.checks]:
@@ -817,6 +828,17 @@ class TestWiring:
         senders = [a for a in result.sim.actors if isinstance(a, FileSender)]
         assert senders == [result.controllers["listener"].sender]
 
+    def test_runs_parse_no_frame_of_a_loaded_action(self, monkeypatch):
+        # The loader parsed each send_frame's frame; every run sends that one.
+        scenario = builtin_scenario("attack5-input-churn")
+        parse, parsed = scen.parse_frame, []
+        monkeypatch.setattr(scen, "parse_frame", lambda text: parsed.append(text) or parse(text))
+        first, second = run_scenario(scenario), run_scenario(scenario)
+        assert parsed == []
+        sent = [next(e.frame for e in result.trace.events if e.tick == 2 and e.origin == "client")
+                for result in (first, second)]
+        assert sent[0] is sent[1] is scenario.actions[0].argument
+
     def test_run_settings_come_from_the_scenario(self):
         relay = dict(scen._BUILTIN_SCENARIOS["attack5-remote-churn"]["relay"], interval_ticks=2)
         scenario = load_scenario(builtin_doc("attack5-remote-churn", relay=relay))
@@ -1190,10 +1212,15 @@ class TestCli:
         assert cli.main(["run", "--scenario", "podium-strip-scan", "--ids-config", ""]) == 2
         assert "detector config file  is not readable JSON" in capsys.readouterr().err
 
-    def test_empty_out_flag_exits_two(self, capsys):
-        # As the other flags: an empty directory is refused, not dropped.
+    def test_empty_out_flag_exits_two(self, capsys, monkeypatch):
+        # As the other flags: an empty directory is refused, not dropped, and
+        # before anything runs.
+        def run_scenario(*args, **kwargs):
+            raise AssertionError("ran a scenario with an empty --out")
+
+        monkeypatch.setattr(scen, "run_scenario", run_scenario)
         assert cli.main(["run", "--scenario", "benign-status-query", "--out", ""]) == 2
-        assert "No such file or directory: ''" in capsys.readouterr().err
+        assert "--out must name a directory, got ''" in capsys.readouterr().err
 
     def test_empty_relay_url_flag_exits_two(self, capsys):
         assert cli.main(["run", "--scenario", "podium-strip-scan", "--relay-url", ""]) == 2

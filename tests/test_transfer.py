@@ -214,7 +214,7 @@ class TestTransfer:
         sim.schedule(2, lambda: receiver.request_file(sim))
         sim.transmit_at(3, "tv", CecFrame(0, 2, DATA_OPCODE, (0x99,)))
         sim.run(until=8)
-        assert receiver.session.peer_address == sim.logical["tv"]
+        assert receiver.peer == sim.logical["tv"]
 
     def test_second_request_rejected_while_open(self):
         sim, sender, receiver, _ = wired_sim(bytes(400))
@@ -350,6 +350,18 @@ class TestFailures:
         second = 2 + INACTIVITY_TIMEOUT - 5
         sim, receiver = self.counted_transfer(20, requests=(2, second))
         sim.run(until=second + 3 * INACTIVITY_TIMEOUT)
+        assert [r.status for r in sim.transfers] == ["complete", "complete"]
+        assert receiver.ticks == []
+
+    def test_a_wake_queued_for_an_earlier_session_leaves_the_open_one_alone(self):
+        # The first session's deadline wake comes due while the second,
+        # opened after the first closed, still streams.
+        second = 2 + INACTIVITY_TIMEOUT - 5
+        sim, receiver = self.counted_transfer(10 * SEGMENT_BYTES, requests=(2, second))
+        open_at_first_deadline = []
+        sim.schedule(2 + INACTIVITY_TIMEOUT, lambda: open_at_first_deadline.append(receiver.session))
+        sim.run(until=second + 3 * INACTIVITY_TIMEOUT)
+        assert open_at_first_deadline == ["transfer-002"]
         assert [r.status for r in sim.transfers] == ["complete", "complete"]
         assert receiver.ticks == []
 
