@@ -73,6 +73,8 @@ class ScanWalk(Actor):
         self._active_claimant: int | None = None
 
     def start(self, sim: Simulator):
+        """Add the walker and walk; `on_complete(report)` gets the report."""
+        sim.add_actor(self)
         sim.start()
         self._steps = self._walk(sim, sim.logical.get(self.device))
         sim.wake(self)
@@ -154,7 +156,7 @@ class ScanWalk(Actor):
         sim.scan_reports.append(report)
         log.info("%s census finished with %d entries", self.device, len(report.entries))
         if self.on_complete is not None:
-            self.on_complete(sim, report)
+            self.on_complete(report)
 
 
 class TargetedDos(Actor):
@@ -256,16 +258,13 @@ class AttackController(Actor):
         elif event.frame == ARM_BROADCAST_MARKER:
             self.broadcast.activate(sim)
 
-    def start_scan(self, sim: Simulator, on_complete=None) -> ScanWalk:
-        def finish(inner_sim, report):
+    def start_scan(self, sim: Simulator, on_complete=None):
+        def finish(report):
             self.store.scan_report = report.to_json().encode("ascii")
             if on_complete is not None:
-                on_complete(inner_sim, report)
+                on_complete(report)
 
-        walk = ScanWalk(self.device, on_complete=finish)
-        sim.add_actor(walk)
-        walk.start(sim)
-        return walk
+        ScanWalk(self.device, on_complete=finish).start(sim)
 
     def cancel_all(self):
         self.targeted.disarm()

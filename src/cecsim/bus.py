@@ -302,6 +302,9 @@ class Simulator:
         self.schedule(tick, self.deliver, origin, frame)
 
     def add_actor(self, actor: Actor):
+        """Let `actor` hear frames from now on; adding it twice raises ValueError."""
+        if actor in self.actors:
+            raise ValueError("actor was already added")
         self.actors.append(actor)
         self._hearing = {}
 
@@ -373,16 +376,9 @@ class Simulator:
         self.trace.events.append(event)
 
         for node_id in receivers:
-            if node_id == origin:
-                continue
-            state = states[node_id]
-            reaction = dv.react(self._ctx[node_id], state, frame)
-            if reaction.control_pressure:
-                self._pressure[node_id].append(clock)
-            if reaction.state is not state:
-                self._apply_state(node_id, reaction.state, reaction.changed)
-            for i, response in enumerate(reaction.responses):
-                self.transmit_at(clock + 1 + i, node_id, response)
+            if node_id != origin:
+                state = states[node_id]
+                self._apply(node_id, state, dv.react(self._ctx[node_id], state, frame), clock + 1)
 
         listeners = self._hearing.get(frame.opcode)
         if listeners is None:
@@ -395,12 +391,17 @@ class Simulator:
                 actor.on_event(self, event)
         return event
 
-    def _apply_state(self, node_id: str, new: dv.DeviceState, changed: tuple[tuple[str, str], ...]):
-        """Store the new state and log the (field, text) pairs of a
-        reaction's or user action's `changed`."""
-        self.device_states[node_id] = new
-        for name, value in changed:
-            self.trace.changes.append(_new_change((self.clock, node_id, name, value)))
+    def _apply(self, node_id: str, state: dv.DeviceState, reaction: dv.Reaction, first: int):
+        """Record a reaction's control pressure, store and log a state other
+        than `state`, and send its i-th response at tick `first + i`."""
+        if reaction.control_pressure:
+            self._pressure[node_id].append(self.clock)
+        if reaction.state is not state:
+            self.device_states[node_id] = reaction.state
+            for name, value in reaction.changed:
+                self.trace.changes.append(_new_change((self.clock, node_id, name, value)))
+        for tick, response in enumerate(reaction.responses, first):
+            self.transmit_at(tick, node_id, response)
 
     def user_action(self, device: str, action: dv.UserAction, argument: int | None = None):
         """Someone works the device's own buttons or menu right now."""
@@ -416,10 +417,7 @@ class Simulator:
         )
         if refusal:
             log.info("t=%d %s %s rejected: %s", self.clock, device, action.value, refusal)
-        if reaction.state is not state:
-            self._apply_state(device, reaction.state, reaction.changed)
-        for i, emission in enumerate(reaction.responses):
-            self.transmit_at(self.clock + i, device, emission)
+        self._apply(device, state, reaction, self.clock)
 
     # ------------------------------------------------------------------
     # Main loop

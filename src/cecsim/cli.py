@@ -6,8 +6,8 @@ scenarios.  Exit codes: 0 success, 2 bad input, 3 a requested check failed.
 """
 
 import argparse
-import dataclasses
 import logging
+import os
 import sys
 
 from cecsim import ids as ids_mod
@@ -17,7 +17,6 @@ from cecsim import schema
 from cecsim.bus import parse_trace_line
 from cecsim.frames import FrameError
 from cecsim.testbed import TESTBED_NAME
-from cecsim.topology import TopologyError
 
 log = logging.getLogger(__name__)
 
@@ -73,8 +72,8 @@ def _load_ids_config(path: str | None) -> ids_mod.RuleConfig | None:
 
 
 def _cmd_run(args) -> int:
-    if args.out == "":
-        raise ValueError("--out must name a directory, got ''")
+    if args.out == "" or os.path.lexists(args.out or "") and not os.path.isdir(args.out):
+        raise ValueError("--out must name a directory, got %r" % args.out)
     # Each flag replaces a field of the document, so the loader checks what runs.
     document, base_dir = scen.scenario_document(args.scenario)
     if args.seed is not None:
@@ -116,17 +115,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    # A census is a scenario with one action, run like any other.
-    scenario = scen.load_scenario({"name": "scan", "topology": args.topology, "duration": 140})
-    topology = scenario.topology
+    # A census is a scenario with one scan action, loaded and run like any other.
+    document = {"name": "scan", "topology": args.topology, "duration": 140}
     actor = args.actor
     if actor is None:
-        listeners = topology.listeners()
-        actor = listeners[0] if listeners else topology.root
-    if actor not in topology.nodes:
-        raise TopologyError("scan actor %r is not in the topology" % actor)
-    walk = scen.ScenarioAction(0, actor, "scan", None)
-    report = scen.run_scenario(dataclasses.replace(scenario, actions=(walk,))).reports[-1]
+        topology = scen.load_scenario(document).topology
+        actor = (topology.listeners() or [topology.root])[0]
+    document["actions"] = [{"tick": 0, "actor": actor, "action": "scan"}]
+    report = scen.run_scenario(scen.load_scenario(document)).reports[-1]
     print(report.to_json() if args.json else report.render_table(), end="")
     if not args.json:
         print()
@@ -153,14 +149,11 @@ def _cmd_relay_serve(args) -> int:
 
 
 def _cmd_ids_analyze(args) -> int:
-    # Each line goes to the detector as it is read, so memory follows the
-    # detector's windows, not the trace.  Of several errors, the first of a
-    # bad line, a tap that sees no frame and a bad config is reported.
+    # The config is refused before the trace is read.  Each line goes to the
+    # detector as it is read, so memory follows the detector's windows, not
+    # the trace.
+    config = _load_ids_config(args.ids_config)
     with open(args.trace, "r", encoding="utf-8") as fh:
-        try:
-            config, config_error = _load_ids_config(args.ids_config), None
-        except ValueError as exc:
-            config, config_error = None, exc
         tap = args.ids_tap
         detector = ids_mod.Detector(config, tap)
         frames = 0
@@ -177,8 +170,6 @@ def _cmd_ids_analyze(args) -> int:
             detector.feed(event)
     if frames and not detector.tap_seen:
         raise ValueError("detector tap %r observes none of the %d frames" % (tap, frames))
-    if config_error is not None:
-        raise config_error
     for alert in detector.alerts:
         print(alert.to_json())
     print("%d alerts from %d frames" % (len(detector.alerts), frames), file=sys.stderr)

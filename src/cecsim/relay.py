@@ -106,8 +106,6 @@ class RelayPoller(Actor):
     hears = frozenset()
 
     def __init__(self, client, controller, interval_ticks: int):
-        if interval_ticks < 1:
-            raise ValueError("poll interval must be at least one tick")
         super().__init__(controller.device)
         self.client = client
         self.controller = controller
@@ -174,7 +172,7 @@ class RelayPoller(Actor):
         targeted.arm()
 
     def _scan(self, sim: Simulator, envelope: dict):
-        self.controller.start_scan(sim, on_complete=lambda _, rep: self.publish(rep.to_json()))
+        self.controller.start_scan(sim, on_complete=lambda rep: self.publish(rep.to_json()))
 
     def _cancel(self, sim: Simulator, envelope: dict):
         self.controller.cancel_all()

@@ -17,7 +17,6 @@ import os
 import re
 from dataclasses import dataclass, field
 from inspect import signature
-from random import Random
 from types import MappingProxyType
 
 from cecsim import frames as fr
@@ -249,13 +248,9 @@ def run_scenario(scenario: Scenario, *, relay_client=None) -> RunResult:
     topology = scenario.topology
     sim = Simulator(topology)
 
-    options = scenario.listener_options
-    capture_bytes = options.get("capture_bytes")
     controllers: dict[str, AttackController] = {}
     for listener in topology.listeners():
-        rng = Random(scenario.seed ^ 0x636170)
-        capture = rng.randbytes(capture_bytes) if capture_bytes else None
-        store = PayloadStore(scenario.seed, options.get("mic_bytes", 1024), capture)
+        store = PayloadStore(scenario.seed, **scenario.listener_options)
         controller = controllers[listener] = AttackController(listener, store)
         controller.register(sim)
     result = RunResult(scenario, sim, controllers)
@@ -302,9 +297,7 @@ def _scan(sim: Simulator, action: ScenarioAction, result: RunResult):
     if controller is not None:
         controller.start_scan(sim)
     else:
-        walk = ScanWalk(action.actor)
-        sim.add_actor(walk)
-        walk.start(sim)
+        ScanWalk(action.actor).start(sim)
 
 
 def _request_file(sim: Simulator, action: ScenarioAction, result: RunResult):

@@ -69,20 +69,20 @@ class DeviceNode:
     kind: DeviceKind
     device_type: DeviceType
     osd_name: str
-    vendor_id: int = 0
-    cec_version: str = "1.4"
-    menu_language: str | None = "eng"
-    cec_control_enabled: bool = True
-    cec_info_reporting_enabled: bool = True
-    edid_address_available: bool = True
+    vendor_id: int
+    cec_version: str
+    menu_language: str | None
+    cec_control_enabled: bool
+    cec_info_reporting_enabled: bool
+    edid_address_available: bool
     # Whether the device takes part in CEC at all.  Dumb switches and
     # splitters propagate frames but never hold a logical address.
-    cec_addressed: bool = True
-    logical_address: int | None = None
-    initial_power: PowerState = PowerState.ON
-    active_source: bool = False
-    active_input_port: int | None = None
-    input_count: int = 4
+    cec_addressed: bool
+    logical_address: int | None
+    initial_power: PowerState
+    active_source: bool
+    active_input_port: int | None
+    input_count: int
 
 
 @dataclass(frozen=True)

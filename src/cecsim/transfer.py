@@ -53,12 +53,13 @@ def payload_digest(data: bytes) -> str:
 class PayloadStore:
     """What the listener can leak, in priority order: a live microphone
     grab once armed, then any preloaded capture, then the last scan
-    report."""
+    report.  Both blobs are drawn from `seed`; no capture when
+    `capture_bytes` is 0."""
 
-    def __init__(self, seed: int = 0, mic_bytes: int = 1024, capture: bytes | None = None):
+    def __init__(self, seed: int = 0, mic_bytes: int = 1024, capture_bytes: int = 0):
         self.mic_armed = False
         self.mic_blob = Random(seed ^ 0x6D6963).randbytes(mic_bytes)
-        self.capture = capture
+        self.capture = Random(seed ^ 0x636170).randbytes(capture_bytes) if capture_bytes else None
         self.scan_report: bytes | None = None
 
     def arm_mic(self) -> bool:

@@ -39,9 +39,7 @@ def test_acceptance_census_matches_reference_table():
     started = time.monotonic()
     sim = Simulator(build_testbed())
     sim.start()
-    walk = ScanWalk("listener")
-    sim.add_actor(walk)
-    walk.start(sim)
+    ScanWalk("listener").start(sim)
     sim.run(until=130)
     got = sim.scan_reports[-1].to_dict()
     with open("tests/data/scanreport_testbed.json", "r", encoding="utf-8") as fh:

@@ -32,9 +32,7 @@ from test_bus import tree_topologies
 def scanned(sim, actor):
     reports = sim.scan_reports
     expected = len(reports) + 1
-    walk = ScanWalk(actor)
-    sim.add_actor(walk)
-    walk.start(sim)
+    ScanWalk(actor).start(sim)
     sim.run(until=sim.clock + 130)
     assert len(reports) == expected and reports[-1].actor == actor
     return reports[-1]
@@ -65,6 +63,14 @@ class TestScanWalk:
             expected = json.load(fh)
         assert report.to_dict() == expected
         assert report.to_dict() == EXPECTED_TESTBED_SCAN
+
+    def test_start_adds_the_walker(self, testbed_sim):
+        walk = ScanWalk("listener")
+        walk.start(testbed_sim)
+        assert testbed_sim.actors == [walk]
+        testbed_sim.run(until=130)
+        assert testbed_sim.actors == []
+        assert testbed_sim.scan_reports[-1].to_dict() == EXPECTED_TESTBED_SCAN
 
     def test_census_row_fields(self, testbed_sim):
         report = scanned(testbed_sim, "listener")

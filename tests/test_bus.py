@@ -799,6 +799,16 @@ class TestWaking:
         testbed_sim.run(until=5)
         assert ticker.ticks == [0, 1, 2, 3, 4]
 
+    def test_adding_an_actor_twice_raises(self, testbed_sim):
+        # Added twice, it would tick twice a tick and hear after a removal.
+        ticker = _Ticker("tv")
+        testbed_sim.add_actor(ticker)
+        with pytest.raises(ValueError, match="already added"):
+            testbed_sim.add_actor(ticker)
+        testbed_sim.wake(ticker)
+        testbed_sim.run(until=3)
+        assert ticker.ticks == [0, 1, 2] and testbed_sim.actors == [ticker]
+
     def test_rest_stops_ticks_from_the_next_tick(self, testbed_sim):
         sleeper, other = _Sleeper("tv", stop=2), _Ticker("tv")
         for actor in (sleeper, other):

@@ -568,9 +568,7 @@ class TestMitigations:
         patched = apply_mitigation(build_testbed(), _disable("disable_cec", "chromecast"))
         sim = Simulator(patched)
         sim.start()
-        walk = ScanWalk("listener")
-        sim.add_actor(walk)
-        walk.start(sim)
+        ScanWalk("listener").start(sim)
         sim.run(until=130)
         report = sim.scan_reports[-1]
         assert sim.logical["chromecast"] not in report.entries
@@ -581,9 +579,7 @@ class TestMitigations:
         patched = apply_mitigation(build_testbed(), _disable("disable_control", "tv"))
         sim = Simulator(patched)
         sim.start()
-        walk = ScanWalk("listener")
-        sim.add_actor(walk)
-        walk.start(sim)
+        ScanWalk("listener").start(sim)
         sim.run(until=130)
         report = sim.scan_reports[-1]
         assert 0 in report.entries

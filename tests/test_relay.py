@@ -38,7 +38,8 @@ def client(request):
 
 def wired_sim():
     sim = Simulator(build_testbed())
-    store = PayloadStore(seed=0, capture=b"seized-bytes")
+    store = PayloadStore(seed=0)
+    store.capture = b"seized-bytes"
     controller = AttackController("listener", store)
     controller.register(sim)
     return sim, controller, store
@@ -395,9 +396,9 @@ class TestPoller:
         assert json.loads(client.get(WEBCLIENT_PATH)) == EXPECTED_TESTBED_SCAN
 
     def test_interval_must_be_positive(self):
-        _, controller, _ = wired_sim()
+        sim, controller, _ = wired_sim()
         with pytest.raises(ValueError):
-            RelayPoller(LoopbackRelayClient(), controller, interval_ticks=0)
+            RelayPoller(LoopbackRelayClient(), controller, interval_ticks=0).start(sim)
 
 
 # ---------------------------------------------------------------------------

@@ -1032,8 +1032,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--actor", "ghost"], "scan actor 'ghost' is not in the topology"),
-            (["--actor", ""], "scan actor '' is not in the topology"),
+            (["--actor", "ghost"], "unknown actor at tick 0 'ghost'"),
+            (["--actor", ""], "actor at tick 0 must be a non-empty string, got ''"),
             (["--topology", "no-such-file.json"], "'no-such-file.json' is neither builtin nor"),
         ],
     )
@@ -1042,6 +1042,15 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert message in err
+
+    def test_scan_actor_refused_as_a_scenario_action(self, tmp_path, capsys):
+        path = tmp_path / "scan.json"
+        path.write_text(json.dumps({"name": "scan", "topology": "testbed", "duration": 140,
+                                    "actions": [{"tick": 0, "actor": "ghost", "action": "scan"}]}))
+        assert cli.main(["run", "--scenario", str(path)]) == 2
+        refused = capsys.readouterr().err
+        assert cli.main(["scan", "--actor", "ghost"]) == 2
+        assert capsys.readouterr().err == refused
 
     @pytest.mark.parametrize(
         "bind",
@@ -1156,6 +1165,16 @@ class TestCli:
         assert cli.main(["ids", "analyze", str(path)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("trace", ["garbage.log", "missing.log"])
+    def test_ids_analyze_refuses_the_config_before_the_trace(self, tmp_path, capsys, trace):
+        (tmp_path / "garbage.log").write_text("this is not a trace\n")
+        config_path = tmp_path / "ids.json"
+        config_path.write_text("{")
+        assert cli.main(["ids", "analyze", str(tmp_path / trace),
+                         "--ids-config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: detector config file %s is not readable JSON" % config_path)
+
     def test_run_bad_listener_options_exits_two(self, tmp_path, capsys):
         path = tmp_path / "options.json"
         path.write_text(json.dumps(doc(listener_options=[1])))
@@ -1221,6 +1240,23 @@ class TestCli:
         monkeypatch.setattr(scen, "run_scenario", run_scenario)
         assert cli.main(["run", "--scenario", "benign-status-query", "--out", ""]) == 2
         assert "--out must name a directory, got ''" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("link", [False, True])
+    def test_out_naming_a_file_exits_two(self, tmp_path, capsys, monkeypatch, link):
+        # A file, or a link to none, is refused before anything runs, by the
+        # flag's name, and left as it was.
+        def run_scenario(*args, **kwargs):
+            raise AssertionError("ran a scenario with --out naming a file")
+
+        monkeypatch.setattr(scen, "run_scenario", run_scenario)
+        path = tmp_path / "afile"
+        if link:
+            path.symlink_to(tmp_path / "missing")
+        else:
+            path.write_text("kept")
+        assert cli.main(["run", "--scenario", "benign-status-query", "--out", str(path)]) == 2
+        assert "--out must name a directory, got %r" % str(path) in capsys.readouterr().err
+        assert path.is_symlink() if link else path.read_text() == "kept"
 
     def test_empty_relay_url_flag_exits_two(self, capsys):
         assert cli.main(["run", "--scenario", "podium-strip-scan", "--relay-url", ""]) == 2

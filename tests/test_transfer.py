@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cecsim.bus import Simulator, TransferRecord
 from cecsim.frames import CecFrame, parse_frame
+from cecsim.scenarios import builtin_scenario, run_scenario
 from cecsim.topology import build_topology
 from cecsim.transfer import (
     DATA_OPCODE,
@@ -73,7 +74,8 @@ class CountingReceiver(FileReceiver):
 
 def wired_sim(payload: bytes, seed=0):
     sim = Simulator(channel_topology())
-    store = PayloadStore(seed=seed, capture=payload)
+    store = PayloadStore(seed=seed)
+    store.capture = payload
     sender = FileSender("spy", store)
     receiver = FileReceiver("pc")
     sim.add_actor(sender)
@@ -121,8 +123,13 @@ class TestSegmentation:
 # ---------------------------------------------------------------------------
 
 class TestPayloadStore:
+    def test_capture_is_what_file_theft_delivers(self):
+        [record] = run_scenario(builtin_scenario("attack3-file-theft")).transfers
+        assert PayloadStore(3, capture_bytes=2048).capture == record.payload
+
     def test_priority_order(self):
-        store = PayloadStore(seed=1, capture=b"capture")
+        store = PayloadStore(seed=1)
+        store.capture = b"capture"
         store.scan_report = b"report"
         assert store.current() == b"capture"
         store.arm_mic()
@@ -324,7 +331,9 @@ class TestFailures:
         """A counting receiver that requests a `size`-byte payload at each
         of `requests`."""
         sim = Simulator(channel_topology())
-        sim.add_actor(FileSender("spy", PayloadStore(capture=bytes(size))))
+        store = PayloadStore()
+        store.capture = bytes(size)
+        sim.add_actor(FileSender("spy", store))
         receiver = CountingReceiver("pc")
         sim.add_actor(receiver)
         sim.start()
