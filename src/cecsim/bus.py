@@ -80,29 +80,42 @@ _new_event = partial(tuple.__new__, BusEvent)
 _new_change = partial(tuple.__new__, StateChange)
 
 
-_TRACE_LINE = re.compile(
-    r"^t=(?P<tick>\d+) \| (?P<origin>\S+) \| (?P<frame>[0-9a-f:]+) \| "
-    r"ack=(?P<ack>[01]) \| obs=(?P<obs>\S*)$"
-)
+# A trace line is its tick, then a rest (origin, frame text, ack and
+# observers) that a trace repeats.  Each distinct rest is matched once
+# (`_trace_fields`) and each distinct `obs=` text split once, so replayed
+# events of one domain share one tuple, as live events do.  Each line still
+# makes one `parse_frame` call, one checked decode per distinct frame text
+# and one new frame per line, which perfbench's traced counts assume.
+_TRACE_TICK = re.compile(r"t=(\d+) \| ")
+_TRACE_REST = re.compile(r"(\S+) \| ([0-9a-f:]+) \| ack=([01]) \| obs=(\S*)")
 
 
-# A trace repeats one observers list per domain: each distinct `obs=` text
-# is split once, so replayed events of one domain share one tuple, as live
-# events do.  Frames get no such memo: every line makes one `parse_frame`
-# call and so one constructed frame, which perfbench's traced counts assume.
 @lru_cache(maxsize=64)
 def _trace_observers(text: str) -> tuple[str, ...]:
     return tuple(x for x in text.split(",") if x)
 
 
-def parse_trace_line(line: str) -> BusEvent:
-    match = _TRACE_LINE.match(line.strip())
+@lru_cache(maxsize=64)
+def _trace_fields(rest: str) -> tuple[str, str, tuple[str, ...], bool] | None:
+    """Origin, frame text, observers and ack of a line after its tick, or
+    None when they do not match."""
+    match = _TRACE_REST.fullmatch(rest)
     if match is None:
+        return None
+    origin, frame, ack, observers = match.groups()
+    return origin, frame, _trace_observers(observers), ack == "1"
+
+
+def parse_trace_line(line: str) -> BusEvent:
+    """The event of one `trace.log` line; ValueError (FrameError among
+    them) for a line that is not one."""
+    text = line.strip()
+    tick = _TRACE_TICK.match(text)
+    fields = None if tick is None else _trace_fields(text[tick.end():])
+    if fields is None:
         raise ValueError("unrecognised trace line: %r" % line)
-    tick, origin, frame, ack, observers = match.groups()
-    return _new_event(
-        (int(tick), origin, fr.parse_frame(frame), _trace_observers(observers), ack == "1")
-    )
+    origin, frame, observers, acknowledged = fields
+    return _new_event((int(tick[1]), origin, fr.parse_frame(frame), observers, acknowledged))
 
 
 @dataclass

@@ -72,8 +72,14 @@ def _load_ids_config(path: str | None) -> ids_mod.RuleConfig | None:
 
 
 def _cmd_run(args) -> int:
-    if args.out == "" or os.path.lexists(args.out or "") and not os.path.isdir(args.out):
-        raise ValueError("--out must name a directory, got %r" % args.out)
+    if args.out is not None:
+        # Made now, so a path that cannot be a directory is refused before anything runs.
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(
+                "--out must name a directory, got %r: %s" % (args.out, exc.strerror)
+            ) from None
     # Each flag replaces a field of the document, so the loader checks what runs.
     document, base_dir = scen.scenario_document(args.scenario)
     if args.seed is not None:

@@ -9,6 +9,7 @@ attacks and detector rules key on is defined once, in the sets below.
 import enum
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 
 BROADCAST = 15
@@ -194,11 +195,23 @@ _FRAME_TEXT = re.compile(r"[0-9a-fA-F]{2}(?::[0-9a-fA-F]{2})*")
 def parse_frame(text: str) -> CecFrame:
     """Parse colon-separated hex text into a CecFrame.
 
-    Raises FrameError naming the offending octet index on bad input.
+    Raises FrameError naming the offending octet index on bad input.  Each
+    distinct text is checked and decoded once (`_frame_fields`), yet every
+    call builds a new frame; frames parsed from one text share one operands
+    tuple.
     """
-    if not isinstance(text, str) or not text.strip():
+    if not isinstance(text, str):
         raise FrameError("empty frame text")
+    return CecFrame(*_frame_fields(text))
+
+
+# A bad text raises, so it is never cached and raises again each time.
+@lru_cache(maxsize=256)
+def _frame_fields(text: str) -> tuple:
+    """`CecFrame` constructor arguments of a checked frame text."""
     text = text.strip()
+    if not text:
+        raise FrameError("empty frame text")
     if _FRAME_TEXT.fullmatch(text) is None:
         # Some octet is bad: name the first.
         for i, part in enumerate(text.split(":")):
@@ -211,8 +224,8 @@ def parse_frame(text: str) -> CecFrame:
         raise FrameError("frame longer than %d octets" % (2 + MAX_OPERANDS))
     header = octets[0]
     if len(octets) == 1:
-        return CecFrame(header >> 4, header & 0xF)
-    return CecFrame(header >> 4, header & 0xF, octets[1], tuple(octets[2:]))
+        return (header >> 4, header & 0xF)
+    return (header >> 4, header & 0xF, octets[1], tuple(octets[2:]))
 
 
 def encode_frame(frame: CecFrame) -> str:

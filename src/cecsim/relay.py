@@ -91,7 +91,8 @@ class RelayPoller(Actor):
     """Listener-side loop: read the command slot every poll interval,
     run anything new, push the pending result back out.
 
-    `start` adds the poller and counts intervals from the current clock.
+    `start` adds the poller and counts intervals from the current clock;
+    an interval it cannot schedule leaves the simulator as it was.
     Between polls it rests, with a wake queued for the tick before the next
     one, so each poll runs ahead of that tick's queued calls.
 
@@ -115,7 +116,11 @@ class RelayPoller(Actor):
 
     def start(self, sim: Simulator):
         sim.add_actor(self)
-        sim.schedule(sim.clock + self.interval_ticks - 1, sim.wake, self)
+        try:
+            sim.schedule(sim.clock + self.interval_ticks - 1, sim.wake, self)
+        except ValueError:
+            sim.remove_actor(self)
+            raise
 
     def on_tick(self, sim: Simulator, tick: int):
         sim.rest(self)

@@ -5,6 +5,7 @@ poller's HTTP client.  Only `cecsim relay serve` and `cecsim run
 import http.client
 import json
 import logging
+import sys
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -25,7 +26,12 @@ class _RelayRequestHandler(BaseHTTPRequestHandler):
         elif int(length) > MAX_BODY_BYTES:
             self._send(413, {"error": "body larger than %d bytes" % MAX_BODY_BYTES})
         else:
-            self._send(*self.server.state.handle(method, self.path, self.rfile.read(int(length))))
+            body = self.rfile.read(int(length))
+            if len(body) < int(length):
+                # The client stopped sending early: store nothing of it.
+                self._send(400, {"error": "body shorter than its Content-Length"})
+            else:
+                self._send(*self.server.state.handle(method, self.path, body))
 
     def _send(self, status: int, payload: dict):
         data = json.dumps(payload).encode("utf-8")
@@ -57,6 +63,13 @@ class RelayServer(ThreadingHTTPServer):
     def url(self) -> str:
         host, port = self.server_address[:2]
         return "http://%s:%d" % (host, port)
+
+    def handle_error(self, request, client_address):
+        """A client that hangs up is routine: log it, without a traceback."""
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            log.debug("relay http: %s:%d hung up", *client_address[:2])
+        else:
+            super().handle_error(request, client_address)
 
 
 class HttpRelayClient:

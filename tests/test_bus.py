@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import functools
+import re
 from random import Random
 
 import pytest
@@ -28,6 +29,7 @@ from cecsim.scenarios import builtin_scenario, builtin_scenario_names, run_scena
 from cecsim.topology import TopologyError, build_topology, propagation_domains
 
 from conftest import build_testbed, make_chain, rendered
+from test_frames import _reference_parse
 
 
 # ---------------------------------------------------------------------------
@@ -1003,15 +1005,22 @@ class TestTraceFormat:
 # Trace replay memos
 # ---------------------------------------------------------------------------
 
+# The whole-line pattern `parse_trace_line` matched before it split off the tick.
+TRACE_LINE = re.compile(
+    r"^t=(?P<tick>\d+) \| (?P<origin>\S+) \| (?P<frame>[0-9a-f:]+) \| "
+    r"ack=(?P<ack>[01]) \| obs=(?P<obs>\S*)$"
+)
+
+
 def _reference_decode(line: str) -> BusEvent:
-    """`parse_trace_line` without its observers memo."""
-    match = bus._TRACE_LINE.match(line.strip())
+    """`parse_trace_line` as one whole-line match, without its memos."""
+    match = TRACE_LINE.match(line.strip())
     if match is None:
         raise ValueError("unrecognised trace line: %r" % line)
     return BusEvent(
         tick=int(match.group("tick")),
         origin=match.group("origin"),
-        frame=fr.parse_frame(match.group("frame")),
+        frame=_reference_parse(match.group("frame")),
         observers=tuple(x for x in match.group("obs").split(",") if x),
         acknowledged=match.group("ack") == "1",
     )
@@ -1043,13 +1052,28 @@ def rendered_events(draw):
     return _line(event)
 
 
+@st.composite
+def edited_lines(draw):
+    """A rendered line with one slice replaced by random text."""
+    line = draw(rendered_events())
+    start = draw(st.integers(0, len(line)))
+    stop = draw(st.integers(start, len(line)))
+    return line[:start] + draw(st.text(max_size=4)) + line[stop:]
+
+
 class TestTraceMemo:
-    @given(st.from_regex(bus._TRACE_LINE) | rendered_events())
-    @settings(deadline=None, max_examples=200)
+    @given(st.text() | st.from_regex(TRACE_LINE) | rendered_events() | edited_lines())
+    @settings(deadline=None, max_examples=300)
+    @example(line="t=1 | tv | 1F:82 | ack=1 | obs=tv")
+    @example(line="t=\u0661 | tv | 1f:82 | ack=0 | obs=")
+    @example(line=" t=1 | tv | 1f | ack=1 | obs=tv,box\n")
+    @example(line="t=1 | tv | 1f | ack=1 | obs=tv\nx")
     def test_memoised_decode_matches_reference(self, line):
         expected = _outcome(_reference_decode, line)
-        assert _outcome(parse_trace_line, line) == expected
-        assert _outcome(parse_trace_line, line) == expected
+        first, again = (_outcome(parse_trace_line, line) for _ in range(2))
+        assert first == expected and again == expected
+        if isinstance(expected, BusEvent):
+            assert again.frame is not first.frame
 
     def test_bad_frame_raises_every_time(self):
         line = "t=1 | tv | 1f:8 | ack=1 | obs=tv"
@@ -1060,16 +1084,19 @@ class TestTraceMemo:
             errors.append(str(caught.value))
         assert errors == ["octet 1 is not two hex digits: '8'"] * 2
 
-    def test_replay_past_the_observers_memo_stays_bounded(self):
-        maxsize = bus._trace_observers.cache_info().maxsize
+    def test_replay_past_the_memos_stays_bounded(self):
+        memos = (bus._trace_fields, bus._trace_observers, fr._frame_fields)
+        distinct = max(memo.cache_info().maxsize for memo in memos) + 9
         events = [
-            BusEvent(tick, "tv", CecFrame(0, 15, 0x85), ("tv", "d%d" % (tick % (maxsize + 9))), False)
-            for tick in range(3 * maxsize)
+            BusEvent(tick, "tv", CecFrame(0, 15, 0x47, divmod(tick % distinct, 256)),
+                     ("tv", "d%d" % (tick % distinct)), False)
+            for tick in range(3 * distinct)
         ]
         replayed = []
         for event in events:
             replayed.append(parse_trace_line(_line(event)))
-            assert bus._trace_observers.cache_info().currsize <= maxsize
+            for memo in memos:
+                assert memo.cache_info().currsize <= memo.cache_info().maxsize
         assert replayed == events
 
 

@@ -196,7 +196,12 @@ class TestParse:
     @example(text=" \n")
     @example(text=None)
     def test_parse_matches_the_per_octet_reference(self, text):
-        assert _parse_outcome(parse_frame, text) == _parse_outcome(_reference_parse, text)
+        expected = _parse_outcome(_reference_parse, text)
+        first, again = (_parse_outcome(parse_frame, text) for _ in range(2))
+        assert first == expected and again == expected
+        if isinstance(expected, CecFrame):
+            # A seen text still makes a new frame, sharing the first one's operands.
+            assert again is not first and again.operands is first.operands
 
     @pytest.mark.parametrize(
         "opcode, operands, message",

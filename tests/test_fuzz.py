@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cecsim.attacks import AttackController
-from cecsim.bus import Simulator, _TRACE_LINE, parse_trace_line
+from cecsim.bus import Simulator, parse_trace_line
 from cecsim.relay import LISTENER_PATH, WEBCLIENT_PATH, RelayPoller, RelayState
 from cecsim.scenarios import ScenarioError, evaluate_checks, load_scenario, run_scenario
 from cecsim.testbed import TESTBED_TOPOLOGY
@@ -20,6 +20,7 @@ from cecsim.topology import TopologyError, build_topology
 from cecsim.transfer import PayloadStore
 
 from conftest import KNOWN_COMMANDS, build_testbed
+from test_bus import TRACE_LINE
 
 FUZZ = settings(
     deadline=None, max_examples=100, suppress_health_check=[HealthCheck.too_slow]
@@ -141,7 +142,7 @@ def test_build_topology_raises_only_topology_error(path, value):
         pass
 
 
-@given(st.text() | st.from_regex(_TRACE_LINE))
+@given(st.text() | st.from_regex(TRACE_LINE))
 @FUZZ
 def test_parse_trace_line_raises_only_value_error(line):
     try:

@@ -1,7 +1,10 @@
 """Command relay: mailbox protocol, HTTP server, polling loop."""
 
 import json
+import logging
 import socket
+import struct
+import time
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -397,8 +400,11 @@ class TestPoller:
 
     def test_interval_must_be_positive(self):
         sim, controller, _ = wired_sim()
+        actors = list(sim.actors)
         with pytest.raises(ValueError):
             RelayPoller(LoopbackRelayClient(), controller, interval_ticks=0).start(sim)
+        # A refused poller is not left added.
+        assert sim.actors == actors
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +528,33 @@ class TestContentLength:
             get = "GET %s HTTP/1.1\r\nHost: x\r\n\r\n" % WEBCLIENT_PATH
             assert b" 200 " in _raw_request(server, get.encode("ascii"))
             assert HttpRelayClient(server.url).get(WEBCLIENT_PATH) is None
+
+    def test_short_body_is_answered_400_and_stored_nowhere(self):
+        # 50 bytes of a valid command body, then the client stops sending.
+        body = b'{"value": "%s"}' % (b"a" * 37)
+        assert len(body) == 50
+        head = "POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n" % LISTENER_PATH
+        with serving(RelayServer(("127.0.0.1", 0))) as server:
+            with socket.create_connection(server.server_address[:2], timeout=5) as conn:
+                conn.sendall(head.encode("ascii") + body)
+                conn.shutdown(socket.SHUT_WR)
+                assert b" 400 " in conn.makefile("rb").readline()
+            assert HttpRelayClient(server.url).get(LISTENER_PATH) is None
+
+    def test_client_hang_up_is_logged_without_a_traceback(self, caplog, capsys):
+        caplog.set_level(logging.DEBUG, logger="cecsim.relay_http")
+        head = "POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n" % LISTENER_PATH
+        with serving(RelayServer(("127.0.0.1", 0))) as server:
+            with socket.create_connection(server.server_address[:2], timeout=5) as conn:
+                conn.sendall(head.encode("ascii") + b"{")
+                # Close with a reset, so the server's read fails mid-body.
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            deadline = time.monotonic() + 5
+            while not any("hung up" in m for m in caplog.messages):
+                assert time.monotonic() < deadline, "no hang-up logged"
+                time.sleep(0.01)
+            assert HttpRelayClient(server.url).get(LISTENER_PATH) is None
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_limit_fits_a_getfile_of_the_largest_payload(self):
         # A GETFILE body grows by two hex digits per payload byte; measure

@@ -1258,6 +1258,20 @@ class TestCli:
         assert "--out must name a directory, got %r" % str(path) in capsys.readouterr().err
         assert path.is_symlink() if link else path.read_text() == "kept"
 
+    def test_out_under_a_file_exits_two(self, tmp_path, capsys, monkeypatch):
+        # A directory that cannot be made is refused by the flag's name
+        # before anything runs, not after the run by `write_artifacts`.
+        def run_scenario(*args, **kwargs):
+            raise AssertionError("ran a scenario with --out under a file")
+
+        monkeypatch.setattr(scen, "run_scenario", run_scenario)
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        out = str(afile / "sub")
+        assert cli.main(["run", "--scenario", "benign-status-query", "--out", out]) == 2
+        assert "--out must name a directory, got %r" % out in capsys.readouterr().err
+        assert afile.read_text() == "kept"
+
     def test_empty_relay_url_flag_exits_two(self, capsys):
         assert cli.main(["run", "--scenario", "podium-strip-scan", "--relay-url", ""]) == 2
         assert "relay URL must be http(s)://host[:port][/path], got ''" in capsys.readouterr().err

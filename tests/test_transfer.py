@@ -34,15 +34,21 @@ from cecsim.transfer import (
 from conftest import near_misses, segment_count
 
 
-def channel_topology():
+def channel_topology(unaddressed=()):
+    """tv with spy on port 1 and pc on port 2; the nodes named in
+    `unaddressed` claim no logical address."""
+    nodes = [
+        {"id": "tv", "kind": "display", "device_type": "television", "osd_name": "TV"},
+        {"id": "spy", "kind": "attacker_listener", "device_type": "recording",
+         "osd_name": "SPY", "edid_address_available": False},
+        {"id": "pc", "kind": "source", "device_type": "recording", "osd_name": "PC"},
+    ]
+    for node in nodes:
+        if node["id"] in unaddressed:
+            node["cec_addressed"] = False
     return build_topology(
         {
-            "nodes": [
-                {"id": "tv", "kind": "display", "device_type": "television", "osd_name": "TV"},
-                {"id": "spy", "kind": "attacker_listener", "device_type": "recording",
-                 "osd_name": "SPY", "edid_address_available": False},
-                {"id": "pc", "kind": "source", "device_type": "recording", "osd_name": "PC"},
-            ],
+            "nodes": nodes,
             "edges": [
                 {"parent": "tv", "child": "spy", "port": 1},
                 {"parent": "tv", "child": "pc", "port": 2},
@@ -397,6 +403,38 @@ class TestFailures:
         assert not any(e.acknowledged for e in data[-MAX_UNACKED:])
         assert sent[-MAX_UNACKED:] == data[-MAX_UNACKED:]
         assert len(data) < segment_count(300)
+
+    def test_a_request_from_an_unaddressed_device_is_refused(self, caplog):
+        sim = Simulator(channel_topology(unaddressed=("pc",)))
+        store = PayloadStore(seed=0)
+        store.capture = b"payload"
+        sender, receiver = FileSender("spy", store), FileReceiver("pc")
+        sim.add_actor(sender)
+        sim.add_actor(receiver)
+        sim.start()
+        assert sim.logical["pc"] is None
+        sim.schedule(2, receiver.request_file, sim)
+        with caplog.at_level("WARNING", logger="cecsim.transfer"):
+            sim.run(until=INACTIVITY_TIMEOUT + 10)
+        assert "spy cannot stream without logical addresses" in caplog.messages
+        assert sender.unacked is None
+        assert not any(e.origin == "spy" for e in sim.trace.events if e.tick >= 2)
+        assert [(r.status, r.payload) for r in sim.transfers] == [("aborted", b"")]
+
+    def test_frames_from_an_unaddressed_device_are_ignored(self):
+        sim = Simulator(channel_topology(unaddressed=("spy",)))
+        receiver = FileReceiver("pc")
+        sim.add_actor(receiver)
+        sim.start()
+        assert sim.logical["spy"] is None
+        sim.schedule(2, receiver.request_file, sim)
+        sim.transmit_at(3, "spy", CecFrame(1, sim.logical["pc"], DATA_OPCODE, (0x41,)))
+        sim.transmit_at(4, "spy", END_MARKER)
+        sim.run(until=5)
+        # Neither frame names a peer, adds data or closes the session.
+        assert (receiver.session, receiver.peer, receiver.chunks) == ("transfer-001", None, [])
+        sim.run(until=INACTIVITY_TIMEOUT + 10)
+        assert [(r.status, r.peer, r.payload) for r in sim.transfers] == [("aborted", "none", b"")]
 
     def test_request_marker_shape(self):
         assert REQUEST_MARKER.text == "aa:aa:aa:aa"
