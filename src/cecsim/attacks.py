@@ -117,7 +117,7 @@ class ScanWalk(Actor):
         if op == fr.OP_REPORT_PHYSICAL_ADDRESS and len(operands) == 3:
             row["P. Addr"] = PhysicalAddress.from_bytes(operands[0], operands[1]).text
         elif op == fr.OP_SET_OSD_NAME and operands:
-            row["OSD Str"] = bytes(operands).decode("ascii", errors="replace")
+            row["OSD Str"] = operands.decode("ascii", errors="replace")
         elif op == fr.OP_DEVICE_VENDOR_ID and len(operands) == 3:
             vid = operands[0] << 16 | operands[1] << 8 | operands[2]
             row["Vendor"] = vendor_name(vid, sim.topology.vendor_names)
@@ -126,7 +126,7 @@ class ScanWalk(Actor):
         elif op == fr.OP_CEC_VERSION and len(operands) == 1:
             row["CEC Ver"] = fr.cec_version_name(operands[0])
         elif op == fr.OP_SET_MENU_LANGUAGE and len(operands) == 3:
-            row["Language"] = bytes(operands).decode("ascii", errors="replace")
+            row["Language"] = operands.decode("ascii", errors="replace")
         elif op == fr.OP_ACTIVE_SOURCE:
             self._active_claimant = source
 

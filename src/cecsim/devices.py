@@ -181,7 +181,7 @@ def _query_response(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> CecF
         return _report_physical_address(ctx)
     if op == fr.OP_GIVE_OSD_NAME:
         name = node.osd_name.encode("ascii", errors="replace")[:14]
-        return CecFrame(me, them, fr.OP_SET_OSD_NAME, tuple(name))
+        return CecFrame(me, them, fr.OP_SET_OSD_NAME, name)
     if op == fr.OP_GIVE_VENDOR_ID:
         return _device_vendor_id(ctx)
     if op == fr.OP_GIVE_POWER_STATUS:
@@ -191,13 +191,13 @@ def _query_response(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> CecF
     if op == fr.OP_GET_CEC_VERSION:
         operand = fr.CEC_VERSION_OPERAND.get(node.cec_version)
         if operand is None:
-            return CecFrame(me, them, fr.OP_FEATURE_ABORT, (op, ABORT_REFUSED))
+            return CecFrame(me, them, fr.OP_FEATURE_ABORT, bytes((op, ABORT_REFUSED)))
         return CecFrame(me, them, fr.OP_CEC_VERSION, (operand,))
     if op == fr.OP_GET_MENU_LANGUAGE:
         if node.menu_language is None:
-            return CecFrame(me, them, fr.OP_FEATURE_ABORT, (op, ABORT_REFUSED))
+            return CecFrame(me, them, fr.OP_FEATURE_ABORT, bytes((op, ABORT_REFUSED)))
         lang = node.menu_language.encode("ascii")[:3]
-        return CecFrame(me, fr.BROADCAST, fr.OP_SET_MENU_LANGUAGE, tuple(lang))
+        return CecFrame(me, fr.BROADCAST, fr.OP_SET_MENU_LANGUAGE, lang)
 
 
 def _derived_input_port(ctx: DeviceCtx, claimed: PhysicalAddress) -> int | None:
@@ -300,7 +300,9 @@ def _react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
         return Reaction(state)
 
     if addressed and state.cec_info_reporting_enabled and ctx.logical is not None:
-        abort = CecFrame(ctx.logical, frame.initiator, fr.OP_FEATURE_ABORT, (op, ABORT_UNRECOGNIZED))
+        abort = CecFrame(
+            ctx.logical, frame.initiator, fr.OP_FEATURE_ABORT, bytes((op, ABORT_UNRECOGNIZED))
+        )
         return Reaction(state, (abort,))
     return Reaction(state)
 

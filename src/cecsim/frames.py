@@ -87,9 +87,9 @@ class PhysicalAddress:
     def text(self) -> str:
         return ".".join("%x" % n for n in self.nibbles)
 
-    def to_bytes(self) -> tuple[int, int]:
+    def to_bytes(self) -> bytes:
         a, b, c, d = self.nibbles
-        return (a << 4 | b, c << 4 | d)
+        return bytes((a << 4 | b, c << 4 | d))
 
     @property
     def is_unregistered(self) -> bool:
@@ -133,12 +133,16 @@ class PhysicalAddress:
 
 @dataclass(frozen=True, slots=True)
 class CecFrame:
-    """One CEC frame: header nibbles plus optional opcode and operands."""
+    """One CEC frame: header nibbles plus optional opcode and operands.
+
+    The constructor takes the operands as any sequence of ints in 0..255
+    and stores them as `bytes`, the one form frames compare and hash by.
+    """
 
     initiator: int
     destination: int
     opcode: int | None = None
-    operands: tuple[int, ...] = ()
+    operands: bytes = b""
 
     def __post_init__(self):
         if not 0 <= self.initiator <= 15:
@@ -154,16 +158,20 @@ class CecFrame:
         operands = self.operands
         if len(operands) > MAX_OPERANDS:
             raise FrameError("too many operands: %d" % len(operands))
+        if type(operands) is bytes:
+            return
         # Each operand is an int (bools included) in 0..255.  `bytes()` does
         # the range check in C but also takes any object with `__index__`,
         # so the isinstance pass comes first.
+        stored = b""
         if operands:
             if not all(map(isinstance, operands, repeat(int))):
                 raise FrameError("operands must be bytes")
             try:
-                bytes(operands)
+                stored = bytes(operands)
             except ValueError:
                 raise FrameError("operands must be bytes") from None
+        object.__setattr__(self, "operands", stored)
 
     @property
     def header(self) -> int:
@@ -198,7 +206,7 @@ def parse_frame(text: str) -> CecFrame:
     Raises FrameError naming the offending octet index on bad input.  Each
     distinct text is checked and decoded once (`_frame_fields`), yet every
     call builds a new frame; frames parsed from one text share one operands
-    tuple.
+    value.
     """
     if not isinstance(text, str):
         raise FrameError("empty frame text")
@@ -225,14 +233,14 @@ def _frame_fields(text: str) -> tuple:
     header = octets[0]
     if len(octets) == 1:
         return (header >> 4, header & 0xF)
-    return (header >> 4, header & 0xF, octets[1], tuple(octets[2:]))
+    return (header >> 4, header & 0xF, octets[1], octets[2:])
 
 
 def encode_frame(frame: CecFrame) -> str:
     """Canonical lowercase colon-hex text for a frame."""
     if frame.opcode is None:
         return _OCTET_TEXTS[frame.header]
-    return bytes((frame.header, frame.opcode, *frame.operands)).hex(":")
+    return (bytes((frame.header, frame.opcode)) + frame.operands).hex(":")
 
 
 # ---------------------------------------------------------------------------

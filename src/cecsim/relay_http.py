@@ -18,6 +18,10 @@ log = logging.getLogger(__name__)
 
 class _RelayRequestHandler(BaseHTTPRequestHandler):
     server_version = "cecsim-relay/1.0"
+    # Seconds a socket read or write may wait.  A client that stalls is then
+    # dropped: `handle_one_request` catches the TimeoutError itself and logs
+    # "Request timed out" through `log_message`, at debug level.
+    timeout = 10.0
 
     def _respond(self, method: str):
         length = self.headers.get("Content-Length") or "0"

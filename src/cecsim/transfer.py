@@ -38,12 +38,12 @@ INACTIVITY_TIMEOUT = 20
 MAX_UNACKED = 3
 
 
-def serialize_payload(data: bytes) -> Iterator[tuple[int, ...]]:
-    """Split a payload into data-frame operand tuples of up to 14 bytes,
-    yielded one at a time.  An oversized payload raises at the call."""
+def serialize_payload(data: bytes) -> Iterator[bytes]:
+    """Split a payload into data-frame operands of up to 14 bytes, yielded
+    one at a time.  An oversized payload raises at the call."""
     if len(data) > MAX_PAYLOAD:
         raise ValueError("payload too large: %d bytes" % len(data))
-    return (tuple(data[i : i + SEGMENT_BYTES]) for i in range(0, len(data), SEGMENT_BYTES))
+    return (data[i : i + SEGMENT_BYTES] for i in range(0, len(data), SEGMENT_BYTES))
 
 
 def payload_digest(data: bytes) -> str:
@@ -146,8 +146,9 @@ class FileReceiver(Actor):
 
     `session` is the open session's id (None while idle), `peer` the
     address it takes data from (None until the first responder when the
-    request named none), `chunks` its data so far and `last_activity` the
-    tick of its last data frame."""
+    request named none), `chunks` the operands of its data frames so far,
+    each kept as its frame holds it, and `last_activity` the tick of its
+    last data frame."""
 
     hears = frozenset((DATA_OPCODE, END_MARKER.opcode))
 
@@ -200,7 +201,7 @@ class FileReceiver(Actor):
             return
         if not self._peer_matches(sim, event.origin):
             return
-        self.chunks.append(bytes(frame.operands))
+        self.chunks.append(frame.operands)
         self.last_activity = event.tick
 
     def on_tick(self, sim: Simulator, tick: int):

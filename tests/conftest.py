@@ -40,9 +40,9 @@ def near_misses(marker: CecFrame) -> list[CecFrame]:
     head, last = marker.operands[:-1], marker.operands[-1]
     return [
         CecFrame(1, marker.destination, marker.opcode, marker.operands),
-        CecFrame(marker.initiator, marker.destination, marker.opcode, head + (last ^ 1,)),
+        CecFrame(marker.initiator, marker.destination, marker.opcode, head + bytes((last ^ 1,))),
         CecFrame(marker.initiator, marker.destination, marker.opcode, head),
-        CecFrame(marker.initiator, marker.destination, marker.opcode, marker.operands + (last,)),
+        CecFrame(marker.initiator, marker.destination, marker.opcode, marker.operands + bytes((last,))),
     ]
 
 

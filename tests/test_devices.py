@@ -77,7 +77,7 @@ class TestQueries:
         reaction = react(ctx, state, CecFrame(0, 4, OP_GIVE_PHYSICAL_ADDRESS))
         reply = reaction.responses[0]
         assert reply.is_broadcast
-        assert reply.operands[:2] == (0x30, 0x00)
+        assert reply.operands[:2] == bytes((0x30, 0x00))
 
     def test_unknown_cec_version_refused(self):
         nodes = [
@@ -98,7 +98,7 @@ class TestQueries:
         ctx, state = ctx_and_state(sim, "amp")
         assert state.power is PowerState.STANDBY
         reaction = react(ctx, state, CecFrame(0, 5, OP_GIVE_POWER_STATUS))
-        assert reaction.responses[0].operands == (0x01,)
+        assert reaction.responses[0].operands == bytes((0x01,))
 
     def test_queries_silent_without_reporting(self, sim):
         ctx, state = ctx_and_state(sim, "tv")
@@ -128,7 +128,7 @@ class TestAborts:
         reaction = react(ctx, state, CecFrame(2, 0, 0xAB))
         reply = reaction.responses[0]
         assert reply.opcode == OP_FEATURE_ABORT
-        assert reply.operands == (0xAB, ABORT_UNRECOGNIZED)
+        assert reply.operands == bytes((0xAB, ABORT_UNRECOGNIZED))
 
     def test_unknown_broadcast_not_aborted(self, sim):
         ctx, state = ctx_and_state(sim, "tv")
@@ -215,7 +215,7 @@ class TestAnnouncements:
         ctx, state = ctx_and_state(sim, "tv")
         routing = announcement_frames(ctx, state)[-1]
         # old path is the display itself, new path is the active input slot
-        assert routing.operands == (0x00, 0x00, 0x30, 0x00)
+        assert routing.operands == bytes((0x00, 0x00, 0x30, 0x00))
 
     def test_source_announces_two_frames(self, sim):
         ctx, state = ctx_and_state(sim, "amp")
@@ -292,7 +292,7 @@ class TestUserActions:
         assert reaction.state.active_input_port == 1
         claim = reaction.responses[0]
         assert claim.opcode == OP_ACTIVE_SOURCE
-        assert claim.operands == (0x10, 0x00)
+        assert claim.operands == bytes((0x10, 0x00))
 
     def test_select_input_below_a_full_address_claims_nothing(self, sim):
         ctx, state = ctx_and_state(sim, "tv")

@@ -128,7 +128,7 @@ class TestParse:
         assert frame.initiator == 2
         assert frame.destination == 0
         assert frame.opcode == 0x36
-        assert frame.operands == ()
+        assert frame.operands == b""
         assert not frame.is_broadcast
         assert not frame.is_polling
 
@@ -145,7 +145,7 @@ class TestParse:
         assert frame.destination == 15
         assert frame.is_broadcast
         assert frame.opcode == 0x82
-        assert frame.operands == (0x30, 0x00)
+        assert frame.operands == bytes((0x30, 0x00))
 
     def test_uppercase_and_whitespace_tolerated(self):
         assert parse_frame(" 1F:82:30:00 ") == parse_frame("1f:82:30:00")
@@ -244,10 +244,42 @@ class TestEncode:
     @settings(deadline=None, max_examples=100)
     def test_operand_check_refuses_exactly_non_byte_ints(self, operands):
         if all(isinstance(b, int) and 0 <= b <= 255 for b in operands):
-            assert CecFrame(1, 0, 0x47, tuple(operands)).operands == tuple(operands)
+            assert CecFrame(1, 0, 0x47, tuple(operands)).operands == bytes(operands)
         else:
             with pytest.raises(FrameError, match="operands must be bytes"):
                 CecFrame(1, 0, 0x47, tuple(operands))
+
+    @given(frames())
+    @settings(deadline=None)
+    def test_tuple_and_bytes_operands_build_one_frame(self, frame):
+        octets = tuple(frame.operands)
+        built = [
+            CecFrame(frame.initiator, frame.destination, frame.opcode, operands)
+            for operands in (octets, bytes(octets))
+        ]
+        assert built[0] == built[1] and hash(built[0]) == hash(built[1])
+        assert built[0].text == built[1].text
+        for f in built:
+            assert type(f.operands) is bytes
+            assert parse_frame(f.text) == f
+
+    @pytest.mark.parametrize("kind", [bytearray, type("Octets", (bytes,), {})])
+    def test_byte_sequences_are_stored_as_plain_bytes(self, kind):
+        frame = CecFrame(1, 0, 0x47, kind(b"TV"))
+        assert type(frame.operands) is bytes
+        assert hash(frame) == hash(CecFrame(1, 0, 0x47, b"TV"))
+
+    @pytest.mark.parametrize(
+        "opcode, operands, message",
+        [
+            (None, (0x30,), "polling message cannot carry operands"),
+            (0x47, tuple(range(15)), "too many operands: 15"),
+        ],
+    )
+    def test_bytes_operands_are_refused_as_ints_are(self, opcode, operands, message):
+        for form in (operands, bytes(operands)):
+            with pytest.raises(FrameError, match=message):
+                CecFrame(1, 0, opcode, form)
 
     @given(frames())
     @settings(deadline=None)
@@ -325,7 +357,7 @@ class TestPhysicalAddress:
 
     def test_bytes_roundtrip(self):
         addr = PhysicalAddress((4, 2, 0, 0))
-        assert addr.to_bytes() == (0x42, 0x00)
+        assert addr.to_bytes() == bytes((0x42, 0x00))
         assert PhysicalAddress.from_bytes(0x42, 0x00) == addr
 
     def test_unregistered(self):
@@ -353,7 +385,7 @@ class TestPhysicalAddress:
         fresh = PhysicalAddress((high >> 4, high & 0xF, low >> 4, low & 0xF))
         for _ in range(2):
             decoded = PhysicalAddress.from_bytes(high, low)
-            assert decoded == fresh and decoded.to_bytes() == (high, low)
+            assert decoded == fresh and decoded.to_bytes() == bytes((high, low))
 
     @pytest.mark.parametrize("pair", [(256, 0), (0, 256), (-1, 0), (0x42, -16)])
     def test_from_bytes_rejects_on_every_call(self, pair):

@@ -22,7 +22,7 @@ from cecsim.relay import (
     RelayUnreachable,
     WEBCLIENT_PATH,
 )
-from cecsim.relay_http import HttpRelayClient, RelayServer
+from cecsim.relay_http import HttpRelayClient, RelayServer, _RelayRequestHandler
 from cecsim.scenarios import builtin_scenario, load_scenario, run_scenario, scenario_document
 from cecsim.testbed import EXPECTED_TESTBED_SCAN
 from cecsim.transfer import MAX_PAYLOAD, PayloadStore, payload_digest
@@ -554,6 +554,23 @@ class TestContentLength:
                 assert time.monotonic() < deadline, "no hang-up logged"
                 time.sleep(0.01)
             assert HttpRelayClient(server.url).get(LISTENER_PATH) is None
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_stalled_client_is_dropped_while_others_are_served(self, monkeypatch, caplog, capsys):
+        assert _RelayRequestHandler.timeout > 0
+        monkeypatch.setattr(_RelayRequestHandler, "timeout", 0.2)
+        caplog.set_level(logging.DEBUG, logger="cecsim.relay_http")
+        head = "POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\n" % LISTENER_PATH
+        with serving(RelayServer(("127.0.0.1", 0))) as server:
+            with socket.create_connection(server.server_address[:2], timeout=5) as conn:
+                conn.sendall(head.encode("ascii"))
+                stalled = time.monotonic()
+                # Headers sent, body never: the server must still answer others.
+                assert HttpRelayClient(server.url).get(WEBCLIENT_PATH) is None
+                assert conn.recv(1) == b""
+                assert time.monotonic() - stalled < 1
+            assert HttpRelayClient(server.url).get(LISTENER_PATH) is None
+        assert any("Request timed out" in m for m in caplog.messages)
         assert "Traceback" not in capsys.readouterr().err
 
     def test_limit_fits_a_getfile_of_the_largest_payload(self):

@@ -106,8 +106,8 @@ class TestSegmentation:
     def test_serialize_splits_at_fourteen(self):
         chunks = list(serialize_payload(bytes(range(29))))
         assert [len(c) for c in chunks] == [14, 14, 1]
-        assert chunks[0] == tuple(range(14))
-        assert chunks[2] == (28,)
+        assert chunks[0] == bytes(range(14))
+        assert chunks[2] == bytes((28,))
 
     def test_empty_payload_serializes_to_nothing(self):
         assert list(serialize_payload(b"")) == []
@@ -203,6 +203,14 @@ class TestTransfer:
         record = sim.transfers[-1]
         assert record.status == "complete"
         assert record.payload == payload
+
+    def test_receiver_keeps_each_data_frame_operands_as_its_chunk(self):
+        sim, sender, receiver, _ = wired_sim(Random(3).randbytes(40))
+        sim.schedule(2, lambda: receiver.request_file(sim))
+        sim.run(until=40)
+        data = [e.frame for e in sim.trace.events if e.origin == "spy" and e.frame.opcode == DATA_OPCODE]
+        assert len(receiver.chunks) == len(data) == segment_count(40)
+        assert all(chunk is frame.operands for chunk, frame in zip(receiver.chunks, data))
 
     def test_unrelated_chatter_does_not_corrupt(self):
         payload = Random(5).randbytes(80)
