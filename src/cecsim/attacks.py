@@ -109,8 +109,6 @@ class ScanWalk(Actor):
                 if event.acknowledged and frame.destination not in self._acked:
                     self._acked.append(frame.destination)
             return
-        if frame.is_polling:
-            return
         source = frame.initiator
         row = self._rows.setdefault(source, dict.fromkeys(REPORT_FIELDS, "Unk"))
         op, operands = frame.opcode, frame.operands
@@ -119,7 +117,7 @@ class ScanWalk(Actor):
         elif op == fr.OP_SET_OSD_NAME and operands:
             row["OSD Str"] = operands.decode("ascii", errors="replace")
         elif op == fr.OP_DEVICE_VENDOR_ID and len(operands) == 3:
-            vid = operands[0] << 16 | operands[1] << 8 | operands[2]
+            vid = int.from_bytes(operands, "big")
             row["Vendor"] = vendor_name(vid, sim.topology.vendor_names)
         elif op == fr.OP_REPORT_POWER_STATUS and len(operands) == 1:
             row["Pow Status"] = _POWER_RENDER.get(operands[0], "Unk")

@@ -130,16 +130,15 @@ class UserAction(enum.Enum):
 
 
 def _report_physical_address(ctx: DeviceCtx) -> CecFrame:
-    hi, lo = ctx.physical.to_bytes()
     return CecFrame(
         ctx.logical, fr.BROADCAST, fr.OP_REPORT_PHYSICAL_ADDRESS,
-        (hi, lo, fr.DEVICE_TYPE_OPERAND[ctx.node.device_type]),
+        ctx.physical.to_bytes() + bytes((fr.DEVICE_TYPE_OPERAND[ctx.node.device_type],)),
     )
 
 
 def _device_vendor_id(ctx: DeviceCtx) -> CecFrame:
     return CecFrame(
-        ctx.logical, fr.BROADCAST, fr.OP_DEVICE_VENDOR_ID, fr.vendor_id_bytes(ctx.node.vendor_id)
+        ctx.logical, fr.BROADCAST, fr.OP_DEVICE_VENDOR_ID, ctx.node.vendor_id.to_bytes(3, "big")
     )
 
 
@@ -186,13 +185,13 @@ def _query_response(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> CecF
         return _device_vendor_id(ctx)
     if op == fr.OP_GIVE_POWER_STATUS:
         return CecFrame(
-            me, them, fr.OP_REPORT_POWER_STATUS, (fr.POWER_STATUS_OPERAND[state.power],)
+            me, them, fr.OP_REPORT_POWER_STATUS, bytes((fr.POWER_STATUS_OPERAND[state.power],))
         )
     if op == fr.OP_GET_CEC_VERSION:
         operand = fr.CEC_VERSION_OPERAND.get(node.cec_version)
         if operand is None:
             return CecFrame(me, them, fr.OP_FEATURE_ABORT, bytes((op, ABORT_REFUSED)))
-        return CecFrame(me, them, fr.OP_CEC_VERSION, (operand,))
+        return CecFrame(me, them, fr.OP_CEC_VERSION, bytes((operand,)))
     if op == fr.OP_GET_MENU_LANGUAGE:
         if node.menu_language is None:
             return CecFrame(me, them, fr.OP_FEATURE_ABORT, bytes((op, ABORT_REFUSED)))

@@ -10,7 +10,6 @@ import enum
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 
 BROADCAST = 15
 FREE_USE = 14
@@ -135,8 +134,7 @@ class PhysicalAddress:
 class CecFrame:
     """One CEC frame: header nibbles plus optional opcode and operands.
 
-    The constructor takes the operands as any sequence of ints in 0..255
-    and stores them as `bytes`, the one form frames compare and hash by.
+    The operands are one `bytes` value, the only form the constructor takes.
     """
 
     initiator: int
@@ -149,29 +147,17 @@ class CecFrame:
             raise FrameError("initiator out of range: %r" % (self.initiator,))
         if not 0 <= self.destination <= 15:
             raise FrameError("destination out of range: %r" % (self.destination,))
+        operands = self.operands
+        if type(operands) is not bytes:
+            raise FrameError("operands must be bytes")
         if self.opcode is None:
-            if self.operands:
+            if operands:
                 raise FrameError("polling message cannot carry operands")
         else:
             if not 0 <= self.opcode <= 255:
                 raise FrameError("opcode out of range: %r" % (self.opcode,))
-        operands = self.operands
         if len(operands) > MAX_OPERANDS:
             raise FrameError("too many operands: %d" % len(operands))
-        if type(operands) is bytes:
-            return
-        # Each operand is an int (bools included) in 0..255.  `bytes()` does
-        # the range check in C but also takes any object with `__index__`,
-        # so the isinstance pass comes first.
-        stored = b""
-        if operands:
-            if not all(map(isinstance, operands, repeat(int))):
-                raise FrameError("operands must be bytes")
-            try:
-                stored = bytes(operands)
-            except ValueError:
-                raise FrameError("operands must be bytes") from None
-        object.__setattr__(self, "operands", stored)
 
     @property
     def header(self) -> int:
@@ -205,8 +191,8 @@ def parse_frame(text: str) -> CecFrame:
 
     Raises FrameError naming the offending octet index on bad input.  Each
     distinct text is checked and decoded once (`_frame_fields`), yet every
-    call builds a new frame; frames parsed from one text share one operands
-    value.
+    call builds a new frame; frames parsed from one text share one `bytes`
+    operands value.
     """
     if not isinstance(text, str):
         raise FrameError("empty frame text")
@@ -363,7 +349,3 @@ def parse_vendor_id(value) -> int:
     if not 0 <= vid <= 0xFFFFFF:
         raise FrameError("vendor id out of range: %r" % value)
     return vid
-
-
-def vendor_id_bytes(vendor_id: int) -> tuple[int, int, int]:
-    return ((vendor_id >> 16) & 0xFF, (vendor_id >> 8) & 0xFF, vendor_id & 0xFF)

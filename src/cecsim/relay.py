@@ -26,6 +26,12 @@ WEBCLIENT_PATH = "/cec/webclient"
 # is twice that in hex digits, and the rest of both JSON layers fits in 4 KiB.
 MAX_BODY_BYTES = 2 * MAX_PAYLOAD + 4096
 
+# The largest answer a relay server sends: a stored value as `json.dumps`
+# writes it, which turns each body byte into at most 6 answer bytes (a DEL
+# byte becomes "\u007f"), inside the {"value": ""} envelope.  Every other
+# answer is shorter.
+MAX_ANSWER_BYTES = 6 * MAX_BODY_BYTES + len('{"value": ""}')
+
 
 # Envelope text in a log line or a record is cut to this many characters.
 EXCERPT_CHARS = 64

@@ -11,7 +11,7 @@ import urllib.parse
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from cecsim.relay import EXCERPT_CHARS, MAX_BODY_BYTES, RelayState, RelayUnreachable
+from cecsim.relay import EXCERPT_CHARS, MAX_ANSWER_BYTES, MAX_BODY_BYTES, RelayState, RelayUnreachable
 
 log = logging.getLogger(__name__)
 
@@ -78,8 +78,9 @@ class RelayServer(ThreadingHTTPServer):
 
 class HttpRelayClient:
     """Same interface over a real socket.  The relay's answers are not
-    trusted: one that is not a JSON object, or a GET `value` that is
-    neither a string nor null, counts as an outage (RelayUnreachable).
+    trusted: one longer than any a relay server sends (`MAX_ANSWER_BYTES`),
+    one that is not a JSON object, or a GET `value` that is neither a
+    string nor null, counts as an outage (RelayUnreachable).
     A base URL that is not http(s)://host[:port][/path] raises ValueError."""
 
     def __init__(self, base_url: str, timeout: float = 5.0):
@@ -100,7 +101,10 @@ class HttpRelayClient:
         )
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                answer = json.loads(response.read().decode("utf-8"))
+                data = response.read(MAX_ANSWER_BYTES + 1)
+            if len(data) > MAX_ANSWER_BYTES:
+                raise RelayUnreachable("relay answer longer than %d bytes" % MAX_ANSWER_BYTES)
+            answer = json.loads(data.decode("utf-8"))
         except (urllib.error.URLError, http.client.HTTPException, OSError, ValueError,
                 RecursionError) as exc:
             raise RelayUnreachable(str(exc)) from None

@@ -14,7 +14,7 @@ domains) computed once.
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
@@ -113,10 +113,6 @@ class Topology:
     def domains(self) -> MappingProxyType[str, tuple[str, ...]]:
         """Each node's propagation domain (`propagation_domains`)."""
         return MappingProxyType(propagation_domains(self))
-
-    def __getstate__(self) -> dict:
-        """Copies and pickles carry the fields; their views are made anew."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def listeners(self) -> list[str]:
         return [n.id for n in self.nodes.values() if n.kind is DeviceKind.ATTACKER_LISTENER]

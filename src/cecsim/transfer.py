@@ -39,8 +39,9 @@ MAX_UNACKED = 3
 
 
 def serialize_payload(data: bytes) -> Iterator[bytes]:
-    """Split a payload into data-frame operands of up to 14 bytes, yielded
-    one at a time.  An oversized payload raises at the call."""
+    """Split a `bytes` payload into data-frame operands, `bytes` slices of
+    up to 14 bytes, yielded one at a time.  An oversized payload raises at
+    the call."""
     if len(data) > MAX_PAYLOAD:
         raise ValueError("payload too large: %d bytes" % len(data))
     return (data[i : i + SEGMENT_BYTES] for i in range(0, len(data), SEGMENT_BYTES))

@@ -70,7 +70,7 @@ def test_acceptance_codec_roundtrip_100k():
                 initiator,
                 destination,
                 rng.randrange(256),
-                tuple(rng.randrange(256) for _ in range(rng.randrange(15))),
+                bytes(rng.randrange(256) for _ in range(rng.randrange(15))),
             )
         text = encode_frame(frame)
         back = parse_frame(text)
@@ -298,7 +298,7 @@ def test_acceptance_mitigations_change_outcomes():
     sim = Simulator(patched)
     sim.start()
     sim.transmit_at(2, "listener", CecFrame(1, 0, 0x36))
-    sim.transmit_at(4, "chromecast", CecFrame(4, 15, 0x82, (0x30, 0x00)))
+    sim.transmit_at(4, "chromecast", CecFrame(4, 15, 0x82, b"\x30\x00"))
     sim.run(until=8)
     if sim.device_states["tv"].power.value != "on":
         problems.append("standby frame still powers the display down")

@@ -72,6 +72,27 @@ class TestScanWalk:
         assert testbed_sim.actors == []
         assert testbed_sim.scan_reports[-1].to_dict() == EXPECTED_TESTBED_SCAN
 
+    @pytest.mark.parametrize("lag", [0, 1, 20])
+    def test_overlapping_walks_report_as_walks_alone(self, lag):
+        # Each walker hears the other's polls and queries, and the other
+        # walker is in its report, yet it reports what it reports alone.
+        walkers = ("listener", "client")
+        alone = {}
+        for walker in walkers:
+            sim = Simulator(build_testbed())
+            sim.start()
+            alone[walker] = scanned(sim, walker).to_dict()
+        sim = Simulator(build_testbed())
+        sim.start()
+        ScanWalk(walkers[0]).start(sim)
+        sim.run(until=sim.clock + lag)
+        ScanWalk(walkers[1]).start(sim)
+        sim.run(until=sim.clock + 130)
+        reports = {r.actor: r for r in sim.scan_reports}
+        assert {actor: r.to_dict() for actor, r in reports.items()} == alone
+        assert sim.logical[walkers[1]] in reports[walkers[0]].entries
+        assert sim.logical[walkers[0]] in reports[walkers[1]].entries
+
     def test_census_row_fields(self, testbed_sim):
         report = scanned(testbed_sim, "listener")
         for row in report.to_dict().values():
@@ -227,7 +248,7 @@ class TestTargetedDos:
         dos = TargetedDos("listener")
         dos.arm()
         testbed_sim.add_actor(dos)
-        testbed_sim.transmit_at(3, "listener", CecFrame(1, 15, 0x84, (0xF0, 0xF0, 0x01)))
+        testbed_sim.transmit_at(3, "listener", CecFrame(1, 15, 0x84, b"\xf0\xf0\x01"))
         testbed_sim.run(until=8)
         assert standbys_from(testbed_sim, "listener") == []
 

@@ -47,7 +47,9 @@ def _passthrough(raw):
 
 
 @st.composite
-def tree_topologies(draw, max_nodes=8):
+def tree_documents(draw, max_nodes=8):
+    """A topology document of a random tree whose nodes are n0, n1, ... in
+    declaration order; n0, the root, is a display."""
     count = draw(st.integers(2, max_nodes))
     nodes = [{"id": "n0", "kind": "display", "device_type": "television", "osd_name": "N0"}]
     edges = []
@@ -80,7 +82,11 @@ def tree_topologies(draw, max_nodes=8):
         )
         used_ports.append(set())
         slot_depth.append(slot_depth[parent] if _passthrough(nodes[parent]) else slot_depth[parent] + 1)
-    return build_topology({"nodes": nodes, "edges": edges})
+    return {"nodes": nodes, "edges": edges}
+
+
+def tree_topologies(max_nodes=8):
+    return tree_documents(max_nodes).map(build_topology)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +326,7 @@ _frames = st.builds(
     st.just(1),
     st.one_of(st.just(fr.BROADCAST), st.integers(0, 15)),
     st.one_of(st.sampled_from(sorted(_KNOWN_OPCODES)), st.integers(0, 255)),
-    st.lists(st.integers(0, 255), max_size=4).map(tuple),
+    st.binary(max_size=4),
 )
 
 # Recorded with the simulator that called `react` on every observer.
@@ -478,7 +484,7 @@ class TestInertFrames:
             data.draw(st.integers(0, 15)),
             data.draw(st.sampled_from((fr.BROADCAST,) + own) | st.integers(0, 15)),
             opcode,
-            tuple(data.draw(st.lists(st.integers(0, 255), max_size=fr.MAX_OPERANDS))),
+            data.draw(st.binary(max_size=fr.MAX_OPERANDS)),
         )
         state = data.draw(_states)
         reaction = dv.react(ctx, state, frame)
@@ -493,9 +499,9 @@ class TestInertFrames:
         cast = testbed_sim.logical["chromecast"]
         report = CecFrame(
             cast, fr.BROADCAST, fr.OP_REPORT_PHYSICAL_ADDRESS,
-            (*testbed_sim.topology.physical["chromecast"].to_bytes(), 0x04),
+            testbed_sim.topology.physical["chromecast"].to_bytes() + b"\x04",
         )
-        name = CecFrame(cast, 0, fr.OP_SET_OSD_NAME, tuple(b"Chromecast"))
+        name = CecFrame(cast, 0, fr.OP_SET_OSD_NAME, b"Chromecast")
         events = [testbed_sim.deliver("chromecast", f) for f in (report, name)]
         assert react_calls == []
         assert all(e.acknowledged and len(e.observers) > 1 for e in events)
@@ -993,8 +999,8 @@ class TestTraceFormat:
         # `True == 1`: values that share texts must still log as their own.
         sim = Simulator(pair_topology)
         sim.start()
-        sim.transmit_at(0, "tv", CecFrame(0, fr.BROADCAST, fr.OP_ACTIVE_SOURCE, (0x10, 0x00)))
-        sim.transmit_at(1, "box", CecFrame(4, fr.BROADCAST, fr.OP_ACTIVE_SOURCE, (0x10, 0x00)))
+        sim.transmit_at(0, "tv", CecFrame(0, fr.BROADCAST, fr.OP_ACTIVE_SOURCE, b"\x10\x00"))
+        sim.transmit_at(1, "box", CecFrame(4, fr.BROADCAST, fr.OP_ACTIVE_SOURCE, b"\x10\x00"))
         sim.run(until=3)
         assert rendered(sim.trace.render_state_log) == (
             "t=0 | box | active_source=True\nt=1 | tv | active_input_port=1\n"
@@ -1039,9 +1045,7 @@ _names = st.from_regex(r"[a-z][a-z0-9_-]{0,7}", fullmatch=True)
 @st.composite
 def rendered_events(draw):
     opcode = draw(st.none() | st.integers(0, 255))
-    operands = () if opcode is None else tuple(
-        draw(st.lists(st.integers(0, 255), max_size=fr.MAX_OPERANDS))
-    )
+    operands = b"" if opcode is None else draw(st.binary(max_size=fr.MAX_OPERANDS))
     event = BusEvent(
         tick=draw(st.integers(0, 10**6)),
         origin=draw(_names),
@@ -1088,7 +1092,7 @@ class TestTraceMemo:
         memos = (bus._trace_fields, bus._trace_observers, fr._frame_fields)
         distinct = max(memo.cache_info().maxsize for memo in memos) + 9
         events = [
-            BusEvent(tick, "tv", CecFrame(0, 15, 0x47, divmod(tick % distinct, 256)),
+            BusEvent(tick, "tv", CecFrame(0, 15, 0x47, (tick % distinct).to_bytes(2, "big")),
                      ("tv", "d%d" % (tick % distinct)), False)
             for tick in range(3 * distinct)
         ]

@@ -9,7 +9,10 @@ from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from cecsim import relay_http
 from cecsim.attacks import AttackController
 from cecsim.bus import Simulator
 from cecsim.frames import OP_STANDBY
@@ -498,6 +501,20 @@ class TestUntrustedAnswers:
     def test_get_accepts_a_string_or_null_value(self, stub_relay, answer, value):
         assert _stub_client(stub_relay, answer).get(LISTENER_PATH) == value
 
+    @pytest.mark.parametrize("method", ["GET", "POST"])
+    def test_an_answer_longer_than_any_relay_sends_is_an_outage(
+        self, stub_relay, monkeypatch, method
+    ):
+        monkeypatch.setattr(relay_http, "MAX_ANSWER_BYTES", 64)
+        call = {
+            "GET": lambda client: client.get(LISTENER_PATH),
+            "POST": lambda client: client.post(WEBCLIENT_PATH, "result"),
+        }[method]
+        # 64 bytes exactly, then 65.
+        call(_stub_client(stub_relay, b'{"value": "%s"}' % (b"x" * 51)))
+        with pytest.raises(RelayUnreachable, match="longer than 64 bytes"):
+            call(_stub_client(stub_relay, b'{"value": "%s"}' % (b"x" * 52)))
+
     def test_poller_retries_through_malformed_answers(self, stub_relay, caplog, relay_log):
         client = _stub_client(stub_relay, b'{"value": 5}')
         result = run_scenario(builtin_scenario("attack5-remote-churn"), relay_client=client)
@@ -505,6 +522,18 @@ class TestUntrustedAnswers:
         polls = [r for r in caplog.records if r.getMessage().startswith("relay poll failed")]
         # Every poll tick of the run fails, and is retried at the next.
         assert len(polls) == result.scenario.duration // result.poller.interval_ticks - 1
+
+
+@given(st.text())
+@example("\x7f" * 50)
+def test_an_answer_holds_at_most_six_bytes_per_body_byte(value):
+    # The value as a body with nothing escaped that JSON lets stay raw,
+    # and the GET answer as the relay server encodes it.
+    body = json.dumps({"value": value}, ensure_ascii=False).encode("utf-8")
+    state = RelayState()
+    assert state.handle("POST", LISTENER_PATH, body)[0] == 200
+    answer = json.dumps(state.handle("GET", LISTENER_PATH, b"")[1]).encode("utf-8")
+    assert len(answer) <= 6 * len(body) + len(b'{"value": ""}')
 
 
 def _raw_request(server, head: bytes) -> bytes:

@@ -853,6 +853,8 @@ class TestCli:
     def test_list_scenarios(self, capsys):
         assert cli.main(["list-scenarios"]) == 0
         out = capsys.readouterr().out
+        assert out.splitlines() == builtin_scenario_names()
+        assert len(builtin_scenario_names()) == 12
         assert "attack1-device-walk" in out
         assert "podium-strip-scan" in out
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cecsim.bus import Simulator, TransferRecord
 from cecsim.frames import CecFrame, parse_frame
-from cecsim.scenarios import builtin_scenario, run_scenario
+from cecsim.scenarios import builtin_scenario, evaluate_checks, load_scenario, run_scenario
 from cecsim.topology import build_topology
 from cecsim.transfer import (
     DATA_OPCODE,
@@ -222,7 +222,7 @@ class TestTransfer:
         # data-opcode frames that do not come from the sender
         for tick in range(3, 20):
             sim.transmit_at(tick, "tv", CecFrame(0, 15, 0x85))
-            sim.transmit_at(tick, "tv", CecFrame(0, 2, DATA_OPCODE, (0x99, 0x98)))
+            sim.transmit_at(tick, "tv", CecFrame(0, 2, DATA_OPCODE, b"\x99\x98"))
         sim.run(until=50)
         record = sim.transfers[-1]
         assert record.status == "complete"
@@ -233,7 +233,7 @@ class TestTransfer:
         # first, so a chatty display can capture the channel
         sim, sender, receiver, _ = wired_sim(bytes(40))
         sim.schedule(2, lambda: receiver.request_file(sim))
-        sim.transmit_at(3, "tv", CecFrame(0, 2, DATA_OPCODE, (0x99,)))
+        sim.transmit_at(3, "tv", CecFrame(0, 2, DATA_OPCODE, b"\x99"))
         sim.run(until=8)
         assert receiver.peer == sim.logical["tv"]
 
@@ -436,13 +436,43 @@ class TestFailures:
         sim.start()
         assert sim.logical["spy"] is None
         sim.schedule(2, receiver.request_file, sim)
-        sim.transmit_at(3, "spy", CecFrame(1, sim.logical["pc"], DATA_OPCODE, (0x41,)))
+        sim.transmit_at(3, "spy", CecFrame(1, sim.logical["pc"], DATA_OPCODE, b"\x41"))
         sim.transmit_at(4, "spy", END_MARKER)
         sim.run(until=5)
         # Neither frame names a peer, adds data or closes the session.
         assert (receiver.session, receiver.peer, receiver.chunks) == ("transfer-001", None, [])
         sim.run(until=INACTIVITY_TIMEOUT + 10)
         assert [(r.status, r.peer, r.payload) for r in sim.transfers] == [("aborted", "none", b"")]
+
+    def test_a_request_marker_from_the_switch_is_refused(self, caplog):
+        # The testbed's switch holds no logical address to stream to.
+        scenario = load_scenario({
+            "name": "switch-request", "topology": "testbed", "duration": 20,
+            "actions": [{"tick": 2, "actor": "switch", "action": "send_frame",
+                         "args": {"frame": REQUEST_MARKER.text}}],
+        })
+        with caplog.at_level("WARNING", logger="cecsim.transfer"):
+            result = run_scenario(scenario)
+        assert "listener cannot stream without logical addresses" in caplog.messages
+        assert result.controllers["listener"].sender.unacked is None
+        assert not any(e.origin == "listener" for e in result.trace.events if e.tick >= 2)
+
+    def test_an_end_marker_from_the_switch_leaves_an_open_session_open(self):
+        # The request names no peer, so the receiver takes the first sender
+        # it can address; the switch's end marker comes before any data.
+        scenario = load_scenario({
+            "name": "switch-end", "topology": "testbed", "duration": 200,
+            "listener_options": {"capture_bytes": 2048},
+            "actions": [
+                {"tick": 2, "actor": "client", "action": "request_file"},
+                {"tick": 2, "actor": "switch", "action": "send_frame",
+                 "args": {"frame": END_MARKER.text}},
+            ],
+            "checks": [{"type": "transfer_complete", "source": "capture"}],
+        })
+        result = run_scenario(scenario)
+        assert [c.ok for c in evaluate_checks(result)] == [True]
+        assert [(r.peer, len(r.payload)) for r in result.transfers] == [("address-1", 2048)]
 
     def test_request_marker_shape(self):
         assert REQUEST_MARKER.text == "aa:aa:aa:aa"
