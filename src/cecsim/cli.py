@@ -15,7 +15,6 @@ from cecsim import relay as relay_mod
 from cecsim import scenarios as scen
 from cecsim import schema
 from cecsim.bus import parse_trace_line
-from cecsim.frames import FrameError
 from cecsim.testbed import TESTBED_NAME
 
 log = logging.getLogger(__name__)
@@ -43,16 +42,19 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--check", action="store_true", help="exit nonzero when any scenario check fails"
     )
+    run.set_defaults(handler=_cmd_run)
 
     scan = sub.add_parser("scan", help="walk a topology and print the device census")
     scan.add_argument("--topology", default=TESTBED_NAME, help="builtin name or topology file")
     scan.add_argument("--actor", help="device that performs the walk (default: first listener)")
     scan.add_argument("--json", action="store_true", help="print the census as JSON")
+    scan.set_defaults(handler=_cmd_scan)
 
     relay = sub.add_parser("relay", help="relay utilities")
     relay_sub = relay.add_subparsers(dest="relay_command", required=True)
     serve = relay_sub.add_parser("serve", help="serve the two-mailbox command relay over HTTP")
     serve.add_argument("--bind", default="127.0.0.1:8750", help="host:port to listen on")
+    serve.set_defaults(handler=_cmd_relay_serve)
 
     ids = sub.add_parser("ids", help="detector utilities")
     ids_sub = ids.add_subparsers(dest="ids_command", required=True)
@@ -60,15 +62,11 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("trace", help="path to a trace.log file")
     analyze.add_argument("--ids-config", help="JSON file with detector thresholds")
     analyze.add_argument("--ids-tap", help="only analyze frames this device observed")
+    analyze.set_defaults(handler=_cmd_ids_analyze)
 
-    sub.add_parser("list-scenarios", help="list the builtin scenarios")
+    listing = sub.add_parser("list-scenarios", help="list the builtin scenarios")
+    listing.set_defaults(handler=_cmd_list_scenarios)
     return parser
-
-
-def _load_ids_config(path: str | None) -> ids_mod.RuleConfig | None:
-    if path is None:
-        return None
-    return ids_mod.RuleConfig.from_dict(schema.read_json_file(path, "detector config"))
 
 
 def _cmd_run(args) -> int:
@@ -155,30 +153,46 @@ def _cmd_relay_serve(args) -> int:
 
 
 def _cmd_ids_analyze(args) -> int:
-    # The config is refused before the trace is read.  Each line goes to the
-    # detector as it is read, so memory follows the detector's windows, not
-    # the trace.
-    config = _load_ids_config(args.ids_config)
-    with open(args.trace, "r", encoding="utf-8") as fh:
-        tap = args.ids_tap
-        detector = ids_mod.Detector(config, tap)
-        frames = 0
+    # The config is refused before the trace is read.  Each line goes through
+    # the tap to the detector as it is read, so memory follows the detector's
+    # windows, not the trace.
+    config = args.ids_config
+    if config is not None:
+        config = ids_mod.RuleConfig.from_dict(schema.read_json_file(config, "detector config"))
+    detector = ids_mod.Detector(config)
+    frames, seen, bad = 0, 0, None
+
+    def events(fh):
+        nonlocal frames, bad
         for number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
             try:
-                event = parse_trace_line(line)
-            except (ValueError, FrameError) as exc:
-                print("%s:%d: %s" % (args.trace, number, exc), file=sys.stderr)
-                return EXIT_BAD_INPUT
+                event = parse_trace_line(line.strip())
+            except ValueError as exc:
+                bad = "%s:%d: %s" % (args.trace, number, exc)
+                return
             frames += 1
+            yield event
+
+    with open(args.trace, "r", encoding="utf-8") as fh:
+        for event in ids_mod.observed(events(fh), args.ids_tap):
+            seen += 1
             detector.feed(event)
-    if frames and not detector.tap_seen:
-        raise ValueError("detector tap %r observes none of the %d frames" % (tap, frames))
+    if bad is not None:
+        print(bad, file=sys.stderr)
+        return EXIT_BAD_INPUT
+    if frames and not seen:
+        raise ValueError("detector tap %r observes none of the %d frames" % (args.ids_tap, frames))
     for alert in detector.alerts:
         print(alert.to_json())
     print("%d alerts from %d frames" % (len(detector.alerts), frames), file=sys.stderr)
+    return EXIT_OK
+
+
+def _cmd_list_scenarios(args) -> int:
+    for name in scen.builtin_scenario_names():
+        print(name)
     return EXIT_OK
 
 
@@ -189,22 +203,10 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "scan":
-            return _cmd_scan(args)
-        if args.command == "relay":
-            return _cmd_relay_serve(args)
-        if args.command == "ids":
-            return _cmd_ids_analyze(args)
-        if args.command == "list-scenarios":
-            for name in scen.builtin_scenario_names():
-                print(name)
-            return EXIT_OK
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT
-    return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

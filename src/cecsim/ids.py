@@ -1,12 +1,13 @@
 """Rule-based detection over bus traces, plus the defensive knobs.
 
-Detection is a pure function of the event sequence: the streaming Detector
-fed events one at a time emits exactly the alerts an offline pass over the
-same prefix would.  Each event goes only to the rules its opcode can trip,
-and the rules keep frames, encoding them only as an alert's evidence.
-Each sustained rule (scan, churn, standby, stream) fires once per initiator
-and then drops that initiator's window.  Alerts serialise as JSON lines
-citing the frames that tripped each rule.
+Detection is a pure function of the events fed: the streaming Detector
+holds after each event exactly the alerts an offline pass over the same
+prefix would.  Which events a tap sees is `observed`, the one tap rule.
+Each event goes only to the rules its opcode can trip, and the rules keep
+frames, encoding them only as an alert's evidence.  Each sustained rule
+(scan, churn, standby, stream) fires once per initiator and then drops that
+initiator's window.  Alerts serialise as JSON lines citing the frames that
+tripped each rule.
 """
 
 import json
@@ -75,7 +76,7 @@ class Alert:
 
 
 class Detector:
-    """Feed events in trace order; each call returns newly raised alerts.
+    """Runs the rules on every event fed, in trace order, into `alerts`.
 
     The marker rule fires on every marker frame.  Each sustained rule
     (scanning, churn, repeated standby, streaming) keeps an initiator's
@@ -84,45 +85,25 @@ class Detector:
     that initiator's frames from then on.
     """
 
-    def __init__(self, config: RuleConfig | None = None, tap: str | None = None):
+    def __init__(self, config: RuleConfig | None = None):
         self.config = config or RuleConfig()
-        self.tap = tap
         self.alerts: list[Alert] = []
         # (rule, initiator) -> (tick, frame) window, until the rule fires.
         self._windows: dict[tuple[str, str], deque] = {}
         # Recent broadcast announcements, each with its wire's observers.
         self._announcements: deque = deque()
         self._fired: set[tuple[str, str]] = set()
-        # The last observers tuple seen, and whether the tap is in it: the
-        # events of one domain share one tuple.
-        self._observers: tuple[str, ...] | None = None
-        self._tapped = True
-        # Whether the tap has observed any fed event (always, without a tap).
-        self.tap_seen = tap is None
 
-    def feed(self, event: BusEvent) -> list[Alert]:
-        if self.tap is not None:
-            if event.observers is not self._observers:
-                self._observers = event.observers
-                self._tapped = self.tap in event.observers
-                self.tap_seen = self.tap_seen or self._tapped
-            if not self._tapped:
-                return []
-        checks = _CHECKS_BY_OPCODE.get(event.frame.opcode)
-        if checks is None:
-            return []
-        new: list[Alert] = []
-        for check in checks:
-            check(self, event, new)
-        self.alerts.extend(new)
-        return new
+    def feed(self, event: BusEvent) -> None:
+        for check in _CHECKS_BY_OPCODE.get(event.frame.opcode, ()):
+            check(self, event)
 
     # ------------------------------------------------------------------
 
-    def _check_markers(self, event: BusEvent, new: list[Alert]):
+    def _check_markers(self, event: BusEvent):
         frame = event.frame
         if frame in _MARKERS:
-            new.append(
+            self.alerts.append(
                 Alert(RULE_COVERT_MARKER, (event.tick, event.tick), event.origin, (frame.text,))
             )
 
@@ -142,35 +123,35 @@ class Detector:
                 window.popleft()
         return window
 
-    def _fire(self, rule: str, subject: str, window: deque, new: list[Alert]):
+    def _fire(self, rule: str, subject: str, window: deque):
         """Raise `rule` once for the initiator, citing its window, and drop the window."""
         self._fired.add((rule, subject))
         del self._windows[(rule, subject)]
-        new.append(
+        self.alerts.append(
             Alert(rule, (window[0][0], window[-1][0]), subject, tuple(f.text for _, f in window))
         )
 
-    def _check_stream(self, event: BusEvent, new: list[Alert]):
+    def _check_stream(self, event: BusEvent):
         if len(event.frame.operands) <= 1:
             return
         # The alert cites the first three data frames; later ones add nothing.
         window = self._window(RULE_COVERT_STREAM, event)
         if window is not None and len(window) == 3:
-            self._fire(RULE_COVERT_STREAM, event.origin, window, new)
+            self._fire(RULE_COVERT_STREAM, event.origin, window)
 
-    def _check_scan(self, event: BusEvent, new: list[Alert]):
+    def _check_scan(self, event: BusEvent):
         window = self._window(RULE_SCAN_BURST, event, self.config.scan_window)
         if window is None:
             return
         if len({f.destination for _, f in window}) >= self.config.scan_distinct_addresses:
-            self._fire(RULE_SCAN_BURST, event.origin, window, new)
+            self._fire(RULE_SCAN_BURST, event.origin, window)
 
-    def _check_churn(self, event: BusEvent, new: list[Alert]):
+    def _check_churn(self, event: BusEvent):
         window = self._window(RULE_INPUT_CHURN, event, self.config.churn_window)
         if window is not None and len(window) >= self.config.churn_count:
-            self._fire(RULE_INPUT_CHURN, event.origin, window, new)
+            self._fire(RULE_INPUT_CHURN, event.origin, window)
 
-    def _check_standby(self, event: BusEvent, new: list[Alert]):
+    def _check_standby(self, event: BusEvent):
         frame = event.frame
         tick = event.tick
         if frame.opcode in fr.ANNOUNCE_OPCODES and frame.is_broadcast:
@@ -188,7 +169,7 @@ class Detector:
                 window = self._windows.setdefault((RULE_TARGETED_STANDBY, event.origin), deque())
                 window.extend(((ann_tick, announcement), (tick, frame)))
                 if len(window) == 2 * self.config.standby_repeat:
-                    self._fire(RULE_TARGETED_STANDBY, event.origin, window, new)
+                    self._fire(RULE_TARGETED_STANDBY, event.origin, window)
                 return
 
 
@@ -211,10 +192,26 @@ def _checks_by_opcode() -> dict[int | None, list]:
 _CHECKS_BY_OPCODE = _checks_by_opcode()
 
 
-def detect(events, config: RuleConfig | None = None, tap: str | None = None) -> list[Alert]:
-    """Offline pass: identical to streaming the same events in order."""
-    detector = Detector(config, tap)
+def observed(events, tap: str | None):
+    """The events `tap` observes: those whose observers include it.  No tap
+    (None) observes every event.  The events of one domain share one
+    observers tuple, so the tap is looked up only when the tuple changes."""
+    if tap is None:
+        yield from events
+        return
+    observers = tapped = None
     for event in events:
+        if event.observers is not observers:
+            observers = event.observers
+            tapped = tap in observers
+        if tapped:
+            yield event
+
+
+def detect(events, config: RuleConfig | None = None, tap: str | None = None) -> list[Alert]:
+    """Offline pass over what `tap` observes: identical to streaming it."""
+    detector = Detector(config)
+    for event in observed(events, tap):
         detector.feed(event)
     return detector.alerts
 

@@ -6,6 +6,7 @@ import http.client
 import json
 import logging
 import sys
+import threading
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -55,13 +56,45 @@ class _RelayRequestHandler(BaseHTTPRequestHandler):
         log.debug("relay http: " + fmt, *args)
 
 
+_BUSY_BODY = json.dumps({"error": "too many requests in progress"}).encode("utf-8")
+# The whole answer to a connection over the handler cap, sent unread.
+_BUSY = (
+    b"HTTP/1.0 503 Service Unavailable\r\nContent-Type: application/json\r\n"
+    b"Content-Length: %d\r\n\r\n%s" % (len(_BUSY_BODY), _BUSY_BODY)
+)
+
+
 class RelayServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
+    # Connections handled at once, each on its own thread.  One beyond them
+    # is answered 503 by the accepting thread, so stalled clients cannot
+    # pile up threads.
+    max_handlers = 32
 
     def __init__(self, address: tuple[str, int], state: RelayState | None = None):
         self.state = state or RelayState()
+        self._handlers = threading.BoundedSemaphore(self.max_handlers)
         super().__init__(address, _RelayRequestHandler)
+
+    def process_request(self, request, client_address):
+        if not self._handlers.acquire(blocking=False):
+            log.debug("relay http: %s:%d refused, %d handlers busy",
+                      *client_address[:2], self.max_handlers)
+            request.sendall(_BUSY)
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:  # no thread started to release it
+            self._handlers.release()
+            raise
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._handlers.release()
 
     @property
     def url(self) -> str:

@@ -551,9 +551,8 @@ def _check_no_control_frames_reach(
     result: RunResult, *, device, from_origin
 ) -> tuple[bool, str]:
     hits = [
-        e.tick for e in result.trace.events
+        e.tick for e in ids_mod.observed(result.trace.events, device)
         if e.origin == from_origin and e.frame.opcode in fr.CONTROL_OPCODES
-        and device in e.observers
     ]
     if not hits:
         return True, "no control frame from %s reached %s" % (from_origin, device)

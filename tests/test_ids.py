@@ -18,6 +18,7 @@ from cecsim.ids import (
     RuleConfig,
     apply_mitigation,
     detect,
+    observed,
 )
 from cecsim.topology import TopologyError
 from cecsim.transfer import END_MARKER, MIC_MARKER, REQUEST_MARKER
@@ -380,10 +381,10 @@ class TestStandbyReference:
             for offset in range(length):
                 sim.transmit_at(tick + offset, origin, frame)
         sim.run(tick + 8)
-        observed = [e for e in sim.trace.events if tap is None or tap in e.observers]
+        seen = [e for e in sim.trace.events if tap is None or tap in e.observers]
         alerts = [a for a in detect(sim.trace.events, config, tap)
                   if a.rule == RULE_TARGETED_STANDBY]
-        assert alerts == reference_standby_alerts(observed, config)
+        assert alerts == reference_standby_alerts(seen, config)
 
 
 class TestDetectorPlumbing:
@@ -394,12 +395,16 @@ class TestDetectorPlumbing:
         return events
 
     def test_streaming_equals_offline(self):
+        # After each event fed, the detector holds what an offline pass over
+        # that prefix raises.
         events = self._mixed_events()
-        streamed = []
         detector = Detector()
-        for event in events:
-            streamed.extend(detector.feed(event))
-        assert streamed == detect(events)
+        for count, event in enumerate(events, start=1):
+            assert detector.feed(event) is None
+            assert detector.alerts == detect(events[:count])
+        assert [a.rule for a in detector.alerts] == [
+            RULE_SCAN_BURST, RULE_COVERT_STREAM, RULE_COVERT_MARKER
+        ]
 
     def test_tap_sees_only_observed_frames(self):
         on_tap = [ev(t, "spy", "%x%x" % (t, t), observers=("tap", "spy")) for t in range(8)]
@@ -411,15 +416,19 @@ class TestDetectorPlumbing:
         events = [ev(t, "spy", "%x%x" % (t, t), observers=("spy",)) for t in range(8)]
         assert [a.rule for a in detect(events)] == [RULE_SCAN_BURST]
 
-    def test_tap_seen_once_the_tap_observes_a_frame(self):
-        assert Detector().tap_seen is True
-        detector = Detector(tap="tap")
-        assert detector.tap_seen is False
-        detector.feed(ev(0, "spy", "11", observers=("spy",)))
-        assert detector.tap_seen is False
-        detector.feed(ev(1, "spy", "22", observers=("tap", "spy")))
-        detector.feed(ev(2, "spy", "33", observers=("spy",)))
-        assert detector.tap_seen is True
+    def test_observed_keeps_the_events_the_tap_observes(self):
+        shared = ("tap", "spy")
+        events = [
+            ev(0, "spy", "11", observers=("spy",)),
+            ev(1, "spy", "22", observers=shared),
+            ev(2, "spy", "33", observers=shared),
+            ev(3, "spy", "44", observers=["spy"]),
+            ev(4, "spy", "55", observers=["tap"]),
+            ev(5, "spy", "66", observers=shared),
+        ]
+        assert list(observed(events, "tap")) == [events[i] for i in (1, 2, 4, 5)]
+        assert list(observed(events, "ghost")) == []
+        assert list(observed(events, None)) == events
 
     def test_alert_json_fields(self):
         alerts = detect(self._mixed_events())
@@ -484,13 +493,15 @@ class TestDetectorPlumbing:
             for offset in range(length):
                 sim.transmit_at(tick + offset, origin, frame)
         sim.run(tick + 8)
-        detector = Detector(config, tap)
-        live = [alert for event in sim.trace.events for alert in detector.feed(event)]
+        detector = Detector(config)
+        for event in observed(sim.trace.events, tap):
+            detector.feed(event)
         lines = rendered(sim.trace.render_log).splitlines()
-        assert live == detect([parse_trace_line(line) for line in lines], config, tap)
+        replayed = [parse_trace_line(line) for line in lines]
+        assert detector.alerts == detect(replayed, config, tap)
         # The tap only drops the frames it does not observe.
-        observed = [e for e in sim.trace.events if tap is None or tap in e.observers]
-        assert live == detect(observed, config)
+        seen = [e for e in sim.trace.events if tap is None or tap in e.observers]
+        assert detector.alerts == detect(seen, config)
 
 
 # ---------------------------------------------------------------------------

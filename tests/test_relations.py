@@ -4,7 +4,13 @@ Renaming: giving every device a new id, by a random bijection, renames
 the devices in `trace.log`, `state.log` and the alerts and changes nothing
 else, and every check reaches the same verdict.  The bijection reorders
 the ids, so a run that sorted devices by id would break it.
-"""
+
+Shifting: moving every action, every relay command and the duration k
+ticks later keeps the claims made at tick 0 and moves every later line of
+`trace.log` and `state.log` k ticks later, with as many alerts.  The relay
+poller polls from tick 0 every `interval_ticks`, so with a relay k is a
+multiple of that interval.  An actor that kept time by the absolute tick
+would break it."""
 
 import re
 
@@ -155,3 +161,39 @@ def test_renaming_devices_renames_the_logs_and_keeps_every_verdict(document, dat
     mapped = tuple(_DEVICE_ID.sub(lambda m: names[m.group()], text) for text in texts)
     assert mapped == renamed_texts
     assert verdicts == renamed_verdicts
+
+
+def shifted(document, k):
+    """The document with every action, relay command and the duration k ticks later."""
+    moved = {
+        **document,
+        "duration": document["duration"] + k,
+        "actions": [{**action, "tick": action["tick"] + k} for action in document["actions"]],
+    }
+    if "relay" in document:
+        relay = document["relay"]
+        commands = [{**command, "tick": command["tick"] + k} for command in relay["commands"]]
+        moved["relay"] = {**relay, "commands": commands}
+    return moved
+
+
+_LINE_TICK = re.compile(r"^t=(\d+) ", re.MULTILINE)
+
+
+@given(scenario_documents(), st.data())
+@settings(deadline=None, max_examples=100)
+def test_shifting_every_action_keeps_the_claims_and_moves_every_later_line(document, data):
+    relay = document.get("relay")
+    if relay is None:
+        k = data.draw(st.integers(1, 60), label="k")
+    else:
+        k = relay["interval_ticks"] * data.draw(st.integers(1, 3), label="intervals")
+    texts, _ = _outputs(document)
+    moved_texts, _ = _outputs(shifted(document, k))
+    for text, moved_text in zip(texts[:2], moved_texts[:2]):
+        lines, moved_lines = text.splitlines(True), moved_text.splitlines(True)
+        claims = [line for line in moved_lines if line.startswith("t=0 ")]
+        assert lines[:len(claims)] == claims
+        later = _LINE_TICK.sub(lambda m: "t=%d " % (int(m[1]) + k), "".join(lines[len(claims):]))
+        assert later == "".join(moved_lines[len(claims):])
+    assert texts[2].count("\n") == moved_texts[2].count("\n")

@@ -1,8 +1,10 @@
 """Command relay: mailbox protocol, HTTP server, polling loop."""
 
+import contextlib
 import json
 import logging
 import socket
+import socketserver
 import struct
 import time
 from collections import deque
@@ -602,6 +604,28 @@ class TestContentLength:
         assert any("Request timed out" in m for m in caplog.messages)
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_a_handler_error_is_printed_and_the_server_keeps_serving(self, capsys):
+        # Not a hang-up, so `handle_error` leaves it to the base class.
+        state = RelayState()
+        handle, calls = state.handle, []
+
+        def handle_failing_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise RuntimeError("relay state broke")
+            return handle(*args)
+
+        state.handle = handle_failing_once
+        with serving(RelayServer(("127.0.0.1", 0), state)) as server:
+            client = HttpRelayClient(server.url)
+            with pytest.raises(RelayUnreachable):
+                client.get(LISTENER_PATH)
+            client.post(LISTENER_PATH, "DOS1")
+            assert client.get(LISTENER_PATH) == "DOS1"
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: relay state broke" in err
+        assert len(calls) == 3
+
     def test_limit_fits_a_getfile_of_the_largest_payload(self):
         # A GETFILE body grows by two hex digits per payload byte; measure
         # the rest on a small payload and scale it to MAX_PAYLOAD.
@@ -612,3 +636,54 @@ class TestContentLength:
         body = json.dumps({"value": poller.client.get(WEBCLIENT_PATH)})
         overhead = len(body) - 2 * 1024 + len(str(MAX_PAYLOAD)) - len("1024")
         assert 2 * MAX_PAYLOAD + overhead <= MAX_BODY_BYTES
+
+
+class TestHandlerCap:
+    def test_a_connection_over_the_cap_is_answered_503_at_once(self, monkeypatch):
+        assert RelayServer.max_handlers > 4
+        monkeypatch.setattr(RelayServer, "max_handlers", 4)
+        head = "POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\n" % LISTENER_PATH
+        with serving(RelayServer(("127.0.0.1", 0))) as server:
+            address = server.server_address[:2]
+            with contextlib.ExitStack() as stack:
+                # Four clients send headers but never the body: every handler is busy.
+                for _ in range(4):
+                    conn = stack.enter_context(socket.create_connection(address, timeout=5))
+                    conn.sendall(head.encode("ascii"))
+                # One over the cap, which stalls before sending anything.
+                over = stack.enter_context(socket.create_connection(address, timeout=5))
+                started = time.monotonic()
+                answer = over.makefile("rb").read()
+                assert time.monotonic() - started < 1
+                assert answer.startswith(b"HTTP/1.0 503 ")
+                assert json.loads(answer.partition(b"\r\n\r\n")[2]) == {
+                    "error": "too many requests in progress"
+                }
+            # The stalled clients have hung up, and their handlers end.
+            deadline = time.monotonic() + 5
+            while True:
+                try:
+                    assert HttpRelayClient(server.url).get(LISTENER_PATH) is None
+                    break
+                except RelayUnreachable:
+                    assert time.monotonic() < deadline, "handlers never freed"
+                    time.sleep(0.01)
+
+    def test_a_thread_that_fails_to_start_gives_its_place_back(self, monkeypatch, capsys):
+        monkeypatch.setattr(RelayServer, "max_handlers", 1)
+        start, calls = socketserver.ThreadingMixIn.process_request, []
+
+        def start_failing_once(server, request, client_address):
+            calls.append(client_address)
+            if len(calls) == 1:
+                raise RuntimeError("can't start new thread")
+            start(server, request, client_address)
+
+        monkeypatch.setattr(socketserver.ThreadingMixIn, "process_request", start_failing_once)
+        with serving(RelayServer(("127.0.0.1", 0))) as server:
+            client = HttpRelayClient(server.url)
+            with pytest.raises(RelayUnreachable):
+                client.get(LISTENER_PATH)
+            # The one place is free again: answered, not refused.
+            assert client.get(LISTENER_PATH) is None
+        assert "RuntimeError: can't start new thread" in capsys.readouterr().err

@@ -1113,16 +1113,22 @@ class TestCli:
         assert cli.main(["ids", "analyze", str(spaced)]) == 0
         assert capsys.readouterr() == want and "ScanBurst" in want.out
 
-    @pytest.mark.parametrize("name", builtin_scenario_names())
-    def test_ids_analyze_replays_run_alerts(self, name, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "name, tap",
+        [pytest.param(name, None, id=name) for name in builtin_scenario_names()]
+        # A tap that sees only part of the bus: the client's domain.
+        + [pytest.param("podium-strip-scan", "client", id="podium-strip-scan@client")],
+    )
+    def test_ids_analyze_replays_run_alerts(self, name, tap, tmp_path, capsys):
         """Replaying a run's trace.log from its tap, with its detector
         config, prints exactly the run's alerts.jsonl."""
         run_out = tmp_path / "run"
-        assert cli.main(["run", "--scenario", name, "--out", str(run_out)]) == 0
+        flags = [] if tap is None else ["--ids-tap", tap]
+        assert cli.main(["run", "--scenario", name, "--out", str(run_out)] + flags) == 0
         capsys.readouterr()
         scenario = builtin_scenario(name)
         argv = ["ids", "analyze", str(run_out / "trace.log"),
-                "--ids-tap", scenario.ids_options.get("tap") or scenario.topology.root]
+                "--ids-tap", tap or scenario.ids_options.get("tap") or scenario.topology.root]
         if "config" in scenario.ids_options:
             config_path = tmp_path / "ids.json"
             config_path.write_text(json.dumps(dataclasses.asdict(scenario.ids_options["config"])))
@@ -1166,6 +1172,16 @@ class TestCli:
         path.write_text("this is not a trace\n")
         assert cli.main(["ids", "analyze", str(path)]) == 2
         capsys.readouterr()
+
+    def test_ids_analyze_names_the_first_bad_line_and_prints_no_alert(self, tmp_path, capsys):
+        lines = rendered(run_scenario(builtin_scenario("attack1-device-walk")).trace.render_log)
+        path = tmp_path / "cut.log"
+        path.write_text(lines + "\n  \nt=9 | cut\nworse\n", encoding="utf-8")
+        assert cli.main(["ids", "analyze", str(path)]) == 2
+        bad = len(lines.splitlines()) + 3
+        assert capsys.readouterr() == (
+            "", "%s:%d: unrecognised trace line: 't=9 | cut'\n" % (path, bad)
+        )
 
     @pytest.mark.parametrize("trace", ["garbage.log", "missing.log"])
     def test_ids_analyze_refuses_the_config_before_the_trace(self, tmp_path, capsys, trace):
