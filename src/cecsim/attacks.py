@@ -73,10 +73,10 @@ class ScanWalk(Actor):
         self._active_claimant: int | None = None
 
     def start(self, sim: Simulator):
-        """Add the walker and walk; `on_complete(report)` gets the report."""
+        """Walk a started simulator; `on_complete(report)` gets the report."""
+        steps = self._walk(sim, sim.logical[self.device])
         sim.add_actor(self)
-        sim.start()
-        self._steps = self._walk(sim, sim.logical.get(self.device))
+        self._steps = steps
         sim.wake(self)
 
     def _walk(self, sim: Simulator, own: int | None):

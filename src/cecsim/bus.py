@@ -21,8 +21,9 @@ work, from `Simulator.wake` to `Simulator.rest`; with none awake, `run`
 jumps ahead.  An actor that waits rests and queues `Simulator.wake` on the
 tick before it acts, so it still acts ahead of that tick's queued calls.
 
-A run's fixed cost is its claims: addresses and domains are the topology's,
-and the sixteen poll frames are built once, in `_POLLS`.
+Only `start`, which `run` calls, makes claims; a frame sent before it raises
+TopologyError.  A run's fixed cost is its claims: addresses and domains are
+the topology's, and the sixteen poll frames are built once, in `_POLLS`.
 """
 
 import heapq
@@ -240,8 +241,8 @@ class Simulator:
 
     def start(self):
         """Set up this run's domains and device states, then let devices
-        claim logical addresses by polling, in declaration order.  Safe to
-        call once; run() calls it implicitly."""
+        claim logical addresses by polling, in declaration order.  `run`
+        calls it; a second call does nothing."""
         if self._started:
             return
         self._started = True
@@ -264,14 +265,11 @@ class Simulator:
                 self.allocate_logical_address(node_id)
 
     def allocate_logical_address(self, device_id: str) -> int:
-        """Poll candidate addresses and claim the first free one, once: a
-        device that is not CEC-addressed or already holds an address raises
-        ValueError.  A configured fixed address is tried before the type's
-        usual claim order.  Returns 15 (stays unregistered) when everything
-        is taken.
+        """Poll candidate addresses and claim the first free one; `start`
+        makes each device's one claim here, so a later call raises ValueError.
+        A configured fixed address is tried before the type's usual claim
+        order.  Returns 15 (stays unregistered) when everything is taken.
         """
-        if not self._started:
-            self.start()
         node = self.topology.nodes[device_id]
         if not node.cec_addressed or self.logical[device_id] is not None:
             raise ValueError("%s is not CEC-addressed or already holds an address" % device_id)
@@ -345,8 +343,6 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def device_ctx(self, device_id: str) -> dv.DeviceCtx:
-        if not self._started:
-            self.start()
         return self._ctx[device_id]
 
     def settings_menu_accessible(self, device_id: str) -> bool:
@@ -369,12 +365,10 @@ class Simulator:
         any other device on the segment talks CEC.  Reactions follow the
         rule in the module docstring.
         """
-        if not self._started:
-            self.start()
         nodes, states, clock = self.topology.nodes, self.device_states, self.clock
-        if origin not in nodes:
-            raise TopologyError("unknown transmitter %r" % origin)
-        domain = self._domains[origin]
+        domain = self._domains.get(origin)
+        if domain is None:
+            raise TopologyError("unknown transmitter %r (is the simulator started?)" % origin)
         if frame.destination == fr.BROADCAST:
             receivers = domain.addressed
             acknowledged = len(receivers) > nodes[origin].cec_addressed
@@ -418,8 +412,6 @@ class Simulator:
 
     def user_action(self, device: str, action: dv.UserAction, argument: int | None = None):
         """Someone works the device's own buttons or menu right now."""
-        if not self._started:
-            self.start()
         state = self.device_states[device]
         accessible = self.settings_menu_accessible(device)
         refusal, reaction = dv.apply_user_action(

@@ -97,8 +97,8 @@ class RelayPoller(Actor):
     """Listener-side loop: read the command slot every poll interval,
     run anything new, push the pending result back out.
 
-    `start` adds the poller and counts intervals from the current clock;
-    an interval it cannot schedule leaves the simulator as it was.
+    An `interval_ticks` below 1 is refused at construction; `start` adds
+    the poller and counts intervals from the current clock.
     Between polls it rests, with a wake queued for the tick before the next
     one, so each poll runs ahead of that tick's queued calls.
 
@@ -116,17 +116,13 @@ class RelayPoller(Actor):
         super().__init__(controller.device)
         self.client = client
         self.controller = controller
-        self.interval_ticks = interval_ticks
+        self.interval_ticks = schema.integer(interval_ticks, "relay interval_ticks", 1)
         self._last: str | None = None
         self._pending: str | None = None
 
     def start(self, sim: Simulator):
         sim.add_actor(self)
-        try:
-            sim.schedule(sim.clock + self.interval_ticks - 1, sim.wake, self)
-        except ValueError:
-            sim.remove_actor(self)
-            raise
+        sim.schedule(sim.clock + self.interval_ticks - 1, sim.wake, self)
 
     def on_tick(self, sim: Simulator, tick: int):
         sim.rest(self)

@@ -265,7 +265,6 @@ def run_scenario(scenario: Scenario, *, relay_client=None) -> RunResult:
         for tick, command, text in relay_cfg["commands"]:
             sim.schedule(tick, _post_command, sim, client, command, text, result)
 
-    sim.start()
     for action in scenario.actions:
         sim.schedule(action.tick, _ACTIONS[action.action], sim, action, result)
     sim.run(scenario.duration)

@@ -72,6 +72,13 @@ class TestScanWalk:
         assert testbed_sim.actors == []
         assert testbed_sim.scan_reports[-1].to_dict() == EXPECTED_TESTBED_SCAN
 
+    def test_a_walk_on_a_never_started_simulator_raises_and_adds_nothing(self):
+        # The walker does not start the simulator, nor walk as unaddressed.
+        sim = Simulator(build_testbed())
+        with pytest.raises(KeyError, match="listener"):
+            ScanWalk("listener").start(sim)
+        assert sim.actors == [] and sim.trace.events == []
+
     @pytest.mark.parametrize("lag", [0, 1, 20])
     def test_overlapping_walks_report_as_walks_alone(self, lag):
         # Each walker hears the other's polls and queries, and the other

@@ -21,7 +21,6 @@ from cecsim.frames import (
     OP_GIVE_OSD_NAME,
     OP_GIVE_POWER_STATUS,
     OP_STANDBY,
-    PhysicalAddress,
     PowerState,
 )
 from cecsim.relay import RelayPoller
@@ -275,6 +274,13 @@ class TestDelivery:
         with pytest.raises(TopologyError, match="unknown transmitter 'ghost'"):
             testbed_sim.deliver("ghost", CecFrame(0, 15, 0x85))
         assert len(testbed_sim.trace.events) == logged
+
+    def test_a_frame_on_a_never_started_simulator_raises(self, pair_topology):
+        # Only `start` makes the claims: a frame does not start a run.
+        sim = Simulator(pair_topology)
+        with pytest.raises(TopologyError, match="unknown transmitter 'tv'"):
+            sim.deliver("tv", CecFrame(0, 15, 0x85))
+        assert sim.trace.events == [] and sim.logical == {}
 
     def test_scheduling_into_the_past_raises(self, testbed_sim):
         testbed_sim.run(until=5)
@@ -874,50 +880,6 @@ class TestWaking:
 
 
 # ---------------------------------------------------------------------------
-# Entry points called before start()
-# ---------------------------------------------------------------------------
-
-class TestStartOnDemand:
-    """`deliver`, `user_action`, `device_ctx` and `allocate_logical_address`
-    start the simulator, as `run` does."""
-
-    @staticmethod
-    def _pair():
-        topology = builtin_scenario("benign-status-query").topology
-        started = Simulator(topology)
-        started.start()
-        return Simulator(topology), started
-
-    def test_deliver(self):
-        sim, started = self._pair()
-        frame = CecFrame(0, 5, 0x8F)
-        assert sim.deliver("tv", frame) == started.deliver("tv", frame)
-        assert rendered(sim.trace.render_log) == rendered(started.trace.render_log)
-
-    def test_user_action(self):
-        sim, started = self._pair()
-        sim.user_action("tv", UserAction.POWER_OFF)
-        started.user_action("tv", UserAction.POWER_OFF)
-        assert sim.device_states["tv"].power is PowerState.STANDBY
-        assert rendered(sim.trace.render_log) == rendered(started.trace.render_log)
-        assert rendered(sim.trace.render_state_log) == rendered(started.trace.render_state_log)
-
-    def test_device_ctx(self):
-        sim, started = self._pair()
-        ctx = sim.device_ctx("tv")
-        assert (ctx.logical, ctx.physical) == (0, PhysicalAddress.root())
-        assert ctx == started.device_ctx("tv")
-
-    def test_allocate_logical_address(self):
-        sim, started = self._pair()
-        # the claims of `start` come first, so tv's own is refused
-        with pytest.raises(ValueError, match="tv"):
-            sim.allocate_logical_address("tv")
-        assert sim.logical == started.logical
-        assert rendered(sim.trace.render_log) == rendered(started.trace.render_log)
-
-
-# ---------------------------------------------------------------------------
 # Trace round trip
 # ---------------------------------------------------------------------------
 
@@ -960,6 +922,7 @@ class TestTraceFormat:
         except TopologyError as exc:
             assert repr(node_id) in str(exc)
             return
+        sim.start()
         sim.deliver(node_id, CecFrame(4, 15, 0x85))
         sim.deliver("tv", CecFrame(0, 15, 0x85))
         lines = rendered(sim.trace.render_log).splitlines()

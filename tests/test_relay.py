@@ -406,9 +406,9 @@ class TestPoller:
     def test_interval_must_be_positive(self):
         sim, controller, _ = wired_sim()
         actors = list(sim.actors)
-        with pytest.raises(ValueError):
-            RelayPoller(LoopbackRelayClient(), controller, interval_ticks=0).start(sim)
-        # A refused poller is not left added.
+        # Refused at construction, with the loader's message: nothing to undo.
+        with pytest.raises(ValueError, match="relay interval_ticks must be an integer from 1"):
+            RelayPoller(LoopbackRelayClient(), controller, interval_ticks=0)
         assert sim.actors == actors
 
 
