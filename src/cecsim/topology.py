@@ -6,14 +6,16 @@ addresses follow EDID: the root is 0.0.0.0 and a child on port p replaces
 its parent's first zero nibble with p.  A device that never reads EDID
 stays unregistered at f.f.f.f; an intermediate without its own EDID hop
 (a dumb switch or splitter) passes its upstream address through unchanged,
-so everything behind it sees the same port address.  A built `Topology`
-is a value nothing can edit: its nodes are frozen, its edges a tuple, its
-root found once by `build_topology`, and its read-only views (addresses,
-domains) computed once.
+so everything behind it sees the same port address.  A `Topology` is a
+value nothing can edit: its nodes are frozen and held, with its vendor
+names, in read-only mappings, its edges are a tuple, its root is found once
+by `build_topology`, and its read-only views (addresses, domains) are
+computed once.
 """
 
 import enum
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -99,10 +101,16 @@ class Topology:
     on first read and shared by every run; a tree changed by
     `dataclasses.replace` computes its own."""
 
-    nodes: dict[str, DeviceNode]
+    nodes: Mapping[str, DeviceNode]
     edges: tuple[Edge, ...]
     root: str
-    vendor_names: dict[int, str] = field(default_factory=dict)
+    vendor_names: Mapping[int, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        # However it is made (`build_topology`, `replace`, a direct call),
+        # a tree holds read-only copies of the mappings it was given.
+        for name in ("nodes", "vendor_names"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     @cached_property
     def physical(self) -> MappingProxyType[str, PhysicalAddress]:

@@ -10,6 +10,7 @@ from cecsim.scenarios import ScenarioError, load_scenario
 from cecsim.topology import (
     DeviceKind,
     Edge,
+    Topology,
     TopologyError,
     assign_physical_addresses,
     build_topology,
@@ -316,6 +317,27 @@ class TestPropagation:
             testbed_topology.domains["tv"] = ("tv",)
         assert testbed_topology.nodes["tv"].osd_name == "TV"
         assert testbed_topology.physical["tv"].text == "0.0.0.0"
+
+    @pytest.mark.parametrize("made_by", ["build", "mitigation", "direct"])
+    def test_nodes_and_vendor_names_are_read_only_however_made(self, testbed_topology, made_by):
+        given = dict(testbed_topology.nodes)
+        topology = {
+            "build": lambda: testbed_topology,
+            "mitigation": lambda: apply_mitigation(
+                testbed_topology, {"type": "disable_control", "device": "tv"}
+            ),
+            "direct": lambda: Topology(given, testbed_topology.edges, "tv", {1: "Acme"}),
+        }[made_by]()
+        for mapping in (topology.nodes, topology.vendor_names):
+            with pytest.raises(TypeError):
+                mapping["amp"] = None
+            with pytest.raises(TypeError):
+                del mapping["amp"]
+            with pytest.raises(AttributeError):
+                mapping.pop("amp")
+        # Not even through the dict it was made from.
+        given.pop("amp")
+        assert "amp" in topology.nodes and "amp" in topology.physical
 
     def test_strip_edge_copy_gets_its_own_domains(self, testbed_topology):
         physical, domains = testbed_topology.physical, testbed_topology.domains
