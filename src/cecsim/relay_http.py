@@ -3,10 +3,13 @@ poller's HTTP client.  Only `cecsim relay serve` and `cecsim run
 --relay-url` import this module, so no simulation loads the HTTP stack."""
 
 import http.client
+import io
 import json
 import logging
+import socket
 import sys
 import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -17,12 +20,44 @@ from cecsim.relay import EXCERPT_CHARS, MAX_ANSWER_BYTES, MAX_BODY_BYTES, RelayS
 log = logging.getLogger(__name__)
 
 
+class _DeadlineReader(io.RawIOBase):
+    """A socket's reads under one deadline: each waits at most `timeout`
+    seconds and at most the time left, and none starts once it is past."""
+
+    def __init__(self, sock: socket.socket, timeout: float, seconds: float):
+        self._sock = sock
+        self._timeout = timeout
+        self._deadline = time.monotonic() + seconds
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("request not read within its deadline")
+        self._sock.settimeout(min(self._timeout, left))
+        return self._sock.recv_into(buffer)
+
+
 class _RelayRequestHandler(BaseHTTPRequestHandler):
     server_version = "cecsim-relay/1.0"
     # Seconds a socket read or write may wait.  A client that stalls is then
     # dropped: `handle_one_request` catches the TimeoutError itself and logs
     # "Request timed out" through `log_message`, at debug level.
     timeout = 10.0
+    # Seconds to read a whole request (line, headers and body; one request
+    # per HTTP/1.0 connection), so a client that trickles a byte per read
+    # is dropped as one that stalls is.  A MAX_BODY_BYTES body (32 MiB, a
+    # GETFILE of the largest payload) arrives within it at 280 KB/s.
+    request_deadline = 120.0
+
+    def setup(self):
+        super().setup()
+        self.rfile.close()
+        self.rfile = io.BufferedReader(
+            _DeadlineReader(self.connection, self.timeout, self.request_deadline)
+        )
 
     def _respond(self, method: str):
         length = self.headers.get("Content-Length") or "0"
@@ -39,6 +74,8 @@ class _RelayRequestHandler(BaseHTTPRequestHandler):
                 self._send(*self.server.state.handle(method, self.path, body))
 
     def _send(self, status: int, payload: dict):
+        # The answer gets its own `timeout`, not what is left of the deadline.
+        self.connection.settimeout(self.timeout)
         data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")

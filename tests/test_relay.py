@@ -604,6 +604,37 @@ class TestContentLength:
         assert any("Request timed out" in m for m in caplog.messages)
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_a_trickling_client_is_cut_off_at_the_request_deadline(
+        self, monkeypatch, caplog, capsys
+    ):
+        # Each byte comes well within `timeout`, but the request never ends.
+        assert _RelayRequestHandler.timeout < _RelayRequestHandler.request_deadline
+        monkeypatch.setattr(_RelayRequestHandler, "request_deadline", 0.5)
+        caplog.set_level(logging.DEBUG, logger="cecsim.relay_http")
+        request = ("GET %s HTTP/1.1\r\nHost: x\r\n\r\n" % WEBCLIENT_PATH).encode("ascii")
+        cut = None
+        with serving(RelayServer(("127.0.0.1", 0))) as server:
+            with socket.create_connection(server.server_address[:2], timeout=0.1) as conn:
+                started = time.monotonic()
+                for i in range(len(request)):
+                    if i == 1:
+                        # Meanwhile another client is answered.
+                        assert HttpRelayClient(server.url).get(WEBCLIENT_PATH) is None
+                    try:
+                        conn.sendall(request[i:i + 1])
+                        if conn.recv(1) == b"":
+                            cut = time.monotonic() - started
+                            break
+                    except TimeoutError:
+                        continue  # one byte per 0.1 s
+                    except ConnectionError:
+                        cut = time.monotonic() - started
+                        break
+            assert cut is not None and cut < 1.5, "the trickling client was answered or kept"
+            assert HttpRelayClient(server.url).get(WEBCLIENT_PATH) is None
+        assert any("Request timed out" in m for m in caplog.messages)
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_a_handler_error_is_printed_and_the_server_keeps_serving(self, capsys):
         # Not a hang-up, so `handle_error` leaves it to the base class.
         state = RelayState()
