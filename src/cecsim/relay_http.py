@@ -6,7 +6,6 @@ import http.client
 import io
 import json
 import logging
-import socket
 import sys
 import threading
 import time
@@ -21,13 +20,12 @@ log = logging.getLogger(__name__)
 
 
 class _DeadlineReader(io.RawIOBase):
-    """A socket's reads under one deadline: each waits at most `timeout`
-    seconds and at most the time left, and none starts once it is past."""
+    """A handler's socket reads under its request deadline: each waits at
+    most its `timeout` and at most the time left, and none starts after."""
 
-    def __init__(self, sock: socket.socket, timeout: float, seconds: float):
-        self._sock = sock
-        self._timeout = timeout
-        self._deadline = time.monotonic() + seconds
+    def __init__(self, handler: "_RelayRequestHandler"):
+        self._sock, self._timeout = handler.connection, handler.timeout
+        self._deadline = time.monotonic() + handler.request_deadline
 
     def readable(self) -> bool:
         return True
@@ -54,10 +52,9 @@ class _RelayRequestHandler(BaseHTTPRequestHandler):
 
     def setup(self):
         super().setup()
+        # Read through the deadline, not through the socket file `setup` made.
         self.rfile.close()
-        self.rfile = io.BufferedReader(
-            _DeadlineReader(self.connection, self.timeout, self.request_deadline)
-        )
+        self.rfile = io.BufferedReader(_DeadlineReader(self))
 
     def _respond(self, method: str):
         length = self.headers.get("Content-Length") or "0"

@@ -10,16 +10,22 @@ ticks later keeps the claims made at tick 0 and moves every later line of
 `trace.log` and `state.log` k ticks later, with as many alerts.  The relay
 poller polls from tick 0 every `interval_ticks`, so with a relay k is a
 multiple of that interval.  An actor that kept time by the absolute tick
-would break it."""
+would break it.
+
+Isolation: hanging two devices that do nothing from a free port, over a
+cable that does not carry CEC, adds their two claims to `trace.log` and
+changes nothing else: every other line, `state.log`, the alerts and every
+verdict stay.  A bus that let a frame cross that cable would break it."""
 
 import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cecsim.bus import parse_trace_line
 from cecsim.ids import RULES
 from cecsim.scenarios import evaluate_checks, load_scenario, run_scenario
-from cecsim.topology import build_topology
+from cecsim.topology import TopologyError, build_topology
 
 from conftest import rendered
 from test_bus import tree_documents
@@ -197,3 +203,62 @@ def test_shifting_every_action_keeps_the_claims_and_moves_every_later_line(docum
         later = _LINE_TICK.sub(lambda m: "t=%d " % (int(m[1]) + k), "".join(lines[len(claims):]))
         assert later == "".join(moved_lines[len(claims):])
     assert texts[2].count("\n") == moved_texts[2].count("\n")
+
+
+# The idle subtree: a playback device, and a recorder on its port 1.
+_SUBTREE = ("x0", "x1")
+
+
+def isolated(document, parent, port):
+    """The document with the idle subtree hung from `parent`'s `port` over a
+    cable that does not carry CEC."""
+    topology = document["topology"]
+    nodes = [
+        {"id": "x0", "kind": "source", "device_type": "playback"},
+        {"id": "x1", "kind": "source", "device_type": "recording"},
+    ]
+    edges = [
+        {"parent": parent, "child": "x0", "port": port, "cec_propagates": False},
+        {"parent": "x0", "child": "x1", "port": 1},
+    ]
+    return {
+        **document,
+        "topology": {"nodes": topology["nodes"] + nodes, "edges": topology["edges"] + edges},
+    }
+
+
+def _free_ports(document):
+    """Each node's free ports, for the nodes the subtree fits below."""
+    used: dict[str, set[int]] = {}
+    for edge in document["topology"]["edges"]:
+        used.setdefault(edge["parent"], set()).add(edge["port"])
+    free = {}
+    for node in document["topology"]["nodes"]:
+        ports = sorted(set(range(1, 16)) - used.get(node["id"], set()))
+        try:  # too deep for two more address nibbles?
+            build_topology(isolated(document, node["id"], ports[0])["topology"])
+        except TopologyError:
+            continue
+        free[node["id"]] = ports
+    return free
+
+
+@given(scenario_documents(), st.data())
+@settings(deadline=None, max_examples=100)
+def test_an_idle_subtree_behind_a_cable_without_cec_adds_only_its_claims(document, data):
+    free = _free_ports(document)
+    parent = data.draw(st.sampled_from(sorted(free)), label="parent")
+    port = data.draw(st.sampled_from(free[parent]), label="port")
+    texts, verdicts = _outputs(document)
+    (trace, *others), isolated_verdicts = _outputs(isolated(document, parent, port))
+    own, rest = [], []
+    for line in trace.splitlines(True):
+        (own if parse_trace_line(line).origin in _SUBTREE else rest).append(line)
+    assert "".join(rest) == texts[0]
+    claims = [parse_trace_line(line) for line in own]
+    assert [e.origin for e in claims] == list(_SUBTREE)
+    for event in claims:
+        assert event.tick == 0 and event.frame.is_polling and not event.acknowledged
+        assert event.observers == _SUBTREE
+    assert tuple(others) == texts[1:]
+    assert isolated_verdicts == verdicts
