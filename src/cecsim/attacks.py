@@ -74,9 +74,9 @@ class ScanWalk(Actor):
 
     def start(self, sim: Simulator):
         """Walk a started simulator; `on_complete(report)` gets the report."""
-        steps = self._walk(sim, sim.logical[self.device])
+        own = sim.logical[self.device]
         sim.add_actor(self)
-        self._steps = steps
+        self._steps = self._walk(sim, own)
         sim.wake(self)
 
     def _walk(self, sim: Simulator, own: int | None):
