@@ -21,6 +21,13 @@ work, from `Simulator.wake` to `Simulator.rest`; with none awake, `run`
 jumps ahead.  An actor that waits rests and queues `Simulator.wake` on the
 tick before it acts, so it still acts ahead of that tick's queued calls.
 
+`deliver` applies each reaction itself.  Each claimed device keeps a memo of
+its reactions, keyed by the identities of the state and the frame, and
+cleared at `_MEMO_LIMIT` entries.  An entry holds its state and frame, so
+no key's ids can name other objects while it lives.  Queries and Request
+Active Source skip it: a device answers each about once per scan, so their
+entries would only take memory.
+
 Only `start`, which `run` calls, makes claims; a frame sent before it raises
 TopologyError.  A run's fixed cost is its claims: addresses and domains are
 the topology's, and the sixteen poll frames are built once, in `_POLLS`.
@@ -46,6 +53,12 @@ UNREGISTERED = 15
 # Opcodes no device acts on: None (a poll) and every response.  `react`
 # returns the state unchanged for them, so `deliver` does not call it.
 _INERT_OPCODES = fr.RESPONSE_OPCODES | {None}
+
+# The most (state, frame) entries one device's reaction memo holds.
+_MEMO_LIMIT = 256
+
+# Opcodes whose reactions skip the memo (see the module docstring).
+_UNMEMOIZED = frozenset(fr.QUERY_OPCODES + (fr.OP_REQUEST_ACTIVE_SOURCE,))
 
 # The poll of each logical address, indexed by that address.
 _POLLS = tuple(CecFrame(a, a) for a in range(16))
@@ -225,6 +238,8 @@ class Simulator:
         self._hearing: dict[int | None, tuple[Actor, ...]] = {}
         self._domains: dict[str, _Domain] = {}
         self._ctx: dict[str, dv.DeviceCtx] = {}
+        # Each claimed device's memo: (id(state), id(frame)) -> (reaction, state, frame).
+        self._memos: dict[str, dict[tuple[int, int], tuple]] = {}
         # Each device's last MENU_PRESSURE_LIMIT control-pressure ticks, made
         # on first use: most devices never feel any.
         self._pressure: dict[str, deque[int]] = defaultdict(
@@ -294,6 +309,7 @@ class Simulator:
         self._ctx[device_id] = dv.DeviceCtx(
             self.topology.nodes[device_id], address, self.topology.physical[device_id]
         )
+        self._memos[device_id] = {}
         return address
 
     # ------------------------------------------------------------------
@@ -382,10 +398,34 @@ class Simulator:
         event = _new_event((clock, origin, frame, domain.members, acknowledged))
         self.trace.events.append(event)
 
-        for node_id in receivers:
-            if node_id != origin:
+        if receivers:
+            # `dv.react` is read per call, so a wrapper put on it is seen.
+            react, ctxs, memos, pressure = dv.react, self._ctx, self._memos, self._pressure
+            changes, frame_id = self.trace.changes, id(frame)
+            memoized = frame.opcode not in _UNMEMOIZED
+            for node_id in receivers:
+                if node_id == origin:
+                    continue
                 state = states[node_id]
-                self._apply(node_id, state, dv.react(self._ctx[node_id], state, frame), clock + 1)
+                if memoized:
+                    memo = memos[node_id]
+                    entry = memo.get(key := (id(state), frame_id))
+                    if entry is None:
+                        if len(memo) >= _MEMO_LIMIT:
+                            memo.clear()
+                        entry = memo[key] = (react(ctxs[node_id], state, frame), state, frame)
+                    reaction = entry[0]
+                else:
+                    reaction = react(ctxs[node_id], state, frame)
+                if reaction.control_pressure:
+                    pressure[node_id].append(clock)
+                if reaction.state is not state:
+                    states[node_id] = reaction.state
+                    for name, value in reaction.changed:
+                        changes.append(_new_change((clock, node_id, name, value)))
+                if reaction.responses:
+                    for tick, response in enumerate(reaction.responses, clock + 1):
+                        self.transmit_at(tick, node_id, response)
 
         listeners = self._hearing.get(frame.opcode)
         if listeners is None:
@@ -397,18 +437,6 @@ class Simulator:
             if actor.device in membership:
                 actor.on_event(self, event)
         return event
-
-    def _apply(self, node_id: str, state: dv.DeviceState, reaction: dv.Reaction, first: int):
-        """Record a reaction's control pressure, store and log a state other
-        than `state`, and send its i-th response at tick `first + i`."""
-        if reaction.control_pressure:
-            self._pressure[node_id].append(self.clock)
-        if reaction.state is not state:
-            self.device_states[node_id] = reaction.state
-            for name, value in reaction.changed:
-                self.trace.changes.append(_new_change((self.clock, node_id, name, value)))
-        for tick, response in enumerate(reaction.responses, first):
-            self.transmit_at(tick, node_id, response)
 
     def user_action(self, device: str, action: dv.UserAction, argument: int | None = None):
         """Someone works the device's own buttons or menu right now."""
@@ -422,7 +450,13 @@ class Simulator:
         )
         if refusal:
             log.info("t=%d %s %s rejected: %s", self.clock, device, action.value, refusal)
-        self._apply(device, state, reaction, self.clock)
+        # Never control pressure; the i-th emission goes at tick clock + i.
+        if reaction.state is not state:
+            self.device_states[device] = reaction.state
+            for name, value in reaction.changed:
+                self.trace.changes.append(_new_change((self.clock, device, name, value)))
+        for tick, response in enumerate(reaction.responses, self.clock):
+            self.transmit_at(tick, device, response)
 
     # ------------------------------------------------------------------
     # Main loop

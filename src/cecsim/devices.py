@@ -13,19 +13,12 @@ by someone at the device's own buttons instead of by a frame: it returns a
 Device states are compared by reference.  Every state a transition makes
 comes from `_state`, which returns the first-made object of each value, so
 equal results are one object; the table holds at most 256 of them.  Only
-`DeviceState.initial` builds a state outside it.
-
-`react` is a memo of that transition.  Each `DeviceCtx` holds its own memo,
-keyed by the identities of the state and the frame; a simulator builds one
-context per device, so no two runs share a memo.  Each entry holds its state
-and frame, so no key's ids can name other objects while it lives.  A
-memo that reaches `_MEMO_LIMIT` entries is cleared.  Queries, the broadcast
-Request Active Source among them, skip the memo: a device answers each one
-about once per scan, so their entries would only take memory.
+`DeviceState.initial` builds a state outside it.  The simulator caches
+reactions by the identities of the state and the frame (see `cecsim.bus`).
 """
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from cecsim import frames as fr
 from cecsim.frames import CecFrame, PhysicalAddress, PowerState
@@ -40,14 +33,8 @@ ABORT_REFUSED = 0x04
 MENU_PRESSURE_WINDOW = 10
 MENU_PRESSURE_LIMIT = 3
 
-# The most (state, frame) entries one context's `react` memo holds.
-_MEMO_LIMIT = 256
-
 # The fields the state log records, in the order it records them.
 _LOGGED_FIELDS = ("power", "active_source", "active_input_port", "cec_control_enabled")
-
-# Opcodes `react` leaves out of the memo (see the module docstring).
-_UNMEMOIZED = frozenset(fr.QUERY_OPCODES + (fr.OP_REQUEST_ACTIVE_SOURCE,))
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,22 +73,18 @@ class DeviceCtx:
     """Addressing context the simulator hands to a reacting device.
 
     A context is never changed in place: a new logical address gets a new
-    context.  `memo` is `react`'s cache for this context alone: from
-    `(id(state), id(frame))` to the reaction, the state and the frame.
+    context.
     """
 
     node: DeviceNode
     logical: int | None
     physical: PhysicalAddress
-    memo: "dict[tuple[int, int], tuple[Reaction, DeviceState, CecFrame]]" = field(
-        default_factory=dict, compare=False, repr=False
-    )
 
 
 @dataclass
 class Reaction:
     state: DeviceState
-    # A memo hit hands one reaction to several callers, so it is a tuple.
+    # A cached reaction is handed out again, so it is a tuple.
     responses: tuple[CecFrame, ...] = ()
     # True when the frame counted as external control pressure on the device.
     control_pressure: bool = False
@@ -113,7 +96,7 @@ class Reaction:
 
 def _move(old: DeviceState, new: DeviceState, responses=(), pressure=False) -> Reaction:
     """The reaction that moves `old` to `new`, with its `changed` pairs.  A
-    memo entry makes them once, and every change it logs shares the texts."""
+    cached reaction makes them once, and every change it logs shares the texts."""
     changed = tuple(
         (name, value.value if isinstance(value, PowerState) else str(value))
         for name in _LOGGED_FIELDS
@@ -223,29 +206,10 @@ def react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
     is traffic from someone else.  Polling messages are acknowledged at the
     bus layer and ignored here.  The simulator only calls this for frames
     that can land on the device (see `cecsim.bus`); polls and frames
-    addressed elsewhere still return the state unchanged.
-
-    The transition is pure, so its result is memoized in `ctx.memo` by the
-    identities of `state` and `frame` (see the module docstring), which is
-    cleared when it holds `_MEMO_LIMIT` entries.  An equal state or frame
-    in another object is a miss, which returns an equal reaction.  When
-    nothing changed, the returned reaction's state is the `state` passed
-    in, the same object, hit or miss.
+    addressed elsewhere still return the state unchanged.  When nothing
+    changed, the returned reaction's state is the `state` passed in, the
+    same object.
     """
-    if frame.opcode in _UNMEMOIZED:
-        return _react(ctx, state, frame)
-    memo = ctx.memo
-    key = (id(state), id(frame))
-    entry = memo.get(key)
-    if entry is None:
-        if len(memo) >= _MEMO_LIMIT:
-            memo.clear()
-        entry = memo[key] = (_react(ctx, state, frame), state, frame)
-    return entry[0]
-
-
-def _react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
-    """`react` without the memo."""
     if frame.is_polling:
         return Reaction(state)
     addressed = ctx.logical is not None and frame.destination == ctx.logical

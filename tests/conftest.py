@@ -1,7 +1,8 @@
 """Shared fixtures and helpers: the lab tree, small topologies, random
 builders, covert segment counts, near misses of marker frames, rendered
 logs, and the relay poller's log and command names; servers run in the
-background."""
+background.  `--hypothesis-profile=ci` runs every example but shrinks
+none, so a failing property reports at once."""
 
 import contextlib
 import io
@@ -9,6 +10,7 @@ import logging
 import threading
 
 import pytest
+from hypothesis import Phase, settings
 
 from cecsim.bus import Simulator
 from cecsim.frames import CecFrame
@@ -16,6 +18,9 @@ from cecsim.relay import RelayPoller
 from cecsim.testbed import TESTBED_TOPOLOGY
 from cecsim.topology import Topology, build_topology
 from cecsim.transfer import SEGMENT_BYTES
+
+# A whole-run property can take minutes to shrink its failing example.
+settings.register_profile("ci", phases=tuple(p for p in Phase if p is not Phase.shrink))
 
 
 def build_testbed() -> Topology:

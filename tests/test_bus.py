@@ -446,7 +446,8 @@ class TestReactionIndex:
             for frame in [CecFrame(1, fr.BROADCAST, OP_STANDBY)] + frames:
                 for origin in topology.nodes:
                     reacted.clear()
-                    event = sim.deliver(origin, frame)
+                    # a fresh copy misses every memo, so each device reacts
+                    event = sim.deliver(origin, dataclasses.replace(frame))
                     # every addressed observer but the origin may react
                     addressed = {o for o in event.observers if topology.nodes[o].cec_addressed}
                     for node_id in addressed - reacted - {origin}:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cecsim import devices
+from cecsim import bus, devices
 from cecsim import frames as fr
 from cecsim.bus import Simulator
 from cecsim.devices import (
@@ -457,36 +457,67 @@ class TestReportedChanges:
     ):
         _, reaction = apply_user_action(ctx, state, action, argument, accessible)
         assert reaction.changed == _differing(state, reaction.state)
+        # `Simulator.user_action` records no control pressure.
+        assert not reaction.control_pressure
 
 
 # ---------------------------------------------------------------------------
-# The reaction memo
+# The simulator's reaction memo
 # ---------------------------------------------------------------------------
+
+# Opcodes that skip the memo when `bus._UNMEMOIZED` is patched to this: all.
+_NO_MEMO = frozenset(range(256))
+
+_ADDRESSED = sorted(n for n, node in _TESTBED.nodes.items() if node.cec_addressed)
+
+
+def _neighbour(sim, device):
+    """Another member of `device`'s domain, to put frames on its wire."""
+    return next(n for n in sim.topology.domains[device] if n != device)
+
+
+def _effects(sim):
+    """What deliveries leave behind: states, logged changes, control
+    pressure and the queued responses."""
+    pressure = {n: list(ticks) for n, ticks in sim._pressure.items() if ticks}
+    queued = sorted((tick, seq, args) for tick, seq, _, args in sim._queue)
+    return dict(sim.device_states), list(sim.trace.changes), pressure, queued
+
 
 class TestMemo:
     @given(st.data(), st.integers(1, 5), st.integers(1, 8))
     @settings(deadline=None, max_examples=150)
     def test_memoized_react_equals_a_fresh_one(self, data, port, limit):
-        ctx = data.draw(device_contexts())
+        # Two simulators take the same frames; only the first keeps a memo.
+        memoized, fresh = Simulator(_TESTBED), Simulator(_TESTBED)
+        memoized.start()
+        fresh.start()
+        device = data.draw(st.sampled_from(_ADDRESSED))
+        origin, ctx = _neighbour(memoized, device), memoized.device_ctx(device)
         state = data.draw(device_states)
+        memoized.device_states[device] = fresh.device_states[device] = state
         # Few distinct frames, so that (state, frame) pairs repeat.
         frames = observed_frames(ctx) | st.sampled_from(list(control_frames(ctx, port)))
         pool = data.draw(st.lists(frames, min_size=1, max_size=4))
         steps = data.draw(
             st.lists(st.tuples(st.sampled_from(pool), st.booleans()), min_size=1, max_size=16)
         )
-        with mock.patch.object(devices, "_MEMO_LIMIT", limit):
-            for frame, copy in steps:
-                if copy:
-                    # Equal values in other objects: a miss that returns an
-                    # equal reaction.
-                    state, frame = dataclasses.replace(state), dataclasses.replace(frame)
-                reaction = react(ctx, state, frame)
-                assert reaction == devices._react(ctx, state, frame)
-                if not reaction.changed:
-                    assert reaction.state is state
-                assert len(ctx.memo) <= limit
-                state = reaction.state
+        for frame, copy in steps:
+            if copy:
+                # Equal values in other objects: a miss that acts the same.
+                frame = dataclasses.replace(frame)
+                for sim in (memoized, fresh):
+                    sim.device_states[device] = dataclasses.replace(sim.device_states[device])
+            before, logged = memoized.device_states[device], len(memoized.trace.changes)
+            with mock.patch.object(bus, "_MEMO_LIMIT", limit):
+                memoized.deliver(origin, frame)
+            with mock.patch.object(bus, "_UNMEMOIZED", _NO_MEMO):
+                fresh.deliver(origin, frame)
+            assert _effects(memoized) == _effects(fresh)
+            if all(change.device != device for change in memoized.trace.changes[logged:]):
+                assert memoized.device_states[device] is before
+            assert all(len(memo) <= limit for memo in memoized._memos.values())
+        assert not any(fresh._memos.values())
 
     @given(st.data())
     @settings(deadline=None, max_examples=50)
@@ -495,37 +526,47 @@ class TestMemo:
         first, second = Simulator(topology), Simulator(topology)
         first.start()
         second.start()
-        addressed = sorted(n for n, node in topology.nodes.items() if node.cec_addressed)
-        device = data.draw(st.sampled_from(addressed))
-        ctx, state = ctx_and_state(first, device)
+        device = data.draw(st.sampled_from(_ADDRESSED))
+        ctx = first.device_ctx(device)
         for frame in data.draw(st.lists(observed_frames(ctx), min_size=1, max_size=6)):
-            react(ctx, state, frame)
-        other = second.device_ctx(device)
-        assert other is not ctx
-        assert other.memo == {}
+            first.deliver(_neighbour(first, device), frame)
+        assert first._memos[device] is not second._memos[device]
+        assert not any(second._memos.values())
 
-    def test_memo_is_cleared_at_its_limit(self, sim):
-        ctx, state = ctx_and_state(sim, "tv")
+    def test_memo_is_cleared_at_its_limit(self, sim, monkeypatch):
+        reacted = []
+        real = devices.react
+
+        def counting(ctx, state, frame):
+            if ctx.node.id == "tv":
+                reacted.append(frame)
+            return real(ctx, state, frame)
+
+        monkeypatch.setattr(devices, "react", counting)
+        memo = sim._memos["tv"]
         # Distinct unknown broadcasts: each one a miss that keeps the state.
         frames = [
             CecFrame(4, fr.BROADCAST, 0xAB, i.to_bytes(2, "big"))
-            for i in range(devices._MEMO_LIMIT + 1)
+            for i in range(bus._MEMO_LIMIT + 1)
         ]
-        first = react(ctx, state, frames[0])
-        assert react(ctx, state, frames[0]) is first
+        sim.deliver("chromecast", frames[0])
+        sim.deliver("chromecast", frames[0])
+        assert reacted == [frames[0]]
         for frame in frames[1:]:
-            react(ctx, state, frame)
-            assert len(ctx.memo) <= devices._MEMO_LIMIT
-        assert len(ctx.memo) == 1
+            sim.deliver("chromecast", frame)
+            assert len(memo) <= bus._MEMO_LIMIT
+        assert len(memo) == 1
+        assert reacted == frames
 
     def test_a_memo_entry_holds_its_keys_state_and_frame(self):
-        result = run_scenario(builtin_scenario("attack5-input-churn"))
-        contexts = [ctx for ctx in result.sim._ctx.values() if ctx.memo]
-        assert contexts
-        for ctx in contexts:
-            for key, (reaction, state, frame) in ctx.memo.items():
+        sim = run_scenario(builtin_scenario("attack5-input-churn")).sim
+        memos = {node_id: memo for node_id, memo in sim._memos.items() if memo}
+        assert memos
+        for node_id, memo in memos.items():
+            ctx = sim.device_ctx(node_id)
+            for key, (reaction, state, frame) in memo.items():
                 assert key == (id(state), id(frame))
-                assert reaction == devices._react(ctx, state, frame)
+                assert reaction == react(ctx, state, frame)
 
 
 # attack5-input-churn stretched to 600 ticks, with the owner's attempts to
@@ -554,7 +595,7 @@ def test_a_whole_run_without_the_memo_logs_the_same(name):
         return load_scenario(_LONG_CHURN) if name == "long-churn" else builtin_scenario(name)
 
     memoized = _logs(scenario())
-    with mock.patch.object(devices, "react", devices._react):
+    with mock.patch.object(bus, "_UNMEMOIZED", _NO_MEMO):
         assert _logs(scenario()) == memoized
     assert memoized[0]
 
