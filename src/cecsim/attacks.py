@@ -159,26 +159,23 @@ class ScanWalk(Actor):
 
 class TargetedDos(Actor):
     """Sniff for wake-up chatter and put the target straight back into
-    standby.  Stays armed and re-fires every time."""
+    standby.  The exact targeted marker from another device sets `armed`;
+    once armed it stays armed and re-fires every time."""
 
-    hears = frozenset(fr.ANNOUNCE_OPCODES)
+    hears = frozenset((*fr.ANNOUNCE_OPCODES, ARM_TARGETED_MARKER.opcode))
 
-    def __init__(self, device: str, target_address: int = 0):
+    def __init__(self, device: str):
         super().__init__(device)
-        self.target_address = target_address
-        self.armed = False
-
-    def arm(self):
-        self.armed = True
-
-    def disarm(self):
+        self.target_address = 0
         self.armed = False
 
     def on_event(self, sim: Simulator, event: BusEvent):
-        if not self.armed or event.origin == self.device:
+        frame = event.frame
+        if event.origin == self.device:
             return
-        own = sim.logical.get(self.device)
-        if own is not None:
+        if frame.opcode == ARM_TARGETED_MARKER.opcode:
+            self.armed = self.armed or frame == ARM_TARGETED_MARKER
+        elif self.armed and (own := sim.logical.get(self.device)) is not None:
             standby = CecFrame(own, self.target_address, fr.OP_STANDBY)
             sim.transmit_at(sim.clock + 1, self.device, standby)
 
@@ -200,9 +197,10 @@ def _churn_cycle(own: int) -> tuple[CecFrame, ...]:
 
 class BroadcastDos(Actor):
     """Five-frame input-churn loop: wake the display, then walk its inputs
-    with forged active-source claims, one frame per tick, until deactivated."""
+    with forged active-source claims, one frame per tick, while `active`.
+    The exact broadcast marker from another device activates it."""
 
-    hears = frozenset()
+    hears = frozenset((ARM_BROADCAST_MARKER.opcode,))
 
     def __init__(self, device: str):
         super().__init__(device)
@@ -215,8 +213,9 @@ class BroadcastDos(Actor):
             log.info("%s input-churn loop armed", self.device)
         sim.wake(self)
 
-    def deactivate(self):
-        self.active = False
+    def on_event(self, sim: Simulator, event: BusEvent):
+        if event.origin != self.device and event.frame == ARM_BROADCAST_MARKER:
+            self.activate(sim)
 
     def on_tick(self, sim: Simulator, tick: int):
         own = sim.logical.get(self.device)
@@ -229,15 +228,14 @@ class BroadcastDos(Actor):
         self._index = (self._index + 1) % len(cycle)
 
 
-class AttackController(Actor):
-    """Glue on the hidden listener: watches for arming markers, launches
-    census walks, serves its store over the covert channel, and hands the
-    relay something to drive."""
-
-    hears = frozenset((ARM_TARGETED_MARKER.opcode, ARM_BROADCAST_MARKER.opcode))
+class AttackController:
+    """The hidden listener's services, for a scenario and the relay to
+    drive: targeted standby, input churn, the covert file sender, and
+    census walks whose report lands in the store.  Each service hears the
+    marker that arms it; the relay sets the same flags."""
 
     def __init__(self, device: str, store: PayloadStore):
-        super().__init__(device)
+        self.device = device
         self.store = store
         self.targeted = TargetedDos(device)
         self.broadcast = BroadcastDos(device)
@@ -245,16 +243,8 @@ class AttackController(Actor):
 
     def register(self, sim: Simulator):
         """Add every service of the listener to the simulator."""
-        for actor in (self.targeted, self.broadcast, self, self.sender):
+        for actor in (self.targeted, self.broadcast, self.sender):
             sim.add_actor(actor)
-
-    def on_event(self, sim: Simulator, event: BusEvent):
-        if event.origin == self.device:
-            return
-        if event.frame == ARM_TARGETED_MARKER:
-            self.targeted.arm()
-        elif event.frame == ARM_BROADCAST_MARKER:
-            self.broadcast.activate(sim)
 
     def start_scan(self, sim: Simulator, on_complete=None):
         def finish(report):
@@ -263,7 +253,3 @@ class AttackController(Actor):
                 on_complete(report)
 
         ScanWalk(self.device, on_complete=finish).start(sim)
-
-    def cancel_all(self):
-        self.targeted.disarm()
-        self.broadcast.deactivate()

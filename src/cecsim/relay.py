@@ -176,13 +176,14 @@ class RelayPoller(Actor):
         targeted = self.controller.targeted
         target = envelope.get("target", targeted.target_address)
         targeted.target_address = schema.integer(target, "standby target", 0, BROADCAST)
-        targeted.arm()
+        targeted.armed = True
 
     def _scan(self, sim: Simulator, envelope: dict):
         self.controller.start_scan(sim, on_complete=lambda rep: self.publish(rep.to_json()))
 
     def _cancel(self, sim: Simulator, envelope: dict):
-        self.controller.cancel_all()
+        self.controller.targeted.armed = False
+        self.controller.broadcast.active = False
 
     def _getfile(self, sim: Simulator, envelope: dict):
         data = self.controller.store.current()

@@ -63,13 +63,6 @@ class PayloadStore:
         self.capture = Random(seed ^ 0x636170).randbytes(capture_bytes) if capture_bytes else None
         self.scan_report: bytes | None = None
 
-    def arm_mic(self) -> bool:
-        """Returns True when this call armed it; repeated triggers no-op."""
-        if self.mic_armed:
-            return False
-        self.mic_armed = True
-        return True
-
     def current(self) -> bytes:
         if self.mic_armed:
             return self.mic_blob
@@ -81,7 +74,8 @@ class PayloadStore:
 
 
 class FileSender(Actor):
-    """Listener-side endpoint: watches for markers, streams on request.
+    """Listener-side endpoint: arms the store's mic on the mic marker and
+    streams the store's current payload on the request marker.
 
     While a stream is open, `unacked` counts its unacknowledged data frames
     (None while idle) and each tick sends the next of `_frames`: the
@@ -106,7 +100,8 @@ class FileSender(Actor):
             return
 
         if frame == MIC_MARKER:
-            if self.store.arm_mic():
+            if not self.store.mic_armed:
+                self.store.mic_armed = True
                 log.info("%s mic payload armed", self.device)
             return
         if frame == REQUEST_MARKER:

@@ -118,8 +118,8 @@ def test_acceptance_targeted_standby_timing():
     rng = Random(41)
     for round_number in range(20):
         sim = Simulator(build_testbed())
-        dos = TargetedDos("listener", target_address=0)
-        dos.arm()
+        dos = TargetedDos("listener")
+        dos.armed = True
         sim.add_actor(dos)
         sim.start()
         sim.schedule(3, sim.user_action, "tv", UserAction.POWER_OFF)

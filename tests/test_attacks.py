@@ -1,5 +1,6 @@
 """Attack actors: the census walk, targeted standby, broadcast churn."""
 
+import itertools
 import json
 
 import pytest
@@ -20,6 +21,7 @@ from cecsim.bus import Simulator
 from cecsim.devices import UserAction
 from cecsim.frames import CecFrame
 from cecsim.ids import apply_mitigation
+from cecsim.relay import LoopbackRelayClient, RelayPoller
 from cecsim.scenarios import builtin_scenario, run_scenario
 from cecsim.testbed import EXPECTED_TESTBED_SCAN
 from cecsim.topology import propagation_domains
@@ -215,8 +217,8 @@ class TestScanWalk:
 
 class TestTargetedDos:
     def test_fires_one_tick_after_trigger(self, testbed_sim):
-        dos = TargetedDos("listener", target_address=0)
-        dos.arm()
+        dos = TargetedDos("listener")
+        dos.armed = True
         testbed_sim.add_actor(dos)
         testbed_sim.schedule(4, testbed_sim.user_action, "tv", UserAction.POWER_OFF)
         testbed_sim.schedule(8, testbed_sim.user_action, "tv", UserAction.POWER_ON)
@@ -229,8 +231,8 @@ class TestTargetedDos:
         assert len(announcements_heard(testbed_sim, "listener")) == len(standbys) == 3
 
     def test_every_fire_sends_an_equal_standby(self, testbed_sim):
-        dos = TargetedDos("listener", target_address=0)
-        dos.arm()
+        dos = TargetedDos("listener")
+        dos.armed = True
         testbed_sim.add_actor(dos)
         testbed_sim.schedule(4, testbed_sim.user_action, "tv", UserAction.POWER_OFF)
         for tick in (8, 20):
@@ -253,15 +255,15 @@ class TestTargetedDos:
 
     def test_ignores_own_frames(self, testbed_sim):
         dos = TargetedDos("listener")
-        dos.arm()
+        dos.armed = True
         testbed_sim.add_actor(dos)
         testbed_sim.transmit_at(3, "listener", CecFrame(1, 15, 0x84, b"\xf0\xf0\x01"))
         testbed_sim.run(until=8)
         assert standbys_from(testbed_sim, "listener") == []
 
     def test_keeps_target_down(self, testbed_sim):
-        dos = TargetedDos("listener", target_address=0)
-        dos.arm()
+        dos = TargetedDos("listener")
+        dos.armed = True
         testbed_sim.add_actor(dos)
         testbed_sim.schedule(4, testbed_sim.user_action, "tv", UserAction.POWER_OFF)
         for tick in (8, 20, 32):
@@ -338,7 +340,7 @@ class TestBroadcastDos:
         testbed_sim.add_actor(dos)
         dos.activate(testbed_sim)
         testbed_sim.run(until=10)
-        dos.deactivate()
+        dos.active = False
         seen = len([e for e in testbed_sim.trace.events if e.origin == "listener"])
         testbed_sim.run(until=30)
         again = len([e for e in testbed_sim.trace.events if e.origin == "listener"])
@@ -354,7 +356,7 @@ class TestBroadcastDos:
         testbed_sim.add_actor(dos)
         dos.activate(testbed_sim)
         for tick in (3, 6):
-            testbed_sim.schedule(tick, dos.deactivate)
+            testbed_sim.schedule(tick, setattr, dos, "active", False)
             testbed_sim.schedule(tick, dos.activate, testbed_sim)
         testbed_sim.run(until=10)
         assert self._churn_ticks(testbed_sim) == list(range(10))
@@ -363,7 +365,7 @@ class TestBroadcastDos:
         dos = BroadcastDos("listener")
         testbed_sim.add_actor(dos)
         dos.activate(testbed_sim)
-        testbed_sim.schedule(3, dos.deactivate)
+        testbed_sim.schedule(3, setattr, dos, "active", False)
         testbed_sim.schedule(7, dos.activate, testbed_sim)
         testbed_sim.run(until=10)
         assert self._churn_ticks(testbed_sim) == [0, 1, 2, 3, 8, 9]
@@ -398,9 +400,12 @@ class TestAttackController:
 
     def test_own_marker_does_not_arm(self, testbed_sim):
         controller, _ = self.wired(testbed_sim)
-        testbed_sim.transmit_at(3, "listener", ARM_TARGETED_MARKER)
-        testbed_sim.run(until=5)
+        for tick, marker in enumerate((ARM_TARGETED_MARKER, ARM_BROADCAST_MARKER), start=3):
+            testbed_sim.transmit_at(tick, "listener", marker)
+        testbed_sim.run(until=10)
         assert not controller.targeted.armed
+        assert not controller.broadcast.active
+        assert not any(e.frame.opcode in fr.CHURN_OPCODES for e in testbed_sim.trace.events)
 
     @pytest.mark.parametrize("marker", [ARM_TARGETED_MARKER, ARM_BROADCAST_MARKER])
     def test_only_the_exact_marker_arms(self, testbed_sim, marker):
@@ -428,21 +433,25 @@ class TestAttackController:
         controller, store = self.wired(testbed_sim)
         assert controller.sender.store is store
         assert controller.sender.device == "listener"
-        assert testbed_sim.actors == [
-            controller.targeted, controller.broadcast, controller, controller.sender
-        ]
+        services = [controller.targeted, controller.broadcast, controller.sender]
+        assert testbed_sim.actors == services
+        # A frame reaches at most one service, so their add order never
+        # decides the order of reactions to it.
+        for first, second in itertools.combinations(services, 2):
+            assert not first.hears & second.hears
 
     def test_cancel_all(self, testbed_sim):
         controller, _ = self.wired(testbed_sim)
-        controller.targeted.arm()
+        controller.targeted.armed = True
         controller.broadcast.activate(testbed_sim)
-        controller.cancel_all()
+        poller = RelayPoller(LoopbackRelayClient(), controller, interval_ticks=1)
+        poller._dispatch(testbed_sim, json.dumps({"command": "CANCEL"}))
         assert not controller.targeted.armed
         assert not controller.broadcast.active
 
 
 # ---------------------------------------------------------------------------
-# Marker equivalence: direct calls against bus-delivered markers
+# Marker equivalence: direct calls and relay commands against bus-delivered markers
 # ---------------------------------------------------------------------------
 
 class TestTriggerEquivalence:
@@ -467,3 +476,20 @@ class TestTriggerEquivalence:
         assert frames[0][0] == 6
         texts = [t for _, t in frames]
         assert texts[:5] == ["10:04", "1f:82:10:00", "1f:82:20:00", "1f:82:30:00", "1f:82:40:00"]
+
+        # The targeted marker and a relay TDOS naming no target arm the same
+        # standby: one Standby to the display per announcement it makes.
+        sim = Simulator(build_testbed())
+        controller = AttackController("listener", PayloadStore(seed=0))
+        controller.register(sim)
+        sim.start()
+        if via_marker:
+            sim.transmit_at(5, "client", ARM_TARGETED_MARKER)
+        else:
+            poller = RelayPoller(LoopbackRelayClient(), controller, interval_ticks=1)
+            sim.schedule(5, poller._dispatch, sim, json.dumps({"command": "TDOS"}))
+        sim.schedule(10, sim.user_action, "tv", UserAction.POWER_OFF)
+        sim.schedule(15, sim.user_action, "tv", UserAction.POWER_ON)
+        sim.run(until=30)
+        standbys = [(e.tick, e.frame.text) for e in standbys_from(sim, "listener")]
+        assert standbys == [(16, "10:36"), (17, "10:36"), (18, "10:36")]

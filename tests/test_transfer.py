@@ -1,5 +1,6 @@
 """Covert file channel: segmentation, reassembly, failure handling."""
 
+import logging
 import math
 import os
 import stat
@@ -138,17 +139,21 @@ class TestPayloadStore:
         store.capture = b"capture"
         store.scan_report = b"report"
         assert store.current() == b"capture"
-        store.arm_mic()
+        store.mic_armed = True
         assert store.current() == store.mic_blob
         empty = PayloadStore(seed=1)
         empty.scan_report = b"report"
         assert empty.current() == b"report"
         assert PayloadStore(seed=1).current() == b""
 
-    def test_mic_arming_idempotent(self):
-        store = PayloadStore(seed=1)
-        assert store.arm_mic() is True
-        assert store.arm_mic() is False
+    def test_mic_arming_idempotent(self, caplog):
+        caplog.set_level(logging.INFO, logger="cecsim.transfer")
+        sim, _, _, store = wired_sim(b"payload")
+        for tick in (2, 3):
+            sim.transmit_at(tick, "pc", MIC_MARKER)
+        sim.run(until=5)
+        assert store.mic_armed
+        assert [r.getMessage() for r in caplog.records] == ["spy mic payload armed"]
 
     def test_mic_blob_depends_on_seed(self):
         assert PayloadStore(seed=1).mic_blob != PayloadStore(seed=2).mic_blob
