@@ -2,10 +2,13 @@
 
 A tick is a scheduling slot, not a frame time.  Work queues as calls keyed
 by (tick, insertion order), and frames that share a tick go on the wire in
-that order, so identical inputs always replay to byte-identical traces.  A
-device's i-th response to a frame lands i+1 ticks after that frame, and a
-user action's i-th emission lands i ticks after the action.  No
-arbitration is modelled: any number of frames may share a tick.  The
+that order, so identical inputs always replay to byte-identical traces.
+Two queues keep that order: a heap holds the calls for later ticks, and a
+FIFO the calls for the tick being run (a covert sender queues each data
+frame as it ticks), which the tick runs after its heap calls, all queued
+earlier.  A device's i-th response to a frame lands i+1 ticks after that
+frame, and a user action's i-th emission lands i ticks after the action.
+No arbitration is modelled: any number of frames may share a tick.  The
 control wire is shared: every device reachable from the transmitter over
 propagating cables observes every frame, whoever it is addressed to.
 
@@ -245,8 +248,10 @@ class Simulator:
         self._pressure: dict[str, deque[int]] = defaultdict(
             partial(deque, maxlen=dv.MENU_PRESSURE_LIMIT)
         )
+        # Calls for later ticks, as (tick, seq, fn, args), and for this one.
         self._queue: list = []
         self._seq = 0
+        self._now: deque[tuple] = deque()
         self._session_counter = 0
         self._started = False
 
@@ -317,7 +322,11 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def schedule(self, tick: int, fn, *args):
-        """Call `fn(*args)` at `tick`, after everything already queued for it."""
+        """Call `fn(*args)` at `tick`, after everything already queued for it:
+        on the FIFO `_now` when `tick` is the current one, else on the heap."""
+        if tick == self.clock:
+            self._now.append((fn, args))
+            return
         if tick < self.clock:
             raise ValueError(
                 "cannot schedule at tick %d, clock is already at %d" % (tick, self.clock)
@@ -466,15 +475,19 @@ class Simulator:
         """Process every tick before `until`; with no actor awake, the clock
         jumps straight to the next queued call, or to `until`."""
         self.start()
+        queue, now = self._queue, self._now
         while self.clock < until:
             tick = self.clock
             for actor in self._tickers:
                 actor.on_tick(self, tick)
-            while self._queue and self._queue[0][0] == tick:
-                _, _, fn, args = heapq.heappop(self._queue)
+            while queue and queue[0][0] == tick:
+                _, _, fn, args = heapq.heappop(queue)
+                fn(*args)
+            while now:
+                fn, args = now.popleft()
                 fn(*args)
             if self._tickers:
                 self.clock = tick + 1
             else:
-                self.clock = min(self._queue[0][0], until) if self._queue else until
+                self.clock = min(queue[0][0], until) if queue else until
         return self.trace

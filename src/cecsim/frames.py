@@ -130,7 +130,7 @@ class PhysicalAddress:
         return port if port != 0 else None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CecFrame:
     """One CEC frame: header nibbles plus optional opcode and operands.
 
@@ -141,6 +141,17 @@ class CecFrame:
     destination: int
     opcode: int | None = None
     operands: bytes = b""
+
+    # Written out because a frozen dataclass's own `__init__` stores each
+    # field through `object.__setattr__`, most of a frame's build cost; the
+    # slot setters below store them directly.  `__post_init__` stays the
+    # one check, and `dataclasses.replace` and `parse_frame` reach it here.
+    def __init__(self, initiator, destination, opcode=None, operands=b""):
+        _set_initiator(self, initiator)
+        _set_destination(self, destination)
+        _set_opcode(self, opcode)
+        _set_operands(self, operands)
+        self.__post_init__()
 
     def __post_init__(self):
         if not 0 <= self.initiator <= 15:
@@ -174,6 +185,11 @@ class CecFrame:
     @property
     def text(self) -> str:
         return encode_frame(self)
+
+
+_set_initiator, _set_destination, _set_opcode, _set_operands = (
+    vars(CecFrame)[name].__set__ for name in CecFrame.__slots__
+)
 
 
 # Each octet value's text, two lowercase hex digits, indexed by value.

@@ -3,6 +3,8 @@
 import copy
 import dataclasses
 import functools
+import heapq
+import itertools
 import re
 from random import Random
 
@@ -520,6 +522,46 @@ class TestInertFrames:
 # Scheduling and timing
 # ---------------------------------------------------------------------------
 
+# A call: the offset from the clock it is queued at, 0-3, and the calls it
+# queues when it runs.  A program is the calls queued before `run`.
+_calls = st.recursive(
+    st.tuples(st.integers(0, 3), st.just(())),
+    lambda children: st.tuples(st.integers(0, 3), st.lists(children, max_size=3).map(tuple)),
+    max_leaves=12,
+)
+
+_SCHEDULING_TOPOLOGY = build_testbed()
+
+
+def _run_order(program):
+    """(tick, path) of each call of `program`, in the order a simulator runs
+    them; a path names a call by its index in each list above it."""
+    sim, ran = Simulator(_SCHEDULING_TOPOLOGY), []
+
+    def call(path, children):
+        ran.append((sim.clock, path))
+        for i, (offset, grandchildren) in enumerate(children):
+            sim.schedule(sim.clock + offset, call, path + (i,), grandchildren)
+
+    for i, (tick, children) in enumerate(program):
+        sim.schedule(tick, call, (i,), children)
+    sim.run(until=10**6)
+    return ran
+
+
+def _reference_order(program):
+    """The same, from one plain heap keyed by (tick, global insertion index)."""
+    heap, index, ran = [], itertools.count(), []
+    for i, (tick, children) in enumerate(program):
+        heapq.heappush(heap, (tick, next(index), (i,), children))
+    while heap:
+        tick, _, path, children = heapq.heappop(heap)
+        ran.append((tick, path))
+        for i, (offset, grandchildren) in enumerate(children):
+            heapq.heappush(heap, (tick + offset, next(index), path + (i,), grandchildren))
+    return ran
+
+
 class TestTiming:
     def test_query_answered_next_tick(self, testbed_sim):
         testbed_sim.transmit_at(3, "client", CecFrame(2, 0, OP_GIVE_POWER_STATUS))
@@ -558,6 +600,12 @@ class TestTiming:
         testbed_sim.schedule(4, ran.append, "second")
         testbed_sim.run(until=5)
         assert ran == ["earlier tick", "first", "second"]
+
+    @given(st.lists(_calls, max_size=6))
+    @example([(1, ((0, ()),)), (1, ())])
+    @settings(deadline=None, max_examples=200)
+    def test_calls_run_in_the_order_of_one_tick_and_insertion_heap(self, program):
+        assert _run_order(program) == _reference_order(program)
 
     def test_clock_advances_without_work(self, testbed_sim):
         testbed_sim.run(until=25)

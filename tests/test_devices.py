@@ -1,13 +1,14 @@
 """Device reaction model: queries, control gating, announcements, menus."""
 
 import dataclasses
+import heapq
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cecsim import bus, devices
+from cecsim import bus, devices, scenarios
 from cecsim import frames as fr
 from cecsim.bus import Simulator
 from cecsim.devices import (
@@ -589,15 +590,35 @@ def _logs(scenario):
     return rendered(trace.render_log), rendered(trace.render_state_log)
 
 
+def _scenario(name):
+    return load_scenario(_LONG_CHURN) if name == "long-churn" else builtin_scenario(name)
+
+
 @pytest.mark.parametrize("name", builtin_scenario_names() + ["long-churn"])
 def test_a_whole_run_without_the_memo_logs_the_same(name):
-    def scenario():
-        return load_scenario(_LONG_CHURN) if name == "long-churn" else builtin_scenario(name)
-
-    memoized = _logs(scenario())
+    memoized = _logs(_scenario(name))
     with mock.patch.object(bus, "_UNMEMOIZED", _NO_MEMO):
-        assert _logs(scenario()) == memoized
+        assert _logs(_scenario(name)) == memoized
     assert memoized[0]
+
+
+class _HeapOnly(Simulator):
+    """A simulator that queues every call on the (tick, insertion order)
+    heap, those for the current tick too: the reference for `_now`."""
+
+    def schedule(self, tick, fn, *args):
+        assert tick >= self.clock
+        heapq.heappush(self._queue, (tick, self._seq, fn, args))
+        self._seq += 1
+
+
+@pytest.mark.parametrize("name", builtin_scenario_names() + ["long-churn"])
+def test_a_whole_run_with_every_call_on_the_heap_logs_the_same(name, monkeypatch):
+    split = _logs(_scenario(name))
+    monkeypatch.setattr(scenarios, "Simulator", _HeapOnly)
+    assert type(run_scenario(_scenario(name)).sim) is _HeapOnly
+    assert _logs(_scenario(name)) == split
+    assert split[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Frame codec tests: parsing, encoding, addressing tables, value types."""
 
 import dataclasses
+import inspect
 import re
 
 import pytest
@@ -487,3 +488,54 @@ class TestValueTypes:
         with pytest.raises(FrameError):
             dataclasses.replace(CecFrame(4, 0), initiator=16)
         assert dataclasses.replace(CecFrame(4, 0), opcode=0x36) == parse_frame("40:36")
+
+
+class TestConstructor:
+    """`CecFrame.__init__` stores the fields; `__post_init__` is the one check."""
+
+    def test_each_frame_is_checked_exactly_once(self, monkeypatch):
+        checked = []
+        check = CecFrame.__post_init__
+
+        def counting(frame):
+            checked.append(frame)
+            check(frame)
+
+        monkeypatch.setattr(CecFrame, "__post_init__", counting)
+        built = CecFrame(1, 4, 0, b"data")
+        parsed = parse_frame("14:00:64:61:74:61")
+        replaced = dataclasses.replace(built, opcode=0x47)
+        assert [id(f) for f in checked] == [id(built), id(parsed), id(replaced)]
+
+    @given(frames())
+    @settings(deadline=None)
+    def test_keywords_build_the_frame_positions_build(self, frame):
+        i, d, o, ops = frame.initiator, frame.destination, frame.opcode, frame.operands
+        assert CecFrame(i, d, o, ops) == frame
+        assert CecFrame(initiator=i, destination=d, opcode=o, operands=ops) == frame
+        assert CecFrame(i, d, operands=ops, opcode=o) == frame
+        if o is None:
+            assert CecFrame(i, d) == frame
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((16, 16, 300, b"x" * 15), "initiator out of range: 16"),
+            ((0, 16, 300, b"x" * 15), "destination out of range: 16"),
+            ((0, 0, 300, [1] * 15), "operands must be bytes"),
+            ((0, 0, None, b"x" * 15), "polling message cannot carry operands"),
+            ((0, 0, 300, b"x" * 15), "opcode out of range: 300"),
+            ((0, 0, 0x47, b"x" * 15), "too many operands: 15"),
+        ],
+    )
+    def test_the_first_bad_field_in_check_order_is_named(self, args, message):
+        with pytest.raises(FrameError, match="^%s$" % re.escape(message)):
+            CecFrame(*args)
+
+    def test_signature_lists_the_fields_with_their_defaults(self):
+        parameters = inspect.signature(CecFrame).parameters.values()
+        empty = inspect.Parameter.empty
+        assert [(p.name, p.default) for p in parameters] == [
+            ("initiator", empty), ("destination", empty), ("opcode", None), ("operands", b""),
+        ]
+        assert [p.name for p in parameters] == [f.name for f in dataclasses.fields(CecFrame)]
