@@ -68,17 +68,28 @@ def _state(state: DeviceState, **changes) -> DeviceState:
     return _STATES.setdefault(new, new)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True, init=False)
 class DeviceCtx:
     """Addressing context the simulator hands to a reacting device.
 
-    A context is never changed in place: a new logical address gets a new
-    context.
+    A context cannot be changed: every run of a topology shares its
+    contexts (`Topology.claims`), and a new logical address gets a new one.
     """
 
     node: DeviceNode
     logical: int | None
     physical: PhysicalAddress
+
+    # Written out, like `CecFrame.__init__`: the generated one sets each
+    # field through `object.__setattr__`, at over twice the cost, and a
+    # topology's claims make one context per node.
+    def __init__(self, node: DeviceNode, logical: int | None, physical: PhysicalAddress):
+        _set_node(self, node)
+        _set_logical(self, logical)
+        _set_physical(self, physical)
+
+
+_set_node, _set_logical, _set_physical = (vars(DeviceCtx)[n].__set__ for n in DeviceCtx.__slots__)
 
 
 @dataclass

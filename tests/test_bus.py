@@ -25,6 +25,7 @@ from cecsim.frames import (
     OP_STANDBY,
     PowerState,
 )
+from cecsim.ids import apply_mitigation
 from cecsim.relay import RelayPoller
 from cecsim.scenarios import builtin_scenario, builtin_scenario_names, run_scenario
 from cecsim.topology import TopologyError, build_topology, propagation_domains
@@ -186,6 +187,84 @@ class TestAllocation:
         # An actor added before start hears every poll of its domain.
         assert tap.heard == sim.trace.events[:-1]
         assert sim.trace.events[-1].observers == ("far",)
+
+
+class _PollRecorder(Actor):
+    """Hears polls, so a simulator it was added to makes its own claims."""
+
+    hears = frozenset({None})
+
+    def __init__(self, device, heard):
+        super().__init__(device)
+        self.heard = heard
+
+    def on_event(self, sim, event):
+        self.heard.append(event)
+
+
+def _holders(sim):
+    return {node_id: domain.holders for node_id, domain in sim._domains.items()}
+
+
+class TestClaimsView:
+    @given(tree_topologies(), st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_adopted_claims_equal_claims_made_under_a_poll_listener(self, topology, data):
+        muted = data.draw(st.sets(st.sampled_from(sorted(topology.nodes))))
+        nodes = {
+            n: dataclasses.replace(node, cec_info_reporting_enabled=n not in muted)
+            for n, node in topology.nodes.items()
+        }
+        topology = dataclasses.replace(topology, nodes=nodes)
+        adopting, other, claiming = Simulator(topology), Simulator(topology), Simulator(topology)
+        heard = []
+        # One recorder per domain, so that each poll is heard once.
+        for members in {id(m): m for m in topology.domains.values()}.values():
+            claiming.add_actor(_PollRecorder(members[0], heard))
+        for sim in (adopting, other, claiming):
+            sim.start()
+        view = topology.claims
+        assert heard == claiming.trace.events == list(view.events)
+        assert all(e.tick == 0 and e.frame.is_polling for e in heard)
+        claimed = [n for n, node in nodes.items() if node.cec_addressed]
+        for sim in (adopting, other):
+            assert sim.trace.events == claiming.trace.events
+            assert sim.logical == claiming.logical == view.logical
+            assert sim.device_states == claiming.device_states == view.states
+            assert sim._ctx == claiming._ctx == view.contexts
+            assert _holders(sim) == _holders(claiming)
+            assert sim._memos == claiming._memos == {n: {} for n in claimed}
+        # The adopting run shares nothing it changes with the view or another run.
+        for holders in itertools.chain(*(d.holders.values() for d in adopting._domains.values())):
+            holders.append("intruder")
+        for memo in adopting._memos.values():
+            memo[0, 0] = None
+        adopting.logical.clear()
+        adopting.device_states.clear()
+        fresh = Simulator(topology)
+        fresh.start()
+        for sim in (other, fresh):
+            assert sim.logical == claiming.logical == view.logical
+            assert sim.device_states == claiming.device_states == view.states
+            assert _holders(sim) == _holders(claiming)
+            assert sim._memos == claiming._memos
+
+    def test_a_mitigated_topology_makes_its_own_claims(self, testbed_topology):
+        # Without CEC the listener no longer acks its poll, so the client,
+        # the next recording device, claims its address too.
+        mitigated = apply_mitigation(testbed_topology, {"type": "disable_cec", "device": "listener"})
+        claims, own = testbed_topology.claims, mitigated.claims
+        assert own is mitigated.claims and own is not claims
+        assert (claims.logical["listener"], claims.logical["client"]) == (1, 2)
+        assert (own.logical["listener"], own.logical["client"]) == (1, 1)
+        assert not own.states["listener"].cec_info_reporting_enabled
+        assert [(e.origin, e.frame.text, e.acknowledged) for e in own.events[1:3]] == [
+            ("listener", "11", False), ("client", "11", False),
+        ]
+        sim = Simulator(mitigated)
+        sim.start()
+        assert sim.logical == own.logical
+        assert sim._domains["client"].holders[1] == ["listener", "client"]
 
 
 # ---------------------------------------------------------------------------

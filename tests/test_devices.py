@@ -2,6 +2,7 @@
 
 import dataclasses
 import heapq
+from dataclasses import FrozenInstanceError
 from unittest import mock
 
 import pytest
@@ -36,7 +37,13 @@ from cecsim.frames import (
     QUERY_OPCODES,
     RESPONSE_OPCODES,
 )
-from cecsim.scenarios import builtin_scenario, builtin_scenario_names, load_scenario, run_scenario
+from cecsim.scenarios import (
+    builtin_scenario,
+    builtin_scenario_names,
+    load_scenario,
+    run_scenario,
+    write_artifacts,
+)
 from cecsim.topology import MAX_PORTS, build_topology
 
 from conftest import build_testbed, rendered
@@ -534,6 +541,18 @@ class TestMemo:
         assert first._memos[device] is not second._memos[device]
         assert not any(second._memos.values())
 
+    def test_simulators_of_one_topology_share_contexts_that_cannot_change(self):
+        topology = build_testbed()
+        first, second = Simulator(topology), Simulator(topology)
+        first.start()
+        second.start()
+        ctx = first.device_ctx("tv")
+        assert second.device_ctx("tv") is ctx
+        for name, value in (("node", topology.nodes["amp"]), ("logical", 5), ("physical", None)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(ctx, name, value)
+        assert ctx == DeviceCtx(topology.nodes["tv"], 0, PhysicalAddress((0, 0, 0, 0)))
+
     def test_memo_is_cleared_at_its_limit(self, sim, monkeypatch):
         reacted = []
         real = devices.react
@@ -600,6 +619,38 @@ def test_a_whole_run_without_the_memo_logs_the_same(name):
     with mock.patch.object(bus, "_UNMEMOIZED", _NO_MEMO):
         assert _logs(_scenario(name)) == memoized
     assert memoized[0]
+
+
+class _ClaimsItself(Simulator):
+    """A simulator whose `start` makes its claims itself, as it does under
+    an actor that hears polls: the reference for adopting them."""
+
+    def start(self):
+        hearer = bus.Actor(next(iter(self.topology.nodes)))
+        self.add_actor(hearer)
+        super().start()
+        self.remove_actor(hearer)
+
+
+@pytest.mark.parametrize("name", builtin_scenario_names() + ["long-churn"])
+def test_two_runs_of_one_loaded_scenario_write_the_same_logs(name, tmp_path, monkeypatch):
+    # The reference run makes its own claims and leaves the topology's
+    # unmade; the first plain run makes them and adopts them, the second
+    # adopts them as they were left.
+    scenario = _scenario(name)
+    runs, written = [], []
+    for out in ("itself", "first", "second"):
+        with monkeypatch.context() as patch:
+            if out == "itself":
+                patch.setattr(scenarios, "Simulator", _ClaimsItself)
+            runs.append(run_scenario(scenario))
+        write_artifacts(runs[-1], str(tmp_path / out))
+        written.append([(tmp_path / out / f).read_bytes() for f in ("trace.log", "state.log", "alerts.jsonl")])
+    assert written[0] == written[1] == written[2]
+    assert written[0][0]
+    itself, first, second = (run.sim for run in runs)
+    assert type(itself) is _ClaimsItself and type(second) is Simulator
+    assert all(first.device_ctx(n) is second.device_ctx(n) for n in scenario.topology.nodes)
 
 
 class _HeapOnly(Simulator):
