@@ -31,13 +31,10 @@ no key's ids can name other objects while it lives.  Queries and Request
 Active Source skip it: a device answers each about once per scan, so their
 entries would only take memory.
 
-Only `start`, which `run` calls, sets up claims; a frame sent before it
-raises TopologyError.  Claims are the topology's, like its addresses and
-domains: `Topology.claims` makes them once, on a simulator with no actor,
-and each run adopts copies.  That is exact while no actor of the run hears
-polls, since then no actor code can run while claims are made; a run with
-such an actor makes its own, so that the actor hears each poll.  The
-sixteen poll frames are built once, in `_POLLS`.
+Only `start`, which `run` calls, makes claims; a frame sent before it raises
+TopologyError.  A run's fixed cost is its claims, which every run makes: its
+addresses and domains are the topology's, the sixteen poll frames are built
+once, in `_POLLS`, and initial states come from the devices' state table.
 """
 
 import heapq
@@ -46,7 +43,6 @@ import re
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from types import MappingProxyType
 from typing import NamedTuple, TextIO
 
 from cecsim import devices as dv
@@ -72,16 +68,9 @@ _UNMEMOIZED = frozenset(fr.QUERY_OPCODES + (fr.OP_REQUEST_ACTIVE_SOURCE,))
 _POLLS = tuple(CecFrame(a, a) for a in range(16))
 
 
-@lru_cache(maxsize=128)
-def _candidates(fixed: int | None, device_type: fr.DeviceType) -> tuple[int, ...]:
-    """The addresses a device polls for, in order: its configured fixed
-    address, then the rest of its type's usual claim order."""
-    usual = logical_candidates(device_type)
-    return usual if fixed is None else (fixed, *(c for c in usual if c != fixed))
-
-
-# Tick, origin, frame text, 1 or 0 for the ack, and the joined observers.
-_EVENT_LINE = "t=%d | %s | %s | ack=%d | obs=%s\n"
+# Tick, origin, frame text and 1 or 0 for the ack; the joined observers and
+# the newline follow.
+_EVENT_HEAD = "t=%d | %s | %s | ack=%d | obs="
 _CHANGE_LINE = "t=%d | %s | %s=%s\n"
 
 
@@ -102,17 +91,6 @@ class StateChange(NamedTuple):
     device: str
     field: str
     value: str
-
-
-class Claims(NamedTuple):
-    """A topology's logical-address claims (`Topology.claims`): the polls
-    that made them, at tick 0, and each node's logical address, initial
-    state and context, in declaration order."""
-
-    events: tuple[BusEvent, ...]
-    logical: MappingProxyType[str, int | None]
-    states: MappingProxyType[str, dv.DeviceState]
-    contexts: MappingProxyType[str, dv.DeviceCtx]
 
 
 # Positional builders of the two records: `tuple.__new__` in C, without the
@@ -173,13 +151,17 @@ class Trace:
 
     def render_log(self, out: TextIO):
         """Write one `trace.log` line per event to `out`."""
-        # Events of one domain share its members tuple: join it once.
+        # Events of one domain share its members tuple: join it once, and
+        # write it as a piece of its own rather than copy it into each line
+        # (a 500-node domain's is 2.5 kB).
         joined: dict[int, str] = {}
+        write = out.write
         for e in self.events:
             observers = joined.get(id(e.observers))
             if observers is None:
-                observers = joined[id(e.observers)] = ",".join(e.observers)
-            out.write(_EVENT_LINE % (e.tick, e.origin, e.frame.text, e.acknowledged, observers))
+                observers = joined[id(e.observers)] = ",".join(e.observers) + "\n"
+            write(_EVENT_HEAD % (e.tick, e.origin, e.frame.text, e.acknowledged))
+            write(observers)
 
     def render_state_log(self, out: TextIO):
         """Write one `state.log` line per change to `out`."""
@@ -284,20 +266,12 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def start(self):
-        """Set up this run's domains, then its device states and logical
-        addresses: copies of `Topology.claims`, or, when an added actor hears
-        polls, claims made here as `Topology.claims` makes them.  `run`
+        """Set up this run's domains and device states, then let devices
+        claim logical addresses by polling, in declaration order.  `run`
         calls it; a second call does nothing."""
         if self._started:
             return
         self._started = True
-        self._set_up_domains()
-        if any(a.hears is None or None in a.hears for a in self.actors):
-            self._make_claims()
-        else:
-            self._adopt(self.topology.claims)
-
-    def _set_up_domains(self):
         nodes = self.topology.nodes
         # A domain is keyed by its first member, so each is built once.
         by_first: dict[str, _Domain] = {}
@@ -306,11 +280,6 @@ class Simulator:
             if domain is None:
                 domain = by_first[members[0]] = _Domain(members, nodes)
             self._domains[node_id] = domain
-
-    def _make_claims(self):
-        """Give every device its initial state, then let each CEC-addressed
-        one claim a logical address by polling, in declaration order."""
-        nodes = self.topology.nodes
         for node_id, node in nodes.items():
             self.device_states[node_id] = dv.DeviceState.initial(node)
             self.logical[node_id] = None
@@ -321,33 +290,21 @@ class Simulator:
             if node.cec_addressed:
                 self.allocate_logical_address(node_id)
 
-    def _adopt(self, claims: Claims):
-        """Take `claims` as this run's own: copies of its mappings, its
-        polls on the trace, and per claimed device a holder entry and an
-        empty memo, made in declaration order as `_claim` makes them."""
-        self.trace.events.extend(claims.events)
-        self.logical = claims.logical.copy()
-        self.device_states = claims.states.copy()
-        self._ctx = claims.contexts.copy()
-        domains, memos = self._domains, self._memos
-        for node_id, address in self.logical.items():
-            if address is not None:
-                domains[node_id].holders.setdefault(address, []).append(node_id)
-                memos[node_id] = {}
-
     def allocate_logical_address(self, device_id: str) -> int:
-        """Poll candidate addresses and claim the first free one; a
-        topology's claims (or a run's own, see `start`) are each device's
-        one claim, made here, so a later call raises ValueError.
+        """Poll candidate addresses and claim the first free one; `start`
+        makes each device's one claim here, so a later call raises ValueError.
         A configured fixed address is tried before the type's usual claim
         order.  Returns 15 (stays unregistered) when everything is taken.
         """
         node = self.topology.nodes[device_id]
         if not node.cec_addressed or self.logical[device_id] is not None:
             raise ValueError("%s is not CEC-addressed or already holds an address" % device_id)
-        for candidate in _candidates(node.logical_address, node.device_type):
-            event = self.deliver(device_id, _POLLS[candidate])
-            if not event.acknowledged:
+        candidates = logical_candidates(node.device_type)
+        fixed = node.logical_address
+        if fixed is not None:
+            candidates = (fixed, *(c for c in candidates if c != fixed))
+        for candidate in candidates:
+            if not self.deliver(device_id, _POLLS[candidate]).acknowledged:
                 return self._claim(device_id, candidate)
         log.warning("%s found no free logical address", device_id)
         return self._claim(device_id, UNREGISTERED)
@@ -537,17 +494,3 @@ class Simulator:
             else:
                 self.clock = min(queue[0][0], until) if queue else until
         return self.trace
-
-
-def make_claims(topology: Topology) -> Claims:
-    """The claims a run of `topology` with no actor makes in `start`, made
-    on such a run: `Topology.claims` calls this once per topology."""
-    sim = Simulator(topology)
-    sim._set_up_domains()
-    sim._make_claims()
-    return Claims(
-        tuple(sim.trace.events),
-        MappingProxyType(sim.logical),
-        MappingProxyType(sim.device_states),
-        MappingProxyType(sim._ctx),
-    )

@@ -10,15 +10,18 @@ A user action (`apply_user_action`) is the same kind of transition, made
 by someone at the device's own buttons instead of by a frame: it returns a
 `Reaction` too, with the reason the device refused it, if it did.
 
-Device states are compared by reference.  Every state a transition makes
-comes from `_state`, which returns the first-made object of each value, so
-equal results are one object; the table holds at most 256 of them.  Only
-`DeviceState.initial` builds a state outside it.  The simulator caches
-reactions by the identities of the state and the frame (see `cecsim.bus`).
+Device states are compared by reference.  Every state comes from the one
+table of them, `_STATES`, which holds the first-made object of each value,
+so equal states are one object; it holds at most 256 of them.  Transitions
+reach it through `_state`, and `DeviceState.initial` through `_initial`.
+The simulator caches reactions by the identities of the state and the
+frame (see `cecsim.bus`), and not by the device's context, which cannot
+change.
 """
 
 import enum
 from dataclasses import dataclass, replace
+from functools import cache
 
 from cecsim import frames as fr
 from cecsim.frames import CecFrame, PhysicalAddress, PowerState
@@ -47,17 +50,17 @@ class DeviceState:
 
     @classmethod
     def initial(cls, node: DeviceNode) -> "DeviceState":
-        return cls(
-            power=node.initial_power,
-            active_source=node.active_source,
-            active_input_port=node.active_input_port,
-            cec_control_enabled=node.cec_control_enabled,
-            cec_info_reporting_enabled=node.cec_info_reporting_enabled,
+        return _initial(
+            node.initial_power,
+            node.active_source,
+            node.active_input_port,
+            node.cec_control_enabled,
+            node.cec_info_reporting_enabled,
         )
 
 
-# Every state `_state` has made, by value: at most 2 powers x 2 claims x 16
-# ports (None or 1..MAX_PORTS) x 2 x 2 flags = 256.
+# Every state made, by value: at most 2 powers x 2 claims x 16 ports (None
+# or 1..MAX_PORTS) x 2 x 2 flags = 256.
 _STATES: dict[DeviceState, DeviceState] = {}
 
 
@@ -68,28 +71,26 @@ def _state(state: DeviceState, **changes) -> DeviceState:
     return _STATES.setdefault(new, new)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+# Bounded like `_STATES`.  A fleet's nodes start in a few states, so a run's
+# start looks each one up instead of building it.
+@cache
+def _initial(*fields) -> DeviceState:
+    """The state with these field values: the first-made object of that value."""
+    new = DeviceState(*fields)
+    return _STATES.setdefault(new, new)
+
+
+@dataclass(frozen=True, slots=True)
 class DeviceCtx:
     """Addressing context the simulator hands to a reacting device.
 
-    A context cannot be changed: every run of a topology shares its
-    contexts (`Topology.claims`), and a new logical address gets a new one.
+    A context cannot be changed, since the simulator's reaction memo is not
+    keyed by it: a new logical address gets a new context.
     """
 
     node: DeviceNode
     logical: int | None
     physical: PhysicalAddress
-
-    # Written out, like `CecFrame.__init__`: the generated one sets each
-    # field through `object.__setattr__`, at over twice the cost, and a
-    # topology's claims make one context per node.
-    def __init__(self, node: DeviceNode, logical: int | None, physical: PhysicalAddress):
-        _set_node(self, node)
-        _set_logical(self, logical)
-        _set_physical(self, physical)
-
-
-_set_node, _set_logical, _set_physical = (vars(DeviceCtx)[n].__set__ for n in DeviceCtx.__slots__)
 
 
 @dataclass

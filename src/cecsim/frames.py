@@ -29,16 +29,15 @@ class DeviceType(enum.Enum):
     FREE_USE = "free_use"
 
 
-# Fixed claim order for logical addresses, by device type.  Reserved types
-# never claim an address; everything else falls back to the shared free-use
-# address once its own candidates are exhausted.
+# Claim order of logical addresses, by device type: a type's own candidates,
+# then the shared free-use address.  Reserved types never claim an address.
 _TYPE_CANDIDATES = {
-    DeviceType.TELEVISION: (0,),
-    DeviceType.RECORDING: (1, 2),
-    DeviceType.TUNER: (3, 6, 7, 10),
-    DeviceType.PLAYBACK: (4, 8, 9, 11),
+    DeviceType.TELEVISION: (0, FREE_USE),
+    DeviceType.RECORDING: (1, 2, FREE_USE),
+    DeviceType.TUNER: (3, 6, 7, 10, FREE_USE),
+    DeviceType.PLAYBACK: (4, 8, 9, 11, FREE_USE),
     DeviceType.RESERVED: (),
-    DeviceType.FREE_USE: (),
+    DeviceType.FREE_USE: (FREE_USE,),
 }
 
 # Operand value of Report Physical Address identifying the reporter's type.
@@ -54,10 +53,7 @@ DEVICE_TYPE_OPERAND = {
 
 def logical_candidates(device_type: DeviceType) -> tuple[int, ...]:
     """Claim order of logical addresses for a device type."""
-    base = _TYPE_CANDIDATES[device_type]
-    if device_type is DeviceType.RESERVED:
-        return base
-    return base + (FREE_USE,)
+    return _TYPE_CANDIDATES[device_type]
 
 
 @dataclass(frozen=True, slots=True)

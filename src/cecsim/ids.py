@@ -141,10 +141,12 @@ class Detector:
 
     def _check_scan(self, event: BusEvent):
         window = self._window(RULE_SCAN_BURST, event, self.config.scan_window)
-        if window is None:
-            return
-        if len({f.destination for _, f in window}) >= self.config.scan_distinct_addresses:
-            self._fire(RULE_SCAN_BURST, event.origin, window)
+        # A window of fewer frames than the limit cannot hold that many
+        # destinations, so a device's few claim polls build no set.
+        limit = self.config.scan_distinct_addresses
+        if window is not None and len(window) >= limit:
+            if len({f.destination for _, f in window}) >= limit:
+                self._fire(RULE_SCAN_BURST, event.origin, window)
 
     def _check_churn(self, event: BusEvent):
         window = self._window(RULE_INPUT_CHURN, event, self.config.churn_window)

@@ -110,6 +110,13 @@ def read_json_file(path: str, what: str):
     return document
 
 
+# A new file's write buffer, twice the usual 8 KiB: a 500-node trace is
+# megabytes, since each line names every observer, and every write call
+# costs a system call.  Artifacts are written as they are rendered, so a
+# larger buffer would hold more of a log in memory at once.
+_WRITE_BUFFER = 1 << 14
+
+
 def new_file(out_dir: str, name: str, binary: bool = False):
     """Open `out_dir/name` as a new file, UTF-8 text unless `binary`.  What
     was at that name (a file, a symlink, a hard link) is unlinked first,
@@ -120,4 +127,6 @@ def new_file(out_dir: str, name: str, binary: bool = False):
         os.unlink(path)
     except FileNotFoundError:
         pass
-    return open(path, "xb") if binary else open(path, "x", encoding="utf-8")
+    if binary:
+        return open(path, "xb", buffering=_WRITE_BUFFER)
+    return open(path, "x", encoding="utf-8", buffering=_WRITE_BUFFER)

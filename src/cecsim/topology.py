@@ -9,8 +9,8 @@ stays unregistered at f.f.f.f; an intermediate without its own EDID hop
 so everything behind it sees the same port address.  A `Topology` is a
 value nothing can edit: its nodes are frozen and held, with its vendor
 names, in read-only mappings, its edges are a tuple, its root is found once
-by `build_topology`, and its read-only views (addresses, domains and the
-logical-address claims) are computed once.
+by `build_topology`, and its read-only views (addresses, domains) are
+computed once.
 """
 
 import enum
@@ -19,13 +19,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import TYPE_CHECKING
 
 from cecsim import schema
 from cecsim.frames import DeviceType, FrameError, PhysicalAddress, PowerState, parse_vendor_id
-
-if TYPE_CHECKING:
-    from cecsim import bus
 
 
 class TopologyError(schema.FieldError):
@@ -125,14 +121,6 @@ class Topology:
     def domains(self) -> MappingProxyType[str, tuple[str, ...]]:
         """Each node's propagation domain (`propagation_domains`)."""
         return MappingProxyType(propagation_domains(self))
-
-    @cached_property
-    def claims(self) -> "bus.Claims":
-        """Each node's logical-address claim, made once by a run with no
-        actor (`bus.make_claims`)."""
-        from cecsim import bus  # bus imports this module
-
-        return bus.make_claims(self)
 
     def listeners(self) -> list[str]:
         return [n.id for n in self.nodes.values() if n.kind is DeviceKind.ATTACKER_LISTENER]

@@ -190,7 +190,7 @@ class TestAllocation:
 
 
 class _PollRecorder(Actor):
-    """Hears polls, so a simulator it was added to makes its own claims."""
+    """Hears every poll its device observes."""
 
     hears = frozenset({None})
 
@@ -202,69 +202,96 @@ class _PollRecorder(Actor):
         self.heard.append(event)
 
 
-def _holders(sim):
-    return {node_id: domain.holders for node_id, domain in sim._domains.items()}
+def _claims_by_the_rule(topology):
+    """Each node's logical address, each domain's holders and each poll as
+    (origin, address, ack), from the claim rule alone: in declaration order,
+    each CEC-addressed device polls its candidates, a configured address
+    first, until a poll goes unacknowledged, or else takes 15.  A poll is
+    acknowledged when the first holder of its address in the poller's
+    domain, in members order, reports information."""
+    domains = propagation_domains(topology)
+    logical = dict.fromkeys(topology.nodes)
+    holders, polls = {}, []
+    for node_id, node in topology.nodes.items():
+        if not node.cec_addressed:
+            continue
+        members, fixed = domains[node_id], node.logical_address
+        order = fr.logical_candidates(node.device_type)
+        if fixed is not None:
+            order = [fixed] + [c for c in order if c != fixed]
+        logical[node_id] = 15
+        for address in order:
+            taken = sorted(holders.get((members, address), []), key=members.index)
+            acknowledged = bool(taken) and topology.nodes[taken[0]].cec_info_reporting_enabled
+            polls.append((node_id, address, acknowledged))
+            if not acknowledged:
+                logical[node_id] = address
+                break
+        holders.setdefault((members, logical[node_id]), []).append(node_id)
+    by_node = {
+        node_id: {a: sorted(h, key=members.index) for (m, a), h in holders.items() if m == members}
+        for node_id, members in domains.items()
+    }
+    return logical, by_node, polls
 
 
-class TestClaimsView:
+class TestClaimRule:
     @given(tree_topologies(), st.data())
     @settings(deadline=None, max_examples=60)
-    def test_adopted_claims_equal_claims_made_under_a_poll_listener(self, topology, data):
-        muted = data.draw(st.sets(st.sampled_from(sorted(topology.nodes))))
+    def test_claims_follow_the_rule_and_are_heard(self, topology, data):
+        # Some nodes report nothing, and some are configured to an address.
+        names = st.sampled_from(sorted(topology.nodes))
+        muted = data.draw(st.sets(names))
+        fixed = data.draw(st.dictionaries(names, st.integers(0, 14)))
         nodes = {
-            n: dataclasses.replace(node, cec_info_reporting_enabled=n not in muted)
+            n: dataclasses.replace(
+                node, cec_info_reporting_enabled=n not in muted, logical_address=fixed.get(n)
+            )
             for n, node in topology.nodes.items()
         }
         topology = dataclasses.replace(topology, nodes=nodes)
-        adopting, other, claiming = Simulator(topology), Simulator(topology), Simulator(topology)
-        heard = []
+        plain, heard_sim, heard = Simulator(topology), Simulator(topology), []
         # One recorder per domain, so that each poll is heard once.
         for members in {id(m): m for m in topology.domains.values()}.values():
-            claiming.add_actor(_PollRecorder(members[0], heard))
-        for sim in (adopting, other, claiming):
-            sim.start()
-        view = topology.claims
-        assert heard == claiming.trace.events == list(view.events)
-        assert all(e.tick == 0 and e.frame.is_polling for e in heard)
+            heard_sim.add_actor(_PollRecorder(members[0], heard))
+        plain.start()
+        heard_sim.start()
+        logical, holders, polls = _claims_by_the_rule(topology)
         claimed = [n for n, node in nodes.items() if node.cec_addressed]
-        for sim in (adopting, other):
-            assert sim.trace.events == claiming.trace.events
-            assert sim.logical == claiming.logical == view.logical
-            assert sim.device_states == claiming.device_states == view.states
-            assert sim._ctx == claiming._ctx == view.contexts
-            assert _holders(sim) == _holders(claiming)
-            assert sim._memos == claiming._memos == {n: {} for n in claimed}
-        # The adopting run shares nothing it changes with the view or another run.
-        for holders in itertools.chain(*(d.holders.values() for d in adopting._domains.values())):
-            holders.append("intruder")
-        for memo in adopting._memos.values():
-            memo[0, 0] = None
-        adopting.logical.clear()
-        adopting.device_states.clear()
-        fresh = Simulator(topology)
-        fresh.start()
-        for sim in (other, fresh):
-            assert sim.logical == claiming.logical == view.logical
-            assert sim.device_states == claiming.device_states == view.states
-            assert _holders(sim) == _holders(claiming)
-            assert sim._memos == claiming._memos
+        assert heard == heard_sim.trace.events == plain.trace.events
+        assert [(e.origin, e.frame.destination, e.acknowledged) for e in heard] == polls
+        assert all(e.tick == 0 and e.frame is bus._POLLS[e.frame.destination] for e in heard)
+        for sim in (plain, heard_sim):
+            assert sim.logical == logical
+            assert {n: d.holders for n, d in sim._domains.items()} == holders
+            assert sim._memos == {n: {} for n in claimed}
+            for node_id, node in nodes.items():
+                assert sim.device_states[node_id] == dv.DeviceState.initial(node)
+                assert sim.device_ctx(node_id) == dv.DeviceCtx(
+                    node, logical[node_id], topology.physical[node_id]
+                )
+        # Equal initial states are one object, in one run and across runs.
+        for node_id in nodes:
+            assert plain.device_states[node_id] is heard_sim.device_states[node_id]
 
-    def test_a_mitigated_topology_makes_its_own_claims(self, testbed_topology):
+    def test_a_mitigated_topology_makes_claims_of_its_own(self, testbed_topology):
         # Without CEC the listener no longer acks its poll, so the client,
         # the next recording device, claims its address too.
         mitigated = apply_mitigation(testbed_topology, {"type": "disable_cec", "device": "listener"})
-        claims, own = testbed_topology.claims, mitigated.claims
-        assert own is mitigated.claims and own is not claims
-        assert (claims.logical["listener"], claims.logical["client"]) == (1, 2)
+        original, own = Simulator(testbed_topology), Simulator(mitigated)
+        own.start()
+        original.start()
+        assert (original.logical["listener"], original.logical["client"]) == (1, 2)
         assert (own.logical["listener"], own.logical["client"]) == (1, 1)
-        assert not own.states["listener"].cec_info_reporting_enabled
-        assert [(e.origin, e.frame.text, e.acknowledged) for e in own.events[1:3]] == [
+        assert not own.device_states["listener"].cec_info_reporting_enabled
+        assert [(e.origin, e.frame.text, e.acknowledged) for e in own.trace.events[1:3]] == [
             ("listener", "11", False), ("client", "11", False),
         ]
-        sim = Simulator(mitigated)
-        sim.start()
-        assert sim.logical == own.logical
-        assert sim._domains["client"].holders[1] == ["listener", "client"]
+        assert [(e.origin, e.frame.text, e.acknowledged) for e in original.trace.events[1:4]] == [
+            ("listener", "11", False), ("client", "11", True), ("client", "22", False),
+        ]
+        assert own._domains["client"].holders[1] == ["listener", "client"]
+        assert original._domains["client"].holders[1] == ["listener"]
 
 
 # ---------------------------------------------------------------------------

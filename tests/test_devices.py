@@ -541,17 +541,14 @@ class TestMemo:
         assert first._memos[device] is not second._memos[device]
         assert not any(second._memos.values())
 
-    def test_simulators_of_one_topology_share_contexts_that_cannot_change(self):
-        topology = build_testbed()
-        first, second = Simulator(topology), Simulator(topology)
-        first.start()
-        second.start()
-        ctx = first.device_ctx("tv")
-        assert second.device_ctx("tv") is ctx
-        for name, value in (("node", topology.nodes["amp"]), ("logical", 5), ("physical", None)):
+    def test_contexts_cannot_change(self, sim):
+        # The memo is not keyed by the context, so a changed one would leave
+        # reactions cached under the old one.
+        ctx = sim.device_ctx("tv")
+        for name, value in (("node", sim.topology.nodes["amp"]), ("logical", 5), ("physical", None)):
             with pytest.raises(FrozenInstanceError):
                 setattr(ctx, name, value)
-        assert ctx == DeviceCtx(topology.nodes["tv"], 0, PhysicalAddress((0, 0, 0, 0)))
+        assert ctx == DeviceCtx(sim.topology.nodes["tv"], 0, PhysicalAddress((0, 0, 0, 0)))
 
     def test_memo_is_cleared_at_its_limit(self, sim, monkeypatch):
         reacted = []
@@ -621,36 +618,18 @@ def test_a_whole_run_without_the_memo_logs_the_same(name):
     assert memoized[0]
 
 
-class _ClaimsItself(Simulator):
-    """A simulator whose `start` makes its claims itself, as it does under
-    an actor that hears polls: the reference for adopting them."""
-
-    def start(self):
-        hearer = bus.Actor(next(iter(self.topology.nodes)))
-        self.add_actor(hearer)
-        super().start()
-        self.remove_actor(hearer)
-
-
 @pytest.mark.parametrize("name", builtin_scenario_names() + ["long-churn"])
-def test_two_runs_of_one_loaded_scenario_write_the_same_logs(name, tmp_path, monkeypatch):
-    # The reference run makes its own claims and leaves the topology's
-    # unmade; the first plain run makes them and adopts them, the second
-    # adopts them as they were left.
+def test_two_runs_of_one_loaded_scenario_write_the_same_logs(name, tmp_path):
+    # States are interned for the whole process, so the second run finds
+    # the objects the first made; neither they nor the loaded scenario may
+    # carry anything of one run into the next.
     scenario = _scenario(name)
-    runs, written = [], []
-    for out in ("itself", "first", "second"):
-        with monkeypatch.context() as patch:
-            if out == "itself":
-                patch.setattr(scenarios, "Simulator", _ClaimsItself)
-            runs.append(run_scenario(scenario))
-        write_artifacts(runs[-1], str(tmp_path / out))
+    written = []
+    for out in ("first", "second"):
+        write_artifacts(run_scenario(scenario), str(tmp_path / out))
         written.append([(tmp_path / out / f).read_bytes() for f in ("trace.log", "state.log", "alerts.jsonl")])
-    assert written[0] == written[1] == written[2]
+    assert written[0] == written[1]
     assert written[0][0]
-    itself, first, second = (run.sim for run in runs)
-    assert type(itself) is _ClaimsItself and type(second) is Simulator
-    assert all(first.device_ctx(n) is second.device_ctx(n) for n in scenario.topology.nodes)
 
 
 class _HeapOnly(Simulator):
@@ -699,6 +678,16 @@ class TestInterning:
         _, disabled = apply_user_action(ctx, state, UserAction.DISABLE_CEC)
         assert disabled.state is apply_user_action(ctx, copy, UserAction.DISABLE_CEC)[1].state
         assert disabled.state is devices._state(disabled.state, power=disabled.state.power)
+
+    def test_an_initial_state_is_the_tables_object_of_its_value(self, sim):
+        tv = sim.topology.nodes["tv"]
+        initial = DeviceState.initial(tv)
+        assert initial is sim.device_states["tv"] and devices._STATES[initial] is initial
+        # A node that starts with equal fields starts in this object, and a
+        # transition back to its value returns it.
+        assert DeviceState.initial(dataclasses.replace(tv, id="twin", osd_name="Twin")) is initial
+        other = PowerState.STANDBY if initial.power is PowerState.ON else PowerState.ON
+        assert devices._state(devices._state(initial, power=other), power=initial.power) is initial
 
     def test_the_table_stays_within_its_256_values_after_the_builtins(self):
         for name in builtin_scenario_names():
