@@ -286,15 +286,20 @@ class Simulator:
             # A device that claims an address gets its context in `_claim`.
             if not node.cec_addressed:
                 self._ctx[node_id] = dv.DeviceCtx(node, None, self.topology.physical[node_id])
-        for node_id, node in nodes.items():
-            if node.cec_addressed:
-                self.allocate_logical_address(node_id)
+        claims = [self.allocate_logical_address(n) for n, node in nodes.items() if node.cec_addressed]
+        unregistered = claims.count(UNREGISTERED)
+        if unregistered:
+            log.warning(
+                "%d device(s) found no free logical address and stay unregistered (%d)",
+                unregistered, UNREGISTERED,
+            )
 
     def allocate_logical_address(self, device_id: str) -> int:
         """Poll candidate addresses and claim the first free one; `start`
         makes each device's one claim here, so a later call raises ValueError.
         A configured fixed address is tried before the type's usual claim
-        order.  Returns 15 (stays unregistered) when everything is taken.
+        order.  Returns 15 (stays unregistered) when everything is taken;
+        `start` logs how many devices did.
         """
         node = self.topology.nodes[device_id]
         if not node.cec_addressed or self.logical[device_id] is not None:
@@ -306,7 +311,6 @@ class Simulator:
         for candidate in candidates:
             if not self.deliver(device_id, _POLLS[candidate]).acknowledged:
                 return self._claim(device_id, candidate)
-        log.warning("%s found no free logical address", device_id)
         return self._claim(device_id, UNREGISTERED)
 
     def _claim(self, device_id: str, address: int) -> int:

@@ -14,17 +14,18 @@ Device states are compared by reference.  Every state comes from the one
 table of them, `_STATES`, which holds the first-made object of each value,
 so equal states are one object; it holds at most 256 of them.  Transitions
 reach it through `_state`, and `DeviceState.initial` through `_initial`.
-The simulator caches reactions by the identities of the state and the
-frame (see `cecsim.bus`), and not by the device's context, which cannot
-change.
+Each interned state has one shared no-change reaction, so a reaction that
+changes, answers and presses nothing (most of a broadcast's fan-out)
+builds no object.  The simulator caches reactions by the identities of the
+state and the frame (see `cecsim.bus`), and not by the device's context,
+which cannot change.
 """
 
-import enum
 from dataclasses import dataclass, replace
 from functools import cache
 
 from cecsim import frames as fr
-from cecsim.frames import CecFrame, PhysicalAddress, PowerState
+from cecsim.frames import CecFrame, IdentityEnum, PhysicalAddress, PowerState
 from cecsim.topology import DeviceKind, DeviceNode
 
 # Feature Abort reason operands.
@@ -64,11 +65,23 @@ class DeviceState:
 _STATES: dict[DeviceState, DeviceState] = {}
 
 
+# Each interned state's no-change reaction, by the state's id: an interned
+# state lives as long as this table, so no other object can hold its id.
+_UNCHANGED: dict[int, "Reaction"] = {}
+
+
+def _intern(new: DeviceState) -> DeviceState:
+    """The first-made object of `new`'s value."""
+    state = _STATES.setdefault(new, new)
+    if state is new:
+        _UNCHANGED[id(new)] = Reaction(new)
+    return state
+
+
 def _state(state: DeviceState, **changes) -> DeviceState:
     """`state` with the fields `changes` names set: the first-made object of
     that value."""
-    new = replace(state, **changes)
-    return _STATES.setdefault(new, new)
+    return _intern(replace(state, **changes))
 
 
 # Bounded like `_STATES`.  A fleet's nodes start in a few states, so a run's
@@ -76,8 +89,7 @@ def _state(state: DeviceState, **changes) -> DeviceState:
 @cache
 def _initial(*fields) -> DeviceState:
     """The state with these field values: the first-made object of that value."""
-    new = DeviceState(*fields)
-    return _STATES.setdefault(new, new)
+    return _intern(DeviceState(*fields))
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,6 +118,13 @@ class Reaction:
     changed: tuple[tuple[str, str], ...] = ()
 
 
+def _unchanged(state: DeviceState) -> Reaction:
+    """The reaction that leaves `state` as it is and answers nothing: an
+    interned state's shared one, else a new one."""
+    reaction = _UNCHANGED.get(id(state))
+    return Reaction(state) if reaction is None else reaction
+
+
 def _move(old: DeviceState, new: DeviceState, responses=(), pressure=False) -> Reaction:
     """The reaction that moves `old` to `new`, with its `changed` pairs.  A
     cached reaction makes them once, and every change it logs shares the texts."""
@@ -117,7 +136,7 @@ def _move(old: DeviceState, new: DeviceState, responses=(), pressure=False) -> R
     return Reaction(new, tuple(responses), pressure, changed)
 
 
-class UserAction(enum.Enum):
+class UserAction(IdentityEnum):
     POWER_ON = "power_on"
     POWER_OFF = "power_off"
     SELECT_INPUT = "select_input"
@@ -223,11 +242,11 @@ def react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
     same object.
     """
     if frame.is_polling:
-        return Reaction(state)
+        return _unchanged(state)
     addressed = ctx.logical is not None and frame.destination == ctx.logical
     broadcast = frame.is_broadcast
     if not addressed and not broadcast:
-        return Reaction(state)
+        return _unchanged(state)
 
     op = frame.opcode
     control = op in fr.CONTROL_OPCODES and state.cec_control_enabled
@@ -236,7 +255,7 @@ def react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
     # Queries only answer when the device still reports information.
     if addressed and op in fr.QUERY_OPCODES:
         if not state.cec_info_reporting_enabled:
-            return Reaction(state)
+            return _unchanged(state)
         return Reaction(state, (_query_response(ctx, state, frame),))
 
     if op == fr.OP_STANDBY:
@@ -269,17 +288,17 @@ def react(ctx: DeviceCtx, state: DeviceState, frame: CecFrame) -> Reaction:
     if op == fr.OP_REQUEST_ACTIVE_SOURCE and broadcast:
         if state.active_source and state.cec_info_reporting_enabled and ctx.logical is not None:
             return Reaction(state, (_active_source(ctx, ctx.physical),))
-        return Reaction(state)
+        return _unchanged(state)
 
     if op in fr.RESPONSE_OPCODES:
-        return Reaction(state)
+        return _unchanged(state)
 
     if addressed and state.cec_info_reporting_enabled and ctx.logical is not None:
         abort = CecFrame(
             ctx.logical, frame.initiator, fr.OP_FEATURE_ABORT, bytes((op, ABORT_UNRECOGNIZED))
         )
         return Reaction(state, (abort,))
-    return Reaction(state)
+    return _unchanged(state)
 
 
 def apply_user_action(
@@ -299,20 +318,20 @@ def apply_user_action(
     node = ctx.node
     if action is UserAction.POWER_ON:
         if state.power is not PowerState.STANDBY:
-            return "already on", Reaction(state)
+            return "already on", _unchanged(state)
         new_state = _state(state, power=PowerState.ON)
         return "", _move(state, new_state, announcement_frames(ctx, new_state))
 
     if action is UserAction.POWER_OFF:
         if state.power is PowerState.STANDBY:
-            return "already in standby", Reaction(state)
+            return "already in standby", _unchanged(state)
         return "", _move(state, _state(state, power=PowerState.STANDBY))
 
     if action is UserAction.SELECT_INPUT:
         if node.kind not in (DeviceKind.DISPLAY, DeviceKind.SWITCH):
-            return "device has no selectable inputs", Reaction(state)
+            return "device has no selectable inputs", _unchanged(state)
         if not isinstance(argument, int) or not 1 <= argument <= node.input_count:
-            return "unknown input port %r" % (argument,), Reaction(state)
+            return "unknown input port %r" % (argument,), _unchanged(state)
         new_state = state
         if argument != state.active_input_port:
             new_state = _state(state, active_input_port=argument)
@@ -324,6 +343,6 @@ def apply_user_action(
 
     # DISABLE_CEC, the one action left.
     if not menu_accessible:
-        return "settings menu unresponsive", Reaction(state)
+        return "settings menu unresponsive", _unchanged(state)
     disabled = _state(state, cec_control_enabled=False, cec_info_reporting_enabled=False)
     return "", _move(state, disabled)

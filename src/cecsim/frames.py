@@ -20,7 +20,15 @@ class FrameError(ValueError):
     """Raised for structurally invalid frames or unparseable frame text."""
 
 
-class DeviceType(enum.Enum):
+# The base of every cecsim enum.  Members are singletons compared by
+# identity, so they hash by identity too: a C slot, where `Enum.__hash__` is
+# a Python call.  The hash differs between processes, so nothing may iterate
+# a set of members or write a hash out.
+class IdentityEnum(enum.Enum):
+    __hash__ = object.__hash__
+
+
+class DeviceType(IdentityEnum):
     TELEVISION = "television"
     RECORDING = "recording"
     TUNER = "tuner"
@@ -314,7 +322,7 @@ RESPONSE_OPCODES = frozenset(
 )
 
 
-class PowerState(enum.Enum):
+class PowerState(IdentityEnum):
     ON = "on"
     STANDBY = "standby"
 

@@ -5,8 +5,9 @@ holds after each event exactly the alerts an offline pass over the same
 prefix would.  Which events a tap sees is `observed`, the one tap rule.
 Each event goes only to the rules its opcode can trip, and the rules keep
 frames, encoding them only as an alert's evidence.  Each sustained rule
-(scan, churn, standby, stream) fires once per initiator and then drops that
-initiator's window.  Alerts serialise as JSON lines citing the frames that
+(scan, churn, standby, stream) keeps one table of initiators and fires once
+per initiator; the table then maps that initiator to the `FIRED` marker in
+place of its window.  Alerts serialise as JSON lines citing the frames that
 tripped each rule.
 """
 
@@ -30,6 +31,13 @@ RULE_COVERT_MARKER = "CovertMarker"
 RULE_COVERT_STREAM = "CovertStream"
 RULES = (RULE_SCAN_BURST, RULE_INPUT_CHURN, RULE_TARGETED_STANDBY, RULE_COVERT_MARKER,
          RULE_COVERT_STREAM)
+
+# The rules that fire once per initiator, in the order of `Detector.tables`.
+SUSTAINED_RULES = (RULE_SCAN_BURST, RULE_INPUT_CHURN, RULE_TARGETED_STANDBY, RULE_COVERT_STREAM)
+
+# What a sustained rule's table maps an initiator to once the rule has
+# fired for it: an empty tuple, so it holds no frame.
+FIRED = ()
 
 # Covert-channel marker frames; each sighting raises a CovertMarker alert.
 _MARKERS = frozenset((REQUEST_MARKER, MIC_MARKER, END_MARKER))
@@ -57,6 +65,10 @@ class RuleConfig:
         return cls(**schema.keyed(raw, "detector settings", {f.name for f in fields(cls)}))
 
 
+# Frozen, so every detector built without a config shares this one.
+_DEFAULT_CONFIG = RuleConfig()
+
+
 @dataclass(frozen=True)
 class Alert:
     rule: str
@@ -79,20 +91,23 @@ class Detector:
     """Runs the rules on every event fed, in trace order, into `alerts`.
 
     The marker rule fires on every marker frame.  Each sustained rule
-    (scanning, churn, repeated standby, streaming) keeps an initiator's
-    frames in its (rule, initiator) window until `_fire` raises the alert
-    from it; the window is then dropped, and `_fired` makes the rule skip
-    that initiator's frames from then on.
+    (scanning, churn, repeated standby, streaming) keeps its own table of
+    initiators in `tables`: an initiator's frames stay in its window there
+    until `_fire` raises the alert from them, and then the table maps the
+    initiator to `FIRED`, so the rule skips its frames from then on.  Each
+    check steps its window itself (look up, skip a fired initiator, append,
+    drop frames a window old): a helper call per event costs more than the
+    step.
     """
 
     def __init__(self, config: RuleConfig | None = None):
-        self.config = config or RuleConfig()
+        self.config = config or _DEFAULT_CONFIG
         self.alerts: list[Alert] = []
-        # (rule, initiator) -> (tick, frame) window, until the rule fires.
-        self._windows: dict[tuple[str, str], deque] = {}
+        # Rule -> initiator -> its (tick, frame) window, or FIRED.
+        self.tables: dict[str, dict[str, deque | tuple]] = {rule: {} for rule in SUSTAINED_RULES}
+        self._scan, self._churn, self._standby, self._stream = self.tables.values()
         # Recent broadcast announcements, each with its wire's observers.
         self._announcements: deque = deque()
-        self._fired: set[tuple[str, str]] = set()
 
     def feed(self, event: BusEvent) -> None:
         for check in _CHECKS_BY_OPCODE.get(event.frame.opcode, ()):
@@ -107,26 +122,9 @@ class Detector:
                 Alert(RULE_COVERT_MARKER, (event.tick, event.tick), event.origin, (frame.text,))
             )
 
-    def _window(self, rule: str, event: BusEvent, span: int | None = None) -> deque | None:
-        """The initiator's window for `rule`, this frame added and frames a
-        `span` or more ticks older dropped; None once the rule has fired."""
-        key = (rule, event.origin)
-        if key in self._fired:
-            return None
-        window = self._windows.get(key)
-        if window is None:
-            window = self._windows[key] = deque()
-        tick = event.tick
-        window.append((tick, event.frame))
-        if span is not None:
-            while window[0][0] <= tick - span:
-                window.popleft()
-        return window
-
     def _fire(self, rule: str, subject: str, window: deque):
-        """Raise `rule` once for the initiator, citing its window, and drop the window."""
-        self._fired.add((rule, subject))
-        del self._windows[(rule, subject)]
+        """Raise `rule` once for the initiator, citing its window, and mark it fired."""
+        self.tables[rule][subject] = FIRED
         self.alerts.append(
             Alert(rule, (window[0][0], window[-1][0]), subject, tuple(f.text for _, f in window))
         )
@@ -135,23 +133,45 @@ class Detector:
         if len(event.frame.operands) <= 1:
             return
         # The alert cites the first three data frames; later ones add nothing.
-        window = self._window(RULE_COVERT_STREAM, event)
-        if window is not None and len(window) == 3:
-            self._fire(RULE_COVERT_STREAM, event.origin, window)
+        origin = event.origin
+        window = self._stream.get(origin)
+        if window is None:
+            window = self._stream[origin] = deque()
+        elif window is FIRED:
+            return
+        window.append((event.tick, event.frame))
+        if len(window) == 3:
+            self._fire(RULE_COVERT_STREAM, origin, window)
 
     def _check_scan(self, event: BusEvent):
-        window = self._window(RULE_SCAN_BURST, event, self.config.scan_window)
+        origin, tick = event.origin, event.tick
+        window = self._scan.get(origin)
+        if window is None:
+            window = self._scan[origin] = deque()
+        elif window is FIRED:
+            return
+        window.append((tick, event.frame))
+        while window[0][0] <= tick - self.config.scan_window:
+            window.popleft()
         # A window of fewer frames than the limit cannot hold that many
         # destinations, so a device's few claim polls build no set.
         limit = self.config.scan_distinct_addresses
-        if window is not None and len(window) >= limit:
+        if len(window) >= limit:
             if len({f.destination for _, f in window}) >= limit:
-                self._fire(RULE_SCAN_BURST, event.origin, window)
+                self._fire(RULE_SCAN_BURST, origin, window)
 
     def _check_churn(self, event: BusEvent):
-        window = self._window(RULE_INPUT_CHURN, event, self.config.churn_window)
-        if window is not None and len(window) >= self.config.churn_count:
-            self._fire(RULE_INPUT_CHURN, event.origin, window)
+        origin, tick = event.origin, event.tick
+        window = self._churn.get(origin)
+        if window is None:
+            window = self._churn[origin] = deque()
+        elif window is FIRED:
+            return
+        window.append((tick, event.frame))
+        while window[0][0] <= tick - self.config.churn_window:
+            window.popleft()
+        if len(window) >= self.config.churn_count:
+            self._fire(RULE_INPUT_CHURN, origin, window)
 
     def _check_standby(self, event: BusEvent):
         frame = event.frame
@@ -160,7 +180,10 @@ class Detector:
             self._announcements.append((tick, event.origin, frame, event.observers))
         while self._announcements and self._announcements[0][0] < tick - self.config.standby_gap:
             self._announcements.popleft()
-        if frame.opcode != fr.OP_STANDBY or (RULE_TARGETED_STANDBY, event.origin) in self._fired:
+        if frame.opcode != fr.OP_STANDBY:
+            return
+        window = self._standby.get(event.origin)
+        if window is FIRED:
             return
         # The standby pairs with the oldest announcement on its wire that it
         # answers; the window holds the pairs in turn, announcement then standby.
@@ -168,17 +191,18 @@ class Detector:
             if ann_origin != event.origin and observers == event.observers and (
                 frame.is_broadcast or frame.destination == announcement.initiator
             ):
-                window = self._windows.setdefault((RULE_TARGETED_STANDBY, event.origin), deque())
+                if window is None:
+                    window = self._standby[event.origin] = deque()
                 window.extend(((ann_tick, announcement), (tick, frame)))
                 if len(window) == 2 * self.config.standby_repeat:
                     self._fire(RULE_TARGETED_STANDBY, event.origin, window)
                 return
 
 
-def _checks_by_opcode() -> dict[int | None, list]:
+def _checks_by_opcode() -> dict[int | None, tuple]:
     """Opcode (None for a poll) -> the checks a frame with it can trip, in
     the order their alerts are raised."""
-    table: dict[int | None, list] = {}
+    table: dict[int | None, tuple] = {}
     for opcodes, check in (
         ({marker.opcode for marker in _MARKERS}, Detector._check_markers),
         ((DATA_OPCODE,), Detector._check_stream),
@@ -187,7 +211,7 @@ def _checks_by_opcode() -> dict[int | None, list]:
         (fr.ANNOUNCE_OPCODES + (fr.OP_STANDBY,), Detector._check_standby),
     ):
         for opcode in opcodes:
-            table.setdefault(opcode, []).append(check)
+            table[opcode] = table.get(opcode, ()) + (check,)
     return table
 
 
@@ -213,8 +237,9 @@ def observed(events, tap: str | None):
 def detect(events, config: RuleConfig | None = None, tap: str | None = None) -> list[Alert]:
     """Offline pass over what `tap` observes: identical to streaming it."""
     detector = Detector(config)
+    feed = detector.feed
     for event in observed(events, tap):
-        detector.feed(event)
+        feed(event)
     return detector.alerts
 
 

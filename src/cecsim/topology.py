@@ -13,7 +13,6 @@ by `build_topology`, and its read-only views (addresses, domains) are
 computed once.
 """
 
-import enum
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -21,14 +20,16 @@ from functools import cached_property
 from types import MappingProxyType
 
 from cecsim import schema
-from cecsim.frames import DeviceType, FrameError, PhysicalAddress, PowerState, parse_vendor_id
+from cecsim.frames import (
+    DeviceType, FrameError, IdentityEnum, PhysicalAddress, PowerState, parse_vendor_id,
+)
 
 
 class TopologyError(schema.FieldError):
     """Raised when a topology document is structurally invalid."""
 
 
-class DeviceKind(enum.Enum):
+class DeviceKind(IdentityEnum):
     DISPLAY = "display"
     SWITCH = "switch"
     HUB_SPLITTER = "hub_splitter"

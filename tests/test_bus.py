@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import heapq
 import itertools
+import logging
 import re
 from random import Random
 
@@ -187,6 +188,21 @@ class TestAllocation:
         # An actor added before start hears every poll of its domain.
         assert tap.heard == sim.trace.events[:-1]
         assert sim.trace.events[-1].observers == ("far",)
+
+
+    def test_fallbacks_log_one_warning_per_run(self, caplog, testbed_topology):
+        # Nine playback sources share a claim order of five addresses.
+        topology, sources = _playback_tree(10)
+        with caplog.at_level(logging.WARNING, logger="cecsim.bus"):
+            sim = Simulator(topology)
+            sim.start()
+            assert sources == 9 and list(sim.logical.values()).count(15) == 4
+            assert caplog.messages == [
+                "4 device(s) found no free logical address and stay unregistered (15)"
+            ]
+            caplog.clear()
+            Simulator(testbed_topology).start()
+            assert caplog.messages == []
 
 
 class _PollRecorder(Actor):

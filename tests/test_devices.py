@@ -1,7 +1,12 @@
 """Device reaction model: queries, control gating, announcements, menus."""
 
+import copy
 import dataclasses
 import heapq
+import os
+import pickle
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
 from unittest import mock
 
@@ -11,6 +16,7 @@ from hypothesis import strategies as st
 
 from cecsim import bus, devices, scenarios
 from cecsim import frames as fr
+from cecsim import topology as topo
 from cecsim.bus import Simulator
 from cecsim.devices import (
     ABORT_REFUSED,
@@ -24,6 +30,7 @@ from cecsim.devices import (
 )
 from cecsim.frames import (
     CecFrame,
+    DeviceType,
     OP_ACTIVE_SOURCE,
     OP_FEATURE_ABORT,
     OP_GET_CEC_VERSION,
@@ -31,6 +38,7 @@ from cecsim.frames import (
     OP_GIVE_PHYSICAL_ADDRESS,
     OP_GIVE_POWER_STATUS,
     OP_IMAGE_VIEW_ON,
+    OP_REQUEST_ACTIVE_SOURCE,
     OP_STANDBY,
     PhysicalAddress,
     PowerState,
@@ -44,7 +52,7 @@ from cecsim.scenarios import (
     run_scenario,
     write_artifacts,
 )
-from cecsim.topology import MAX_PORTS, build_topology
+from cecsim.topology import MAX_PORTS, DeviceKind, build_topology
 
 from conftest import build_testbed, rendered
 
@@ -698,3 +706,76 @@ class TestInterning:
             assert key is state
             assert state.active_input_port is None or 1 <= state.active_input_port <= MAX_PORTS
 
+    def test_a_reaction_that_changes_nothing_is_shared(self, sim):
+        # Request Active Source changes no state, and amp holds no claim to
+        # answer it with: every call hands out the state's one reaction.
+        ctx, state = ctx_and_state(sim, "amp")
+        first = react(ctx, state, CecFrame(0, fr.BROADCAST, OP_REQUEST_ACTIVE_SOURCE))
+        assert first is react(ctx, state, CecFrame(4, fr.BROADCAST, OP_REQUEST_ACTIVE_SOURCE))
+        assert first.state is state
+        assert (first.responses, first.control_pressure, first.changed) == ((), False, ())
+        # A state made outside the table gets a reaction of its own.
+        loose = dataclasses.replace(state)
+        reaction = react(ctx, loose, CecFrame(0, fr.BROADCAST, OP_REQUEST_ACTIVE_SOURCE))
+        assert reaction.state is loose and reaction is not first
+
+    def test_every_interned_state_has_its_no_change_reaction(self):
+        for name in builtin_scenario_names():
+            run_scenario(builtin_scenario(name))
+        assert len(devices._UNCHANGED) == len(devices._STATES)
+        for state in devices._STATES.values():
+            reaction = devices._UNCHANGED[id(state)]
+            assert reaction.state is state and not reaction.control_pressure
+            assert reaction.responses == reaction.changed == ()
+
+
+# ---------------------------------------------------------------------------
+# Identity-hashed enums
+# ---------------------------------------------------------------------------
+
+_ENUMS = (DeviceType, PowerState, DeviceKind, UserAction)
+
+
+@pytest.mark.parametrize("kind", _ENUMS, ids=lambda kind: kind.__name__)
+def test_enum_members_hash_by_identity_and_survive_pickle_and_copy(kind):
+    for member in kind:
+        assert hash(member) == object.__hash__(member)
+        assert pickle.loads(pickle.dumps(member)) is member
+        assert copy.copy(member) is member and copy.deepcopy(member) is member
+        assert kind(member.value) is member
+
+
+def test_every_enum_keyed_table_finds_each_member():
+    for device_type in DeviceType:
+        assert fr.logical_candidates(device_type) is fr._TYPE_CANDIDATES[device_type]
+        assert device_type in fr.DEVICE_TYPE_OPERAND
+        assert topo._TYPE_ALIASES[device_type.value] is device_type
+    for kind in DeviceKind:
+        assert topo._KIND_ALIASES[kind.value] is kind
+    for power in PowerState:
+        assert power in fr.POWER_STATUS_OPERAND
+        # The initial-state cache and the state table find an equal state.
+        initial = devices._initial(power, False, None, True, True)
+        assert devices._initial(power, False, None, True, True) is initial
+        assert devices._STATES[DeviceState(power)] is initial
+    assert len(fr._TYPE_CANDIDATES) == len(fr.DEVICE_TYPE_OPERAND) == len(DeviceType)
+    assert len(fr.POWER_STATUS_OPERAND) == len(PowerState)
+
+
+def test_a_run_writes_the_same_logs_under_any_hash_seed(tmp_path):
+    # Members hash by identity, which no hash seed fixes: two fresh
+    # interpreters must still write the same bytes.
+    src = os.path.dirname(os.path.dirname(devices.__file__))
+    written = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        done = subprocess.run(
+            [sys.executable, "-m", "cecsim.cli", "run", "--scenario", "attack5-input-churn",
+             "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        written.append([(out / f).read_bytes() for f in ("trace.log", "state.log", "alerts.jsonl")])
+    assert written[0] == written[1]
+    assert all(written[0])

@@ -55,14 +55,16 @@ class _IndexOnly:
         return 7
 
 
-# Operands of every kind a caller might pass, valid or not.
+# Operands of every kind a caller might pass, valid or not.  The str and
+# bytes items are drawn from fixed examples: Hypothesis then caches their
+# indices, where drawn `''` and `b''` would meet as equal-hashing cache keys
+# and compare, which `python -bb` turns into an error.
 _operand_items = st.one_of(
     st.integers(-300, 300),
     st.booleans(),
     st.floats(),
     st.none(),
-    st.text(max_size=2),
-    st.binary(max_size=2),
+    st.sampled_from(("", "é", b"", b"\x00")),
     st.just(_IndexOnly()),
 )
 

@@ -8,6 +8,7 @@ from cecsim import frames as fr
 from cecsim.bus import BusEvent, Simulator, parse_trace_line
 from cecsim.frames import CecFrame, parse_frame
 from cecsim.ids import (
+    FIRED,
     Alert,
     Detector,
     RULE_COVERT_MARKER,
@@ -28,6 +29,16 @@ from conftest import build_testbed, rendered
 
 def ev(tick, origin, text, observers=("tap", "a", "b"), ack=True):
     return BusEvent(tick, origin, parse_frame(text), tuple(observers), ack)
+
+
+def live_windows(detector):
+    """(rule, initiator) -> frames held, for each window a rule still keeps."""
+    return {
+        (rule, initiator): len(window)
+        for rule, table in detector.tables.items()
+        for initiator, window in table.items()
+        if window is not FIRED
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +134,8 @@ class TestTargetedStandby:
             detector.feed(event)
         assert [a.rule for a in detector.alerts] == [RULE_TARGETED_STANDBY]
         assert detector.alerts[0].window == (0, 11)
-        assert detector._windows == {}
+        assert live_windows(detector) == {}
+        assert detector.tables[RULE_TARGETED_STANDBY] == {"spy": FIRED}
 
     def test_broadcast_standby_counts(self):
         events = []
@@ -188,7 +200,8 @@ class TestCovertRules:
             detector.feed(ev(t, "spy", "12:00:01:02:03"))
         assert [a.rule for a in detector.alerts] == [RULE_COVERT_STREAM]
         assert detector.alerts[0].window == (0, 2)
-        assert detector._windows == {}
+        assert live_windows(detector) == {}
+        assert detector.tables[RULE_COVERT_STREAM] == {"spy": FIRED}
 
 
 # The frames that trip each sliding-window rule at the default thresholds,
@@ -231,9 +244,10 @@ class TestRuleWindows:
         for t, (origin, text) in enumerate(sent * 50):
             detector.feed(ev(t, origin, text))
             if t == len(sent) - 2:
-                assert list(detector._windows) == [(rule, "spy")]
+                assert list(live_windows(detector)) == [(rule, "spy")]
         assert [a.rule for a in detector.alerts] == [rule]
-        assert detector._windows == {}
+        assert live_windows(detector) == {}
+        assert detector.tables[rule] == {"spy": FIRED}
 
 
 # ---------------------------------------------------------------------------
