@@ -35,6 +35,8 @@ Only `start`, which `run` calls, makes claims; a frame sent before it raises
 TopologyError.  A run's fixed cost is its claims, which every run makes: its
 addresses and domains are the topology's, the sixteen poll frames are built
 once, in `_POLLS`, and initial states come from the devices' state table.
+`run` driven directly leaves the cyclic garbage collector running;
+`scenarios.run_scenario` pauses it for the whole run.
 """
 
 import heapq

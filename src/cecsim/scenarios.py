@@ -11,6 +11,7 @@ listener.  The runner wires up the attack services, replays the actions,
 runs the detector over the finished trace, and can persist its artifacts.
 """
 
+import gc
 import json
 import logging
 import os
@@ -244,34 +245,49 @@ def run_scenario(scenario: Scenario, *, relay_client=None) -> RunResult:
     """Build the simulator, wire services, replay actions, detect.
 
     A `relay_client` carries an enabled relay's traffic; without one, the
-    relay runs over an in-process loopback."""
-    topology = scenario.topology
-    sim = Simulator(topology)
+    relay runs over an in-process loopback.
 
-    controllers: dict[str, AttackController] = {}
-    for listener in topology.listeners():
-        store = PayloadStore(scenario.seed, **scenario.listener_options)
-        controller = controllers[listener] = AttackController(listener, store)
-        controller.register(sim)
-    result = RunResult(scenario, sim, controllers)
+    The cyclic garbage collector is paused for the whole call, detection
+    included, and put back as the caller had it, also when the run raises.
+    The pause is process-wide: other threads, such as an in-process
+    `relay_http.RelayServer`'s handlers, collect no cycles while it lasts.
+    It is safe because a run makes no cyclic garbage that grows with its
+    length, and it stops the collector re-scanning the records a run
+    retains, which made a frame of a long run cost more than one of a short
+    run.  `Simulator.run` driven directly does not pause it."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        topology = scenario.topology
+        sim = Simulator(topology)
 
-    relay_cfg = scenario.relay
-    if relay_cfg.get("enabled"):
-        client = relay_client if relay_client is not None else relay_mod.LoopbackRelayClient()
-        interval = relay_cfg.get("interval_ticks", 20)
-        poller = relay_mod.RelayPoller(client, next(iter(controllers.values())), interval)
-        poller.start(sim)
-        result.poller = poller
-        for tick, command, text in relay_cfg["commands"]:
-            sim.schedule(tick, _post_command, sim, client, command, text, result)
+        controllers: dict[str, AttackController] = {}
+        for listener in topology.listeners():
+            store = PayloadStore(scenario.seed, **scenario.listener_options)
+            controller = controllers[listener] = AttackController(listener, store)
+            controller.register(sim)
+        result = RunResult(scenario, sim, controllers)
 
-    for action in scenario.actions:
-        sim.schedule(action.tick, _ACTIONS[action.action], sim, action, result)
-    sim.run(scenario.duration)
+        relay_cfg = scenario.relay
+        if relay_cfg.get("enabled"):
+            client = relay_client if relay_client is not None else relay_mod.LoopbackRelayClient()
+            interval = relay_cfg.get("interval_ticks", 20)
+            poller = relay_mod.RelayPoller(client, next(iter(controllers.values())), interval)
+            poller.start(sim)
+            result.poller = poller
+            for tick, command, text in relay_cfg["commands"]:
+                sim.schedule(tick, _post_command, sim, client, command, text, result)
 
-    tap = scenario.ids_options.get("tap") or topology.root
-    result.alerts = ids_mod.detect(sim.trace.events, scenario.ids_options.get("config"), tap)
-    return result
+        for action in scenario.actions:
+            sim.schedule(action.tick, _ACTIONS[action.action], sim, action, result)
+        sim.run(scenario.duration)
+
+        tap = scenario.ids_options.get("tap") or topology.root
+        result.alerts = ids_mod.detect(sim.trace.events, scenario.ids_options.get("config"), tap)
+        return result
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _post_command(sim: Simulator, client, command: str, text: str, result: RunResult):
