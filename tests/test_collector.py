@@ -12,16 +12,11 @@ import pytest
 from cecsim import attacks, devices
 from cecsim import scenarios as scen
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _fleet_scenario(nodes: int):
-    """The benchmark's census of a seeded `nodes`-node 15-ary tree."""
-    path = os.path.join(ROOT, "perfbench", "fleet.py")
-    spec = importlib.util.spec_from_file_location("perfbench_fleet", path)
-    fleet = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(fleet)
-    return scen.load_scenario(fleet.fleet_scenario(1, nodes))
+# The benchmark's generator of seeded 15-ary census trees.
+_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "fleet.py")
+_spec = importlib.util.spec_from_file_location("fleet", _PATH)
+fleet = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(fleet)
 
 
 def churn(ticks: int):
@@ -66,7 +61,7 @@ class TestCyclicGarbage:
 
     def test_a_census_makes_the_same_whatever_the_tree(self, collector):
         walk = cyclic_garbage(scen.builtin_scenario("attack1-device-walk"))
-        fleets = [cyclic_garbage(_fleet_scenario(nodes)) for nodes in (63, 500)]
+        fleets = [cyclic_garbage(scen.load_scenario(fleet.fleet_scenario(1, n))) for n in (63, 500)]
         assert fleets == [walk, walk]
 
 
@@ -103,8 +98,8 @@ class TestPause:
         assert seen == [False]
 
     def test_no_collection_starts_inside_a_run(self, collector):
-        """With a collection due at every allocation the collector is let
-        make, any part of `run_scenario` outside the pause starts one."""
+        """With a collection due at every allocation, any part of
+        `run_scenario` left outside the pause starts one."""
         code = scen.run_scenario.__code__
         inside = []
 
